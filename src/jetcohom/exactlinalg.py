@@ -2,9 +2,11 @@
 
 Rank and kernel computations run fraction-free over Python integers
 (Bareiss-style elimination); rational matrices are cleared to an integer
-matrix plus denominator first.  Matrices are dense lists of lists; the
-sizes that arise per (degree, energy) cell stay small enough that
-sparsity tricks beyond zero-skipping are not worth their complexity.
+matrix plus denominator first.  Matrices are dense lists of lists and
+products skip zero entries.  The sparsity that matters comes from the
+torus-weight grading and is exploited by the callers: the cochain module
+hands these routines one weight block at a time (ranks of d, kernels of
+the Laplacian, Casimir polynomial products) rather than whole cells.
 """
 
 from __future__ import annotations

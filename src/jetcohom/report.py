@@ -115,7 +115,7 @@ def compute_cell(data: AlgebraData, cc: CellComplex, p: int, k: int) -> dict:
     d_sq_zero = True
     if len(nxt.basisIn) and len(nxt.basisOut):
         d_sq_zero = xl.is_zero_matrix(xl.matmul(nxt.dense(), block.dense()))
-    rank_d = xl.rank(block.dense()) if len(block.basisOut) else 0
+    rank_d = cc.rank_d(p, k)
 
     multiset = weights_of_basis(data, basis.monomials)
     weyl_ok = is_weyl_symmetric(data, multiset)

@@ -5,8 +5,11 @@ from fractions import Fraction as F
 import pytest
 
 import jetcohom.exactlinalg as xl
+from jetcohom import cochain
 from jetcohom.affine import AffineWeight, laplacian_shift
 from jetcohom.cochain import (
+    CellComplex,
+    InvariantError,
     build_basis,
     differential_block,
     eigenvalue_of,
@@ -15,6 +18,7 @@ from jetcohom.cochain import (
     laplacian_scalar,
     wedge_gram,
 )
+from jetcohom.liealg import AlgebraSpec, build_algebra
 
 
 def _count_oracle(n, p, k):
@@ -209,3 +213,89 @@ def test_wedge_gram_positive_definite(a1, cc_a1):
                 if f:
                     for j in range(c, dim):
                         work[r][j] -= f * work[c][j]
+
+
+def _all_pairs_gram(metric, basis):
+    """Reference Gram: the determinant of pairwise mode metrics for every pair."""
+    mons = basis.monomials
+    return [
+        [xl.det([[metric[a[1]][b[1]] if a[0] == b[0] else F(0) for b in wj] for a in wi]) for wj in mons]
+        for wi in mons
+    ]
+
+
+@pytest.mark.parametrize("series", ["A", "B"])
+def test_wedge_gram_matches_all_pairs_determinants(series):
+    data = build_algebra(AlgebraSpec(series, 2))
+    basis = build_basis(data, 2, 3)
+    herm = [list(r) for r in data.hermGram]
+    for metric in (herm, xl.invert(herm)):
+        assert wedge_gram(metric, basis) == _all_pairs_gram(metric, basis)
+
+
+@pytest.mark.parametrize("series,rank,max_p,max_k", [("A", 1, 3, 6), ("A", 2, 2, 4)])
+def test_rank_d_matches_dense_rank(series, rank, max_p, max_k):
+    cc = CellComplex(build_algebra(AlgebraSpec(series, rank)))
+    for p in range(max_p + 1):
+        for k in range(max_k + 1):
+            assert cc.rank_d(p, k) == xl.rank(cc.block(p, k).dense()), (p, k)
+
+
+def _cross_weight_pair(cc, p, k):
+    labels = cc.weights(p, k)
+    return next((i, j) for i in range(len(labels)) for j in range(len(labels)) if labels[i] != labels[j])
+
+
+def test_rank_d_rejects_a_weight_changing_entry(a1):
+    cc = CellComplex(a1)
+    block = cc.block(1, 2)
+    w_in, w_out = cc.weights(1, 2), cc.weights(2, 2)
+    r, c = next((r, c) for r in range(len(w_out)) for c in range(len(w_in)) if w_out[r] != w_in[c])
+    block.dMatrix[(r, c)] = 1
+    with pytest.raises(InvariantError):
+        cc.rank_d(1, 2)
+
+
+def _doctored_laplacian(cc, p, k, i, j, delta):
+    L = [list(row) for row in CellComplex(cc.data).laplacian(p, k)]
+    L[i][j] += delta
+    cc.laplacian = lambda *_: L
+
+
+def test_harmonic_space_rejects_a_weight_changing_laplacian(a1):
+    cc = CellComplex(a1)
+    i, j = _cross_weight_pair(cc, 2, 3)
+    _doctored_laplacian(cc, 2, 3, i, j, 1)
+    with pytest.raises(InvariantError):
+        harmonic_space(a1, 2, 3, cc)
+
+
+def test_isotypic_check_rejects_cross_weight_entries(a1, monkeypatch):
+    real_casimir = cochain.casimir_matrix
+    cc = CellComplex(a1)
+    i, j = _cross_weight_pair(cc, 2, 3)
+
+    def doctored_casimir(data, basis):
+        C = real_casimir(data, basis)
+        C[i][j] += 1
+        return C
+
+    monkeypatch.setattr(cochain, "casimir_matrix", doctored_casimir)
+    verdict = isotypic_eigen_check(a1, 2, 3, CellComplex(a1))
+    assert not verdict.weight_blocked and not verdict.passed
+
+    # an L entry cancelling the C entry keeps L + C = c*k*Id and every
+    # blockwise product intact: only the explicit block check sees it
+    _doctored_laplacian(cc, 2, 3, i, j, -1)
+    verdict = isotypic_eigen_check(a1, 2, 3, cc)
+    assert verdict.laplacian_matches_casimir and verdict.minimal_polynomial_ok
+    assert all(ok for _lw, _s, ok in verdict.components)
+    assert not verdict.weight_blocked and not verdict.passed
+
+
+def test_isotypic_check_rejects_a_laplacian_doctored_inside_a_block(a1):
+    cc = CellComplex(a1)
+    _doctored_laplacian(cc, 2, 3, 0, 0, 1)
+    verdict = isotypic_eigen_check(a1, 2, 3, cc)
+    assert verdict.weight_blocked and not verdict.passed
+    assert verdict.first_violation() is not None
