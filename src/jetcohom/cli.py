@@ -17,6 +17,7 @@ import sys
 from pathlib import Path
 
 from . import cache as cache_mod
+from .cochain import InvariantError
 from .liealg import InvalidAlgebraError
 from .report import (
     RunConfig,
@@ -130,6 +131,9 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidAlgebraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except InvariantError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     text = serialize_report(report, config.outputFormat)
     if getattr(args, "output", None):

@@ -110,6 +110,22 @@ def test_exit_codes_for_doctored_reports(a1_report):
     assert exit_code_for(ident) == 0
 
 
+def test_cli_maps_invariant_error_to_exit_2(monkeypatch, capsys):
+    from jetcohom import cli
+    from jetcohom.cochain import InvariantError
+
+    def broken(config):
+        raise InvariantError("Hodge consistency fails in cell (1, 1)")
+
+    # cli.main calls report.cmd_compute through the name it imported
+    monkeypatch.setattr(cli, "cmd_compute", broken)
+    code = main(["compute", "--series", "A", "--rank", "1", "--max-degree", "1", "--max-energy", "1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: Hodge consistency fails in cell (1, 1)\n"
+    assert captured.out == ""
+
+
 def test_cli_main_end_to_end(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main([

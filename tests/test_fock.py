@@ -1,5 +1,8 @@
+import numpy as np
 import pytest
 
+from jetcohom import fock
+from jetcohom.cochain import InvariantError
 from jetcohom.fock import (
     VACUUM,
     EnergyWindow,
@@ -12,6 +15,7 @@ from jetcohom.fock import (
     apply_eps,
     apply_iota,
     apply_L,
+    check_basis,
     clifford_check,
     cocycle_check,
     commutator_check,
@@ -29,6 +33,8 @@ from jetcohom.fock import (
     _L_monomial,
     _apply_monowise,
     _closed_form_monomial,
+    _d_monomial,
+    _dstar_monomial,
 )
 
 TOL = 1e-9
@@ -224,3 +230,136 @@ def test_monomial_enumeration_counts(backend):
     capped = monomials_in_support(backend, WINDOW, 1, max_energy=2)
     assert all(m.energy <= 2 for m in capped)
     assert len({m for m in capped}) == len(capped)
+
+
+def test_memoised_columns_match_fresh_backend(a1):
+    warm = OrthonormalBackend(a1)
+    for check in (energy_bookkeeping_check, d_squared_check, laplacian_formula_check):
+        assert check(warm, WINDOW, TOL).passed
+    fresh = OrthonormalBackend(a1)
+    basis = check_basis(warm, WINDOW, WINDOW.guard, 3)
+    assert len(basis) > 100
+    for mono in basis:
+        for i in range(warm.n):
+            for k in (-1, 0, 1):
+                col = _L_monomial(warm, i, k, mono, WINDOW)
+                assert col is _L_monomial(warm, i, k, mono, WINDOW)
+                assert dict(col) == dict(_L_monomial(fresh, i, k, mono, WINDOW))
+        for twisted in (False, True):
+            col = _d_monomial(warm, mono, WINDOW, twisted)
+            assert col is _d_monomial(warm, mono, WINDOW, twisted)
+            assert dict(col) == dict(_d_monomial(fresh, mono, WINDOW, twisted))
+        col = _dstar_monomial(warm, mono, WINDOW)
+        assert col is _dstar_monomial(warm, mono, WINDOW)
+        assert dict(col) == dict(_dstar_monomial(fresh, mono, WINDOW))
+
+
+def test_memoised_columns_are_read_only_and_interned(backend):
+    col = _d_monomial(backend, SemiInfMonomial(((0, 1),), ((1, 0),)), WINDOW, False)
+    assert col
+    with pytest.raises(TypeError):
+        col[VACUUM] = 1.0
+    # all empty columns are one object; equal monomials in columns are one object
+    assert _d_monomial(backend, VACUUM, WINDOW, False) is _L_monomial(backend, 0, 1, VACUUM, WINDOW)
+    seen = {}
+    for mono in check_basis(backend, WINDOW, WINDOW.guard, 3):
+        for m in _dstar_monomial(backend, mono, WINDOW):
+            assert seen.setdefault(m, m) is m
+
+
+def test_backend_reused_across_windows(a1, monkeypatch):
+    windows = (EnergyWindow(-1, 2, 1), EnergyWindow(-2, 2, 1))
+    fresh = [[v.to_json_dict() for v in verify_identity_suite(a1, w, TOL)] for w in windows]
+    shared = OrthonormalBackend(a1)
+    monkeypatch.setattr(fock, "OrthonormalBackend", lambda data: shared)
+    reused = [[v.to_json_dict() for v in verify_identity_suite(a1, w, TOL)] for w in windows]
+    assert reused == fresh
+    assert all(shared.memo(w).d for w in windows)
+
+
+def _with_extra_term(fn, target):
+    """``fn`` with 0.5 * target added to its column of ``target``."""
+    def doctored(backend, mono, *rest):
+        col = fn(backend, mono, *rest)
+        if mono != target:
+            return col
+        out = dict(col)
+        out[target] = out.get(target, 0j) + 0.5
+        return out
+    return doctored
+
+
+def test_doctored_d_fails_matrix_checks(a1, monkeypatch):
+    backend = OrthonormalBackend(a1)
+    cols = check_basis(backend, WINDOW, WINDOW.guard, 3)
+    target = next(m for m in cols if _dstar_monomial(backend, m, WINDOW))
+    monkeypatch.setattr(fock, "_d_monomial", _with_extra_term(_d_monomial, target))
+    d2 = d_squared_check(backend, WINDOW, TOL)
+    lap = laplacian_formula_check(backend, WINDOW, TOL)
+    assert not d2.passed and d2.max_abs_error >= 0.25
+    assert not lap.passed and lap.max_abs_error > TOL
+
+
+def test_doctored_dstar_fails_transpose_check(a1, monkeypatch):
+    backend = OrthonormalBackend(a1)
+    target = SemiInfMonomial(((0, 1),), ())
+    monkeypatch.setattr(fock, "_dstar_monomial", _with_extra_term(_dstar_monomial, target))
+    verdict = dtilde_adjoint_matrix_check(backend, WINDOW, TOL)
+    assert not verdict.passed and verdict.max_abs_error >= 0.5
+
+
+def test_dstar_leaving_its_energy_block_raises(a1, monkeypatch):
+    backend = OrthonormalBackend(a1)
+    target = SemiInfMonomial(((0, 1),), ())
+
+    def leaky(b, mono, window):
+        col = _dstar_monomial(b, mono, window)
+        return {**col, VACUUM: 1.0} if mono == target else col
+
+    monkeypatch.setattr(fock, "_dstar_monomial", leaky)
+    with pytest.raises(InvariantError):
+        dtilde_adjoint_matrix_check(backend, WINDOW, TOL)
+
+
+
+def test_column_checks_match_dense_products(backend):
+    """Reference: the dense products D @ D and D @ DS + DS @ D, read on the
+    guarded columns, that the column-by-column checks replaced."""
+    cols = check_basis(backend, WINDOW, WINDOW.guard, 3)[:600]
+
+    def d(m):
+        return _d_monomial(backend, m, WINDOW, False)
+
+    def ds(m):
+        return _dstar_monomial(backend, m, WINDOW)
+
+    inner = dict.fromkeys(cols)  # the columns and every monomial d or d~* reaches from them
+    for fn in (d, ds):
+        for m in cols:
+            inner.update(dict.fromkeys(fn(m)))
+    d_cols, ds_cols = {m: d(m) for m in inner}, {m: ds(m) for m in inner}
+    d2_cols = {m: _apply_monowise(d, d(m)) for m in cols}
+    lap_cols = {m: _apply_monowise(d, ds(m)) for m in cols}
+    for m in cols:
+        for r, c in _apply_monowise(ds, d(m)).items():
+            lap_cols[m][r] = lap_cols[m].get(r, 0j) + c
+    closed_cols = {m: _closed_form_monomial(backend, m, WINDOW) for m in cols}
+    index = dict.fromkeys(inner)
+    for vecs in (d_cols, ds_cols, d2_cols, lap_cols, closed_cols):
+        for vec in vecs.values():
+            index.update(dict.fromkeys(vec))
+    index = {m: j for j, m in enumerate(index)}
+
+    def dense(vecs):
+        mat = np.zeros((len(index), len(index)), dtype=complex)
+        for c, vec in vecs.items():
+            for r, val in vec.items():
+                mat[index[r], index[c]] = val
+        return mat
+
+    D, DS = dense(d_cols), dense(ds_cols)
+    at = [index[m] for m in cols]
+    assert np.max(np.abs((D @ D - dense(d2_cols))[:, at])) <= 1e-14
+    assert np.max(np.abs((D @ DS + DS @ D - dense(lap_cols))[:, at])) <= 1e-14
+    want = float(np.max(np.abs((D @ DS + DS @ D - dense(closed_cols))[:, at])))
+    assert abs(laplacian_formula_check(backend, WINDOW, TOL).max_abs_error - want) <= 1e-14
