@@ -12,7 +12,7 @@ operations are pure functions of them, so everything is safe to share
 across threads; per-cell computations are independent.
 """
 
-from .liealg import AlgebraSpec, AlgebraData, build_algebra, scaled_form, casimir_eigenvalue
+from .liealg import AlgebraSpec, AlgebraData, InvariantError, build_algebra, scaled_form, casimir_eigenvalue
 from .affine import (
     AffineWeight,
     AffineRoot,
@@ -32,7 +32,6 @@ from .cochain import (
     CellComplex,
     build_basis,
     differential_block,
-    laplacian_block,
     eigenvalue_of,
     harmonic_space,
     isotypic_eigen_check,
@@ -42,12 +41,12 @@ from .fock import EnergyWindow, SemiInfMonomial, OrthonormalBackend, verify_iden
 from .report import RunConfig, cmd_compute, cmd_predict, cmd_verify_identities
 
 __all__ = [
-    "AlgebraSpec", "AlgebraData", "build_algebra", "scaled_form", "casimir_eigenvalue",
+    "AlgebraSpec", "AlgebraData", "InvariantError", "build_algebra", "scaled_form", "casimir_eigenvalue",
     "AffineWeight", "AffineRoot", "AffineWeylElement", "AffineWeylGroup", "PredictedIrrep",
     "affine_pairing", "rho_hat", "minimal_coset_reps", "predict_cohomology",
     "zero_locus_brute_force",
     "CochainBasis", "GradedComplexBlock", "HarmonicSpace", "CellComplex",
-    "build_basis", "differential_block", "laplacian_block", "eigenvalue_of",
+    "build_basis", "differential_block", "eigenvalue_of",
     "harmonic_space", "isotypic_eigen_check",
     "IrrepSummand", "weights_of_basis", "decompose", "multiplicity_one_audit",
     "EnergyWindow", "SemiInfMonomial", "OrthonormalBackend", "verify_identity_suite",

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from .liealg import AlgebraData, FiniteWeight, is_dominant
+from .liealg import AlgebraData, FiniteWeight, InvariantError, is_dominant
 from .reptheory import weyl_dim
 
 Vec = Tuple[Fraction, ...]
@@ -109,7 +109,8 @@ def reflection_matrix(data: AlgebraData, root: AffineRoot) -> Tuple[Vec, ...]:
     dim = r + 2
     alpha = root.alpha
     norm = data.weight_pairing(alpha, alpha)
-    assert norm != 0
+    if norm == 0:
+        raise InvariantError(f"root {alpha} has zero norm")
     beta_col = (Fraction(root.k),) + tuple(alpha) + (Fraction(0),)
     # row functional x -> <x, beta_hat>
     pair_row = [Fraction(0)] * dim
@@ -231,7 +232,8 @@ class AffineWeylGroup:
             a = word[t]
             vec = _apply(v_inv, (Fraction(self.simples[a].k),) + tuple(self.simples[a].alpha) + (Fraction(0),))
             k = vec[0]
-            assert k.denominator == 1 and vec[-1] == 0
+            if k.denominator != 1 or vec[-1] != 0:
+                raise InvariantError(f"image {vec} of a simple root is not a real affine root")
             rt = AffineRoot(int(k), tuple(vec[1:-1]))
             # the word is reduced iff each prefix lengthens: v^{-1} alpha_a > 0
             if not rt.is_positive() or vec in root_vecs:
@@ -277,10 +279,13 @@ def predict_cohomology(data: AlgebraData, maxDegree: int) -> Dict[int, List[Pred
     by_degree: Dict[int, List[PredictedIrrep]] = {p: [] for p in range(maxDegree + 1)}
     for w in group.minimal_coset_reps(maxDegree):
         lam = group.rho_difference(w)
-        assert lam.central == 0
-        assert lam.energy.denominator == 1 and lam.energy >= 0
+        if lam.central != 0:
+            raise InvariantError(f"rho difference {lam} has a central part")
+        if lam.energy.denominator != 1 or lam.energy < 0:
+            raise InvariantError(f"rho difference {lam} has energy outside the nonnegative integers")
         neg_finite = tuple(-x for x in lam.finite)
-        assert is_dominant(data, neg_finite), "minus the finite part must be dominant"
+        if not is_dominant(data, neg_finite):
+            raise InvariantError("minus the finite part must be dominant")
         by_degree[w.length].append(
             PredictedIrrep(
                 lowestWeight=lam,

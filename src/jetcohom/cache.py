@@ -1,10 +1,11 @@
-"""Per-cell block cache keyed by the algebra content hash.
+"""Per-cell summary cache keyed by the algebra content hash.
 
-One JSON file per (algebra, degree, energy) cell holding the serialized
-differential block (basis listing plus sparse triples) and the computed
-cell summary.  A cached file is used only when its stored algebra hash
-matches; hash mismatches and unreadable files trigger recomputation with
-a warning.
+One JSON file per (algebra, degree, energy) cell holding the computed
+cell summary: dimension, rank of d, harmonic decomposition and check
+flags.  The differential is not stored; files written when it was (under
+a "block" key) still load, and the report ignores that key.  A cached
+file is used only when its stored algebra hash matches; hash mismatches
+and unreadable files trigger recomputation with a warning.
 """
 
 from __future__ import annotations

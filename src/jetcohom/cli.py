@@ -84,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("compute", help="build cells, harmonic spaces and cross-check predictions"))
     common(sub.add_parser("predict", help="affine-Weyl prediction only, no complexes"))
     common(sub.add_parser("verify-identities", help="run the windowed operator identity suite"), window=True)
-    pc = sub.add_parser("show-cache", help="list cached cell blocks")
+    pc = sub.add_parser("show-cache", help="list cached cell summaries")
     pc.add_argument("--cache-dir", dest="cacheDir")
     return parser
 

@@ -9,16 +9,17 @@ determinant of pairwise Grams), and kernels come from fraction-free
 elimination.
 
 Weight blocks.  Every operator here (d, d*, the Laplacian, the Casimir)
-preserves torus weight, and the mode metric pairs a mode only with modes
-of its own level and metric class, so a Gram entry is nonzero only
-between monomials with equal (level, class) multisets.  The pipeline
-uses this wherever a check stays exact: Gram determinants run only
-inside those groups, the rank of d is a sum over weight blocks of the
-sparse differential, and kernels and the Casimir polynomial products are
-taken per weight block.  That d, L and the Casimir join no two weights
-is itself checked explicitly on every cell, so a block-diagonal
-evaluation is never taken on trust; L + Casimir = c*k*Id, d^2 = 0,
-self-adjointness and Hodge consistency stay whole-cell checks.
+preserves torus weight, so the identity L = c*k - Casimir holds one
+weight block at a time, and the weight block is the only shape in which
+these operators are built.  The sparse d is cut into its weight blocks
+after a check that every entry joins equal weights.  The mode metric
+pairs a mode only with modes of its own level and metric class, and
+every metric class is checked to be weight-homogeneous, so the Gram, and
+with it d* = G^-1 d^T G and L = d*d + dd*, is assembled per weight block
+and is weight-blocked by construction.  The sparse Casimir is checked
+explicitly to join no two weights.  Ranks of d, kernels, Hodge
+consistency, closedness, d^2 = 0, self-adjointness, L + Casimir = c*k*Id
+and the Casimir's minimal polynomial are then all checked block by block.
 
 Sign conventions.  The positive semi-definite cell Laplacian acts on the
 isotypic component of lowest weight lam at energy k by the scalar
@@ -29,18 +30,20 @@ fock module).  Harmonicity, the vanishing locus, is the same either way.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from . import exactlinalg as xl
-from .liealg import AlgebraData, FiniteWeight, casimir_eigenvalue, is_dominant
+from .liealg import AlgebraData, FiniteWeight, InvariantError, casimir_eigenvalue, is_dominant
 from .reptheory import IrrepSummand, decompose, weights_of_basis
 from .affine import AffineWeight, laplacian_shift
 
 Mode = Tuple[int, int]  # (level >= 1, basis index)
 Wedge = Tuple[Mode, ...]
+Blocks = Dict[FiniteWeight, xl.Matrix]  # torus weight -> dense matrix over that weight's monomials
 
 
 @dataclass(frozen=True)
@@ -148,18 +151,6 @@ class GradedComplexBlock:
             out[r][c] = Fraction(v)
         return out
 
-    def to_json_dict(self, algebra_hash: str) -> dict:
-        return {
-            "algebra_hash": algebra_hash,
-            "degree": self.basisIn.degree,
-            "energy": self.basisIn.energy,
-            "dim_in": len(self.basisIn),
-            "dim_out": len(self.basisOut),
-            "monomials_in": [[list(m) for m in w] for w in self.basisIn.monomials],
-            "monomials_out": [[list(m) for m in w] for w in self.basisOut.monomials],
-            "triples": sorted([r, c, v] for (r, c), v in self.dMatrix.items()),
-        }
-
 
 def differential_block(data: AlgebraData, p: int, k: int) -> GradedComplexBlock:
     """Chevalley-Eilenberg differential A^p(k) -> A^{p+1}(k), exact integers."""
@@ -194,10 +185,6 @@ def differential_block(data: AlgebraData, p: int, k: int) -> GradedComplexBlock:
                         else:
                             entries.pop((row, col), None)
     return GradedComplexBlock(basis_in, basis_out, entries)
-
-
-class InvariantError(RuntimeError):
-    """An exact structural identity of the complex failed to hold."""
 
 
 def _pair_metric(metric, m1: Mode, m2: Mode) -> Fraction:
@@ -265,47 +252,43 @@ def _weight_of_wedge(data: AlgebraData, wedge: Wedge) -> FiniteWeight:
     return tuple(w)
 
 
-def _weight_blocks(labels: Sequence[FiniteWeight]) -> Dict[FiniteWeight, List[int]]:
-    """Indices of each torus weight, in basis order."""
-    groups: Dict[FiniteWeight, List[int]] = {}
-    for i, w in enumerate(labels):
-        groups.setdefault(w, []).append(i)
-    return groups
-
-
-def _crosses_weight_blocks(matrix: Sequence[Sequence[Fraction]], labels: Sequence[FiniteWeight]) -> bool:
-    """True if some nonzero entry joins two different torus weights."""
-    for i, row in enumerate(matrix):
-        wi = labels[i]
-        for j, x in enumerate(row):
-            if x != 0 and labels[j] != wi:
-                return True
-    return False
-
-
-def _submatrix(matrix: Sequence[Sequence[Fraction]], idxs: Sequence[int]) -> List[List[Fraction]]:
-    return [[matrix[i][j] for j in idxs] for i in idxs]
+def _positions(groups: Dict[FiniteWeight, List[int]]) -> Dict[int, int]:
+    """Position of each monomial index inside its weight block."""
+    return {i: pos for idxs in groups.values() for pos, i in enumerate(idxs)}
 
 
 class CellComplex:
-    """Lazy per-algebra store of blocks, grams and Laplacians.
+    """Lazy per-algebra store of differentials and weight-block operators.
 
-    Sparse differentials, bases, weight labels and ranks of d are kept for
-    the whole run.  Dense matrices (Grams, codifferentials, the Laplacian)
-    are kept for one cell at a time: ``cell_laplacian`` builds them once
-    for the harmonic and isotypic checks of a cell and drops them when it
-    moves to another cell.
+    Sparse differentials, bases, weight labels and the rank of each weight
+    block of d are kept for the whole run.  Every other operator is a dict
+    from torus weight to a dense matrix over that weight's monomials (in
+    basis order): the blocks of d, the Grams and their inverses, d* and
+    the Laplacian.  These are kept for one cell at a time:
+    ``cell_laplacian`` builds them once for the harmonic and isotypic
+    checks of a cell and drops them when it moves to another cell.
+
+    A Gram entry is nonzero only between monomials with equal multisets of
+    (level, metric class).  The constructor checks that every metric class
+    is weight-homogeneous, so such monomials have equal weights: the Grams,
+    and with them d* and L, are weight-blocked by construction, and the
+    blocks of d are checked to be all of d when they are cut.
     """
 
     def __init__(self, data: AlgebraData):
         self.data = data
         self._dual_metric = xl.invert([list(r) for r in data.hermGram])
         self._vector_metric = [list(r) for r in data.hermGram]
+        for metric in (self._dual_metric, self._vector_metric):
+            for i, rep in enumerate(_metric_classes(metric)):
+                if data.basis_weights[i] != data.basis_weights[rep]:
+                    raise InvariantError("a metric class of the mode metric joins different torus weights")
         self._blocks: Dict[Tuple[int, int], GradedComplexBlock] = {}
         self._bases: Dict[Tuple[int, int], CochainBasis] = {}
         self._weights: Dict[Tuple[int, int], List[FiniteWeight]] = {}
-        self._ranks: Dict[Tuple[int, int], int] = {}
-        self._dense: Dict[Tuple[str, int, int], List[List[Fraction]]] = {}
+        self._groups: Dict[Tuple[int, int], Dict[FiniteWeight, List[int]]] = {}
+        self._ranks: Dict[Tuple[int, int], Dict[FiniteWeight, int]] = {}
+        self._dense: Dict[Tuple[str, int, int], Blocks] = {}
 
     def basis(self, p: int, k: int) -> CochainBasis:
         key = (p, k)
@@ -328,87 +311,107 @@ class CellComplex:
             self._weights[key] = [_weight_of_wedge(self.data, w) for w in self.basis(p, k).monomials]
         return self._weights[key]
 
-    def rank_d(self, p: int, k: int) -> int:
-        """Rank of d: A^p(k) -> A^{p+1}(k), summed over torus-weight blocks.
-
-        d preserves torus weight, so its rank is the sum of the ranks of
-        its weight blocks; every entry is checked to join equal weights
-        first.  Computed once per block.
-        """
+    def weight_blocks(self, p: int, k: int) -> Dict[FiniteWeight, List[int]]:
+        """Monomial indices of each torus weight, in basis order; the
+        weights in sorted order."""
         key = (p, k)
-        if key not in self._ranks:
-            block = self.block(p, k)
-            w_in, w_out = self.weights(p, k), self.weights(p + 1, k)
-            rows: Dict[FiniteWeight, Dict[int, Dict[int, int]]] = {}
-            for (r, c), v in block.dMatrix.items():
-                if w_out[r] != w_in[c]:
-                    raise InvariantError(f"d^{p} at energy {k} joins different torus weights")
-                rows.setdefault(w_in[c], {}).setdefault(r, {})[c] = v
-            total = 0
-            for by_row in rows.values():
-                cols = sorted({c for entries in by_row.values() for c in entries})
-                if len(by_row) == 1 or len(cols) == 1:
-                    total += 1  # a nonzero row or column vector
-                    continue
-                sub = [[entries.get(c, 0) for c in cols] for _r, entries in sorted(by_row.items())]
-                total += xl.rank(sub)
-            self._ranks[key] = total
-        return self._ranks[key]
+        if key not in self._groups:
+            groups: Dict[FiniteWeight, List[int]] = {}
+            for i, w in enumerate(self.weights(p, k)):
+                groups.setdefault(w, []).append(i)
+            self._groups[key] = {w: groups[w] for w in sorted(groups)}
+        return self._groups[key]
 
-    def _kept(self, key: Tuple[str, int, int], build) -> List[List[Fraction]]:
+    def _kept(self, key: Tuple[str, int, int], build) -> Blocks:
         if key not in self._dense:
             self._dense[key] = build()
         return self._dense[key]
 
-    def gram(self, p: int, k: int) -> List[List[Fraction]]:
-        return self._kept(("gram", p, k), lambda: wedge_gram(self._dual_metric, self.basis(p, k)))
-
-    def gram_inverse(self, p: int, k: int) -> List[List[Fraction]]:
-        # the inverse of a compound matrix is the compound of the inverse,
-        # so the inverse Gram is the wedge Gram of the vector metric
-        return self._kept(("gram_inverse", p, k), lambda: wedge_gram(self._vector_metric, self.basis(p, k)))
-
-    def codifferential(self, p: int, k: int) -> List[List[Fraction]]:
-        """Adjoint of d: A^p -> A^{p+1} with respect to the wedge metrics."""
+    def d_blocks(self, p: int, k: int) -> Blocks:
+        """Weight blocks of d: A^p(k) -> A^{p+1}(k), one for each weight on
+        both sides, cut from the sparse d after checking that every entry
+        joins equal weights."""
 
         def build():
-            block = self.block(p, k)
-            g_out = self.gram(p + 1, k)
-            g_in_inv = self.gram_inverse(p, k)
-            dt = xl.transpose(block.dense())
-            return xl.matmul(g_in_inv, xl.matmul(dt, g_out))
+            w_in, w_out = self.weights(p, k), self.weights(p + 1, k)
+            g_in, g_out = self.weight_blocks(p, k), self.weight_blocks(p + 1, k)
+            pos_in, pos_out = _positions(g_in), _positions(g_out)
+            out = {w: [[0] * len(idxs) for _ in g_out[w]] for w, idxs in g_in.items() if w in g_out}
+            for (r, c), v in self.block(p, k).dMatrix.items():
+                if w_out[r] != w_in[c]:
+                    raise InvariantError(f"d^{p} at energy {k} joins different torus weights")
+                out[w_in[c]][pos_out[r]][pos_in[c]] = v
+            return out
+
+        return self._kept(("d", p, k), build)
+
+    def block_ranks(self, p: int, k: int) -> Dict[FiniteWeight, int]:
+        """Fraction-free rank of each weight block of d^p at energy k,
+        computed once per run."""
+        key = (p, k)
+        if key not in self._ranks:
+            self._ranks[key] = {w: xl.rank(block) for w, block in self.d_blocks(p, k).items()}
+        return self._ranks[key]
+
+    def rank_d(self, p: int, k: int) -> int:
+        """Rank of d: A^p(k) -> A^{p+1}(k), the sum of its weight blocks' ranks."""
+        return sum(self.block_ranks(p, k).values())
+
+    def _block_grams(self, metric, p: int, k: int) -> Blocks:
+        mons = self.basis(p, k).monomials
+        return {
+            w: wedge_gram(metric, CochainBasis(p, k, tuple(mons[i] for i in idxs)))
+            for w, idxs in self.weight_blocks(p, k).items()
+        }
+
+    def gram(self, p: int, k: int) -> Blocks:
+        return self._kept(("gram", p, k), lambda: self._block_grams(self._dual_metric, p, k))
+
+    def gram_inverse(self, p: int, k: int) -> Blocks:
+        # the inverse of a compound matrix is the compound of the inverse,
+        # so the inverse Gram is the wedge Gram of the vector metric
+        return self._kept(("gram_inverse", p, k), lambda: self._block_grams(self._vector_metric, p, k))
+
+    def codifferential(self, p: int, k: int) -> Blocks:
+        """Adjoint of d: A^p -> A^{p+1} in the wedge metrics, per weight
+        block: d*_w = G_w^{-1} d_w^T G_w."""
+
+        def build():
+            blocks = self.d_blocks(p, k)
+            if not blocks:
+                return {}
+            g_out, g_in_inv = self.gram(p + 1, k), self.gram_inverse(p, k)
+            return {w: xl.matmul(g_in_inv[w], xl.matmul(xl.transpose(d), g_out[w])) for w, d in blocks.items()}
 
         return self._kept(("codifferential", p, k), build)
 
-    def laplacian(self, p: int, k: int) -> List[List[Fraction]]:
-        dim = len(self.basis(p, k))
-        L = xl.zeros(dim, dim)
-        if dim == 0:
-            return L
-        up = self.block(p, k)
-        if len(up.basisOut):
-            L = xl.mat_add(L, xl.matmul(self.codifferential(p, k), up.dense()))
-        if p > 0:
-            down = self.block(p - 1, k)
-            if len(down.basisIn):
-                L = xl.mat_add(L, xl.matmul(down.dense(), self.codifferential(p - 1, k)))
-        GL = xl.matmul(self.gram(p, k), L)
-        if any(GL[i][j] != GL[j][i] for i in range(dim) for j in range(i + 1, dim)):
-            raise InvariantError(f"Laplacian of cell ({p}, {k}) is not self-adjoint in the cell metric")
-        return L
+    def laplacian(self, p: int, k: int) -> Blocks:
+        """The Laplacian d*d + dd* of cell (p, k), one block per torus
+        weight; each block is checked to be self-adjoint in the metric."""
+        up, up_star = self.d_blocks(p, k), self.codifferential(p, k)
+        down, down_star = (self.d_blocks(p - 1, k), self.codifferential(p - 1, k)) if p > 0 else ({}, {})
+        grams = self.gram(p, k)
+        out = {}
+        for w, idxs in self.weight_blocks(p, k).items():
+            L = xl.zeros(len(idxs), len(idxs))
+            if w in up:
+                L = xl.mat_add(L, xl.matmul(up_star[w], up[w]))
+            if w in down:
+                L = xl.mat_add(L, xl.matmul(down[w], down_star[w]))
+            GL = xl.matmul(grams[w], L)
+            if any(GL[i][j] != GL[j][i] for i in range(len(L)) for j in range(i + 1, len(L))):
+                raise InvariantError(f"Laplacian of cell ({p}, {k}) is not self-adjoint in the cell metric")
+            out[w] = L
+        return out
 
-    def cell_laplacian(self, p: int, k: int) -> List[List[Fraction]]:
-        """The Laplacian of cell (p, k), built once for all checks of that
-        cell; the previous cell's dense matrices are dropped first."""
+    def cell_laplacian(self, p: int, k: int) -> Blocks:
+        """The Laplacian blocks of cell (p, k), built once for all checks of
+        that cell; the previous cell's dense blocks are dropped first."""
         key = ("laplacian", p, k)
         if key not in self._dense:
             self._dense.clear()
             self._dense[key] = self.laplacian(p, k)
         return self._dense[key]
-
-
-def laplacian_block(data: AlgebraData, p: int, k: int) -> List[List[Fraction]]:
-    return CellComplex(data).laplacian(p, k)
 
 
 def eigenvalue_of(data: AlgebraData, lowestWeight: Sequence[Fraction], energy: int) -> Fraction:
@@ -425,7 +428,8 @@ def eigenvalue_of(data: AlgebraData, lowestWeight: Sequence[Fraction], energy: i
         raise ValueError("energy must be nonnegative")
     value = casimir_eigenvalue(data, lam) - data.coxeter * energy
     affine = laplacian_shift(data, AffineWeight(Fraction(energy), lam, Fraction(0)))
-    assert value == affine, "Theorem-form and pairing-form eigenvalues must agree"
+    if value != affine:
+        raise InvariantError("Theorem-form and pairing-form eigenvalues must agree")
     return value
 
 
@@ -444,64 +448,52 @@ class HarmonicSpace:
     decomposition: List[IrrepSummand]
 
 
-def harmonic_space(data: AlgebraData, p: int, k: int, complex_: CellComplex | None = None) -> HarmonicSpace:
-    """Exact kernel of the cell Laplacian, refined by torus weight.
+def _annihilates(matrix: Sequence[Sequence[Fraction]], vec: Sequence[Fraction]) -> bool:
+    return not any(sum(a * x for a, x in zip(row, vec)) for row in matrix)
 
-    The Laplacian commutes with the torus action, so it is block diagonal
-    over the (weight-homogeneous) monomial basis.  One pass over L checks
-    that no entry joins two weights; kernels and their dimensions then
-    come from one elimination per weight block and are reassembled.
-    Hodge consistency (against the blockwise ``rank_d``) and annihilation
-    of every kernel vector by d and d* are checked exactly on the whole
-    cell; a failure raises ``InvariantError``.
+
+def harmonic_space(data: AlgebraData, p: int, k: int, complex_: CellComplex | None = None) -> HarmonicSpace:
+    """Exact kernel of the cell Laplacian, one torus-weight block at a time.
+
+    The Laplacian commutes with the torus action and is assembled per
+    weight block, so its kernel is the sum of the blocks' kernels.  On
+    each block the kernel comes from one fraction-free elimination, its
+    dimension is checked against Hodge consistency (dim - rank d^p_w -
+    rank d^{p-1}_w, from the ranks ``rank_d`` sums), and every kernel
+    vector is checked to be annihilated by d and d*; a failure raises
+    ``InvariantError``.  The basis vectors are returned in cell
+    coordinates, block by block in sorted weight order.
     """
     cc = complex_ or CellComplex(data)
     dim = len(cc.basis(p, k))
-    L = cc.cell_laplacian(p, k)
-    labels = cc.weights(p, k)
-    if _crosses_weight_blocks(L, labels):
-        raise InvariantError(f"Laplacian of cell ({p}, {k}) joins different torus weights")
+    laplacian = cc.cell_laplacian(p, k)
+    d_up, ranks_up = cc.d_blocks(p, k), cc.block_ranks(p, k)
+    dstar_down, ranks_down = (cc.codifferential(p - 1, k), cc.block_ranks(p - 1, k)) if p > 0 else ({}, {})
 
-    groups = _weight_blocks(labels)
     kernel_vectors: List[List[Fraction]] = []
     weight_multiset: Dict[FiniteWeight, int] = {}
-    for w in sorted(groups):
-        idxs = groups[w]
-        kernel = xl.kernel_basis(_submatrix(L, idxs))
+    for w, idxs in cc.weight_blocks(p, k).items():
+        kernel = xl.kernel_basis(laplacian[w])
+        if len(kernel) != len(idxs) - ranks_up.get(w, 0) - ranks_down.get(w, 0):
+            raise InvariantError(f"Hodge consistency fails in cell ({p}, {k})")
         for vec in kernel:
+            if w in d_up and not _annihilates(d_up[w], vec):
+                raise InvariantError(f"harmonic vector of cell ({p}, {k}) is not closed")
+            if w in dstar_down and not _annihilates(dstar_down[w], vec):
+                raise InvariantError(f"harmonic vector of cell ({p}, {k}) is not co-closed")
             full = [Fraction(0)] * dim
-            for pos, j in enumerate(idxs):
-                full[j] = vec[pos]
+            for j, x in zip(idxs, vec):
+                full[j] = x
             kernel_vectors.append(full)
         if kernel:
             weight_multiset[w] = len(kernel)
-
-    h_dim = len(kernel_vectors)
-    rank_down = cc.rank_d(p - 1, k) if p > 0 else 0
-    if h_dim != dim - cc.rank_d(p, k) - rank_down:
-        raise InvariantError(f"Hodge consistency fails in cell ({p}, {k})")
-
-    if kernel_vectors:
-        d_up = cc.block(p, k).dMatrix
-        dstar_down = cc.codifferential(p - 1, k) if p > 0 and len(cc.block(p - 1, k).basisIn) else None
-        for vec in kernel_vectors:
-            image: Dict[int, Fraction] = {}
-            for (r, c), v in d_up.items():
-                if vec[c] != 0:
-                    image[r] = image.get(r, 0) + v * vec[c]
-            if any(x != 0 for x in image.values()):
-                raise InvariantError(f"harmonic vector of cell ({p}, {k}) is not closed")
-            if dstar_down is not None and any(
-                sum(row[j] * vec[j] for j in range(dim) if vec[j] != 0) != 0 for row in dstar_down
-            ):
-                raise InvariantError(f"harmonic vector of cell ({p}, {k}) is not co-closed")
 
     decomposition = decompose(data, weight_multiset) if weight_multiset else []
     return HarmonicSpace(
         degree=p,
         energy=k,
         basis=kernel_vectors,
-        dimension=h_dim,
+        dimension=len(kernel_vectors),
         weight_multiset=weight_multiset,
         decomposition=decomposition,
     )
@@ -528,13 +520,13 @@ def _action_matrix(data: AlgebraData, basis: CochainBasis, gen: int) -> Dict[Tup
     return {rc: v for rc, v in out.items() if v != 0}
 
 
-def casimir_matrix(data: AlgebraData, basis: CochainBasis) -> List[List[Fraction]]:
-    """Half the gram-inverse-paired square of the generator action.
+def casimir_matrix(data: AlgebraData, basis: CochainBasis) -> Dict[Tuple[int, int], Fraction]:
+    """Half the gram-inverse-paired square of the generator action, as
+    sparse (row, col) -> nonzero entry.
 
     Accumulated from the sparse action matrices, over the generator pairs
     with a nonzero inverse-Gram entry only.
     """
-    dim = len(basis)
     n = data.dim
     gram_inv = xl.invert([list(r) for r in data.gram])
     actions: List[Dict[int, Dict[int, Fraction]]] = []
@@ -544,7 +536,7 @@ def casimir_matrix(data: AlgebraData, basis: CochainBasis) -> List[List[Fraction
             rows.setdefault(r, {})[c] = v
         actions.append(rows)
 
-    out = xl.zeros(dim, dim)
+    out: Dict[int, Dict[int, Fraction]] = {}
     for a in range(n):
         for b in range(n):
             w = gram_inv[a][b]
@@ -553,11 +545,11 @@ def casimir_matrix(data: AlgebraData, basis: CochainBasis) -> List[List[Fraction
             half = w / 2
             right = actions[b]
             for r, row in actions[a].items():
-                out_row = out[r]
+                out_row = out.setdefault(r, {})
                 for m, x in row.items():
                     for c, y in right.get(m, {}).items():
-                        out_row[c] += half * x * y
-    return out
+                        out_row[c] = out_row.get(c, 0) + half * x * y
+    return {(r, c): v for r, row in out.items() for c, v in row.items() if v != 0}
 
 
 @dataclass
@@ -567,7 +559,7 @@ class IsotypicVerdict:
     components: List[Tuple[FiniteWeight, Fraction, bool]]  # (lowest, PSD scalar, ok)
     minimal_polynomial_ok: bool
     laplacian_matches_casimir: bool
-    weight_blocked: bool = True  # C and L join no two torus weights
+    weight_blocked: bool = True  # the Casimir joins no two torus weights
 
     @property
     def passed(self) -> bool:
@@ -585,14 +577,9 @@ class IsotypicVerdict:
         return None
 
 
-def _shifted(
-    matrix: Sequence[Sequence[Fraction]], shift: Fraction, divisor: Fraction = Fraction(1)
-) -> List[List[Fraction]]:
-    """(matrix - shift*Id) / divisor."""
-    return [
-        [(x - shift if i == j else x) / divisor for j, x in enumerate(row)]
-        for i, row in enumerate(matrix)
-    ]
+def _shifted(matrix: Sequence[Sequence[Fraction]], shift: Fraction) -> List[List[Fraction]]:
+    """matrix - shift*Id."""
+    return [[x - shift if i == j else x for j, x in enumerate(row)] for i, row in enumerate(matrix)]
 
 
 def isotypic_eigen_check(
@@ -600,38 +587,33 @@ def isotypic_eigen_check(
 ) -> IsotypicVerdict:
     """Verify the Laplacian acts by the predicted exact scalar per component.
 
-    Exact checks: the Casimir matrix satisfies its predicted minimal
-    polynomial, L + Casimir = c*k*Id, and for each isotypic projector P_v
-    built from the Casimir, (L - (c*k - v)) P_v = 0.
+    The sparse Casimir C is checked to join no two torus weights
+    (``weight_blocked``); the Laplacian is weight-blocked by construction.
+    Then, on every weight block, two exact checks run: L_w + C_w =
+    c*k*Id (``laplacian_matches_casimir``) and prod_v (C_w - v) = 0 over
+    the predicted Casimir values v (``minimal_polynomial_ok``).
 
-    L + Casimir = c*k*Id is checked on the whole cell.  C and L are
-    checked to join no two torus weights (``weight_blocked``); given that,
-    every product of the other two checks is block diagonal, so the
-    minimal polynomial and each component's projector product are
-    evaluated on each weight block, and are zero iff they vanish on
-    every block.
+    Each component's verdict follows from these two.  With P_v =
+    prod_{v' != v} (C - v') / (v - v') the projector onto the Casimir
+    value v, L = c*k - C gives (L - (c*k - v)) P_v = (v - C) P_v =
+    -prod_{v'} (C - v') / prod_{v' != v} (v - v'), a nonzero multiple of
+    the minimal-polynomial product.  So a component is ok exactly when
+    both checks pass, and no projector product is formed.
     """
     cc = complex_ or CellComplex(data)
     basis = cc.basis(p, k)
-    dim = len(basis)
-    if dim == 0:
+    if len(basis) == 0:
         return IsotypicVerdict(p, k, [], True, True)
-    L = cc.cell_laplacian(p, k)
+    laplacian = cc.cell_laplacian(p, k)
     summands = decompose(data, weights_of_basis(data, basis.monomials))
     C = casimir_matrix(data, basis)
     labels = cc.weights(p, k)
-    blocked = not (_crosses_weight_blocks(C, labels) or _crosses_weight_blocks(L, labels))
+    blocked = all(labels[r] == labels[c] for r, c in C)
 
     values: Dict[Fraction, FiniteWeight] = {}
     for s in summands:
         values.setdefault(casimir_eigenvalue(data, s.lowestWeight), s.lowestWeight)
-
     ck = Fraction(data.coxeter * k)
-    LC = xl.mat_add(L, C)
-    l_matches = all(
-        LC[i][j] == (ck if i == j else 0) for i in range(dim) for j in range(dim)
-    )
-
     vlist = sorted(values)
     scalars: Dict[Fraction, Fraction] = {}
     for v in vlist:
@@ -639,22 +621,17 @@ def isotypic_eigen_check(
         if scalars[v] != ck - v:
             raise InvariantError(f"Laplacian scalar of {values[v]} at energy {k} disagrees with c*k - Casimir")
 
-    min_poly_ok = True
-    component_ok = {v: True for v in vlist}
-    for idxs in _weight_blocks(labels).values():
-        Cb = _submatrix(C, idxs)
-        Lb = _submatrix(L, idxs)
-        poly = xl.identity(len(idxs))
-        for v in vlist:
-            poly = xl.matmul(poly, _shifted(Cb, v))
+    groups = cc.weight_blocks(p, k)
+    pos = _positions(groups)
+    c_blocks = {w: xl.zeros(len(idxs), len(idxs)) for w, idxs in groups.items()}
+    for (r, c), x in C.items():
+        if labels[r] == labels[c]:
+            c_blocks[labels[r]][pos[r]][pos[c]] = x
+    l_matches = min_poly_ok = True
+    for w, Cw in c_blocks.items():
+        l_matches = l_matches and xl.is_zero_matrix(_shifted(xl.mat_add(laplacian[w], Cw), ck))
+        poly = functools.reduce(xl.matmul, [_shifted(Cw, v) for v in vlist])
         min_poly_ok = min_poly_ok and xl.is_zero_matrix(poly)
-        for v in vlist:
-            proj = xl.identity(len(idxs))
-            for v2 in vlist:
-                if v2 != v:
-                    proj = xl.matmul(proj, _shifted(Cb, v2, v - v2))
-            ok = xl.is_zero_matrix(xl.matmul(_shifted(Lb, scalars[v]), proj))
-            component_ok[v] = component_ok[v] and ok
 
-    components = [(values[v], scalars[v], component_ok[v]) for v in vlist]
+    components = [(values[v], scalars[v], min_poly_ok and l_matches) for v in vlist]
     return IsotypicVerdict(p, k, components, min_poly_ok, l_matches, blocked)

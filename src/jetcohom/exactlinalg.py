@@ -5,8 +5,10 @@ Rank and kernel computations run fraction-free over Python integers
 matrix plus denominator first.  Matrices are dense lists of lists and
 products skip zero entries.  The sparsity that matters comes from the
 torus-weight grading and is exploited by the callers: the cochain module
-hands these routines one weight block at a time (ranks of d, kernels of
-the Laplacian, Casimir polynomial products) rather than whole cells.
+builds its operators one weight block at a time and hands only those
+blocks to these routines (ranks of d, Gram determinants, products for
+d* and the Laplacian, kernels, the Casimir's minimal polynomial), never
+a whole cell.
 """
 
 from __future__ import annotations

@@ -36,6 +36,10 @@ class InvalidAlgebraError(ValueError):
     """Raised for Cartan data outside the supported simple series."""
 
 
+class InvariantError(RuntimeError):
+    """An exact structural identity failed to hold."""
+
+
 @dataclass(frozen=True)
 class AlgebraSpec:
     series: str
@@ -102,7 +106,8 @@ def _symmetrizer(A: Sequence[Sequence[int]]) -> List[Fraction]:
             if i != j and A[i][j] != 0 and d[j] == 0:
                 d[j] = d[i] * Fraction(A[i][j], A[j][i])
                 todo.append(j)
-    assert all(x > 0 for x in d)
+    if not all(x > 0 for x in d):
+        raise InvariantError("Cartan symmetrizer must be positive")
     return d
 
 
@@ -174,11 +179,13 @@ def build_root_system(spec: AlgebraSpec) -> RootSystem:
         (b for b in roots if all(c >= 0 for c in b)),
         key=lambda b: (sum(b), b),
     )
-    assert 2 * len(positives) == len(roots)
+    if 2 * len(positives) != len(roots):
+        raise InvariantError("roots must split into positive and negative halves")
     rho = tuple(Fraction(sum(b[i] for b in positives), 2) for i in range(r))
     max_h = max(sum(b) for b in positives)
     highest = [b for b in positives if sum(b) == max_h]
-    assert len(highest) == 1, "simple algebras have a unique highest root"
+    if len(highest) != 1:
+        raise InvariantError("simple algebras have a unique highest root")
     d = _symmetrizer(A)
     sym = tuple(tuple(d[i] * A[i][j] for j in range(r)) for i in range(r))
     return RootSystem(
@@ -246,7 +253,8 @@ class _ChevalleySigns:
                     total += self._mixed(_neg(alpha), b1) * self._mixed(a1, _neg(beta)) / self._norm2(xi2)
                 val = -g2 * total / n_extra
                 expect = self._string_down(alpha, beta) + 1
-                assert val.denominator == 1 and abs(val) == expect, (gamma, alpha, beta, val)
+                if val.denominator != 1 or abs(val) != expect:
+                    raise InvariantError(f"Chevalley sign of {(gamma, alpha, beta, val)}")
                 self._set(alpha, beta, val)
 
     def _set(self, a: Coords, b: Coords, val: Fraction):
@@ -381,9 +389,11 @@ def build_algebra(spec: AlgebraSpec) -> AlgebraData:
     n = r + 2 * m
     roots_all = set(rs.allRoots)
     coxeter_q, rem = divmod(n - r, r)
-    assert rem == 0, "root count must be rank * coxeter number"
+    if rem != 0:
+        raise InvariantError("root count must be rank * coxeter number")
     coxeter = coxeter_q
-    assert coxeter == sum(rs.theta) + 1, "Coxeter number vs highest-root height"
+    if coxeter != sum(rs.theta) + 1:
+        raise InvariantError("Coxeter number vs highest-root height")
 
     signs = _ChevalleySigns(rs)
 
@@ -402,7 +412,8 @@ def build_algebra(spec: AlgebraSpec) -> AlgebraData:
         out = []
         for j, c in enumerate(beta):
             v = Fraction(c) * rs.sym_form[j][j] / nb
-            assert v.denominator == 1
+            if v.denominator != 1:
+                raise InvariantError(f"coroot coordinate {v} of {beta} is not integral")
             out.append(int(v))
         return out
 
@@ -430,7 +441,8 @@ def build_algebra(spec: AlgebraSpec) -> AlgebraData:
                 put(r + ia, r + ib, {j: sign * h[j] for j in range(r)})
             elif s in roots_all:
                 val = signs.value(a, b)
-                assert val.denominator == 1
+                if val.denominator != 1:
+                    raise InvariantError(f"structure constant {val} is not integral")
                 put(r + ia, r + ib, {root_to_index[s]: int(val)})
 
     kappa = _trace_form(structure, n)
@@ -456,7 +468,8 @@ def build_algebra(spec: AlgebraSpec) -> AlgebraData:
     for i in range(r):
         for j in range(r):
             wform[i][j] = sum(Fraction(rs.cartan[l][i]) * t_vecs[j][l] for l in range(r))
-    assert all(wform[i][j] == wform[j][i] for i in range(r) for j in range(r))
+    if any(wform[i][j] != wform[j][i] for i in range(r) for j in range(r)):
+        raise InvariantError("weight form must be symmetric")
 
     weights = tuple(
         (tuple([0] * r) if b is None else b) for b in basis_root
@@ -506,7 +519,8 @@ def verify_algebra(data: AlgebraData, jacobi_samples: int | None = None) -> None
     for i in range(n):
         for j, col in data.structure[i].items():
             back = data.structure[j].get(i, {})
-            assert back == {p: -c for p, c in col.items()}, "antisymmetry"
+            if back != {p: -c for p, c in col.items()}:
+                raise InvariantError("antisymmetry")
 
     def jac(i, j, k) -> bool:
         acc: Dict[int, int] = {}
@@ -523,7 +537,8 @@ def verify_algebra(data: AlgebraData, jacobi_samples: int | None = None) -> None
         count = jacobi_samples or 2000
         triples = (tuple(rng.sample(range(n), 3)) for _ in range(count))
     for i, j, k in triples:
-        assert jac(i, j, k), f"Jacobi fails at {(i, j, k)}"
+        if not jac(i, j, k):
+            raise InvariantError(f"Jacobi fails at {(i, j, k)}")
 
     c2 = 2 * data.coxeter
     for i in range(n):
@@ -532,9 +547,11 @@ def verify_algebra(data: AlgebraData, jacobi_samples: int | None = None) -> None
             for q, col in data.structure[i].items():
                 for p, cc in col.items():
                     tot += cc * data.structure[j].get(p, {}).get(q, 0)
-            assert tot == c2 * data.gram[i][j], "trace identity"
+            if tot != c2 * data.gram[i][j]:
+                raise InvariantError("trace identity")
 
-    assert _is_positive_definite(data.hermGram), "hermGram positive definite"
+    if not _is_positive_definite(data.hermGram):
+        raise InvariantError("hermGram positive definite")
 
     # ad(x)^dagger = -ad(omega x) in the hermGram metric: H ad(x) is
     # antisymmetric under x -> omega(x) transposition
@@ -551,7 +568,8 @@ def verify_algebra(data: AlgebraData, jacobi_samples: int | None = None) -> None
             for b in range(n):
                 lhs = sum(H[a][q] * ad[q][b] for q in range(n) if ad[q][b])
                 rhs = -sgn * sum(ad_w[q][a] * H[q][b] for q in range(n) if ad_w[q][a])
-                assert lhs == rhs, "compact-involution adjointness"
+                if lhs != rhs:
+                    raise InvariantError("compact-involution adjointness")
 
 
 def _is_positive_definite(mat: Sequence[Sequence[Fraction]]) -> bool:

@@ -93,13 +93,11 @@ def compute_cell(data: AlgebraData, cc: CellComplex, p: int, k: int) -> dict:
     """Compute one (degree, energy) cell record, exact checks included."""
     basis = cc.basis(p, k)
     dim = len(basis)
-    block = cc.block(p, k)
     record: dict = {
         "algebra_hash": data.content_hash(),
         "p": p,
         "k": k,
         "dim": dim,
-        "block": block.to_json_dict(data.content_hash()),
     }
     if dim == 0:
         record.update(
@@ -111,10 +109,8 @@ def compute_cell(data: AlgebraData, cc: CellComplex, p: int, k: int) -> dict:
         )
         return record
 
-    nxt = cc.block(p + 1, k)
-    d_sq_zero = True
-    if len(nxt.basisIn) and len(nxt.basisOut):
-        d_sq_zero = xl.is_zero_matrix(xl.matmul(nxt.dense(), block.dense()))
+    d_next = cc.d_blocks(p + 1, k)
+    d_sq_zero = all(xl.is_zero_matrix(xl.matmul(d_next[w], d)) for w, d in cc.d_blocks(p, k).items() if w in d_next)
     rank_d = cc.rank_d(p, k)
 
     multiset = weights_of_basis(data, basis.monomials)
@@ -231,6 +227,7 @@ def cmd_compute(config: RunConfig) -> dict:
             "weights": "lowest weights, simple-root coordinates",
             "numbers": "exact rationals serialized as strings",
         },
+        # cache files written before the differential payload was dropped still hold "block"
         "cells": [
             {k: v for k, v in record.items() if k != "block"} for record in cells
         ],

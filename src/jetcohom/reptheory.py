@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .liealg import AlgebraData, FiniteWeight, is_dominant
+from .liealg import AlgebraData, FiniteWeight, InvariantError, is_dominant
 
 WeightMultiset = Dict[FiniteWeight, int]
 
@@ -94,7 +94,8 @@ def weyl_dim(data: AlgebraData, highest: Sequence[Fraction]) -> int:
         num *= data.weight_pairing(lam_rho, av)
         den *= data.weight_pairing(rho, av)
     d = num / den
-    assert d.denominator == 1 and d > 0
+    if d.denominator != 1 or d <= 0:
+        raise InvariantError(f"Weyl dimension {d} is not a positive integer")
     return int(d)
 
 
@@ -138,9 +139,11 @@ def dominant_multiplicities(data: AlgebraData, highest: Sequence[Fraction]) -> D
                 k += 1
         mu_rho = tuple(a + b for a, b in zip(mu, rho))
         den = norm_top - pairing(mu_rho, mu_rho)
-        assert den > 0
+        if den <= 0:
+            raise InvariantError(f"Freudenthal denominator {den} must be positive")
         m = num / den
-        assert m.denominator == 1 and m >= 0
+        if m.denominator != 1 or m < 0:
+            raise InvariantError(f"weight multiplicity {m} is not a nonnegative integer")
         if m > 0:
             table[mu] = int(m)
     return table
@@ -157,7 +160,8 @@ def irrep_character(data: AlgebraData, highest: Sequence[Fraction]) -> WeightMul
     for mu, m in table.items():
         for nu in weyl_orbit(data, mu):
             char[nu] = m
-    assert sum(char.values()) == weyl_dim(data, lam)
+    if sum(char.values()) != weyl_dim(data, lam):
+        raise InvariantError(f"character of {lam} disagrees with the Weyl dimension")
     _char_cache[key] = dict(char)
     return char
 

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from jetcohom.cli import main, make_config, parse_config_file
+from jetcohom.cochain import CellComplex
+from jetcohom.liealg import build_algebra
 from jetcohom.report import (
     RunConfig,
     cmd_compute,
@@ -231,6 +233,34 @@ def test_cached_block_serialization(tmp_path):
     cache = tmp_path / "cache"
     cmd_compute(RunConfig(series="A", rank=1, maxDegree=1, maxEnergy=1, cacheDir=str(cache)))
     record = json.loads(next(iter(sorted(cache.glob("*_p1_k1.json")))).read_text())
-    block = record["block"]
-    assert block["dim_in"] == 3 and len(block["monomials_in"]) == 3
-    assert all(len(t) == 3 for t in block["triples"])
+    # the cell summary only: the differential is not cached
+    assert set(record) == {"algebra_hash", "p", "k", "dim", "rank_d", "harmonic_dim", "harmonic", "checks"}
+    assert (record["p"], record["k"], record["dim"], record["rank_d"], record["harmonic_dim"]) == (1, 1, 3, 0, 3)
+    assert record["harmonic"] == [{"lowestWeight": ["-1"], "dim": 3, "multiplicity": 1, "energy": 1}]
+    assert all(record["checks"].values())
+
+
+def test_cache_files_with_a_block_payload_give_the_same_report(tmp_path):
+    # cache files written before the differential payload was dropped hold
+    # a "block" record; reading them must not change a report byte
+    cache = tmp_path / "cache"
+    cfg = RunConfig(series="A", rank=1, maxDegree=2, maxEnergy=3, cacheDir=str(cache))
+    fresh = {fmt: serialize_report(cmd_compute(cfg), fmt) for fmt in ("json", "csv", "text")}
+    cc = CellComplex(build_algebra(cfg.algebra_spec))
+    for path in cache.glob("*.json"):
+        record = json.loads(path.read_text())
+        block = cc.block(record["p"], record["k"])
+        record["block"] = {  # the payload as it was written
+            "algebra_hash": record["algebra_hash"],
+            "degree": block.basisIn.degree,
+            "energy": block.basisIn.energy,
+            "dim_in": len(block.basisIn),
+            "dim_out": len(block.basisOut),
+            "monomials_in": [[list(m) for m in w] for w in block.basisIn.monomials],
+            "monomials_out": [[list(m) for m in w] for w in block.basisOut.monomials],
+            "triples": sorted([r, c, v] for (r, c), v in block.dMatrix.items()),
+        }
+        path.write_text(json.dumps(record, sort_keys=True))
+    old = cmd_compute(cfg)
+    assert all("block" not in cell for cell in old["cells"])
+    assert {fmt: serialize_report(old, fmt) for fmt in fresh} == fresh

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction as F
@@ -126,21 +127,19 @@ def test_d_squared_zero_exact(a1, cc_a1, p, k):
 
 def test_gram_inverse_identity(a1, cc_a1):
     for (p, k) in [(1, 2), (2, 3), (3, 4)]:
-        G = cc_a1.gram(p, k)
-        Gi = cc_a1.gram_inverse(p, k)
-        prod = xl.matmul(G, Gi)
-        dim = len(G)
-        assert all(prod[i][j] == (1 if i == j else 0) for i in range(dim) for j in range(dim))
+        grams, inverses = cc_a1.gram(p, k), cc_a1.gram_inverse(p, k)
+        assert grams.keys() == inverses.keys() == cc_a1.weight_blocks(p, k).keys()
+        for w, G in grams.items():
+            assert xl.matmul(G, inverses[w]) == xl.identity(len(G)), w
 
 
 def test_laplacian_small_cells(a1, cc_a1):
-    zero_cell = cc_a1.laplacian(0, 0)
-    assert zero_cell == [[F(0)]]
+    assert cc_a1.laplacian(0, 0) == {(F(0),): [[F(0)]]}
     L11 = cc_a1.laplacian(1, 1)
-    assert xl.is_zero_matrix(L11)  # harmonic cell: scalar 0
+    assert all(xl.is_zero_matrix(L) for L in L11.values())  # harmonic cell: scalar 0
     L12 = cc_a1.laplacian(1, 2)
-    assert xl.rank(L12) == 3  # H^1(2) = 0, L nonsingular
-    assert all(L12[i][i] == 2 for i in range(3))
+    assert sum(xl.rank(L) for L in L12.values()) == 3  # H^1(2) = 0, L nonsingular
+    assert all(L[i][i] == 2 for L in L12.values() for i in range(len(L)))
 
 
 def test_eigenvalue_examples(a1):
@@ -177,10 +176,13 @@ def test_harmonic_dimensions_a1(a1, cc_a1, p, k, dim_h):
 
 def test_harmonic_kernel_vectors_exact(a1, cc_a1):
     harm = harmonic_space(a1, 2, 3, cc_a1)
-    L = cc_a1.laplacian(2, 3)
+    laplacian = cc_a1.laplacian(2, 3)
+    labels = cc_a1.weights(2, 3)
+    assert len(harm.basis) == harm.dimension == 5
     for vec in harm.basis:
-        image = [sum(row[j] * vec[j] for j in range(len(vec))) for row in L]
-        assert all(x == 0 for x in image)
+        [w] = {labels[j] for j, x in enumerate(vec) if x != 0}  # supported on one weight block
+        restricted = [vec[j] for j in cc_a1.weight_blocks(2, 3)[w]]
+        assert all(sum(a * x for a, x in zip(row, restricted)) == 0 for row in laplacian[w])
 
 
 @pytest.mark.parametrize("p,k", [(0, 0), (1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (3, 6)])
@@ -202,17 +204,17 @@ def test_isotypic_detects_nonharmonic_component(a1, cc_a1):
 
 def test_wedge_gram_positive_definite(a1, cc_a1):
     for (p, k) in [(1, 1), (2, 3)]:
-        G = cc_a1.gram(p, k)
-        # symmetric PD: all leading pivots positive under symmetric elimination
-        work = [list(row) for row in G]
-        dim = len(work)
-        for c in range(dim):
-            assert work[c][c] > 0
-            for r in range(c + 1, dim):
-                f = work[r][c] / work[c][c]
-                if f:
-                    for j in range(c, dim):
-                        work[r][j] -= f * work[c][j]
+        for G in cc_a1.gram(p, k).values():
+            # symmetric PD: all leading pivots positive under symmetric elimination
+            work = [list(row) for row in G]
+            dim = len(work)
+            for c in range(dim):
+                assert work[c][c] > 0
+                for r in range(c + 1, dim):
+                    f = work[r][c] / work[c][c]
+                    if f:
+                        for j in range(c, dim):
+                            work[r][j] -= f * work[c][j]
 
 
 def _all_pairs_gram(metric, basis):
@@ -246,56 +248,110 @@ def _cross_weight_pair(cc, p, k):
     return next((i, j) for i in range(len(labels)) for j in range(len(labels)) if labels[i] != labels[j])
 
 
+
+
+def _whole_cell_reference(cc, p, k):
+    """Whole-cell dense Grams, d* = G^-1 d^T G and L = d*d + dd* of cell (p, k)."""
+    data = cc.data
+    herm = [list(r) for r in data.hermGram]
+    dual = xl.invert(herm)
+
+    def dstar(q):
+        d = cc.block(q, k)
+        if not len(d.basisIn) or not len(d.basisOut):
+            return None
+        gram_out = wedge_gram(dual, build_basis(data, q + 1, k))
+        return xl.matmul(wedge_gram(herm, build_basis(data, q, k)), xl.matmul(xl.transpose(d.dense()), gram_out))
+
+    basis = build_basis(data, p, k)
+    L = xl.zeros(len(basis), len(basis))
+    up = dstar(p)
+    if up is not None:
+        L = xl.mat_add(L, xl.matmul(up, cc.block(p, k).dense()))
+    down = dstar(p - 1) if p > 0 else None
+    if down is not None:
+        L = xl.mat_add(L, xl.matmul(cc.block(p - 1, k).dense(), down))
+    return wedge_gram(dual, basis), wedge_gram(herm, basis), up, L
+
+
+def _embed(blocks, rows, cols):
+    """Whole-cell matrix with each weight block in place and zeros elsewhere."""
+    out = xl.zeros(sum(map(len, rows.values())), sum(map(len, cols.values())))
+    for w, m in blocks.items():
+        for a, i in enumerate(rows[w]):
+            for b, j in enumerate(cols[w]):
+                out[i][j] = m[a][b]
+    return out
+
+
+@pytest.mark.parametrize("series,rank,max_p,max_k", [("A", 1, 3, 6), ("A", 2, 2, 4)])
+def test_weight_blocks_match_whole_cell_reference(series, rank, max_p, max_k):
+    cc = CellComplex(build_algebra(AlgebraSpec(series, rank)))
+    for p in range(max_p + 1):
+        for k in range(max_k + 1):
+            if not len(cc.basis(p, k)):
+                continue
+            G, Gi, dstar, L = _whole_cell_reference(cc, p, k)
+            groups = cc.weight_blocks(p, k)
+            assert _embed(cc.gram(p, k), groups, groups) == G, (p, k)
+            assert _embed(cc.gram_inverse(p, k), groups, groups) == Gi, (p, k)
+            assert _embed(cc.laplacian(p, k), groups, groups) == L, (p, k)
+            if dstar is not None:
+                assert _embed(cc.codifferential(p, k), groups, cc.weight_blocks(p + 1, k)) == dstar, (p, k)
+
+
+def _cross_weight_d_entry(cc, p, k):
+    """Dope d^p at energy k with an entry joining two different weights."""
+    w_in, w_out = cc.weights(p, k), cc.weights(p + 1, k)
+    r, c = next((r, c) for r in range(len(w_out)) for c in range(len(w_in)) if w_out[r] != w_in[c])
+    cc.block(p, k).dMatrix[(r, c)] = 1
+
+
 def test_rank_d_rejects_a_weight_changing_entry(a1):
     cc = CellComplex(a1)
-    block = cc.block(1, 2)
-    w_in, w_out = cc.weights(1, 2), cc.weights(2, 2)
-    r, c = next((r, c) for r in range(len(w_out)) for c in range(len(w_in)) if w_out[r] != w_in[c])
-    block.dMatrix[(r, c)] = 1
+    _cross_weight_d_entry(cc, 1, 2)
     with pytest.raises(InvariantError):
         cc.rank_d(1, 2)
 
 
-def _doctored_laplacian(cc, p, k, i, j, delta):
-    L = [list(row) for row in CellComplex(cc.data).laplacian(p, k)]
-    L[i][j] += delta
-    cc.laplacian = lambda *_: L
-
-
 def test_harmonic_space_rejects_a_weight_changing_laplacian(a1):
+    # a cross-weight entry of L can only come from d or the metric:
+    # a weight-changing d is refused wherever its blocks are cut
     cc = CellComplex(a1)
-    i, j = _cross_weight_pair(cc, 2, 3)
-    _doctored_laplacian(cc, 2, 3, i, j, 1)
+    _cross_weight_d_entry(cc, 1, 2)
     with pytest.raises(InvariantError):
-        harmonic_space(a1, 2, 3, cc)
+        cc.laplacian(1, 2)
+    with pytest.raises(InvariantError):
+        harmonic_space(a1, 2, 2, cc)
+
+
+def test_metric_class_mixing_two_weights_is_rejected(a1):
+    herm = [list(row) for row in a1.hermGram]
+    herm[1][2] = herm[2][1] = F(1, 4)  # e and f have opposite weights
+    with pytest.raises(InvariantError):
+        CellComplex(dataclasses.replace(a1, hermGram=tuple(map(tuple, herm))))
 
 
 def test_isotypic_check_rejects_cross_weight_entries(a1, monkeypatch):
     real_casimir = cochain.casimir_matrix
-    cc = CellComplex(a1)
-    i, j = _cross_weight_pair(cc, 2, 3)
+    i, j = _cross_weight_pair(CellComplex(a1), 2, 3)
 
     def doctored_casimir(data, basis):
         C = real_casimir(data, basis)
-        C[i][j] += 1
+        C[(i, j)] = C.get((i, j), 0) + 1
         return C
 
     monkeypatch.setattr(cochain, "casimir_matrix", doctored_casimir)
     verdict = isotypic_eigen_check(a1, 2, 3, CellComplex(a1))
     assert not verdict.weight_blocked and not verdict.passed
 
-    # an L entry cancelling the C entry keeps L + C = c*k*Id and every
-    # blockwise product intact: only the explicit block check sees it
-    _doctored_laplacian(cc, 2, 3, i, j, -1)
-    verdict = isotypic_eigen_check(a1, 2, 3, cc)
-    assert verdict.laplacian_matches_casimir and verdict.minimal_polynomial_ok
-    assert all(ok for _lw, _s, ok in verdict.components)
-    assert not verdict.weight_blocked and not verdict.passed
-
 
 def test_isotypic_check_rejects_a_laplacian_doctored_inside_a_block(a1):
     cc = CellComplex(a1)
-    _doctored_laplacian(cc, 2, 3, 0, 0, 1)
+    blocks = {w: [list(row) for row in L] for w, L in CellComplex(a1).laplacian(2, 3).items()}
+    next(iter(blocks.values()))[0][0] += 1
+    cc.laplacian = lambda *_: blocks
     verdict = isotypic_eigen_check(a1, 2, 3, cc)
     assert verdict.weight_blocked and not verdict.passed
+    assert not verdict.laplacian_matches_casimir
     assert verdict.first_violation() is not None
