@@ -5,7 +5,8 @@ cell summary: dimension, rank of d, harmonic decomposition and check
 flags.  The differential is not stored; files written when it was (under
 a "block" key) still load, and the report ignores that key.  A cached
 file is used only when its stored algebra hash matches; hash mismatches
-and unreadable files trigger recomputation with a warning.
+and unreadable files trigger recomputation with a warning.  Each writer
+publishes through a temp file of its own, so writers of one cell never collide.
 """
 
 from __future__ import annotations
@@ -56,10 +57,13 @@ def store_cell(cache_dir: Optional[Path], record: dict) -> None:
         return
     cache_dir.mkdir(parents=True, exist_ok=True)
     path = cell_path(cache_dir, record["algebra_hash"], record["p"], record["k"])
-    tmp = path.with_suffix(".tmp")
-    with open(tmp, "w") as fh:
-        json.dump(record, fh, sort_keys=True)
-    os.replace(tmp, path)  # atomic publication of the finished cell
+    tmp = path.with_name(f"{path.stem}.{os.urandom(16).hex()}.tmp")
+    try:
+        with open(tmp, "x") as fh:
+            json.dump(record, fh, sort_keys=True)
+        os.replace(tmp, path)  # atomic publication of the finished cell
+    finally:
+        tmp.unlink(missing_ok=True)  # left behind only by a failed write
 
 
 def list_cache(cache_dir: Optional[Path]) -> list[dict]:

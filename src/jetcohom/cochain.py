@@ -3,20 +3,18 @@
 Cochains of the positive-mode algebra are wedges of dual modes e^{i,l}
 with level l >= 1; the differential preserves the energy k = sum of
 levels, so everything happens in independent (degree, energy) cells.
-Matrices are exact rationals: the differential is integral, the metric
-on wedges is induced by the compact-involution form (Gram of a wedge =
-determinant of pairwise Grams), and kernels come from fraction-free
-elimination.
+Matrices are exact rationals, and kernels come from fraction-free
+elimination.  ``CellComplex`` works in the orthogonal Cartan basis of
+``orthogonal_cartan``, where the metric induced by the compact involution
+is diagonal, so the wedge Gram is diagonal and d* a scaled transpose; d
+is rational there.  Every verdict is independent of the basis.
 
 Weight blocks.  Every operator here (d, d*, the Laplacian, the Casimir)
 preserves torus weight, so the identity L = c*k - Casimir holds one
 weight block at a time, and the weight block is the only shape in which
 these operators are built.  The sparse d is cut into its weight blocks
-after a check that every entry joins equal weights.  The mode metric
-pairs a mode only with modes of its own level and metric class, and
-every metric class is checked to be weight-homogeneous, so the Gram, and
-with it d* = G^-1 d^T G and L = d*d + dd*, is assembled per weight block
-and is weight-blocked by construction.  The sparse Casimir is checked
+after a check that every entry joins equal weights, which makes d* and
+L = d*d + dd* weight-blocked too.  The sparse Casimir is checked
 explicitly to join no two weights.  Ranks of d, kernels, Hodge
 consistency, closedness, d^2 = 0, self-adjointness, L + Casimir = c*k*Id
 and the Casimir's minimal polynomial are then all checked block by block.
@@ -34,10 +32,11 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from . import exactlinalg as xl
-from .liealg import AlgebraData, FiniteWeight, InvariantError, casimir_eigenvalue, is_dominant
+from .liealg import AlgebraData, FiniteWeight, InvariantError, casimir_eigenvalue, is_dominant, orthogonal_cartan
 from .reptheory import IrrepSummand, decompose, weights_of_basis
 from .affine import AffineWeight, laplacian_shift
 
@@ -187,61 +186,13 @@ def differential_block(data: AlgebraData, p: int, k: int) -> GradedComplexBlock:
     return GradedComplexBlock(basis_in, basis_out, entries)
 
 
-def _pair_metric(metric, m1: Mode, m2: Mode) -> Fraction:
-    if m1[0] != m2[0]:
-        return Fraction(0)
-    return metric[m1[1]][m2[1]]
-
-
-def _metric_classes(metric: Sequence[Sequence[Fraction]]) -> List[int]:
-    """Label of each basis index: its connected component under the
-    nonzero pattern of the metric."""
-    n = len(metric)
-    label = [-1] * n
-    for start in range(n):
-        if label[start] >= 0:
-            continue
-        label[start] = start
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j in range(n):
-                if label[j] < 0 and (metric[i][j] != 0 or metric[j][i] != 0):
-                    label[j] = start
-                    stack.append(j)
-    return label
-
-
-def wedge_gram(metric: Sequence[Sequence[Fraction]], basis: CochainBasis) -> List[List[Fraction]]:
-    """Gram matrix of wedge monomials for a mode-level metric: entry =
-    det of pairwise metrics.
-
-    Modes pair only at equal level and within one metric class (a
-    connected component of the metric's nonzero pattern; for the mode
-    metrics these are the single root vectors and the Cartan block).  A
-    pair of monomials whose multisets of (level, class) differ has no
-    perfect matching in that pattern, so its determinant is exactly 0 and
-    is not computed.  Determinants run only inside groups of equal
-    multisets, which refine both the level signature and torus weight.
+def wedge_gram(metric: Sequence[Fraction], basis: CochainBasis) -> List[Fraction]:
+    """Diagonal of the Gram of wedge monomials for a diagonal mode metric
+    (``metric[i]`` for basis index i at every level).  A Gram entry, the
+    determinant of two monomials' pairwise mode metrics, is then the
+    product of the modes' entries for equal monomials and 0 otherwise.
     """
-    mons = basis.monomials
-    dim = len(mons)
-    out = xl.zeros(dim, dim)
-    cls = _metric_classes(metric)
-    groups: Dict[Tuple[Tuple[int, int], ...], List[int]] = {}
-    for i, w in enumerate(mons):
-        groups.setdefault(tuple(sorted((level, cls[idx]) for level, idx in w)), []).append(i)
-    for idxs in groups.values():
-        for pos, i in enumerate(idxs):
-            wi = mons[i]
-            p = len(wi)
-            for j in idxs[pos:]:
-                wj = mons[j]
-                g = [[_pair_metric(metric, wi[a], wj[b]) for b in range(p)] for a in range(p)]
-                v = xl.det(g) if p else Fraction(1)
-                out[i][j] = v
-                out[j][i] = v
-    return out
+    return [prod((metric[idx] for _level, idx in w), start=Fraction(1)) for w in basis.monomials]
 
 
 def _weight_of_wedge(data: AlgebraData, wedge: Wedge) -> FiniteWeight:
@@ -260,29 +211,19 @@ def _positions(groups: Dict[FiniteWeight, List[int]]) -> Dict[int, int]:
 class CellComplex:
     """Lazy per-algebra store of differentials and weight-block operators.
 
-    Sparse differentials, bases, weight labels and the rank of each weight
-    block of d are kept for the whole run.  Every other operator is a dict
-    from torus weight to a dense matrix over that weight's monomials (in
-    basis order): the blocks of d, the Grams and their inverses, d* and
-    the Laplacian.  These are kept for one cell at a time:
+    Everything is built from ``self.data``, the algebra rebased by
+    ``orthogonal_cartan``.  Sparse differentials, bases, weight labels and
+    the rank of each weight block of d are kept for the whole run.  The
+    other operators are dicts from torus weight to that weight's monomials
+    (in basis order): the diagonal of the Gram and dense blocks of d, d*
+    and the Laplacian.  These are kept for one cell at a time:
     ``cell_laplacian`` builds them once for the harmonic and isotypic
     checks of a cell and drops them when it moves to another cell.
-
-    A Gram entry is nonzero only between monomials with equal multisets of
-    (level, metric class).  The constructor checks that every metric class
-    is weight-homogeneous, so such monomials have equal weights: the Grams,
-    and with them d* and L, are weight-blocked by construction, and the
-    blocks of d are checked to be all of d when they are cut.
     """
 
     def __init__(self, data: AlgebraData):
-        self.data = data
-        self._dual_metric = xl.invert([list(r) for r in data.hermGram])
-        self._vector_metric = [list(r) for r in data.hermGram]
-        for metric in (self._dual_metric, self._vector_metric):
-            for i, rep in enumerate(_metric_classes(metric)):
-                if data.basis_weights[i] != data.basis_weights[rep]:
-                    raise InvariantError("a metric class of the mode metric joins different torus weights")
+        self.data = orthogonal_cartan(data)
+        self._metric = [1 / row[i] for i, row in enumerate(self.data.hermGram)]  # of the dual modes
         self._blocks: Dict[Tuple[int, int], GradedComplexBlock] = {}
         self._bases: Dict[Tuple[int, int], CochainBasis] = {}
         self._weights: Dict[Tuple[int, int], List[FiniteWeight]] = {}
@@ -357,31 +298,30 @@ class CellComplex:
         """Rank of d: A^p(k) -> A^{p+1}(k), the sum of its weight blocks' ranks."""
         return sum(self.block_ranks(p, k).values())
 
-    def _block_grams(self, metric, p: int, k: int) -> Blocks:
-        mons = self.basis(p, k).monomials
-        return {
-            w: wedge_gram(metric, CochainBasis(p, k, tuple(mons[i] for i in idxs)))
-            for w, idxs in self.weight_blocks(p, k).items()
-        }
+    def gram(self, p: int, k: int) -> Dict[FiniteWeight, List[Fraction]]:
+        """Diagonal of the wedge Gram of cell (p, k), per weight block."""
 
-    def gram(self, p: int, k: int) -> Blocks:
-        return self._kept(("gram", p, k), lambda: self._block_grams(self._dual_metric, p, k))
+        def build():
+            mons = self.basis(p, k).monomials
+            return {
+                w: wedge_gram(self._metric, CochainBasis(p, k, tuple(mons[i] for i in idxs)))
+                for w, idxs in self.weight_blocks(p, k).items()
+            }
 
-    def gram_inverse(self, p: int, k: int) -> Blocks:
-        # the inverse of a compound matrix is the compound of the inverse,
-        # so the inverse Gram is the wedge Gram of the vector metric
-        return self._kept(("gram_inverse", p, k), lambda: self._block_grams(self._vector_metric, p, k))
+        return self._kept(("gram", p, k), build)
 
     def codifferential(self, p: int, k: int) -> Blocks:
         """Adjoint of d: A^p -> A^{p+1} in the wedge metrics, per weight
-        block: d*_w = G_w^{-1} d_w^T G_w."""
+        block: d*_w = G_w^{-1} d_w^T G_w, a scaled transpose
+        d*_w[i][j] = d_w[j][i] * g_out[j] / g_in[i]."""
 
         def build():
             blocks = self.d_blocks(p, k)
-            if not blocks:
-                return {}
-            g_out, g_in_inv = self.gram(p + 1, k), self.gram_inverse(p, k)
-            return {w: xl.matmul(g_in_inv[w], xl.matmul(xl.transpose(d), g_out[w])) for w, d in blocks.items()}
+            g_in, g_out = self.gram(p, k), self.gram(p + 1, k)
+            return {
+                w: [[row[i] * go / gi for row, go in zip(d, g_out[w])] for i, gi in enumerate(g_in[w])]
+                for w, d in blocks.items()
+            }
 
         return self._kept(("codifferential", p, k), build)
 
@@ -398,8 +338,8 @@ class CellComplex:
                 L = xl.mat_add(L, xl.matmul(up_star[w], up[w]))
             if w in down:
                 L = xl.mat_add(L, xl.matmul(down[w], down_star[w]))
-            GL = xl.matmul(grams[w], L)
-            if any(GL[i][j] != GL[j][i] for i in range(len(L)) for j in range(i + 1, len(L))):
+            g = grams[w]
+            if any(g[i] * L[i][j] != g[j] * L[j][i] for i in range(len(L)) for j in range(i + 1, len(L))):
                 raise InvariantError(f"Laplacian of cell ({p}, {k}) is not self-adjoint in the cell metric")
             out[w] = L
         return out
@@ -587,7 +527,8 @@ def isotypic_eigen_check(
 ) -> IsotypicVerdict:
     """Verify the Laplacian acts by the predicted exact scalar per component.
 
-    The sparse Casimir C is checked to join no two torus weights
+    The sparse Casimir C, built from ``cc.data`` so that it is in the
+    basis of the Laplacian, is checked to join no two torus weights
     (``weight_blocked``); the Laplacian is weight-blocked by construction.
     Then, on every weight block, two exact checks run: L_w + C_w =
     c*k*Id (``laplacian_matches_casimir``) and prod_v (C_w - v) = 0 over
@@ -606,7 +547,7 @@ def isotypic_eigen_check(
         return IsotypicVerdict(p, k, [], True, True)
     laplacian = cc.cell_laplacian(p, k)
     summands = decompose(data, weights_of_basis(data, basis.monomials))
-    C = casimir_matrix(data, basis)
+    C = casimir_matrix(cc.data, basis)
     labels = cc.weights(p, k)
     blocked = all(labels[r] == labels[c] for r, c in C)
 

@@ -1,14 +1,14 @@
 """Exact rational/big-integer linear algebra for the graded pipeline.
 
 Rank and kernel computations run fraction-free over Python integers
-(Bareiss-style elimination); rational matrices are cleared to an integer
-matrix plus denominator first.  Matrices are dense lists of lists and
-products skip zero entries.  The sparsity that matters comes from the
-torus-weight grading and is exploited by the callers: the cochain module
-builds its operators one weight block at a time and hands only those
-blocks to these routines (ranks of d, Gram determinants, products for
-d* and the Laplacian, kernels, the Casimir's minimal polynomial), never
-a whole cell.
+(Bareiss-style elimination); rational matrices (the d of the orthogonal
+Cartan basis is one) are cleared to an integer matrix plus denominator
+first.  Matrices are dense lists of lists of ``int`` or ``Fraction``
+entries, and products skip zero entries.  The sparsity that matters comes
+from the torus-weight grading and is exploited by the callers: the
+cochain module hands these routines one weight block at a time (ranks of
+d, products for the Laplacian, kernels, the Casimir's minimal
+polynomial), never a whole cell.  ``det`` is a test oracle only.
 """
 
 from __future__ import annotations
@@ -45,11 +45,7 @@ def matmul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
             for j in range(cols):
                 if bk[j] != 0:
                     oi[j] += x * bk[j]
-    return [[Fraction(x) for x in row] for row in out]
-
-
-def transpose(a: Sequence[Sequence]) -> List[List]:
-    return [list(col) for col in zip(*a)] if a else []
+    return out
 
 
 def mat_add(a, b) -> Matrix:

@@ -5,7 +5,8 @@ constants with the extraspecial-pair sign convention, and derives the
 normalized invariant form (trace form divided by twice the Coxeter
 number), the compact involution and the positive-definite metric it
 induces.  Everything is exact: structure constants are integers, bilinear
-forms are ``fractions.Fraction`` matrices.
+forms are ``fractions.Fraction`` matrices (``orthogonal_cartan`` gives
+the rational structure constants of a basis with a diagonal metric).
 """
 
 from __future__ import annotations
@@ -14,9 +15,11 @@ import hashlib
 import itertools
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Dict, List, Sequence, Tuple
+
+from . import exactlinalg as xl
 
 Coords = Tuple[int, ...]
 FiniteWeight = Tuple[Fraction, ...]
@@ -491,6 +494,43 @@ def build_algebra(spec: AlgebraSpec) -> AlgebraData:
     )
     verify_algebra(data)
     return data
+
+
+def orthogonal_cartan(data: AlgebraData) -> AlgebraData:
+    """The same algebra with h_1..h_r replaced by a ``hermGram``-orthogonal
+    basis of the Cartan subalgebra (Gram-Schmidt over Q).  Root vectors,
+    torus weights and the compact involution (h -> -h) are kept;
+    ``structure`` (now rational), ``gram`` and ``hermGram`` are rewritten.
+    Raises ``InvariantError`` unless the new ``hermGram`` is diagonal."""
+    r, n = data.rank, data.dim
+
+    def pair(form, x: Dict[int, Fraction], y: Dict[int, Fraction]) -> Fraction:
+        return sum((a * b * form[i][j] for i, a in x.items() for j, b in y.items()), Fraction(0))
+
+    rows = [{i: Fraction(1)} for i in range(n)]  # new basis vector i in old coordinates
+    for i in range(r):
+        for j in range(i):
+            c = pair(data.hermGram, rows[i], rows[j]) / pair(data.hermGram, rows[j], rows[j])
+            for a, x in rows[j].items():
+                rows[i][a] = rows[i].get(a, 0) - c * x
+    t_inv = xl.invert([[rows[i].get(j, 0) for j in range(r)] for i in range(r)])
+    back = [dict(enumerate(row)) for row in t_inv] + rows[r:]  # old basis vector p in new coordinates
+    structure: List[Dict[int, Dict[int, Fraction | int]]] = [dict() for _ in range(n)]
+    for i, j in itertools.product(range(n), repeat=2):
+        acc: Dict[int, Fraction] = {}
+        for (a, x), (b, y) in itertools.product(rows[i].items(), rows[j].items()):
+            for p, c in data.bracket(a, b).items():
+                for q, z in back[p].items():
+                    acc[q] = acc.get(q, 0) + x * y * c * z
+        terms = {q: int(v) if v.denominator == 1 else v for q, v in acc.items() if v}
+        if terms:
+            structure[i][j] = terms
+    gram, herm = (
+        tuple(tuple(pair(form, x, y) for y in rows) for x in rows) for form in (data.gram, data.hermGram)
+    )
+    if any(herm[i][j] for i in range(n) for j in range(n) if i != j):
+        raise InvariantError("the mode metric is not diagonal in the orthogonal Cartan basis")
+    return replace(data, structure=tuple(structure), gram=gram, hermGram=herm)
 
 
 def _solve(mat: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> List[Fraction]:

@@ -1,9 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from jetcohom import cache as cache_mod
 from jetcohom.cli import main, make_config, parse_config_file
-from jetcohom.cochain import CellComplex
+from jetcohom.cochain import differential_block
 from jetcohom.liealg import build_algebra
 from jetcohom.report import (
     RunConfig,
@@ -246,10 +248,10 @@ def test_cache_files_with_a_block_payload_give_the_same_report(tmp_path):
     cache = tmp_path / "cache"
     cfg = RunConfig(series="A", rank=1, maxDegree=2, maxEnergy=3, cacheDir=str(cache))
     fresh = {fmt: serialize_report(cmd_compute(cfg), fmt) for fmt in ("json", "csv", "text")}
-    cc = CellComplex(build_algebra(cfg.algebra_spec))
+    data = build_algebra(cfg.algebra_spec)
     for path in cache.glob("*.json"):
         record = json.loads(path.read_text())
-        block = cc.block(record["p"], record["k"])
+        block = differential_block(data, record["p"], record["k"])  # in the Chevalley basis
         record["block"] = {  # the payload as it was written
             "algebra_hash": record["algebra_hash"],
             "degree": block.basisIn.degree,
@@ -264,3 +266,23 @@ def test_cache_files_with_a_block_payload_give_the_same_report(tmp_path):
     old = cmd_compute(cfg)
     assert all("block" not in cell for cell in old["cells"])
     assert {fmt: serialize_report(old, fmt) for fmt in fresh} == fresh
+
+
+def test_store_cell_writes_through_a_temp_file_of_its_own(tmp_path):
+    record = {"algebra_hash": "ab" * 32, "p": 1, "k": 1, "dim": 3, "rank_d": 0,
+              "harmonic_dim": 3, "harmonic": [], "checks": {}}
+    path = cache_mod.cell_path(tmp_path, record["algebra_hash"], 1, 1)
+    taken = path.with_suffix(".tmp")
+    taken.mkdir()  # another writer's (or a stale) temp under the cell's plain temp name
+    cache_mod.store_cell(tmp_path, record)
+    assert cache_mod.load_cell(tmp_path, record["algebra_hash"], 1, 1) == record
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([path.name, taken.name])
+
+
+GOLDEN = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_reports_match_the_golden_files(a1_report, a2_report, fmt):
+    for name, report in (("a1_3_6", a1_report), ("a2_2_4", a2_report)):
+        assert serialize_report(report, fmt).encode() == (GOLDEN / f"{name}.{fmt}").read_bytes(), name

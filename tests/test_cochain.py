@@ -19,7 +19,7 @@ from jetcohom.cochain import (
     laplacian_scalar,
     wedge_gram,
 )
-from jetcohom.liealg import AlgebraSpec, build_algebra
+from jetcohom.liealg import AlgebraSpec, build_algebra, orthogonal_cartan
 
 
 def _count_oracle(n, p, k):
@@ -125,12 +125,34 @@ def test_d_squared_zero_exact(a1, cc_a1, p, k):
         assert xl.is_zero_matrix(xl.matmul(upup.dense(), up.dense()))
 
 
-def test_gram_inverse_identity(a1, cc_a1):
-    for (p, k) in [(1, 2), (2, 3), (3, 4)]:
-        grams, inverses = cc_a1.gram(p, k), cc_a1.gram_inverse(p, k)
-        assert grams.keys() == inverses.keys() == cc_a1.weight_blocks(p, k).keys()
-        for w, G in grams.items():
-            assert xl.matmul(G, inverses[w]) == xl.identity(len(G)), w
+def _all_pairs_gram(metric, basis):
+    """Reference Gram: the determinant of pairwise mode metrics for every pair."""
+    mons = basis.monomials
+    return [
+        [xl.det([[metric[a[1]][b[1]] if a[0] == b[0] else F(0) for b in wj] for a in wi]) for wj in mons]
+        for wi in mons
+    ]
+
+
+def _diagonal(entries):
+    out = xl.zeros(len(entries), len(entries))
+    for i, x in enumerate(entries):
+        out[i][i] = x
+    return out
+
+
+def test_gram_inverse_identity(cc_a1, cc_a2):
+    # the inverse of a compound matrix is the compound of the inverse: the
+    # all-pairs Gram of the vector metric inverts the diagonal cochain Gram
+    for cc in (cc_a1, cc_a2):
+        herm = cc.data.hermGram
+        for (p, k) in [(1, 2), (2, 3), (3, 4)]:
+            mons = cc.basis(p, k).monomials
+            grams = cc.gram(p, k)
+            assert grams.keys() == cc.weight_blocks(p, k).keys()
+            for w, idxs in cc.weight_blocks(p, k).items():
+                inverse = _all_pairs_gram(herm, cochain.CochainBasis(p, k, tuple(mons[i] for i in idxs)))
+                assert inverse == _diagonal([1 / g for g in grams[w]]), (p, k, w)
 
 
 def test_laplacian_small_cells(a1, cc_a1):
@@ -202,37 +224,21 @@ def test_isotypic_detects_nonharmonic_component(a1, cc_a1):
     assert lw == (F(-1),) and scalar == 2 and ok  # nonzero scalar, no harmonic part
 
 
-def test_wedge_gram_positive_definite(a1, cc_a1):
-    for (p, k) in [(1, 1), (2, 3)]:
-        for G in cc_a1.gram(p, k).values():
-            # symmetric PD: all leading pivots positive under symmetric elimination
-            work = [list(row) for row in G]
-            dim = len(work)
-            for c in range(dim):
-                assert work[c][c] > 0
-                for r in range(c + 1, dim):
-                    f = work[r][c] / work[c][c]
-                    if f:
-                        for j in range(c, dim):
-                            work[r][j] -= f * work[c][j]
-
-
-def _all_pairs_gram(metric, basis):
-    """Reference Gram: the determinant of pairwise mode metrics for every pair."""
-    mons = basis.monomials
-    return [
-        [xl.det([[metric[a[1]][b[1]] if a[0] == b[0] else F(0) for b in wj] for a in wi]) for wj in mons]
-        for wi in mons
-    ]
+def test_wedge_gram_positive_definite(cc_a1, cc_a2):
+    # a diagonal Gram is positive definite when its entries are positive
+    for cc in (cc_a1, cc_a2):
+        for (p, k) in [(1, 1), (2, 3)]:
+            assert all(g > 0 for G in cc.gram(p, k).values() for g in G)
 
 
 @pytest.mark.parametrize("series", ["A", "B"])
 def test_wedge_gram_matches_all_pairs_determinants(series):
-    data = build_algebra(AlgebraSpec(series, 2))
+    data = orthogonal_cartan(build_algebra(AlgebraSpec(series, 2)))
     basis = build_basis(data, 2, 3)
     herm = [list(r) for r in data.hermGram]
     for metric in (herm, xl.invert(herm)):
-        assert wedge_gram(metric, basis) == _all_pairs_gram(metric, basis)
+        diagonal = [metric[i][i] for i in range(data.dim)]
+        assert _diagonal(wedge_gram(diagonal, basis)) == _all_pairs_gram(metric, basis)
 
 
 @pytest.mark.parametrize("series,rank,max_p,max_k", [("A", 1, 3, 6), ("A", 2, 2, 4)])
@@ -251,7 +257,8 @@ def _cross_weight_pair(cc, p, k):
 
 
 def _whole_cell_reference(cc, p, k):
-    """Whole-cell dense Grams, d* = G^-1 d^T G and L = d*d + dd* of cell (p, k)."""
+    """Whole-cell dense Grams as all-pairs determinants on ``cc.data``,
+    d* = G^-1 d^T G and L = d*d + dd* of cell (p, k)."""
     data = cc.data
     herm = [list(r) for r in data.hermGram]
     dual = xl.invert(herm)
@@ -260,8 +267,9 @@ def _whole_cell_reference(cc, p, k):
         d = cc.block(q, k)
         if not len(d.basisIn) or not len(d.basisOut):
             return None
-        gram_out = wedge_gram(dual, build_basis(data, q + 1, k))
-        return xl.matmul(wedge_gram(herm, build_basis(data, q, k)), xl.matmul(xl.transpose(d.dense()), gram_out))
+        gram_out = _all_pairs_gram(dual, build_basis(data, q + 1, k))
+        gram_in_inv = _all_pairs_gram(herm, build_basis(data, q, k))
+        return xl.matmul(gram_in_inv, xl.matmul([list(col) for col in zip(*d.dense())], gram_out))
 
     basis = build_basis(data, p, k)
     L = xl.zeros(len(basis), len(basis))
@@ -271,7 +279,7 @@ def _whole_cell_reference(cc, p, k):
     down = dstar(p - 1) if p > 0 else None
     if down is not None:
         L = xl.mat_add(L, xl.matmul(cc.block(p - 1, k).dense(), down))
-    return wedge_gram(dual, basis), wedge_gram(herm, basis), up, L
+    return _all_pairs_gram(dual, basis), up, L
 
 
 def _embed(blocks, rows, cols):
@@ -291,10 +299,10 @@ def test_weight_blocks_match_whole_cell_reference(series, rank, max_p, max_k):
         for k in range(max_k + 1):
             if not len(cc.basis(p, k)):
                 continue
-            G, Gi, dstar, L = _whole_cell_reference(cc, p, k)
+            G, dstar, L = _whole_cell_reference(cc, p, k)
             groups = cc.weight_blocks(p, k)
-            assert _embed(cc.gram(p, k), groups, groups) == G, (p, k)
-            assert _embed(cc.gram_inverse(p, k), groups, groups) == Gi, (p, k)
+            grams = {w: _diagonal(g) for w, g in cc.gram(p, k).items()}
+            assert _embed(grams, groups, groups) == G, (p, k)
             assert _embed(cc.laplacian(p, k), groups, groups) == L, (p, k)
             if dstar is not None:
                 assert _embed(cc.codifferential(p, k), groups, cc.weight_blocks(p + 1, k)) == dstar, (p, k)
@@ -328,8 +336,11 @@ def test_harmonic_space_rejects_a_weight_changing_laplacian(a1):
 def test_metric_class_mixing_two_weights_is_rejected(a1):
     herm = [list(row) for row in a1.hermGram]
     herm[1][2] = herm[2][1] = F(1, 4)  # e and f have opposite weights
+    doctored = dataclasses.replace(a1, hermGram=tuple(map(tuple, herm)))
     with pytest.raises(InvariantError):
-        CellComplex(dataclasses.replace(a1, hermGram=tuple(map(tuple, herm))))
+        orthogonal_cartan(doctored)
+    with pytest.raises(InvariantError):
+        CellComplex(doctored)
 
 
 def test_isotypic_check_rejects_cross_weight_entries(a1, monkeypatch):

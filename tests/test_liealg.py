@@ -7,6 +7,7 @@ from jetcohom.liealg import (
     InvalidAlgebraError,
     build_algebra,
     casimir_eigenvalue,
+    orthogonal_cartan,
     scaled_form,
     verify_algebra,
 )
@@ -49,6 +50,21 @@ def test_other_series_build_and_verify(series, rank, dim, cox):
     data = build_algebra(AlgebraSpec(series, rank))  # build_algebra verifies invariants
     assert data.dim == dim
     assert data.coxeter == cox
+
+
+@pytest.mark.parametrize("series,rank", [("A", 1), ("A", 2), ("B", 2), ("G", 2)])
+def test_orthogonal_cartan_is_a_valid_algebra_with_diagonal_metric(series, rank):
+    data = build_algebra(AlgebraSpec(series, rank))
+    rebased = orthogonal_cartan(data)
+    verify_algebra(rebased)
+    n, r = data.dim, data.rank
+    assert all(rebased.hermGram[i][j] == 0 for i in range(n) for j in range(n) if i != j)
+    # root vectors are kept: a bracket of two of them with no Cartan part is unchanged
+    for i in range(r, n):
+        for j in range(r, n):
+            if all(q >= r for q in data.bracket(i, j)):
+                assert rebased.bracket(i, j) == data.bracket(i, j)
+    assert rebased.basis_weights == data.basis_weights
 
 
 def test_invariants_hold_exhaustively(a1, a2):
