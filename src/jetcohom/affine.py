@@ -90,10 +90,6 @@ def laplacian_shift(data: AlgebraData, w: AffineWeight) -> Fraction:
     return (affine_pairing(data, diff, diff) - affine_pairing(data, r, r)) / 2
 
 
-def _zero_weight(rank: int) -> FiniteWeight:
-    return tuple(Fraction(0) for _ in range(rank))
-
-
 def simple_affine_roots(data: AlgebraData) -> List[AffineRoot]:
     """alpha_0 = (1, -theta) followed by the finite simple roots at k = 0."""
     theta = tuple(Fraction(c) for c in data.rootSystem.theta)

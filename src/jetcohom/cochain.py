@@ -9,15 +9,15 @@ elimination.  ``CellComplex`` works in the orthogonal Cartan basis of
 is diagonal, so the wedge Gram is diagonal and d* a scaled transpose; d
 is rational there.  Every verdict is independent of the basis.
 
-Weight blocks.  Every operator here (d, d*, the Laplacian, the Casimir)
-preserves torus weight, so the identity L = c*k - Casimir holds one
-weight block at a time, and the weight block is the only shape in which
-these operators are built.  The sparse d is cut into its weight blocks
-after a check that every entry joins equal weights, which makes d* and
-L = d*d + dd* weight-blocked too.  The sparse Casimir is checked
-explicitly to join no two weights.  Ranks of d, kernels, Hodge
-consistency, closedness, d^2 = 0, self-adjointness, L + Casimir = c*k*Id
-and the Casimir's minimal polynomial are then all checked block by block.
+Sparse columns and weight blocks.  d, d* and the Laplacian L = d*d + dd*
+are kept as sparse columns for the whole run, and d is checked to join
+only monomials of equal torus weight, which makes d* and L weight-blocked
+too; the sparse Casimir is checked explicitly to join no two weights.
+Dense matrices are formed only where an elimination needs them, one weight
+block at a time: the ranks of d and the kernel of L.  Every other check
+applies sparse columns to sparse vectors: self-adjointness, closedness
+and co-closedness of harmonic vectors, d^2 = 0, L + Casimir = c*k*Id and
+the Casimir's minimal polynomial.
 
 Sign conventions.  The positive semi-definite cell Laplacian acts on the
 isotypic component of lowest weight lam at energy k by the scalar
@@ -28,11 +28,10 @@ fock module).  Harmonicity, the vanishing locus, is the same either way.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from . import exactlinalg as xl
@@ -203,22 +202,41 @@ def _weight_of_wedge(data: AlgebraData, wedge: Wedge) -> FiniteWeight:
     return tuple(w)
 
 
-def _positions(groups: Dict[FiniteWeight, List[int]]) -> Dict[int, int]:
-    """Position of each monomial index inside its weight block."""
-    return {i: pos for idxs in groups.values() for pos, i in enumerate(idxs)}
+Columns = Dict[int, Dict[int, Fraction]]  # sparse operator: column -> {row: nonzero entry}
+
+
+def _apply(op: Columns, vec: Dict[int, Fraction], shift: Fraction = 0) -> Dict[int, Fraction]:
+    """(op - shift*Id) applied to a sparse vector, zeros dropped."""
+    out: Dict[int, Fraction] = {}
+    for j, x in vec.items():
+        for i, a in op.get(j, {}).items():
+            out[i] = out.get(i, 0) + a * x
+        if shift:
+            out[j] = out.get(j, 0) - shift * x
+    return {i: x for i, x in out.items() if x}
+
+
+def _dense_block(op: Columns, rows: Sequence[int], cols: Sequence[int]) -> xl.Matrix:
+    """Dense block of a sparse operator on the given rows and columns, the
+    input of an elimination; every entry of those columns must lie in ``rows``."""
+    pos = {r: a for a, r in enumerate(rows)}
+    out = [[0] * len(cols) for _ in rows]
+    for b, c in enumerate(cols):
+        for r, x in op.get(c, {}).items():
+            out[pos[r]][b] = x
+    return out
 
 
 class CellComplex:
-    """Lazy per-algebra store of differentials and weight-block operators.
+    """Lazy per-algebra store of the cell operators, kept for the whole run.
 
     Everything is built from ``self.data``, the algebra rebased by
-    ``orthogonal_cartan``.  Sparse differentials, bases, weight labels and
-    the rank of each weight block of d are kept for the whole run.  The
-    other operators are dicts from torus weight to that weight's monomials
-    (in basis order): the diagonal of the Gram and dense blocks of d, d*
-    and the Laplacian.  These are kept for one cell at a time:
-    ``cell_laplacian`` builds them once for the harmonic and isotypic
-    checks of a cell and drops them when it moves to another cell.
+    ``orthogonal_cartan``.  Besides bases and weight labels it keeps the
+    diagonal wedge Gram of each cell and d, d* and the Laplacian L as
+    sparse columns (``Columns``).  Dense matrices exist only as inputs to
+    an elimination: each weight block of d for its rank, and each weight
+    block of L for its kernel (``laplacian``).  Every other check applies
+    the sparse columns to sparse vectors.
     """
 
     def __init__(self, data: AlgebraData):
@@ -226,10 +244,13 @@ class CellComplex:
         self._metric = [1 / row[i] for i, row in enumerate(self.data.hermGram)]  # of the dual modes
         self._blocks: Dict[Tuple[int, int], GradedComplexBlock] = {}
         self._bases: Dict[Tuple[int, int], CochainBasis] = {}
-        self._weights: Dict[Tuple[int, int], List[FiniteWeight]] = {}
-        self._groups: Dict[Tuple[int, int], Dict[FiniteWeight, List[int]]] = {}
-        self._ranks: Dict[Tuple[int, int], Dict[FiniteWeight, int]] = {}
-        self._dense: Dict[Tuple[str, int, int], Blocks] = {}
+        self._kept: Dict[Tuple[str, int, int], object] = {}
+
+    def _memo(self, name: str, p: int, k: int, build):
+        key = (name, p, k)
+        if key not in self._kept:
+            self._kept[key] = build()
+        return self._kept[key]
 
     def basis(self, p: int, k: int) -> CochainBasis:
         key = (p, k)
@@ -247,111 +268,104 @@ class CellComplex:
 
     def weights(self, p: int, k: int) -> List[FiniteWeight]:
         """Torus weight of each monomial of the (p, k) basis."""
-        key = (p, k)
-        if key not in self._weights:
-            self._weights[key] = [_weight_of_wedge(self.data, w) for w in self.basis(p, k).monomials]
-        return self._weights[key]
+        return self._memo("weights", p, k, lambda: [_weight_of_wedge(self.data, w) for w in self.basis(p, k).monomials])
 
     def weight_blocks(self, p: int, k: int) -> Dict[FiniteWeight, List[int]]:
         """Monomial indices of each torus weight, in basis order; the
         weights in sorted order."""
-        key = (p, k)
-        if key not in self._groups:
+
+        def build():
             groups: Dict[FiniteWeight, List[int]] = {}
             for i, w in enumerate(self.weights(p, k)):
                 groups.setdefault(w, []).append(i)
-            self._groups[key] = {w: groups[w] for w in sorted(groups)}
-        return self._groups[key]
+            return {w: groups[w] for w in sorted(groups)}
 
-    def _kept(self, key: Tuple[str, int, int], build) -> Blocks:
-        if key not in self._dense:
-            self._dense[key] = build()
-        return self._dense[key]
+        return self._memo("groups", p, k, build)
 
-    def d_blocks(self, p: int, k: int) -> Blocks:
-        """Weight blocks of d: A^p(k) -> A^{p+1}(k), one for each weight on
-        both sides, cut from the sparse d after checking that every entry
-        joins equal weights."""
+    def differential(self, p: int, k: int) -> Columns:
+        """d: A^p(k) -> A^{p+1}(k) as sparse columns, after a check that
+        every entry joins equal torus weights."""
 
         def build():
             w_in, w_out = self.weights(p, k), self.weights(p + 1, k)
-            g_in, g_out = self.weight_blocks(p, k), self.weight_blocks(p + 1, k)
-            pos_in, pos_out = _positions(g_in), _positions(g_out)
-            out = {w: [[0] * len(idxs) for _ in g_out[w]] for w, idxs in g_in.items() if w in g_out}
+            out: Columns = {}
             for (r, c), v in self.block(p, k).dMatrix.items():
                 if w_out[r] != w_in[c]:
                     raise InvariantError(f"d^{p} at energy {k} joins different torus weights")
-                out[w_in[c]][pos_out[r]][pos_in[c]] = v
+                out.setdefault(c, {})[r] = v
             return out
 
-        return self._kept(("d", p, k), build)
+        return self._memo("d", p, k, build)
+
+    def d_squared_zero(self, p: int, k: int) -> bool:
+        """d^{p+1} d^p = 0 at energy k, checked column by column."""
+        d_next = self.differential(p + 1, k)
+        return not any(_apply(d_next, col) for col in self.differential(p, k).values())
 
     def block_ranks(self, p: int, k: int) -> Dict[FiniteWeight, int]:
-        """Fraction-free rank of each weight block of d^p at energy k,
-        computed once per run."""
-        key = (p, k)
-        if key not in self._ranks:
-            self._ranks[key] = {w: xl.rank(block) for w, block in self.d_blocks(p, k).items()}
-        return self._ranks[key]
+        """Fraction-free rank of each weight block of d^p at energy k that
+        has both a source and a target, computed once per run."""
+
+        def build():
+            d, g_out = self.differential(p, k), self.weight_blocks(p + 1, k)
+            return {
+                w: xl.rank(_dense_block(d, g_out[w], idxs))
+                for w, idxs in self.weight_blocks(p, k).items()
+                if w in g_out
+            }
+
+        return self._memo("ranks", p, k, build)
 
     def rank_d(self, p: int, k: int) -> int:
         """Rank of d: A^p(k) -> A^{p+1}(k), the sum of its weight blocks' ranks."""
         return sum(self.block_ranks(p, k).values())
 
-    def gram(self, p: int, k: int) -> Dict[FiniteWeight, List[Fraction]]:
-        """Diagonal of the wedge Gram of cell (p, k), per weight block."""
+    def gram(self, p: int, k: int) -> List[Fraction]:
+        """Diagonal of the wedge Gram of cell (p, k), in basis order."""
+        return self._memo("gram", p, k, lambda: wedge_gram(self._metric, self.basis(p, k)))
+
+    def codifferential(self, p: int, k: int) -> Columns:
+        """Adjoint of d: A^p -> A^{p+1} in the wedge metrics, as sparse
+        columns over A^{p+1}: a scaled transpose, d*[i][j] = d[j][i] *
+        g_out[j] / g_in[i]."""
 
         def build():
-            mons = self.basis(p, k).monomials
-            return {
-                w: wedge_gram(self._metric, CochainBasis(p, k, tuple(mons[i] for i in idxs)))
-                for w, idxs in self.weight_blocks(p, k).items()
-            }
-
-        return self._kept(("gram", p, k), build)
-
-    def codifferential(self, p: int, k: int) -> Blocks:
-        """Adjoint of d: A^p -> A^{p+1} in the wedge metrics, per weight
-        block: d*_w = G_w^{-1} d_w^T G_w, a scaled transpose
-        d*_w[i][j] = d_w[j][i] * g_out[j] / g_in[i]."""
-
-        def build():
-            blocks = self.d_blocks(p, k)
             g_in, g_out = self.gram(p, k), self.gram(p + 1, k)
-            return {
-                w: [[row[i] * go / gi for row, go in zip(d, g_out[w])] for i, gi in enumerate(g_in[w])]
-                for w, d in blocks.items()
-            }
+            out: Columns = {}
+            for i, col in self.differential(p, k).items():
+                for j, x in col.items():
+                    out.setdefault(j, {})[i] = x * g_out[j] / g_in[i]
+            return out
 
-        return self._kept(("codifferential", p, k), build)
+        return self._memo("codifferential", p, k, build)
+
+    def laplacian_columns(self, p: int, k: int) -> Columns:
+        """The Laplacian d*d + dd* of cell (p, k) as sparse columns, one
+        for every monomial, checked to be self-adjoint in the metric:
+        g_i * L_ij = g_j * L_ji."""
+
+        def build():
+            up, up_star = self.differential(p, k), self.codifferential(p, k)
+            down, down_star = (self.differential(p - 1, k), self.codifferential(p - 1, k)) if p > 0 else ({}, {})
+            out: Columns = {}
+            for j in range(len(self.basis(p, k))):
+                col = _apply(up_star, up.get(j, {}))
+                for i, x in _apply(down, down_star.get(j, {})).items():
+                    col[i] = col.get(i, 0) + x
+                out[j] = {i: x for i, x in col.items() if x}
+            g = self.gram(p, k)
+            if any(g[i] * x != g[j] * out[i].get(j, 0) for j, col in out.items() for i, x in col.items()):
+                raise InvariantError(f"Laplacian of cell ({p}, {k}) is not self-adjoint in the cell metric")
+            return out
+
+        return self._memo("laplacian", p, k, build)
 
     def laplacian(self, p: int, k: int) -> Blocks:
-        """The Laplacian d*d + dd* of cell (p, k), one block per torus
-        weight; each block is checked to be self-adjoint in the metric."""
-        up, up_star = self.d_blocks(p, k), self.codifferential(p, k)
-        down, down_star = (self.d_blocks(p - 1, k), self.codifferential(p - 1, k)) if p > 0 else ({}, {})
-        grams = self.gram(p, k)
-        out = {}
-        for w, idxs in self.weight_blocks(p, k).items():
-            L = xl.zeros(len(idxs), len(idxs))
-            if w in up:
-                L = xl.mat_add(L, xl.matmul(up_star[w], up[w]))
-            if w in down:
-                L = xl.mat_add(L, xl.matmul(down[w], down_star[w]))
-            g = grams[w]
-            if any(g[i] * L[i][j] != g[j] * L[j][i] for i in range(len(L)) for j in range(i + 1, len(L))):
-                raise InvariantError(f"Laplacian of cell ({p}, {k}) is not self-adjoint in the cell metric")
-            out[w] = L
-        return out
-
-    def cell_laplacian(self, p: int, k: int) -> Blocks:
-        """The Laplacian blocks of cell (p, k), built once for all checks of
-        that cell; the previous cell's dense blocks are dropped first."""
-        key = ("laplacian", p, k)
-        if key not in self._dense:
-            self._dense.clear()
-            self._dense[key] = self.laplacian(p, k)
-        return self._dense[key]
+        """Dense weight blocks of the Laplacian of cell (p, k), the input of
+        the harmonic kernel; L preserves weight because d does and the
+        Gram is diagonal."""
+        L = self.laplacian_columns(p, k)
+        return {w: _dense_block(L, idxs, idxs) for w, idxs in self.weight_blocks(p, k).items()}
 
 
 def eigenvalue_of(data: AlgebraData, lowestWeight: Sequence[Fraction], energy: int) -> Fraction:
@@ -388,10 +402,6 @@ class HarmonicSpace:
     decomposition: List[IrrepSummand]
 
 
-def _annihilates(matrix: Sequence[Sequence[Fraction]], vec: Sequence[Fraction]) -> bool:
-    return not any(sum(a * x for a, x in zip(row, vec)) for row in matrix)
-
-
 def harmonic_space(data: AlgebraData, p: int, k: int, complex_: CellComplex | None = None) -> HarmonicSpace:
     """Exact kernel of the cell Laplacian, one torus-weight block at a time.
 
@@ -406,8 +416,8 @@ def harmonic_space(data: AlgebraData, p: int, k: int, complex_: CellComplex | No
     """
     cc = complex_ or CellComplex(data)
     dim = len(cc.basis(p, k))
-    laplacian = cc.cell_laplacian(p, k)
-    d_up, ranks_up = cc.d_blocks(p, k), cc.block_ranks(p, k)
+    laplacian = cc.laplacian(p, k)
+    d_up, ranks_up = cc.differential(p, k), cc.block_ranks(p, k)
     dstar_down, ranks_down = (cc.codifferential(p - 1, k), cc.block_ranks(p - 1, k)) if p > 0 else ({}, {})
 
     kernel_vectors: List[List[Fraction]] = []
@@ -417,9 +427,10 @@ def harmonic_space(data: AlgebraData, p: int, k: int, complex_: CellComplex | No
         if len(kernel) != len(idxs) - ranks_up.get(w, 0) - ranks_down.get(w, 0):
             raise InvariantError(f"Hodge consistency fails in cell ({p}, {k})")
         for vec in kernel:
-            if w in d_up and not _annihilates(d_up[w], vec):
+            sparse = {j: x for j, x in zip(idxs, vec) if x}
+            if _apply(d_up, sparse):
                 raise InvariantError(f"harmonic vector of cell ({p}, {k}) is not closed")
-            if w in dstar_down and not _annihilates(dstar_down[w], vec):
+            if _apply(dstar_down, sparse):
                 raise InvariantError(f"harmonic vector of cell ({p}, {k}) is not co-closed")
             full = [Fraction(0)] * dim
             for j, x in zip(idxs, vec):
@@ -439,11 +450,12 @@ def harmonic_space(data: AlgebraData, p: int, k: int, complex_: CellComplex | No
     )
 
 
-def _action_matrix(data: AlgebraData, basis: CochainBasis, gen: int) -> Dict[Tuple[int, int], Fraction]:
-    """Matrix of the coadjoint generator action on a cell (derivation, no sign)."""
+def _action_matrix(data: AlgebraData, basis: CochainBasis, gen: int) -> Columns:
+    """Sparse columns of the coadjoint generator action on a cell (derivation, no sign)."""
     index = basis.index()
-    out: Dict[Tuple[int, int], Fraction] = {}
+    out: Columns = {}
     for col, wedge in enumerate(basis.monomials):
+        column: Dict[int, Fraction] = {}
         for j, (level, m) in enumerate(wedge):
             pos_sign = -1 if j % 2 else 1  # single replaced factor: (-1)^skip
             # gen . e^{m,level} = - sum_b C_{gen b}^{m} e^{b,level}
@@ -456,40 +468,26 @@ def _action_matrix(data: AlgebraData, basis: CochainBasis, gen: int) -> Dict[Tup
                     continue
                 sign, new_wedge = ins
                 row = index[new_wedge]
-                out[(row, col)] = out.get((row, col), Fraction(0)) - pos_sign * sign * c
-    return {rc: v for rc, v in out.items() if v != 0}
+                column[row] = column.get(row, 0) - pos_sign * sign * c
+        out[col] = {r: v for r, v in column.items() if v}
+    return out
 
 
-def casimir_matrix(data: AlgebraData, basis: CochainBasis) -> Dict[Tuple[int, int], Fraction]:
+def casimir_matrix(data: AlgebraData, basis: CochainBasis) -> Columns:
     """Half the gram-inverse-paired square of the generator action, as
-    sparse (row, col) -> nonzero entry.
-
-    Accumulated from the sparse action matrices, over the generator pairs
-    with a nonzero inverse-Gram entry only.
-    """
-    n = data.dim
+    sparse columns: C e_c = sum_{a,b} (G^-1)_{ab} / 2 * A_a (A_b e_c),
+    over the generator pairs with a nonzero inverse-Gram entry only."""
     gram_inv = xl.invert([list(r) for r in data.gram])
-    actions: List[Dict[int, Dict[int, Fraction]]] = []
-    for a in range(n):
-        rows: Dict[int, Dict[int, Fraction]] = {}
-        for (r, c), v in _action_matrix(data, basis, a).items():
-            rows.setdefault(r, {})[c] = v
-        actions.append(rows)
-
-    out: Dict[int, Dict[int, Fraction]] = {}
-    for a in range(n):
-        for b in range(n):
-            w = gram_inv[a][b]
-            if w == 0:
-                continue
-            half = w / 2
-            right = actions[b]
-            for r, row in actions[a].items():
-                out_row = out.setdefault(r, {})
-                for m, x in row.items():
-                    for c, y in right.get(m, {}).items():
-                        out_row[c] = out_row.get(c, 0) + half * x * y
-    return {(r, c): v for r, row in out.items() for c, v in row.items() if v != 0}
+    actions = [_action_matrix(data, basis, a) for a in range(data.dim)]
+    pairs = [(actions[a], actions[b], w / 2) for a, row in enumerate(gram_inv) for b, w in enumerate(row) if w]
+    out: Columns = {}
+    for c in range(len(basis)):
+        column: Dict[int, Fraction] = {}
+        for left, right, half in pairs:
+            for r, x in _apply(left, right[c]).items():
+                column[r] = column.get(r, 0) + half * x
+        out[c] = {r: x for r, x in column.items() if x}
+    return out
 
 
 @dataclass
@@ -517,11 +515,6 @@ class IsotypicVerdict:
         return None
 
 
-def _shifted(matrix: Sequence[Sequence[Fraction]], shift: Fraction) -> List[List[Fraction]]:
-    """matrix - shift*Id."""
-    return [[x - shift if i == j else x for j, x in enumerate(row)] for i, row in enumerate(matrix)]
-
-
 def isotypic_eigen_check(
     data: AlgebraData, p: int, k: int, complex_: CellComplex | None = None
 ) -> IsotypicVerdict:
@@ -530,9 +523,11 @@ def isotypic_eigen_check(
     The sparse Casimir C, built from ``cc.data`` so that it is in the
     basis of the Laplacian, is checked to join no two torus weights
     (``weight_blocked``); the Laplacian is weight-blocked by construction.
-    Then, on every weight block, two exact checks run: L_w + C_w =
-    c*k*Id (``laplacian_matches_casimir``) and prod_v (C_w - v) = 0 over
-    the predicted Casimir values v (``minimal_polynomial_ok``).
+    Then two exact checks run column by column on sparse vectors: (L + C)
+    e_j = c*k*e_j (``laplacian_matches_casimir``), and prod_v (C - v) e_j
+    = 0 over the predicted Casimir values v (``minimal_polynomial_ok``),
+    with C and the v's scaled to integers once by the lcm of their
+    denominators.
 
     Each component's verdict follows from these two.  With P_v =
     prod_{v' != v} (C - v') / (v - v') the projector onto the Casimir
@@ -545,11 +540,10 @@ def isotypic_eigen_check(
     basis = cc.basis(p, k)
     if len(basis) == 0:
         return IsotypicVerdict(p, k, [], True, True)
-    laplacian = cc.cell_laplacian(p, k)
     summands = decompose(data, weights_of_basis(data, basis.monomials))
     C = casimir_matrix(cc.data, basis)
     labels = cc.weights(p, k)
-    blocked = all(labels[r] == labels[c] for r, c in C)
+    blocked = all(labels[r] == labels[c] for c, col in C.items() for r in col)
 
     values: Dict[Fraction, FiniteWeight] = {}
     for s in summands:
@@ -562,17 +556,20 @@ def isotypic_eigen_check(
         if scalars[v] != ck - v:
             raise InvariantError(f"Laplacian scalar of {values[v]} at energy {k} disagrees with c*k - Casimir")
 
-    groups = cc.weight_blocks(p, k)
-    pos = _positions(groups)
-    c_blocks = {w: xl.zeros(len(idxs), len(idxs)) for w, idxs in groups.items()}
-    for (r, c), x in C.items():
-        if labels[r] == labels[c]:
-            c_blocks[labels[r]][pos[r]][pos[c]] = x
-    l_matches = min_poly_ok = True
-    for w, Cw in c_blocks.items():
-        l_matches = l_matches and xl.is_zero_matrix(_shifted(xl.mat_add(laplacian[w], Cw), ck))
-        poly = functools.reduce(xl.matmul, [_shifted(Cw, v) for v in vlist])
-        min_poly_ok = min_poly_ok and xl.is_zero_matrix(poly)
+    L = cc.laplacian_columns(p, k)
+    l_matches = all(_apply(L, {j: 1}, ck) == {i: -x for i, x in C[j].items()} for j in range(len(basis)))
+
+    den = lcm(*(x.denominator for col in C.values() for x in col.values()), *(v.denominator for v in vlist))
+    scaled = {c: {r: int(x * den) for r, x in col.items()} for c, col in C.items()}
+    shifts = [int(v * den) for v in vlist]
+
+    def annihilated(j: int) -> bool:
+        vec = {j: 1}
+        for v in shifts:
+            vec = _apply(scaled, vec, v)
+        return not vec
+
+    min_poly_ok = all(annihilated(j) for j in range(len(basis)))
 
     components = [(values[v], scalars[v], min_poly_ok and l_matches) for v in vlist]
     return IsotypicVerdict(p, k, components, min_poly_ok, l_matches, blocked)

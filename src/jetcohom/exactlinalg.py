@@ -4,11 +4,11 @@ Rank and kernel computations run fraction-free over Python integers
 (Bareiss-style elimination); rational matrices (the d of the orthogonal
 Cartan basis is one) are cleared to an integer matrix plus denominator
 first.  Matrices are dense lists of lists of ``int`` or ``Fraction``
-entries, and products skip zero entries.  The sparsity that matters comes
-from the torus-weight grading and is exploited by the callers: the
-cochain module hands these routines one weight block at a time (ranks of
-d, products for the Laplacian, kernels, the Casimir's minimal
-polynomial), never a whole cell.  ``det`` is a test oracle only.
+entries.  The cochain module keeps its operators sparse and hands these
+routines a dense matrix only for an elimination, one torus-weight block
+at a time: the ranks of d and the kernel of the Laplacian.  ``matmul``,
+``mat_add``, ``scale``, ``identity``, ``is_zero_matrix`` and ``det`` are
+test oracles; the program does not call them.
 """
 
 from __future__ import annotations

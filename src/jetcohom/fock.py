@@ -419,10 +419,6 @@ def _dstar_monomial(backend: OrthonormalBackend, mono: SemiInfMonomial,
     return col
 
 
-def apply_d_twisted_star(backend: OrthonormalBackend, v: FockVector, window: EnergyWindow) -> FockVector:
-    return _apply_monowise(lambda m: _dstar_monomial(backend, m, window), v)
-
-
 def monomials_in_support(backend: OrthonormalBackend, window: EnergyWindow, margin: int,
                          max_energy: int | None = None,
                          max_particles: int | None = None) -> List[SemiInfMonomial]:

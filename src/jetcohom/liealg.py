@@ -17,7 +17,7 @@ import json
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from . import exactlinalg as xl
 
@@ -141,9 +141,6 @@ class RootSystem:
         out = list(Fraction(x) for x in weight)
         out[i] -= c
         return tuple(out)
-
-    def weylGenerators(self) -> List[Callable[[Sequence[Fraction]], FiniteWeight]]:
-        return [lambda w, i=i: self.reflect(w, i) for i in range(self.rank)]
 
     def form(self, a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
         tot = Fraction(0)

@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from . import cache as cache_mod
-from . import exactlinalg as xl
 from .affine import predict_cohomology
 from .cochain import (
     CellComplex,
@@ -109,8 +108,7 @@ def compute_cell(data: AlgebraData, cc: CellComplex, p: int, k: int) -> dict:
         )
         return record
 
-    d_next = cc.d_blocks(p + 1, k)
-    d_sq_zero = all(xl.is_zero_matrix(xl.matmul(d_next[w], d)) for w, d in cc.d_blocks(p, k).items() if w in d_next)
+    d_sq_zero = cc.d_squared_zero(p, k)
     rank_d = cc.rank_d(p, k)
 
     multiset = weights_of_basis(data, basis.monomials)

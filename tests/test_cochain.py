@@ -1,5 +1,5 @@
 import dataclasses
-import itertools
+import functools
 import random
 from fractions import Fraction as F
 
@@ -19,7 +19,9 @@ from jetcohom.cochain import (
     laplacian_scalar,
     wedge_gram,
 )
-from jetcohom.liealg import AlgebraSpec, build_algebra, orthogonal_cartan
+from jetcohom.liealg import AlgebraSpec, build_algebra, casimir_eigenvalue, orthogonal_cartan
+from jetcohom.report import compute_cell
+from jetcohom.reptheory import decompose, weights_of_basis
 
 
 def _count_oracle(n, p, k):
@@ -123,6 +125,7 @@ def test_d_squared_zero_exact(a1, cc_a1, p, k):
     upup = cc_a1.block(p + 1, k)
     if len(up.basisIn) and len(upup.basisOut):
         assert xl.is_zero_matrix(xl.matmul(upup.dense(), up.dense()))
+    assert cc_a1.d_squared_zero(p, k)
 
 
 def _all_pairs_gram(metric, basis):
@@ -149,10 +152,10 @@ def test_gram_inverse_identity(cc_a1, cc_a2):
         for (p, k) in [(1, 2), (2, 3), (3, 4)]:
             mons = cc.basis(p, k).monomials
             grams = cc.gram(p, k)
-            assert grams.keys() == cc.weight_blocks(p, k).keys()
+            assert len(grams) == len(mons)
             for w, idxs in cc.weight_blocks(p, k).items():
                 inverse = _all_pairs_gram(herm, cochain.CochainBasis(p, k, tuple(mons[i] for i in idxs)))
-                assert inverse == _diagonal([1 / g for g in grams[w]]), (p, k, w)
+                assert inverse == _diagonal([1 / grams[i] for i in idxs]), (p, k, w)
 
 
 def test_laplacian_small_cells(a1, cc_a1):
@@ -228,7 +231,7 @@ def test_wedge_gram_positive_definite(cc_a1, cc_a2):
     # a diagonal Gram is positive definite when its entries are positive
     for cc in (cc_a1, cc_a2):
         for (p, k) in [(1, 1), (2, 3)]:
-            assert all(g > 0 for G in cc.gram(p, k).values() for g in G)
+            assert all(g > 0 for g in cc.gram(p, k))
 
 
 @pytest.mark.parametrize("series", ["A", "B"])
@@ -292,6 +295,15 @@ def _embed(blocks, rows, cols):
     return out
 
 
+def _from_columns(op, rows, cols):
+    """Dense matrix of a sparse operator {col: {row: entry}}."""
+    out = xl.zeros(rows, cols)
+    for c, col in op.items():
+        for r, x in col.items():
+            out[r][c] = x
+    return out
+
+
 @pytest.mark.parametrize("series,rank,max_p,max_k", [("A", 1, 3, 6), ("A", 2, 2, 4)])
 def test_weight_blocks_match_whole_cell_reference(series, rank, max_p, max_k):
     cc = CellComplex(build_algebra(AlgebraSpec(series, rank)))
@@ -301,11 +313,12 @@ def test_weight_blocks_match_whole_cell_reference(series, rank, max_p, max_k):
                 continue
             G, dstar, L = _whole_cell_reference(cc, p, k)
             groups = cc.weight_blocks(p, k)
-            grams = {w: _diagonal(g) for w, g in cc.gram(p, k).items()}
-            assert _embed(grams, groups, groups) == G, (p, k)
+            n = len(cc.basis(p, k))
+            assert _diagonal(cc.gram(p, k)) == G, (p, k)
             assert _embed(cc.laplacian(p, k), groups, groups) == L, (p, k)
+            assert _from_columns(cc.laplacian_columns(p, k), n, n) == L, (p, k)
             if dstar is not None:
-                assert _embed(cc.codifferential(p, k), groups, cc.weight_blocks(p + 1, k)) == dstar, (p, k)
+                assert _from_columns(cc.codifferential(p, k), n, len(cc.basis(p + 1, k))) == dstar, (p, k)
 
 
 def _cross_weight_d_entry(cc, p, k):
@@ -349,7 +362,7 @@ def test_isotypic_check_rejects_cross_weight_entries(a1, monkeypatch):
 
     def doctored_casimir(data, basis):
         C = real_casimir(data, basis)
-        C[(i, j)] = C.get((i, j), 0) + 1
+        C[j][i] = C[j].get(i, 0) + 1
         return C
 
     monkeypatch.setattr(cochain, "casimir_matrix", doctored_casimir)
@@ -359,10 +372,101 @@ def test_isotypic_check_rejects_cross_weight_entries(a1, monkeypatch):
 
 def test_isotypic_check_rejects_a_laplacian_doctored_inside_a_block(a1):
     cc = CellComplex(a1)
-    blocks = {w: [list(row) for row in L] for w, L in CellComplex(a1).laplacian(2, 3).items()}
-    next(iter(blocks.values()))[0][0] += 1
-    cc.laplacian = lambda *_: blocks
+    L = cc.laplacian_columns(2, 3)
+    L[0][0] = L[0].get(0, 0) + 1  # a diagonal entry lies inside a weight block
     verdict = isotypic_eigen_check(a1, 2, 3, cc)
     assert verdict.weight_blocked and not verdict.passed
     assert not verdict.laplacian_matches_casimir
     assert verdict.first_violation() is not None
+
+
+def _without_top_casimir_value(monkeypatch):
+    """Make ``isotypic_eigen_check`` predict every Casimir value but the largest."""
+    real = cochain.decompose
+
+    def doctored(data, multiset):
+        summands = real(data, multiset)
+        top = max(casimir_eigenvalue(data, s.lowestWeight) for s in summands)
+        return [s for s in summands if casimir_eigenvalue(data, s.lowestWeight) != top]
+
+    monkeypatch.setattr(cochain, "decompose", doctored)
+
+
+def test_minimal_polynomial_check_rejects_a_missing_casimir_value(a1, monkeypatch):
+    _without_top_casimir_value(monkeypatch)
+    verdict = isotypic_eigen_check(a1, 2, 3, CellComplex(a1))
+    assert not verdict.minimal_polynomial_ok
+    assert verdict.laplacian_matches_casimir
+    assert not verdict.passed
+
+
+def _dense_minimal_polynomial_ok(cc, p, k, values):
+    """Reference: prod_v (C - v) = 0 as a dense Fraction product over the whole cell."""
+    basis = cc.basis(p, k)
+    n = len(basis)
+    C = _from_columns(cochain.casimir_matrix(cc.data, basis), n, n)
+    factors = [[[x - v if i == j else x for j, x in enumerate(row)] for i, row in enumerate(C)] for v in values]
+    return xl.is_zero_matrix(functools.reduce(xl.matmul, factors, xl.identity(n)))
+
+
+@pytest.mark.parametrize("series,rank,max_p,max_k", [("A", 1, 3, 6), ("A", 2, 2, 4)])
+def test_minimal_polynomial_check_matches_dense_reference(series, rank, max_p, max_k, monkeypatch):
+    data = build_algebra(AlgebraSpec(series, rank))
+    cc = CellComplex(data)
+    cells = [(p, k) for p in range(max_p + 1) for k in range(max_k + 1) if len(cc.basis(p, k))]
+    values = {
+        cell: sorted({casimir_eigenvalue(data, s.lowestWeight)
+                      for s in decompose(data, weights_of_basis(data, cc.basis(*cell).monomials))})
+        for cell in cells
+    }
+    for p, k in cells:
+        verdict = isotypic_eigen_check(data, p, k, cc)
+        assert verdict.minimal_polynomial_ok == _dense_minimal_polynomial_ok(cc, p, k, values[(p, k)]) is True
+    _without_top_casimir_value(monkeypatch)
+    for p, k in cells:
+        verdict = isotypic_eigen_check(data, p, k, cc)
+        assert verdict.minimal_polynomial_ok == _dense_minimal_polynomial_ok(cc, p, k, values[(p, k)][:-1]) is False
+
+
+def test_d_squared_check_rejects_a_weight_preserving_entry(a1):
+    p, k = 1, 4
+    cc = CellComplex(a1)
+    hit = sorted({r for r, _c in cc.block(p, k).dMatrix})  # rows of d^p with a nonzero entry
+    w_in, w_out = cc.weights(p + 1, k), cc.weights(p + 2, k)
+    r, c = next((r, c) for c in hit for r in range(len(w_out)) if w_out[r] == w_in[c])
+    d_next = cc.block(p + 1, k).dMatrix
+    d_next[(r, c)] = d_next.get((r, c), 0) + 1  # adds row c of d^p to row r of d^{p+1} d^p
+    assert not cc.d_squared_zero(p, k)
+    assert compute_cell(a1, cc, p, k)["checks"]["d_squared_zero"] is False
+    assert CellComplex(a1).d_squared_zero(p, k)
+
+
+def test_laplacian_rejects_a_codifferential_that_is_not_an_adjoint(a1):
+    cc = CellComplex(a1)
+    i, col = next(iter(cc.differential(1, 3).items()))
+    r = next(iter(col))
+    j = next(j for j in range(len(cc.basis(2, 3))) if j != r)
+    star = cc.codifferential(1, 3).setdefault(j, {})
+    star[i] = star.get(i, 0) + 1  # adds d e_i to column j of dd* but not to row j
+    with pytest.raises(InvariantError, match="self-adjoint"):
+        cc.laplacian_columns(2, 3)
+
+
+def test_harmonic_space_rejects_ranks_that_break_hodge_consistency(a1):
+    cc = CellComplex(a1)
+    ranks = cc.block_ranks(2, 3)
+    ranks[next(iter(ranks))] += 1
+    with pytest.raises(InvariantError, match="Hodge"):
+        harmonic_space(a1, 2, 3, cc)
+
+
+@pytest.mark.parametrize("doped,message", [("d", "not closed"), ("d*", "not co-closed")])
+def test_harmonic_space_rejects_an_operator_doped_on_a_harmonic_vector(a1, doped, message):
+    p, k = 2, 3
+    cc = CellComplex(a1)
+    j = next(j for j, x in enumerate(harmonic_space(a1, p, k, cc).basis[0]) if x)
+    # L and the ranks are kept from the first call; only the doped operator changes
+    col = (cc.differential(p, k) if doped == "d" else cc.codifferential(p - 1, k)).setdefault(j, {})
+    col[0] = col.get(0, 0) + 1
+    with pytest.raises(InvariantError, match=message):
+        harmonic_space(a1, p, k, cc)
