@@ -14,7 +14,7 @@ test oracles; the program does not call them.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import List, Sequence, Tuple
 
 Matrix = List[List[Fraction]]
@@ -57,14 +57,10 @@ def scale(a, s) -> Matrix:
 
 
 def clear_denominators(a: Sequence[Sequence[Fraction]]) -> Tuple[List[List[int]], int]:
-    """Return (integer matrix, d) with a = intmatrix / d."""
-    den = 1
-    for row in a:
-        for x in row:
-            f = Fraction(x)
-            den = den * f.denominator // gcd(den, f.denominator)
-    out = [[int(Fraction(x) * den) for x in row] for row in a]
-    return out, den
+    """Return (integer matrix, d) with a = intmatrix / d.  Entries are ints
+    or ``Fraction``s; both carry a ``denominator``."""
+    den = lcm(*(x.denominator for row in a for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in a], den
 
 
 def _int_row_echelon(m: List[List[int]]) -> Tuple[List[List[int]], List[int]]:
@@ -134,9 +130,7 @@ def kernel_basis(a: Sequence[Sequence]) -> List[List[Fraction]]:
             pc = piv_cols[r]
             s = sum(ech[r][c] * vec[c] for c in range(pc + 1, cols) if vec[c] != 0)
             vec[pc] = Fraction(-s, ech[r][pc])
-        den = 1
-        for x in vec:
-            den = den * x.denominator // gcd(den, x.denominator)
+        den = lcm(*(x.denominator for x in vec))
         ints = [int(x * den) for x in vec]
         g = 0
         for x in ints:

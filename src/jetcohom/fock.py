@@ -25,12 +25,14 @@ support keeps enough margin from the window edge that truncation is
 exact; each check declares the minimum window guard it needs and emits a
 skip verdict below that, never a silent pass.
 
-The checks share their operator columns through a memo on the backend,
-keyed by window: the first call of ``_L_monomial``, ``_d_monomial`` or
-``_dstar_monomial`` on a monomial stores its column there (read-only,
-its monomials interned), and so do the quantifier sets of
-``check_basis``.  ``verify_identity_suite`` builds one backend per call,
-so the memo lives as long as one suite run.  The matrix identities
+A backend is one algebra on one energy window, so no operator, check or
+enumeration takes a window of its own.  Every operator is a column
+function (one monomial to a sparse vector); ``_apply`` takes it to a
+vector, and ``_combine`` forms each lhs - rhs.  The columns of L_{i,k},
+d or dtilde and dtilde* are memoised on the backend, one dict per
+operator (read-only, monomials interned), and so are the quantifier sets
+of ``check_basis``.  ``verify_identity_suite`` builds one backend per
+call, so the memo lives as long as one suite run.  The matrix identities
 (d^2, the Laplacian, the transpose of dtilde) are checked column by
 column from these columns; no dense matrix is formed.
 """
@@ -38,7 +40,9 @@ column from these columns; no dense matrix is formed.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial, wraps
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Sequence, Tuple
@@ -51,6 +55,7 @@ from .liealg import AlgebraData
 ModeIndex = Tuple[int, int]  # (i, k): basis index, Fourier degree
 Mode = ModeIndex
 FockVector = Dict["SemiInfMonomial", complex]
+Column = Callable[["SemiInfMonomial"], Mapping["SemiInfMonomial", complex]]
 
 
 class WindowViolation(ValueError):
@@ -159,6 +164,17 @@ def iota_monomial(n: int, mode: Mode, mono: SemiInfMonomial) -> Tuple[int, SemiI
     return sign, SemiInfMonomial(mono.added, _sorted_insert(mono.removed, mode))
 
 
+def _then(n: int, step, mode: Mode, hit: Tuple[int, SemiInfMonomial] | None
+          ) -> Tuple[int, SemiInfMonomial] | None:
+    """``step`` (``eps_monomial`` or ``iota_monomial``) applied after ``hit``."""
+    if hit is None:
+        return None
+    back = step(n, mode, hit[1])
+    if back is None:
+        return None
+    return hit[0] * back[0], back[1]
+
+
 def _accumulate(out: FockVector, mono: SemiInfMonomial, coeff: complex):
     new = out.get(mono, 0j) + coeff
     if abs(new) < 1e-14:
@@ -167,11 +183,31 @@ def _accumulate(out: FockVector, mono: SemiInfMonomial, coeff: complex):
         out[mono] = new
 
 
-class OrthonormalBackend:
-    """Complex orthonormal basis and structure constants for one algebra."""
+def _apply(column: Column, v: Mapping[SemiInfMonomial, complex]) -> FockVector:
+    """sum_m v[m] * column(m): an operator, given by its columns, on a vector."""
+    out: FockVector = {}
+    for mono, coeff in v.items():
+        for m2, c2 in column(mono).items():
+            _accumulate(out, m2, coeff * c2)
+    return out
 
-    def __init__(self, data: AlgebraData):
+
+def _combine(*terms: Tuple[complex, Mapping[SemiInfMonomial, complex]]) -> FockVector:
+    """sum coeff * vec over the (coeff, vec) terms."""
+    out: FockVector = {}
+    for coeff, vec in terms:
+        for mono, c in vec.items():
+            _accumulate(out, mono, coeff * c)
+    return out
+
+
+class OrthonormalBackend:
+    """Complex orthonormal basis and structure constants for one algebra,
+    and the memoised operators on one energy window."""
+
+    def __init__(self, data: AlgebraData, window: EnergyWindow):
         self.data = data
+        self.window = window
         n = data.dim
         self.n = n
         self.coxeter = data.coxeter
@@ -237,15 +273,10 @@ class OrthonormalBackend:
                 if abs(C[i, q, p]) > 1e-12
             ]
             self.pairs.append(lst)
-        self._memos: Dict[EnergyWindow, _WindowMemo] = {}
+        # operator name -> {(*params, monomial): read-only column}
+        self.columns: Dict[str, Dict[tuple, Mapping[SemiInfMonomial, complex]]] = defaultdict(dict)
+        self.bases: Dict[Tuple[int, int | None, int | None], Tuple[SemiInfMonomial, ...]] = {}
         self._canon: Dict[SemiInfMonomial, SemiInfMonomial] = {}
-
-    def memo(self, window: EnergyWindow) -> _WindowMemo:
-        """Operator columns and quantifier sets computed so far in ``window``."""
-        memo = self._memos.get(window)
-        if memo is None:
-            memo = self._memos[window] = _WindowMemo()
-        return memo
 
     def freeze(self, vec: FockVector) -> Mapping[SemiInfMonomial, complex]:
         """Read-only copy of ``vec`` with interned monomials, for the memo."""
@@ -261,57 +292,53 @@ class OrthonormalBackend:
 _EMPTY: Mapping[SemiInfMonomial, complex] = MappingProxyType({})
 
 
-class _WindowMemo:
-    """Per-window memo: L_{i,k}, d or dtilde, dtilde* columns and check bases."""
+def _memo_column(fn):
+    """Memoise the column function ``fn(backend, *params, mono)`` in the
+    backend's dict for ``fn``: each column is computed once per backend and
+    kept read-only, its monomials interned."""
+    name = fn.__name__
 
-    __slots__ = ("L", "d", "dstar", "support")
+    @wraps(fn)
+    def column(backend: OrthonormalBackend, *args):
+        memo = backend.columns[name]
+        col = memo.get(args)
+        if col is None:
+            col = memo[args[:-1] + (backend.intern(args[-1]),)] = backend.freeze(fn(backend, *args))
+        return col
 
-    def __init__(self):
-        self.L: Dict[Tuple[int, int, SemiInfMonomial], Mapping[SemiInfMonomial, complex]] = {}
-        self.d: Dict[Tuple[bool, SemiInfMonomial], Mapping[SemiInfMonomial, complex]] = {}
-        self.dstar: Dict[SemiInfMonomial, Mapping[SemiInfMonomial, complex]] = {}
-        self.support: Dict[Tuple[int, int | None, int | None], Tuple[SemiInfMonomial, ...]] = {}
+    return column
 
 
-def vacuum(window: EnergyWindow) -> FockVector:
+def vacuum() -> FockVector:
     return {VACUUM: 1.0 + 0j}
 
 
-def _check_mode(window: EnergyWindow, mode: Mode):
+def _apply_mode(step, backend: OrthonormalBackend, mode: Mode, v: FockVector) -> FockVector:
+    window = backend.window
     if not window.contains(mode[1]):
         raise WindowViolation(f"mode {mode} outside window [{window.kMin}, {window.kMax}]")
-
-
-def apply_eps(backend: OrthonormalBackend, mode: Mode, v: FockVector, window: EnergyWindow) -> FockVector:
-    _check_mode(window, mode)
     out: FockVector = {}
     for mono, coeff in v.items():
-        hit = eps_monomial(backend.n, mode, mono)
+        hit = step(backend.n, mode, mono)
         if hit:
             _accumulate(out, hit[1], hit[0] * coeff)
     return out
 
 
-def apply_iota(backend: OrthonormalBackend, mode: Mode, v: FockVector, window: EnergyWindow) -> FockVector:
-    _check_mode(window, mode)
-    out: FockVector = {}
-    for mono, coeff in v.items():
-        hit = iota_monomial(backend.n, mode, mono)
-        if hit:
-            _accumulate(out, hit[1], hit[0] * coeff)
-    return out
+def apply_eps(backend: OrthonormalBackend, mode: Mode, v: FockVector) -> FockVector:
+    return _apply_mode(eps_monomial, backend, mode, v)
 
 
-def _L_monomial(backend: OrthonormalBackend, i: int, k: int, mono: SemiInfMonomial,
-                window: EnergyWindow) -> Mapping[SemiInfMonomial, complex]:
+def apply_iota(backend: OrthonormalBackend, mode: Mode, v: FockVector) -> FockVector:
+    return _apply_mode(iota_monomial, backend, mode, v)
+
+
+@_memo_column
+def _L_monomial(backend: OrthonormalBackend, i: int, k: int, mono: SemiInfMonomial) -> FockVector:
     """L_{i,k} = sum_s C_{iq}^p :iota_{p,s} eps^{q,s-k}: with both modes in
     the window; normal ordering puts iota first for s <= 0 and -eps iota
-    for s > 0 (operator products act right to left).  Memoised, read-only."""
-    memo = backend.memo(window).L
-    col = memo.get((i, k, mono))
-    if col is not None:
-        return col
-    n = backend.n
+    for s > 0 (operator products act right to left)."""
+    n, window = backend.n, backend.window
     out: FockVector = {}
     lo = max(window.kMin, window.kMin + k)
     hi = min(window.kMax, window.kMax + k)
@@ -333,21 +360,11 @@ def _L_monomial(backend: OrthonormalBackend, i: int, k: int, mono: SemiInfMonomi
                 if second is None:
                     continue
                 _accumulate(out, second[1], -cval * first[0] * second[0])
-    col = memo[(i, k, backend.intern(mono))] = backend.freeze(out)
-    return col
-
-
-def _apply_monowise(fn: Callable[[SemiInfMonomial], Mapping[SemiInfMonomial, complex]],
-                    v: Mapping[SemiInfMonomial, complex]) -> FockVector:
-    out: FockVector = {}
-    for mono, coeff in v.items():
-        for m2, c2 in fn(mono).items():
-            _accumulate(out, m2, coeff * c2)
     return out
 
 
-def _require_guarded(v: FockVector, window: EnergyWindow, margin: int, what: str):
-    lo, hi = window.support(margin)
+def _require_guarded(backend: OrthonormalBackend, v: FockVector, margin: int, what: str):
+    lo, hi = backend.window.support(margin)
     for mono in v:
         for _i, k in mono.added:
             if not (1 <= k <= hi):
@@ -357,75 +374,64 @@ def _require_guarded(v: FockVector, window: EnergyWindow, margin: int, what: str
                 raise GuardViolation(f"{what}: removed mode at level {k} outside guarded [{lo},{hi}]")
 
 
-def apply_L(backend: OrthonormalBackend, i: int, k: int, v: FockVector,
-            window: EnergyWindow) -> FockVector:
+def apply_L(backend: OrthonormalBackend, i: int, k: int, v: FockVector) -> FockVector:
     """Coadjoint-type mode action; the input must keep margin |k| from the
     window edge so that the truncated mode sum is exact."""
-    _require_guarded(v, window, abs(k), f"L_({i},{k})")
-    return _apply_monowise(lambda m: _L_monomial(backend, i, k, m, window), v)
+    _require_guarded(backend, v, abs(k), f"L_({i},{k})")
+    return _apply(partial(_L_monomial, backend, i, k), v)
 
 
-def _d_monomial(backend: OrthonormalBackend, mono: SemiInfMonomial, window: EnergyWindow,
-                twisted: bool) -> Mapping[SemiInfMonomial, complex]:
-    """d (or dtilde if ``twisted``) of one monomial.  Memoised, read-only."""
-    memo = backend.memo(window).d
-    col = memo.get((twisted, mono))
-    if col is not None:
-        return col
+@_memo_column
+def _d_monomial(backend: OrthonormalBackend, twisted: bool, mono: SemiInfMonomial) -> FockVector:
+    """d (or dtilde if ``twisted``) of one monomial."""
     n = backend.n
     out: FockVector = {}
-    for k in range(window.kMin, window.kMax + 1):
+    for k in range(backend.window.kMin, backend.window.kMax + 1):
         sk = -1.0 if twisted and k <= 0 else 1.0
         for i in range(n):
             headstart = eps_monomial(n, (i, k), mono)
             if headstart is None:
                 continue
             sgn, inner = headstart
-            for m2, c2 in _L_monomial(backend, i, k, inner, window).items():
+            for m2, c2 in _L_monomial(backend, i, k, inner).items():
                 _accumulate(out, m2, 0.5 * sk * sgn * c2)
-    col = memo[(twisted, backend.intern(mono))] = backend.freeze(out)
-    return col
+    return out
 
 
-def apply_d(backend: OrthonormalBackend, v: FockVector, window: EnergyWindow) -> FockVector:
+def apply_d(backend: OrthonormalBackend, v: FockVector) -> FockVector:
     """d = 1/2 sum_{i,k} L_{i,k} eps^{i,k}, windowed."""
-    return _apply_monowise(lambda m: _d_monomial(backend, m, window, False), v)
+    return _apply(partial(_d_monomial, backend, False), v)
 
 
-def apply_d_twisted(backend: OrthonormalBackend, v: FockVector, window: EnergyWindow) -> FockVector:
+def apply_d_twisted(backend: OrthonormalBackend, v: FockVector) -> FockVector:
     """dtilde: the k <= 0 terms of d enter with a minus sign."""
-    return _apply_monowise(lambda m: _d_monomial(backend, m, window, True), v)
+    return _apply(partial(_d_monomial, backend, True), v)
 
 
-def _dstar_monomial(backend: OrthonormalBackend, mono: SemiInfMonomial,
-                    window: EnergyWindow) -> Mapping[SemiInfMonomial, complex]:
+@_memo_column
+def _dstar_monomial(backend: OrthonormalBackend, mono: SemiInfMonomial) -> FockVector:
     """dtilde* = -1/2 sum_{i,k} s_k iota_{i,k} L_{i,-k}: transpose of dtilde
-    over the bilinear-orthonormal monomial basis.  Memoised, read-only."""
-    memo = backend.memo(window).dstar
-    col = memo.get(mono)
-    if col is not None:
-        return col
+    over the bilinear-orthonormal monomial basis."""
     n = backend.n
     out: FockVector = {}
-    for k in range(window.kMin, window.kMax + 1):
+    for k in range(backend.window.kMin, backend.window.kMax + 1):
         sk = 1.0 if k > 0 else -1.0
         for i in range(n):
-            for m1, c1 in _L_monomial(backend, i, -k, mono, window).items():
+            for m1, c1 in _L_monomial(backend, i, -k, mono).items():
                 hit = iota_monomial(n, (i, k), m1)
                 if hit is None:
                     continue
                 _accumulate(out, hit[1], -0.5 * sk * c1 * hit[0])
-    col = memo[backend.intern(mono)] = backend.freeze(out)
-    return col
+    return out
 
 
-def monomials_in_support(backend: OrthonormalBackend, window: EnergyWindow, margin: int,
+def monomials_in_support(backend: OrthonormalBackend, margin: int,
                          max_energy: int | None = None,
                          max_particles: int | None = None) -> List[SemiInfMonomial]:
     """All monomials supported in the margin-shrunk window, optionally
     capped by energy and by total mode count (added plus removed);
     deterministic order (energy, repr)."""
-    lo, hi = window.support(margin)
+    lo, hi = backend.window.support(margin)
     n = backend.n
     add_candidates = [(i, k) for k in range(1, hi + 1) for i in range(n)]
     rem_candidates = [(i, k) for k in range(lo, 1) for i in range(n)]
@@ -479,25 +485,24 @@ def _small(backend: OrthonormalBackend) -> bool:
     return backend.n <= 3
 
 
-def check_basis(backend: OrthonormalBackend, window: EnergyWindow, margin: int,
-                max_energy: int | None, cap: int | None = None) -> List[SemiInfMonomial]:
+def check_basis(backend: OrthonormalBackend, margin: int, max_energy: int | None,
+                cap: int | None = None) -> List[SemiInfMonomial]:
     """Deterministic quantifier set for an identity check.
 
     Small windows (up to 18 candidate modes, which covers the rank-one
     acceptance window) enumerate every supported monomial under the energy
     cap; larger mode sets additionally restrict to at most four modes off
     the vacuum and truncate to ``cap`` vectors in (energy, repr) order.
-    The uncapped set is memoised per window, margin and energy cap.
+    The uncapped set is memoised per margin and energy cap.
     """
-    lo, hi = window.support(margin)
+    lo, hi = backend.window.support(margin)
     n_candidates = backend.n * (max(hi, 0) + max(1 - lo, 0))
     particles = None if n_candidates <= 18 else 4
-    memo = backend.memo(window).support
     key = (margin, max_energy, particles)
-    mons = memo.get(key)
+    mons = backend.bases.get(key)
     if mons is None:
-        mons = memo[key] = tuple(map(backend.intern, monomials_in_support(
-            backend, window, margin, max_energy, max_particles=particles)))
+        mons = backend.bases[key] = tuple(map(backend.intern, monomials_in_support(
+            backend, margin, max_energy, max_particles=particles)))
     return list(mons[:cap])
 
 
@@ -523,58 +528,52 @@ class IdentityVerdict:
         }
 
 
-def _skip(name: str, window: EnergyWindow, reason: str) -> IdentityVerdict:
-    return IdentityVerdict(name, window, None, passed=False, skipped=True, reason=reason)
+def _skip(backend: OrthonormalBackend, name: str, reason: str) -> IdentityVerdict:
+    return IdentityVerdict(name, backend.window, None, passed=False, skipped=True, reason=reason)
 
 
-def _vector_error(a: FockVector, b: FockVector) -> float:
+def _vector_error(a: Mapping[SemiInfMonomial, complex], b: Mapping[SemiInfMonomial, complex]) -> float:
     keys = set(a) | set(b)
     return max((abs(a.get(m, 0j) - b.get(m, 0j)) for m in keys), default=0.0)
 
 
-def clifford_check(backend: OrthonormalBackend, window: EnergyWindow, tol: float,
-                   max_energy: int = 3) -> IdentityVerdict:
+def clifford_check(backend: OrthonormalBackend, tol: float, max_energy: int = 3) -> IdentityVerdict:
     """[iota, eps]+ = delta * delta, squares vanish, on windowed monomials."""
-    n = backend.n
+    n, window = backend.n, backend.window
     if not _small(backend):
         max_energy = min(max_energy, 2)
-    basis = check_basis(backend, window, window.guard, max_energy,
-                        cap=700 if _small(backend) else 60)
+    basis = check_basis(backend, window.guard, max_energy, cap=700 if _small(backend) else 60)
     modes = [(i, k) for k in range(window.kMin, window.kMax + 1) for i in range(n)]
     modes = sorted(modes, key=lambda m: (abs(m[1]), m[1], m[0]))[:24]
     err = 0.0
     for mono in basis:
-        v = {mono: 1.0 + 0j}
-        eps_v = [apply_eps(backend, m2, v, window) for m2 in modes]
-        for m1 in modes:
-            e1 = apply_eps(backend, m1, v, window)
-            i1 = apply_iota(backend, m1, v, window)
-            err = max(err, _vector_error(apply_eps(backend, m1, e1, window), {}))
-            err = max(err, _vector_error(apply_iota(backend, m1, i1, window), {}))
+        eps_v = [eps_monomial(n, m2, mono) for m2 in modes]
+        for m1, e1 in zip(modes, eps_v):
+            i1 = iota_monomial(n, m1, mono)
+            for square in (_then(n, eps_monomial, m1, e1), _then(n, iota_monomial, m1, i1)):
+                if square:
+                    err = max(err, abs(square[0]))
             for m2, e2 in zip(modes, eps_v):
-                anti: FockVector = {}
-                for m, c in apply_eps(backend, m2, i1, window).items():
-                    _accumulate(anti, m, c)
-                for m, c in apply_iota(backend, m1, e2, window).items():
-                    _accumulate(anti, m, c)
-                expect = v if m1 == m2 else {}
-                err = max(err, _vector_error(anti, expect))
+                anti: Dict[SemiInfMonomial, int] = {mono: -1} if m1 == m2 else {}  # minus the expected
+                for hit in (_then(n, eps_monomial, m2, i1), _then(n, iota_monomial, m1, e2)):
+                    if hit:
+                        anti[hit[1]] = anti.get(hit[1], 0) + hit[0]
+                err = max(err, max(map(abs, anti.values()), default=0))
     return IdentityVerdict("clifford_relations", window, err, err <= tol, vectors=len(basis))
 
 
-def commutator_check(backend: OrthonormalBackend, window: EnergyWindow, tol: float,
-                     max_energy: int = 4) -> IdentityVerdict:
+def commutator_check(backend: OrthonormalBackend, tol: float, max_energy: int = 4) -> IdentityVerdict:
     """[iota_{j,m}, L_{i,k}] = -sum_p C_{ij}^p iota_{p,m+k} and the
     eps analogue [eps^{j,m}, L_{i,k}] = sum_q C_{iq}^j eps^{q,m-k}."""
+    window = backend.window
     if window.guard < 1:
-        return _skip("mode_action_commutators", window, "window guard < 1 (shift-1 operators)")
-    n = backend.n
+        return _skip(backend, "mode_action_commutators", "window guard < 1 (shift-1 operators)")
+    n, C = backend.n, backend.C
     err = 0.0
     count = 0
     for k in range(-window.guard, window.guard + 1):
         margin = max(abs(k), 1)
-        basis = check_basis(backend, window, margin + 1, max_energy,
-                            cap=300 if _small(backend) else 24)
+        basis = check_basis(backend, margin + 1, max_energy, cap=300 if _small(backend) else 24)
         count += len(basis)
         for mono in basis:
             v = {mono: 1.0 + 0j}
@@ -582,47 +581,25 @@ def commutator_check(backend: OrthonormalBackend, window: EnergyWindow, tol: flo
             if not _small(backend):
                 gen_pairs = gen_pairs[:: max(1, len(gen_pairs) // 12)]
             for i in sorted({i for i, _ in gen_pairs}):
-                Lv = _apply_monowise(lambda mm: _L_monomial(backend, i, k, mm, window), v)
+                L = partial(_L_monomial, backend, i, k)
+                Lv = L(mono)
                 for j in [jj for ii, jj in gen_pairs if ii == i]:
                     for m in range(window.kMin + margin, window.kMax - margin + 1):
                         if not window.contains(m + k) or not window.contains(m - k):
                             continue
-                        lhs: FockVector = {}
-                        for mo, c in apply_iota(backend, (j, m), Lv, window).items():
-                            _accumulate(lhs, mo, c)
-                        for mo, c in _apply_monowise(
-                            lambda mm: _L_monomial(backend, i, k, mm, window),
-                            apply_iota(backend, (j, m), v, window),
-                        ).items():
-                            _accumulate(lhs, mo, -c)
-                        rhs: FockVector = {}
-                        for p in range(n):
-                            cv = backend.C[i, j, p]
-                            if abs(cv) > 1e-12:
-                                for mo, c in apply_iota(backend, (p, m + k), v, window).items():
-                                    _accumulate(rhs, mo, -cv * c)
-                        err = max(err, _vector_error(lhs, rhs))
-
-                        lhs2: FockVector = {}
-                        for mo, c in apply_eps(backend, (j, m), Lv, window).items():
-                            _accumulate(lhs2, mo, c)
-                        for mo, c in _apply_monowise(
-                            lambda mm: _L_monomial(backend, i, k, mm, window),
-                            apply_eps(backend, (j, m), v, window),
-                        ).items():
-                            _accumulate(lhs2, mo, -c)
-                        rhs2: FockVector = {}
-                        for q in range(n):
-                            cv = backend.C[i, q, j]
-                            if abs(cv) > 1e-12:
-                                for mo, c in apply_eps(backend, (q, m - k), v, window).items():
-                                    _accumulate(rhs2, mo, cv * c)
-                        err = max(err, _vector_error(lhs2, rhs2))
+                        for act, rhs in (
+                            (apply_iota, [(-C[i, j, p], (p, m + k)) for p in range(n)]),
+                            (apply_eps, [(C[i, q, j], (q, m - k)) for q in range(n)]),
+                        ):
+                            lhs = _combine((1, act(backend, (j, m), Lv)),
+                                           (-1, _apply(L, act(backend, (j, m), v))))
+                            expected = _combine(*((cv, act(backend, mode, v))
+                                                  for cv, mode in rhs if abs(cv) > 1e-12))
+                            err = max(err, _vector_error(lhs, expected))
     return IdentityVerdict("mode_action_commutators", window, err, err <= tol, vectors=count)
 
 
-def cocycle_check(backend: OrthonormalBackend, i: int, j: int, k: int,
-                  window: EnergyWindow, tol: float = 1e-9,
+def cocycle_check(backend: OrthonormalBackend, i: int, j: int, k: int, tol: float = 1e-9,
                   max_energy: int = 3) -> Tuple[complex, IdentityVerdict]:
     """Central scalar of [L_{i,k}, L_{j,-k}] - L([e_{i,k}, e_{j,-k}]).
 
@@ -630,33 +607,26 @@ def cocycle_check(backend: OrthonormalBackend, i: int, j: int, k: int,
     window guard >= |k| (the product needs margin 2|k|, taken internally).
     """
     name = f"cocycle_L({i},{k})_L({j},{-k})"
+    window = backend.window
     if window.guard < abs(k):
-        return 0j, _skip(name, window, f"window guard {window.guard} < |k| = {abs(k)}")
+        return 0j, _skip(backend, name, f"window guard {window.guard} < |k| = {abs(k)}")
     margin = max(2 * abs(k), window.guard)
     lo, hi = window.support(margin)
     if lo > 0 or hi < 1:
-        return 0j, _skip(name, window, "guarded support for margin 2|k| is empty")
-    basis = check_basis(backend, window, margin, max_energy,
-                        cap=400 if _small(backend) else 40)
-
-    def L(ii, kk, v):
-        return _apply_monowise(lambda m: _L_monomial(backend, ii, kk, m, window), v)
+        return 0j, _skip(backend, name, "guarded support for margin 2|k| is empty")
+    basis = check_basis(backend, margin, max_energy, cap=400 if _small(backend) else 40)
+    Li, Lj = partial(_L_monomial, backend, i, k), partial(_L_monomial, backend, j, -k)
 
     diag: List[complex] = []
     err = 0.0
     expected = 2.0 * backend.coxeter * k * (1.0 if i == j else 0.0)
     for mono in basis:
-        v = {mono: 1.0 + 0j}
-        comm: FockVector = {}
-        for mo, c in L(i, k, L(j, -k, v)).items():
-            _accumulate(comm, mo, c)
-        for mo, c in L(j, -k, L(i, k, v)).items():
-            _accumulate(comm, mo, -c)
-        for p in range(backend.n):
-            cv = backend.C[i, j, p]
-            if abs(cv) > 1e-12:
-                for mo, c in L(p, 0, v).items():
-                    _accumulate(comm, mo, -cv * c)
+        comm = _combine(
+            (1, _apply(Li, Lj(mono))),
+            (-1, _apply(Lj, Li(mono))),
+            *((-cv, _L_monomial(backend, p, 0, mono))
+              for p, cv in enumerate(backend.C[i, j]) if abs(cv) > 1e-12),
+        )
         diag.append(comm.get(mono, 0j))
         err = max(err, _vector_error(comm, {mono: expected + 0j}))
     measured = sum(diag) / len(diag) if diag else 0j
@@ -664,70 +634,60 @@ def cocycle_check(backend: OrthonormalBackend, i: int, j: int, k: int,
     return measured, verdict
 
 
-def vacuum_checks(backend: OrthonormalBackend, window: EnergyWindow, tol: float) -> IdentityVerdict:
+def vacuum_checks(backend: OrthonormalBackend, tol: float) -> IdentityVerdict:
     """iota_{i,k>0} Omega = 0, eps^{i,k<=0} Omega = 0, L_{i,k>=0} Omega = 0,
     d Omega = 0."""
-    v = vacuum(window)
+    v = vacuum()
+    window = backend.window
     err = 0.0
     for k in range(window.kMin, window.kMax + 1):
         for i in range(backend.n):
             if k > 0:
-                err = max(err, _vector_error(apply_iota(backend, (i, k), v, window), {}))
-                err = max(err, _vector_error(
-                    _apply_monowise(lambda m: _L_monomial(backend, i, k, m, window), v), {}))
+                err = max(err, _vector_error(apply_iota(backend, (i, k), v), {}))
+                err = max(err, _vector_error(_L_monomial(backend, i, k, VACUUM), {}))
             else:
-                err = max(err, _vector_error(apply_eps(backend, (i, k), v, window), {}))
-    err = max(err, _vector_error(
-        _apply_monowise(lambda m: _L_monomial(backend, 0, 0, m, window), v), {}))
-    err = max(err, _vector_error(apply_d(backend, v, window), {}))
-    err = max(err, _vector_error(apply_d_twisted(backend, v, window), {}))
+                err = max(err, _vector_error(apply_eps(backend, (i, k), v), {}))
+    err = max(err, _vector_error(_L_monomial(backend, 0, 0, VACUUM), {}))
+    err = max(err, _vector_error(apply_d(backend, v), {}))
+    err = max(err, _vector_error(apply_d_twisted(backend, v), {}))
     return IdentityVerdict("vacuum_annihilation", window, err, err <= tol, vectors=1)
 
 
-def energy_bookkeeping_check(backend: OrthonormalBackend, window: EnergyWindow,
-                             tol: float, max_energy: int = 4) -> IdentityVerdict:
+def energy_bookkeeping_check(backend: OrthonormalBackend, tol: float, max_energy: int = 4) -> IdentityVerdict:
     """iota shifts energy by -k, eps by +k, L by -k, d and dtilde by 0."""
-    basis = check_basis(backend, window, max(window.guard, 1), max_energy,
-                        cap=1100 if _small(backend) else 40)
+    n, window = backend.n, backend.window
+    basis = check_basis(backend, max(window.guard, 1), max_energy, cap=1100 if _small(backend) else 40)
     bad = 0
     for mono in basis:
-        v = {mono: 1.0 + 0j}
         e0 = mono.energy
         for k in range(window.kMin + 1, window.kMax):
-            for i in range(backend.n):
-                for vec, shift in (
-                    (apply_iota(backend, (i, k), v, window), -k),
-                    (apply_eps(backend, (i, k), v, window), k),
-                    (_apply_monowise(lambda m: _L_monomial(backend, i, k, m, window), v), -k),
-                ):
-                    bad += sum(1 for m in vec if m.energy != e0 + shift)
-        for vec in (apply_d(backend, v, window), apply_d_twisted(backend, v, window)):
-            bad += sum(1 for m in vec if m.energy != e0)
+            for i in range(n):
+                for hit, shift in ((iota_monomial(n, (i, k), mono), -k), (eps_monomial(n, (i, k), mono), k)):
+                    bad += hit is not None and hit[1].energy != e0 + shift
+                bad += sum(1 for m in _L_monomial(backend, i, k, mono) if m.energy != e0 - k)
+        for twisted in (False, True):
+            bad += sum(1 for m in _d_monomial(backend, twisted, mono) if m.energy != e0)
     return IdentityVerdict("energy_bookkeeping", window, float(bad), bad == 0, vectors=len(basis))
 
 
-def l0_commutes_with_d_check(backend: OrthonormalBackend, window: EnergyWindow, tol: float,
-                             max_energy: int = 4) -> IdentityVerdict:
-    if window.guard < 1:
-        return _skip("L0_commutes_with_d", window, "window guard < 1")
-    basis = check_basis(backend, window, window.guard, max_energy,
-                        cap=1100 if _small(backend) else 12)
+def l0_commutes_with_d_check(backend: OrthonormalBackend, tol: float, max_energy: int = 4) -> IdentityVerdict:
+    if backend.window.guard < 1:
+        return _skip(backend, "L0_commutes_with_d", "window guard < 1")
+    basis = check_basis(backend, backend.window.guard, max_energy, cap=1100 if _small(backend) else 12)
+    d = partial(_d_monomial, backend, False)
     err = 0.0
     gens = range(backend.n) if _small(backend) else range(0, backend.n, max(1, backend.n // 4))
     for mono in basis:
-        v = {mono: 1.0 + 0j}
         for i in gens:
-            a = apply_d(backend, _apply_monowise(lambda m: _L_monomial(backend, i, 0, m, window), v), window)
-            b = _apply_monowise(lambda m: _L_monomial(backend, i, 0, m, window), apply_d(backend, v, window))
-            err = max(err, _vector_error(a, b))
-    return IdentityVerdict("L0_commutes_with_d", window, err, err <= tol, vectors=len(basis))
+            L0 = partial(_L_monomial, backend, i, 0)
+            err = max(err, _vector_error(_apply(d, L0(mono)), _apply(L0, d(mono))))
+    return IdentityVerdict("L0_commutes_with_d", backend.window, err, err <= tol, vectors=len(basis))
 
 
-def _ambient_differential(backend: OrthonormalBackend, wedge: Tuple[Mode, ...],
-                          window: EnergyWindow) -> Dict[Tuple[Mode, ...], complex]:
+def _ambient_differential(backend: OrthonormalBackend, wedge: Tuple[Mode, ...]) -> Dict[Tuple[Mode, ...], complex]:
     """CE differential of a wedge of dual modes over the full mode algebra
     (all window levels, negative included), as wedges sorted by mode order."""
-    n = backend.n
+    n, window = backend.n, backend.window
     out: Dict[Tuple[Mode, ...], complex] = {}
     for j, (m, l) in enumerate(wedge):
         outer = -1.0 if j % 2 else 1.0
@@ -769,27 +729,27 @@ def _ambient_differential(backend: OrthonormalBackend, wedge: Tuple[Mode, ...],
     return out
 
 
-def leibniz_check(backend: OrthonormalBackend, window: EnergyWindow, tol: float,
-                  seed: int = 11, trials: int = 12, max_energy: int = 4) -> IdentityVerdict:
+def leibniz_check(backend: OrthonormalBackend, tol: float, seed: int = 11, trials: int = 12,
+                  max_energy: int = 4) -> IdentityVerdict:
     """d(alpha ^ omega) = d(alpha) ^ omega + (-1)^p alpha ^ d(omega) for
     cochain wedges alpha and random guarded vectors omega; d(alpha) is the
     full-algebra differential computed independently from the structure
     constants (its negative-mode terms act on monomials with holes)."""
+    window = backend.window
     if window.guard < 1:
-        return _skip("leibniz_rule", window, "window guard < 1")
+        return _skip(backend, "leibniz_rule", "window guard < 1")
     import random as _random
 
     rng = _random.Random(seed)
     n = backend.n
     lo, hi = window.support(window.guard)
     coch_modes = [(i, k) for k in range(1, hi + 1) for i in range(n)]
-    basis = check_basis(backend, window, window.guard, max_energy,
-                        cap=700 if _small(backend) else 60)
+    basis = check_basis(backend, window.guard, max_energy, cap=700 if _small(backend) else 60)
     err = 0.0
 
     def eps_wedge(ws, vec):
         for mode in reversed(ws):
-            vec = apply_eps(backend, mode, vec, window)
+            vec = apply_eps(backend, mode, vec)
         return vec
 
     for _ in range(trials):
@@ -798,111 +758,80 @@ def leibniz_check(backend: OrthonormalBackend, window: EnergyWindow, tol: float,
         omega_mons = rng.sample(basis, min(3, len(basis)))
         omega = {m: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for m in omega_mons}
 
-        lhs = apply_d(backend, eps_wedge(alpha, omega), window)
-        rhs: FockVector = {}
-        sign = -1.0 if p % 2 else 1.0
-        for m, c in _apply_monowise(lambda mm: _d_monomial(backend, mm, window, False), omega).items():
-            for m2, c2 in eps_wedge(alpha, {m: c}).items():
-                _accumulate(rhs, m2, sign * c2)
-        for dwedge, c in _ambient_differential(backend, alpha, window).items():
-            for m2, c2 in eps_wedge(dwedge, omega).items():
-                _accumulate(rhs, m2, c * c2)
+        lhs = apply_d(backend, eps_wedge(alpha, omega))
+        rhs = _combine(
+            (-1.0 if p % 2 else 1.0, eps_wedge(alpha, apply_d(backend, omega))),
+            *((c, eps_wedge(dwedge, omega)) for dwedge, c in _ambient_differential(backend, alpha).items()),
+        )
         err = max(err, _vector_error(lhs, rhs))
     return IdentityVerdict("leibniz_rule", window, err, err <= tol, vectors=trials)
 
 
-def d_squared_check(backend: OrthonormalBackend, window: EnergyWindow, tol: float,
-                    max_energy: int = 3) -> IdentityVerdict:
+def d_squared_check(backend: OrthonormalBackend, tol: float, max_energy: int = 3) -> IdentityVerdict:
     """d^2 = sum_{k>0,i} 2c k eps^{i,k} eps^{i,-k}, compared column by column:
     d(d(c)) against the closed form on each guarded column c."""
+    window = backend.window
     if window.guard < 1:
-        return _skip("d_squared_closed_form", window, "window guard < 1")
+        return _skip(backend, "d_squared_closed_form", "window guard < 1")
     if not _small(backend):
         max_energy = min(max_energy, 2)
-    cols = check_basis(backend, window, window.guard, max_energy,
-                       cap=600 if _small(backend) else 30)
+    cols = check_basis(backend, window.guard, max_energy, cap=600 if _small(backend) else 30)
     n = backend.n
-
-    def d(m):
-        return _d_monomial(backend, m, window, False)
-
+    d = partial(_d_monomial, backend, False)
     err = 0.0
     for mono in cols:
         rhs: FockVector = {}
         for k in range(1, min(window.kMax, -window.kMin) + 1):
             for i in range(n):
-                low = eps_monomial(n, (i, -k), mono)
-                if low is None:
-                    continue
-                high = eps_monomial(n, (i, k), low[1])
-                if high is None:
-                    continue
-                _accumulate(rhs, high[1], 2.0 * backend.coxeter * k * low[0] * high[0])
-        err = max(err, _vector_error(_apply_monowise(d, d(mono)), rhs))
+                hit = _then(n, eps_monomial, (i, k), eps_monomial(n, (i, -k), mono))
+                if hit:
+                    _accumulate(rhs, hit[1], 2.0 * backend.coxeter * k * hit[0])
+        err = max(err, _vector_error(_apply(d, d(mono)), rhs))
     return IdentityVerdict("d_squared_closed_form", window, err, err <= tol, vectors=len(cols))
 
 
-def laplacian_formula_check(backend: OrthonormalBackend, window: EnergyWindow, tol: float,
-                            max_energy: int = 3) -> IdentityVerdict:
+def laplacian_formula_check(backend: OrthonormalBackend, tol: float, max_energy: int = 3) -> IdentityVerdict:
     """[d, dtilde*]+ = -sum_{k>0} ck eps^{i,k} iota_{i,k}
     - sum_{k<0} ck iota_{i,k} eps^{i,k} + 1/2 sum_i L_{i,0}^2, compared
     column by column: d(dtilde* c) + dtilde*(d c) against the closed form on
     each guarded column c."""
+    window = backend.window
     if window.guard < 1:
-        return _skip("laplacian_closed_form", window, "window guard < 1")
+        return _skip(backend, "laplacian_closed_form", "window guard < 1")
     if not _small(backend):
         max_energy = min(max_energy, 2)
-    cols = check_basis(backend, window, window.guard, max_energy,
-                       cap=600 if _small(backend) else 30)
-
-    def d(m):
-        return _d_monomial(backend, m, window, False)
-
-    def dstar(m):
-        return _dstar_monomial(backend, m, window)
-
+    cols = check_basis(backend, window.guard, max_energy, cap=600 if _small(backend) else 30)
+    d = partial(_d_monomial, backend, False)
+    dstar = partial(_dstar_monomial, backend)
     err = 0.0
     for mono in cols:
-        lhs = _apply_monowise(d, dstar(mono))
-        for m, c in _apply_monowise(dstar, d(mono)).items():
-            _accumulate(lhs, m, c)
-        err = max(err, _vector_error(lhs, _closed_form_monomial(backend, mono, window)))
+        lhs = _combine((1, _apply(d, dstar(mono))), (1, _apply(dstar, d(mono))))
+        err = max(err, _vector_error(lhs, _closed_form_monomial(backend, mono)))
     return IdentityVerdict("laplacian_closed_form", window, err, err <= tol, vectors=len(cols))
 
 
-def _closed_form_monomial(backend: OrthonormalBackend, mono: SemiInfMonomial,
-                          window: EnergyWindow) -> FockVector:
-    n = backend.n
+def _closed_form_monomial(backend: OrthonormalBackend, mono: SemiInfMonomial) -> FockVector:
+    n, window = backend.n, backend.window
     out: FockVector = {}
     c = float(backend.coxeter)
-    for k in range(1, window.kMax + 1):
+    for k in range(window.kMin, window.kMax + 1):
+        # eps^{i,k} iota_{i,k} for k > 0, iota_{i,k} eps^{i,k} for k < 0
+        if k == 0:
+            continue
+        outer, inner = (eps_monomial, iota_monomial) if k > 0 else (iota_monomial, eps_monomial)
         for i in range(n):
-            hit = iota_monomial(n, (i, k), mono)
-            if hit is None:
-                continue
-            back = eps_monomial(n, (i, k), hit[1])
-            if back is None:
-                continue
-            _accumulate(out, back[1], -c * k * hit[0] * back[0])
-    for k in range(window.kMin, 0):
-        for i in range(n):
-            hit = eps_monomial(n, (i, k), mono)
-            if hit is None:
-                continue
-            back = iota_monomial(n, (i, k), hit[1])
-            if back is None:
-                continue
-            _accumulate(out, back[1], -c * k * hit[0] * back[0])
+            hit = _then(n, outer, (i, k), inner(n, (i, k), mono))
+            if hit:
+                _accumulate(out, hit[1], -c * k * hit[0])
     for i in range(n):
-        once = _L_monomial(backend, i, 0, mono, window)
-        for m1, c1 in once.items():
-            for m2, c2 in _L_monomial(backend, i, 0, m1, window).items():
+        for m1, c1 in _L_monomial(backend, i, 0, mono).items():
+            for m2, c2 in _L_monomial(backend, i, 0, m1).items():
                 _accumulate(out, m2, 0.5 * c1 * c2)
     return out
 
 
-def dtilde_adjoint_matrix_check(backend: OrthonormalBackend, window: EnergyWindow, tol: float,
-                                max_energy: int = 3, block_cap: int = 800) -> IdentityVerdict:
+def dtilde_adjoint_matrix_check(backend: OrthonormalBackend, tol: float, max_energy: int = 3,
+                                block_cap: int = 800) -> IdentityVerdict:
     """The operator dtilde* equals the transpose of the dtilde matrix on
     each energy block of in-window monomials (monomials orthonormal for
     the bilinear pairing; conjugating too would flip the sign): every
@@ -910,11 +839,12 @@ def dtilde_adjoint_matrix_check(backend: OrthonormalBackend, window: EnergyWindo
 
     Transposition needs whole blocks, so blocks beyond ``block_cap`` are
     left out rather than truncated; if none fit the check is skipped."""
-    if window.guard < 1:
-        return _skip("dtilde_adjoint_is_matrix_transpose", window, "window guard < 1")
+    name = "dtilde_adjoint_is_matrix_transpose"
+    if backend.window.guard < 1:
+        return _skip(backend, name, "window guard < 1")
     if not _small(backend):
         max_energy = min(max_energy, 1)
-    allmon = monomials_in_support(backend, window, 0, max_energy)
+    allmon = monomials_in_support(backend, 0, max_energy)
     err = 0.0
     count = 0
     for energy in sorted({m.energy for m in allmon}):
@@ -925,64 +855,51 @@ def dtilde_adjoint_matrix_check(backend: OrthonormalBackend, window: EnergyWindo
         members = set(block)
         transposed: Dict[SemiInfMonomial, FockVector] = {m: {} for m in block}
         for row in block:
-            for col, val in _d_monomial(backend, row, window, True).items():
+            for col, val in _d_monomial(backend, True, row).items():
                 if col not in members:
                     raise InvariantError(f"dtilde leaves the energy-{energy} block")
                 transposed[col][row] = val
         for col in block:
-            ds = _dstar_monomial(backend, col, window)
+            ds = _dstar_monomial(backend, col)
             if not members.issuperset(ds):
                 raise InvariantError(f"dtilde* leaves the energy-{energy} block")
             err = max(err, _vector_error(ds, transposed[col]))
     if count == 0:
-        return _skip("dtilde_adjoint_is_matrix_transpose", window,
-                     f"every energy block exceeds {block_cap} monomials")
-    return IdentityVerdict("dtilde_adjoint_is_matrix_transpose", window, err, err <= tol, vectors=count)
+        return _skip(backend, name, f"every energy block exceeds {block_cap} monomials")
+    return IdentityVerdict(name, backend.window, err, err <= tol, vectors=count)
 
 
-def d_matches_cochain_check(backend: OrthonormalBackend, window: EnergyWindow, tol: float,
-                            max_degree: int = 2, max_k: int = 3) -> IdentityVerdict:
+def d_matches_cochain_check(backend: OrthonormalBackend, tol: float, max_degree: int = 2,
+                            max_k: int = 3) -> IdentityVerdict:
     """d(eps(alpha) Omega) = eps(d_CE alpha) Omega for cochain wedges from
     the exact pipeline, mapped through the orthonormalizing basis change."""
+    window = backend.window
     if window.guard < 1:
-        return _skip("d_restricts_to_chevalley_eilenberg", window, "window guard < 1")
-    data = backend.data
+        return _skip(backend, "d_restricts_to_chevalley_eilenberg", "window guard < 1")
     max_k = min(max_k, window.kMax - window.guard)
     err = 0.0
     count = 0
     col_cap = None if _small(backend) else 6
     for k in range(1, max_k + 1):
         for p in range(1, min(max_degree, k) + 1):
-            block = differential_block(data, p, k)
+            block = differential_block(backend.data, p, k)
             for col, wedge in enumerate(block.basisIn.monomials[:col_cap]):
-                v = _embed_cochain_wedge(backend, wedge, window)
-                lhs = apply_d(backend, v, window)
-                rhs: FockVector = {}
-                for (row, c_), val in block.dMatrix.items():
-                    if c_ != col:
-                        continue
-                    out_wedge = block.basisOut.monomials[row]
-                    for m, c2 in _embed_cochain_wedge(backend, out_wedge, window).items():
-                        _accumulate(rhs, m, val * c2)
+                lhs = apply_d(backend, _embed_cochain_wedge(backend, wedge))
+                rhs = _combine(*((val, _embed_cochain_wedge(backend, block.basisOut.monomials[row]))
+                                 for (row, c_), val in block.dMatrix.items() if c_ == col))
                 err = max(err, _vector_error(lhs, rhs))
                 count += 1
     return IdentityVerdict("d_restricts_to_chevalley_eilenberg", window, err, err <= tol, vectors=count)
 
 
-def _embed_cochain_wedge(backend: OrthonormalBackend, wedge, window: EnergyWindow) -> FockVector:
+def _embed_cochain_wedge(backend: OrthonormalBackend, wedge) -> FockVector:
     """Map a Chevalley-dual wedge (ascending (level, index) modes) to the
     orthonormal mode basis and apply it to the vacuum."""
     B = backend.basis_matrix
-    v = vacuum(window)
+    v = vacuum()
     for level, a in reversed(wedge):
-        new: FockVector = {}
-        for b in range(backend.n):
-            coef = B[a, b]
-            if abs(coef) < 1e-14:
-                continue
-            for m, c in apply_eps(backend, (b, level), v, window).items():
-                _accumulate(new, m, coef * c)
-        v = new
+        v = _combine(*((B[a, b], apply_eps(backend, (b, level), v))
+                       for b in range(backend.n) if abs(B[a, b]) >= 1e-14))
     return v
 
 
@@ -990,23 +907,26 @@ def verify_identity_suite(data: AlgebraData, window: EnergyWindow, tolerance: fl
                           cocycle_modes: Sequence[Tuple[int, int, int]] | None = None
                           ) -> List[IdentityVerdict]:
     """Run the full operator identity suite; skipped checks carry reasons."""
-    backend = OrthonormalBackend(data)
+    backend = OrthonormalBackend(data, window)
     out = [
-        vacuum_checks(backend, window, tolerance),
-        clifford_check(backend, window, tolerance),
-        energy_bookkeeping_check(backend, window, tolerance),
-        commutator_check(backend, window, tolerance),
-        l0_commutes_with_d_check(backend, window, tolerance),
-        leibniz_check(backend, window, tolerance),
-        d_matches_cochain_check(backend, window, tolerance),
-        d_squared_check(backend, window, tolerance),
-        laplacian_formula_check(backend, window, tolerance),
-        dtilde_adjoint_matrix_check(backend, window, tolerance),
+        check(backend, tolerance)
+        for check in (
+            vacuum_checks,
+            clifford_check,
+            energy_bookkeeping_check,
+            commutator_check,
+            l0_commutes_with_d_check,
+            leibniz_check,
+            d_matches_cochain_check,
+            d_squared_check,
+            laplacian_formula_check,
+            dtilde_adjoint_matrix_check,
+        )
     ]
     modes = cocycle_modes
     if modes is None:
         modes = [(0, 0, 1), (0, 0, 0), (0, min(1, data.dim - 1), 1)]
     for i, j, k in modes:
-        _, verdict = cocycle_check(backend, i, j, k, window, tolerance)
+        _, verdict = cocycle_check(backend, i, j, k, tolerance)
         out.append(verdict)
     return out

@@ -459,11 +459,8 @@ def build_algebra(spec: AlgebraSpec) -> AlgebraData:
             herm[i][j] = -sgn * gram[i][jj]
 
     # induced form on weights (simple-root coordinates)
-    gram_h = [[gram[i][j] for j in range(r)] for i in range(r)]
-    t_vecs = []
-    for i in range(r):
-        rhs = [Fraction(rs.cartan[j][i]) for j in range(r)]
-        t_vecs.append(_solve(gram_h, rhs))
+    gram_h_inv = xl.invert([[gram[i][j] for j in range(r)] for i in range(r)])
+    t_vecs = [[sum(row[j] * rs.cartan[j][i] for j in range(r)) for row in gram_h_inv] for i in range(r)]
     wform = [[Fraction(0)] * r for _ in range(r)]
     for i in range(r):
         for j in range(r):
@@ -528,22 +525,6 @@ def orthogonal_cartan(data: AlgebraData) -> AlgebraData:
     if any(herm[i][j] for i in range(n) for j in range(n) if i != j):
         raise InvariantError("the mode metric is not diagonal in the orthogonal Cartan basis")
     return replace(data, structure=tuple(structure), gram=gram, hermGram=herm)
-
-
-def _solve(mat: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> List[Fraction]:
-    """Solve a small nonsingular rational system by Gaussian elimination."""
-    k = len(mat)
-    aug = [list(mat[i]) + [rhs[i]] for i in range(k)]
-    for col in range(k):
-        piv = next(i for i in range(col, k) if aug[i][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for i in range(k):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return [aug[i][k] for i in range(k)]
 
 
 def verify_algebra(data: AlgebraData, jacobi_samples: int | None = None) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
@@ -48,6 +48,7 @@ class RunConfig:
     cacheDir: str | None = None
     outputFormat: str = "json"
     timing: bool = False
+    window: EnergyWindow = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.tolerance <= 0:
@@ -56,14 +57,11 @@ class RunConfig:
             raise ValueError(f"unknown output format {self.outputFormat!r}")
         if self.maxDegree < 0 or self.maxEnergy < 0:
             raise ValueError("maxDegree and maxEnergy must be nonnegative")
+        self.window = EnergyWindow(self.kMin, self.kMax, self.guard)
 
     @property
     def algebra_spec(self) -> AlgebraSpec:
         return AlgebraSpec(self.series, self.rank)
-
-    @property
-    def window(self) -> EnergyWindow:
-        return EnergyWindow(self.kMin, self.kMax, self.guard)
 
     def to_json_dict(self) -> dict:
         return {
@@ -86,6 +84,40 @@ def _frac(x: Fraction) -> str:
 
 def _weight(w: Sequence[Fraction]) -> List[str]:
     return [_frac(x) for x in w]
+
+
+_CONVENTIONS = {
+    "weights": "lowest weights, simple-root coordinates",
+    "numbers": "exact rationals serialized as strings",
+}
+
+
+def _algebra_json(config: RunConfig, data: AlgebraData) -> dict:
+    return {
+        "name": config.algebra_spec.name,
+        "dim": data.dim,
+        "coxeter": data.coxeter,
+        "content_hash": data.content_hash(),
+    }
+
+
+def _predictions_json(predictions: Dict[int, list]) -> dict:
+    return {
+        str(p): [
+            {
+                "lowestWeight": {
+                    "energy": irrep.energy,
+                    "finite": _weight(irrep.lowestWeight.finite),
+                    "central": "0",
+                },
+                "energy": irrep.energy,
+                "dim": irrep.finiteDim,
+                "reducedWord": list(irrep.sourceWord),
+            }
+            for irrep in predictions[p]
+        ]
+        for p in predictions
+    }
 
 
 def compute_cell(data: AlgebraData, cc: CellComplex, p: int, k: int) -> dict:
@@ -161,22 +193,6 @@ def cmd_compute(config: RunConfig) -> dict:
             cells.append(record)
 
     predictions = predict_cohomology(data, config.maxDegree)
-    pred_json = {
-        str(p): [
-            {
-                "lowestWeight": {
-                    "energy": irrep.energy,
-                    "finite": _weight(irrep.lowestWeight.finite),
-                    "central": "0",
-                },
-                "energy": irrep.energy,
-                "dim": irrep.finiteDim,
-                "reducedWord": list(irrep.sourceWord),
-            }
-            for irrep in predictions[p]
-        ]
-        for p in predictions
-    }
 
     match: Dict[str, bool] = {}
     for p in range(config.maxDegree + 1):
@@ -215,21 +231,13 @@ def cmd_compute(config: RunConfig) -> dict:
         "schema_version": SCHEMA_VERSION,
         "kind": "compute",
         "config": config.to_json_dict(),
-        "algebra": {
-            "name": config.algebra_spec.name,
-            "dim": data.dim,
-            "coxeter": data.coxeter,
-            "content_hash": ahash,
-        },
-        "conventions": {
-            "weights": "lowest weights, simple-root coordinates",
-            "numbers": "exact rationals serialized as strings",
-        },
+        "algebra": _algebra_json(config, data),
+        "conventions": dict(_CONVENTIONS),
         # cache files written before the differential payload was dropped still hold "block"
         "cells": [
             {k: v for k, v in record.items() if k != "block"} for record in cells
         ],
-        "predictions": pred_json,
+        "predictions": _predictions_json(predictions),
         "matchVerdict": match,
         "exact_suite": {
             **checks_ok,
@@ -247,37 +255,13 @@ def cmd_compute(config: RunConfig) -> dict:
 
 def cmd_predict(config: RunConfig) -> dict:
     data = build_algebra(config.algebra_spec)
-    predictions = predict_cohomology(data, config.maxDegree)
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "predict",
         "config": config.to_json_dict(),
-        "algebra": {
-            "name": config.algebra_spec.name,
-            "dim": data.dim,
-            "coxeter": data.coxeter,
-            "content_hash": data.content_hash(),
-        },
-        "conventions": {
-            "weights": "lowest weights, simple-root coordinates",
-            "numbers": "exact rationals serialized as strings",
-        },
-        "predictions": {
-            str(p): [
-                {
-                    "lowestWeight": {
-                        "energy": i.energy,
-                        "finite": _weight(i.lowestWeight.finite),
-                        "central": "0",
-                    },
-                    "energy": i.energy,
-                    "dim": i.finiteDim,
-                    "reducedWord": list(i.sourceWord),
-                }
-                for i in predictions[p]
-            ]
-            for p in predictions
-        },
+        "algebra": _algebra_json(config, data),
+        "conventions": dict(_CONVENTIONS),
+        "predictions": _predictions_json(predict_cohomology(data, config.maxDegree)),
     }
 
 
@@ -288,12 +272,7 @@ def cmd_verify_identities(config: RunConfig) -> dict:
         "schema_version": SCHEMA_VERSION,
         "kind": "verify-identities",
         "config": config.to_json_dict(),
-        "algebra": {
-            "name": config.algebra_spec.name,
-            "dim": data.dim,
-            "coxeter": data.coxeter,
-            "content_hash": data.content_hash(),
-        },
+        "algebra": _algebra_json(config, data),
         "identity_suite": [v.to_json_dict() for v in verdicts],
     }
 

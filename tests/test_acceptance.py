@@ -60,8 +60,8 @@ def test_criterion_3_identity_suite(a1):
         "laplacian_closed_form",
     ]
     ok = all(not by_name[n].skipped and by_name[n].passed for n in needed)
-    backend = OrthonormalBackend(a1)
-    measured, verdict = cocycle_check(backend, 0, 0, 1, window, TOL)
+    backend = OrthonormalBackend(a1, window)
+    measured, verdict = cocycle_check(backend, 0, 0, 1, TOL)
     ok = ok and verdict.passed and abs(measured - 4.0) <= TOL
     ok = ok and all(v.passed for v in suite if not v.skipped)
     _report_line(3, ok, f"identity suite green at tol {TOL}; cocycle scalar = {measured.real:.12f}")

@@ -165,6 +165,13 @@ def test_cli_rejects_bad_config(capsys):
     assert main(["compute", "--series", "Z", "--rank", "2"]) == 1
 
 
+@pytest.mark.parametrize("flags", [["--kmin", "1", "--kmax", "3"], ["--guard", "-1"]])
+def test_cli_rejects_an_invalid_window(capsys, flags):
+    assert main(["verify-identities", "--series", "A", "--rank", "1", *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: window must satisfy") and "Traceback" not in err
+
+
 def test_config_file_and_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("series = A\nrank = 1\nmaxDegree = 2\nmaxEnergy = 3\noutputFormat = csv\n")
@@ -286,3 +293,13 @@ GOLDEN = Path(__file__).parent / "data"
 def test_reports_match_the_golden_files(a1_report, a2_report, fmt):
     for name, report in (("a1_3_6", a1_report), ("a2_2_4", a2_report)):
         assert serialize_report(report, fmt).encode() == (GOLDEN / f"{name}.{fmt}").read_bytes(), name
+
+
+@pytest.mark.parametrize("name, flags", [
+    ("identities_a1_m2_3_g1", ["--rank", "1", "--kmin", "-2", "--kmax", "3", "--guard", "1"]),
+    ("identities_a2_m1_2_g1", ["--rank", "2", "--kmin", "-1", "--kmax", "2", "--guard", "1"]),
+])
+def test_identity_reports_match_the_golden_files(tmp_path, name, flags):
+    out = tmp_path / f"{name}.json"
+    main(["verify-identities", "--series", "A", *flags, "--format", "json", "--output", str(out)])
+    assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()

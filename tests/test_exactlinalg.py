@@ -59,3 +59,13 @@ def test_invert_and_det():
 def test_det_singular():
     m = [[F(1), F(2)], [F(2), F(4)]]
     assert xl.det(m) == 0
+
+
+def test_clear_denominators_of_mixed_ints_and_fractions():
+    m = [[0, F(1, 2), 3], [F(-2, 3), F(0), F(4)]]
+    ints, den = xl.clear_denominators(m)
+    assert den == 6
+    assert ints == [[0, 3, 18], [-4, 0, 24]]
+    assert all(type(x) is int for row in ints for x in row)
+    assert xl.clear_denominators([[1, 2], [0, -3]]) == ([[1, 2], [0, -3]], 1)
+    assert xl.rank(m) == 2 and xl.rank([[1, F(1, 2)], [2, 1]]) == 1

@@ -31,7 +31,7 @@ from jetcohom.fock import (
     vacuum_checks,
     verify_identity_suite,
     _L_monomial,
-    _apply_monowise,
+    _apply,
     _closed_form_monomial,
     _d_monomial,
     _dstar_monomial,
@@ -43,12 +43,12 @@ WINDOW = EnergyWindow(-2, 3, 1)
 
 @pytest.fixture(scope="module")
 def backend(a1):
-    return OrthonormalBackend(a1)
+    return OrthonormalBackend(a1, WINDOW)
 
 
 @pytest.fixture(scope="module")
 def backend2(a2):
-    return OrthonormalBackend(a2)
+    return OrthonormalBackend(a2, EnergyWindow(-2, 3, 1))
 
 
 def test_window_validation():
@@ -59,103 +59,102 @@ def test_window_validation():
 
 
 def test_vacuum_shape(backend):
-    v = vacuum(WINDOW)
+    v = vacuum()
     assert list(v) == [VACUUM]
     assert VACUUM.energy == 0 and VACUUM.degree_offset == 0
 
 
 def test_vacuum_annihilation(backend):
-    verdict = vacuum_checks(backend, WINDOW, TOL)
+    verdict = vacuum_checks(backend, TOL)
     assert verdict.passed and verdict.max_abs_error <= TOL
 
 
 def test_eps_iota_basics(backend):
-    v = vacuum(WINDOW)
-    up = apply_eps(backend, (0, 1), v, WINDOW)
+    v = vacuum()
+    up = apply_eps(backend, (0, 1), v)
     [(mono, coeff)] = up.items()
     assert mono.energy == 1 and mono.degree_offset == 1 and coeff == 1
     # iota on a monomial not containing the dual mode vanishes
-    assert apply_iota(backend, (1, 2), up, WINDOW) == {}
+    assert apply_iota(backend, (1, 2), up) == {}
     # eps twice with the same mode vanishes
-    assert apply_eps(backend, (0, 1), up, WINDOW) == {}
+    assert apply_eps(backend, (0, 1), up) == {}
     # round trip returns the vacuum
-    back = apply_iota(backend, (0, 1), up, WINDOW)
+    back = apply_iota(backend, (0, 1), up)
     assert back == {VACUUM: 1 + 0j}
 
 
 def test_window_violation_raised(backend):
     with pytest.raises(WindowViolation):
-        apply_eps(backend, (0, 4), vacuum(WINDOW), WINDOW)
+        apply_eps(backend, (0, 4), vacuum())
     with pytest.raises(WindowViolation):
-        apply_iota(backend, (0, -3), vacuum(WINDOW), WINDOW)
+        apply_iota(backend, (0, -3), vacuum())
 
 
 def test_guard_violation_raised(backend):
     edge = {SemiInfMonomial(((0, 3),), ()): 1.0 + 0j}  # supported at kMax
     with pytest.raises(GuardViolation):
-        apply_L(backend, 0, 1, edge, WINDOW)
+        apply_L(backend, 0, 1, edge)
     # vacuum is guarded for any shift
-    assert apply_L(backend, 0, 1, vacuum(WINDOW), WINDOW) == {}
+    assert apply_L(backend, 0, 1, vacuum()) == {}
 
 
 def test_clifford_relations(backend):
-    verdict = clifford_check(backend, WINDOW, TOL)
+    verdict = clifford_check(backend, TOL)
     assert verdict.passed and verdict.max_abs_error <= TOL
 
 
 def test_mode_action_commutators(backend):
-    verdict = commutator_check(backend, WINDOW, TOL)
+    verdict = commutator_check(backend, TOL)
     assert verdict.passed and verdict.max_abs_error <= TOL
 
 
 def test_cocycle_values(backend):
-    measured, verdict = cocycle_check(backend, 0, 0, 1, WINDOW, TOL)
+    measured, verdict = cocycle_check(backend, 0, 0, 1, TOL)
     assert verdict.passed
     assert abs(measured - 4.0) <= TOL  # 2c*k with c = 2, k = 1
 
-    measured0, verdict0 = cocycle_check(backend, 0, 0, 0, WINDOW, TOL)
+    measured0, verdict0 = cocycle_check(backend, 0, 0, 0, TOL)
     assert verdict0.passed and abs(measured0) <= TOL
 
-    measured_perp, verdict_perp = cocycle_check(backend, 0, 1, 1, WINDOW, TOL)
+    measured_perp, verdict_perp = cocycle_check(backend, 0, 1, 1, TOL)
     assert verdict_perp.passed and abs(measured_perp) <= TOL
 
 
-def test_cocycle_skip_when_guard_too_small(backend):
-    w0 = EnergyWindow(-2, 3, 0)
-    _, verdict = cocycle_check(backend, 0, 0, 1, w0, TOL)
+def test_cocycle_skip_when_guard_too_small(a1):
+    _, verdict = cocycle_check(OrthonormalBackend(a1, EnergyWindow(-2, 3, 0)), 0, 0, 1, TOL)
     assert verdict.skipped and "guard" in verdict.reason
 
 
 def test_L_annihilates_vacuum_for_positive_shift(backend):
     for k in (1, 2):
         for i in range(backend.n):
-            out = _apply_monowise(lambda m: _L_monomial(backend, i, k, m, WINDOW), vacuum(WINDOW))
+            out = _apply(lambda m: _L_monomial(backend, i, k, m), vacuum())
             assert out == {}
 
 
 def test_energy_bookkeeping(backend):
-    verdict = energy_bookkeeping_check(backend, WINDOW, TOL)
+    verdict = energy_bookkeeping_check(backend, TOL)
     assert verdict.passed
 
 
 def test_L0_commutes_with_d(backend):
-    verdict = l0_commutes_with_d_check(backend, WINDOW, TOL)
+    verdict = l0_commutes_with_d_check(backend, TOL)
     assert verdict.passed and verdict.max_abs_error <= TOL
 
 
 def test_leibniz(backend):
-    verdict = leibniz_check(backend, WINDOW, TOL)
+    verdict = leibniz_check(backend, TOL)
     assert verdict.passed and verdict.max_abs_error <= TOL
 
 
 def test_d_matches_cochain_differential(backend):
-    verdict = d_matches_cochain_check(backend, WINDOW, TOL)
+    verdict = d_matches_cochain_check(backend, TOL)
     assert verdict.passed and verdict.max_abs_error <= TOL
     assert verdict.vectors > 0
 
 
 def test_d_squared_formula(backend):
-    verdict = d_squared_check(backend, WINDOW, TOL)
+    verdict = d_squared_check(backend, TOL)
     assert verdict.passed and verdict.max_abs_error <= TOL
 
 
@@ -164,17 +163,17 @@ def test_d_squared_vanishes_on_cochain_sector(backend):
     for wedge in (((0, 1),), ((0, 1), (1, 2))):
         mono = SemiInfMonomial(tuple(sorted(wedge, key=lambda m: (m[1], m[0]))), ())
         vv = {mono: 1.0 + 0j}
-        dd = apply_d(backend, apply_d(backend, vv, WINDOW), WINDOW)
+        dd = apply_d(backend, apply_d(backend, vv))
         assert all(abs(c) <= TOL for c in dd.values())
 
 
 def test_laplacian_closed_form(backend):
-    verdict = laplacian_formula_check(backend, WINDOW, TOL)
+    verdict = laplacian_formula_check(backend, TOL)
     assert verdict.passed and verdict.max_abs_error <= TOL
 
 
 def test_dtilde_adjoint_is_matrix_transpose(backend):
-    verdict = dtilde_adjoint_matrix_check(backend, WINDOW, TOL)
+    verdict = dtilde_adjoint_matrix_check(backend, TOL)
     assert verdict.passed and verdict.max_abs_error <= TOL
 
 
@@ -188,7 +187,7 @@ def test_closed_form_scalar_on_embedded_cochains(backend, a1):
     for k, expected in ((1, 0.0), (2, float(eigenvalue_of(a1, (F(-1),), 2)))):
         for l in range(backend.n):
             v = {SemiInfMonomial(((l, k),), ()): 1.0 + 0j}
-            out = _apply_monowise(lambda m: _closed_form_monomial(backend, m, WINDOW), v)
+            out = _apply(lambda m: _closed_form_monomial(backend, m), v)
             want = {m: expected * c for m, c in v.items() if expected != 0.0}
             keys = set(out) | set(want)
             err = max((abs(out.get(m, 0j) - want.get(m, 0j)) for m in keys), default=0.0)
@@ -218,70 +217,59 @@ def test_full_suite_passes_on_acceptance_window(a1):
 
 def test_backend_on_a2(backend2):
     # the orthonormalization and the paper normalizations hold beyond rank 1
-    w = EnergyWindow(-1, 2, 0)
-    measured, verdict = cocycle_check(backend2, 0, 0, 1, EnergyWindow(-2, 3, 1), TOL, max_energy=2)
+    measured, verdict = cocycle_check(backend2, 0, 0, 1, TOL, max_energy=2)
     assert verdict.passed and abs(measured - 6.0) <= TOL  # 2c*k = 6 for A2
 
 
 def test_monomial_enumeration_counts(backend):
-    mons = monomials_in_support(backend, WINDOW, 1)
+    mons = monomials_in_support(backend, 1)
     # six addable modes and six removable slots inside the guarded band
     assert len(mons) == 2 ** 6 * 2 ** 6
-    capped = monomials_in_support(backend, WINDOW, 1, max_energy=2)
+    capped = monomials_in_support(backend, 1, max_energy=2)
     assert all(m.energy <= 2 for m in capped)
     assert len({m for m in capped}) == len(capped)
 
 
 def test_memoised_columns_match_fresh_backend(a1):
-    warm = OrthonormalBackend(a1)
+    warm = OrthonormalBackend(a1, WINDOW)
     for check in (energy_bookkeeping_check, d_squared_check, laplacian_formula_check):
-        assert check(warm, WINDOW, TOL).passed
-    fresh = OrthonormalBackend(a1)
-    basis = check_basis(warm, WINDOW, WINDOW.guard, 3)
+        assert check(warm, TOL).passed
+    fresh = OrthonormalBackend(a1, WINDOW)
+    basis = check_basis(warm, WINDOW.guard, 3)
     assert len(basis) > 100
     for mono in basis:
         for i in range(warm.n):
             for k in (-1, 0, 1):
-                col = _L_monomial(warm, i, k, mono, WINDOW)
-                assert col is _L_monomial(warm, i, k, mono, WINDOW)
-                assert dict(col) == dict(_L_monomial(fresh, i, k, mono, WINDOW))
+                col = _L_monomial(warm, i, k, mono)
+                assert col is _L_monomial(warm, i, k, mono)
+                assert dict(col) == dict(_L_monomial(fresh, i, k, mono))
         for twisted in (False, True):
-            col = _d_monomial(warm, mono, WINDOW, twisted)
-            assert col is _d_monomial(warm, mono, WINDOW, twisted)
-            assert dict(col) == dict(_d_monomial(fresh, mono, WINDOW, twisted))
-        col = _dstar_monomial(warm, mono, WINDOW)
-        assert col is _dstar_monomial(warm, mono, WINDOW)
-        assert dict(col) == dict(_dstar_monomial(fresh, mono, WINDOW))
+            col = _d_monomial(warm, twisted, mono)
+            assert col is _d_monomial(warm, twisted, mono)
+            assert dict(col) == dict(_d_monomial(fresh, twisted, mono))
+        col = _dstar_monomial(warm, mono)
+        assert col is _dstar_monomial(warm, mono)
+        assert dict(col) == dict(_dstar_monomial(fresh, mono))
 
 
 def test_memoised_columns_are_read_only_and_interned(backend):
-    col = _d_monomial(backend, SemiInfMonomial(((0, 1),), ((1, 0),)), WINDOW, False)
+    col = _d_monomial(backend, False, SemiInfMonomial(((0, 1),), ((1, 0),)))
     assert col
     with pytest.raises(TypeError):
         col[VACUUM] = 1.0
     # all empty columns are one object; equal monomials in columns are one object
-    assert _d_monomial(backend, VACUUM, WINDOW, False) is _L_monomial(backend, 0, 1, VACUUM, WINDOW)
+    assert _d_monomial(backend, False, VACUUM) is _L_monomial(backend, 0, 1, VACUUM)
     seen = {}
-    for mono in check_basis(backend, WINDOW, WINDOW.guard, 3):
-        for m in _dstar_monomial(backend, mono, WINDOW):
+    for mono in check_basis(backend, WINDOW.guard, 3):
+        for m in _dstar_monomial(backend, mono):
             assert seen.setdefault(m, m) is m
-
-
-def test_backend_reused_across_windows(a1, monkeypatch):
-    windows = (EnergyWindow(-1, 2, 1), EnergyWindow(-2, 2, 1))
-    fresh = [[v.to_json_dict() for v in verify_identity_suite(a1, w, TOL)] for w in windows]
-    shared = OrthonormalBackend(a1)
-    monkeypatch.setattr(fock, "OrthonormalBackend", lambda data: shared)
-    reused = [[v.to_json_dict() for v in verify_identity_suite(a1, w, TOL)] for w in windows]
-    assert reused == fresh
-    assert all(shared.memo(w).d for w in windows)
 
 
 def _with_extra_term(fn, target):
     """``fn`` with 0.5 * target added to its column of ``target``."""
-    def doctored(backend, mono, *rest):
-        col = fn(backend, mono, *rest)
-        if mono != target:
+    def doctored(backend, *args):
+        col = fn(backend, *args)
+        if args[-1] != target:
             return col
         out = dict(col)
         out[target] = out.get(target, 0j) + 0.5
@@ -290,60 +278,59 @@ def _with_extra_term(fn, target):
 
 
 def test_doctored_d_fails_matrix_checks(a1, monkeypatch):
-    backend = OrthonormalBackend(a1)
-    cols = check_basis(backend, WINDOW, WINDOW.guard, 3)
-    target = next(m for m in cols if _dstar_monomial(backend, m, WINDOW))
+    backend = OrthonormalBackend(a1, WINDOW)
+    cols = check_basis(backend, WINDOW.guard, 3)
+    target = next(m for m in cols if _dstar_monomial(backend, m))
     monkeypatch.setattr(fock, "_d_monomial", _with_extra_term(_d_monomial, target))
-    d2 = d_squared_check(backend, WINDOW, TOL)
-    lap = laplacian_formula_check(backend, WINDOW, TOL)
+    d2 = d_squared_check(backend, TOL)
+    lap = laplacian_formula_check(backend, TOL)
     assert not d2.passed and d2.max_abs_error >= 0.25
     assert not lap.passed and lap.max_abs_error > TOL
 
 
 def test_doctored_dstar_fails_transpose_check(a1, monkeypatch):
-    backend = OrthonormalBackend(a1)
+    backend = OrthonormalBackend(a1, WINDOW)
     target = SemiInfMonomial(((0, 1),), ())
     monkeypatch.setattr(fock, "_dstar_monomial", _with_extra_term(_dstar_monomial, target))
-    verdict = dtilde_adjoint_matrix_check(backend, WINDOW, TOL)
+    verdict = dtilde_adjoint_matrix_check(backend, TOL)
     assert not verdict.passed and verdict.max_abs_error >= 0.5
 
 
 def test_dstar_leaving_its_energy_block_raises(a1, monkeypatch):
-    backend = OrthonormalBackend(a1)
+    backend = OrthonormalBackend(a1, WINDOW)
     target = SemiInfMonomial(((0, 1),), ())
 
-    def leaky(b, mono, window):
-        col = _dstar_monomial(b, mono, window)
+    def leaky(b, mono):
+        col = _dstar_monomial(b, mono)
         return {**col, VACUUM: 1.0} if mono == target else col
 
     monkeypatch.setattr(fock, "_dstar_monomial", leaky)
     with pytest.raises(InvariantError):
-        dtilde_adjoint_matrix_check(backend, WINDOW, TOL)
-
+        dtilde_adjoint_matrix_check(backend, TOL)
 
 
 def test_column_checks_match_dense_products(backend):
     """Reference: the dense products D @ D and D @ DS + DS @ D, read on the
     guarded columns, that the column-by-column checks replaced."""
-    cols = check_basis(backend, WINDOW, WINDOW.guard, 3)[:600]
+    cols = check_basis(backend, WINDOW.guard, 3)[:600]
 
     def d(m):
-        return _d_monomial(backend, m, WINDOW, False)
+        return _d_monomial(backend, False, m)
 
     def ds(m):
-        return _dstar_monomial(backend, m, WINDOW)
+        return _dstar_monomial(backend, m)
 
     inner = dict.fromkeys(cols)  # the columns and every monomial d or d~* reaches from them
     for fn in (d, ds):
         for m in cols:
             inner.update(dict.fromkeys(fn(m)))
     d_cols, ds_cols = {m: d(m) for m in inner}, {m: ds(m) for m in inner}
-    d2_cols = {m: _apply_monowise(d, d(m)) for m in cols}
-    lap_cols = {m: _apply_monowise(d, ds(m)) for m in cols}
+    d2_cols = {m: _apply(d, d(m)) for m in cols}
+    lap_cols = {m: _apply(d, ds(m)) for m in cols}
     for m in cols:
-        for r, c in _apply_monowise(ds, d(m)).items():
+        for r, c in _apply(ds, d(m)).items():
             lap_cols[m][r] = lap_cols[m].get(r, 0j) + c
-    closed_cols = {m: _closed_form_monomial(backend, m, WINDOW) for m in cols}
+    closed_cols = {m: _closed_form_monomial(backend, m) for m in cols}
     index = dict.fromkeys(inner)
     for vecs in (d_cols, ds_cols, d2_cols, lap_cols, closed_cols):
         for vec in vecs.values():
@@ -362,4 +349,4 @@ def test_column_checks_match_dense_products(backend):
     assert np.max(np.abs((D @ D - dense(d2_cols))[:, at])) <= 1e-14
     assert np.max(np.abs((D @ DS + DS @ D - dense(lap_cols))[:, at])) <= 1e-14
     want = float(np.max(np.abs((D @ DS + DS @ D - dense(closed_cols))[:, at])))
-    assert abs(laplacian_formula_check(backend, WINDOW, TOL).max_abs_error - want) <= 1e-14
+    assert abs(laplacian_formula_check(backend, TOL).max_abs_error - want) <= 1e-14
