@@ -37,7 +37,14 @@ from .cochain import (
     isotypic_eigen_check,
 )
 from .reptheory import IrrepSummand, weights_of_basis, decompose, multiplicity_one_audit
-from .fock import EnergyWindow, SemiInfMonomial, OrthonormalBackend, verify_identity_suite
+from .fock import (
+    EnergyWindow,
+    SemiInfMonomial,
+    OrthonormalBackend,
+    decode_monomial,
+    encode_monomial,
+    verify_identity_suite,
+)
 from .report import RunConfig, cmd_compute, cmd_predict, cmd_verify_identities
 
 __all__ = [
@@ -49,7 +56,8 @@ __all__ = [
     "build_basis", "differential_block", "eigenvalue_of",
     "harmonic_space", "isotypic_eigen_check",
     "IrrepSummand", "weights_of_basis", "decompose", "multiplicity_one_audit",
-    "EnergyWindow", "SemiInfMonomial", "OrthonormalBackend", "verify_identity_suite",
+    "EnergyWindow", "SemiInfMonomial", "OrthonormalBackend", "decode_monomial", "encode_monomial",
+    "verify_identity_suite",
     "RunConfig", "cmd_compute", "cmd_predict", "cmd_verify_identities",
 ]
 

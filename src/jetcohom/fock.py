@@ -6,6 +6,18 @@ many modes added above the vacuum (k >= 1) and removed from it (k <= 0).
 Wedges are kept in descending mode order (the order in which the vacuum
 is written), with sign bookkeeping folded into coefficients.
 
+A monomial is a pair of int bitmasks ``(added, removed)`` for a basis of
+dimension n: the added mode (i, k >= 1) sits at bit (k-1)*n + i and the
+removed mode (i, k <= 0) at bit b = (-k)*n + (n-1-i).  Bits ascend with
+the mode order (k, i) on the added side and descend with it on the
+removed side, so b is also the number of vacuum modes above (i, k).  The
+sign of eps or iota on an added mode is the parity of the added bits
+above it, and on a removed mode the parity of (added bits) + b - (removed
+bits below b); membership, insertion and removal are single bit
+operations, and monomials hash as tuples of ints.  ``encode_monomial``
+and ``decode_monomial`` convert between masks and mode tuples, and
+``energy`` and ``degree_offset`` read the masks.
+
 The backend works over a complex basis of the algebra that is
 orthonormal simultaneously for the scaled Killing form and for the
 compact-involution metric: Gram-Schmidt is applied to the hermGram
@@ -30,7 +42,7 @@ enumeration takes a window of its own.  Every operator is a column
 function (one monomial to a sparse vector); ``_apply`` takes it to a
 vector, and ``_combine`` forms each lhs - rhs.  The columns of L_{i,k},
 d or dtilde and dtilde* are memoised on the backend, one dict per
-operator (read-only, monomials interned), and so are the quantifier sets
+operator (read-only), and so are the quantifier sets
 of ``check_basis``.  ``verify_identity_suite`` builds one backend per
 call, so the memo lives as long as one suite run.  The matrix identities
 (d^2, the Laplacian, the transpose of dtilde) are checked column by
@@ -39,7 +51,6 @@ column from these columns; no dense matrix is formed.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial, wraps
@@ -54,8 +65,9 @@ from .liealg import AlgebraData
 
 ModeIndex = Tuple[int, int]  # (i, k): basis index, Fourier degree
 Mode = ModeIndex
-FockVector = Dict["SemiInfMonomial", complex]
-Column = Callable[["SemiInfMonomial"], Mapping["SemiInfMonomial", complex]]
+SemiInfMonomial = Tuple[int, int]  # (added, removed) bitmasks
+FockVector = Dict[SemiInfMonomial, complex]
+Column = Callable[[SemiInfMonomial], Mapping[SemiInfMonomial, complex]]
 
 
 class WindowViolation(ValueError):
@@ -86,21 +98,39 @@ class EnergyWindow:
 _mode_key: Callable[[Mode], Tuple[int, int]] = itemgetter(1, 0)  # (i, k) -> (k, i)
 
 
-@dataclass(frozen=True, slots=True)
-class SemiInfMonomial:
-    added: Tuple[Mode, ...]    # k >= 1, sorted ascending by (k, i)
-    removed: Tuple[Mode, ...]  # k <= 0, sorted ascending by (k, i)
+def encode_monomial(n: int, added: Sequence[Mode] = (), removed: Sequence[Mode] = ()) -> SemiInfMonomial:
+    """The (added, removed) bitmasks of the monomial with these modes."""
+    a = r = 0
+    for i, k in added:
+        a |= 1 << (k - 1) * n + i
+    for i, k in removed:
+        r |= 1 << -k * n + n - 1 - i
+    return a, r
 
-    @property
-    def degree_offset(self) -> int:
-        return len(self.added) - len(self.removed)
 
-    @property
-    def energy(self) -> int:
-        return sum(k for _i, k in self.added) - sum(k for _i, k in self.removed)
+def decode_monomial(n: int, mono: SemiInfMonomial) -> Tuple[Tuple[Mode, ...], Tuple[Mode, ...]]:
+    """The added and removed modes of ``mono``, each ascending by (k, i)."""
+    added, removed = mono
+    return (tuple((b % n, b // n + 1) for b in range(added.bit_length()) if added >> b & 1),
+            tuple((n - 1 - b % n, -(b // n)) for b in reversed(range(removed.bit_length())) if removed >> b & 1))
 
-    def __str__(self):
-        return _monomial_label(_modes_label(self.added), _modes_label(self.removed))
+
+def degree_offset(n: int, mono: SemiInfMonomial) -> int:
+    return mono[0].bit_count() - mono[1].bit_count()
+
+
+def energy(n: int, mono: SemiInfMonomial) -> int:
+    """Sum of the added levels minus the sum of the removed levels: slice j
+    of the added mask is level j + 1, slice j of the removed mask level -j."""
+    added, removed = mono
+    full = (1 << n) - 1
+    total, j = added.bit_count(), 0
+    while added or removed:
+        total += j * ((added & full).bit_count() + (removed & full).bit_count())
+        added >>= n
+        removed >>= n
+        j += 1
+    return total
 
 
 def _modes_label(modes: Tuple[Mode, ...]) -> str:
@@ -111,57 +141,41 @@ def _monomial_label(added_label: str, removed_label: str) -> str:
     return f"(+{added_label} | -{removed_label})"
 
 
-VACUUM = SemiInfMonomial((), ())
-
-
-def _count_greater(modes: Sequence[Mode], mode: Mode) -> int:
-    """Modes of the ascending ``modes`` that sort after ``mode``."""
-    return len(modes) - bisect_right(modes, _mode_key(mode), key=_mode_key)
-
-
-def _tail_greater(n: int, mode: Mode) -> int:
-    """Number of vacuum modes strictly greater than ``mode`` (k <= 0)."""
-    i, k = mode
-    return n * (-k) + (n - 1 - i)
-
-
-def _sorted_insert(modes: Tuple[Mode, ...], mode: Mode) -> Tuple[Mode, ...]:
-    pos = bisect_left(modes, _mode_key(mode), key=_mode_key)
-    return modes[:pos] + (mode,) + modes[pos:]
-
-
-def _removed_from(modes: Tuple[Mode, ...], mode: Mode) -> Tuple[Mode, ...]:
-    return tuple(m for m in modes if m != mode)
+VACUUM: SemiInfMonomial = (0, 0)
 
 
 def eps_monomial(n: int, mode: Mode, mono: SemiInfMonomial) -> Tuple[int, SemiInfMonomial] | None:
     """Left exterior multiplication by e^{mode}: (sign, monomial) or None."""
     i, k = mode
+    added, removed = mono
     if k >= 1:
-        if mode in mono.added:
+        b = (k - 1) * n + i
+        if added >> b & 1:
             return None
-        sign = -1 if _count_greater(mono.added, mode) % 2 else 1
-        return sign, SemiInfMonomial(_sorted_insert(mono.added, mode), mono.removed)
-    if mode not in mono.removed:
+        sign = -1 if (added >> (b + 1)).bit_count() & 1 else 1
+        return sign, (added | 1 << b, removed)
+    b = -k * n + n - 1 - i
+    if not removed >> b & 1:
         return None  # occupied in the vacuum tail
-    before = len(mono.added) + _tail_greater(n, mode) - _count_greater(mono.removed, mode)
-    sign = -1 if before % 2 else 1
-    return sign, SemiInfMonomial(mono.added, _removed_from(mono.removed, mode))
+    before = added.bit_count() + b - (removed & ((1 << b) - 1)).bit_count()
+    return (-1 if before & 1 else 1), (added, removed ^ 1 << b)
 
 
 def iota_monomial(n: int, mode: Mode, mono: SemiInfMonomial) -> Tuple[int, SemiInfMonomial] | None:
     """Contraction with e_{mode}: removes the dual mode with (-1)^(pos-1)."""
     i, k = mode
+    added, removed = mono
     if k >= 1:
-        if mode not in mono.added:
+        b = (k - 1) * n + i
+        if not added >> b & 1:
             return None
-        sign = -1 if _count_greater(mono.added, mode) % 2 else 1
-        return sign, SemiInfMonomial(_removed_from(mono.added, mode), mono.removed)
-    if mode in mono.removed:
+        sign = -1 if (added >> (b + 1)).bit_count() & 1 else 1
+        return sign, (added ^ 1 << b, removed)
+    b = -k * n + n - 1 - i
+    if removed >> b & 1:
         return None
-    before = len(mono.added) + _tail_greater(n, mode) - _count_greater(mono.removed, mode)
-    sign = -1 if before % 2 else 1
-    return sign, SemiInfMonomial(mono.added, _sorted_insert(mono.removed, mode))
+    before = added.bit_count() + b - (removed & ((1 << b) - 1)).bit_count()
+    return (-1 if before & 1 else 1), (added, removed | 1 << b)
 
 
 def _then(n: int, step, mode: Mode, hit: Tuple[int, SemiInfMonomial] | None
@@ -276,17 +290,6 @@ class OrthonormalBackend:
         # operator name -> {(*params, monomial): read-only column}
         self.columns: Dict[str, Dict[tuple, Mapping[SemiInfMonomial, complex]]] = defaultdict(dict)
         self.bases: Dict[Tuple[int, int | None, int | None], Tuple[SemiInfMonomial, ...]] = {}
-        self._canon: Dict[SemiInfMonomial, SemiInfMonomial] = {}
-
-    def freeze(self, vec: FockVector) -> Mapping[SemiInfMonomial, complex]:
-        """Read-only copy of ``vec`` with interned monomials, for the memo."""
-        if not vec:
-            return _EMPTY
-        canon = self._canon
-        return MappingProxyType({canon.setdefault(m, m): c for m, c in vec.items()})
-
-    def intern(self, mono: SemiInfMonomial) -> SemiInfMonomial:
-        return self._canon.setdefault(mono, mono)
 
 
 _EMPTY: Mapping[SemiInfMonomial, complex] = MappingProxyType({})
@@ -295,7 +298,7 @@ _EMPTY: Mapping[SemiInfMonomial, complex] = MappingProxyType({})
 def _memo_column(fn):
     """Memoise the column function ``fn(backend, *params, mono)`` in the
     backend's dict for ``fn``: each column is computed once per backend and
-    kept read-only, its monomials interned."""
+    kept read-only; every empty column is the one ``_EMPTY``."""
     name = fn.__name__
 
     @wraps(fn)
@@ -303,7 +306,8 @@ def _memo_column(fn):
         memo = backend.columns[name]
         col = memo.get(args)
         if col is None:
-            col = memo[args[:-1] + (backend.intern(args[-1]),)] = backend.freeze(fn(backend, *args))
+            vec = fn(backend, *args)
+            col = memo[args] = MappingProxyType(vec) if vec else _EMPTY
         return col
 
     return column
@@ -365,13 +369,14 @@ def _L_monomial(backend: OrthonormalBackend, i: int, k: int, mono: SemiInfMonomi
 
 def _require_guarded(backend: OrthonormalBackend, v: FockVector, margin: int, what: str):
     lo, hi = backend.window.support(margin)
-    for mono in v:
-        for _i, k in mono.added:
-            if not (1 <= k <= hi):
-                raise GuardViolation(f"{what}: added mode at level {k} outside guarded [{lo},{hi}]")
-        for _i, k in mono.removed:
-            if not (lo <= k <= 0):
-                raise GuardViolation(f"{what}: removed mode at level {k} outside guarded [{lo},{hi}]")
+    n = backend.n
+    for added, removed in v:
+        top = (added.bit_length() - 1) // n + 1  # highest added level
+        if added and top > hi:
+            raise GuardViolation(f"{what}: added mode at level {top} outside guarded [{lo},{hi}]")
+        bottom = -((removed.bit_length() - 1) // n)  # lowest removed level
+        if removed and bottom < lo:
+            raise GuardViolation(f"{what}: removed mode at level {bottom} outside guarded [{lo},{hi}]")
 
 
 def apply_L(backend: OrthonormalBackend, i: int, k: int, v: FockVector) -> FockVector:
@@ -454,29 +459,32 @@ def monomials_in_support(backend: OrthonormalBackend, margin: int,
         rec(0, [], 0)
         return results
 
-    # the (energy, str) sort key is assembled from per-side energies and labels
-    adds = [(aset, ae, _modes_label(aset)) for aset, ae in subsets(add_candidates, lambda m: m[1], max_energy)]
-    rems = [(rset, re_, _modes_label(rset)) for rset, re_ in subsets(rem_candidates, lambda m: -m[1], max_energy)]
+    # the (energy, str) sort key is assembled from per-side energies and
+    # labels of the mode tuples; each side is encoded to its mask once
+    adds = [(encode_monomial(n, aset)[0], ae, _modes_label(aset), len(aset))
+            for aset, ae in subsets(add_candidates, lambda m: m[1], max_energy)]
+    rems = [(encode_monomial(n, (), rset)[1], re_, _modes_label(rset), len(rset))
+            for rset, re_ in subsets(rem_candidates, lambda m: -m[1], max_energy)]
     keyed: List[Tuple[Tuple[int, str], SemiInfMonomial]] = []
 
-    def cross(aset, ae, alabel, partners):
-        for rset, re_, rlabel in partners:
+    def cross(amask, ae, alabel, partners):
+        for rmask, re_, rlabel, _count in partners:
             if max_energy is not None and ae + re_ > max_energy:
                 continue
-            keyed.append(((ae + re_, _monomial_label(alabel, rlabel)), SemiInfMonomial(aset, rset)))
+            keyed.append(((ae + re_, _monomial_label(alabel, rlabel)), (amask, rmask)))
 
     if max_particles is not None:
         # bucket one side by mode count so the cross product stays within
         # the total-particle budget instead of being filtered afterwards
-        buckets: Dict[int, List[Tuple[Tuple[Mode, ...], int, str]]] = {}
+        buckets: Dict[int, List[Tuple[int, int, str, int]]] = {}
         for rem in rems:
-            buckets.setdefault(len(rem[0]), []).append(rem)
-        for aset, ae, alabel in adds:
-            for cnt in range(max_particles - len(aset) + 1):
-                cross(aset, ae, alabel, buckets.get(cnt, ()))
+            buckets.setdefault(rem[3], []).append(rem)
+        for amask, ae, alabel, acount in adds:
+            for cnt in range(max_particles - acount + 1):
+                cross(amask, ae, alabel, buckets.get(cnt, ()))
     else:
-        for aset, ae, alabel in adds:
-            cross(aset, ae, alabel, rems)
+        for amask, ae, alabel, _count in adds:
+            cross(amask, ae, alabel, rems)
     keyed.sort(key=lambda km: km[0])
     return [m for _key, m in keyed]
 
@@ -501,8 +509,8 @@ def check_basis(backend: OrthonormalBackend, margin: int, max_energy: int | None
     key = (margin, max_energy, particles)
     mons = backend.bases.get(key)
     if mons is None:
-        mons = backend.bases[key] = tuple(map(backend.intern, monomials_in_support(
-            backend, margin, max_energy, max_particles=particles)))
+        mons = backend.bases[key] = tuple(monomials_in_support(
+            backend, margin, max_energy, max_particles=particles))
     return list(mons[:cap])
 
 
@@ -515,6 +523,10 @@ class IdentityVerdict:
     skipped: bool = False
     reason: str | None = None
     vectors: int = 0
+
+    def __post_init__(self):
+        if self.passed and self.vectors == 0:
+            raise InvariantError(f"{self.identity}: a pass must rest on at least one vector")
 
     def to_json_dict(self) -> dict:
         return {
@@ -659,14 +671,14 @@ def energy_bookkeeping_check(backend: OrthonormalBackend, tol: float, max_energy
     basis = check_basis(backend, max(window.guard, 1), max_energy, cap=1100 if _small(backend) else 40)
     bad = 0
     for mono in basis:
-        e0 = mono.energy
+        e0 = energy(n, mono)
         for k in range(window.kMin + 1, window.kMax):
             for i in range(n):
                 for hit, shift in ((iota_monomial(n, (i, k), mono), -k), (eps_monomial(n, (i, k), mono), k)):
-                    bad += hit is not None and hit[1].energy != e0 + shift
-                bad += sum(1 for m in _L_monomial(backend, i, k, mono) if m.energy != e0 - k)
+                    bad += hit is not None and energy(n, hit[1]) != e0 + shift
+                bad += sum(1 for m in _L_monomial(backend, i, k, mono) if energy(n, m) != e0 - k)
         for twisted in (False, True):
-            bad += sum(1 for m in _d_monomial(backend, twisted, mono) if m.energy != e0)
+            bad += sum(1 for m in _d_monomial(backend, twisted, mono) if energy(n, m) != e0)
     return IdentityVerdict("energy_bookkeeping", window, float(bad), bad == 0, vectors=len(basis))
 
 
@@ -744,6 +756,8 @@ def leibniz_check(backend: OrthonormalBackend, tol: float, seed: int = 11, trial
     n = backend.n
     lo, hi = window.support(window.guard)
     coch_modes = [(i, k) for k in range(1, hi + 1) for i in range(n)]
+    if not coch_modes:
+        return _skip(backend, "leibniz_rule", f"no cochain mode: kMax - guard = {hi} < 1")
     basis = check_basis(backend, window.guard, max_energy, cap=700 if _small(backend) else 60)
     err = 0.0
 
@@ -847,8 +861,9 @@ def dtilde_adjoint_matrix_check(backend: OrthonormalBackend, tol: float, max_ene
     allmon = monomials_in_support(backend, 0, max_energy)
     err = 0.0
     count = 0
-    for energy in sorted({m.energy for m in allmon}):
-        block = [m for m in allmon if m.energy == energy]
+    energies = {m: energy(backend.n, m) for m in allmon}
+    for e in sorted(set(energies.values())):
+        block = [m for m in allmon if energies[m] == e]
         if len(block) > block_cap:
             continue
         count += len(block)
@@ -857,12 +872,12 @@ def dtilde_adjoint_matrix_check(backend: OrthonormalBackend, tol: float, max_ene
         for row in block:
             for col, val in _d_monomial(backend, True, row).items():
                 if col not in members:
-                    raise InvariantError(f"dtilde leaves the energy-{energy} block")
+                    raise InvariantError(f"dtilde leaves the energy-{e} block")
                 transposed[col][row] = val
         for col in block:
             ds = _dstar_monomial(backend, col)
             if not members.issuperset(ds):
-                raise InvariantError(f"dtilde* leaves the energy-{energy} block")
+                raise InvariantError(f"dtilde* leaves the energy-{e} block")
             err = max(err, _vector_error(ds, transposed[col]))
     if count == 0:
         return _skip(backend, name, f"every energy block exceeds {block_cap} monomials")
@@ -877,6 +892,8 @@ def d_matches_cochain_check(backend: OrthonormalBackend, tol: float, max_degree:
     if window.guard < 1:
         return _skip(backend, "d_restricts_to_chevalley_eilenberg", "window guard < 1")
     max_k = min(max_k, window.kMax - window.guard)
+    if max_k < 1:
+        return _skip(backend, "d_restricts_to_chevalley_eilenberg", f"no cochain level: kMax - guard = {max_k} < 1")
     err = 0.0
     count = 0
     col_cap = None if _small(backend) else 6

@@ -160,6 +160,18 @@ def test_cli_verify_identities_exit(capsys):
     assert all(v["pass"] or v["skipped"] for v in report["identity_suite"])
 
 
+def test_a_guard_without_cochain_modes_skips_instead_of_passing_on_nothing(capsys):
+    code = main([
+        "verify-identities", "--series", "A", "--rank", "1",
+        "--kmin", "-2", "--kmax", "3", "--guard", "3", "--format", "json",
+    ])
+    assert code == 0
+    by_name = {v["identity"]: v for v in json.loads(capsys.readouterr().out)["identity_suite"]}
+    for name in ("leibniz_rule", "d_restricts_to_chevalley_eilenberg"):
+        assert by_name[name]["skipped"] and by_name[name]["reason"], name
+    assert all(v["vectors"] > 0 for v in by_name.values() if v["pass"])
+
+
 def test_cli_rejects_bad_config(capsys):
     assert main(["compute", "--series", "A", "--rank", "0"]) == 1
     assert main(["compute", "--series", "Z", "--rank", "2"]) == 1
@@ -298,6 +310,7 @@ def test_reports_match_the_golden_files(a1_report, a2_report, fmt):
 @pytest.mark.parametrize("name, flags", [
     ("identities_a1_m2_3_g1", ["--rank", "1", "--kmin", "-2", "--kmax", "3", "--guard", "1"]),
     ("identities_a2_m1_2_g1", ["--rank", "2", "--kmin", "-1", "--kmax", "2", "--guard", "1"]),
+    ("identities_a1_m3_3_g2", ["--rank", "1", "--kmin", "-3", "--kmax", "3", "--guard", "2"]),
 ])
 def test_identity_reports_match_the_golden_files(tmp_path, name, flags):
     out = tmp_path / f"{name}.json"

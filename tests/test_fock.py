@@ -7,8 +7,8 @@ from jetcohom.fock import (
     VACUUM,
     EnergyWindow,
     GuardViolation,
+    IdentityVerdict,
     OrthonormalBackend,
-    SemiInfMonomial,
     WindowViolation,
     apply_d,
     apply_d_twisted,
@@ -21,8 +21,14 @@ from jetcohom.fock import (
     commutator_check,
     d_matches_cochain_check,
     d_squared_check,
+    decode_monomial,
+    degree_offset,
     dtilde_adjoint_matrix_check,
+    encode_monomial,
+    energy,
     energy_bookkeeping_check,
+    eps_monomial,
+    iota_monomial,
     l0_commutes_with_d_check,
     laplacian_formula_check,
     leibniz_check,
@@ -61,7 +67,7 @@ def test_window_validation():
 def test_vacuum_shape(backend):
     v = vacuum()
     assert list(v) == [VACUUM]
-    assert VACUUM.energy == 0 and VACUUM.degree_offset == 0
+    assert energy(backend.n, VACUUM) == 0 and degree_offset(backend.n, VACUUM) == 0
 
 
 def test_vacuum_annihilation(backend):
@@ -73,7 +79,7 @@ def test_eps_iota_basics(backend):
     v = vacuum()
     up = apply_eps(backend, (0, 1), v)
     [(mono, coeff)] = up.items()
-    assert mono.energy == 1 and mono.degree_offset == 1 and coeff == 1
+    assert energy(backend.n, mono) == 1 and degree_offset(backend.n, mono) == 1 and coeff == 1
     # iota on a monomial not containing the dual mode vanishes
     assert apply_iota(backend, (1, 2), up) == {}
     # eps twice with the same mode vanishes
@@ -91,9 +97,14 @@ def test_window_violation_raised(backend):
 
 
 def test_guard_violation_raised(backend):
-    edge = {SemiInfMonomial(((0, 3),), ()): 1.0 + 0j}  # supported at kMax
+    edge = {encode_monomial(backend.n, ((0, 3),)): 1.0 + 0j}  # supported at kMax
     with pytest.raises(GuardViolation):
         apply_L(backend, 0, 1, edge)
+    hole = {encode_monomial(backend.n, (), ((2, -2),)): 1.0 + 0j}  # a hole at kMin
+    with pytest.raises(GuardViolation):
+        apply_L(backend, 0, -1, hole)
+    # modes at both edges of the margin-1 band [-1, 2] are guarded
+    apply_L(backend, 1, 1, {encode_monomial(backend.n, ((2, 2),), ((0, -1),)): 1.0 + 0j})
     # vacuum is guarded for any shift
     assert apply_L(backend, 0, 1, vacuum()) == {}
 
@@ -161,7 +172,7 @@ def test_d_squared_formula(backend):
 def test_d_squared_vanishes_on_cochain_sector(backend):
     # all modes k >= 1: the right-hand side needs a hole to fill
     for wedge in (((0, 1),), ((0, 1), (1, 2))):
-        mono = SemiInfMonomial(tuple(sorted(wedge, key=lambda m: (m[1], m[0]))), ())
+        mono = encode_monomial(backend.n, wedge)
         vv = {mono: 1.0 + 0j}
         dd = apply_d(backend, apply_d(backend, vv))
         assert all(abs(c) <= TOL for c in dd.values())
@@ -186,7 +197,7 @@ def test_closed_form_scalar_on_embedded_cochains(backend, a1):
 
     for k, expected in ((1, 0.0), (2, float(eigenvalue_of(a1, (F(-1),), 2)))):
         for l in range(backend.n):
-            v = {SemiInfMonomial(((l, k),), ()): 1.0 + 0j}
+            v = {encode_monomial(backend.n, ((l, k),)): 1.0 + 0j}
             out = _apply(lambda m: _closed_form_monomial(backend, m), v)
             want = {m: expected * c for m, c in v.items() if expected != 0.0}
             keys = set(out) | set(want)
@@ -221,12 +232,57 @@ def test_backend_on_a2(backend2):
     assert verdict.passed and abs(measured - 6.0) <= TOL  # 2c*k = 6 for A2
 
 
+def _reference_step(n, mode, added, removed, eps):
+    """eps (``eps``) or iota on mode tuples ascending by (k, i), by the sign
+    rules of the wedge in descending mode order: (sign, added, removed) or None."""
+    i, k = mode
+    key = (k, i)
+    side = added if k >= 1 else removed
+    if (mode in side) == (eps == (k >= 1)):
+        return None  # eps on an occupied mode, iota on an empty one
+    above = sum(1 for j, l in side if (l, j) > key)
+    before = above if k >= 1 else len(added) + n * (-k) + (n - 1 - i) - above
+    new = tuple(sorted(set(side) ^ {mode}, key=lambda m: (m[1], m[0])))
+    return (-1) ** before, *((new, removed) if k >= 1 else (added, new))
+
+
+@pytest.mark.parametrize("which, margin, max_energy, max_particles", [
+    ("backend", 0, 3, None),   # A1 [-2,3]: every monomial of energy <= 3
+    ("backend2", 1, 1, 3),     # an A2 slice
+])
+def test_bitmask_ops_agree_with_the_mode_tuple_reference(request, which, margin, max_energy, max_particles):
+    b = request.getfixturevalue(which)
+    n, window = b.n, b.window
+    modes = [(i, k) for k in range(window.kMin, window.kMax + 1) for i in range(n)]
+    mons = monomials_in_support(b, margin, max_energy, max_particles)
+    assert len(mons) > 300
+    for mono in mons:
+        added, removed = decode_monomial(n, mono)
+        assert encode_monomial(n, added, removed) == mono
+        assert energy(n, mono) == sum(k for _i, k in added) - sum(k for _i, k in removed)
+        assert degree_offset(n, mono) == len(added) - len(removed)
+        for mode in modes:
+            for op, eps, step in ((eps_monomial, True, 1), (iota_monomial, False, -1)):
+                hit, want = op(n, mode, mono), _reference_step(n, mode, added, removed, eps)
+                assert (hit is None) == (want is None), (mono, mode, eps)
+                if hit is not None:
+                    assert hit[0] == want[0] and decode_monomial(n, hit[1]) == want[1:]
+                    assert energy(n, hit[1]) == energy(n, mono) + step * mode[1]
+                    assert degree_offset(n, hit[1]) == degree_offset(n, mono) + step
+
+
+def test_a_pass_on_no_vector_is_refused():
+    with pytest.raises(InvariantError):
+        IdentityVerdict("x", WINDOW, 0.0, passed=True, vectors=0)
+    assert not IdentityVerdict("x", WINDOW, 1.0, passed=False, vectors=0).passed
+
+
 def test_monomial_enumeration_counts(backend):
     mons = monomials_in_support(backend, 1)
     # six addable modes and six removable slots inside the guarded band
     assert len(mons) == 2 ** 6 * 2 ** 6
     capped = monomials_in_support(backend, 1, max_energy=2)
-    assert all(m.energy <= 2 for m in capped)
+    assert all(energy(backend.n, m) <= 2 for m in capped)
     assert len({m for m in capped}) == len(capped)
 
 
@@ -253,16 +309,12 @@ def test_memoised_columns_match_fresh_backend(a1):
 
 
 def test_memoised_columns_are_read_only_and_interned(backend):
-    col = _d_monomial(backend, False, SemiInfMonomial(((0, 1),), ((1, 0),)))
+    col = _d_monomial(backend, False, encode_monomial(backend.n, ((0, 1),), ((1, 0),)))
     assert col
     with pytest.raises(TypeError):
         col[VACUUM] = 1.0
-    # all empty columns are one object; equal monomials in columns are one object
+    # all empty columns are one object
     assert _d_monomial(backend, False, VACUUM) is _L_monomial(backend, 0, 1, VACUUM)
-    seen = {}
-    for mono in check_basis(backend, WINDOW.guard, 3):
-        for m in _dstar_monomial(backend, mono):
-            assert seen.setdefault(m, m) is m
 
 
 def _with_extra_term(fn, target):
@@ -290,7 +342,7 @@ def test_doctored_d_fails_matrix_checks(a1, monkeypatch):
 
 def test_doctored_dstar_fails_transpose_check(a1, monkeypatch):
     backend = OrthonormalBackend(a1, WINDOW)
-    target = SemiInfMonomial(((0, 1),), ())
+    target = encode_monomial(backend.n, ((0, 1),))
     monkeypatch.setattr(fock, "_dstar_monomial", _with_extra_term(_dstar_monomial, target))
     verdict = dtilde_adjoint_matrix_check(backend, TOL)
     assert not verdict.passed and verdict.max_abs_error >= 0.5
@@ -298,7 +350,7 @@ def test_doctored_dstar_fails_transpose_check(a1, monkeypatch):
 
 def test_dstar_leaving_its_energy_block_raises(a1, monkeypatch):
     backend = OrthonormalBackend(a1, WINDOW)
-    target = SemiInfMonomial(((0, 1),), ())
+    target = encode_monomial(backend.n, ((0, 1),))
 
     def leaky(b, mono):
         col = _dstar_monomial(b, mono)

@@ -2,6 +2,7 @@ import ast
 import importlib
 import importlib.util
 import io
+import re
 import tokenize
 from collections import Counter
 from pathlib import Path
@@ -67,3 +68,19 @@ def test_every_traced_name_resolves():
         if not callable(owner):
             missing.append(name)
     assert names and missing == []
+
+
+def _version(text):
+    return tuple(int(part) for part in text.split("."))
+
+
+def test_the_python_floor_is_the_lowest_tested_version():
+    # the code needs the floor (int.bit_count is 3.10), and only a tested
+    # floor is known to hold
+    root = TESTS.parent
+    floor = re.search(r'^requires-python\s*=\s*">=\s*([\d.]+)"', (root / "pyproject.toml").read_text(), re.M)
+    workflow = (root / ".github" / "workflows" / "tests.yml").read_text()
+    tier1 = re.search(r"^  tier1:\n(.*?)(?=^  \S|\Z)", workflow, re.M | re.S)
+    matrix = re.search(r"python-version:\s*\[([^\]]*)\]", tier1.group(1))
+    tested = [_version(v) for v in re.findall(r'"([\d.]+)"', matrix.group(1))]
+    assert tested and _version(floor.group(1)) == min(tested)
