@@ -3,21 +3,31 @@
 Cochains of the positive-mode algebra are wedges of dual modes e^{i,l}
 with level l >= 1; the differential preserves the energy k = sum of
 levels, so everything happens in independent (degree, energy) cells.
-Matrices are exact rationals, and kernels come from fraction-free
-elimination.  ``CellComplex`` works in the orthogonal Cartan basis of
+``CellComplex`` works in the orthogonal Cartan basis of
 ``orthogonal_cartan``, where the metric induced by the compact involution
 is diagonal, so the wedge Gram is diagonal and d* a scaled transpose; d
 is rational there.  Every verdict is independent of the basis.
 
-Sparse columns and weight blocks.  d, d* and the Laplacian L = d*d + dd*
-are kept as sparse columns for the whole run, and d is checked to join
-only monomials of equal torus weight, which makes d* and L weight-blocked
-too; the sparse Casimir is checked explicitly to join no two weights.
-Dense matrices are formed only where an elimination needs them, one weight
-block at a time: the ranks of d and the kernel of L.  Every other check
-applies sparse columns to sparse vectors: self-adjointness, closedness
-and co-closedness of harmonic vectors, d^2 = 0, L + Casimir = c*k*Id and
-the Casimir's minimal polynomial.
+Scaled int columns.  Every cell operator is kept for the whole run as
+sparse int columns over one positive int scale per cell
+(``ScaledColumns``): d = D / delta, delta the lcm of its block's
+denominators; d* = S / sigma; the Laplacian L = d*d + dd* = L_int /
+lambda; the Casimir C = C_int / gamma.  The mode metric is scaled once
+per algebra to ints, so the Gram diagonals are ints too.  The
+Casimir's inverse Gram and int-scaled structure constants are built once
+per ``CellComplex`` (``CasimirData``), and torus weights are int tuples.
+``Fraction`` is left at the boundary: the kernel vectors, the predicted
+Casimir values and the report.
+
+Weight blocks.  d is checked to join only monomials of equal torus
+weight, which makes d* and L weight-blocked too; the Casimir is checked
+explicitly to join no two weights.  Dense int matrices are formed only
+where an elimination needs them, one weight block at a time: the ranks of
+d and the kernel of L, both unchanged by the scales.  Every other check
+applies int columns to int vectors, with each identity multiplied through
+by the scales: self-adjointness (G_i L_ij = G_j L_ji), closedness and
+co-closedness of harmonic vectors, d^2 = 0, L + Casimir = c*k*Id and the
+Casimir's minimal polynomial.
 
 Sign conventions.  The positive semi-definite cell Laplacian acts on the
 isotypic component of lowest weight lam at energy k by the scalar
@@ -29,19 +39,21 @@ fock module).  Harmonicity, the vanishing locus, is the same either way.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from . import exactlinalg as xl
 from .liealg import AlgebraData, FiniteWeight, InvariantError, casimir_eigenvalue, is_dominant, orthogonal_cartan
-from .reptheory import IrrepSummand, decompose, weights_of_basis
+from .reptheory import IrrepSummand, WeightMultiset, decompose, weights_of_basis
 from .affine import AffineWeight, laplacian_shift
 
 Mode = Tuple[int, int]  # (level >= 1, basis index)
 Wedge = Tuple[Mode, ...]
-Blocks = Dict[FiniteWeight, xl.Matrix]  # torus weight -> dense matrix over that weight's monomials
+Weight = Tuple[int, ...]  # torus weight in simple-root coordinates
+Blocks = Dict[Weight, List[List[int]]]  # torus weight -> dense int matrix over that weight's monomials
 
 
 @dataclass(frozen=True)
@@ -112,22 +124,16 @@ def _insert_modes(wedge: Sequence[Mode], skip: int, new: Sequence[Mode]) -> Tupl
     The caller accounts for the extra (-1)^(q * skip) that moves the block
     from position ``skip`` to the front.
     """
-    rest = [m for i, m in enumerate(wedge) if i != skip]
-    out = list(rest)
+    out = list(wedge)
+    del out[skip]
     sign = 1
     for m in reversed(new):
-        lo = 0
-        hi = len(out)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if out[mid] < m:
-                lo = mid + 1
-            else:
-                hi = mid
+        lo = bisect_left(out, m)
         if lo < len(out) and out[lo] == m:
             return None
         # moving m past the first `lo` factors
-        sign *= -1 if lo % 2 else 1
+        if lo % 2:
+            sign = -sign
         out.insert(lo, m)
     return sign, tuple(out)
 
@@ -185,38 +191,51 @@ def differential_block(data: AlgebraData, p: int, k: int) -> GradedComplexBlock:
     return GradedComplexBlock(basis_in, basis_out, entries)
 
 
-def wedge_gram(metric: Sequence[Fraction], basis: CochainBasis) -> List[Fraction]:
+def wedge_gram(metric: Sequence, basis: CochainBasis) -> List:
     """Diagonal of the Gram of wedge monomials for a diagonal mode metric
     (``metric[i]`` for basis index i at every level).  A Gram entry, the
     determinant of two monomials' pairwise mode metrics, is then the
     product of the modes' entries for equal monomials and 0 otherwise.
+    An int metric gives int entries.
     """
-    return [prod((metric[idx] for _level, idx in w), start=Fraction(1)) for w in basis.monomials]
+    return [prod(metric[idx] for _level, idx in w) for w in basis.monomials]
 
 
-def _weight_of_wedge(data: AlgebraData, wedge: Wedge) -> FiniteWeight:
-    w = [Fraction(0)] * data.rank
-    for _level, idx in wedge:
-        for i, c in enumerate(data.basis_weights[idx]):
-            w[i] -= c
-    return tuple(w)
+Columns = Dict[int, Dict[int, int]]  # sparse int operator: column -> {row: nonzero entry}
 
 
-Columns = Dict[int, Dict[int, Fraction]]  # sparse operator: column -> {row: nonzero entry}
+@dataclass
+class ScaledColumns:
+    """A cell operator as sparse int columns over one positive int scale:
+    the operator is ``columns / scale``."""
+
+    columns: Columns
+    scale: int
 
 
-def _apply(op: Columns, vec: Dict[int, Fraction], shift: Fraction = 0) -> Dict[int, Fraction]:
+def _lowest_terms(columns: Columns, scale: int) -> ScaledColumns:
+    """``columns / scale`` with the common factor of the scale and every entry divided out."""
+    g = gcd(scale, *(x for col in columns.values() for x in col.values()))
+    if g > 1:
+        columns = {c: {r: x // g for r, x in col.items()} for c, col in columns.items()}
+    return ScaledColumns(columns, scale // g)
+
+
+def _apply(op: Columns, vec: Dict[int, int], shift: int = 0) -> Dict[int, int]:
     """(op - shift*Id) applied to a sparse vector, zeros dropped."""
-    out: Dict[int, Fraction] = {}
+    out: Dict[int, int] = {}
+    get = out.get
     for j, x in vec.items():
-        for i, a in op.get(j, {}).items():
-            out[i] = out.get(i, 0) + a * x
+        col = op.get(j)
+        if col:
+            for i, a in col.items():
+                out[i] = get(i, 0) + a * x
         if shift:
-            out[j] = out.get(j, 0) - shift * x
+            out[j] = get(j, 0) - shift * x
     return {i: x for i, x in out.items() if x}
 
 
-def _dense_block(op: Columns, rows: Sequence[int], cols: Sequence[int]) -> xl.Matrix:
+def _dense_block(op: Columns, rows: Sequence[int], cols: Sequence[int]) -> List[List[int]]:
     """Dense block of a sparse operator on the given rows and columns, the
     input of an elimination; every entry of those columns must lie in ``rows``."""
     pos = {r: a for a, r in enumerate(rows)}
@@ -227,21 +246,64 @@ def _dense_block(op: Columns, rows: Sequence[int], cols: Sequence[int]) -> xl.Ma
     return out
 
 
+@dataclass(frozen=True)
+class CasimirData:
+    """What every cell's Casimir is built from, once per algebra.
+
+    ``coefficients[a]`` maps a mode index m to the pairs (b, s*C_{ab}^m)
+    of the coadjoint action of generator a, with s the lcm of the
+    structure constants' denominators; ``pairs`` are the generator pairs
+    (a, b, e*(G^-1)_{ab}) with a nonzero inverse-Gram entry, e the lcm of
+    G^-1's denominators.  C = C_int / ``scale`` with scale = 2*e*s^2.
+    """
+
+    coefficients: Tuple[Dict[int, List[Tuple[int, int]]], ...]
+    pairs: Tuple[Tuple[int, int, int], ...]
+    scale: int
+
+
+def casimir_data(data: AlgebraData) -> CasimirData:
+    """The ``CasimirData`` of an algebra, in the basis ``data`` is given in."""
+    s = lcm(*(c.denominator for row in data.structure for col in row.values() for c in col.values()))
+    coefficients: List[Dict[int, List[Tuple[int, int]]]] = []
+    for a in range(data.dim):
+        by_mode: Dict[int, List[Tuple[int, int]]] = {}
+        for b, col in data.structure[a].items():
+            for m, c in col.items():
+                by_mode.setdefault(m, []).append((b, c.numerator * (s // c.denominator)))
+        coefficients.append(by_mode)
+    gram_inv = xl.invert([list(r) for r in data.gram])
+    e = lcm(*(x.denominator for row in gram_inv for x in row))
+    pairs = tuple(
+        (a, b, x.numerator * (e // x.denominator)) for a, row in enumerate(gram_inv) for b, x in enumerate(row) if x
+    )
+    return CasimirData(tuple(coefficients), pairs, 2 * e * s * s)
+
+
 class CellComplex:
     """Lazy per-algebra store of the cell operators, kept for the whole run.
 
     Everything is built from ``self.data``, the algebra rebased by
-    ``orthogonal_cartan``.  Besides bases and weight labels it keeps the
-    diagonal wedge Gram of each cell and d, d* and the Laplacian L as
-    sparse columns (``Columns``).  Dense matrices exist only as inputs to
-    an elimination: each weight block of d for its rank, and each weight
-    block of L for its kernel (``laplacian``).  Every other check applies
-    the sparse columns to sparse vectors.
+    ``orthogonal_cartan``.  The mode metric is scaled once to ints by the
+    lcm ``metric_scale`` of its denominators, so the diagonal wedge Gram
+    of a degree-p cell (``gram``) is metric_scale^p times the true one.
+    Besides bases, int weight labels and Grams it keeps d, d* and the
+    Laplacian L as ``ScaledColumns`` (int columns over one int scale per
+    cell), and the ``CasimirData`` of the algebra.  Dense matrices exist
+    only as inputs to an elimination: each weight block of d for its rank,
+    and each weight block of L for its kernel (``laplacian``).  Every other
+    check applies the int columns to int vectors.
     """
 
     def __init__(self, data: AlgebraData):
         self.data = orthogonal_cartan(data)
-        self._metric = [1 / row[i] for i, row in enumerate(self.data.hermGram)]  # of the dual modes
+        if any(Fraction(c).denominator != 1 for w in self.data.basis_weights for c in w):
+            raise InvariantError("a basis weight is not integral in simple-root coordinates")
+        self._mode_weights = [tuple(-int(c) for c in w) for w in self.data.basis_weights]  # of the dual modes
+        metric = [1 / row[i] for i, row in enumerate(self.data.hermGram)]  # of the dual modes
+        self.metric_scale = lcm(*(x.denominator for x in metric))
+        self._metric = [x.numerator * (self.metric_scale // x.denominator) for x in metric]
+        self.casimir = casimir_data(self.data)
         self._blocks: Dict[Tuple[int, int], GradedComplexBlock] = {}
         self._bases: Dict[Tuple[int, int], CochainBasis] = {}
         self._kept: Dict[Tuple[str, int, int], object] = {}
@@ -266,48 +328,75 @@ class CellComplex:
             self._bases[(p + 1, k)] = self._blocks[key].basisOut
         return self._blocks[key]
 
-    def weights(self, p: int, k: int) -> List[FiniteWeight]:
-        """Torus weight of each monomial of the (p, k) basis."""
-        return self._memo("weights", p, k, lambda: [_weight_of_wedge(self.data, w) for w in self.basis(p, k).monomials])
+    def weights(self, p: int, k: int) -> List[Weight]:
+        """Torus weight of each monomial of the (p, k) basis, as int tuples."""
 
-    def weight_blocks(self, p: int, k: int) -> Dict[FiniteWeight, List[int]]:
+        def build():
+            out = []
+            for wedge in self.basis(p, k).monomials:
+                w = [0] * self.data.rank
+                for _level, idx in wedge:
+                    for i, c in enumerate(self._mode_weights[idx]):
+                        w[i] += c
+                out.append(tuple(w))
+            return out
+
+        return self._memo("weights", p, k, build)
+
+    def weight_blocks(self, p: int, k: int) -> Dict[Weight, List[int]]:
         """Monomial indices of each torus weight, in basis order; the
         weights in sorted order."""
 
         def build():
-            groups: Dict[FiniteWeight, List[int]] = {}
+            groups: Dict[Weight, List[int]] = {}
             for i, w in enumerate(self.weights(p, k)):
                 groups.setdefault(w, []).append(i)
             return {w: groups[w] for w in sorted(groups)}
 
         return self._memo("groups", p, k, build)
 
-    def differential(self, p: int, k: int) -> Columns:
-        """d: A^p(k) -> A^{p+1}(k) as sparse columns, after a check that
-        every entry joins equal torus weights."""
+    def weight_multiset(self, p: int, k: int) -> WeightMultiset:
+        """Torus-weight multiset of the (p, k) basis from ``weights_of_basis``,
+        built once per cell for the Weyl-symmetry and isotypic checks, and
+        checked to count the int labels' weight blocks."""
+
+        def build():
+            multiset = weights_of_basis(self.data, self.basis(p, k))
+            if multiset != {w: len(idxs) for w, idxs in self.weight_blocks(p, k).items()}:
+                raise InvariantError(f"weight labels of cell ({p}, {k}) disagree with its weight multiset")
+            return multiset
+
+        return self._memo("multiset", p, k, build)
+
+    def differential(self, p: int, k: int) -> ScaledColumns:
+        """d: A^p(k) -> A^{p+1}(k) as D / delta, delta the lcm of the
+        block's denominators, after a check that every entry joins equal
+        torus weights."""
 
         def build():
             w_in, w_out = self.weights(p, k), self.weights(p + 1, k)
+            entries = self.block(p, k).dMatrix
+            delta = lcm(*(v.denominator for v in entries.values()))
             out: Columns = {}
-            for (r, c), v in self.block(p, k).dMatrix.items():
+            for (r, c), v in entries.items():
                 if w_out[r] != w_in[c]:
                     raise InvariantError(f"d^{p} at energy {k} joins different torus weights")
-                out.setdefault(c, {})[r] = v
-            return out
+                out.setdefault(c, {})[r] = v.numerator * (delta // v.denominator)
+            return ScaledColumns(out, delta)
 
         return self._memo("d", p, k, build)
 
     def d_squared_zero(self, p: int, k: int) -> bool:
         """d^{p+1} d^p = 0 at energy k, checked column by column."""
-        d_next = self.differential(p + 1, k)
-        return not any(_apply(d_next, col) for col in self.differential(p, k).values())
+        d_next = self.differential(p + 1, k).columns
+        return not any(_apply(d_next, col) for col in self.differential(p, k).columns.values())
 
-    def block_ranks(self, p: int, k: int) -> Dict[FiniteWeight, int]:
+    def block_ranks(self, p: int, k: int) -> Dict[Weight, int]:
         """Fraction-free rank of each weight block of d^p at energy k that
         has both a source and a target, computed once per run."""
 
         def build():
-            d, g_out = self.differential(p, k), self.weight_blocks(p + 1, k)
+            d, g_out = self.differential(p, k).columns, self.weight_blocks(p + 1, k)
             return {
                 w: xl.rank(_dense_block(d, g_out[w], idxs))
                 for w, idxs in self.weight_blocks(p, k).items()
@@ -320,51 +409,61 @@ class CellComplex:
         """Rank of d: A^p(k) -> A^{p+1}(k), the sum of its weight blocks' ranks."""
         return sum(self.block_ranks(p, k).values())
 
-    def gram(self, p: int, k: int) -> List[Fraction]:
-        """Diagonal of the wedge Gram of cell (p, k), in basis order."""
+    def gram(self, p: int, k: int) -> List[int]:
+        """Diagonal of the wedge Gram of cell (p, k) in basis order, times
+        ``metric_scale`` ** p."""
         return self._memo("gram", p, k, lambda: wedge_gram(self._metric, self.basis(p, k)))
 
-    def codifferential(self, p: int, k: int) -> Columns:
-        """Adjoint of d: A^p -> A^{p+1} in the wedge metrics, as sparse
-        columns over A^{p+1}: a scaled transpose, d*[i][j] = d[j][i] *
-        g_out[j] / g_in[i]."""
+    def codifferential(self, p: int, k: int) -> ScaledColumns:
+        """Adjoint of d: A^p -> A^{p+1} in the wedge metrics, as int columns
+        over A^{p+1}.  With d = D / delta and the scaled Grams G, d* is the
+        scaled transpose d*[i][j] = D[j][i] * G_out[j] / (M * delta *
+        G_in[i]), M the metric scale; the row factors 1 / G_in[i] are
+        brought to the lcm of G_in, which goes into the scale."""
 
         def build():
+            d = self.differential(p, k)
             g_in, g_out = self.gram(p, k), self.gram(p + 1, k)
+            common = lcm(*g_in)
             out: Columns = {}
-            for i, col in self.differential(p, k).items():
+            for i, col in d.columns.items():
+                row = common // g_in[i]
                 for j, x in col.items():
-                    out.setdefault(j, {})[i] = x * g_out[j] / g_in[i]
-            return out
+                    out.setdefault(j, {})[i] = x * g_out[j] * row
+            return _lowest_terms(out, self.metric_scale * d.scale * common)
 
         return self._memo("codifferential", p, k, build)
 
-    def laplacian_columns(self, p: int, k: int) -> Columns:
-        """The Laplacian d*d + dd* of cell (p, k) as sparse columns, one
-        for every monomial, checked to be self-adjoint in the metric:
-        g_i * L_ij = g_j * L_ji."""
+    def laplacian_columns(self, p: int, k: int) -> ScaledColumns:
+        """The Laplacian d*d + dd* of cell (p, k) as int columns over one
+        scale, one column for every monomial, checked to be self-adjoint
+        in the metric: G_i * L_ij = G_j * L_ji."""
 
         def build():
-            up, up_star = self.differential(p, k), self.codifferential(p, k)
-            down, down_star = (self.differential(p - 1, k), self.codifferential(p - 1, k)) if p > 0 else ({}, {})
+            terms = [(self.codifferential(p, k), self.differential(p, k))]  # (left, right): left after right
+            if p > 0:
+                terms.append((self.differential(p - 1, k), self.codifferential(p - 1, k)))
+            scale = lcm(*(left.scale * right.scale for left, right in terms))
+            factors = [(left.columns, right.columns, scale // (left.scale * right.scale)) for left, right in terms]
             out: Columns = {}
             for j in range(len(self.basis(p, k))):
-                col = _apply(up_star, up.get(j, {}))
-                for i, x in _apply(down, down_star.get(j, {})).items():
-                    col[i] = col.get(i, 0) + x
+                col: Dict[int, int] = {}
+                for left, right, f in factors:
+                    for i, x in _apply(left, {r: f * y for r, y in right.get(j, {}).items()}).items():
+                        col[i] = col.get(i, 0) + x
                 out[j] = {i: x for i, x in col.items() if x}
             g = self.gram(p, k)
             if any(g[i] * x != g[j] * out[i].get(j, 0) for j, col in out.items() for i, x in col.items()):
                 raise InvariantError(f"Laplacian of cell ({p}, {k}) is not self-adjoint in the cell metric")
-            return out
+            return _lowest_terms(out, scale)
 
         return self._memo("laplacian", p, k, build)
 
     def laplacian(self, p: int, k: int) -> Blocks:
-        """Dense weight blocks of the Laplacian of cell (p, k), the input of
-        the harmonic kernel; L preserves weight because d does and the
-        Gram is diagonal."""
-        L = self.laplacian_columns(p, k)
+        """Dense int weight blocks of ``laplacian_columns(p, k).columns``,
+        the scaled Laplacian, the input of the harmonic kernel; L preserves
+        weight because d does and the Gram is diagonal."""
+        L = self.laplacian_columns(p, k).columns
         return {w: _dense_block(L, idxs, idxs) for w, idxs in self.weight_blocks(p, k).items()}
 
 
@@ -398,7 +497,7 @@ class HarmonicSpace:
     energy: int
     basis: List[List[Fraction]]
     dimension: int
-    weight_multiset: Dict[FiniteWeight, int]
+    weight_multiset: Dict[Weight, int]
     decomposition: List[IrrepSummand]
 
 
@@ -417,17 +516,18 @@ def harmonic_space(data: AlgebraData, p: int, k: int, complex_: CellComplex | No
     cc = complex_ or CellComplex(data)
     dim = len(cc.basis(p, k))
     laplacian = cc.laplacian(p, k)
-    d_up, ranks_up = cc.differential(p, k), cc.block_ranks(p, k)
-    dstar_down, ranks_down = (cc.codifferential(p - 1, k), cc.block_ranks(p - 1, k)) if p > 0 else ({}, {})
+    d_up, ranks_up = cc.differential(p, k).columns, cc.block_ranks(p, k)
+    dstar_down, ranks_down = (cc.codifferential(p - 1, k).columns, cc.block_ranks(p - 1, k)) if p > 0 else ({}, {})
 
     kernel_vectors: List[List[Fraction]] = []
-    weight_multiset: Dict[FiniteWeight, int] = {}
+    weight_multiset: Dict[Weight, int] = {}
     for w, idxs in cc.weight_blocks(p, k).items():
         kernel = xl.kernel_basis(laplacian[w])
         if len(kernel) != len(idxs) - ranks_up.get(w, 0) - ranks_down.get(w, 0):
             raise InvariantError(f"Hodge consistency fails in cell ({p}, {k})")
         for vec in kernel:
-            sparse = {j: x for j, x in zip(idxs, vec) if x}
+            [ints], _den = xl.clear_denominators([vec])
+            sparse = {j: x for j, x in zip(idxs, ints) if x}
             if _apply(d_up, sparse):
                 raise InvariantError(f"harmonic vector of cell ({p}, {k}) is not closed")
             if _apply(dstar_down, sparse):
@@ -450,19 +550,17 @@ def harmonic_space(data: AlgebraData, p: int, k: int, complex_: CellComplex | No
     )
 
 
-def _action_matrix(data: AlgebraData, basis: CochainBasis, gen: int) -> Columns:
-    """Sparse columns of the coadjoint generator action on a cell (derivation, no sign)."""
-    index = basis.index()
+def _action_matrix(coefficients: Dict[int, List[Tuple[int, int]]], basis: CochainBasis,
+                   index: Dict[Wedge, int]) -> Columns:
+    """Int columns of one generator's coadjoint action on a cell (derivation,
+    no sign), from that generator's ``CasimirData.coefficients``."""
     out: Columns = {}
     for col, wedge in enumerate(basis.monomials):
-        column: Dict[int, Fraction] = {}
+        column: Dict[int, int] = {}
         for j, (level, m) in enumerate(wedge):
             pos_sign = -1 if j % 2 else 1  # single replaced factor: (-1)^skip
             # gen . e^{m,level} = - sum_b C_{gen b}^{m} e^{b,level}
-            for b, coeffs in data.structure[gen].items():
-                c = coeffs.get(m)
-                if c is None:
-                    continue
+            for b, c in coefficients.get(m, ()):
                 ins = _insert_modes(wedge, j, ((level, b),))
                 if ins is None:
                     continue
@@ -473,21 +571,20 @@ def _action_matrix(data: AlgebraData, basis: CochainBasis, gen: int) -> Columns:
     return out
 
 
-def casimir_matrix(data: AlgebraData, basis: CochainBasis) -> Columns:
-    """Half the gram-inverse-paired square of the generator action, as
-    sparse columns: C e_c = sum_{a,b} (G^-1)_{ab} / 2 * A_a (A_b e_c),
-    over the generator pairs with a nonzero inverse-Gram entry only."""
-    gram_inv = xl.invert([list(r) for r in data.gram])
-    actions = [_action_matrix(data, basis, a) for a in range(data.dim)]
-    pairs = [(actions[a], actions[b], w / 2) for a, row in enumerate(gram_inv) for b, w in enumerate(row) if w]
+def casimir_matrix(casimir: CasimirData, basis: CochainBasis) -> ScaledColumns:
+    """Half the gram-inverse-paired square of the generator action, as int
+    columns over one scale: C e_c = sum_{a,b} (G^-1)_{ab} / 2 * A_a (A_b
+    e_c), over the generator pairs with a nonzero inverse-Gram entry only."""
+    index = basis.index()
+    actions = [_action_matrix(coeffs, basis, index) for coeffs in casimir.coefficients]
     out: Columns = {}
     for c in range(len(basis)):
-        column: Dict[int, Fraction] = {}
-        for left, right, half in pairs:
-            for r, x in _apply(left, right[c]).items():
-                column[r] = column.get(r, 0) + half * x
+        column: Dict[int, int] = {}
+        for a, b, w in casimir.pairs:
+            for r, x in _apply(actions[a], actions[b][c]).items():
+                column[r] = column.get(r, 0) + w * x
         out[c] = {r: x for r, x in column.items() if x}
-    return out
+    return _lowest_terms(out, casimir.scale)
 
 
 @dataclass
@@ -520,14 +617,15 @@ def isotypic_eigen_check(
 ) -> IsotypicVerdict:
     """Verify the Laplacian acts by the predicted exact scalar per component.
 
-    The sparse Casimir C, built from ``cc.data`` so that it is in the
-    basis of the Laplacian, is checked to join no two torus weights
-    (``weight_blocked``); the Laplacian is weight-blocked by construction.
-    Then two exact checks run column by column on sparse vectors: (L + C)
-    e_j = c*k*e_j (``laplacian_matches_casimir``), and prod_v (C - v) e_j
-    = 0 over the predicted Casimir values v (``minimal_polynomial_ok``),
-    with C and the v's scaled to integers once by the lcm of their
-    denominators.
+    The sparse Casimir C = C_int / gamma, built from ``cc.casimir`` so that
+    it is in the basis of the Laplacian, is checked to join no two torus
+    weights (``weight_blocked``); the Laplacian L = L_int / lambda is
+    weight-blocked by construction.  Then two exact checks run column by
+    column on int vectors: gamma * L_int e_j + lambda * C_int e_j = c*k *
+    lambda * gamma * e_j, that is (L + C) e_j = c*k*e_j
+    (``laplacian_matches_casimir``), and prod_v (s/gamma * C_int - s*v) e_j
+    = 0 over the predicted Casimir values v, s the lcm of gamma and the v's
+    denominators (``minimal_polynomial_ok``).
 
     Each component's verdict follows from these two.  With P_v =
     prod_{v' != v} (C - v') / (v - v') the projector onto the Casimir
@@ -540,15 +638,15 @@ def isotypic_eigen_check(
     basis = cc.basis(p, k)
     if len(basis) == 0:
         return IsotypicVerdict(p, k, [], True, True)
-    summands = decompose(data, weights_of_basis(data, basis.monomials))
-    C = casimir_matrix(cc.data, basis)
+    summands = decompose(data, cc.weight_multiset(p, k))
+    C = casimir_matrix(cc.casimir, basis)
     labels = cc.weights(p, k)
-    blocked = all(labels[r] == labels[c] for c, col in C.items() for r in col)
+    blocked = all(labels[r] == labels[c] for c, col in C.columns.items() for r in col)
 
     values: Dict[Fraction, FiniteWeight] = {}
     for s in summands:
         values.setdefault(casimir_eigenvalue(data, s.lowestWeight), s.lowestWeight)
-    ck = Fraction(data.coxeter * k)
+    ck = data.coxeter * k
     vlist = sorted(values)
     scalars: Dict[Fraction, Fraction] = {}
     for v in vlist:
@@ -557,11 +655,16 @@ def isotypic_eigen_check(
             raise InvariantError(f"Laplacian scalar of {values[v]} at energy {k} disagrees with c*k - Casimir")
 
     L = cc.laplacian_columns(p, k)
-    l_matches = all(_apply(L, {j: 1}, ck) == {i: -x for i, x in C[j].items()} for j in range(len(basis)))
+    lam, gamma = L.scale, C.scale
+    l_matches = all(
+        _apply(L.columns, {j: gamma}, ck * lam) == {i: -lam * x for i, x in C.columns.get(j, {}).items()}
+        for j in range(len(basis))
+    )
 
-    den = lcm(*(x.denominator for col in C.values() for x in col.values()), *(v.denominator for v in vlist))
-    scaled = {c: {r: int(x * den) for r, x in col.items()} for c, col in C.items()}
-    shifts = [int(v * den) for v in vlist]
+    s = lcm(gamma, *(v.denominator for v in vlist))
+    mult = s // gamma
+    scaled = {c: {r: mult * x for r, x in col.items()} for c, col in C.columns.items()}
+    shifts = [v.numerator * (s // v.denominator) for v in vlist]
 
     def annihilated(j: int) -> bool:
         vec = {j: 1}

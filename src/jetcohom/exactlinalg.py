@@ -1,14 +1,17 @@
 """Exact rational/big-integer linear algebra for the graded pipeline.
 
 Rank and kernel computations run fraction-free over Python integers
-(Bareiss-style elimination); rational matrices (the d of the orthogonal
-Cartan basis is one) are cleared to an integer matrix plus denominator
-first.  Matrices are dense lists of lists of ``int`` or ``Fraction``
-entries.  The cochain module keeps its operators sparse and hands these
-routines a dense matrix only for an elimination, one torus-weight block
-at a time: the ranks of d and the kernel of the Laplacian.  ``matmul``,
-``mat_add``, ``scale``, ``identity``, ``is_zero_matrix`` and ``det`` are
-test oracles; the program does not call them.
+(Bareiss-style elimination); a rational matrix is cleared to an integer
+matrix plus denominator first.  Matrices are dense lists of lists of
+``int`` or ``Fraction`` entries.  The cochain module keeps its operators
+as sparse int columns over an int scale and hands these routines a dense
+int matrix only for an elimination, one torus-weight block at a time: the
+ranks of d and the kernel of the Laplacian, which the scales do not
+change.  Kernel vectors come back as ``Fraction`` lists of primitive
+integers.  ``invert`` serves the small per-algebra matrices (the inverse
+Gram of the Casimir).  ``matmul``, ``mat_add``, ``scale``, ``identity``,
+``is_zero_matrix`` and ``det`` are test oracles; the program does not
+call them.
 """
 
 from __future__ import annotations

@@ -29,7 +29,6 @@ from .reptheory import (
     expand,
     is_weyl_symmetric,
     multiplicity_one_audit,
-    weights_of_basis,
 )
 
 SCHEMA_VERSION = 1
@@ -143,8 +142,7 @@ def compute_cell(data: AlgebraData, cc: CellComplex, p: int, k: int) -> dict:
     d_sq_zero = cc.d_squared_zero(p, k)
     rank_d = cc.rank_d(p, k)
 
-    multiset = weights_of_basis(data, basis.monomials)
-    weyl_ok = is_weyl_symmetric(data, multiset)
+    weyl_ok = is_weyl_symmetric(data, cc.weight_multiset(p, k))
 
     harm = harmonic_space(data, p, k, cc)
     iso = isotypic_eigen_check(data, p, k, cc)

@@ -167,18 +167,19 @@ def irrep_character(data: AlgebraData, highest: Sequence[Fraction]) -> WeightMul
 
 
 def weights_of_basis(data: AlgebraData, basis) -> WeightMultiset:
-    """Torus weights of a cochain basis; dual modes carry negated weights."""
+    """Torus weights of a cochain basis; dual modes carry negated weights.
+    The basis weights are integral, so the sums run over ints and each
+    distinct weight becomes a ``Fraction`` tuple once."""
     monomials = getattr(basis, "monomials", basis)
-    out: WeightMultiset = {}
+    counts: Dict[Tuple[int, ...], int] = {}
     for wedge in monomials:
-        w = [Fraction(0)] * data.rank
+        w = [0] * data.rank
         for _level, idx in wedge:
-            bw = data.basis_weights[idx]
-            for i, c in enumerate(bw):
+            for i, c in enumerate(data.basis_weights[idx]):
                 w[i] -= c
         key = tuple(w)
-        out[key] = out.get(key, 0) + 1
-    return out
+        counts[key] = counts.get(key, 0) + 1
+    return {_as_weight(w): m for w, m in counts.items()}
 
 
 def is_weyl_symmetric(data: AlgebraData, multiset: WeightMultiset) -> bool:

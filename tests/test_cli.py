@@ -172,6 +172,29 @@ def test_a_guard_without_cochain_modes_skips_instead_of_passing_on_nothing(capsy
     assert all(v["vectors"] > 0 for v in by_name.values() if v["pass"])
 
 
+def _commutator_verdict(capsys, kmin, kmax, guard):
+    code = main([
+        "verify-identities", "--series", "A", "--rank", "1",
+        "--kmin", str(kmin), "--kmax", str(kmax), "--guard", str(guard), "--format", "json",
+    ])
+    assert code == 0
+    suite = json.loads(capsys.readouterr().out)["identity_suite"]
+    return next(v for v in suite if v["identity"] == "mode_action_commutators")
+
+
+def test_commutator_check_counts_only_the_shifts_it_compares(capsys):
+    # on [-2, 3] the shifts k = +-3 leave no mode level m with m +- k in the
+    # window, so the 2 vectors of their bases are not checked
+    verdict = _commutator_verdict(capsys, -2, 3, 3)
+    assert verdict["pass"] and verdict["vectors"] == 194
+
+
+def test_commutator_check_skips_a_window_where_no_shift_compares(capsys):
+    verdict = _commutator_verdict(capsys, 0, 1, 1)
+    assert verdict["skipped"] and not verdict["pass"] and verdict["vectors"] == 0
+    assert verdict["reason"].startswith("no mode level")
+
+
 def test_cli_rejects_bad_config(capsys):
     assert main(["compute", "--series", "A", "--rank", "0"]) == 1
     assert main(["compute", "--series", "Z", "--rank", "2"]) == 1

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -129,11 +130,19 @@ def test_d_squared_zero_exact(a1, cc_a1, p, k):
 
 
 def _all_pairs_gram(metric, basis):
-    """Reference Gram: the determinant of pairwise mode metrics for every pair."""
-    mons = basis.monomials
+    """Reference Gram: the determinant of pairwise mode metrics for every pair.
+    Modes of different levels pair to 0, so two monomials whose level
+    multisets differ give a matrix with a zero block and determinant 0."""
+    return _all_pairs_gram_of(tuple(map(tuple, metric)), basis.monomials)
+
+
+@functools.lru_cache(maxsize=8)  # a cell's Gram is read again for the next degree's d*
+def _all_pairs_gram_of(metric, mons):
+    levels = [sorted(level for level, _ in w) for w in mons]
     return [
-        [xl.det([[metric[a[1]][b[1]] if a[0] == b[0] else F(0) for b in wj] for a in wi]) for wj in mons]
-        for wi in mons
+        [xl.det([[metric[a[1]][b[1]] if a[0] == b[0] else F(0) for b in wj] for a in wi])
+         if li == lj else F(0) for wj, lj in zip(mons, levels)]
+        for wi, li in zip(mons, levels)
     ]
 
 
@@ -146,16 +155,17 @@ def _diagonal(entries):
 
 def test_gram_inverse_identity(cc_a1, cc_a2):
     # the inverse of a compound matrix is the compound of the inverse: the
-    # all-pairs Gram of the vector metric inverts the diagonal cochain Gram
+    # all-pairs Gram of the vector metric inverts the diagonal cochain Gram,
+    # which the complex keeps as ints scaled by metric_scale ** p
     for cc in (cc_a1, cc_a2):
         herm = cc.data.hermGram
         for (p, k) in [(1, 2), (2, 3), (3, 4)]:
             mons = cc.basis(p, k).monomials
             grams = cc.gram(p, k)
-            assert len(grams) == len(mons)
+            assert len(grams) == len(mons) and all(type(g) is int for g in grams)
             for w, idxs in cc.weight_blocks(p, k).items():
                 inverse = _all_pairs_gram(herm, cochain.CochainBasis(p, k, tuple(mons[i] for i in idxs)))
-                assert inverse == _diagonal([1 / grams[i] for i in idxs]), (p, k, w)
+                assert inverse == _diagonal([F(cc.metric_scale ** p, grams[i]) for i in idxs]), (p, k, w)
 
 
 def test_laplacian_small_cells(a1, cc_a1):
@@ -164,7 +174,8 @@ def test_laplacian_small_cells(a1, cc_a1):
     assert all(xl.is_zero_matrix(L) for L in L11.values())  # harmonic cell: scalar 0
     L12 = cc_a1.laplacian(1, 2)
     assert sum(xl.rank(L) for L in L12.values()) == 3  # H^1(2) = 0, L nonsingular
-    assert all(L[i][i] == 2 for L in L12.values() for i in range(len(L)))
+    scale = cc_a1.laplacian_columns(1, 2).scale
+    assert all(L[i][i] == 2 * scale for L in L12.values() for i in range(len(L)))
 
 
 def test_eigenvalue_examples(a1):
@@ -295,6 +306,10 @@ def _embed(blocks, rows, cols):
     return out
 
 
+def _all_ints(op):
+    return all(type(x) is int for col in op.columns.values() for x in col.values())
+
+
 def _from_columns(op, rows, cols):
     """Dense matrix of a sparse operator {col: {row: entry}}."""
     out = xl.zeros(rows, cols)
@@ -313,12 +328,16 @@ def test_weight_blocks_match_whole_cell_reference(series, rank, max_p, max_k):
                 continue
             G, dstar, L = _whole_cell_reference(cc, p, k)
             groups = cc.weight_blocks(p, k)
-            n = len(cc.basis(p, k))
-            assert _diagonal(cc.gram(p, k)) == G, (p, k)
-            assert _embed(cc.laplacian(p, k), groups, groups) == L, (p, k)
-            assert _from_columns(cc.laplacian_columns(p, k), n, n) == L, (p, k)
+            n, n_out = len(cc.basis(p, k)), len(cc.basis(p + 1, k))
+            lap, d, star = cc.laplacian_columns(p, k), cc.differential(p, k), cc.codifferential(p, k)
+            assert _diagonal(cc.gram(p, k)) == xl.scale(G, cc.metric_scale ** p), (p, k)
+            assert _embed(cc.laplacian(p, k), groups, groups) == xl.scale(L, lap.scale), (p, k)
+            assert _from_columns(lap.columns, n, n) == xl.scale(L, lap.scale), (p, k)
+            assert _from_columns(d.columns, n_out, n) == xl.scale(cc.block(p, k).dense(), d.scale), (p, k)
             if dstar is not None:
-                assert _from_columns(cc.codifferential(p, k), n, len(cc.basis(p + 1, k))) == dstar, (p, k)
+                assert _from_columns(star.columns, n, n_out) == xl.scale(dstar, star.scale), (p, k)
+            for op in (lap, d, star):
+                assert op.scale > 0 and _all_ints(op), (p, k)
 
 
 def _cross_weight_d_entry(cc, p, k):
@@ -360,9 +379,9 @@ def test_isotypic_check_rejects_cross_weight_entries(a1, monkeypatch):
     real_casimir = cochain.casimir_matrix
     i, j = _cross_weight_pair(CellComplex(a1), 2, 3)
 
-    def doctored_casimir(data, basis):
-        C = real_casimir(data, basis)
-        C[j][i] = C[j].get(i, 0) + 1
+    def doctored_casimir(casimir, basis):
+        C = real_casimir(casimir, basis)
+        C.columns[j][i] = C.columns[j].get(i, 0) + 1
         return C
 
     monkeypatch.setattr(cochain, "casimir_matrix", doctored_casimir)
@@ -372,7 +391,7 @@ def test_isotypic_check_rejects_cross_weight_entries(a1, monkeypatch):
 
 def test_isotypic_check_rejects_a_laplacian_doctored_inside_a_block(a1):
     cc = CellComplex(a1)
-    L = cc.laplacian_columns(2, 3)
+    L = cc.laplacian_columns(2, 3).columns
     L[0][0] = L[0].get(0, 0) + 1  # a diagonal entry lies inside a weight block
     verdict = isotypic_eigen_check(a1, 2, 3, cc)
     assert verdict.weight_blocked and not verdict.passed
@@ -400,11 +419,95 @@ def test_minimal_polynomial_check_rejects_a_missing_casimir_value(a1, monkeypatc
     assert not verdict.passed
 
 
+def _dense_casimir_reference(data, basis):
+    """C = sum_{a,b} (G^-1)_{ab} / 2 * A_a A_b as a dense Fraction matrix.  The
+    coadjoint action A_a replaces one factor e^{m,l} of a wedge by
+    -sum_b C_{ab}^m e^{b,l} and sorts the result, counting transpositions."""
+    index = basis.index()
+    n = len(basis)
+
+    def action(a):
+        A = xl.zeros(n, n)
+        for col, wedge in enumerate(basis.monomials):
+            for j, (level, m) in enumerate(wedge):
+                for b, coeffs in data.structure[a].items():
+                    if m not in coeffs:
+                        continue
+                    new = list(wedge)
+                    new[j] = (level, b)
+                    if len(set(new)) < len(new):
+                        continue
+                    inversions = sum(x > y for x, y in itertools.combinations(new, 2))
+                    A[index[tuple(sorted(new))]][col] -= (-1) ** inversions * coeffs[m]
+        return A
+
+    actions = [action(a) for a in range(data.dim)]
+    gram_inv = xl.invert([list(r) for r in data.gram])
+    C = xl.zeros(n, n)
+    for a, row in enumerate(gram_inv):
+        for b, w in enumerate(row):
+            if w:
+                for i, prod_row in enumerate(xl.matmul(actions[a], actions[b])):
+                    for j, x in enumerate(prod_row):
+                        if x:
+                            C[i][j] += w / 2 * x
+    return C
+
+
+@pytest.mark.parametrize("series,rank,max_p,max_k", [("A", 2, 2, 4), ("B", 2, 2, 4), ("G", 2, 2, 2)])
+def test_integer_operators_are_scaled_dense_references(series, rank, max_p, max_k):
+    # L_int = lambda * L and C_int = gamma * C on every cell, against the
+    # dense Fraction references: all-pairs Grams for L, sorted wedges for C
+    cc = CellComplex(build_algebra(AlgebraSpec(series, rank)))
+    for k in range(max_k + 1):
+        for p in range(max_p + 1):
+            basis = cc.basis(p, k)
+            n = len(basis)
+            if not n:
+                continue
+            _G, _dstar, L_ref = _whole_cell_reference(cc, p, k)
+            lap = cc.laplacian_columns(p, k)
+            C = cochain.casimir_matrix(cc.casimir, basis)
+            assert _all_ints(lap) and _all_ints(C), (p, k)
+            assert _from_columns(lap.columns, n, n) == xl.scale(L_ref, lap.scale), (p, k)
+            assert _from_columns(C.columns, n, n) == xl.scale(_dense_casimir_reference(cc.data, basis), C.scale), (p, k)
+
+
+def test_a_laplacian_scale_off_by_two_is_rejected(a1):
+    cc = CellComplex(a1)
+    cc.laplacian_columns(2, 3).scale *= 2
+    verdict = isotypic_eigen_check(a1, 2, 3, cc)
+    assert verdict.weight_blocked and verdict.minimal_polynomial_ok
+    assert not verdict.laplacian_matches_casimir and not verdict.passed
+
+
+@pytest.mark.parametrize("factor", [3, 4])
+def test_laplacian_is_independent_of_how_its_terms_are_scaled(a2, factor):
+    # d* of the lower degree written as (factor * S) / (factor * sigma) is the
+    # same operator, so L must come out the same
+    p, k = 2, 3
+    L = CellComplex(a2).laplacian_columns(p, k)
+    cc = CellComplex(a2)
+    star = cc.codifferential(p - 1, k)
+    star.columns = {c: {r: factor * x for r, x in col.items()} for c, col in star.columns.items()}
+    star.scale *= factor
+    rescaled = cc.laplacian_columns(p, k)
+    assert {c: {r: F(x, L.scale) for r, x in col.items()} for c, col in L.columns.items()} == \
+        {c: {r: F(x, rescaled.scale) for r, x in col.items()} for c, col in rescaled.columns.items()}
+
+
+def test_a_basis_weight_that_is_not_integral_is_rejected(a1):
+    weights = list(a1.basis_weights)
+    weights[-1] = (F(-3, 2),)
+    with pytest.raises(InvariantError, match="integral"):
+        CellComplex(dataclasses.replace(a1, basis_weights=tuple(weights)))
+
+
 def _dense_minimal_polynomial_ok(cc, p, k, values):
     """Reference: prod_v (C - v) = 0 as a dense Fraction product over the whole cell."""
     basis = cc.basis(p, k)
     n = len(basis)
-    C = _from_columns(cochain.casimir_matrix(cc.data, basis), n, n)
+    C = _dense_casimir_reference(cc.data, basis)
     factors = [[[x - v if i == j else x for j, x in enumerate(row)] for i, row in enumerate(C)] for v in values]
     return xl.is_zero_matrix(functools.reduce(xl.matmul, factors, xl.identity(n)))
 
@@ -443,10 +546,10 @@ def test_d_squared_check_rejects_a_weight_preserving_entry(a1):
 
 def test_laplacian_rejects_a_codifferential_that_is_not_an_adjoint(a1):
     cc = CellComplex(a1)
-    i, col = next(iter(cc.differential(1, 3).items()))
+    i, col = next(iter(cc.differential(1, 3).columns.items()))
     r = next(iter(col))
     j = next(j for j in range(len(cc.basis(2, 3))) if j != r)
-    star = cc.codifferential(1, 3).setdefault(j, {})
+    star = cc.codifferential(1, 3).columns.setdefault(j, {})
     star[i] = star.get(i, 0) + 1  # adds d e_i to column j of dd* but not to row j
     with pytest.raises(InvariantError, match="self-adjoint"):
         cc.laplacian_columns(2, 3)
@@ -466,7 +569,7 @@ def test_harmonic_space_rejects_an_operator_doped_on_a_harmonic_vector(a1, doped
     cc = CellComplex(a1)
     j = next(j for j, x in enumerate(harmonic_space(a1, p, k, cc).basis[0]) if x)
     # L and the ranks are kept from the first call; only the doped operator changes
-    col = (cc.differential(p, k) if doped == "d" else cc.codifferential(p - 1, k)).setdefault(j, {})
+    col = (cc.differential(p, k) if doped == "d" else cc.codifferential(p - 1, k)).columns.setdefault(j, {})
     col[0] = col.get(0, 0) + 1
     with pytest.raises(InvariantError, match=message):
         harmonic_space(a1, p, k, cc)

@@ -58,7 +58,7 @@ def test_every_traced_name_resolves():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    names = tracing.SPANNED + tracing.LEAVES
+    names = tracing.SPANNED + tracing.LEAVES + (tracing.ROOT,)
     missing = []
     for name in names:
         module, *attrs = name.split(".")
