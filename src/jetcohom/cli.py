@@ -114,7 +114,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         config = make_config(args)
-    except (ValueError, InvalidAlgebraError) as exc:
+    except (OSError, ValueError, InvalidAlgebraError) as exc:  # OSError: an unreadable --config file
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -137,7 +137,11 @@ def main(argv: list[str] | None = None) -> int:
 
     text = serialize_report(report, config.outputFormat)
     if getattr(args, "output", None):
-        Path(args.output).write_text(text)
+        try:
+            Path(args.output).write_text(text)
+        except OSError as exc:
+            print(f"error: cannot write the report: {exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
     return exit_code_for(report)

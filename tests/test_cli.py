@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -167,7 +170,8 @@ def test_a_guard_without_cochain_modes_skips_instead_of_passing_on_nothing(capsy
     ])
     assert code == 0
     by_name = {v["identity"]: v for v in json.loads(capsys.readouterr().out)["identity_suite"]}
-    for name in ("leibniz_rule", "d_restricts_to_chevalley_eilenberg"):
+    for name in ("leibniz_rule", "d_restricts_to_chevalley_eilenberg", "clifford_relations",
+                 "energy_bookkeeping", "L0_commutes_with_d", "d_squared_closed_form", "laplacian_closed_form"):
         assert by_name[name]["skipped"] and by_name[name]["reason"], name
     assert all(v["vectors"] > 0 for v in by_name.values() if v["pass"])
 
@@ -198,6 +202,24 @@ def test_commutator_check_skips_a_window_where_no_shift_compares(capsys):
 def test_cli_rejects_bad_config(capsys):
     assert main(["compute", "--series", "A", "--rank", "0"]) == 1
     assert main(["compute", "--series", "Z", "--rank", "2"]) == 1
+
+
+def test_cli_reports_a_missing_config_file_as_a_usage_error(tmp_path, capsys):
+    assert main(["compute", "--config", str(tmp_path / "missing.cfg")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing.cfg" in err
+
+
+def test_cli_reports_an_unwritable_output_as_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "no-such-dir" / "report.json"
+    code = main([
+        "compute", "--series", "A", "--rank", "1", "--max-degree", "1", "--max-energy", "2",
+        "--cache-dir", str(tmp_path / "cache"), "--output", str(out),
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write the report") and captured.out == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags", [["--kmin", "1", "--kmax", "3"], ["--guard", "-1"]])
@@ -339,3 +361,31 @@ def test_identity_reports_match_the_golden_files(tmp_path, name, flags):
     out = tmp_path / f"{name}.json"
     main(["verify-identities", "--series", "A", *flags, "--format", "json", "--output", str(out)])
     assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+_MAIN_THEN_REPORT_NUMPY = """
+import contextlib, io, sys
+import jetcohom.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = jetcohom.cli.main(sys.argv[1:])
+print(code, "numpy" in sys.modules)
+"""
+
+
+def test_only_verify_identities_loads_numpy(tmp_path):
+    # the exact route is standard library only; numpy is imported when the
+    # identity harness builds its orthonormal frame
+    env = {k: v for k, v in os.environ.items() if k != cache_mod.ENV_CACHE_DIR}
+    env["PYTHONPATH"] = str(Path(cache_mod.__file__).parent.parent)
+    cache = str(tmp_path / "cache")
+    a1 = ["--series", "A", "--rank", "1"]
+    for argv, loads_numpy in (
+        (["compute", *a1, "--max-degree", "2", "--max-energy", "3", "--cache-dir", cache], False),
+        (["show-cache", "--cache-dir", cache], False),
+        (["predict", *a1, "--max-degree", "2", "--max-energy", "3"], False),
+        (["verify-identities", *a1, "--kmin", "-1", "--kmax", "2", "--guard", "1"], True),
+    ):
+        run = subprocess.run([sys.executable, "-c", _MAIN_THEN_REPORT_NUMPY, *argv],
+                             capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == ["0", str(loads_numpy)], argv[0]
