@@ -4,15 +4,17 @@ Flags mirror the run configuration; an optional key=value config file
 (same field names) supplies defaults that flags override.  The cache
 directory may also come from the JETCOHOM_CACHE_DIR environment variable.
 
-Exit codes: 0 all verdicts pass; 1 usage or configuration error; 2 a
-mismatch between computed and predicted cohomology (or a failed exact
-check); 3 an identity-suite failure.
+Exit codes: 0 all verdicts pass; 1 usage or configuration error (also an
+unwritable --output, checked before computing, and verify-identities
+without numpy); 2 a mismatch between computed and predicted cohomology
+(or a failed exact check); 3 an identity-suite failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -118,6 +120,14 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
+    output = getattr(args, "output", None)
+    if output:
+        # checked before any cell is computed; an existing report is not touched
+        parent = Path(output).parent
+        if not parent.is_dir() or not os.access(parent, os.W_OK):
+            print(f"error: cannot write the report: {parent} is not a writable directory", file=sys.stderr)
+            return 1
+
     try:
         if args.command == "compute":
             report = cmd_compute(config)
@@ -134,11 +144,17 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        print(f"error: {args.command} needs numpy, which is not installed "
+              f"(pip install 'jetcohom[identities]'): {exc}", file=sys.stderr)
+        return 1
 
     text = serialize_report(report, config.outputFormat)
-    if getattr(args, "output", None):
+    if output:
         try:
-            Path(args.output).write_text(text)
+            Path(output).write_text(text)
         except OSError as exc:
             print(f"error: cannot write the report: {exc}", file=sys.stderr)
             return 1

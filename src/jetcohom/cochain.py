@@ -486,11 +486,6 @@ def eigenvalue_of(data: AlgebraData, lowestWeight: Sequence[Fraction], energy: i
     return value
 
 
-def laplacian_scalar(data: AlgebraData, lowestWeight: Sequence[Fraction], energy: int) -> Fraction:
-    """Scalar of the PSD Laplacian on the component: -eigenvalue_of."""
-    return -eigenvalue_of(data, lowestWeight, energy)
-
-
 @dataclass
 class HarmonicSpace:
     degree: int
@@ -650,8 +645,10 @@ def isotypic_eigen_check(
     vlist = sorted(values)
     scalars: Dict[Fraction, Fraction] = {}
     for v in vlist:
-        scalars[v] = laplacian_scalar(data, values[v], k)
-        if scalars[v] != ck - v:
+        # the Theorem-form scalar c*k - v against the affine pairing form
+        # (``eigenvalue_of`` without recomputing the Casimir value v)
+        scalars[v] = ck - v
+        if -laplacian_shift(data, AffineWeight(Fraction(k), values[v], Fraction(0))) != scalars[v]:
             raise InvariantError(f"Laplacian scalar of {values[v]} at energy {k} disagrees with c*k - Casimir")
 
     L = cc.laplacian_columns(p, k)

@@ -46,11 +46,17 @@ enumeration takes a window of its own.  Every operator is a column
 function (one monomial to a sparse vector); ``_apply`` takes it to a
 vector, and ``_combine`` forms each lhs - rhs.  The columns of L_{i,k},
 d or dtilde and dtilde* are memoised on the backend, one dict per
-operator (read-only), and so are the quantifier sets
-of ``check_basis``.  ``verify_identity_suite`` builds one backend per
-call, so the memo lives as long as one suite run.  The matrix identities
-(d^2, the Laplacian, the transpose of dtilde) are checked column by
-column from these columns; no dense matrix is formed.
+operator (read-only).  ``_L_monomial``, under all of them, does its two
+single-mode steps per (s, p, q) inline on the masks; the Clifford and
+commutator checks push single monomials and columns through
+``eps_monomial``/``iota_monomial``.  The quantifier sets of
+``check_basis`` are built one energy shell at a time in (energy, label)
+order, only up to the shell that reaches their cap, and are memoised on
+the backend keyed by margin, energy cap, particle cap and cap.
+``verify_identity_suite`` builds one backend per call, so the memo lives
+as long as one suite run.  The matrix identities (d^2, the Laplacian,
+the transpose of dtilde) are checked column by column from these
+columns; no dense matrix is formed.
 """
 
 from __future__ import annotations
@@ -293,7 +299,7 @@ class OrthonormalBackend:
             self.pairs.append(lst)
         # operator name -> {(*params, monomial): read-only column}
         self.columns: Dict[str, Dict[tuple, Mapping[SemiInfMonomial, complex]]] = defaultdict(dict)
-        self.bases: Dict[Tuple[int, int | None, int | None], Tuple[SemiInfMonomial, ...]] = {}
+        self.bases: Dict[Tuple[int, int | None, int | None, int | None], Tuple[SemiInfMonomial, ...]] = {}
 
 
 _EMPTY: Mapping[SemiInfMonomial, complex] = MappingProxyType({})
@@ -345,29 +351,81 @@ def apply_iota(backend: OrthonormalBackend, mode: Mode, v: FockVector) -> FockVe
 def _L_monomial(backend: OrthonormalBackend, i: int, k: int, mono: SemiInfMonomial) -> FockVector:
     """L_{i,k} = sum_s C_{iq}^p :iota_{p,s} eps^{q,s-k}: with both modes in
     the window; normal ordering puts iota first for s <= 0 and -eps iota
-    for s > 0 (operator products act right to left)."""
+    for s > 0 (operator products act right to left).
+
+    The two single-mode steps are ``eps_monomial`` and ``iota_monomial``
+    written out on the masks: a step on added bit b has the sign of the
+    added bits above b, a step on removed bit b that of (added bits) + b -
+    (removed bits below b).  A level s > 0 without added modes, or s <= 0
+    whose eps mode s - k <= 0 finds no hole at its level, holds no term."""
     n, window = backend.n, backend.window
+    added, removed = mono
+    n_added = added.bit_count()
+    full = (1 << n) - 1
+    pairs = backend.pairs[i]
     out: FockVector = {}
     lo = max(window.kMin, window.kMin + k)
     hi = min(window.kMax, window.kMax + k)
     for s in range(lo, hi + 1):
-        for p, q, cval in backend.pairs[i]:
-            if s <= 0:
-                first = eps_monomial(n, (q, s - k), mono)
-                if first is None:
+        t = s - k
+        eps_added = t >= 1  # the eps mode (q, t) sits on the added side
+        eps_base = (t - 1) * n if eps_added else -t * n + n - 1  # its bit: base + q, or base - q
+        if s <= 0:
+            # eps^{q,t} first, then iota_{p,s} on the removed side, coefficient +C
+            if not eps_added and not removed >> -t * n & full:
+                continue
+            iota_base = -s * n + n - 1
+            for p, q, cval in pairs:
+                if eps_added:
+                    b = eps_base + q
+                    if added >> b & 1:
+                        continue
+                    a1, r1 = added | 1 << b, removed
+                    parity = (added >> b + 1).bit_count() + n_added + 1  # eps sign + added bits iota sees
+                else:
+                    b = eps_base - q
+                    if not removed >> b & 1:
+                        continue
+                    a1, r1 = added, removed ^ 1 << b
+                    parity = b - (removed & (1 << b) - 1).bit_count()  # the two n_added terms cancel
+                b = iota_base - p
+                if r1 >> b & 1:
                     continue
-                second = iota_monomial(n, (p, s), first[1])
-                if second is None:
+                parity += b - (r1 & (1 << b) - 1).bit_count()
+                target = (a1, r1 | 1 << b)
+                new = out.get(target, 0j) + (-cval if parity & 1 else cval)
+                if abs(new) < 1e-14:
+                    out.pop(target, None)
+                else:
+                    out[target] = new
+        else:
+            # iota_{p,s} first on the added side, then eps^{q,t}, coefficient -C
+            iota_base = (s - 1) * n
+            if not added >> iota_base & full:
+                continue
+            for p, q, cval in pairs:
+                b = iota_base + p
+                if not added >> b & 1:
                     continue
-                _accumulate(out, second[1], cval * first[0] * second[0])
-            else:
-                first = iota_monomial(n, (p, s), mono)
-                if first is None:
-                    continue
-                second = eps_monomial(n, (q, s - k), first[1])
-                if second is None:
-                    continue
-                _accumulate(out, second[1], -cval * first[0] * second[0])
+                a1 = added ^ 1 << b
+                parity = (added >> b + 1).bit_count()
+                if eps_added:
+                    b = eps_base + q
+                    if a1 >> b & 1:
+                        continue
+                    parity += (a1 >> b + 1).bit_count()
+                    target = (a1 | 1 << b, removed)
+                else:
+                    b = eps_base - q
+                    if not removed >> b & 1:
+                        continue
+                    parity += n_added - 1 + b - (removed & (1 << b) - 1).bit_count()
+                    target = (a1, removed ^ 1 << b)
+                new = out.get(target, 0j) + (cval if parity & 1 else -cval)
+                if abs(new) < 1e-14:
+                    out.pop(target, None)
+                else:
+                    out[target] = new
     return out
 
 
@@ -436,61 +494,65 @@ def _dstar_monomial(backend: OrthonormalBackend, mono: SemiInfMonomial) -> FockV
 
 def monomials_in_support(backend: OrthonormalBackend, margin: int,
                          max_energy: int | None = None,
-                         max_particles: int | None = None) -> List[SemiInfMonomial]:
+                         max_particles: int | None = None,
+                         cap: int | None = None) -> List[SemiInfMonomial]:
     """All monomials supported in the margin-shrunk window, optionally
-    capped by energy and by total mode count (added plus removed);
-    deterministic order (energy, repr)."""
+    capped by energy and by total mode count (added plus removed), in the
+    deterministic order (energy, label); with ``cap``, the first ``cap``.
+
+    The order is built one energy shell at a time: the added and removed
+    mode sets are grouped by energy and mode count, a shell is the cross
+    product of the groups whose energies add up to it, sorted by label,
+    and no shell past the one that reaches ``cap`` is built."""
     lo, hi = backend.window.support(margin)
     n = backend.n
     add_candidates = [(i, k) for k in range(1, hi + 1) for i in range(n)]
     rem_candidates = [(i, k) for k in range(lo, 1) for i in range(n)]
 
-    def subsets(cands: List[Mode], weight: Callable[[Mode], int], budget) -> List[Tuple[Tuple[Mode, ...], int]]:
-        results: List[Tuple[Tuple[Mode, ...], int]] = []
+    def groups(cands: List[Mode], weight: Callable[[Mode], int], encode
+               ) -> Dict[int, Dict[int, List[Tuple[int, str]]]]:
+        """energy -> mode count -> [(mask, label)] over the subsets of ``cands``."""
+        out: Dict[int, Dict[int, List[Tuple[int, str]]]] = defaultdict(lambda: defaultdict(list))
 
         def rec(idx: int, current: List[Mode], used: int):
-            results.append((tuple(sorted(current, key=_mode_key)), used))
+            modes = tuple(sorted(current, key=_mode_key))
+            out[used][len(modes)].append((encode(modes), _modes_label(modes)))
             if max_particles is not None and len(current) >= max_particles:
                 return
             for j in range(idx, len(cands)):
                 w = weight(cands[j])
-                if budget is not None and used + w > budget:
+                if max_energy is not None and used + w > max_energy:
                     continue
                 current.append(cands[j])
                 rec(j + 1, current, used + w)
                 current.pop()
 
         rec(0, [], 0)
-        return results
+        return out
 
-    # the (energy, str) sort key is assembled from per-side energies and
-    # labels of the mode tuples; each side is encoded to its mask once
-    adds = [(encode_monomial(n, aset)[0], ae, _modes_label(aset), len(aset))
-            for aset, ae in subsets(add_candidates, lambda m: m[1], max_energy)]
-    rems = [(encode_monomial(n, (), rset)[1], re_, _modes_label(rset), len(rset))
-            for rset, re_ in subsets(rem_candidates, lambda m: -m[1], max_energy)]
-    keyed: List[Tuple[Tuple[int, str], SemiInfMonomial]] = []
-
-    def cross(amask, ae, alabel, partners):
-        for rmask, re_, rlabel, _count in partners:
-            if max_energy is not None and ae + re_ > max_energy:
+    adds = groups(add_candidates, lambda m: m[1], lambda modes: encode_monomial(n, modes)[0])
+    rems = groups(rem_candidates, lambda m: -m[1], lambda modes: encode_monomial(n, (), modes)[1])
+    top = max(adds) + max(rems)
+    if max_energy is not None:
+        top = min(top, max_energy)
+    result: List[SemiInfMonomial] = []
+    for e in range(top + 1):
+        shell: List[Tuple[str, SemiInfMonomial]] = []
+        for ae, add_counts in adds.items():
+            rem_counts = rems.get(e - ae)
+            if rem_counts is None:
                 continue
-            keyed.append(((ae + re_, _monomial_label(alabel, rlabel)), (amask, rmask)))
-
-    if max_particles is not None:
-        # bucket one side by mode count so the cross product stays within
-        # the total-particle budget instead of being filtered afterwards
-        buckets: Dict[int, List[Tuple[int, int, str, int]]] = {}
-        for rem in rems:
-            buckets.setdefault(rem[3], []).append(rem)
-        for amask, ae, alabel, acount in adds:
-            for cnt in range(max_particles - acount + 1):
-                cross(amask, ae, alabel, buckets.get(cnt, ()))
-    else:
-        for amask, ae, alabel, _count in adds:
-            cross(amask, ae, alabel, rems)
-    keyed.sort(key=lambda km: km[0])
-    return [m for _key, m in keyed]
+            for acount, add_list in add_counts.items():
+                for rcount, rem_list in rem_counts.items():
+                    if max_particles is not None and acount + rcount > max_particles:
+                        continue
+                    shell.extend((_monomial_label(alabel, rlabel), (amask, rmask))
+                                 for amask, alabel in add_list for rmask, rlabel in rem_list)
+        shell.sort()  # labels are distinct, so monomials are never compared
+        result.extend(m for _label, m in shell)
+        if cap is not None and len(result) >= cap:
+            return result[:cap]
+    return result
 
 
 def _small(backend: OrthonormalBackend) -> bool:
@@ -504,18 +566,18 @@ def check_basis(backend: OrthonormalBackend, margin: int, max_energy: int | None
     Small windows (up to 18 candidate modes, which covers the rank-one
     acceptance window) enumerate every supported monomial under the energy
     cap; larger mode sets additionally restrict to at most four modes off
-    the vacuum and truncate to ``cap`` vectors in (energy, repr) order.
-    The uncapped set is memoised per margin and energy cap.
+    the vacuum and truncate to ``cap`` vectors in (energy, label) order.
+    Only the energy shells up to the one that reaches ``cap`` are built,
+    and each set is memoised per margin, energy cap and ``cap``.
     """
     lo, hi = backend.window.support(margin)
     n_candidates = backend.n * (max(hi, 0) + max(1 - lo, 0))
     particles = None if n_candidates <= 18 else 4
-    key = (margin, max_energy, particles)
+    key = (margin, max_energy, particles, cap)
     mons = backend.bases.get(key)
     if mons is None:
-        mons = backend.bases[key] = tuple(monomials_in_support(
-            backend, margin, max_energy, max_particles=particles))
-    return list(mons[:cap])
+        mons = backend.bases[key] = tuple(monomials_in_support(backend, margin, max_energy, particles, cap))
+    return list(mons)
 
 
 @dataclass
@@ -571,18 +633,33 @@ def clifford_check(backend: OrthonormalBackend, tol: float, max_energy: int = 3)
     modes = sorted(modes, key=lambda m: (abs(m[1]), m[1], m[0]))[:24]
     err = 0.0
     for mono in basis:
-        eps_v = [eps_monomial(n, m2, mono) for m2 in modes]
-        for m1, e1 in zip(modes, eps_v):
-            i1 = iota_monomial(n, m1, mono)
+        eps_v = [eps_monomial(n, m, mono) for m in modes]
+        iota_v = [iota_monomial(n, m, mono) for m in modes]
+        for m1, e1, i1 in zip(modes, eps_v, iota_v):
             for square in (_then(n, eps_monomial, m1, e1), _then(n, iota_monomial, m1, i1)):
                 if square:
                     err = max(err, abs(square[0]))
             for m2, e2 in zip(modes, eps_v):
-                anti: Dict[SemiInfMonomial, int] = {mono: -1} if m1 == m2 else {}  # minus the expected
-                for hit in (_then(n, eps_monomial, m2, i1), _then(n, iota_monomial, m1, e2)):
+                # eps^{m2} iota_{m1} mono + iota_{m1} eps^{m2} mono - delta mono:
+                # coefficient ca at the first hit's monomial ma, cb at mb
+                ca = cb = 0
+                ma = mb = None
+                if i1:
+                    hit = eps_monomial(n, m2, i1[1])
                     if hit:
-                        anti[hit[1]] = anti.get(hit[1], 0) + hit[0]
-                err = max(err, max(map(abs, anti.values()), default=0))
+                        ca, ma = i1[0] * hit[0], hit[1]
+                if e2:
+                    hit = iota_monomial(n, m1, e2[1])
+                    if hit:
+                        cb, mb = e2[0] * hit[0], hit[1]
+                if m1 == m2:
+                    if ma == mono:
+                        ca -= 1
+                    elif mb == mono:
+                        cb -= 1
+                    else:
+                        err = max(err, 1)
+                err = max(err, abs(ca + cb) if ma == mb else max(abs(ca), abs(cb)))
     return IdentityVerdict("clifford_relations", window, err, err <= tol, vectors=len(basis))
 
 
@@ -604,23 +681,32 @@ def commutator_check(backend: OrthonormalBackend, tol: float, max_energy: int = 
         basis = check_basis(backend, margin + 1, max_energy, cap=300 if _small(backend) else 24)
         count += len(basis)
         for mono in basis:
-            v = {mono: 1.0 + 0j}
             gen_pairs = [(i, j) for i in range(n) for j in range(n)]
             if not _small(backend):
                 gen_pairs = gen_pairs[:: max(1, len(gen_pairs) // 12)]
             for i in sorted({i for i, _ in gen_pairs}):
-                L = partial(_L_monomial, backend, i, k)
-                Lv = L(mono)
+                Lv = _L_monomial(backend, i, k, mono)
                 for j in [jj for ii, jj in gen_pairs if ii == i]:
                     for m in modes:
-                        for act, rhs in (
-                            (apply_iota, [(-C[i, j, p], (p, m + k)) for p in range(n)]),
-                            (apply_eps, [(C[i, q, j], (q, m - k)) for q in range(n)]),
+                        for step, rhs in (
+                            (iota_monomial, [(-C[i, j, p], (p, m + k)) for p in range(n)]),
+                            (eps_monomial, [(C[i, q, j], (q, m - k)) for q in range(n)]),
                         ):
-                            lhs = _combine((1, act(backend, (j, m), Lv)),
-                                           (-1, _apply(L, act(backend, (j, m), v))))
-                            expected = _combine(*((cv, act(backend, mode, v))
-                                                  for cv, mode in rhs if abs(cv) > 1e-12))
+                            # lhs = step(L mono) - L(step mono), expected = sum cv step_mode(mono)
+                            lhs: FockVector = {}
+                            for m1, c1 in Lv.items():
+                                hit = step(n, (j, m), m1)
+                                if hit:
+                                    _accumulate(lhs, hit[1], hit[0] * c1)
+                            hit = step(n, (j, m), mono)
+                            if hit:
+                                for m2, c2 in _L_monomial(backend, i, k, hit[1]).items():
+                                    _accumulate(lhs, m2, -hit[0] * c2)
+                            expected: FockVector = {}
+                            for cv, mode in rhs:
+                                hit = step(n, mode, mono) if abs(cv) > 1e-12 else None
+                                if hit:
+                                    _accumulate(expected, hit[1], cv * hit[0])
                             err = max(err, _vector_error(lhs, expected))
     if not count:
         return _skip(backend, "mode_action_commutators", "no mode level m has m - k and m + k in the window")

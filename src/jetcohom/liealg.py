@@ -15,7 +15,7 @@ import hashlib
 import itertools
 import json
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
@@ -314,6 +314,9 @@ class AlgebraData:
     omega: Tuple[Tuple[int, int], ...]  # signed permutation: omega(b_i) = sign * b_j as (j, sign)
     weight_form: Tuple[Tuple[Fraction, ...], ...]  # <,> induced on weights, simple-root coords
     basis_weights: Tuple[Coords, ...]  # torus weight of each basis element
+    # memo of reptheory.weyl_dim: dominant weight -> dimension; each object
+    # (also one made by ``replace``) starts with its own empty dict
+    weyl_dims: Dict[FiniteWeight, int] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def bracket(self, i: int, j: int) -> Dict[int, int]:
         return self.structure[i].get(j, {})

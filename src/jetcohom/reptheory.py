@@ -80,8 +80,12 @@ def weyl_orbit(data: AlgebraData, w: Sequence[Fraction]) -> set[FiniteWeight]:
 
 
 def weyl_dim(data: AlgebraData, highest: Sequence[Fraction]) -> int:
-    """Weyl dimension formula for the dominant highest weight."""
+    """Weyl dimension formula for the dominant highest weight, memoised in
+    ``data.weyl_dims``."""
     lam = _as_weight(highest)
+    known = data.weyl_dims.get(lam)
+    if known is not None:
+        return known
     if not is_dominant(data, lam):
         raise ValueError(f"{lam} is not dominant")
     rs = data.rootSystem
@@ -96,6 +100,7 @@ def weyl_dim(data: AlgebraData, highest: Sequence[Fraction]) -> int:
     d = num / den
     if d.denominator != 1 or d <= 0:
         raise InvariantError(f"Weyl dimension {d} is not a positive integer")
+    data.weyl_dims[lam] = int(d)
     return int(d)
 
 

@@ -211,15 +211,25 @@ def test_cli_reports_a_missing_config_file_as_a_usage_error(tmp_path, capsys):
 
 
 def test_cli_reports_an_unwritable_output_as_a_usage_error(tmp_path, capsys):
+    # the path is checked before any cell is computed
     out = tmp_path / "no-such-dir" / "report.json"
+    cache = tmp_path / "cache"
+    cache.mkdir()
     code = main([
-        "compute", "--series", "A", "--rank", "1", "--max-degree", "1", "--max-energy", "2",
-        "--cache-dir", str(tmp_path / "cache"), "--output", str(out),
+        "compute", "--series", "A", "--rank", "1", "--max-degree", "2", "--max-energy", "3",
+        "--cache-dir", str(cache), "--output", str(out),
     ])
     assert code == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: cannot write the report") and captured.out == ""
-    assert not out.exists()
+    assert not out.exists() and list(cache.iterdir()) == []
+
+
+def test_verify_identities_without_numpy_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setitem(sys.modules, "numpy", None)  # import numpy now fails
+    assert main(["verify-identities", "--series", "A", "--rank", "1", "--kmin", "-1", "--kmax", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: verify-identities needs numpy") and captured.out == ""
 
 
 @pytest.mark.parametrize("flags", [["--kmin", "1", "--kmax", "3"], ["--guard", "-1"]])

@@ -17,7 +17,6 @@ from jetcohom.cochain import (
     eigenvalue_of,
     harmonic_space,
     isotypic_eigen_check,
-    laplacian_scalar,
     wedge_gram,
 )
 from jetcohom.liealg import AlgebraSpec, build_algebra, casimir_eigenvalue, orthogonal_cartan
@@ -184,7 +183,6 @@ def test_eigenvalue_examples(a1):
     val = eigenvalue_of(a1, (F(-1),), 2)
     # -<rho,-theta> + ||theta||^2/2 - 2c = 1 + 1 - 4, strictly nonzero
     assert val == -2
-    assert laplacian_scalar(a1, (F(-1),), 2) == 2
     with pytest.raises(ValueError):
         eigenvalue_of(a1, (F(1),), 1)
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -402,3 +404,91 @@ def test_column_checks_match_dense_products(backend):
     assert np.max(np.abs((D @ DS + DS @ D - dense(lap_cols))[:, at])) <= 1e-14
     want = float(np.max(np.abs((D @ DS + DS @ D - dense(closed_cols))[:, at])))
     assert abs(laplacian_formula_check(backend, TOL).max_abs_error - want) <= 1e-14
+
+
+@pytest.fixture(scope="module")
+def backend_a2_m1_2(a2):
+    return OrthonormalBackend(a2, EnergyWindow(-1, 2, 1))
+
+
+def _two_step_L_column(backend, i, k, mono):
+    """Reference: L_{i,k} on one monomial as two single-mode steps per (s, p, q)
+    through ``eps_monomial`` and ``iota_monomial``, in the kernel's loop order."""
+    n, window = backend.n, backend.window
+    out = {}
+    for s in range(max(window.kMin, window.kMin + k), min(window.kMax, window.kMax + k) + 1):
+        for p, q, cval in backend.pairs[i]:
+            if s <= 0:
+                first = eps_monomial(n, (q, s - k), mono)
+                second = first and iota_monomial(n, (p, s), first[1])
+                if second:
+                    fock._accumulate(out, second[1], cval * first[0] * second[0])
+            else:
+                first = iota_monomial(n, (p, s), mono)
+                second = first and eps_monomial(n, (q, s - k), first[1])
+                if second:
+                    fock._accumulate(out, second[1], -cval * first[0] * second[0])
+    return out
+
+
+@pytest.mark.parametrize("which, max_energy", [
+    ("backend", 5),   # A1 [-2,3]: margin 0, every monomial of energy <= 5
+    ("backend_a2_m1_2", 1),   # A2 [-1,2]: margin 0, energy <= 1
+], ids=["a1_m2_3", "a2_m1_2"])
+def test_inline_L_columns_equal_the_two_step_reference(request, which, max_energy):
+    b = request.getfixturevalue(which)
+    kernel = _L_monomial.__wrapped__  # unmemoised
+    mons = monomials_in_support(b, 0, max_energy)
+    assert len(mons) > 4000
+    for mono in mons:
+        for i in range(b.n):
+            for k in range(-2, 3):
+                # equal values in the same order: later sums see the same terms
+                assert list(kernel(b, i, k, mono).items()) == list(_two_step_L_column(b, i, k, mono).items())
+
+
+def _sorted_enumeration(b, margin, max_energy):
+    """Reference: every monomial in the margin-shrunk window under the energy
+    cap (and the particle cap ``check_basis`` applies), fully sorted by
+    (energy, label)."""
+    lo, hi = b.window.support(margin)
+    modes = [(i, k) for k in (*range(lo, 1), *range(1, hi + 1)) for i in range(b.n)]
+    sizes = range(len(modes) + 1) if len(modes) <= 18 else range(5)
+    keyed = []
+    for size in sizes:
+        for chosen in itertools.combinations(modes, size):
+            added = [m for m in chosen if m[1] >= 1]
+            removed = [m for m in chosen if m[1] <= 0]
+            e = sum(k for _i, k in added) - sum(k for _i, k in removed)
+            if max_energy is None or e <= max_energy:
+                mono = encode_monomial(b.n, added, removed)
+                label = "(+{} | -{})".format(*(" ".join(f"e[{i},{k}]" for i, k in side) or "-"
+                                               for side in decode_monomial(b.n, mono)))
+                keyed.append(((e, label), mono))
+    keyed.sort(key=lambda km: km[0])
+    return [m for _key, m in keyed]
+
+
+@pytest.mark.parametrize("series, window", [
+    ("a1", EnergyWindow(-2, 3, 1)),
+    ("a2", EnergyWindow(-1, 2, 1)),
+    ("a1", EnergyWindow(-3, 3, 2)),
+], ids=["a1_m2_3_g1", "a2_m1_2_g1", "a1_m3_3_g2"])
+def test_capped_quantifier_sets_are_prefixes_of_the_sorted_enumeration(request, monkeypatch, series, window):
+    data = request.getfixturevalue(series)
+    used = set()
+
+    def spy(b, margin, max_energy, cap=None):
+        used.add((margin, max_energy, cap))
+        return check_basis(b, margin, max_energy, cap)
+
+    monkeypatch.setattr(fock, "check_basis", spy)
+    verify_identity_suite(data, window, TOL)
+    b = OrthonormalBackend(data, window)
+    full = {key: _sorted_enumeration(b, *key) for key in {(margin, e) for margin, e, _cap in used}}
+    truncated = 0
+    for margin, max_energy, cap in used:
+        want = full[margin, max_energy][:cap]
+        assert check_basis(b, margin, max_energy, cap) == want, (margin, max_energy, cap)
+        truncated += len(want) < len(full[margin, max_energy])
+    assert len(used) >= 6 and truncated

@@ -1,8 +1,10 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 from jetcohom.cochain import build_basis, harmonic_space
+from jetcohom.liealg import AlgebraSpec, build_algebra
 from jetcohom.reptheory import (
     DecompositionError,
     IrrepSummand,
@@ -117,3 +119,14 @@ def test_multiplicity_one_audit_cases(a1_report, a2_report):
     clash = IrrepSummand((F(-1),), 1, 3)
     bad = multiplicity_one_audit([(("x", 0), [clash]), (("y", 1), [clash])])
     assert not bad.passed and bad.violations == [((F(-1),), 2)]
+
+
+def test_weyl_dim_is_memoised_on_its_algebra():
+    data = build_algebra(AlgebraSpec("A", 2))
+    assert weyl_dim(data, (F(2), F(2))) == 27
+    assert data.weyl_dims[(F(2), F(2))] == 27
+    data.weyl_dims[(F(2), F(2))] = 26  # a memo hit returns the stored value
+    assert weyl_dim(data, (F(2), F(2))) == 26
+    # another algebra object, also one made by replace, has its own memo
+    assert weyl_dim(replace(data), (F(2), F(2))) == 27
+    assert weyl_dim(build_algebra(AlgebraSpec("A", 2)), (F(2), F(2))) == 27
