@@ -3,7 +3,7 @@
 Submodules: the simple Lie algebra core (`liealg`), affine Weyl
 combinatorics and the predicted harmonic decomposition (`affine`), the
 exact graded cochain pipeline (`cochain`), character arithmetic
-(`reptheory`), the windowed semi-infinite form model used as a numerical
+(`reptheory`), the windowed semi-infinite form model used as an exact
 identity harness (`fock`), and the batch front door (`cli`, `report`,
 `cache`).
 
@@ -23,7 +23,6 @@ from .affine import (
     rho_hat,
     minimal_coset_reps,
     predict_cohomology,
-    zero_locus_brute_force,
 )
 from .cochain import (
     CochainBasis,
@@ -51,7 +50,6 @@ __all__ = [
     "AlgebraSpec", "AlgebraData", "InvariantError", "build_algebra", "scaled_form", "casimir_eigenvalue",
     "AffineWeight", "AffineRoot", "AffineWeylElement", "AffineWeylGroup", "PredictedIrrep",
     "affine_pairing", "rho_hat", "minimal_coset_reps", "predict_cohomology",
-    "zero_locus_brute_force",
     "CochainBasis", "GradedComplexBlock", "HarmonicSpace", "CellComplex",
     "build_basis", "differential_block", "eigenvalue_of",
     "harmonic_space", "isotypic_eigen_check",

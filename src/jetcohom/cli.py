@@ -5,9 +5,11 @@ Flags mirror the run configuration; an optional key=value config file
 directory may also come from the JETCOHOM_CACHE_DIR environment variable.
 
 Exit codes: 0 all verdicts pass; 1 usage or configuration error (also an
-unwritable --output, checked before computing, and verify-identities
-without numpy); 2 a mismatch between computed and predicted cohomology
-(or a failed exact check); 3 an identity-suite failure.
+unwritable --output, checked before computing); 2 a mismatch between
+computed and predicted cohomology (or a failed exact check); 3 an
+identity-suite failure.  ``--tolerance`` is accepted and validated for
+existing configurations, but the identity suite is exact and does not
+read it.
 """
 
 from __future__ import annotations
@@ -81,7 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--kmin", type=int, dest="kMin")
             p.add_argument("--kmax", type=int, dest="kMax")
             p.add_argument("--guard", type=int)
-            p.add_argument("--tolerance", type=float)
+            p.add_argument("--tolerance", type=float,
+                           help="accepted and validated; not read, as the identity suite is exact")
 
     common(sub.add_parser("compute", help="build cells, harmonic spaces and cross-check predictions"))
     common(sub.add_parser("predict", help="affine-Weyl prediction only, no complexes"))
@@ -144,12 +147,6 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ModuleNotFoundError as exc:
-        if exc.name != "numpy":
-            raise
-        print(f"error: {args.command} needs numpy, which is not installed "
-              f"(pip install 'jetcohom[identities]'): {exc}", file=sys.stderr)
-        return 1
 
     text = serialize_report(report, config.outputFormat)
     if output:

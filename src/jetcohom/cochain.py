@@ -148,13 +148,6 @@ class GradedComplexBlock:
     def shape(self) -> Tuple[int, int]:
         return (len(self.basisOut), len(self.basisIn))
 
-    def dense(self) -> List[List[Fraction]]:
-        rows, cols = self.shape
-        out = xl.zeros(rows, cols)
-        for (r, c), v in self.dMatrix.items():
-            out[r][c] = Fraction(v)
-        return out
-
 
 def differential_block(data: AlgebraData, p: int, k: int) -> GradedComplexBlock:
     """Chevalley-Eilenberg differential A^p(k) -> A^{p+1}(k), exact integers."""

@@ -9,9 +9,9 @@ int matrix only for an elimination, one torus-weight block at a time: the
 ranks of d and the kernel of the Laplacian, which the scales do not
 change.  Kernel vectors come back as ``Fraction`` lists of primitive
 integers.  ``invert`` serves the small per-algebra matrices (the inverse
-Gram of the Casimir).  ``matmul``, ``mat_add``, ``scale``, ``identity``,
-``is_zero_matrix`` and ``det`` are test oracles; the program does not
-call them.
+Gram of the Casimir).  ``matmul``, ``mat_add``, ``is_zero_matrix`` and
+``det`` are test oracles that the program does not call; they stay here
+while the benchmark tracer (``perfbench/tracing.py``) wraps them.
 """
 
 from __future__ import annotations
@@ -21,17 +21,6 @@ from math import gcd, lcm
 from typing import List, Sequence, Tuple
 
 Matrix = List[List[Fraction]]
-
-
-def zeros(rows: int, cols: int) -> Matrix:
-    return [[Fraction(0)] * cols for _ in range(rows)]
-
-
-def identity(k: int) -> Matrix:
-    out = zeros(k, k)
-    for i in range(k):
-        out[i][i] = Fraction(1)
-    return out
 
 
 def matmul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
@@ -53,10 +42,6 @@ def matmul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
 
 def mat_add(a, b) -> Matrix:
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def scale(a, s) -> Matrix:
-    return [[x * s for x in row] for row in a]
 
 
 def clear_denominators(a: Sequence[Sequence[Fraction]]) -> Tuple[List[List[int]], int]:

@@ -1,4 +1,4 @@
-"""Windowed semi-infinite forms and the operator identity suite.
+"""Windowed semi-infinite forms and the exact operator identity suite.
 
 A semi-infinite monomial is a wedge of dual modes e^{i,k} that agrees
 with the standard vacuum tail for k << 0; it is encoded by the finitely
@@ -18,22 +18,27 @@ operations, and monomials hash as tuples of ints.  ``encode_monomial``
 and ``decode_monomial`` convert between masks and mode tuples, and
 ``energy`` and ``degree_offset`` read the masks.
 
-The backend works over a complex basis of the algebra that is
-orthonormal simultaneously for the scaled Killing form and for the
-compact-involution metric: Gram-Schmidt is applied to the hermGram
-within each eigenspace of the involution and the fixed-space vectors are
-multiplied by i.  In this basis the structure constants are totally
-antisymmetric (and purely imaginary), which is exactly the setting in
-which the closed-form operator identities hold with delta_ij weights.
-numpy is imported only in ``OrthonormalBackend.__init__``, which builds
-this frame, so importing the module (as the exact route does) loads the
-standard library alone.
+The backend works in the basis of ``liealg.orthogonal_cartan``, the one
+the exact core uses.  There the structure constants f_{iq}^p are
+rationals with small denominators, and the invariant form G = ``gram``
+(the Killing form over 2c) and G^-1 have one nonzero entry per row:
+e_alpha pairs with f_alpha and each Cartan vector with itself.  f, G and
+G^-1 are scaled to ints once per algebra, by the lcms s, g and e of their
+denominators, and every operator column is an int dict over one positive
+int scale per operator: L_{i,k} over s, d and dtilde over 2s, dtilde*
+over 2se.  Each check multiplies its identity through by the scales and
+compares ints, so a pass means lhs == rhs exactly; the reported error is
+the exact largest |lhs - rhs| (a ``Fraction``).
 
-The adjoint of the twisted differential is the transpose of its matrix
-over the monomial basis: the basis is orthonormal for the complex
-bilinear pairing, and conjugating as well would flip the sign of the
-closed-form Laplacian.  Operator form: dtilde* = -1/2 sum s_k iota_{i,k}
-L_{i,-k}, which a dedicated check compares against the matrix transpose.
+The closed forms carry the metric where an orthonormal frame has
+delta_ij (c is the Coxeter number): d^2 = sum_{k>0} sum_{a,b} 2ck G_ab
+eps^{a,k} eps^{b,-k}; the cocycle is 2ck G_ij; dtilde* = -1/2 sum_k s_k
+sum_{i,b} (G^-1)_{ib} iota_{b,k} L_{i,-k}; the zero-mode term of the
+Laplacian is 1/2 sum_{i,j} (G^-1)_{ij} L_{i,0} L_{j,0}.  dtilde* is the
+adjoint of dtilde under the Fock pairing fixed by <Omega, Omega> = 1,
+(eps^{a,k})^T = sum_b (G^-1)_{ab} iota_{b,k} and (iota_{a,k})^T = sum_b
+G_ab eps^{b,k}, under which each monomial pairs with exactly one partner
+monomial (``_pairing``).
 
 All identity checks quantify over explicit finite sets of monomials whose
 support keeps enough margin from the window edge that truncation is
@@ -43,7 +48,7 @@ vacuum, never a silent pass.
 
 A backend is one algebra on one energy window, so no operator, check or
 enumeration takes a window of its own.  Every operator is a column
-function (one monomial to a sparse vector); ``_apply`` takes it to a
+function (one monomial to a sparse int vector); ``_apply`` takes it to a
 vector, and ``_combine`` forms each lhs - rhs.  The columns of L_{i,k},
 d or dtilde and dtilde* are memoised on the backend, one dict per
 operator (read-only).  ``_L_monomial``, under all of them, does its two
@@ -55,27 +60,29 @@ order, only up to the shell that reaches their cap, and are memoised on
 the backend keyed by margin, energy cap, particle cap and cap.
 ``verify_identity_suite`` builds one backend per call, so the memo lives
 as long as one suite run.  The matrix identities (d^2, the Laplacian,
-the transpose of dtilde) are checked column by column from these
-columns; no dense matrix is formed.
+the adjoint of dtilde) are checked column by column from these columns;
+no dense matrix is formed.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import partial, wraps
+from math import lcm
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 from .cochain import InvariantError, differential_block
-from .liealg import AlgebraData
+from .liealg import AlgebraData, orthogonal_cartan
 
 ModeIndex = Tuple[int, int]  # (i, k): basis index, Fourier degree
 Mode = ModeIndex
 SemiInfMonomial = Tuple[int, int]  # (added, removed) bitmasks
-FockVector = Dict[SemiInfMonomial, complex]
-Column = Callable[[SemiInfMonomial], Mapping[SemiInfMonomial, complex]]
+FockVector = Dict[SemiInfMonomial, int]  # int coefficients over the operator's scale
+Column = Callable[[SemiInfMonomial], Mapping[SemiInfMonomial, int]]
 
 
 class WindowViolation(ValueError):
@@ -197,15 +204,15 @@ def _then(n: int, step, mode: Mode, hit: Tuple[int, SemiInfMonomial] | None
     return hit[0] * back[0], back[1]
 
 
-def _accumulate(out: FockVector, mono: SemiInfMonomial, coeff: complex):
-    new = out.get(mono, 0j) + coeff
-    if abs(new) < 1e-14:
-        out.pop(mono, None)
+def _accumulate(out: Dict, key, coeff: int):
+    new = out.get(key, 0) + coeff
+    if new:
+        out[key] = new
     else:
-        out[mono] = new
+        out.pop(key, None)
 
 
-def _apply(column: Column, v: Mapping[SemiInfMonomial, complex]) -> FockVector:
+def _apply(column: Column, v: Mapping[SemiInfMonomial, int]) -> FockVector:
     """sum_m v[m] * column(m): an operator, given by its columns, on a vector."""
     out: FockVector = {}
     for mono, coeff in v.items():
@@ -214,7 +221,7 @@ def _apply(column: Column, v: Mapping[SemiInfMonomial, complex]) -> FockVector:
     return out
 
 
-def _combine(*terms: Tuple[complex, Mapping[SemiInfMonomial, complex]]) -> FockVector:
+def _combine(*terms: Tuple[int, Mapping[SemiInfMonomial, int]]) -> FockVector:
     """sum coeff * vec over the (coeff, vec) terms."""
     out: FockVector = {}
     for coeff, vec in terms:
@@ -224,85 +231,42 @@ def _combine(*terms: Tuple[complex, Mapping[SemiInfMonomial, complex]]) -> FockV
 
 
 class OrthonormalBackend:
-    """Complex orthonormal basis and structure constants for one algebra,
-    and the memoised operators on one energy window."""
+    """One algebra in the basis of ``orthogonal_cartan``, its structure
+    constants and invariant form scaled to ints, and the memoised
+    operators on one energy window.
+
+    ``f[i][q]`` maps p to s*f_{iq}^p and ``pairs[i]`` lists (p, q, s*f_{iq}^p),
+    with s = ``scale``.  ``gram[a]`` is (b, g*G_ab) for the one b with
+    G_ab != 0, g = ``gram_scale``; ``gram_inv[a]`` is (b, e*(G^-1)_ab) for
+    the same b, e = ``gram_inv_scale``."""
 
     def __init__(self, data: AlgebraData, window: EnergyWindow):
-        import numpy as np
-
-        self.data = data
+        self.data = orthogonal_cartan(data)
         self.window = window
-        n = data.dim
-        self.n = n
+        n = self.n = data.dim
         self.coxeter = data.coxeter
-        H = np.array([[float(x) for x in row] for row in data.hermGram])
-        G = np.array([[float(x) for x in row] for row in data.gram])
-        r = data.rank
-        m = (n - r) // 2
-
-        def unit(j):
-            v = np.zeros(n)
-            v[j] = 1.0
-            return v
-
-        minus = [unit(i) for i in range(r)]
-        minus += [unit(r + j) + unit(r + m + j) for j in range(m)]
-        plus = [unit(r + j) - unit(r + m + j) for j in range(m)]
-
-        cols = []
-        for block, phase in ((minus, 1.0), (plus, 1j)):
-            ortho: List[np.ndarray] = []
-            for v in block:
-                w = v.astype(float)
-                for u in ortho:
-                    w = w - (u @ H @ w) * u
-                w = w / np.sqrt(w @ H @ w)
-                ortho.append(w)
-            cols.extend(phase * w for w in ortho)
-        B = np.array(cols, dtype=complex).T  # columns are basis vectors
-        self.basis_matrix = B
-        self.basis_matrix_inv = np.linalg.inv(B)
-
-        if np.max(np.abs(B.T @ G @ B - np.eye(n))) >= 1e-10:
-            raise InvariantError("orthonormal basis is not orthonormal for the bilinear form")
-        if np.max(np.abs(B.conj().T @ H @ B - np.eye(n))) >= 1e-10:
-            raise InvariantError("orthonormal basis is not orthonormal for the hermitian form")
-
-        ad = [np.array(data.ad_matrix(i), dtype=float) for i in range(n)]
-
-        def bracket(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-            return sum(x[i] * (ad[i] @ y) for i in range(n))
-
-        C = np.zeros((n, n, n), dtype=complex)  # [a_i, a_q] = sum_p C[i,q,p] a_p
-        for i in range(n):
-            for q in range(n):
-                C[i, q] = self.basis_matrix_inv @ bracket(B[:, i], B[:, q])
-        self.C = C
-        for perm_err in (
-            np.max(np.abs(C + C.transpose(1, 0, 2))),
-            np.max(np.abs(C + C.transpose(2, 1, 0))),
-        ):
-            if perm_err >= 1e-9:
-                raise InvariantError("structure constants are not totally antisymmetric")
-        trace = np.einsum("inq,jqn->ij", C, C)
-        if np.max(np.abs(trace - 2 * self.coxeter * np.eye(n))) >= 1e-8:
-            raise InvariantError("trace identity C_inq C_jqn = 2c delta_ij fails")
-
-        self.pairs: List[List[Tuple[int, int, complex]]] = []
-        for i in range(n):
-            lst = [
-                (p, q, C[i, q, p])
-                for q in range(n)
-                for p in range(n)
-                if abs(C[i, q, p]) > 1e-12
-            ]
-            self.pairs.append(lst)
+        structure = self.data.structure
+        s = self.scale = lcm(*(c.denominator for row in structure for col in row.values() for c in col.values()))
+        self.f = tuple({q: {p: c.numerator * (s // c.denominator) for p, c in col.items()} for q, col in row.items()}
+                       for row in structure)
+        self.pairs = [[(p, q, c) for q in range(n) for p, c in self.f[i].get(q, {}).items()] for i in range(n)]
+        partners = []
+        for row in self.data.gram:
+            nonzero = [b for b, x in enumerate(row) if x]
+            if len(nonzero) != 1:
+                raise InvariantError("the invariant form pairs a basis vector with more than one partner")
+            partners.append(nonzero[0])
+        form = [Fraction(row[b]) for row, b in zip(self.data.gram, partners)]
+        inv = [1 / x for x in form]  # G is symmetric, so (G^-1)_{ab} = 1 / G_ab for the partner b of a
+        g, e = self.gram_scale, self.gram_inv_scale = [lcm(*(x.denominator for x in xs)) for xs in (form, inv)]
+        self.gram = [(b, x.numerator * (g // x.denominator)) for b, x in zip(partners, form)]
+        self.gram_inv = [(b, x.numerator * (e // x.denominator)) for b, x in zip(partners, inv)]
         # operator name -> {(*params, monomial): read-only column}
-        self.columns: Dict[str, Dict[tuple, Mapping[SemiInfMonomial, complex]]] = defaultdict(dict)
+        self.columns: Dict[str, Dict[tuple, Mapping[SemiInfMonomial, int]]] = defaultdict(dict)
         self.bases: Dict[Tuple[int, int | None, int | None, int | None], Tuple[SemiInfMonomial, ...]] = {}
 
 
-_EMPTY: Mapping[SemiInfMonomial, complex] = MappingProxyType({})
+_EMPTY: Mapping[SemiInfMonomial, int] = MappingProxyType({})
 
 
 def _memo_column(fn):
@@ -324,7 +288,7 @@ def _memo_column(fn):
 
 
 def vacuum() -> FockVector:
-    return {VACUUM: 1.0 + 0j}
+    return {VACUUM: 1}
 
 
 def _apply_mode(step, backend: OrthonormalBackend, mode: Mode, v: FockVector) -> FockVector:
@@ -347,11 +311,19 @@ def apply_iota(backend: OrthonormalBackend, mode: Mode, v: FockVector) -> FockVe
     return _apply_mode(iota_monomial, backend, mode, v)
 
 
+def _eps_wedge(backend: OrthonormalBackend, modes: Sequence[Mode], v: FockVector) -> FockVector:
+    """eps^{m_1} ... eps^{m_p} v for modes ascending by (k, i)."""
+    for mode in reversed(modes):
+        v = apply_eps(backend, mode, v)
+    return v
+
+
 @_memo_column
 def _L_monomial(backend: OrthonormalBackend, i: int, k: int, mono: SemiInfMonomial) -> FockVector:
-    """L_{i,k} = sum_s C_{iq}^p :iota_{p,s} eps^{q,s-k}: with both modes in
-    the window; normal ordering puts iota first for s <= 0 and -eps iota
-    for s > 0 (operator products act right to left).
+    """L_{i,k} = sum_s f_{iq}^p :iota_{p,s} eps^{q,s-k}: with both modes in
+    the window, over the scale s of the structure constants; normal
+    ordering puts iota first for s <= 0 and -eps iota for s > 0 (operator
+    products act right to left).
 
     The two single-mode steps are ``eps_monomial`` and ``iota_monomial``
     written out on the masks: a step on added bit b has the sign of the
@@ -371,7 +343,7 @@ def _L_monomial(backend: OrthonormalBackend, i: int, k: int, mono: SemiInfMonomi
         eps_added = t >= 1  # the eps mode (q, t) sits on the added side
         eps_base = (t - 1) * n if eps_added else -t * n + n - 1  # its bit: base + q, or base - q
         if s <= 0:
-            # eps^{q,t} first, then iota_{p,s} on the removed side, coefficient +C
+            # eps^{q,t} first, then iota_{p,s} on the removed side, coefficient +f
             if not eps_added and not removed >> -t * n & full:
                 continue
             iota_base = -s * n + n - 1
@@ -393,13 +365,13 @@ def _L_monomial(backend: OrthonormalBackend, i: int, k: int, mono: SemiInfMonomi
                     continue
                 parity += b - (r1 & (1 << b) - 1).bit_count()
                 target = (a1, r1 | 1 << b)
-                new = out.get(target, 0j) + (-cval if parity & 1 else cval)
-                if abs(new) < 1e-14:
-                    out.pop(target, None)
-                else:
+                new = out.get(target, 0) + (-cval if parity & 1 else cval)
+                if new:
                     out[target] = new
+                else:
+                    del out[target]
         else:
-            # iota_{p,s} first on the added side, then eps^{q,t}, coefficient -C
+            # iota_{p,s} first on the added side, then eps^{q,t}, coefficient -f
             iota_base = (s - 1) * n
             if not added >> iota_base & full:
                 continue
@@ -421,11 +393,11 @@ def _L_monomial(backend: OrthonormalBackend, i: int, k: int, mono: SemiInfMonomi
                         continue
                     parity += n_added - 1 + b - (removed & (1 << b) - 1).bit_count()
                     target = (a1, removed ^ 1 << b)
-                new = out.get(target, 0j) + (cval if parity & 1 else -cval)
-                if abs(new) < 1e-14:
-                    out.pop(target, None)
-                else:
+                new = out.get(target, 0) + (cval if parity & 1 else -cval)
+                if new:
                     out[target] = new
+                else:
+                    del out[target]
     return out
 
 
@@ -442,54 +414,80 @@ def _require_guarded(backend: OrthonormalBackend, v: FockVector, margin: int, wh
 
 
 def apply_L(backend: OrthonormalBackend, i: int, k: int, v: FockVector) -> FockVector:
-    """Coadjoint-type mode action; the input must keep margin |k| from the
-    window edge so that the truncated mode sum is exact."""
+    """Coadjoint-type mode action, times ``backend.scale``; the input must
+    keep margin |k| from the window edge so that the truncated mode sum is
+    exact."""
     _require_guarded(backend, v, abs(k), f"L_({i},{k})")
     return _apply(partial(_L_monomial, backend, i, k), v)
 
 
 @_memo_column
 def _d_monomial(backend: OrthonormalBackend, twisted: bool, mono: SemiInfMonomial) -> FockVector:
-    """d (or dtilde if ``twisted``) of one monomial."""
+    """d (or dtilde if ``twisted``) of one monomial, over 2s."""
     n = backend.n
     out: FockVector = {}
     for k in range(backend.window.kMin, backend.window.kMax + 1):
-        sk = -1.0 if twisted and k <= 0 else 1.0
+        sk = -1 if twisted and k <= 0 else 1
         for i in range(n):
             headstart = eps_monomial(n, (i, k), mono)
             if headstart is None:
                 continue
             sgn, inner = headstart
             for m2, c2 in _L_monomial(backend, i, k, inner).items():
-                _accumulate(out, m2, 0.5 * sk * sgn * c2)
+                _accumulate(out, m2, sk * sgn * c2)
     return out
 
 
 def apply_d(backend: OrthonormalBackend, v: FockVector) -> FockVector:
-    """d = 1/2 sum_{i,k} L_{i,k} eps^{i,k}, windowed."""
+    """d = 1/2 sum_{i,k} L_{i,k} eps^{i,k}, windowed, times 2s."""
     return _apply(partial(_d_monomial, backend, False), v)
 
 
 def apply_d_twisted(backend: OrthonormalBackend, v: FockVector) -> FockVector:
-    """dtilde: the k <= 0 terms of d enter with a minus sign."""
+    """dtilde, times 2s: the k <= 0 terms of d enter with a minus sign."""
     return _apply(partial(_d_monomial, backend, True), v)
 
 
 @_memo_column
 def _dstar_monomial(backend: OrthonormalBackend, mono: SemiInfMonomial) -> FockVector:
-    """dtilde* = -1/2 sum_{i,k} s_k iota_{i,k} L_{i,-k}: transpose of dtilde
-    over the bilinear-orthonormal monomial basis."""
+    """dtilde* = -1/2 sum_k s_k sum_{i,b} (G^-1)_{ib} iota_{b,k} L_{i,-k},
+    over 2se: the adjoint of dtilde under the Fock pairing."""
     n = backend.n
     out: FockVector = {}
     for k in range(backend.window.kMin, backend.window.kMax + 1):
-        sk = 1.0 if k > 0 else -1.0
-        for i in range(n):
+        sk = 1 if k > 0 else -1
+        for i, (b, x) in enumerate(backend.gram_inv):
             for m1, c1 in _L_monomial(backend, i, -k, mono).items():
-                hit = iota_monomial(n, (i, k), m1)
+                hit = iota_monomial(n, (b, k), m1)
                 if hit is None:
                     continue
-                _accumulate(out, hit[1], -0.5 * sk * c1 * hit[0])
+                _accumulate(out, hit[1], -sk * x * c1 * hit[0])
     return out
+
+
+def _pairing(backend: OrthonormalBackend, mono: SemiInfMonomial) -> Tuple[int, int, SemiInfMonomial]:
+    """(num, den, partner): ``mono`` pairs with ``partner`` alone, to num/den.
+
+    The partner carries the partner (b, k) of every mode (a, k).  Building
+    mono = sign * O_t ... O_1 Omega from the vacuum (iota for each removed
+    mode, then eps for each added one), <mono, y> = sign * <Omega, O_1^T
+    ... O_t^T y>, and the transposes take the partner to a multiple of
+    Omega."""
+    n = backend.n
+    added, removed = decode_monomial(n, mono)
+    steps = [(iota_monomial, eps_monomial, backend.gram, mode) for mode in removed]
+    steps += [(eps_monomial, iota_monomial, backend.gram_inv, mode) for mode in added]
+    num, built = 1, VACUUM
+    for step, _transpose, _form, mode in steps:
+        sign, built = step(n, mode, built)
+        num *= sign
+    partner = encode_monomial(n, *([(backend.gram[i][0], k) for i, k in side] for side in (added, removed)))
+    y = partner
+    for _step, transpose, form, (i, k) in reversed(steps):
+        b, x = form[i]
+        sign, y = transpose(n, (b, k), y)
+        num *= sign * x
+    return num, backend.gram_scale ** len(removed) * backend.gram_inv_scale ** len(added), partner
 
 
 def monomials_in_support(backend: OrthonormalBackend, margin: int,
@@ -584,7 +582,7 @@ def check_basis(backend: OrthonormalBackend, margin: int, max_energy: int | None
 class IdentityVerdict:
     identity: str
     window: EnergyWindow
-    max_abs_error: float | None
+    max_abs_error: Fraction | None
     passed: bool
     skipped: bool = False
     reason: str | None = None
@@ -606,6 +604,11 @@ class IdentityVerdict:
         }
 
 
+def _verdict(backend: OrthonormalBackend, name: str, err: Fraction, vectors: int) -> IdentityVerdict:
+    """The verdict of a check whose exact largest |lhs - rhs| is ``err``: a pass iff it is 0."""
+    return IdentityVerdict(name, backend.window, err, err == 0, vectors=vectors)
+
+
 def _skip(backend: OrthonormalBackend, name: str, reason: str) -> IdentityVerdict:
     return IdentityVerdict(name, backend.window, None, passed=False, skipped=True, reason=reason)
 
@@ -616,12 +619,11 @@ def _skip_vacuum_only(backend: OrthonormalBackend, name: str, margin: int) -> Id
     return _skip(backend, name, f"guarded support for margin {margin} holds only the vacuum")
 
 
-def _vector_error(a: Mapping[SemiInfMonomial, complex], b: Mapping[SemiInfMonomial, complex]) -> float:
-    keys = set(a) | set(b)
-    return max((abs(a.get(m, 0j) - b.get(m, 0j)) for m in keys), default=0.0)
+def _vector_error(a: Mapping[SemiInfMonomial, int], b: Mapping[SemiInfMonomial, int]) -> int:
+    return max((abs(a.get(m, 0) - b.get(m, 0)) for m in a.keys() | b.keys()), default=0)
 
 
-def clifford_check(backend: OrthonormalBackend, tol: float, max_energy: int = 3) -> IdentityVerdict:
+def clifford_check(backend: OrthonormalBackend, max_energy: int = 3) -> IdentityVerdict:
     """[iota, eps]+ = delta * delta, squares vanish, on windowed monomials."""
     n, window = backend.n, backend.window
     if not _small(backend):
@@ -631,7 +633,7 @@ def clifford_check(backend: OrthonormalBackend, tol: float, max_energy: int = 3)
         return _skip_vacuum_only(backend, "clifford_relations", window.guard)
     modes = [(i, k) for k in range(window.kMin, window.kMax + 1) for i in range(n)]
     modes = sorted(modes, key=lambda m: (abs(m[1]), m[1], m[0]))[:24]
-    err = 0.0
+    err = 0
     for mono in basis:
         eps_v = [eps_monomial(n, m, mono) for m in modes]
         iota_v = [iota_monomial(n, m, mono) for m in modes]
@@ -660,17 +662,17 @@ def clifford_check(backend: OrthonormalBackend, tol: float, max_energy: int = 3)
                     else:
                         err = max(err, 1)
                 err = max(err, abs(ca + cb) if ma == mb else max(abs(ca), abs(cb)))
-    return IdentityVerdict("clifford_relations", window, err, err <= tol, vectors=len(basis))
+    return _verdict(backend, "clifford_relations", Fraction(err), len(basis))
 
 
-def commutator_check(backend: OrthonormalBackend, tol: float, max_energy: int = 4) -> IdentityVerdict:
-    """[iota_{j,m}, L_{i,k}] = -sum_p C_{ij}^p iota_{p,m+k} and the
-    eps analogue [eps^{j,m}, L_{i,k}] = sum_q C_{iq}^j eps^{q,m-k}."""
+def commutator_check(backend: OrthonormalBackend, max_energy: int = 4) -> IdentityVerdict:
+    """[iota_{j,m}, L_{i,k}] = -sum_p f_{ij}^p iota_{p,m+k} and the
+    eps analogue [eps^{j,m}, L_{i,k}] = sum_q f_{iq}^j eps^{q,m-k}."""
     window = backend.window
     if window.guard < 1:
         return _skip(backend, "mode_action_commutators", "window guard < 1 (shift-1 operators)")
-    n, C = backend.n, backend.C
-    err = 0.0
+    n, f = backend.n, backend.f
+    err = 0
     count = 0
     for k in range(-window.guard, window.guard + 1):
         margin = max(abs(k), 1)
@@ -689,10 +691,10 @@ def commutator_check(backend: OrthonormalBackend, tol: float, max_energy: int = 
                 for j in [jj for ii, jj in gen_pairs if ii == i]:
                     for m in modes:
                         for step, rhs in (
-                            (iota_monomial, [(-C[i, j, p], (p, m + k)) for p in range(n)]),
-                            (eps_monomial, [(C[i, q, j], (q, m - k)) for q in range(n)]),
+                            (iota_monomial, [(-c, (p, m + k)) for p, c in f[i].get(j, {}).items()]),
+                            (eps_monomial, [(col[j], (q, m - k)) for q, col in f[i].items() if j in col]),
                         ):
-                            # lhs = step(L mono) - L(step mono), expected = sum cv step_mode(mono)
+                            # lhs = step(L mono) - L(step mono), expected = sum cv step_mode(mono), over s
                             lhs: FockVector = {}
                             for m1, c1 in Lv.items():
                                 hit = step(n, (j, m), m1)
@@ -704,70 +706,71 @@ def commutator_check(backend: OrthonormalBackend, tol: float, max_energy: int = 
                                     _accumulate(lhs, m2, -hit[0] * c2)
                             expected: FockVector = {}
                             for cv, mode in rhs:
-                                hit = step(n, mode, mono) if abs(cv) > 1e-12 else None
+                                hit = step(n, mode, mono)
                                 if hit:
                                     _accumulate(expected, hit[1], cv * hit[0])
                             err = max(err, _vector_error(lhs, expected))
     if not count:
         return _skip(backend, "mode_action_commutators", "no mode level m has m - k and m + k in the window")
-    return IdentityVerdict("mode_action_commutators", window, err, err <= tol, vectors=count)
+    return _verdict(backend, "mode_action_commutators", Fraction(err, backend.scale), count)
 
 
-def cocycle_check(backend: OrthonormalBackend, i: int, j: int, k: int, tol: float = 1e-9,
-                  max_energy: int = 3) -> Tuple[complex, IdentityVerdict]:
+def cocycle_check(backend: OrthonormalBackend, i: int, j: int, k: int,
+                  max_energy: int = 3) -> Tuple[Fraction, IdentityVerdict]:
     """Central scalar of [L_{i,k}, L_{j,-k}] - L([e_{i,k}, e_{j,-k}]).
 
-    Contract: 2c * k * delta_ij in the orthonormal backend.  Requires
-    window guard >= |k| (the product needs margin 2|k|, taken internally).
+    Contract: 2c * k * G_ij.  Requires window guard >= |k| (the product
+    needs margin 2|k|, taken internally).
     """
     name = f"cocycle_L({i},{k})_L({j},{-k})"
     window = backend.window
     if window.guard < abs(k):
-        return 0j, _skip(backend, name, f"window guard {window.guard} < |k| = {abs(k)}")
+        return Fraction(0), _skip(backend, name, f"window guard {window.guard} < |k| = {abs(k)}")
     margin = max(2 * abs(k), window.guard)
     lo, hi = window.support(margin)
     if lo > 0 or hi < 1:
-        return 0j, _skip(backend, name, "guarded support for margin 2|k| is empty")
+        return Fraction(0), _skip(backend, name, "guarded support for margin 2|k| is empty")
     basis = check_basis(backend, margin, max_energy, cap=400 if _small(backend) else 40)
     Li, Lj = partial(_L_monomial, backend, i, k), partial(_L_monomial, backend, j, -k)
 
-    diag: List[complex] = []
-    err = 0.0
-    expected = 2.0 * backend.coxeter * k * (1.0 if i == j else 0.0)
+    # both sides times g s^2: the commutator is over s^2, G_ij over g
+    g, s = backend.gram_scale, backend.scale
+    partner, g_ij = backend.gram[i]
+    expected = 2 * backend.coxeter * k * s * s * (g_ij if j == partner else 0)
+    diag: List[int] = []
+    err = 0
     for mono in basis:
         comm = _combine(
-            (1, _apply(Li, Lj(mono))),
-            (-1, _apply(Lj, Li(mono))),
-            *((-cv, _L_monomial(backend, p, 0, mono))
-              for p, cv in enumerate(backend.C[i, j]) if abs(cv) > 1e-12),
+            (g, _apply(Li, Lj(mono))),
+            (-g, _apply(Lj, Li(mono))),
+            *((-g * c, _L_monomial(backend, p, 0, mono)) for p, c in backend.f[i].get(j, {}).items()),
         )
-        diag.append(comm.get(mono, 0j))
-        err = max(err, _vector_error(comm, {mono: expected + 0j}))
-    measured = sum(diag) / len(diag) if diag else 0j
-    verdict = IdentityVerdict(name, window, err, err <= tol, vectors=len(basis))
-    return measured, verdict
+        diag.append(comm.get(mono, 0))
+        err = max(err, _vector_error(comm, {mono: expected}))
+    measured = Fraction(sum(diag), len(diag) * g * s * s)
+    return measured, _verdict(backend, name, Fraction(err, g * s * s), len(basis))
 
 
-def vacuum_checks(backend: OrthonormalBackend, tol: float) -> IdentityVerdict:
+def vacuum_checks(backend: OrthonormalBackend) -> IdentityVerdict:
     """iota_{i,k>0} Omega = 0, eps^{i,k<=0} Omega = 0, L_{i,k>=0} Omega = 0,
     d Omega = 0."""
     v = vacuum()
     window = backend.window
-    err = 0.0
+    s = backend.scale
+    found = []  # (a vector that must vanish, its scale)
     for k in range(window.kMin, window.kMax + 1):
         for i in range(backend.n):
             if k > 0:
-                err = max(err, _vector_error(apply_iota(backend, (i, k), v), {}))
-                err = max(err, _vector_error(_L_monomial(backend, i, k, VACUUM), {}))
+                found += [(apply_iota(backend, (i, k), v), 1), (_L_monomial(backend, i, k, VACUUM), s)]
             else:
-                err = max(err, _vector_error(apply_eps(backend, (i, k), v), {}))
-    err = max(err, _vector_error(_L_monomial(backend, 0, 0, VACUUM), {}))
-    err = max(err, _vector_error(apply_d(backend, v), {}))
-    err = max(err, _vector_error(apply_d_twisted(backend, v), {}))
-    return IdentityVerdict("vacuum_annihilation", window, err, err <= tol, vectors=1)
+                found.append((apply_eps(backend, (i, k), v), 1))
+    found += [(_L_monomial(backend, 0, 0, VACUUM), s), (apply_d(backend, v), 2 * s),
+              (apply_d_twisted(backend, v), 2 * s)]
+    err = max(Fraction(_vector_error(vec, {}), scale) for vec, scale in found)
+    return _verdict(backend, "vacuum_annihilation", err, 1)
 
 
-def energy_bookkeeping_check(backend: OrthonormalBackend, tol: float, max_energy: int = 4) -> IdentityVerdict:
+def energy_bookkeeping_check(backend: OrthonormalBackend, max_energy: int = 4) -> IdentityVerdict:
     """iota shifts energy by -k, eps by +k, L by -k, d and dtilde by 0."""
     n, window = backend.n, backend.window
     basis = check_basis(backend, max(window.guard, 1), max_energy, cap=1100 if _small(backend) else 40)
@@ -783,47 +786,46 @@ def energy_bookkeeping_check(backend: OrthonormalBackend, tol: float, max_energy
                 bad += sum(1 for m in _L_monomial(backend, i, k, mono) if energy(n, m) != e0 - k)
         for twisted in (False, True):
             bad += sum(1 for m in _d_monomial(backend, twisted, mono) if energy(n, m) != e0)
-    return IdentityVerdict("energy_bookkeeping", window, float(bad), bad == 0, vectors=len(basis))
+    return _verdict(backend, "energy_bookkeeping", Fraction(bad), len(basis))
 
 
-def l0_commutes_with_d_check(backend: OrthonormalBackend, tol: float, max_energy: int = 4) -> IdentityVerdict:
+def l0_commutes_with_d_check(backend: OrthonormalBackend, max_energy: int = 4) -> IdentityVerdict:
     if backend.window.guard < 1:
         return _skip(backend, "L0_commutes_with_d", "window guard < 1")
     basis = check_basis(backend, backend.window.guard, max_energy, cap=1100 if _small(backend) else 12)
     if basis == [VACUUM]:
         return _skip_vacuum_only(backend, "L0_commutes_with_d", backend.window.guard)
     d = partial(_d_monomial, backend, False)
-    err = 0.0
+    err = 0
     gens = range(backend.n) if _small(backend) else range(0, backend.n, max(1, backend.n // 4))
     for mono in basis:
         for i in gens:
             L0 = partial(_L_monomial, backend, i, 0)
             err = max(err, _vector_error(_apply(d, L0(mono)), _apply(L0, d(mono))))
-    return IdentityVerdict("L0_commutes_with_d", backend.window, err, err <= tol, vectors=len(basis))
+    return _verdict(backend, "L0_commutes_with_d", Fraction(err, 2 * backend.scale ** 2), len(basis))
 
 
-def _ambient_differential(backend: OrthonormalBackend, wedge: Tuple[Mode, ...]) -> Dict[Tuple[Mode, ...], complex]:
+def _ambient_differential(backend: OrthonormalBackend, wedge: Tuple[Mode, ...]) -> Dict[Tuple[Mode, ...], int]:
     """CE differential of a wedge of dual modes over the full mode algebra
-    (all window levels, negative included), as wedges sorted by mode order."""
+    (all window levels, negative included), as wedges sorted by mode
+    order, over the scale s of the structure constants."""
     n, window = backend.n, backend.window
-    out: Dict[Tuple[Mode, ...], complex] = {}
+    out: Dict[Tuple[Mode, ...], int] = {}
     for j, (m, l) in enumerate(wedge):
-        outer = -1.0 if j % 2 else 1.0
+        outer = -1 if j % 2 else 1
         rest = [x for t, x in enumerate(wedge) if t != j]
         for l1 in range(window.kMin, window.kMax + 1):
             l2 = l - l1
             if l2 < l1 or not window.contains(l2):
                 continue
             for p in range(n):
-                for q in range(n):
-                    if l1 == l2 and p >= q:
-                        continue
-                    cval = backend.C[p, q, m]
-                    if abs(cval) < 1e-12:
+                for q, col in backend.f[p].items():
+                    cval = col.get(m)
+                    if cval is None or (l1 == l2 and p >= q):
                         continue
                     # splice e^{p,l1} ^ e^{q,l2} in place of position j
                     new = list(rest)
-                    sign = 1.0
+                    sign = 1
                     ok = True
                     for mode in ((q, l2), (p, l1)):
                         mk = _mode_key(mode)
@@ -836,23 +838,18 @@ def _ambient_differential(backend: OrthonormalBackend, wedge: Tuple[Mode, ...]) 
                         if pos % 2:
                             sign = -sign
                         new.insert(pos, mode)
-                    if not ok:
-                        continue
-                    key = tuple(new)
-                    val = out.get(key, 0j) - outer * sign * cval
-                    if abs(val) < 1e-14:
-                        out.pop(key, None)
-                    else:
-                        out[key] = val
+                    if ok:
+                        _accumulate(out, tuple(new), -outer * sign * cval)
     return out
 
 
-def leibniz_check(backend: OrthonormalBackend, tol: float, seed: int = 11, trials: int = 12,
+def leibniz_check(backend: OrthonormalBackend, seed: int = 11, trials: int = 12,
                   max_energy: int = 4) -> IdentityVerdict:
     """d(alpha ^ omega) = d(alpha) ^ omega + (-1)^p alpha ^ d(omega) for
-    cochain wedges alpha and random guarded vectors omega; d(alpha) is the
-    full-algebra differential computed independently from the structure
-    constants (its negative-mode terms act on monomials with holes)."""
+    cochain wedges alpha and random guarded int vectors omega; d(alpha) is
+    the full-algebra differential computed independently from the
+    structure constants (its negative-mode terms act on monomials with
+    holes).  Both sides are compared times 2s, the scale of d."""
     window = backend.window
     if window.guard < 1:
         return _skip(backend, "leibniz_rule", "window guard < 1")
@@ -865,31 +862,27 @@ def leibniz_check(backend: OrthonormalBackend, tol: float, seed: int = 11, trial
     if not coch_modes:
         return _skip(backend, "leibniz_rule", f"no cochain mode: kMax - guard = {hi} < 1")
     basis = check_basis(backend, window.guard, max_energy, cap=700 if _small(backend) else 60)
-    err = 0.0
-
-    def eps_wedge(ws, vec):
-        for mode in reversed(ws):
-            vec = apply_eps(backend, mode, vec)
-        return vec
-
+    err = 0
     for _ in range(trials):
         p = rng.choice([1, 2])
         alpha = tuple(sorted(rng.sample(coch_modes, p), key=_mode_key))
         omega_mons = rng.sample(basis, min(3, len(basis)))
-        omega = {m: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for m in omega_mons}
+        omega = {m: rng.choice((-1, 1)) * rng.randint(1, 9) for m in omega_mons}
 
-        lhs = apply_d(backend, eps_wedge(alpha, omega))
+        lhs = apply_d(backend, _eps_wedge(backend, alpha, omega))
         rhs = _combine(
-            (-1.0 if p % 2 else 1.0, eps_wedge(alpha, apply_d(backend, omega))),
-            *((c, eps_wedge(dwedge, omega)) for dwedge, c in _ambient_differential(backend, alpha).items()),
+            (-1 if p % 2 else 1, _eps_wedge(backend, alpha, apply_d(backend, omega))),
+            *((2 * c, _eps_wedge(backend, dwedge, omega))
+              for dwedge, c in _ambient_differential(backend, alpha).items()),
         )
         err = max(err, _vector_error(lhs, rhs))
-    return IdentityVerdict("leibniz_rule", window, err, err <= tol, vectors=trials)
+    return _verdict(backend, "leibniz_rule", Fraction(err, 2 * backend.scale), trials)
 
 
-def d_squared_check(backend: OrthonormalBackend, tol: float, max_energy: int = 3) -> IdentityVerdict:
-    """d^2 = sum_{k>0,i} 2c k eps^{i,k} eps^{i,-k}, compared column by column:
-    d(d(c)) against the closed form on each guarded column c."""
+def d_squared_check(backend: OrthonormalBackend, max_energy: int = 3) -> IdentityVerdict:
+    """d^2 = sum_{k>0} sum_{a,b} 2ck G_ab eps^{a,k} eps^{b,-k}, compared
+    column by column, times 4s^2 g: d(d(c)) against the closed form on each
+    guarded column c."""
     window = backend.window
     if window.guard < 1:
         return _skip(backend, "d_squared_closed_form", "window guard < 1")
@@ -898,25 +891,25 @@ def d_squared_check(backend: OrthonormalBackend, tol: float, max_energy: int = 3
     cols = check_basis(backend, window.guard, max_energy, cap=600 if _small(backend) else 30)
     if cols == [VACUUM]:
         return _skip_vacuum_only(backend, "d_squared_closed_form", window.guard)
-    n = backend.n
+    n, s, g = backend.n, backend.scale, backend.gram_scale
     d = partial(_d_monomial, backend, False)
-    err = 0.0
+    err = 0
     for mono in cols:
         rhs: FockVector = {}
         for k in range(1, min(window.kMax, -window.kMin) + 1):
-            for i in range(n):
-                hit = _then(n, eps_monomial, (i, k), eps_monomial(n, (i, -k), mono))
+            for a, (b, x) in enumerate(backend.gram):
+                hit = _then(n, eps_monomial, (a, k), eps_monomial(n, (b, -k), mono))
                 if hit:
-                    _accumulate(rhs, hit[1], 2.0 * backend.coxeter * k * hit[0])
-        err = max(err, _vector_error(_apply(d, d(mono)), rhs))
-    return IdentityVerdict("d_squared_closed_form", window, err, err <= tol, vectors=len(cols))
+                    _accumulate(rhs, hit[1], 8 * s * s * backend.coxeter * k * x * hit[0])
+        err = max(err, _vector_error(_combine((g, _apply(d, d(mono)))), rhs))
+    return _verdict(backend, "d_squared_closed_form", Fraction(err, 4 * s * s * g), len(cols))
 
 
-def laplacian_formula_check(backend: OrthonormalBackend, tol: float, max_energy: int = 3) -> IdentityVerdict:
+def laplacian_formula_check(backend: OrthonormalBackend, max_energy: int = 3) -> IdentityVerdict:
     """[d, dtilde*]+ = -sum_{k>0} ck eps^{i,k} iota_{i,k}
-    - sum_{k<0} ck iota_{i,k} eps^{i,k} + 1/2 sum_i L_{i,0}^2, compared
-    column by column: d(dtilde* c) + dtilde*(d c) against the closed form on
-    each guarded column c."""
+    - sum_{k<0} ck iota_{i,k} eps^{i,k} + 1/2 sum_{i,j} (G^-1)_{ij} L_{i,0} L_{j,0},
+    compared column by column over 4s^2 e: d(dtilde* c) + dtilde*(d c)
+    against the closed form on each guarded column c."""
     window = backend.window
     if window.guard < 1:
         return _skip(backend, "laplacian_closed_form", "window guard < 1")
@@ -927,17 +920,19 @@ def laplacian_formula_check(backend: OrthonormalBackend, tol: float, max_energy:
         return _skip_vacuum_only(backend, "laplacian_closed_form", window.guard)
     d = partial(_d_monomial, backend, False)
     dstar = partial(_dstar_monomial, backend)
-    err = 0.0
+    err = 0
     for mono in cols:
         lhs = _combine((1, _apply(d, dstar(mono))), (1, _apply(dstar, d(mono))))
         err = max(err, _vector_error(lhs, _closed_form_monomial(backend, mono)))
-    return IdentityVerdict("laplacian_closed_form", window, err, err <= tol, vectors=len(cols))
+    return _verdict(backend, "laplacian_closed_form",
+                    Fraction(err, 4 * backend.scale ** 2 * backend.gram_inv_scale), len(cols))
 
 
 def _closed_form_monomial(backend: OrthonormalBackend, mono: SemiInfMonomial) -> FockVector:
-    n, window = backend.n, backend.window
+    """The closed form of [d, dtilde*]+ on one monomial, over 4s^2 e."""
+    n, window, s = backend.n, backend.window, backend.scale
     out: FockVector = {}
-    c = float(backend.coxeter)
+    number = 4 * s * s * backend.gram_inv_scale * backend.coxeter  # c, over 4s^2 e
     for k in range(window.kMin, window.kMax + 1):
         # eps^{i,k} iota_{i,k} for k > 0, iota_{i,k} eps^{i,k} for k < 0
         if k == 0:
@@ -946,30 +941,32 @@ def _closed_form_monomial(backend: OrthonormalBackend, mono: SemiInfMonomial) ->
         for i in range(n):
             hit = _then(n, outer, (i, k), inner(n, (i, k), mono))
             if hit:
-                _accumulate(out, hit[1], -c * k * hit[0])
-    for i in range(n):
-        for m1, c1 in _L_monomial(backend, i, 0, mono).items():
+                _accumulate(out, hit[1], -number * k * hit[0])
+    for i, (j, x) in enumerate(backend.gram_inv):
+        for m1, c1 in _L_monomial(backend, j, 0, mono).items():
             for m2, c2 in _L_monomial(backend, i, 0, m1).items():
-                _accumulate(out, m2, 0.5 * c1 * c2)
+                _accumulate(out, m2, 2 * x * c1 * c2)
     return out
 
 
-def dtilde_adjoint_matrix_check(backend: OrthonormalBackend, tol: float, max_energy: int = 3,
+def dtilde_adjoint_matrix_check(backend: OrthonormalBackend, max_energy: int = 3,
                                 block_cap: int = 800) -> IdentityVerdict:
-    """The operator dtilde* equals the transpose of the dtilde matrix on
-    each energy block of in-window monomials (monomials orthonormal for
-    the bilinear pairing; conjugating too would flip the sign): every
-    entry dtilde*(c)[r] is compared with dtilde(r)[c].
+    """dtilde* is the adjoint of dtilde under the Fock pairing on each
+    energy block of in-window monomials: <r, dtilde* c> = <dtilde r, c> for
+    every r and c in the block.  As r pairs with its partner sigma r alone
+    (``_pairing``), the left side is dtilde*(c)[sigma r] <r, sigma r> and
+    the right side dtilde(r)[sigma c] <sigma c, c>.
 
-    Transposition needs whole blocks, so blocks beyond ``block_cap`` are
-    left out rather than truncated; if none fit the check is skipped."""
+    Adjoints need whole blocks, so blocks beyond ``block_cap`` are left
+    out rather than truncated; if none fit the check is skipped."""
     name = "dtilde_adjoint_is_matrix_transpose"
     if backend.window.guard < 1:
         return _skip(backend, name, "window guard < 1")
     if not _small(backend):
         max_energy = min(max_energy, 1)
     allmon = monomials_in_support(backend, 0, max_energy)
-    err = 0.0
+    e_scale = backend.gram_inv_scale
+    err = Fraction(0)
     count = 0
     energies = {m: energy(backend.n, m) for m in allmon}
     for e in sorted(set(energies.values())):
@@ -977,66 +974,67 @@ def dtilde_adjoint_matrix_check(backend: OrthonormalBackend, tol: float, max_ene
         if len(block) > block_cap:
             continue
         count += len(block)
-        members = set(block)
+        pairing = {m: _pairing(backend, m) for m in block}
         transposed: Dict[SemiInfMonomial, FockVector] = {m: {} for m in block}
         for row in block:
             for col, val in _d_monomial(backend, True, row).items():
-                if col not in members:
+                if col not in pairing:
                     raise InvariantError(f"dtilde leaves the energy-{e} block")
                 transposed[col][row] = val
         for col in block:
             ds = _dstar_monomial(backend, col)
-            if not members.issuperset(ds):
+            if not pairing.keys() >= ds.keys():
                 raise InvariantError(f"dtilde* leaves the energy-{e} block")
-            err = max(err, _vector_error(ds, transposed[col]))
+            num, den, partner = pairing[col]
+            # both sides keyed by m = sigma r, times 2se den(m) den(c); den(sigma r) = den(r)
+            lhs = {m: x * pairing[m][0] * den for m, x in ds.items()}
+            rhs = {pairing[r][2]: e_scale * x * num * pairing[r][1] for r, x in transposed[partner].items()}
+            for m in lhs.keys() | rhs.keys():
+                if lhs.get(m, 0) != rhs.get(m, 0):
+                    err = max(err, Fraction(abs(lhs.get(m, 0) - rhs.get(m, 0)), pairing[m][1] * den))
     if count == 0:
         return _skip(backend, name, f"every energy block exceeds {block_cap} monomials")
-    return IdentityVerdict(name, backend.window, err, err <= tol, vectors=count)
+    return _verdict(backend, name, err / (2 * backend.scale * e_scale), count)
 
 
-def d_matches_cochain_check(backend: OrthonormalBackend, tol: float, max_degree: int = 2,
-                            max_k: int = 3) -> IdentityVerdict:
+def d_matches_cochain_check(backend: OrthonormalBackend, max_degree: int = 2, max_k: int = 3) -> IdentityVerdict:
     """d(eps(alpha) Omega) = eps(d_CE alpha) Omega for cochain wedges from
-    the exact pipeline, mapped through the orthonormalizing basis change."""
+    the exact pipeline, which works in the backend's basis, so the cochain
+    mode (level, a) is e^{a,level}."""
     window = backend.window
     if window.guard < 1:
         return _skip(backend, "d_restricts_to_chevalley_eilenberg", "window guard < 1")
     max_k = min(max_k, window.kMax - window.guard)
     if max_k < 1:
         return _skip(backend, "d_restricts_to_chevalley_eilenberg", f"no cochain level: kMax - guard = {max_k} < 1")
-    err = 0.0
+
+    def embed(wedge) -> FockVector:
+        return _eps_wedge(backend, [(a, level) for level, a in wedge], vacuum())
+
+    err = Fraction(0)
     count = 0
     col_cap = None if _small(backend) else 6
     for k in range(1, max_k + 1):
         for p in range(1, min(max_degree, k) + 1):
             block = differential_block(backend.data, p, k)
+            # both sides over den: d is over 2s, the CE entries over their lcm denominator
+            den = lcm(2 * backend.scale, *(v.denominator for v in block.dMatrix.values()))
             for col, wedge in enumerate(block.basisIn.monomials[:col_cap]):
-                lhs = apply_d(backend, _embed_cochain_wedge(backend, wedge))
-                rhs = _combine(*((val, _embed_cochain_wedge(backend, block.basisOut.monomials[row]))
+                lhs = _combine((den // (2 * backend.scale), apply_d(backend, embed(wedge))))
+                rhs = _combine(*((val.numerator * (den // val.denominator), embed(block.basisOut.monomials[row]))
                                  for (row, c_), val in block.dMatrix.items() if c_ == col))
-                err = max(err, _vector_error(lhs, rhs))
+                err = max(err, Fraction(_vector_error(lhs, rhs), den))
                 count += 1
-    return IdentityVerdict("d_restricts_to_chevalley_eilenberg", window, err, err <= tol, vectors=count)
+    return _verdict(backend, "d_restricts_to_chevalley_eilenberg", err, count)
 
 
-def _embed_cochain_wedge(backend: OrthonormalBackend, wedge) -> FockVector:
-    """Map a Chevalley-dual wedge (ascending (level, index) modes) to the
-    orthonormal mode basis and apply it to the vacuum."""
-    B = backend.basis_matrix
-    v = vacuum()
-    for level, a in reversed(wedge):
-        v = _combine(*((B[a, b], apply_eps(backend, (b, level), v))
-                       for b in range(backend.n) if abs(B[a, b]) >= 1e-14))
-    return v
-
-
-def verify_identity_suite(data: AlgebraData, window: EnergyWindow, tolerance: float = 1e-9,
+def verify_identity_suite(data: AlgebraData, window: EnergyWindow,
                           cocycle_modes: Sequence[Tuple[int, int, int]] | None = None
                           ) -> List[IdentityVerdict]:
     """Run the full operator identity suite; skipped checks carry reasons."""
     backend = OrthonormalBackend(data, window)
     out = [
-        check(backend, tolerance)
+        check(backend)
         for check in (
             vacuum_checks,
             clifford_check,
@@ -1054,6 +1052,6 @@ def verify_identity_suite(data: AlgebraData, window: EnergyWindow, tolerance: fl
     if modes is None:
         modes = [(0, 0, 1), (0, 0, 0), (0, min(1, data.dim - 1), 1)]
     for i, j, k in modes:
-        _, verdict = cocycle_check(backend, i, j, k, tolerance)
+        _, verdict = cocycle_check(backend, i, j, k)
         out.append(verdict)
     return out

@@ -3,8 +3,10 @@
 Reports are deterministic: for a fixed configuration and code version the
 JSON bytes are identical run to run (timings are only included when
 explicitly requested).  Exact numbers are serialized as rational strings
-("p/q" or an integer string); the fock identity suite reports decimal
-floats.
+("p/q" or an integer string); the fock identity suite reports each
+``maxAbsError`` as the decimal float of an exact rational, 0.0 on every
+pass.  ``RunConfig.tolerance`` is validated and echoed in the config but
+not read: the identity suite is exact.
 """
 
 from __future__ import annotations
@@ -265,7 +267,7 @@ def cmd_predict(config: RunConfig) -> dict:
 
 def cmd_verify_identities(config: RunConfig) -> dict:
     data = build_algebra(config.algebra_spec)
-    verdicts = verify_identity_suite(data, config.window, config.tolerance)
+    verdicts = verify_identity_suite(data, config.window)
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "verify-identities",

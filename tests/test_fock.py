@@ -1,8 +1,9 @@
 import itertools
+from fractions import Fraction
 
-import numpy as np
 import pytest
 
+from jetcohom import exactlinalg as xl
 from jetcohom import fock
 from jetcohom.cochain import InvariantError
 from jetcohom.fock import (
@@ -45,7 +46,6 @@ from jetcohom.fock import (
     _dstar_monomial,
 )
 
-TOL = 1e-9
 WINDOW = EnergyWindow(-2, 3, 1)
 
 
@@ -73,8 +73,8 @@ def test_vacuum_shape(backend):
 
 
 def test_vacuum_annihilation(backend):
-    verdict = vacuum_checks(backend, TOL)
-    assert verdict.passed and verdict.max_abs_error <= TOL
+    verdict = vacuum_checks(backend)
+    assert verdict.passed and verdict.max_abs_error == 0
 
 
 def test_eps_iota_basics(backend):
@@ -88,7 +88,7 @@ def test_eps_iota_basics(backend):
     assert apply_eps(backend, (0, 1), up) == {}
     # round trip returns the vacuum
     back = apply_iota(backend, (0, 1), up)
-    assert back == {VACUUM: 1 + 0j}
+    assert back == {VACUUM: 1}
 
 
 def test_window_violation_raised(backend):
@@ -99,42 +99,42 @@ def test_window_violation_raised(backend):
 
 
 def test_guard_violation_raised(backend):
-    edge = {encode_monomial(backend.n, ((0, 3),)): 1.0 + 0j}  # supported at kMax
+    edge = {encode_monomial(backend.n, ((0, 3),)): 1}  # supported at kMax
     with pytest.raises(GuardViolation):
         apply_L(backend, 0, 1, edge)
-    hole = {encode_monomial(backend.n, (), ((2, -2),)): 1.0 + 0j}  # a hole at kMin
+    hole = {encode_monomial(backend.n, (), ((2, -2),)): 1}  # a hole at kMin
     with pytest.raises(GuardViolation):
         apply_L(backend, 0, -1, hole)
     # modes at both edges of the margin-1 band [-1, 2] are guarded
-    apply_L(backend, 1, 1, {encode_monomial(backend.n, ((2, 2),), ((0, -1),)): 1.0 + 0j})
+    apply_L(backend, 1, 1, {encode_monomial(backend.n, ((2, 2),), ((0, -1),)): 1})
     # vacuum is guarded for any shift
     assert apply_L(backend, 0, 1, vacuum()) == {}
 
 
 def test_clifford_relations(backend):
-    verdict = clifford_check(backend, TOL)
-    assert verdict.passed and verdict.max_abs_error <= TOL
+    verdict = clifford_check(backend)
+    assert verdict.passed and verdict.max_abs_error == 0
 
 
 def test_mode_action_commutators(backend):
-    verdict = commutator_check(backend, TOL)
-    assert verdict.passed and verdict.max_abs_error <= TOL
+    verdict = commutator_check(backend)
+    assert verdict.passed and verdict.max_abs_error == 0
 
 
 def test_cocycle_values(backend):
-    measured, verdict = cocycle_check(backend, 0, 0, 1, TOL)
+    measured, verdict = cocycle_check(backend, 0, 0, 1)
     assert verdict.passed
-    assert abs(measured - 4.0) <= TOL  # 2c*k with c = 2, k = 1
+    assert measured == 8  # 2c*k*G_00 with c = 2, k = 1 and G_00 = 2 for the coroot h
 
-    measured0, verdict0 = cocycle_check(backend, 0, 0, 0, TOL)
-    assert verdict0.passed and abs(measured0) <= TOL
+    measured0, verdict0 = cocycle_check(backend, 0, 0, 0)
+    assert verdict0.passed and measured0 == 0
 
-    measured_perp, verdict_perp = cocycle_check(backend, 0, 1, 1, TOL)
-    assert verdict_perp.passed and abs(measured_perp) <= TOL
+    measured_perp, verdict_perp = cocycle_check(backend, 0, 1, 1)
+    assert verdict_perp.passed and measured_perp == 0
 
 
 def test_cocycle_skip_when_guard_too_small(a1):
-    _, verdict = cocycle_check(OrthonormalBackend(a1, EnergyWindow(-2, 3, 0)), 0, 0, 1, TOL)
+    _, verdict = cocycle_check(OrthonormalBackend(a1, EnergyWindow(-2, 3, 0)), 0, 0, 1)
     assert verdict.skipped and "guard" in verdict.reason
 
 
@@ -146,48 +146,59 @@ def test_L_annihilates_vacuum_for_positive_shift(backend):
 
 
 def test_energy_bookkeeping(backend):
-    verdict = energy_bookkeeping_check(backend, TOL)
+    verdict = energy_bookkeeping_check(backend)
     assert verdict.passed
 
 
 def test_L0_commutes_with_d(backend):
-    verdict = l0_commutes_with_d_check(backend, TOL)
-    assert verdict.passed and verdict.max_abs_error <= TOL
+    verdict = l0_commutes_with_d_check(backend)
+    assert verdict.passed and verdict.max_abs_error == 0
 
 
 def test_leibniz(backend):
-    verdict = leibniz_check(backend, TOL)
-    assert verdict.passed and verdict.max_abs_error <= TOL
+    verdict = leibniz_check(backend)
+    assert verdict.passed and verdict.max_abs_error == 0
 
 
 def test_d_matches_cochain_differential(backend):
-    verdict = d_matches_cochain_check(backend, TOL)
-    assert verdict.passed and verdict.max_abs_error <= TOL
+    verdict = d_matches_cochain_check(backend)
+    assert verdict.passed and verdict.max_abs_error == 0
     assert verdict.vectors > 0
 
 
 def test_d_squared_formula(backend):
-    verdict = d_squared_check(backend, TOL)
-    assert verdict.passed and verdict.max_abs_error <= TOL
+    verdict = d_squared_check(backend)
+    assert verdict.passed and verdict.max_abs_error == 0
 
 
 def test_d_squared_vanishes_on_cochain_sector(backend):
     # all modes k >= 1: the right-hand side needs a hole to fill
     for wedge in (((0, 1),), ((0, 1), (1, 2))):
         mono = encode_monomial(backend.n, wedge)
-        vv = {mono: 1.0 + 0j}
-        dd = apply_d(backend, apply_d(backend, vv))
-        assert all(abs(c) <= TOL for c in dd.values())
+        assert apply_d(backend, apply_d(backend, {mono: 1})) == {}
 
 
 def test_laplacian_closed_form(backend):
-    verdict = laplacian_formula_check(backend, TOL)
-    assert verdict.passed and verdict.max_abs_error <= TOL
+    verdict = laplacian_formula_check(backend)
+    assert verdict.passed and verdict.max_abs_error == 0
 
 
 def test_dtilde_adjoint_is_matrix_transpose(backend):
-    verdict = dtilde_adjoint_matrix_check(backend, TOL)
-    assert verdict.passed and verdict.max_abs_error <= TOL
+    verdict = dtilde_adjoint_matrix_check(backend)
+    assert verdict.passed and verdict.max_abs_error == 0
+
+
+def test_the_closed_forms_need_the_metric(a1):
+    # in the rebased basis G = gram is not the identity (G_00 = 2, and e pairs
+    # with f), so delta in its place breaks the closed forms
+    backend = OrthonormalBackend(a1, WINDOW)
+    backend.gram_inv = [(i, backend.gram_inv_scale) for i in range(backend.n)]
+    lap = laplacian_formula_check(backend)
+    assert not lap.passed and lap.max_abs_error == 6
+    backend = OrthonormalBackend(a1, WINDOW)
+    backend.gram = [(i, backend.gram_scale) for i in range(backend.n)]
+    d2 = d_squared_check(backend)
+    assert not d2.passed and d2.max_abs_error == 4
 
 
 def test_closed_form_scalar_on_embedded_cochains(backend, a1):
@@ -195,20 +206,17 @@ def test_closed_form_scalar_on_embedded_cochains(backend, a1):
     scalar of Theorem-form: casimir - c*k (the PSD pipeline value negated
     for k >= 2, zero at k = 1)."""
     from jetcohom.cochain import eigenvalue_of
-    from fractions import Fraction as F
 
-    for k, expected in ((1, 0.0), (2, float(eigenvalue_of(a1, (F(-1),), 2)))):
+    scale = 4 * backend.scale ** 2 * backend.gram_inv_scale  # of the closed form
+    for k, expected in ((1, Fraction(0)), (2, eigenvalue_of(a1, (Fraction(-1),), 2))):
         for l in range(backend.n):
-            v = {encode_monomial(backend.n, ((l, k),)): 1.0 + 0j}
-            out = _apply(lambda m: _closed_form_monomial(backend, m), v)
-            want = {m: expected * c for m, c in v.items() if expected != 0.0}
-            keys = set(out) | set(want)
-            err = max((abs(out.get(m, 0j) - want.get(m, 0j)) for m in keys), default=0.0)
-            assert err <= TOL
+            mono = encode_monomial(backend.n, ((l, k),))
+            out = _closed_form_monomial(backend, mono)
+            assert out == ({mono: expected * scale} if expected else {}), (k, l)
 
 
 def test_guard_zero_emits_skips(a1):
-    suite = verify_identity_suite(a1, EnergyWindow(-2, 3, 0), TOL)
+    suite = verify_identity_suite(a1, EnergyWindow(-2, 3, 0))
     by_name = {v.identity: v for v in suite}
     assert by_name["d_squared_closed_form"].skipped
     assert by_name["laplacian_closed_form"].skipped
@@ -222,16 +230,16 @@ def test_guard_zero_emits_skips(a1):
 
 
 def test_full_suite_passes_on_acceptance_window(a1):
-    suite = verify_identity_suite(a1, WINDOW, TOL)
+    suite = verify_identity_suite(a1, WINDOW)
     for v in suite:
         assert not v.skipped, v.identity
         assert v.passed, (v.identity, v.max_abs_error)
 
 
 def test_backend_on_a2(backend2):
-    # the orthonormalization and the paper normalizations hold beyond rank 1
-    measured, verdict = cocycle_check(backend2, 0, 0, 1, TOL, max_energy=2)
-    assert verdict.passed and abs(measured - 6.0) <= TOL  # 2c*k = 6 for A2
+    # the rebased basis and the paper normalizations hold beyond rank 1
+    measured, verdict = cocycle_check(backend2, 0, 0, 1, max_energy=2)
+    assert verdict.passed and measured == 12  # 2c*k*G_00 = 12 for A2
 
 
 def _reference_step(n, mode, added, removed, eps):
@@ -273,6 +281,13 @@ def test_bitmask_ops_agree_with_the_mode_tuple_reference(request, which, margin,
                     assert degree_offset(n, hit[1]) == degree_offset(n, mono) + step
 
 
+def test_each_monomial_pairs_with_one_symmetric_partner(backend2):
+    # the Fock pairing is symmetric and the partner map an involution
+    for mono in monomials_in_support(backend2, 1, 1, 3):
+        num, den, partner = fock._pairing(backend2, mono)
+        assert num and den > 0 and fock._pairing(backend2, partner) == (num, den, mono)
+
+
 def test_a_pass_on_no_vector_is_refused():
     with pytest.raises(InvariantError):
         IdentityVerdict("x", WINDOW, 0.0, passed=True, vectors=0)
@@ -291,7 +306,7 @@ def test_monomial_enumeration_counts(backend):
 def test_memoised_columns_match_fresh_backend(a1):
     warm = OrthonormalBackend(a1, WINDOW)
     for check in (energy_bookkeeping_check, d_squared_check, laplacian_formula_check):
-        assert check(warm, TOL).passed
+        assert check(warm).passed
     fresh = OrthonormalBackend(a1, WINDOW)
     basis = check_basis(warm, WINDOW.guard, 3)
     assert len(basis) > 100
@@ -314,19 +329,19 @@ def test_memoised_columns_are_read_only_and_interned(backend):
     col = _d_monomial(backend, False, encode_monomial(backend.n, ((0, 1),), ((1, 0),)))
     assert col
     with pytest.raises(TypeError):
-        col[VACUUM] = 1.0
+        col[VACUUM] = 1
     # all empty columns are one object
     assert _d_monomial(backend, False, VACUUM) is _L_monomial(backend, 0, 1, VACUUM)
 
 
-def _with_extra_term(fn, target):
-    """``fn`` with 0.5 * target added to its column of ``target``."""
+def _with_extra_term(fn, target, amount):
+    """``fn`` with the int ``amount`` added at ``target`` to its column of ``target``."""
     def doctored(backend, *args):
         col = fn(backend, *args)
         if args[-1] != target:
             return col
         out = dict(col)
-        out[target] = out.get(target, 0j) + 0.5
+        out[target] = out.get(target, 0) + amount
         return out
     return doctored
 
@@ -335,18 +350,21 @@ def test_doctored_d_fails_matrix_checks(a1, monkeypatch):
     backend = OrthonormalBackend(a1, WINDOW)
     cols = check_basis(backend, WINDOW.guard, 3)
     target = next(m for m in cols if _dstar_monomial(backend, m))
-    monkeypatch.setattr(fock, "_d_monomial", _with_extra_term(_d_monomial, target))
-    d2 = d_squared_check(backend, TOL)
-    lap = laplacian_formula_check(backend, TOL)
+    # d is over 2s: the extra term is 1/2
+    monkeypatch.setattr(fock, "_d_monomial", _with_extra_term(_d_monomial, target, backend.scale))
+    d2 = d_squared_check(backend)
+    lap = laplacian_formula_check(backend)
     assert not d2.passed and d2.max_abs_error >= 0.25
-    assert not lap.passed and lap.max_abs_error > TOL
+    assert not lap.passed and lap.max_abs_error > 0
 
 
 def test_doctored_dstar_fails_transpose_check(a1, monkeypatch):
     backend = OrthonormalBackend(a1, WINDOW)
-    target = encode_monomial(backend.n, ((0, 1),))
-    monkeypatch.setattr(fock, "_dstar_monomial", _with_extra_term(_dstar_monomial, target))
-    verdict = dtilde_adjoint_matrix_check(backend, TOL)
+    target = encode_monomial(backend.n, ((1, 1),))  # e^{e,1} Omega pairs with e^{f,1} Omega to 1
+    # dtilde* is over 2se: the extra term is 1/2
+    amount = backend.scale * backend.gram_inv_scale
+    monkeypatch.setattr(fock, "_dstar_monomial", _with_extra_term(_dstar_monomial, target, amount))
+    verdict = dtilde_adjoint_matrix_check(backend)
     assert not verdict.passed and verdict.max_abs_error >= 0.5
 
 
@@ -356,16 +374,16 @@ def test_dstar_leaving_its_energy_block_raises(a1, monkeypatch):
 
     def leaky(b, mono):
         col = _dstar_monomial(b, mono)
-        return {**col, VACUUM: 1.0} if mono == target else col
+        return {**col, VACUUM: 1} if mono == target else col
 
     monkeypatch.setattr(fock, "_dstar_monomial", leaky)
     with pytest.raises(InvariantError):
-        dtilde_adjoint_matrix_check(backend, TOL)
+        dtilde_adjoint_matrix_check(backend)
 
 
 def test_column_checks_match_dense_products(backend):
-    """Reference: the dense products D @ D and D @ DS + DS @ D, read on the
-    guarded columns, that the column-by-column checks replaced."""
+    """Reference: the dense int products D @ D and D @ DS + DS @ D, read on
+    the guarded columns, that the column-by-column checks replaced."""
     cols = check_basis(backend, WINDOW.guard, 3)[:600]
 
     def d(m):
@@ -383,7 +401,7 @@ def test_column_checks_match_dense_products(backend):
     lap_cols = {m: _apply(d, ds(m)) for m in cols}
     for m in cols:
         for r, c in _apply(ds, d(m)).items():
-            lap_cols[m][r] = lap_cols[m].get(r, 0j) + c
+            lap_cols[m][r] = lap_cols[m].get(r, 0) + c
     closed_cols = {m: _closed_form_monomial(backend, m) for m in cols}
     index = dict.fromkeys(inner)
     for vecs in (d_cols, ds_cols, d2_cols, lap_cols, closed_cols):
@@ -391,19 +409,23 @@ def test_column_checks_match_dense_products(backend):
             index.update(dict.fromkeys(vec))
     index = {m: j for j, m in enumerate(index)}
 
-    def dense(vecs):
-        mat = np.zeros((len(index), len(index)), dtype=complex)
-        for c, vec in vecs.items():
-            for r, val in vec.items():
-                mat[index[r], index[c]] = val
+    def dense(vecs, columns):
+        mat = [[0] * len(columns) for _ in index]
+        for j, c in enumerate(columns):
+            for r, val in vecs.get(c, {}).items():
+                mat[index[r]][j] = val
         return mat
 
-    D, DS = dense(d_cols), dense(ds_cols)
-    at = [index[m] for m in cols]
-    assert np.max(np.abs((D @ D - dense(d2_cols))[:, at])) <= 1e-14
-    assert np.max(np.abs((D @ DS + DS @ D - dense(lap_cols))[:, at])) <= 1e-14
-    want = float(np.max(np.abs((D @ DS + DS @ D - dense(closed_cols))[:, at])))
-    assert abs(laplacian_formula_check(backend, TOL).max_abs_error - want) <= 1e-14
+    # (X @ Y)[:, at] = X @ Y[:, at], with at the guarded columns
+    D, DS = dense(d_cols, list(index)), dense(ds_cols, list(index))
+    D_at, DS_at = dense(d_cols, cols), dense(ds_cols, cols)
+    lap = xl.mat_add(xl.matmul(D, DS_at), xl.matmul(DS, D_at))
+    assert xl.matmul(D, D_at) == dense(d2_cols, cols)
+    assert lap == dense(lap_cols, cols)
+    # d and dtilde* are over 2s and 2se, the closed form over 4s^2 e
+    want = max(abs(x - y) for row, closed in zip(lap, dense(closed_cols, cols)) for x, y in zip(row, closed))
+    scale = 4 * backend.scale ** 2 * backend.gram_inv_scale
+    assert laplacian_formula_check(backend).max_abs_error == Fraction(want, scale)
 
 
 @pytest.fixture(scope="module")
@@ -483,7 +505,7 @@ def test_capped_quantifier_sets_are_prefixes_of_the_sorted_enumeration(request, 
         return check_basis(b, margin, max_energy, cap)
 
     monkeypatch.setattr(fock, "check_basis", spy)
-    verify_identity_suite(data, window, TOL)
+    verify_identity_suite(data, window)
     b = OrthonormalBackend(data, window)
     full = {key: _sorted_enumeration(b, *key) for key in {(margin, e) for margin, e, _cap in used}}
     truncated = 0

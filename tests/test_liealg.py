@@ -13,6 +13,8 @@ from jetcohom.liealg import (
 )
 import jetcohom.exactlinalg as xl
 
+import oracles
+
 
 def test_a1_shape(a1):
     assert a1.dim == 3
@@ -107,13 +109,13 @@ def _matrix_casimir_on_adjoint(data):
     n = data.dim
     gram_inv = xl.invert([list(r) for r in data.gram])
     ads = [[[F(x) for x in row] for row in data.ad_matrix(i)] for i in range(n)]
-    out = xl.zeros(n, n)
+    out = oracles.zeros(n, n)
     for a in range(n):
         for b in range(n):
             w = gram_inv[a][b]
             if w == 0:
                 continue
-            out = xl.mat_add(out, xl.scale(xl.matmul(ads[a], ads[b]), w / 2))
+            out = xl.mat_add(out, oracles.scale(xl.matmul(ads[a], ads[b]), w / 2))
     return out
 
 

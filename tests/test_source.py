@@ -28,6 +28,17 @@ def test_no_assert_statements_in_src():
     assert found == []
 
 
+def test_no_numpy_under_src():
+    # the package runs on the standard library alone
+    found = [
+        f"{path.name}:{tok.start[0]}"
+        for path in sorted(SRC.glob("*.py"))
+        for tok in tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+        if tok.type == tokenize.NAME and tok.string == "numpy"
+    ]
+    assert found == []
+
+
 def test_no_unreferenced_definitions():
     # a function or class whose name occurs in src/ and tests/ only where it
     # is defined is dead code; dunder methods are called by the language
