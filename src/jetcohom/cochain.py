@@ -5,19 +5,17 @@ with level l >= 1; the differential preserves the energy k = sum of
 levels, so everything happens in independent (degree, energy) cells.
 ``CellComplex`` works in the orthogonal Cartan basis of
 ``orthogonal_cartan``, where the metric induced by the compact involution
-is diagonal, so the wedge Gram is diagonal and d* a scaled transpose; d
-is rational there.  Every verdict is independent of the basis.
+is diagonal, so the wedge Gram is diagonal and d* a scaled transpose.
+Every verdict is independent of the basis.
 
-Scaled int columns.  Every cell operator is kept for the whole run as
-sparse int columns over one positive int scale per cell
-(``ScaledColumns``): d = D / delta, delta the lcm of its block's
-denominators; d* = S / sigma; the Laplacian L = d*d + dd* = L_int /
-lambda; the Casimir C = C_int / gamma.  The mode metric is scaled once
-per algebra to ints, so the Gram diagonals are ints too.  The
-Casimir's inverse Gram and int-scaled structure constants are built once
-per ``CellComplex`` (``CasimirData``), and torus weights are int tuples.
-``Fraction`` is left at the boundary: the kernel vectors, the predicted
-Casimir values and the report.
+Scaled int columns.  Every int comes from one ``liealg.IntAlgebra``: the
+structure constants over their scale s, the inverse invariant form, the
+dual-mode metric and the torus weights.  Every cell operator is kept for
+the whole run as sparse int columns over one positive int scale per cell
+(``ScaledColumns``): d = D / delta in lowest terms, from the int block
+s*d; d* = S / sigma; the Laplacian L = d*d + dd* = L_int / lambda; the
+Casimir C = C_int / gamma.  ``Fraction`` is left at the boundary: the
+kernel vectors, the predicted Casimir values and the report.
 
 Weight blocks.  d is checked to join only monomials of equal torus
 weight, which makes d* and L weight-blocked too; the Casimir is checked
@@ -46,7 +44,7 @@ from math import gcd, lcm, prod
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from . import exactlinalg as xl
-from .liealg import AlgebraData, FiniteWeight, InvariantError, casimir_eigenvalue, is_dominant, orthogonal_cartan
+from .liealg import AlgebraData, FiniteWeight, IntAlgebra, InvariantError, casimir_eigenvalue, int_algebra, is_dominant
 from .reptheory import IrrepSummand, WeightMultiset, decompose, weights_of_basis
 from .affine import AffineWeight, laplacian_shift
 
@@ -142,15 +140,18 @@ def _insert_modes(wedge: Sequence[Mode], skip: int, new: Sequence[Mode]) -> Tupl
 class GradedComplexBlock:
     basisIn: CochainBasis
     basisOut: CochainBasis
-    dMatrix: Dict[Tuple[int, int], int]  # (row, col) -> integer entry
+    dMatrix: Dict[Tuple[int, int], int]  # (row, col) -> nonzero entry, an int on Chevalley data and on an IntAlgebra
 
     @property
     def shape(self) -> Tuple[int, int]:
         return (len(self.basisOut), len(self.basisIn))
 
 
-def differential_block(data: AlgebraData, p: int, k: int) -> GradedComplexBlock:
-    """Chevalley-Eilenberg differential A^p(k) -> A^{p+1}(k), exact integers."""
+def differential_block(data: AlgebraData | IntAlgebra, p: int, k: int) -> GradedComplexBlock:
+    """Chevalley-Eilenberg differential A^p(k) -> A^{p+1}(k) from ``data.dim``
+    and ``data.structure`` alone, so its entries have the structure
+    constants' type: ints on Chevalley data; s*d in ints on an
+    ``IntAlgebra``, s its ``scale``; rationals on ``orthogonal_cartan`` data."""
     basis_in = build_basis(data, p, k)
     basis_out = build_basis(data, p + 1, k)
     out_index = basis_out.index()
@@ -239,66 +240,22 @@ def _dense_block(op: Columns, rows: Sequence[int], cols: Sequence[int]) -> List[
     return out
 
 
-@dataclass(frozen=True)
-class CasimirData:
-    """What every cell's Casimir is built from, once per algebra.
-
-    ``coefficients[a]`` maps a mode index m to the pairs (b, s*C_{ab}^m)
-    of the coadjoint action of generator a, with s the lcm of the
-    structure constants' denominators; ``pairs`` are the generator pairs
-    (a, b, e*(G^-1)_{ab}) with a nonzero inverse-Gram entry, e the lcm of
-    G^-1's denominators.  C = C_int / ``scale`` with scale = 2*e*s^2.
-    """
-
-    coefficients: Tuple[Dict[int, List[Tuple[int, int]]], ...]
-    pairs: Tuple[Tuple[int, int, int], ...]
-    scale: int
-
-
-def casimir_data(data: AlgebraData) -> CasimirData:
-    """The ``CasimirData`` of an algebra, in the basis ``data`` is given in."""
-    s = lcm(*(c.denominator for row in data.structure for col in row.values() for c in col.values()))
-    coefficients: List[Dict[int, List[Tuple[int, int]]]] = []
-    for a in range(data.dim):
-        by_mode: Dict[int, List[Tuple[int, int]]] = {}
-        for b, col in data.structure[a].items():
-            for m, c in col.items():
-                by_mode.setdefault(m, []).append((b, c.numerator * (s // c.denominator)))
-        coefficients.append(by_mode)
-    gram_inv = xl.invert([list(r) for r in data.gram])
-    e = lcm(*(x.denominator for row in gram_inv for x in row))
-    pairs = tuple(
-        (a, b, x.numerator * (e // x.denominator)) for a, row in enumerate(gram_inv) for b, x in enumerate(row) if x
-    )
-    return CasimirData(tuple(coefficients), pairs, 2 * e * s * s)
-
-
 class CellComplex:
     """Lazy per-algebra store of the cell operators, kept for the whole run.
 
-    Everything is built from ``self.data``, the algebra rebased by
-    ``orthogonal_cartan``.  The mode metric is scaled once to ints by the
-    lcm ``metric_scale`` of its denominators, so the diagonal wedge Gram
-    of a degree-p cell (``gram``) is metric_scale^p times the true one.
-    Besides bases, int weight labels and Grams it keeps d, d* and the
+    Everything is built from ``self.alg``, the ``IntAlgebra`` of the
+    algebra, so the diagonal wedge Gram of a degree-p cell (``gram``) is
+    ``alg.metric_scale`` ** p times the true one.  Besides bases, int
+    weight labels and Grams it keeps the int blocks s*d and d, d* and the
     Laplacian L as ``ScaledColumns`` (int columns over one int scale per
-    cell), and the ``CasimirData`` of the algebra.  Dense matrices exist
-    only as inputs to an elimination: each weight block of d for its rank,
-    and each weight block of L for its kernel (``laplacian``).  Every other
-    check applies the int columns to int vectors.
+    cell), one memo entry each.  Dense matrices exist only as inputs to an
+    elimination: each weight block of d for its rank, and each weight
+    block of L for its kernel (``laplacian``).  Every other check applies
+    the int columns to int vectors.
     """
 
     def __init__(self, data: AlgebraData):
-        self.data = orthogonal_cartan(data)
-        if any(Fraction(c).denominator != 1 for w in self.data.basis_weights for c in w):
-            raise InvariantError("a basis weight is not integral in simple-root coordinates")
-        self._mode_weights = [tuple(-int(c) for c in w) for w in self.data.basis_weights]  # of the dual modes
-        metric = [1 / row[i] for i, row in enumerate(self.data.hermGram)]  # of the dual modes
-        self.metric_scale = lcm(*(x.denominator for x in metric))
-        self._metric = [x.numerator * (self.metric_scale // x.denominator) for x in metric]
-        self.casimir = casimir_data(self.data)
-        self._blocks: Dict[Tuple[int, int], GradedComplexBlock] = {}
-        self._bases: Dict[Tuple[int, int], CochainBasis] = {}
+        self.alg = int_algebra(data)
         self._kept: Dict[Tuple[str, int, int], object] = {}
 
     def _memo(self, name: str, p: int, k: int, build):
@@ -308,18 +265,18 @@ class CellComplex:
         return self._kept[key]
 
     def basis(self, p: int, k: int) -> CochainBasis:
-        key = (p, k)
-        if key not in self._bases:
-            self._bases[key] = build_basis(self.data, p, k)
-        return self._bases[key]
+        return self._memo("basis", p, k, lambda: build_basis(self.alg, p, k))
 
     def block(self, p: int, k: int) -> GradedComplexBlock:
-        key = (p, k)
-        if key not in self._blocks:
-            self._blocks[key] = differential_block(self.data, p, k)
-            self._bases[(p, k)] = self._blocks[key].basisIn
-            self._bases[(p + 1, k)] = self._blocks[key].basisOut
-        return self._blocks[key]
+        """The int block s*d of d: A^p(k) -> A^{p+1}(k), which also gives
+        the bases of both cells."""
+
+        def build():
+            block = differential_block(self.alg, p, k)
+            self._kept[("basis", p, k)], self._kept[("basis", p + 1, k)] = block.basisIn, block.basisOut
+            return block
+
+        return self._memo("block", p, k, build)
 
     def weights(self, p: int, k: int) -> List[Weight]:
         """Torus weight of each monomial of the (p, k) basis, as int tuples."""
@@ -327,10 +284,10 @@ class CellComplex:
         def build():
             out = []
             for wedge in self.basis(p, k).monomials:
-                w = [0] * self.data.rank
+                w = [0] * self.alg.data.rank
                 for _level, idx in wedge:
-                    for i, c in enumerate(self._mode_weights[idx]):
-                        w[i] += c
+                    for i, c in enumerate(self.alg.weights[idx]):
+                        w[i] -= c  # the dual mode has the opposite weight
                 out.append(tuple(w))
             return out
 
@@ -354,7 +311,7 @@ class CellComplex:
         checked to count the int labels' weight blocks."""
 
         def build():
-            multiset = weights_of_basis(self.data, self.basis(p, k))
+            multiset = weights_of_basis(self.alg.data, self.basis(p, k))
             if multiset != {w: len(idxs) for w, idxs in self.weight_blocks(p, k).items()}:
                 raise InvariantError(f"weight labels of cell ({p}, {k}) disagree with its weight multiset")
             return multiset
@@ -362,20 +319,18 @@ class CellComplex:
         return self._memo("multiset", p, k, build)
 
     def differential(self, p: int, k: int) -> ScaledColumns:
-        """d: A^p(k) -> A^{p+1}(k) as D / delta, delta the lcm of the
-        block's denominators, after a check that every entry joins equal
-        torus weights."""
+        """d: A^p(k) -> A^{p+1}(k) as D / delta in lowest terms, the int
+        block s*d over s, after a check that every entry joins equal torus
+        weights."""
 
         def build():
             w_in, w_out = self.weights(p, k), self.weights(p + 1, k)
-            entries = self.block(p, k).dMatrix
-            delta = lcm(*(v.denominator for v in entries.values()))
             out: Columns = {}
-            for (r, c), v in entries.items():
+            for (r, c), v in self.block(p, k).dMatrix.items():
                 if w_out[r] != w_in[c]:
                     raise InvariantError(f"d^{p} at energy {k} joins different torus weights")
-                out.setdefault(c, {})[r] = v.numerator * (delta // v.denominator)
-            return ScaledColumns(out, delta)
+                out.setdefault(c, {})[r] = v
+            return _lowest_terms(out, self.alg.scale)
 
         return self._memo("d", p, k, build)
 
@@ -404,8 +359,8 @@ class CellComplex:
 
     def gram(self, p: int, k: int) -> List[int]:
         """Diagonal of the wedge Gram of cell (p, k) in basis order, times
-        ``metric_scale`` ** p."""
-        return self._memo("gram", p, k, lambda: wedge_gram(self._metric, self.basis(p, k)))
+        ``alg.metric_scale`` ** p."""
+        return self._memo("gram", p, k, lambda: wedge_gram(self.alg.metric, self.basis(p, k)))
 
     def codifferential(self, p: int, k: int) -> ScaledColumns:
         """Adjoint of d: A^p -> A^{p+1} in the wedge metrics, as int columns
@@ -423,7 +378,7 @@ class CellComplex:
                 row = common // g_in[i]
                 for j, x in col.items():
                     out.setdefault(j, {})[i] = x * g_out[j] * row
-            return _lowest_terms(out, self.metric_scale * d.scale * common)
+            return _lowest_terms(out, self.alg.metric_scale * d.scale * common)
 
         return self._memo("codifferential", p, k, build)
 
@@ -541,7 +496,8 @@ def harmonic_space(data: AlgebraData, p: int, k: int, complex_: CellComplex | No
 def _action_matrix(coefficients: Dict[int, List[Tuple[int, int]]], basis: CochainBasis,
                    index: Dict[Wedge, int]) -> Columns:
     """Int columns of one generator's coadjoint action on a cell (derivation,
-    no sign), from that generator's ``CasimirData.coefficients``."""
+    no sign); ``coefficients`` maps a mode index m to the pairs (b,
+    s*C_{gen b}^m)."""
     out: Columns = {}
     for col, wedge in enumerate(basis.monomials):
         column: Dict[int, int] = {}
@@ -559,20 +515,27 @@ def _action_matrix(coefficients: Dict[int, List[Tuple[int, int]]], basis: Cochai
     return out
 
 
-def casimir_matrix(casimir: CasimirData, basis: CochainBasis) -> ScaledColumns:
+def casimir_matrix(alg: IntAlgebra, basis: CochainBasis) -> ScaledColumns:
     """Half the gram-inverse-paired square of the generator action, as int
-    columns over one scale: C e_c = sum_{a,b} (G^-1)_{ab} / 2 * A_a (A_b
-    e_c), over the generator pairs with a nonzero inverse-Gram entry only."""
+    columns over one scale: C e_c = sum_a (G^-1)_{ab} / 2 * A_a (A_b e_c),
+    b the partner of a.  The actions are over s and G^-1 over e, so the
+    scale is 2*e*s^2 before lowest terms."""
     index = basis.index()
-    actions = [_action_matrix(coeffs, basis, index) for coeffs in casimir.coefficients]
+    actions = []
+    for row in alg.structure:
+        by_mode: Dict[int, List[Tuple[int, int]]] = {}
+        for b, col in row.items():
+            for m, c in col.items():
+                by_mode.setdefault(m, []).append((b, c))
+        actions.append(_action_matrix(by_mode, basis, index))
     out: Columns = {}
     for c in range(len(basis)):
         column: Dict[int, int] = {}
-        for a, b, w in casimir.pairs:
+        for a, (b, w) in enumerate(alg.gram_inv):
             for r, x in _apply(actions[a], actions[b][c]).items():
                 column[r] = column.get(r, 0) + w * x
         out[c] = {r: x for r, x in column.items() if x}
-    return _lowest_terms(out, casimir.scale)
+    return _lowest_terms(out, 2 * alg.gram_inv_scale * alg.scale ** 2)
 
 
 @dataclass
@@ -605,8 +568,8 @@ def isotypic_eigen_check(
 ) -> IsotypicVerdict:
     """Verify the Laplacian acts by the predicted exact scalar per component.
 
-    The sparse Casimir C = C_int / gamma, built from ``cc.casimir`` so that
-    it is in the basis of the Laplacian, is checked to join no two torus
+    The sparse Casimir C = C_int / gamma, built from ``cc.alg`` so that it
+    is in the basis of the Laplacian, is checked to join no two torus
     weights (``weight_blocked``); the Laplacian L = L_int / lambda is
     weight-blocked by construction.  Then two exact checks run column by
     column on int vectors: gamma * L_int e_j + lambda * C_int e_j = c*k *
@@ -627,7 +590,7 @@ def isotypic_eigen_check(
     if len(basis) == 0:
         return IsotypicVerdict(p, k, [], True, True)
     summands = decompose(data, cc.weight_multiset(p, k))
-    C = casimir_matrix(cc.casimir, basis)
+    C = casimir_matrix(cc.alg, basis)
     labels = cc.weights(p, k)
     blocked = all(labels[r] == labels[c] for c, col in C.columns.items() for r in col)
 

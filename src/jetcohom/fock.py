@@ -18,17 +18,16 @@ operations, and monomials hash as tuples of ints.  ``encode_monomial``
 and ``decode_monomial`` convert between masks and mode tuples, and
 ``energy`` and ``degree_offset`` read the masks.
 
-The backend works in the basis of ``liealg.orthogonal_cartan``, the one
-the exact core uses.  There the structure constants f_{iq}^p are
-rationals with small denominators, and the invariant form G = ``gram``
-(the Killing form over 2c) and G^-1 have one nonzero entry per row:
-e_alpha pairs with f_alpha and each Cartan vector with itself.  f, G and
-G^-1 are scaled to ints once per algebra, by the lcms s, g and e of their
-denominators, and every operator column is an int dict over one positive
-int scale per operator: L_{i,k} over s, d and dtilde over 2s, dtilde*
-over 2se.  Each check multiplies its identity through by the scales and
-compares ints, so a pass means lhs == rhs exactly; the reported error is
-the exact largest |lhs - rhs| (a ``Fraction``).
+The backend reads every int from the ``liealg.IntAlgebra`` the exact core
+also uses, in the basis of ``liealg.orthogonal_cartan``.  There the
+invariant form G = ``gram`` (the Killing form over 2c) and G^-1 have one
+nonzero entry per row: e_alpha pairs with f_alpha and each Cartan vector
+with itself.  The structure constants f_{iq}^p, G and G^-1 are ints over
+the scales s, g and e, and every operator column is an int dict over one
+positive int scale per operator: L_{i,k} over s, d and dtilde over 2s,
+dtilde* over 2se.  Each check multiplies its identity through by the
+scales and compares ints, so a pass means lhs == rhs exactly; the
+reported error is the exact largest |lhs - rhs| (a ``Fraction``).
 
 The closed forms carry the metric where an orthonormal frame has
 delta_ij (c is the Coxeter number): d^2 = sum_{k>0} sum_{a,b} 2ck G_ab
@@ -70,13 +69,12 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, wraps
-from math import lcm
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 from .cochain import InvariantError, differential_block
-from .liealg import AlgebraData, orthogonal_cartan
+from .liealg import AlgebraData, int_algebra
 
 ModeIndex = Tuple[int, int]  # (i, k): basis index, Fourier degree
 Mode = ModeIndex
@@ -231,36 +229,15 @@ def _combine(*terms: Tuple[int, Mapping[SemiInfMonomial, int]]) -> FockVector:
 
 
 class OrthonormalBackend:
-    """One algebra in the basis of ``orthogonal_cartan``, its structure
-    constants and invariant form scaled to ints, and the memoised
-    operators on one energy window.
-
-    ``f[i][q]`` maps p to s*f_{iq}^p and ``pairs[i]`` lists (p, q, s*f_{iq}^p),
-    with s = ``scale``.  ``gram[a]`` is (b, g*G_ab) for the one b with
-    G_ab != 0, g = ``gram_scale``; ``gram_inv[a]`` is (b, e*(G^-1)_ab) for
-    the same b, e = ``gram_inv_scale``."""
+    """One algebra as its ``IntAlgebra`` ``alg``, and the memoised
+    operators on one energy window.  ``pairs[i]`` lists (p, q, s*f_{iq}^p)
+    over the nonzero int structure constants of ``alg``, s = ``alg.scale``."""
 
     def __init__(self, data: AlgebraData, window: EnergyWindow):
-        self.data = orthogonal_cartan(data)
+        self.alg = int_algebra(data)
         self.window = window
         n = self.n = data.dim
-        self.coxeter = data.coxeter
-        structure = self.data.structure
-        s = self.scale = lcm(*(c.denominator for row in structure for col in row.values() for c in col.values()))
-        self.f = tuple({q: {p: c.numerator * (s // c.denominator) for p, c in col.items()} for q, col in row.items()}
-                       for row in structure)
-        self.pairs = [[(p, q, c) for q in range(n) for p, c in self.f[i].get(q, {}).items()] for i in range(n)]
-        partners = []
-        for row in self.data.gram:
-            nonzero = [b for b, x in enumerate(row) if x]
-            if len(nonzero) != 1:
-                raise InvariantError("the invariant form pairs a basis vector with more than one partner")
-            partners.append(nonzero[0])
-        form = [Fraction(row[b]) for row, b in zip(self.data.gram, partners)]
-        inv = [1 / x for x in form]  # G is symmetric, so (G^-1)_{ab} = 1 / G_ab for the partner b of a
-        g, e = self.gram_scale, self.gram_inv_scale = [lcm(*(x.denominator for x in xs)) for xs in (form, inv)]
-        self.gram = [(b, x.numerator * (g // x.denominator)) for b, x in zip(partners, form)]
-        self.gram_inv = [(b, x.numerator * (e // x.denominator)) for b, x in zip(partners, inv)]
+        self.pairs = [[(p, q, c) for q in range(n) for p, c in row.get(q, {}).items()] for row in self.alg.structure]
         # operator name -> {(*params, monomial): read-only column}
         self.columns: Dict[str, Dict[tuple, Mapping[SemiInfMonomial, int]]] = defaultdict(dict)
         self.bases: Dict[Tuple[int, int | None, int | None, int | None], Tuple[SemiInfMonomial, ...]] = {}
@@ -414,7 +391,7 @@ def _require_guarded(backend: OrthonormalBackend, v: FockVector, margin: int, wh
 
 
 def apply_L(backend: OrthonormalBackend, i: int, k: int, v: FockVector) -> FockVector:
-    """Coadjoint-type mode action, times ``backend.scale``; the input must
+    """Coadjoint-type mode action, times ``backend.alg.scale``; the input must
     keep margin |k| from the window edge so that the truncated mode sum is
     exact."""
     _require_guarded(backend, v, abs(k), f"L_({i},{k})")
@@ -456,7 +433,7 @@ def _dstar_monomial(backend: OrthonormalBackend, mono: SemiInfMonomial) -> FockV
     out: FockVector = {}
     for k in range(backend.window.kMin, backend.window.kMax + 1):
         sk = 1 if k > 0 else -1
-        for i, (b, x) in enumerate(backend.gram_inv):
+        for i, (b, x) in enumerate(backend.alg.gram_inv):
             for m1, c1 in _L_monomial(backend, i, -k, mono).items():
                 hit = iota_monomial(n, (b, k), m1)
                 if hit is None:
@@ -473,21 +450,21 @@ def _pairing(backend: OrthonormalBackend, mono: SemiInfMonomial) -> Tuple[int, i
     mode, then eps for each added one), <mono, y> = sign * <Omega, O_1^T
     ... O_t^T y>, and the transposes take the partner to a multiple of
     Omega."""
-    n = backend.n
+    n, alg = backend.n, backend.alg
     added, removed = decode_monomial(n, mono)
-    steps = [(iota_monomial, eps_monomial, backend.gram, mode) for mode in removed]
-    steps += [(eps_monomial, iota_monomial, backend.gram_inv, mode) for mode in added]
+    steps = [(iota_monomial, eps_monomial, alg.gram, mode) for mode in removed]
+    steps += [(eps_monomial, iota_monomial, alg.gram_inv, mode) for mode in added]
     num, built = 1, VACUUM
     for step, _transpose, _form, mode in steps:
         sign, built = step(n, mode, built)
         num *= sign
-    partner = encode_monomial(n, *([(backend.gram[i][0], k) for i, k in side] for side in (added, removed)))
+    partner = encode_monomial(n, *([(alg.gram[i][0], k) for i, k in side] for side in (added, removed)))
     y = partner
     for _step, transpose, form, (i, k) in reversed(steps):
         b, x = form[i]
         sign, y = transpose(n, (b, k), y)
         num *= sign * x
-    return num, backend.gram_scale ** len(removed) * backend.gram_inv_scale ** len(added), partner
+    return num, alg.gram_scale ** len(removed) * alg.gram_inv_scale ** len(added), partner
 
 
 def monomials_in_support(backend: OrthonormalBackend, margin: int,
@@ -623,12 +600,10 @@ def _vector_error(a: Mapping[SemiInfMonomial, int], b: Mapping[SemiInfMonomial, 
     return max((abs(a.get(m, 0) - b.get(m, 0)) for m in a.keys() | b.keys()), default=0)
 
 
-def clifford_check(backend: OrthonormalBackend, max_energy: int = 3) -> IdentityVerdict:
+def clifford_check(backend: OrthonormalBackend) -> IdentityVerdict:
     """[iota, eps]+ = delta * delta, squares vanish, on windowed monomials."""
     n, window = backend.n, backend.window
-    if not _small(backend):
-        max_energy = min(max_energy, 2)
-    basis = check_basis(backend, window.guard, max_energy, cap=700 if _small(backend) else 60)
+    basis = check_basis(backend, window.guard, 3 if _small(backend) else 2, cap=700 if _small(backend) else 60)
     if basis == [VACUUM]:
         return _skip_vacuum_only(backend, "clifford_relations", window.guard)
     modes = [(i, k) for k in range(window.kMin, window.kMax + 1) for i in range(n)]
@@ -665,13 +640,13 @@ def clifford_check(backend: OrthonormalBackend, max_energy: int = 3) -> Identity
     return _verdict(backend, "clifford_relations", Fraction(err), len(basis))
 
 
-def commutator_check(backend: OrthonormalBackend, max_energy: int = 4) -> IdentityVerdict:
+def commutator_check(backend: OrthonormalBackend) -> IdentityVerdict:
     """[iota_{j,m}, L_{i,k}] = -sum_p f_{ij}^p iota_{p,m+k} and the
     eps analogue [eps^{j,m}, L_{i,k}] = sum_q f_{iq}^j eps^{q,m-k}."""
     window = backend.window
     if window.guard < 1:
         return _skip(backend, "mode_action_commutators", "window guard < 1 (shift-1 operators)")
-    n, f = backend.n, backend.f
+    n, f = backend.n, backend.alg.structure
     err = 0
     count = 0
     for k in range(-window.guard, window.guard + 1):
@@ -680,7 +655,7 @@ def commutator_check(backend: OrthonormalBackend, max_energy: int = 4) -> Identi
                  if window.contains(m + k) and window.contains(m - k)]
         if not modes:
             continue  # no mode level to act with: this shift compares nothing
-        basis = check_basis(backend, margin + 1, max_energy, cap=300 if _small(backend) else 24)
+        basis = check_basis(backend, margin + 1, 4, cap=300 if _small(backend) else 24)
         count += len(basis)
         for mono in basis:
             gen_pairs = [(i, j) for i in range(n) for j in range(n)]
@@ -712,7 +687,7 @@ def commutator_check(backend: OrthonormalBackend, max_energy: int = 4) -> Identi
                             err = max(err, _vector_error(lhs, expected))
     if not count:
         return _skip(backend, "mode_action_commutators", "no mode level m has m - k and m + k in the window")
-    return _verdict(backend, "mode_action_commutators", Fraction(err, backend.scale), count)
+    return _verdict(backend, "mode_action_commutators", Fraction(err, backend.alg.scale), count)
 
 
 def cocycle_check(backend: OrthonormalBackend, i: int, j: int, k: int,
@@ -734,16 +709,17 @@ def cocycle_check(backend: OrthonormalBackend, i: int, j: int, k: int,
     Li, Lj = partial(_L_monomial, backend, i, k), partial(_L_monomial, backend, j, -k)
 
     # both sides times g s^2: the commutator is over s^2, G_ij over g
-    g, s = backend.gram_scale, backend.scale
-    partner, g_ij = backend.gram[i]
-    expected = 2 * backend.coxeter * k * s * s * (g_ij if j == partner else 0)
+    alg = backend.alg
+    g, s = alg.gram_scale, alg.scale
+    partner, g_ij = alg.gram[i]
+    expected = 2 * alg.data.coxeter * k * s * s * (g_ij if j == partner else 0)
     diag: List[int] = []
     err = 0
     for mono in basis:
         comm = _combine(
             (g, _apply(Li, Lj(mono))),
             (-g, _apply(Lj, Li(mono))),
-            *((-g * c, _L_monomial(backend, p, 0, mono)) for p, c in backend.f[i].get(j, {}).items()),
+            *((-g * c, _L_monomial(backend, p, 0, mono)) for p, c in alg.structure[i].get(j, {}).items()),
         )
         diag.append(comm.get(mono, 0))
         err = max(err, _vector_error(comm, {mono: expected}))
@@ -756,7 +732,7 @@ def vacuum_checks(backend: OrthonormalBackend) -> IdentityVerdict:
     d Omega = 0."""
     v = vacuum()
     window = backend.window
-    s = backend.scale
+    s = backend.alg.scale
     found = []  # (a vector that must vanish, its scale)
     for k in range(window.kMin, window.kMax + 1):
         for i in range(backend.n):
@@ -770,10 +746,10 @@ def vacuum_checks(backend: OrthonormalBackend) -> IdentityVerdict:
     return _verdict(backend, "vacuum_annihilation", err, 1)
 
 
-def energy_bookkeeping_check(backend: OrthonormalBackend, max_energy: int = 4) -> IdentityVerdict:
+def energy_bookkeeping_check(backend: OrthonormalBackend) -> IdentityVerdict:
     """iota shifts energy by -k, eps by +k, L by -k, d and dtilde by 0."""
     n, window = backend.n, backend.window
-    basis = check_basis(backend, max(window.guard, 1), max_energy, cap=1100 if _small(backend) else 40)
+    basis = check_basis(backend, max(window.guard, 1), 4, cap=1100 if _small(backend) else 40)
     if basis == [VACUUM]:
         return _skip_vacuum_only(backend, "energy_bookkeeping", max(window.guard, 1))
     bad = 0
@@ -789,10 +765,10 @@ def energy_bookkeeping_check(backend: OrthonormalBackend, max_energy: int = 4) -
     return _verdict(backend, "energy_bookkeeping", Fraction(bad), len(basis))
 
 
-def l0_commutes_with_d_check(backend: OrthonormalBackend, max_energy: int = 4) -> IdentityVerdict:
+def l0_commutes_with_d_check(backend: OrthonormalBackend) -> IdentityVerdict:
     if backend.window.guard < 1:
         return _skip(backend, "L0_commutes_with_d", "window guard < 1")
-    basis = check_basis(backend, backend.window.guard, max_energy, cap=1100 if _small(backend) else 12)
+    basis = check_basis(backend, backend.window.guard, 4, cap=1100 if _small(backend) else 12)
     if basis == [VACUUM]:
         return _skip_vacuum_only(backend, "L0_commutes_with_d", backend.window.guard)
     d = partial(_d_monomial, backend, False)
@@ -802,7 +778,7 @@ def l0_commutes_with_d_check(backend: OrthonormalBackend, max_energy: int = 4) -
         for i in gens:
             L0 = partial(_L_monomial, backend, i, 0)
             err = max(err, _vector_error(_apply(d, L0(mono)), _apply(L0, d(mono))))
-    return _verdict(backend, "L0_commutes_with_d", Fraction(err, 2 * backend.scale ** 2), len(basis))
+    return _verdict(backend, "L0_commutes_with_d", Fraction(err, 2 * backend.alg.scale ** 2), len(basis))
 
 
 def _ambient_differential(backend: OrthonormalBackend, wedge: Tuple[Mode, ...]) -> Dict[Tuple[Mode, ...], int]:
@@ -819,7 +795,7 @@ def _ambient_differential(backend: OrthonormalBackend, wedge: Tuple[Mode, ...]) 
             if l2 < l1 or not window.contains(l2):
                 continue
             for p in range(n):
-                for q, col in backend.f[p].items():
+                for q, col in backend.alg.structure[p].items():
                     cval = col.get(m)
                     if cval is None or (l1 == l2 and p >= q):
                         continue
@@ -843,8 +819,7 @@ def _ambient_differential(backend: OrthonormalBackend, wedge: Tuple[Mode, ...]) 
     return out
 
 
-def leibniz_check(backend: OrthonormalBackend, seed: int = 11, trials: int = 12,
-                  max_energy: int = 4) -> IdentityVerdict:
+def leibniz_check(backend: OrthonormalBackend) -> IdentityVerdict:
     """d(alpha ^ omega) = d(alpha) ^ omega + (-1)^p alpha ^ d(omega) for
     cochain wedges alpha and random guarded int vectors omega; d(alpha) is
     the full-algebra differential computed independently from the
@@ -855,14 +830,15 @@ def leibniz_check(backend: OrthonormalBackend, seed: int = 11, trials: int = 12,
         return _skip(backend, "leibniz_rule", "window guard < 1")
     import random as _random
 
-    rng = _random.Random(seed)
+    rng = _random.Random(11)
     n = backend.n
     lo, hi = window.support(window.guard)
     coch_modes = [(i, k) for k in range(1, hi + 1) for i in range(n)]
     if not coch_modes:
         return _skip(backend, "leibniz_rule", f"no cochain mode: kMax - guard = {hi} < 1")
-    basis = check_basis(backend, window.guard, max_energy, cap=700 if _small(backend) else 60)
+    basis = check_basis(backend, window.guard, 4, cap=700 if _small(backend) else 60)
     err = 0
+    trials = 12
     for _ in range(trials):
         p = rng.choice([1, 2])
         alpha = tuple(sorted(rng.sample(coch_modes, p), key=_mode_key))
@@ -876,36 +852,35 @@ def leibniz_check(backend: OrthonormalBackend, seed: int = 11, trials: int = 12,
               for dwedge, c in _ambient_differential(backend, alpha).items()),
         )
         err = max(err, _vector_error(lhs, rhs))
-    return _verdict(backend, "leibniz_rule", Fraction(err, 2 * backend.scale), trials)
+    return _verdict(backend, "leibniz_rule", Fraction(err, 2 * backend.alg.scale), trials)
 
 
-def d_squared_check(backend: OrthonormalBackend, max_energy: int = 3) -> IdentityVerdict:
+def d_squared_check(backend: OrthonormalBackend) -> IdentityVerdict:
     """d^2 = sum_{k>0} sum_{a,b} 2ck G_ab eps^{a,k} eps^{b,-k}, compared
     column by column, times 4s^2 g: d(d(c)) against the closed form on each
     guarded column c."""
     window = backend.window
     if window.guard < 1:
         return _skip(backend, "d_squared_closed_form", "window guard < 1")
-    if not _small(backend):
-        max_energy = min(max_energy, 2)
-    cols = check_basis(backend, window.guard, max_energy, cap=600 if _small(backend) else 30)
+    cols = check_basis(backend, window.guard, 3 if _small(backend) else 2, cap=600 if _small(backend) else 30)
     if cols == [VACUUM]:
         return _skip_vacuum_only(backend, "d_squared_closed_form", window.guard)
-    n, s, g = backend.n, backend.scale, backend.gram_scale
+    n, alg = backend.n, backend.alg
+    s, g = alg.scale, alg.gram_scale
     d = partial(_d_monomial, backend, False)
     err = 0
     for mono in cols:
         rhs: FockVector = {}
         for k in range(1, min(window.kMax, -window.kMin) + 1):
-            for a, (b, x) in enumerate(backend.gram):
+            for a, (b, x) in enumerate(alg.gram):
                 hit = _then(n, eps_monomial, (a, k), eps_monomial(n, (b, -k), mono))
                 if hit:
-                    _accumulate(rhs, hit[1], 8 * s * s * backend.coxeter * k * x * hit[0])
+                    _accumulate(rhs, hit[1], 8 * s * s * alg.data.coxeter * k * x * hit[0])
         err = max(err, _vector_error(_combine((g, _apply(d, d(mono)))), rhs))
     return _verdict(backend, "d_squared_closed_form", Fraction(err, 4 * s * s * g), len(cols))
 
 
-def laplacian_formula_check(backend: OrthonormalBackend, max_energy: int = 3) -> IdentityVerdict:
+def laplacian_formula_check(backend: OrthonormalBackend) -> IdentityVerdict:
     """[d, dtilde*]+ = -sum_{k>0} ck eps^{i,k} iota_{i,k}
     - sum_{k<0} ck iota_{i,k} eps^{i,k} + 1/2 sum_{i,j} (G^-1)_{ij} L_{i,0} L_{j,0},
     compared column by column over 4s^2 e: d(dtilde* c) + dtilde*(d c)
@@ -913,9 +888,7 @@ def laplacian_formula_check(backend: OrthonormalBackend, max_energy: int = 3) ->
     window = backend.window
     if window.guard < 1:
         return _skip(backend, "laplacian_closed_form", "window guard < 1")
-    if not _small(backend):
-        max_energy = min(max_energy, 2)
-    cols = check_basis(backend, window.guard, max_energy, cap=600 if _small(backend) else 30)
+    cols = check_basis(backend, window.guard, 3 if _small(backend) else 2, cap=600 if _small(backend) else 30)
     if cols == [VACUUM]:
         return _skip_vacuum_only(backend, "laplacian_closed_form", window.guard)
     d = partial(_d_monomial, backend, False)
@@ -925,14 +898,14 @@ def laplacian_formula_check(backend: OrthonormalBackend, max_energy: int = 3) ->
         lhs = _combine((1, _apply(d, dstar(mono))), (1, _apply(dstar, d(mono))))
         err = max(err, _vector_error(lhs, _closed_form_monomial(backend, mono)))
     return _verdict(backend, "laplacian_closed_form",
-                    Fraction(err, 4 * backend.scale ** 2 * backend.gram_inv_scale), len(cols))
+                    Fraction(err, 4 * backend.alg.scale ** 2 * backend.alg.gram_inv_scale), len(cols))
 
 
 def _closed_form_monomial(backend: OrthonormalBackend, mono: SemiInfMonomial) -> FockVector:
     """The closed form of [d, dtilde*]+ on one monomial, over 4s^2 e."""
-    n, window, s = backend.n, backend.window, backend.scale
+    n, window, alg = backend.n, backend.window, backend.alg
     out: FockVector = {}
-    number = 4 * s * s * backend.gram_inv_scale * backend.coxeter  # c, over 4s^2 e
+    number = 4 * alg.scale ** 2 * alg.gram_inv_scale * alg.data.coxeter  # c, over 4s^2 e
     for k in range(window.kMin, window.kMax + 1):
         # eps^{i,k} iota_{i,k} for k > 0, iota_{i,k} eps^{i,k} for k < 0
         if k == 0:
@@ -942,30 +915,28 @@ def _closed_form_monomial(backend: OrthonormalBackend, mono: SemiInfMonomial) ->
             hit = _then(n, outer, (i, k), inner(n, (i, k), mono))
             if hit:
                 _accumulate(out, hit[1], -number * k * hit[0])
-    for i, (j, x) in enumerate(backend.gram_inv):
+    for i, (j, x) in enumerate(alg.gram_inv):
         for m1, c1 in _L_monomial(backend, j, 0, mono).items():
             for m2, c2 in _L_monomial(backend, i, 0, m1).items():
                 _accumulate(out, m2, 2 * x * c1 * c2)
     return out
 
 
-def dtilde_adjoint_matrix_check(backend: OrthonormalBackend, max_energy: int = 3,
-                                block_cap: int = 800) -> IdentityVerdict:
+def dtilde_adjoint_matrix_check(backend: OrthonormalBackend) -> IdentityVerdict:
     """dtilde* is the adjoint of dtilde under the Fock pairing on each
     energy block of in-window monomials: <r, dtilde* c> = <dtilde r, c> for
     every r and c in the block.  As r pairs with its partner sigma r alone
     (``_pairing``), the left side is dtilde*(c)[sigma r] <r, sigma r> and
     the right side dtilde(r)[sigma c] <sigma c, c>.
 
-    Adjoints need whole blocks, so blocks beyond ``block_cap`` are left
-    out rather than truncated; if none fit the check is skipped."""
+    Adjoints need whole blocks, so blocks of more than 800 monomials are
+    left out rather than truncated; if none fit the check is skipped."""
     name = "dtilde_adjoint_is_matrix_transpose"
     if backend.window.guard < 1:
         return _skip(backend, name, "window guard < 1")
-    if not _small(backend):
-        max_energy = min(max_energy, 1)
-    allmon = monomials_in_support(backend, 0, max_energy)
-    e_scale = backend.gram_inv_scale
+    allmon = monomials_in_support(backend, 0, 3 if _small(backend) else 1)
+    block_cap = 800
+    e_scale = backend.alg.gram_inv_scale
     err = Fraction(0)
     count = 0
     energies = {m: energy(backend.n, m) for m in allmon}
@@ -994,17 +965,19 @@ def dtilde_adjoint_matrix_check(backend: OrthonormalBackend, max_energy: int = 3
                     err = max(err, Fraction(abs(lhs.get(m, 0) - rhs.get(m, 0)), pairing[m][1] * den))
     if count == 0:
         return _skip(backend, name, f"every energy block exceeds {block_cap} monomials")
-    return _verdict(backend, name, err / (2 * backend.scale * e_scale), count)
+    return _verdict(backend, name, err / (2 * backend.alg.scale * e_scale), count)
 
 
-def d_matches_cochain_check(backend: OrthonormalBackend, max_degree: int = 2, max_k: int = 3) -> IdentityVerdict:
-    """d(eps(alpha) Omega) = eps(d_CE alpha) Omega for cochain wedges from
-    the exact pipeline, which works in the backend's basis, so the cochain
-    mode (level, a) is e^{a,level}."""
+def d_matches_cochain_check(backend: OrthonormalBackend) -> IdentityVerdict:
+    """d(eps(alpha) Omega) = eps(d_CE alpha) Omega for cochain wedges of
+    degree <= 2 and energy <= 3 from the exact pipeline, which reads the
+    backend's ``IntAlgebra``, so the cochain mode (level, a) is
+    e^{a,level}.  Both sides are compared over 2s: d is over 2s, and the
+    exact block is s*d."""
     window = backend.window
     if window.guard < 1:
         return _skip(backend, "d_restricts_to_chevalley_eilenberg", "window guard < 1")
-    max_k = min(max_k, window.kMax - window.guard)
+    max_k = min(3, window.kMax - window.guard)
     if max_k < 1:
         return _skip(backend, "d_restricts_to_chevalley_eilenberg", f"no cochain level: kMax - guard = {max_k} < 1")
 
@@ -1015,22 +988,18 @@ def d_matches_cochain_check(backend: OrthonormalBackend, max_degree: int = 2, ma
     count = 0
     col_cap = None if _small(backend) else 6
     for k in range(1, max_k + 1):
-        for p in range(1, min(max_degree, k) + 1):
-            block = differential_block(backend.data, p, k)
-            # both sides over den: d is over 2s, the CE entries over their lcm denominator
-            den = lcm(2 * backend.scale, *(v.denominator for v in block.dMatrix.values()))
+        for p in range(1, min(2, k) + 1):
+            block = differential_block(backend.alg, p, k)
             for col, wedge in enumerate(block.basisIn.monomials[:col_cap]):
-                lhs = _combine((den // (2 * backend.scale), apply_d(backend, embed(wedge))))
-                rhs = _combine(*((val.numerator * (den // val.denominator), embed(block.basisOut.monomials[row]))
+                lhs = apply_d(backend, embed(wedge))
+                rhs = _combine(*((2 * val, embed(block.basisOut.monomials[row]))
                                  for (row, c_), val in block.dMatrix.items() if c_ == col))
-                err = max(err, Fraction(_vector_error(lhs, rhs), den))
+                err = max(err, Fraction(_vector_error(lhs, rhs), 2 * backend.alg.scale))
                 count += 1
     return _verdict(backend, "d_restricts_to_chevalley_eilenberg", err, count)
 
 
-def verify_identity_suite(data: AlgebraData, window: EnergyWindow,
-                          cocycle_modes: Sequence[Tuple[int, int, int]] | None = None
-                          ) -> List[IdentityVerdict]:
+def verify_identity_suite(data: AlgebraData, window: EnergyWindow) -> List[IdentityVerdict]:
     """Run the full operator identity suite; skipped checks carry reasons."""
     backend = OrthonormalBackend(data, window)
     out = [
@@ -1048,10 +1017,7 @@ def verify_identity_suite(data: AlgebraData, window: EnergyWindow,
             dtilde_adjoint_matrix_check,
         )
     ]
-    modes = cocycle_modes
-    if modes is None:
-        modes = [(0, 0, 1), (0, 0, 0), (0, min(1, data.dim - 1), 1)]
-    for i, j, k in modes:
+    for i, j, k in ((0, 0, 1), (0, 0, 0), (0, min(1, data.dim - 1), 1)):
         _, verdict = cocycle_check(backend, i, j, k)
         out.append(verdict)
     return out

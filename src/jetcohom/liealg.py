@@ -6,7 +6,8 @@ normalized invariant form (trace form divided by twice the Coxeter
 number), the compact involution and the positive-definite metric it
 induces.  Everything is exact: structure constants are integers, bilinear
 forms are ``fractions.Fraction`` matrices (``orthogonal_cartan`` gives
-the rational structure constants of a basis with a diagonal metric).
+the rational structure constants of a basis with a diagonal metric, and
+``int_algebra`` scales that basis to the ints both exact routes read).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import json
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Sequence, Tuple
 
 from . import exactlinalg as xl
@@ -528,6 +530,66 @@ def orthogonal_cartan(data: AlgebraData) -> AlgebraData:
     if any(herm[i][j] for i in range(n) for j in range(n) if i != j):
         raise InvariantError("the mode metric is not diagonal in the orthogonal Cartan basis")
     return replace(data, structure=tuple(structure), gram=gram, hermGram=herm)
+
+
+@dataclass(frozen=True)
+class IntAlgebra:
+    """An algebra in the basis of ``orthogonal_cartan`` as ints, each over
+    the scale in the field after it."""
+
+    data: AlgebraData  # the rebased algebra
+    structure: Tuple[Dict[int, Dict[int, int]], ...]  # structure[i][q][p] = s*C_{iq}^p
+    scale: int  # s
+    gram: Tuple[Tuple[int, int], ...]  # gram[a] = (b, g*G_ab), b the one partner of a
+    gram_scale: int  # g
+    gram_inv: Tuple[Tuple[int, int], ...]  # gram_inv[a] = (b, e*(G^-1)_ab), the same b
+    gram_inv_scale: int  # e
+    metric: Tuple[int, ...]  # metric[i] = m / hermGram_ii, the metric of the dual mode e^i times m
+    metric_scale: int  # m
+    weights: Tuple[Coords, ...]  # torus weight of each basis element, in simple-root coordinates
+
+    @property
+    def dim(self) -> int:
+        return self.data.dim
+
+
+def _scaled(values: Sequence[Fraction]) -> Tuple[Tuple[int, ...], int]:
+    """(ints, scale) with ints[i] / scale = values[i], scale the lcm of the denominators."""
+    scale = lcm(*(x.denominator for x in values))
+    return tuple(int(x * scale) for x in values), scale
+
+
+def int_algebra(data: AlgebraData) -> IntAlgebra:
+    """The ``IntAlgebra`` of ``data``.  Raises ``InvariantError`` unless the
+    invariant form pairs each basis vector with exactly one partner (then
+    (G^-1)_ab = 1 / G_ab for that partner, as G is symmetric) and every
+    torus weight is integral."""
+    data = orthogonal_cartan(data)
+    s = lcm(*(c.denominator for row in data.structure for col in row.values() for c in col.values()))
+    structure = tuple({q: {p: int(c * s) for p, c in col.items()} for q, col in row.items()} for row in data.structure)
+    partners = []
+    for row in data.gram:
+        nonzero = [b for b, x in enumerate(row) if x]
+        if len(nonzero) != 1:
+            raise InvariantError("the invariant form does not pair each basis vector with exactly one partner")
+        partners.append(nonzero[0])
+    form = [Fraction(row[b]) for row, b in zip(data.gram, partners)]
+    dual_metric = [1 / Fraction(row[i]) for i, row in enumerate(data.hermGram)]
+    (gram, g), (gram_inv, e), (metric, m) = (_scaled(xs) for xs in (form, [1 / x for x in form], dual_metric))
+    if any(Fraction(c).denominator != 1 for w in data.basis_weights for c in w):
+        raise InvariantError("a basis weight is not integral in simple-root coordinates")
+    return IntAlgebra(
+        data=data,
+        structure=structure,
+        scale=s,
+        gram=tuple(zip(partners, gram)),
+        gram_scale=g,
+        gram_inv=tuple(zip(partners, gram_inv)),
+        gram_inv_scale=e,
+        metric=metric,
+        metric_scale=m,
+        weights=tuple(tuple(int(c) for c in w) for w in data.basis_weights),
+    )
 
 
 def verify_algebra(data: AlgebraData, jacobi_samples: int | None = None) -> None:

@@ -12,6 +12,7 @@ not read: the identity suite is exact.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -52,8 +53,9 @@ class RunConfig:
     window: EnergyWindow = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not (self.tolerance > 0 and math.isfinite(self.tolerance)):
+            # NaN and infinity have no JSON form, and the config echoes the tolerance
+            raise ValueError(f"tolerance must be positive and finite, not {self.tolerance}")
         if self.outputFormat not in ("json", "csv", "text"):
             raise ValueError(f"unknown output format {self.outputFormat!r}")
         if self.maxDegree < 0 or self.maxEnergy < 0:

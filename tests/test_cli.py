@@ -232,6 +232,24 @@ def test_cli_rejects_an_invalid_window(capsys, flags):
     assert err.startswith("error: window must satisfy") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_cli_rejects_a_non_finite_tolerance_flag(capsys, value):
+    code = main(["verify-identities", "--series", "A", "--rank", "1", "--tolerance", value])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: tolerance must be positive and finite")
+
+
+@pytest.mark.parametrize("command", ["compute", "predict", "verify-identities"])
+def test_cli_rejects_a_non_finite_tolerance_in_the_config_file(tmp_path, capsys, command):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("series = A\nrank = 1\nmaxDegree = 1\nmaxEnergy = 1\ntolerance = inf\n")
+    code = main([command, "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: tolerance must be positive and finite")
+
+
 def test_config_file_and_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("series = A\nrank = 1\nmaxDegree = 2\nmaxEnergy = 3\noutputFormat = csv\n")

@@ -157,16 +157,16 @@ def _diagonal(entries):
 def test_gram_inverse_identity(cc_a1, cc_a2):
     # the inverse of a compound matrix is the compound of the inverse: the
     # all-pairs Gram of the vector metric inverts the diagonal cochain Gram,
-    # which the complex keeps as ints scaled by metric_scale ** p
+    # which the complex keeps as ints scaled by alg.metric_scale ** p
     for cc in (cc_a1, cc_a2):
-        herm = cc.data.hermGram
+        herm = cc.alg.data.hermGram
         for (p, k) in [(1, 2), (2, 3), (3, 4)]:
             mons = cc.basis(p, k).monomials
             grams = cc.gram(p, k)
             assert len(grams) == len(mons) and all(type(g) is int for g in grams)
             for w, idxs in cc.weight_blocks(p, k).items():
                 inverse = _all_pairs_gram(herm, cochain.CochainBasis(p, k, tuple(mons[i] for i in idxs)))
-                assert inverse == _diagonal([F(cc.metric_scale ** p, grams[i]) for i in idxs]), (p, k, w)
+                assert inverse == _diagonal([F(cc.alg.metric_scale ** p, grams[i]) for i in idxs]), (p, k, w)
 
 
 def test_laplacian_small_cells(a1, cc_a1):
@@ -271,14 +271,15 @@ def _cross_weight_pair(cc, p, k):
 
 
 def _whole_cell_reference(cc, p, k):
-    """Whole-cell dense Grams as all-pairs determinants on ``cc.data``,
-    d* = G^-1 d^T G and L = d*d + dd* of cell (p, k)."""
-    data = cc.data
+    """Whole-cell dense Grams as all-pairs determinants on the rebased
+    algebra, the rational d (from ``differential_block`` on that algebra,
+    not from the complex), d* = G^-1 d^T G and L = d*d + dd* of cell (p, k)."""
+    data = cc.alg.data
     herm = [list(r) for r in data.hermGram]
     dual = xl.invert(herm)
 
     def dstar(q):
-        d = cc.block(q, k)
+        d = differential_block(data, q, k)
         if not len(d.basisIn) or not len(d.basisOut):
             return None
         gram_out = _all_pairs_gram(dual, build_basis(data, q + 1, k))
@@ -289,10 +290,10 @@ def _whole_cell_reference(cc, p, k):
     L = oracles.zeros(len(basis), len(basis))
     up = dstar(p)
     if up is not None:
-        L = xl.mat_add(L, xl.matmul(up, oracles.dense(cc.block(p, k))))
+        L = xl.mat_add(L, xl.matmul(up, oracles.dense(differential_block(data, p, k))))
     down = dstar(p - 1) if p > 0 else None
     if down is not None:
-        L = xl.mat_add(L, xl.matmul(oracles.dense(cc.block(p - 1, k)), down))
+        L = xl.mat_add(L, xl.matmul(oracles.dense(differential_block(data, p - 1, k)), down))
     return _all_pairs_gram(dual, basis), up, L
 
 
@@ -330,10 +331,11 @@ def test_weight_blocks_match_whole_cell_reference(series, rank, max_p, max_k):
             groups = cc.weight_blocks(p, k)
             n, n_out = len(cc.basis(p, k)), len(cc.basis(p + 1, k))
             lap, d, star = cc.laplacian_columns(p, k), cc.differential(p, k), cc.codifferential(p, k)
-            assert _diagonal(cc.gram(p, k)) == oracles.scale(G, cc.metric_scale ** p), (p, k)
+            assert _diagonal(cc.gram(p, k)) == oracles.scale(G, cc.alg.metric_scale ** p), (p, k)
             assert _embed(cc.laplacian(p, k), groups, groups) == oracles.scale(L, lap.scale), (p, k)
             assert _from_columns(lap.columns, n, n) == oracles.scale(L, lap.scale), (p, k)
-            assert _from_columns(d.columns, n_out, n) == oracles.scale(oracles.dense(cc.block(p, k)), d.scale), (p, k)
+            d_ref = oracles.dense(differential_block(cc.alg.data, p, k))
+            assert _from_columns(d.columns, n_out, n) == oracles.scale(d_ref, d.scale), (p, k)
             if dstar is not None:
                 assert _from_columns(star.columns, n, n_out) == oracles.scale(dstar, star.scale), (p, k)
             for op in (lap, d, star):
@@ -379,8 +381,8 @@ def test_isotypic_check_rejects_cross_weight_entries(a1, monkeypatch):
     real_casimir = cochain.casimir_matrix
     i, j = _cross_weight_pair(CellComplex(a1), 2, 3)
 
-    def doctored_casimir(casimir, basis):
-        C = real_casimir(casimir, basis)
+    def doctored_casimir(alg, basis):
+        C = real_casimir(alg, basis)
         C.columns[j][i] = C.columns[j].get(i, 0) + 1
         return C
 
@@ -467,10 +469,10 @@ def test_integer_operators_are_scaled_dense_references(series, rank, max_p, max_
                 continue
             _G, _dstar, L_ref = _whole_cell_reference(cc, p, k)
             lap = cc.laplacian_columns(p, k)
-            C = cochain.casimir_matrix(cc.casimir, basis)
+            C = cochain.casimir_matrix(cc.alg, basis)
             assert _all_ints(lap) and _all_ints(C), (p, k)
             assert _from_columns(lap.columns, n, n) == oracles.scale(L_ref, lap.scale), (p, k)
-            assert _from_columns(C.columns, n, n) == oracles.scale(_dense_casimir_reference(cc.data, basis), C.scale), (p, k)
+            assert _from_columns(C.columns, n, n) == oracles.scale(_dense_casimir_reference(cc.alg.data, basis), C.scale), (p, k)
 
 
 def test_a_laplacian_scale_off_by_two_is_rejected(a1):
@@ -507,7 +509,7 @@ def _dense_minimal_polynomial_ok(cc, p, k, values):
     """Reference: prod_v (C - v) = 0 as a dense Fraction product over the whole cell."""
     basis = cc.basis(p, k)
     n = len(basis)
-    C = _dense_casimir_reference(cc.data, basis)
+    C = _dense_casimir_reference(cc.alg.data, basis)
     factors = [[[x - v if i == j else x for j, x in enumerate(row)] for i, row in enumerate(C)] for v in values]
     return xl.is_zero_matrix(functools.reduce(xl.matmul, factors, oracles.identity(n)))
 

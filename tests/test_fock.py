@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -192,11 +193,12 @@ def test_the_closed_forms_need_the_metric(a1):
     # in the rebased basis G = gram is not the identity (G_00 = 2, and e pairs
     # with f), so delta in its place breaks the closed forms
     backend = OrthonormalBackend(a1, WINDOW)
-    backend.gram_inv = [(i, backend.gram_inv_scale) for i in range(backend.n)]
+    alg = backend.alg
+    backend.alg = dataclasses.replace(alg, gram_inv=tuple((i, alg.gram_inv_scale) for i in range(backend.n)))
     lap = laplacian_formula_check(backend)
     assert not lap.passed and lap.max_abs_error == 6
     backend = OrthonormalBackend(a1, WINDOW)
-    backend.gram = [(i, backend.gram_scale) for i in range(backend.n)]
+    backend.alg = dataclasses.replace(alg, gram=tuple((i, alg.gram_scale) for i in range(backend.n)))
     d2 = d_squared_check(backend)
     assert not d2.passed and d2.max_abs_error == 4
 
@@ -207,7 +209,7 @@ def test_closed_form_scalar_on_embedded_cochains(backend, a1):
     for k >= 2, zero at k = 1)."""
     from jetcohom.cochain import eigenvalue_of
 
-    scale = 4 * backend.scale ** 2 * backend.gram_inv_scale  # of the closed form
+    scale = 4 * backend.alg.scale ** 2 * backend.alg.gram_inv_scale  # of the closed form
     for k, expected in ((1, Fraction(0)), (2, eigenvalue_of(a1, (Fraction(-1),), 2))):
         for l in range(backend.n):
             mono = encode_monomial(backend.n, ((l, k),))
@@ -351,7 +353,7 @@ def test_doctored_d_fails_matrix_checks(a1, monkeypatch):
     cols = check_basis(backend, WINDOW.guard, 3)
     target = next(m for m in cols if _dstar_monomial(backend, m))
     # d is over 2s: the extra term is 1/2
-    monkeypatch.setattr(fock, "_d_monomial", _with_extra_term(_d_monomial, target, backend.scale))
+    monkeypatch.setattr(fock, "_d_monomial", _with_extra_term(_d_monomial, target, backend.alg.scale))
     d2 = d_squared_check(backend)
     lap = laplacian_formula_check(backend)
     assert not d2.passed and d2.max_abs_error >= 0.25
@@ -362,7 +364,7 @@ def test_doctored_dstar_fails_transpose_check(a1, monkeypatch):
     backend = OrthonormalBackend(a1, WINDOW)
     target = encode_monomial(backend.n, ((1, 1),))  # e^{e,1} Omega pairs with e^{f,1} Omega to 1
     # dtilde* is over 2se: the extra term is 1/2
-    amount = backend.scale * backend.gram_inv_scale
+    amount = backend.alg.scale * backend.alg.gram_inv_scale
     monkeypatch.setattr(fock, "_dstar_monomial", _with_extra_term(_dstar_monomial, target, amount))
     verdict = dtilde_adjoint_matrix_check(backend)
     assert not verdict.passed and verdict.max_abs_error >= 0.5
@@ -424,7 +426,7 @@ def test_column_checks_match_dense_products(backend):
     assert lap == dense(lap_cols, cols)
     # d and dtilde* are over 2s and 2se, the closed form over 4s^2 e
     want = max(abs(x - y) for row, closed in zip(lap, dense(closed_cols, cols)) for x, y in zip(row, closed))
-    scale = 4 * backend.scale ** 2 * backend.gram_inv_scale
+    scale = 4 * backend.alg.scale ** 2 * backend.alg.gram_inv_scale
     assert laplacian_formula_check(backend).max_abs_error == Fraction(want, scale)
 
 

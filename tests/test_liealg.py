@@ -1,12 +1,17 @@
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
 
+from jetcohom.cochain import CellComplex, differential_block
+from jetcohom.fock import EnergyWindow, OrthonormalBackend
 from jetcohom.liealg import (
     AlgebraSpec,
     InvalidAlgebraError,
+    InvariantError,
     build_algebra,
     casimir_eigenvalue,
+    int_algebra,
     orthogonal_cartan,
     scaled_form,
     verify_algebra,
@@ -153,3 +158,56 @@ def test_serialization_roundtrip_and_hash(a1):
     assert a1.content_hash() == a1.content_hash()
     rebuilt = build_algebra(AlgebraSpec("A", 1))
     assert rebuilt.content_hash() == a1.content_hash()
+
+
+@pytest.fixture(scope="module", params=[("A", 1), ("A", 2), ("B", 2), ("G", 2)], ids=lambda sr: "".join(map(str, sr)))
+def chevalley(request):
+    return build_algebra(AlgebraSpec(*request.param))
+
+
+def test_int_algebra_structure_is_the_scaled_rebased_structure(chevalley):
+    alg, rebased = int_algebra(chevalley), orthogonal_cartan(chevalley)
+    assert alg.data == rebased and alg.dim == rebased.dim
+    assert alg.scale > 0 and all(type(c) is int for row in alg.structure for col in row.values() for c in col.values())
+    scaled = tuple({q: {p: alg.scale * c for p, c in col.items()} for q, col in row.items()}
+                   for row in rebased.structure)
+    assert alg.structure == scaled
+    assert alg.weights == chevalley.basis_weights and all(type(c) is int for w in alg.weights for c in w)
+
+
+def test_int_algebra_gram_times_its_inverse_is_the_identity(chevalley):
+    alg = int_algebra(chevalley)
+    n = alg.dim
+    G, G_inv = oracles.zeros(n, n), oracles.zeros(n, n)
+    for matrix, pairs, scale in ((G, alg.gram, alg.gram_scale), (G_inv, alg.gram_inv, alg.gram_inv_scale)):
+        for a, (b, x) in enumerate(pairs):
+            assert type(x) is int and x
+            matrix[a][b] = F(x, scale)
+    assert G == [list(row) for row in alg.data.gram]
+    assert xl.matmul(G, G_inv) == oracles.identity(n)
+
+
+def test_int_algebra_metric_inverts_the_mode_metric(chevalley):
+    alg = int_algebra(chevalley)
+    herm = alg.data.hermGram
+    assert len(alg.metric) == alg.dim
+    assert all(type(x) is int and x * herm[i][i] == alg.metric_scale for i, x in enumerate(alg.metric))
+
+
+def test_a_gram_row_with_two_partners_is_rejected(chevalley):
+    gram = [list(row) for row in chevalley.gram]
+    last = chevalley.dim - 1  # a root vector, which pairs only with its opposite
+    gram[last][last] = F(1)
+    doctored = dataclasses.replace(chevalley, gram=tuple(map(tuple, gram)))
+    for build in (int_algebra, CellComplex, lambda data: OrthonormalBackend(data, EnergyWindow(-1, 2, 1))):
+        with pytest.raises(InvariantError, match="exactly one partner"):
+            build(doctored)
+
+
+@pytest.mark.parametrize("p,k", [(1, 2), (2, 3)])
+def test_differential_block_on_an_int_algebra_is_s_times_the_rational_one(chevalley, p, k):
+    alg = int_algebra(chevalley)
+    scaled, rational = differential_block(alg, p, k), differential_block(orthogonal_cartan(chevalley), p, k)
+    assert scaled.basisIn == rational.basisIn and scaled.basisOut == rational.basisOut
+    assert scaled.dMatrix and all(type(x) is int for x in scaled.dMatrix.values())
+    assert scaled.dMatrix == {rc: alg.scale * x for rc, x in rational.dMatrix.items()}

@@ -62,6 +62,27 @@ def test_no_unreferenced_definitions():
     assert unreferenced == []
 
 
+def test_no_unused_imports_in_src():
+    # a name a module imports but never mentions again is dead; __init__.py
+    # imports to re-export, and a __future__ import binds no name
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        occurrences = Counter(
+            tok.string
+            for tok in tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+            if tok.type == tokenize.NAME
+        )
+        for node in ast.walk(_parsed(path)):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if occurrences[name] == 1:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []
+
+
 def test_every_traced_name_resolves():
     # the benchmark tracer wraps these names from outside; a rename that drops
     # one leaves its layer unmeasured
