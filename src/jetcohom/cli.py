@@ -4,10 +4,12 @@ Flags mirror the run configuration; an optional key=value config file
 (same field names) supplies defaults that flags override.  The cache
 directory may also come from the JETCOHOM_CACHE_DIR environment variable.
 
-Exit codes: 0 all verdicts pass; 1 usage or configuration error (also an
-unwritable --output, checked before computing); 2 a mismatch between
-computed and predicted cohomology (or a failed exact check); 3 an
-identity-suite failure.  ``--tolerance`` is accepted and validated for
+Exit codes: 0 all verdicts pass (also after --help); 1 usage or
+configuration error, including every command line argparse rejects, an
+unwritable --output and csv output for a report other than compute's,
+each checked before computing; 2 a mismatch between computed and
+predicted cohomology (or a failed exact check); 3 an identity-suite
+failure.  ``--tolerance`` is accepted and validated for
 existing configurations, but the identity suite is exact and does not
 read it.
 """
@@ -109,7 +111,10 @@ def make_config(args: argparse.Namespace) -> RunConfig:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help and 2 on a usage error
+        return 0 if exc.code == 0 else 1
 
     if args.command == "show-cache":
         cache_dir = cache_mod.resolve_cache_dir(getattr(args, "cacheDir", None))
@@ -130,17 +135,17 @@ def main(argv: list[str] | None = None) -> int:
         if not parent.is_dir() or not os.access(parent, os.W_OK):
             print(f"error: cannot write the report: {parent} is not a writable directory", file=sys.stderr)
             return 1
+    if config.outputFormat == "csv" and args.command != "compute":
+        print(f"error: csv output is only defined for compute reports, not {args.command}", file=sys.stderr)
+        return 1
 
     try:
         if args.command == "compute":
             report = cmd_compute(config)
         elif args.command == "predict":
             report = cmd_predict(config)
-        elif args.command == "verify-identities":
+        else:
             report = cmd_verify_identities(config)
-        else:  # pragma: no cover
-            parser.error(f"unknown command {args.command}")
-            return 1
     except InvalidAlgebraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -15,7 +15,8 @@ the whole run as sparse int columns over one positive int scale per cell
 (``ScaledColumns``): d = D / delta in lowest terms, from the int block
 s*d; d* = S / sigma; the Laplacian L = d*d + dd* = L_int / lambda; the
 Casimir C = C_int / gamma.  ``Fraction`` is left at the boundary: the
-kernel vectors, the predicted Casimir values and the report.
+predicted Casimir values and the report; harmonic vectors are sparse
+primitive int vectors.
 
 Weight blocks.  d is checked to join only monomials of equal torus
 weight, which makes d* and L weight-blocked too; the Casimir is checked
@@ -438,7 +439,7 @@ def eigenvalue_of(data: AlgebraData, lowestWeight: Sequence[Fraction], energy: i
 class HarmonicSpace:
     degree: int
     energy: int
-    basis: List[List[Fraction]]
+    basis: List[Dict[int, int]]  # sparse primitive int vectors, {cell index: coefficient}
     dimension: int
     weight_multiset: Dict[Weight, int]
     decomposition: List[IrrepSummand]
@@ -453,32 +454,27 @@ def harmonic_space(data: AlgebraData, p: int, k: int, complex_: CellComplex | No
     dimension is checked against Hodge consistency (dim - rank d^p_w -
     rank d^{p-1}_w, from the ranks ``rank_d`` sums), and every kernel
     vector is checked to be annihilated by d and d*; a failure raises
-    ``InvariantError``.  The basis vectors are returned in cell
+    ``InvariantError``.  The basis vectors are sparse int vectors in cell
     coordinates, block by block in sorted weight order.
     """
     cc = complex_ or CellComplex(data)
-    dim = len(cc.basis(p, k))
     laplacian = cc.laplacian(p, k)
     d_up, ranks_up = cc.differential(p, k).columns, cc.block_ranks(p, k)
     dstar_down, ranks_down = (cc.codifferential(p - 1, k).columns, cc.block_ranks(p - 1, k)) if p > 0 else ({}, {})
 
-    kernel_vectors: List[List[Fraction]] = []
+    kernel_vectors: List[Dict[int, int]] = []
     weight_multiset: Dict[Weight, int] = {}
     for w, idxs in cc.weight_blocks(p, k).items():
         kernel = xl.kernel_basis(laplacian[w])
         if len(kernel) != len(idxs) - ranks_up.get(w, 0) - ranks_down.get(w, 0):
             raise InvariantError(f"Hodge consistency fails in cell ({p}, {k})")
         for vec in kernel:
-            [ints], _den = xl.clear_denominators([vec])
-            sparse = {j: x for j, x in zip(idxs, ints) if x}
+            sparse = {j: x for j, x in zip(idxs, vec) if x}
             if _apply(d_up, sparse):
                 raise InvariantError(f"harmonic vector of cell ({p}, {k}) is not closed")
             if _apply(dstar_down, sparse):
                 raise InvariantError(f"harmonic vector of cell ({p}, {k}) is not co-closed")
-            full = [Fraction(0)] * dim
-            for j, x in zip(idxs, vec):
-                full[j] = x
-            kernel_vectors.append(full)
+            kernel_vectors.append(sparse)
         if kernel:
             weight_multiset[w] = len(kernel)
 

@@ -7,11 +7,12 @@ matrix plus denominator first.  Matrices are dense lists of lists of
 as sparse int columns over an int scale and hands these routines a dense
 int matrix only for an elimination, one torus-weight block at a time: the
 ranks of d and the kernel of the Laplacian, which the scales do not
-change.  Kernel vectors come back as ``Fraction`` lists of primitive
-integers.  ``invert`` serves the small per-algebra matrices (the inverse
-Gram of the Casimir).  ``matmul``, ``mat_add``, ``is_zero_matrix`` and
-``det`` are test oracles that the program does not call; they stay here
-while the benchmark tracer (``perfbench/tracing.py``) wraps them.
+change.  Kernel vectors come back as lists of primitive ints.
+``invert`` serves the small per-algebra matrices of ``liealg``: the
+weight form and ``orthogonal_cartan``.  ``matmul``, ``mat_add``,
+``is_zero_matrix`` and ``det`` are test oracles that the program does
+not call; they stay here while the benchmark tracer
+(``perfbench/tracing.py``) wraps them.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ def rank(a: Sequence[Sequence]) -> int:
     return len(piv)
 
 
-def kernel_basis(a: Sequence[Sequence]) -> List[List[Fraction]]:
+def kernel_basis(a: Sequence[Sequence]) -> List[List[int]]:
     """Basis of the right kernel, as primitive integer vectors.
 
     Forward elimination is fraction-free; back substitution over rationals
@@ -125,7 +126,7 @@ def kernel_basis(a: Sequence[Sequence]) -> List[List[Fraction]]:
             g = gcd(g, x)
         if g > 1:
             ints = [x // g for x in ints]
-        basis.append([Fraction(x) for x in ints])
+        basis.append(ints)
     return basis
 
 

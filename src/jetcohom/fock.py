@@ -46,17 +46,21 @@ skip verdict below that, or when its guarded support holds only the
 vacuum, never a silent pass.
 
 A backend is one algebra on one energy window, so no operator, check or
-enumeration takes a window of its own.  Every operator is a column
-function (one monomial to a sparse int vector); ``_apply`` takes it to a
-vector, and ``_combine`` forms each lhs - rhs.  The columns of L_{i,k},
-d or dtilde and dtilde* are memoised on the backend, one dict per
-operator (read-only).  ``_L_monomial``, under all of them, does its two
-single-mode steps per (s, p, q) inline on the masks; the Clifford and
-commutator checks push single monomials and columns through
-``eps_monomial``/``iota_monomial``.  The quantifier sets of
-``check_basis`` are built one energy shell at a time in (energy, label)
-order, only up to the shell that reaches their cap, and are memoised on
-the backend keyed by margin, energy cap, particle cap and cap.
+enumeration takes a window of its own.  Operators exist only as column
+functions (one monomial to a sparse int vector); ``_apply`` takes a
+column function to a vector, and ``_combine`` forms each lhs - rhs.  The
+columns of L_{i,k}, d or dtilde and dtilde* are memoised on the backend,
+one dict per operator (read-only).  ``_L_monomial``, under all of them,
+does its two single-mode steps per (s, p, q) inline on the masks; every
+other single-mode step goes through ``eps_monomial``/``iota_monomial``,
+and a wedge of eps steps through ``_eps_wedge_column``.  Every column
+loop runs over window levels only, and cochain modes sit at levels <=
+kMax - guard, so no operator checks its input against the window.
+
+The quantifier sets of ``check_basis`` are built one energy shell at a
+time in (energy, label) order, only up to the shell that reaches their
+cap, and are memoised on the backend keyed by margin, energy cap,
+particle cap and cap.
 ``verify_identity_suite`` builds one backend per call, so the memo lives
 as long as one suite run.  The matrix identities (d^2, the Laplacian,
 the adjoint of dtilde) are checked column by column from these columns;
@@ -81,14 +85,6 @@ Mode = ModeIndex
 SemiInfMonomial = Tuple[int, int]  # (added, removed) bitmasks
 FockVector = Dict[SemiInfMonomial, int]  # int coefficients over the operator's scale
 Column = Callable[[SemiInfMonomial], Mapping[SemiInfMonomial, int]]
-
-
-class WindowViolation(ValueError):
-    """A mode outside the window was requested."""
-
-
-class GuardViolation(ValueError):
-    """A vector is not supported in the guarded sub-window for the shift."""
 
 
 @dataclass(frozen=True)
@@ -202,6 +198,14 @@ def _then(n: int, step, mode: Mode, hit: Tuple[int, SemiInfMonomial] | None
     return hit[0] * back[0], back[1]
 
 
+def _eps_wedge_column(n: int, modes: Sequence[Mode], mono: SemiInfMonomial) -> FockVector:
+    """eps^{m_1} ... eps^{m_p} mono for modes ascending by (k, i), as a column."""
+    hit: Tuple[int, SemiInfMonomial] | None = (1, mono)
+    for mode in reversed(modes):
+        hit = _then(n, eps_monomial, mode, hit)
+    return {hit[1]: hit[0]} if hit else {}
+
+
 def _accumulate(out: Dict, key, coeff: int):
     new = out.get(key, 0) + coeff
     if new:
@@ -262,37 +266,6 @@ def _memo_column(fn):
         return col
 
     return column
-
-
-def vacuum() -> FockVector:
-    return {VACUUM: 1}
-
-
-def _apply_mode(step, backend: OrthonormalBackend, mode: Mode, v: FockVector) -> FockVector:
-    window = backend.window
-    if not window.contains(mode[1]):
-        raise WindowViolation(f"mode {mode} outside window [{window.kMin}, {window.kMax}]")
-    out: FockVector = {}
-    for mono, coeff in v.items():
-        hit = step(backend.n, mode, mono)
-        if hit:
-            _accumulate(out, hit[1], hit[0] * coeff)
-    return out
-
-
-def apply_eps(backend: OrthonormalBackend, mode: Mode, v: FockVector) -> FockVector:
-    return _apply_mode(eps_monomial, backend, mode, v)
-
-
-def apply_iota(backend: OrthonormalBackend, mode: Mode, v: FockVector) -> FockVector:
-    return _apply_mode(iota_monomial, backend, mode, v)
-
-
-def _eps_wedge(backend: OrthonormalBackend, modes: Sequence[Mode], v: FockVector) -> FockVector:
-    """eps^{m_1} ... eps^{m_p} v for modes ascending by (k, i)."""
-    for mode in reversed(modes):
-        v = apply_eps(backend, mode, v)
-    return v
 
 
 @_memo_column
@@ -378,29 +351,10 @@ def _L_monomial(backend: OrthonormalBackend, i: int, k: int, mono: SemiInfMonomi
     return out
 
 
-def _require_guarded(backend: OrthonormalBackend, v: FockVector, margin: int, what: str):
-    lo, hi = backend.window.support(margin)
-    n = backend.n
-    for added, removed in v:
-        top = (added.bit_length() - 1) // n + 1  # highest added level
-        if added and top > hi:
-            raise GuardViolation(f"{what}: added mode at level {top} outside guarded [{lo},{hi}]")
-        bottom = -((removed.bit_length() - 1) // n)  # lowest removed level
-        if removed and bottom < lo:
-            raise GuardViolation(f"{what}: removed mode at level {bottom} outside guarded [{lo},{hi}]")
-
-
-def apply_L(backend: OrthonormalBackend, i: int, k: int, v: FockVector) -> FockVector:
-    """Coadjoint-type mode action, times ``backend.alg.scale``; the input must
-    keep margin |k| from the window edge so that the truncated mode sum is
-    exact."""
-    _require_guarded(backend, v, abs(k), f"L_({i},{k})")
-    return _apply(partial(_L_monomial, backend, i, k), v)
-
-
 @_memo_column
 def _d_monomial(backend: OrthonormalBackend, twisted: bool, mono: SemiInfMonomial) -> FockVector:
-    """d (or dtilde if ``twisted``) of one monomial, over 2s."""
+    """d = 1/2 sum_{i,k} L_{i,k} eps^{i,k}, windowed, of one monomial, over
+    2s; with ``twisted``, dtilde, whose k <= 0 terms enter with a minus sign."""
     n = backend.n
     out: FockVector = {}
     for k in range(backend.window.kMin, backend.window.kMax + 1):
@@ -413,16 +367,6 @@ def _d_monomial(backend: OrthonormalBackend, twisted: bool, mono: SemiInfMonomia
             for m2, c2 in _L_monomial(backend, i, k, inner).items():
                 _accumulate(out, m2, sk * sgn * c2)
     return out
-
-
-def apply_d(backend: OrthonormalBackend, v: FockVector) -> FockVector:
-    """d = 1/2 sum_{i,k} L_{i,k} eps^{i,k}, windowed, times 2s."""
-    return _apply(partial(_d_monomial, backend, False), v)
-
-
-def apply_d_twisted(backend: OrthonormalBackend, v: FockVector) -> FockVector:
-    """dtilde, times 2s: the k <= 0 terms of d enter with a minus sign."""
-    return _apply(partial(_d_monomial, backend, True), v)
 
 
 @_memo_column
@@ -730,18 +674,17 @@ def cocycle_check(backend: OrthonormalBackend, i: int, j: int, k: int,
 def vacuum_checks(backend: OrthonormalBackend) -> IdentityVerdict:
     """iota_{i,k>0} Omega = 0, eps^{i,k<=0} Omega = 0, L_{i,k>=0} Omega = 0,
     d Omega = 0."""
-    v = vacuum()
-    window = backend.window
+    n, window = backend.n, backend.window
     s = backend.alg.scale
-    found = []  # (a vector that must vanish, its scale)
+    found = []  # (a column that must vanish, its scale)
     for k in range(window.kMin, window.kMax + 1):
-        for i in range(backend.n):
+        for i in range(n):
+            hit = (iota_monomial if k > 0 else eps_monomial)(n, (i, k), VACUUM)
+            found.append(({hit[1]: hit[0]} if hit else {}, 1))
             if k > 0:
-                found += [(apply_iota(backend, (i, k), v), 1), (_L_monomial(backend, i, k, VACUUM), s)]
-            else:
-                found.append((apply_eps(backend, (i, k), v), 1))
-    found += [(_L_monomial(backend, 0, 0, VACUUM), s), (apply_d(backend, v), 2 * s),
-              (apply_d_twisted(backend, v), 2 * s)]
+                found.append((_L_monomial(backend, i, k, VACUUM), s))
+    found += [(_L_monomial(backend, 0, 0, VACUUM), s), (_d_monomial(backend, False, VACUUM), 2 * s),
+              (_d_monomial(backend, True, VACUUM), 2 * s)]
     err = max(Fraction(_vector_error(vec, {}), scale) for vec, scale in found)
     return _verdict(backend, "vacuum_annihilation", err, 1)
 
@@ -837,6 +780,11 @@ def leibniz_check(backend: OrthonormalBackend) -> IdentityVerdict:
     if not coch_modes:
         return _skip(backend, "leibniz_rule", f"no cochain mode: kMax - guard = {hi} < 1")
     basis = check_basis(backend, window.guard, 4, cap=700 if _small(backend) else 60)
+    d = partial(_d_monomial, backend, False)
+
+    def wedge(modes: Sequence[Mode], v: Mapping[SemiInfMonomial, int]) -> FockVector:
+        return _apply(partial(_eps_wedge_column, n, modes), v)
+
     err = 0
     trials = 12
     for _ in range(trials):
@@ -845,11 +793,10 @@ def leibniz_check(backend: OrthonormalBackend) -> IdentityVerdict:
         omega_mons = rng.sample(basis, min(3, len(basis)))
         omega = {m: rng.choice((-1, 1)) * rng.randint(1, 9) for m in omega_mons}
 
-        lhs = apply_d(backend, _eps_wedge(backend, alpha, omega))
+        lhs = _apply(d, wedge(alpha, omega))
         rhs = _combine(
-            (-1 if p % 2 else 1, _eps_wedge(backend, alpha, apply_d(backend, omega))),
-            *((2 * c, _eps_wedge(backend, dwedge, omega))
-              for dwedge, c in _ambient_differential(backend, alpha).items()),
+            (-1 if p % 2 else 1, wedge(alpha, _apply(d, omega))),
+            *((2 * c, wedge(dwedge, omega)) for dwedge, c in _ambient_differential(backend, alpha).items()),
         )
         err = max(err, _vector_error(lhs, rhs))
     return _verdict(backend, "leibniz_rule", Fraction(err, 2 * backend.alg.scale), trials)
@@ -982,7 +929,9 @@ def d_matches_cochain_check(backend: OrthonormalBackend) -> IdentityVerdict:
         return _skip(backend, "d_restricts_to_chevalley_eilenberg", f"no cochain level: kMax - guard = {max_k} < 1")
 
     def embed(wedge) -> FockVector:
-        return _eps_wedge(backend, [(a, level) for level, a in wedge], vacuum())
+        return _eps_wedge_column(backend.n, [(a, level) for level, a in wedge], VACUUM)
+
+    d = partial(_d_monomial, backend, False)
 
     err = Fraction(0)
     count = 0
@@ -991,7 +940,7 @@ def d_matches_cochain_check(backend: OrthonormalBackend) -> IdentityVerdict:
         for p in range(1, min(2, k) + 1):
             block = differential_block(backend.alg, p, k)
             for col, wedge in enumerate(block.basisIn.monomials[:col_cap]):
-                lhs = apply_d(backend, embed(wedge))
+                lhs = _apply(d, embed(wedge))
                 rhs = _combine(*((2 * val, embed(block.basisOut.monomials[row]))
                                  for (row, c_), val in block.dMatrix.items() if c_ == col))
                 err = max(err, Fraction(_vector_error(lhs, rhs), 2 * backend.alg.scale))

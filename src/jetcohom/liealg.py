@@ -37,6 +37,18 @@ _VALID_RANKS = {
 }
 
 
+def _bilinear(form: Sequence[Sequence[Fraction]], a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
+    """sum_{i,j} a_i b_j form[i][j] over the nonzero a_i and b_j, row by row."""
+    tot = Fraction(0)
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j, y in enumerate(b):
+            if y != 0:
+                tot += Fraction(x) * Fraction(y) * form[i][j]
+    return tot
+
+
 class InvalidAlgebraError(ValueError):
     """Raised for Cartan data outside the supported simple series."""
 
@@ -145,14 +157,7 @@ class RootSystem:
         return tuple(out)
 
     def form(self, a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-        tot = Fraction(0)
-        for i, x in enumerate(a):
-            if x == 0:
-                continue
-            for j, y in enumerate(b):
-                if y != 0:
-                    tot += Fraction(x) * Fraction(y) * self.sym_form[i][j]
-        return tot
+        return _bilinear(self.sym_form, a, b)
 
 
 def _generate_roots(A: Sequence[Sequence[int]]) -> set[Coords]:
@@ -332,14 +337,7 @@ class AlgebraData:
         return m
 
     def weight_pairing(self, a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-        tot = Fraction(0)
-        for i, x in enumerate(a):
-            if x == 0:
-                continue
-            for j, y in enumerate(b):
-                if y != 0:
-                    tot += Fraction(x) * Fraction(y) * self.weight_form[i][j]
-        return tot
+        return _bilinear(self.weight_form, a, b)
 
     def content_hash(self) -> str:
         cached = getattr(self, "_content_hash", None)
@@ -592,7 +590,7 @@ def int_algebra(data: AlgebraData) -> IntAlgebra:
     )
 
 
-def verify_algebra(data: AlgebraData, jacobi_samples: int | None = None) -> None:
+def verify_algebra(data: AlgebraData) -> None:
     """Check antisymmetry, Jacobi, the trace identity and metric axioms.
 
     Jacobi is exhaustive up to dim 60; above that a fixed-seed sample of
@@ -613,12 +611,11 @@ def verify_algebra(data: AlgebraData, jacobi_samples: int | None = None) -> None
                     acc[p] = acc.get(p, 0) + cq * cp
         return all(v == 0 for v in acc.values())
 
-    if jacobi_samples is None and n <= 60:
+    if n <= 60:
         triples = itertools.combinations(range(n), 3)
     else:
         rng = random.Random(7)
-        count = jacobi_samples or 2000
-        triples = (tuple(rng.sample(range(n), 3)) for _ in range(count))
+        triples = (tuple(rng.sample(range(n), 3)) for _ in range(2000))
     for i, j, k in triples:
         if not jac(i, j, k):
             raise InvariantError(f"Jacobi fails at {(i, j, k)}")
@@ -673,14 +670,7 @@ def _is_positive_definite(mat: Sequence[Sequence[Fraction]]) -> bool:
 
 def scaled_form(data: AlgebraData, x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
     """Killing form over 2c, on coordinate vectors in the Chevalley basis."""
-    tot = Fraction(0)
-    for i, xi in enumerate(x):
-        if xi == 0:
-            continue
-        for j, yj in enumerate(y):
-            if yj != 0:
-                tot += Fraction(xi) * Fraction(yj) * data.gram[i][j]
-    return tot
+    return _bilinear(data.gram, x, y)
 
 
 def is_dominant(data: AlgebraData, weight: Sequence[Fraction]) -> bool:

@@ -250,6 +250,45 @@ def test_cli_rejects_a_non_finite_tolerance_in_the_config_file(tmp_path, capsys,
     assert captured.err.startswith("error: tolerance must be positive and finite")
 
 
+@pytest.mark.parametrize("argv", [
+    ["compute", "--rank", "x"],
+    ["verify-identities", "--series", "A", "--rank", "1", "--tolerance", "-inf"],
+    [],
+], ids=["invalid-int", "option-like-value", "no-subcommand"])
+def test_cli_maps_argparse_usage_errors_to_exit_1(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("usage: jetcohom") and "error:" in captured.err
+
+
+def test_cli_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: jetcohom")
+
+
+@pytest.mark.parametrize("command", ["predict", "verify-identities"])
+@pytest.mark.parametrize("route", ["flag", "config"])
+def test_cli_rejects_csv_for_reports_other_than_compute(tmp_path, capsys, monkeypatch, command, route):
+    from jetcohom import cli
+
+    def computed(config):
+        raise AssertionError("csv must be refused before any computation")
+
+    monkeypatch.setattr(cli, "cmd_predict", computed)
+    monkeypatch.setattr(cli, "cmd_verify_identities", computed)
+    if route == "flag":
+        argv = [command, "--series", "A", "--rank", "1", "--max-degree", "1", "--max-energy", "1", "--format", "csv"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("series = A\nrank = 1\nmaxDegree = 1\nmaxEnergy = 1\noutputFormat = csv\n")
+        argv = [command, "--config", str(cfg)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: csv output is only defined for compute reports, not {command}\n"
+
+
 def test_config_file_and_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("series = A\nrank = 1\nmaxDegree = 2\nmaxEnergy = 3\noutputFormat = csv\n")

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -31,9 +32,9 @@ def test_kernel_vectors_annihilate():
         for vec in ker:
             image = [sum(row[j] * vec[j] for j in range(cols)) for row in m]
             assert all(x == 0 for x in image)
-        # kernel vectors are primitive integer vectors
+        # kernel vectors are primitive int vectors
         for vec in ker:
-            assert all(x.denominator == 1 for x in vec)
+            assert all(type(x) is int for x in vec) and math.gcd(*vec) == 1
 
 
 def test_kernel_vectors_independent():
