@@ -2,11 +2,13 @@
 
 One JSON file per (algebra, degree, energy) cell holding the computed
 cell summary: dimension, rank of d, harmonic decomposition and check
-flags.  The differential is not stored; files written when it was (under
-a "block" key) still load, and the report ignores that key.  A cached
-file is used only when its stored algebra hash matches; hash mismatches
-and unreadable files trigger recomputation with a warning.  Each writer
-publishes through a temp file of its own, so writers of one cell never collide.
+flags, and the report schema version it was written for.  The
+differential is not stored; files written when it was (under a "block"
+key) still load, and the report ignores that key.  A cached file is used
+only when its stored algebra hash and schema version both match; a
+mismatch, a missing version and an unreadable file trigger recomputation
+with a warning.  Each writer publishes through a temp file of its own, so
+writers of one cell never collide.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ def cell_path(cache_dir: Path, algebra_hash: str, p: int, k: int) -> Path:
     return cache_dir / f"{algebra_hash[:16]}_p{p}_k{k}.json"
 
 
-def load_cell(cache_dir: Optional[Path], algebra_hash: str, p: int, k: int) -> Optional[dict]:
+def load_cell(cache_dir: Optional[Path], algebra_hash: str, p: int, k: int, schema_version: int) -> Optional[dict]:
     if cache_dir is None:
         return None
     path = cell_path(cache_dir, algebra_hash, p, k)
@@ -44,6 +46,10 @@ def load_cell(cache_dir: Optional[Path], algebra_hash: str, p: int, k: int) -> O
         return None
     if record.get("algebra_hash") != algebra_hash:
         print(f"warning: cache file {path} has stale algebra hash; recomputing", file=sys.stderr)
+        return None
+    if record.get("schema_version") != schema_version:
+        print(f"warning: cache file {path} has schema version {record.get('schema_version')}, "
+              f"not {schema_version}; recomputing", file=sys.stderr)
         return None
     required = {"p", "k", "dim", "rank_d", "harmonic_dim", "harmonic", "checks"}
     if not required.issubset(record):

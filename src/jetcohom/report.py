@@ -129,6 +129,7 @@ def compute_cell(data: AlgebraData, cc: CellComplex, p: int, k: int) -> dict:
     dim = len(basis)
     record: dict = {
         "algebra_hash": data.content_hash(),
+        "schema_version": SCHEMA_VERSION,
         "p": p,
         "k": k,
         "dim": dim,
@@ -188,7 +189,7 @@ def cmd_compute(config: RunConfig) -> dict:
     cells: List[dict] = []
     for p in range(config.maxDegree + 1):
         for k in range(config.maxEnergy + 1):
-            record = cache_mod.load_cell(cache_dir, ahash, p, k)
+            record = cache_mod.load_cell(cache_dir, ahash, p, k, SCHEMA_VERSION)
             if record is None:
                 record = compute_cell(data, cc, p, k)
                 cache_mod.store_cell(cache_dir, record)
@@ -235,9 +236,10 @@ def cmd_compute(config: RunConfig) -> dict:
         "config": config.to_json_dict(),
         "algebra": _algebra_json(config, data),
         "conventions": dict(_CONVENTIONS),
-        # cache files written before the differential payload was dropped still hold "block"
+        # the schema version is the cache's own; cache files written before the
+        # differential payload was dropped still hold "block"
         "cells": [
-            {k: v for k, v in record.items() if k != "block"} for record in cells
+            {k: v for k, v in record.items() if k not in ("block", "schema_version")} for record in cells
         ],
         "predictions": _predictions_json(predictions),
         "matchVerdict": match,

@@ -11,6 +11,7 @@ from jetcohom.cli import main, make_config, parse_config_file
 from jetcohom.cochain import differential_block
 from jetcohom.liealg import build_algebra
 from jetcohom.report import (
+    SCHEMA_VERSION,
     RunConfig,
     cmd_compute,
     cmd_predict,
@@ -360,7 +361,9 @@ def test_cached_block_serialization(tmp_path):
     cmd_compute(RunConfig(series="A", rank=1, maxDegree=1, maxEnergy=1, cacheDir=str(cache)))
     record = json.loads(next(iter(sorted(cache.glob("*_p1_k1.json")))).read_text())
     # the cell summary only: the differential is not cached
-    assert set(record) == {"algebra_hash", "p", "k", "dim", "rank_d", "harmonic_dim", "harmonic", "checks"}
+    assert set(record) == {"algebra_hash", "schema_version", "p", "k", "dim", "rank_d", "harmonic_dim",
+                           "harmonic", "checks"}
+    assert record["schema_version"] == SCHEMA_VERSION
     assert (record["p"], record["k"], record["dim"], record["rank_d"], record["harmonic_dim"]) == (1, 1, 3, 0, 3)
     assert record["harmonic"] == [{"lowestWeight": ["-1"], "dim": 3, "multiplicity": 1, "energy": 1}]
     assert all(record["checks"].values())
@@ -392,14 +395,37 @@ def test_cache_files_with_a_block_payload_give_the_same_report(tmp_path):
     assert {fmt: serialize_report(old, fmt) for fmt in fresh} == fresh
 
 
+def test_cache_files_of_another_schema_version_are_recomputed(tmp_path, capsys):
+    # files written before cells carried a schema version, or for another
+    # version, are stale like a wrong algebra hash: a warning, then recompute
+    cache = tmp_path / "cache"
+    cfg = RunConfig(series="A", rank=1, maxDegree=1, maxEnergy=2, cacheDir=str(cache))
+    fresh = serialize_report(cmd_compute(cfg), "json")
+    old, other = sorted(cache.glob("*.json"))[:2]
+    for path, version in ((old, None), (other, SCHEMA_VERSION + 1)):
+        record = json.loads(path.read_text())
+        record.pop("schema_version")
+        if version is not None:
+            record["schema_version"] = version
+        record["harmonic"] = []  # a wrong cell that only a recompute can mend
+        path.write_text(json.dumps(record, sort_keys=True))
+    capsys.readouterr()
+    assert serialize_report(cmd_compute(cfg), "json") == fresh
+    err = capsys.readouterr().err
+    assert f"{old} has schema version None, not {SCHEMA_VERSION}; recomputing" in err
+    assert f"{other} has schema version {SCHEMA_VERSION + 1}, not {SCHEMA_VERSION}; recomputing" in err
+    for path in (old, other):  # rewritten for the current version
+        assert json.loads(path.read_text())["schema_version"] == SCHEMA_VERSION
+
+
 def test_store_cell_writes_through_a_temp_file_of_its_own(tmp_path):
-    record = {"algebra_hash": "ab" * 32, "p": 1, "k": 1, "dim": 3, "rank_d": 0,
-              "harmonic_dim": 3, "harmonic": [], "checks": {}}
+    record = {"algebra_hash": "ab" * 32, "schema_version": SCHEMA_VERSION, "p": 1, "k": 1, "dim": 3,
+              "rank_d": 0, "harmonic_dim": 3, "harmonic": [], "checks": {}}
     path = cache_mod.cell_path(tmp_path, record["algebra_hash"], 1, 1)
     taken = path.with_suffix(".tmp")
     taken.mkdir()  # another writer's (or a stale) temp under the cell's plain temp name
     cache_mod.store_cell(tmp_path, record)
-    assert cache_mod.load_cell(tmp_path, record["algebra_hash"], 1, 1) == record
+    assert cache_mod.load_cell(tmp_path, record["algebra_hash"], 1, 1, SCHEMA_VERSION) == record
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted([path.name, taken.name])
 
 

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import itertools
+import tracemalloc
 from fractions import Fraction
 from functools import partial
 
@@ -38,6 +40,7 @@ from jetcohom.fock import (
     _closed_form_monomial,
     _d_monomial,
     _dstar_monomial,
+    _pairs,
 )
 
 WINDOW = EnergyWindow(-2, 3, 1)
@@ -53,6 +56,11 @@ def backend2(a2):
     return OrthonormalBackend(a2, EnergyWindow(-2, 3, 1))
 
 
+@pytest.fixture(scope="module")
+def backend_a2_m1_2(a2):
+    return OrthonormalBackend(a2, EnergyWindow(-1, 2, 1))
+
+
 def test_window_validation():
     with pytest.raises(ValueError):
         EnergyWindow(1, 3, 0)
@@ -61,8 +69,8 @@ def test_window_validation():
 
 
 def test_vacuum_shape(backend):
-    assert VACUUM == (0, 0) and decode_monomial(backend.n, VACUUM) == ((), ())
-    assert energy(backend.n, VACUUM) == 0 and degree_offset(backend.n, VACUUM) == 0
+    assert VACUUM == 0 and decode_monomial(backend, VACUUM) == ((), ())
+    assert energy(backend, VACUUM) == 0 and degree_offset(backend, VACUUM) == 0
 
 
 def test_vacuum_annihilation(backend):
@@ -71,15 +79,14 @@ def test_vacuum_annihilation(backend):
 
 
 def test_eps_iota_basics(backend):
-    n = backend.n
-    coeff, up = eps_monomial(n, (0, 1), VACUUM)
-    assert energy(n, up) == 1 and degree_offset(n, up) == 1 and coeff == 1
+    coeff, up = eps_monomial(backend, (0, 1), VACUUM)
+    assert energy(backend, up) == 1 and degree_offset(backend, up) == 1 and coeff == 1
     # iota on a monomial not containing the dual mode vanishes
-    assert iota_monomial(n, (1, 2), up) is None
+    assert iota_monomial(backend, (1, 2), up) is None
     # eps twice with the same mode vanishes
-    assert eps_monomial(n, (0, 1), up) is None
+    assert eps_monomial(backend, (0, 1), up) is None
     # round trip returns the vacuum
-    assert iota_monomial(n, (0, 1), up) == (1, VACUUM)
+    assert iota_monomial(backend, (0, 1), up) == (1, VACUUM)
 
 
 def test_clifford_relations(backend):
@@ -112,7 +119,7 @@ def test_cocycle_skip_when_guard_too_small(a1):
 def test_L_annihilates_vacuum_for_positive_shift(backend):
     for k in (1, 2):
         for i in range(backend.n):
-            assert dict(_L_monomial(backend, i, k, VACUUM)) == {}
+            assert _L_monomial(backend, i, k, VACUUM) == ()
 
 
 def test_energy_bookkeeping(backend):
@@ -145,7 +152,7 @@ def test_d_squared_vanishes_on_cochain_sector(backend):
     # all modes k >= 1: the right-hand side needs a hole to fill
     for wedge in (((0, 1),), ((0, 1), (1, 2))):
         d = partial(_d_monomial, backend, False)
-        assert _apply(d, d(encode_monomial(backend.n, wedge))) == {}
+        assert _apply(d, _pairs(d(encode_monomial(backend, wedge)))) == {}
 
 
 def test_laplacian_closed_form(backend):
@@ -181,7 +188,7 @@ def test_closed_form_scalar_on_embedded_cochains(backend, a1):
     scale = 4 * backend.alg.scale ** 2 * backend.alg.gram_inv_scale  # of the closed form
     for k, expected in ((1, Fraction(0)), (2, eigenvalue_of(a1, (Fraction(-1),), 2))):
         for l in range(backend.n):
-            mono = encode_monomial(backend.n, ((l, k),))
+            mono = encode_monomial(backend, ((l, k),))
             out = _closed_form_monomial(backend, mono)
             assert out == ({mono: expected * scale} if expected else {}), (k, l)
 
@@ -227,29 +234,30 @@ def _reference_step(n, mode, added, removed, eps):
     return (-1) ** before, *((new, removed) if k >= 1 else (added, new))
 
 
-@pytest.mark.parametrize("which, margin, max_energy, max_particles", [
-    ("backend", 0, 3, None),   # A1 [-2,3]: every monomial of energy <= 3
-    ("backend2", 1, 1, 3),     # an A2 slice
-])
-def test_bitmask_ops_agree_with_the_mode_tuple_reference(request, which, margin, max_energy, max_particles):
+@pytest.mark.parametrize("which, margin, max_energy, max_particles, wide", [
+    ("backend", 0, 3, None, False),   # A1 [-2,3]: every monomial of energy <= 3
+    ("backend2", 1, 1, 3, True),      # an A2 slice
+    ("backend_a2_m1_2", 0, 2, 2, True),   # A2 [-1,2]: its added level-2 modes sit at bits 24-31
+], ids=["backend-0-3-None", "backend2-1-1-3", "backend_a2_m1_2-0-2-2"])
+def test_bitmask_ops_agree_with_the_mode_tuple_reference(request, which, margin, max_energy, max_particles, wide):
     b = request.getfixturevalue(which)
     n, window = b.n, b.window
     modes = [(i, k) for k in range(window.kMin, window.kMax + 1) for i in range(n)]
     mons = monomials_in_support(b, margin, max_energy, max_particles)
-    assert len(mons) > 300
+    assert len(mons) > 300 and (max(mons).bit_length() > 30) == wide
     for mono in mons:
-        added, removed = decode_monomial(n, mono)
-        assert encode_monomial(n, added, removed) == mono
-        assert energy(n, mono) == sum(k for _i, k in added) - sum(k for _i, k in removed)
-        assert degree_offset(n, mono) == len(added) - len(removed)
+        added, removed = decode_monomial(b, mono)
+        assert encode_monomial(b, added, removed) == mono
+        assert energy(b, mono) == sum(k for _i, k in added) - sum(k for _i, k in removed)
+        assert degree_offset(b, mono) == len(added) - len(removed)
         for mode in modes:
             for op, eps, step in ((eps_monomial, True, 1), (iota_monomial, False, -1)):
-                hit, want = op(n, mode, mono), _reference_step(n, mode, added, removed, eps)
+                hit, want = op(b, mode, mono), _reference_step(n, mode, added, removed, eps)
                 assert (hit is None) == (want is None), (mono, mode, eps)
                 if hit is not None:
-                    assert hit[0] == want[0] and decode_monomial(n, hit[1]) == want[1:]
-                    assert energy(n, hit[1]) == energy(n, mono) + step * mode[1]
-                    assert degree_offset(n, hit[1]) == degree_offset(n, mono) + step
+                    assert hit[0] == want[0] and decode_monomial(b, hit[1]) == want[1:]
+                    assert energy(b, hit[1]) == energy(b, mono) + step * mode[1]
+                    assert degree_offset(b, hit[1]) == degree_offset(b, mono) + step
 
 
 def test_each_monomial_pairs_with_one_symmetric_partner(backend2):
@@ -270,7 +278,7 @@ def test_monomial_enumeration_counts(backend):
     # six addable modes and six removable slots inside the guarded band
     assert len(mons) == 2 ** 6 * 2 ** 6
     capped = monomials_in_support(backend, 1, max_energy=2)
-    assert all(energy(backend.n, m) <= 2 for m in capped)
+    assert all(energy(backend, m) <= 2 for m in capped)
     assert len({m for m in capped}) == len(capped)
 
 
@@ -286,23 +294,23 @@ def test_memoised_columns_match_fresh_backend(a1):
             for k in (-1, 0, 1):
                 col = _L_monomial(warm, i, k, mono)
                 assert col is _L_monomial(warm, i, k, mono)
-                assert dict(col) == dict(_L_monomial(fresh, i, k, mono))
+                assert dict(_pairs(col)) == dict(_pairs(_L_monomial(fresh, i, k, mono)))
         for twisted in (False, True):
             col = _d_monomial(warm, twisted, mono)
             assert col is _d_monomial(warm, twisted, mono)
-            assert dict(col) == dict(_d_monomial(fresh, twisted, mono))
+            assert dict(_pairs(col)) == dict(_pairs(_d_monomial(fresh, twisted, mono)))
         col = _dstar_monomial(warm, mono)
         assert col is _dstar_monomial(warm, mono)
-        assert dict(col) == dict(_dstar_monomial(fresh, mono))
+        assert dict(_pairs(col)) == dict(_pairs(_dstar_monomial(fresh, mono)))
 
 
 def test_memoised_columns_are_read_only_and_interned(backend):
-    col = _d_monomial(backend, False, encode_monomial(backend.n, ((0, 1),), ((1, 0),)))
-    assert col
+    col = _d_monomial(backend, False, encode_monomial(backend, ((0, 1),), ((1, 0),)))
+    assert col and isinstance(col, tuple)
     with pytest.raises(TypeError):
-        col[VACUUM] = 1
+        col[0] = 1
     # all empty columns are one object
-    assert _d_monomial(backend, False, VACUUM) is _L_monomial(backend, 0, 1, VACUUM)
+    assert _d_monomial(backend, False, VACUUM) is _L_monomial(backend, 0, 1, VACUUM) is ()
 
 
 def _with_extra_term(fn, target, amount):
@@ -311,9 +319,9 @@ def _with_extra_term(fn, target, amount):
         col = fn(backend, *args)
         if args[-1] != target:
             return col
-        out = dict(col)
+        out = dict(_pairs(col))
         out[target] = out.get(target, 0) + amount
-        return out
+        return tuple(itertools.chain.from_iterable(out.items()))
     return doctored
 
 
@@ -331,7 +339,7 @@ def test_doctored_d_fails_matrix_checks(a1, monkeypatch):
 
 def test_doctored_dstar_fails_transpose_check(a1, monkeypatch):
     backend = OrthonormalBackend(a1, WINDOW)
-    target = encode_monomial(backend.n, ((1, 1),))  # e^{e,1} Omega pairs with e^{f,1} Omega to 1
+    target = encode_monomial(backend, ((1, 1),))  # e^{e,1} Omega pairs with e^{f,1} Omega to 1
     # dtilde* is over 2se: the extra term is 1/2
     amount = backend.alg.scale * backend.alg.gram_inv_scale
     monkeypatch.setattr(fock, "_dstar_monomial", _with_extra_term(_dstar_monomial, target, amount))
@@ -341,11 +349,11 @@ def test_doctored_dstar_fails_transpose_check(a1, monkeypatch):
 
 def test_dstar_leaving_its_energy_block_raises(a1, monkeypatch):
     backend = OrthonormalBackend(a1, WINDOW)
-    target = encode_monomial(backend.n, ((0, 1),))
+    target = encode_monomial(backend, ((0, 1),))
 
     def leaky(b, mono):
         col = _dstar_monomial(b, mono)
-        return {**col, VACUUM: 1} if mono == target else col
+        return col + (VACUUM, 1) if mono == target else col
 
     monkeypatch.setattr(fock, "_dstar_monomial", leaky)
     with pytest.raises(InvariantError):
@@ -366,12 +374,12 @@ def test_column_checks_match_dense_products(backend):
     inner = dict.fromkeys(cols)  # the columns and every monomial d or d~* reaches from them
     for fn in (d, ds):
         for m in cols:
-            inner.update(dict.fromkeys(fn(m)))
-    d_cols, ds_cols = {m: d(m) for m in inner}, {m: ds(m) for m in inner}
-    d2_cols = {m: _apply(d, d(m)) for m in cols}
-    lap_cols = {m: _apply(d, ds(m)) for m in cols}
+            inner.update(dict.fromkeys(fn(m)[::2]))
+    d_cols, ds_cols = {m: dict(_pairs(d(m))) for m in inner}, {m: dict(_pairs(ds(m))) for m in inner}
+    d2_cols = {m: _apply(d, _pairs(d(m))) for m in cols}
+    lap_cols = {m: _apply(d, _pairs(ds(m))) for m in cols}
     for m in cols:
-        for r, c in _apply(ds, d(m)).items():
+        for r, c in _apply(ds, _pairs(d(m))).items():
             lap_cols[m][r] = lap_cols[m].get(r, 0) + c
     closed_cols = {m: _closed_form_monomial(backend, m) for m in cols}
     index = dict.fromkeys(inner)
@@ -399,26 +407,21 @@ def test_column_checks_match_dense_products(backend):
     assert laplacian_formula_check(backend).max_abs_error == Fraction(want, scale)
 
 
-@pytest.fixture(scope="module")
-def backend_a2_m1_2(a2):
-    return OrthonormalBackend(a2, EnergyWindow(-1, 2, 1))
-
-
 def _two_step_L_column(backend, i, k, mono):
     """Reference: L_{i,k} on one monomial as two single-mode steps per (s, p, q)
     through ``eps_monomial`` and ``iota_monomial``, in the kernel's loop order."""
-    n, window = backend.n, backend.window
+    window = backend.window
     out = {}
     for s in range(max(window.kMin, window.kMin + k), min(window.kMax, window.kMax + k) + 1):
         for p, q, cval in backend.pairs[i]:
             if s <= 0:
-                first = eps_monomial(n, (q, s - k), mono)
-                second = first and iota_monomial(n, (p, s), first[1])
+                first = eps_monomial(backend, (q, s - k), mono)
+                second = first and iota_monomial(backend, (p, s), first[1])
                 if second:
                     fock._accumulate(out, second[1], cval * first[0] * second[0])
             else:
-                first = iota_monomial(n, (p, s), mono)
-                second = first and eps_monomial(n, (q, s - k), first[1])
+                first = iota_monomial(backend, (p, s), mono)
+                second = first and eps_monomial(backend, (q, s - k), first[1])
                 if second:
                     fock._accumulate(out, second[1], -cval * first[0] * second[0])
     return out
@@ -454,9 +457,9 @@ def _sorted_enumeration(b, margin, max_energy):
             removed = [m for m in chosen if m[1] <= 0]
             e = sum(k for _i, k in added) - sum(k for _i, k in removed)
             if max_energy is None or e <= max_energy:
-                mono = encode_monomial(b.n, added, removed)
+                mono = encode_monomial(b, added, removed)
                 label = "(+{} | -{})".format(*(" ".join(f"e[{i},{k}]" for i, k in side) or "-"
-                                               for side in decode_monomial(b.n, mono)))
+                                               for side in decode_monomial(b, mono)))
                 keyed.append(((e, label), mono))
     keyed.sort(key=lambda km: km[0])
     return [m for _key, m in keyed]
@@ -485,3 +488,32 @@ def test_capped_quantifier_sets_are_prefixes_of_the_sorted_enumeration(request, 
         assert check_basis(b, margin, max_energy, cap) == want, (margin, max_energy, cap)
         truncated += len(want) < len(full[margin, max_energy])
     assert len(used) >= 6 and truncated
+
+
+def test_the_column_memo_stays_small(a1, monkeypatch):
+    """The A1 [-2,3] guard-1 suite leaves each of its ~30,000 memoised
+    columns a flat tuple, and its backend holds at most 6 MB (about 4.7 MB
+    with int monomials; 13 MB with a read-only dict per column)."""
+    backends = []
+
+    def keep(data, window):
+        backends.append(OrthonormalBackend(data, window))
+        return backends[-1]
+
+    monkeypatch.setattr(fock, "OrthonormalBackend", keep)
+    tracemalloc.start()
+    try:
+        assert all(v.passed for v in verify_identity_suite(a1, WINDOW))
+        gc.collect()
+        with_backend = tracemalloc.get_traced_memory()[0]
+        cols = [col for per_params in backends[0].columns.values()
+                for per_mono in per_params.values() for col in per_mono.values()]
+        n_cols, all_tuples = len(cols), all(type(col) is tuple for col in cols)
+        del cols
+        backends.clear()
+        gc.collect()
+        held = with_backend - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert n_cols > 20000 and all_tuples
+    assert 1_000_000 < held <= 6_000_000, held
