@@ -4,8 +4,8 @@ One JSON file per (algebra, degree, energy) cell holding the computed
 cell summary: dimension, rank of d, harmonic decomposition and check
 flags, and the report schema version it was written for.  The
 differential is not stored; files written when it was (under a "block"
-key) still load, and the report ignores that key.  A cached file is used
-only when its stored algebra hash and schema version both match; a
+key) predate the schema version and are recomputed.  A cached file is
+used only when its stored algebra hash and schema version both match; a
 mismatch, a missing version and an unreadable file trigger recomputation
 with a warning.  Each writer publishes through a temp file of its own, so
 writers of one cell never collide.

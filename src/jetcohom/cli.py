@@ -8,8 +8,8 @@ Exit codes: 0 all verdicts pass (also after --help); 1 usage or
 configuration error, including every command line argparse rejects, an
 unwritable --output and csv output for a report other than compute's,
 each checked before computing; 2 a mismatch between computed and
-predicted cohomology (or a failed exact check); 3 an identity-suite
-failure.  ``--tolerance`` is accepted and validated for
+predicted cohomology (or a failed exact check or decomposition); 3 an
+identity-suite failure.  ``--tolerance`` is accepted and validated for
 existing configurations, but the identity suite is exact and does not
 read it.
 """
@@ -25,6 +25,7 @@ from pathlib import Path
 from . import cache as cache_mod
 from .cochain import InvariantError
 from .liealg import InvalidAlgebraError
+from .reptheory import DecompositionError
 from .report import (
     RunConfig,
     cmd_compute,
@@ -149,7 +150,7 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidAlgebraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except InvariantError as exc:
+    except (InvariantError, DecompositionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

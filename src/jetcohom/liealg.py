@@ -15,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm
@@ -328,14 +327,6 @@ class AlgebraData:
     def bracket(self, i: int, j: int) -> Dict[int, int]:
         return self.structure[i].get(j, {})
 
-    def ad_matrix(self, i: int) -> List[List[int]]:
-        n = self.dim
-        m = [[0] * n for _ in range(n)]
-        for j in range(n):
-            for p, c in self.bracket(i, j).items():
-                m[p][j] = c
-        return m
-
     def weight_pairing(self, a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
         return _bilinear(self.weight_form, a, b)
 
@@ -370,16 +361,21 @@ class AlgebraData:
         }
 
 
-def _trace_form(structure, n: int) -> List[List[int]]:
-    kappa = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            tot = 0
-            for q, col in structure[i].items():
-                # sum_q C_{i q}^p C_{j p}^q over p
-                for p, c in col.items():
-                    tot += c * structure[j].get(p, {}).get(q, 0)
-            kappa[i][j] = kappa[j][i] = tot
+def _trace_form(structure) -> List[Dict[int, int]]:
+    """kappa[i][j] = tr(ad b_i ad b_j) = sum C_{iq}^p C_{jp}^q, as sparse rows."""
+    into: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}  # (p, q) -> [(j, C_{jp}^q)]
+    for j, row in enumerate(structure):
+        for p, col in row.items():
+            for q, c in col.items():
+                into.setdefault((p, q), []).append((j, c))
+    kappa: List[Dict[int, int]] = []
+    for row in structure:
+        acc: Dict[int, int] = {}
+        for q, col in row.items():
+            for p, c in col.items():
+                for j, c2 in into.get((p, q), ()):
+                    acc[j] = acc.get(j, 0) + c * c2
+        kappa.append(acc)
     return kappa
 
 
@@ -448,8 +444,8 @@ def build_algebra(spec: AlgebraSpec) -> AlgebraData:
                     raise InvariantError(f"structure constant {val} is not integral")
                 put(r + ia, r + ib, {root_to_index[s]: int(val)})
 
-    kappa = _trace_form(structure, n)
-    gram = tuple(tuple(Fraction(kappa[i][j], 2 * coxeter) for j in range(n)) for i in range(n))
+    kappa = _trace_form(structure)
+    gram = tuple(tuple(Fraction(row.get(j, 0), 2 * coxeter) for j in range(n)) for row in kappa)
 
     # compact involution: h -> -h, e_alpha -> -e_{-alpha}
     omega: List[Tuple[int, int]] = [(i, -1) for i in range(r)]
@@ -590,66 +586,64 @@ def int_algebra(data: AlgebraData) -> IntAlgebra:
     )
 
 
-def verify_algebra(data: AlgebraData) -> None:
-    """Check antisymmetry, Jacobi, the trace identity and metric axioms.
+def _jacobi_triples(structure) -> set[Tuple[int, int, int]]:
+    """The sorted triples of distinct indices with a term [[b_a, b_b], b_c]
+    that has nonzero factors, found from ``structure[a][b]`` -> q ->
+    ``structure[q]``.  Once ``structure`` is antisymmetric, every other
+    triple's Jacobi sum (a repeated index included) is a sum of zeros."""
+    triples = set()
+    for a, row in enumerate(structure):
+        for b, col in row.items():
+            if b > a:
+                for q in col:
+                    for c in structure[q]:
+                        if c != a and c != b:
+                            triples.add(tuple(sorted((a, b, c))))
+    return triples
 
-    Jacobi is exhaustive up to dim 60; above that a fixed-seed sample of
-    triples is used (exceptional ranks are outside the test matrix).
-    """
-    n = data.dim
-    for i in range(n):
-        for j, col in data.structure[i].items():
-            back = data.structure[j].get(i, {})
-            if back != {p: -c for p, c in col.items()}:
+
+def verify_algebra(data: AlgebraData) -> None:
+    """Check antisymmetry, Jacobi, the trace identity and metric axioms in one
+    sparse pass, exhaustively for every algebra: Jacobi on every triple of
+    ``_jacobi_triples`` and adjointness on every basis index."""
+    for i, row in enumerate(data.structure):
+        for j, col in row.items():
+            if data.structure[j].get(i, {}) != {p: -c for p, c in col.items()}:
                 raise InvariantError("antisymmetry")
 
-    def jac(i, j, k) -> bool:
+    for i, j, k in _jacobi_triples(data.structure):
         acc: Dict[int, int] = {}
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
             for q, cq in data.bracket(a, b).items():
                 for p, cp in data.bracket(q, c).items():
                     acc[p] = acc.get(p, 0) + cq * cp
-        return all(v == 0 for v in acc.values())
-
-    if n <= 60:
-        triples = itertools.combinations(range(n), 3)
-    else:
-        rng = random.Random(7)
-        triples = (tuple(rng.sample(range(n), 3)) for _ in range(2000))
-    for i, j, k in triples:
-        if not jac(i, j, k):
+        if any(acc.values()):
             raise InvariantError(f"Jacobi fails at {(i, j, k)}")
 
     c2 = 2 * data.coxeter
-    for i in range(n):
-        for j in range(n):
-            tot = Fraction(0)
-            for q, col in data.structure[i].items():
-                for p, cc in col.items():
-                    tot += cc * data.structure[j].get(p, {}).get(q, 0)
-            if tot != c2 * data.gram[i][j]:
-                raise InvariantError("trace identity")
+    for krow, grow in zip(_trace_form(data.structure), data.gram):
+        if {j: v for j, v in krow.items() if v} != {j: c2 * g for j, g in enumerate(grow) if g}:
+            raise InvariantError("trace identity")
 
     if not _is_positive_definite(data.hermGram):
         raise InvariantError("hermGram positive definite")
 
-    # ad(x)^dagger = -ad(omega x) in the hermGram metric: H ad(x) is
-    # antisymmetric under x -> omega(x) transposition
-    if n <= 60:
-        adjoint_indices = range(n)
-    else:
-        adjoint_indices = random.Random(11).sample(range(n), 12)
-    for i in adjoint_indices:
-        ad = data.ad_matrix(i)
-        ii, sgn = data.omega[i]
-        ad_w = data.ad_matrix(ii)
-        H = data.hermGram
-        for a in range(n):
-            for b in range(n):
-                lhs = sum(H[a][q] * ad[q][b] for q in range(n) if ad[q][b])
-                rhs = -sgn * sum(ad_w[q][a] * H[q][b] for q in range(n) if ad_w[q][a])
-                if lhs != rhs:
-                    raise InvariantError("compact-involution adjointness")
+    # ad(x)^dagger = -ad(omega x) in the hermGram metric H: for omega(b_i) = sgn b_i',
+    # (H ad(b_i))[a][b] + sgn (ad(b_i')^T H)[a][b] = 0 on every entry
+    rows = [{b: x for b, x in enumerate(row) if x} for row in data.hermGram]
+    cols = [{a: x for a, x in enumerate(col) if x} for col in zip(*data.hermGram)]
+    for i, (ii, sgn) in enumerate(data.omega):
+        entries: Dict[Tuple[int, int], Fraction] = {}
+        for b, col in data.structure[i].items():
+            for q, c in col.items():
+                for a, h in cols[q].items():
+                    entries[a, b] = entries.get((a, b), 0) + h * c
+        for a, col in data.structure[ii].items():
+            for q, c in col.items():
+                for b, h in rows[q].items():
+                    entries[a, b] = entries.get((a, b), 0) + sgn * c * h
+        if any(entries.values()):
+            raise InvariantError("compact-involution adjointness")
 
 
 def _is_positive_definite(mat: Sequence[Sequence[Fraction]]) -> bool:

@@ -236,11 +236,8 @@ def cmd_compute(config: RunConfig) -> dict:
         "config": config.to_json_dict(),
         "algebra": _algebra_json(config, data),
         "conventions": dict(_CONVENTIONS),
-        # the schema version is the cache's own; cache files written before the
-        # differential payload was dropped still hold "block"
-        "cells": [
-            {k: v for k, v in record.items() if k not in ("block", "schema_version")} for record in cells
-        ],
+        # the schema version is the cache's own
+        "cells": [{k: v for k, v in record.items() if k != "schema_version"} for record in cells],
         "predictions": _predictions_json(predictions),
         "matchVerdict": match,
         "exact_suite": {

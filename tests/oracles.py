@@ -3,6 +3,7 @@ program itself never calls."""
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
@@ -35,6 +36,42 @@ def dense(block: GradedComplexBlock) -> Matrix:
     for (r, c), v in block.dMatrix.items():
         out[r][c] = Fraction(v)
     return out
+
+
+def ad_matrix(data: AlgebraData, i: int) -> Matrix:
+    """ad(b_i) as a dense matrix: column j holds [b_i, b_j]."""
+    out = zeros(data.dim, data.dim)
+    for j in range(data.dim):
+        for p, c in data.bracket(i, j).items():
+            out[p][j] = Fraction(c)
+    return out
+
+
+def jacobi_terms(data: AlgebraData, i: int, j: int, k: int) -> List[Dict[int, Fraction]]:
+    """The three terms [[b_i, b_j], b_k], [[b_j, b_k], b_i] and [[b_k, b_i], b_j]
+    of a Jacobi sum, each with its zero coordinates dropped."""
+    terms = []
+    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+        acc: Dict[int, Fraction] = {}
+        for q, cq in data.bracket(a, b).items():
+            for p, cp in data.bracket(q, c).items():
+                acc[p] = acc.get(p, 0) + cq * cp
+        terms.append({p: v for p, v in acc.items() if v})
+    return terms
+
+
+def jacobi_failures(data: AlgebraData) -> List[Tuple[int, int, int]]:
+    """Every triple i < j < k of basis indices whose Jacobi sum is nonzero:
+    the all-triples reference for ``liealg.verify_algebra``."""
+    failures = []
+    for t in itertools.combinations(range(data.dim), 3):
+        total: Dict[int, Fraction] = {}
+        for term in jacobi_terms(data, *t):
+            for p, v in term.items():
+                total[p] = total.get(p, 0) + v
+        if any(total.values()):
+            failures.append(t)
+    return failures
 
 
 def zero_locus_brute_force(data: AlgebraData, maxEnergy: int) -> List[AffineWeight]:

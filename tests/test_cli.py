@@ -134,6 +134,21 @@ def test_cli_maps_invariant_error_to_exit_2(monkeypatch, capsys):
     assert captured.out == ""
 
 
+def test_cli_maps_a_failed_decomposition_to_exit_2(monkeypatch, capsys):
+    from jetcohom import report
+    from jetcohom.reptheory import DecompositionError
+
+    def broken(data, p, k, cc):
+        raise DecompositionError("subtracting V((0,)) drives weight (2,) negative")
+
+    monkeypatch.setattr(report, "harmonic_space", broken)
+    code = main(["compute", "--series", "A", "--rank", "1", "--max-degree", "1", "--max-energy", "1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: subtracting V((0,)) drives weight (2,) negative\n"
+    assert captured.out == ""
+
+
 def test_cli_main_end_to_end(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main([
@@ -369,15 +384,18 @@ def test_cached_block_serialization(tmp_path):
     assert all(record["checks"].values())
 
 
-def test_cache_files_with_a_block_payload_give_the_same_report(tmp_path):
-    # cache files written before the differential payload was dropped hold
-    # a "block" record; reading them must not change a report byte
+def test_cache_files_with_a_block_payload_give_the_same_report(tmp_path, capsys):
+    # cache files written before the differential payload was dropped hold a
+    # "block" record and no schema version: a warning, then a recompute that
+    # leaves every report byte as it was
     cache = tmp_path / "cache"
     cfg = RunConfig(series="A", rank=1, maxDegree=2, maxEnergy=3, cacheDir=str(cache))
     fresh = {fmt: serialize_report(cmd_compute(cfg), fmt) for fmt in ("json", "csv", "text")}
     data = build_algebra(cfg.algebra_spec)
-    for path in cache.glob("*.json"):
+    paths = sorted(cache.glob("*.json"))
+    for path in paths:
         record = json.loads(path.read_text())
+        record.pop("schema_version")
         block = differential_block(data, record["p"], record["k"])  # in the Chevalley basis
         record["block"] = {  # the payload as it was written
             "algebra_hash": record["algebra_hash"],
@@ -389,10 +407,16 @@ def test_cache_files_with_a_block_payload_give_the_same_report(tmp_path):
             "monomials_out": [[list(m) for m in w] for w in block.basisOut.monomials],
             "triples": sorted([r, c, v] for (r, c), v in block.dMatrix.items()),
         }
+        record["harmonic"] = []  # a wrong cell that only a recompute can mend
         path.write_text(json.dumps(record, sort_keys=True))
+    capsys.readouterr()
     old = cmd_compute(cfg)
-    assert all("block" not in cell for cell in old["cells"])
+    err = capsys.readouterr().err
     assert {fmt: serialize_report(old, fmt) for fmt in fresh} == fresh
+    for path in paths:
+        assert f"{path} has schema version None, not {SCHEMA_VERSION}; recomputing" in err
+        rewritten = json.loads(path.read_text())
+        assert "block" not in rewritten and rewritten["schema_version"] == SCHEMA_VERSION
 
 
 def test_cache_files_of_another_schema_version_are_recomputed(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from jetcohom.cochain import CellComplex, differential_block
 from jetcohom.fock import EnergyWindow, OrthonormalBackend
 from jetcohom.liealg import (
+    _jacobi_triples,
     AlgebraSpec,
     InvalidAlgebraError,
     InvariantError,
@@ -52,6 +54,7 @@ def test_invalid_specs_rejected(series, rank):
     ("G", 2, 14, 6),
     ("D", 4, 28, 6),
     ("A", 3, 15, 4),
+    ("E", 6, 78, 12),
 ])
 def test_other_series_build_and_verify(series, rank, dim, cox):
     data = build_algebra(AlgebraSpec(series, rank))  # build_algebra verifies invariants
@@ -78,6 +81,49 @@ def test_invariants_hold_exhaustively(a1, a2):
     # Jacobi, antisymmetry, trace identity, hermGram positivity, adjointness
     verify_algebra(a1)
     verify_algebra(a2)
+
+
+@pytest.mark.parametrize("series,rank", [("A", 1), ("A", 2), ("B", 2), ("G", 2), ("D", 4)])
+def test_the_sparse_jacobi_pass_skips_only_vanishing_triples(series, rank):
+    # every Jacobi sum of a valid algebra is zero, so the skipped triples must
+    # have three zero terms, not just a zero sum
+    data = build_algebra(AlgebraSpec(series, rank))
+    checked = _jacobi_triples(data.structure)
+    every = set(itertools.combinations(range(data.dim), 3))
+    assert checked <= every
+    assert all(not any(oracles.jacobi_terms(data, *t)) for t in every - checked)
+    assert oracles.jacobi_failures(data) == []
+
+
+def test_a_flipped_root_constant_on_e6_breaks_jacobi():
+    e6 = build_algebra(AlgebraSpec("E", 6))
+    r = e6.rank
+    i, j, p = next((i, j, p) for i in range(r, e6.dim) for j, col in e6.structure[i].items()
+                   for p in col if j > i and p >= r)
+    structure = list(e6.structure)
+    for a, b in ((i, j), (j, i)):  # antisymmetry kept
+        structure[a] = {**structure[a], b: {**structure[a][b], p: -structure[a][b][p]}}
+    doctored = dataclasses.replace(e6, structure=tuple(structure))
+    with pytest.raises(InvariantError, match="Jacobi"):
+        verify_algebra(doctored)
+
+
+def test_a_flipped_omega_sign_breaks_adjointness(a2):
+    omega = list(a2.omega)
+    j, sgn = omega[a2.rank]
+    omega[a2.rank] = (j, -sgn)
+    doctored = dataclasses.replace(a2, omega=tuple(omega))
+    with pytest.raises(InvariantError, match="adjointness"):
+        verify_algebra(doctored)
+
+
+def test_a_doctored_gram_entry_breaks_the_trace_identity(a2):
+    rebased = orthogonal_cartan(a2)
+    gram = [list(row) for row in rebased.gram]
+    gram[0][0] += 1
+    doctored = dataclasses.replace(rebased, gram=tuple(map(tuple, gram)))
+    with pytest.raises(InvariantError, match="trace identity"):
+        verify_algebra(doctored)
 
 
 def test_scaled_form_values(a1):
@@ -113,7 +159,7 @@ def _matrix_casimir_on_adjoint(data):
     """Half of sum_{a,b} graminv[a][b] ad_a ad_b, as an exact matrix."""
     n = data.dim
     gram_inv = xl.invert([list(r) for r in data.gram])
-    ads = [[[F(x) for x in row] for row in data.ad_matrix(i)] for i in range(n)]
+    ads = [oracles.ad_matrix(data, i) for i in range(n)]
     out = oracles.zeros(n, n)
     for a in range(n):
         for b in range(n):
