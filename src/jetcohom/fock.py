@@ -12,13 +12,20 @@ the added mode (i, k >= 1) at bit off + (k-1)*n + i, with off = n*(1 -
 kMin) the backend's ``off``; so the monomial is ``removed | added <<
 off``.  Bits descend with the mode order (k, i) on the removed side and
 ascend with it on the added side, so b is also the number of vacuum modes
-above (i, k).  The sign of eps or iota on an added mode is the parity of
-the bits above it (``mono >> b+1``, all added), and on a removed mode the
-parity of (added bits) + b - (removed bits below b, ``mono & (1<<b)-1``);
-membership, insertion and removal are single bit operations, and a
-monomial hashes as one int.  ``encode_monomial`` and ``decode_monomial``
-convert between ints and mode tuples, and ``energy`` and
-``degree_offset`` read the int.
+above (i, k).  Membership, insertion and removal are single bit
+operations, and a monomial hashes as one int.  ``encode_monomial`` and
+``decode_monomial`` convert between ints and mode tuples, and ``energy``
+and ``degree_offset`` read the int.
+
+Every single-mode step reads one row of the backend's step table
+(``steps``): eps or iota on a mode flips its bit if the bit is in the
+state the step needs, with the sign (-1)^(popcount(mono & mask) + c),
+where mask and c count the modes of the wedge in front of it.  On an
+added mode the mask holds the bits above it and c = 0.  In front of a
+removed mode sit the added modes and the b vacuum modes above it less
+their holes, so the mask holds the added bits and the removed bits below
+b, and c = b mod 2.  The move table of L_{i,k} (``_moves``), built once
+per backend from the step table, holds its terms as pairs of such steps.
 
 The backend reads every int from the ``liealg.IntAlgebra`` the exact core
 also uses, in the basis of ``liealg.orthogonal_cartan``.  There the
@@ -58,18 +65,21 @@ or dtilde and dtilde* are memoised on the backend by one decorator, in
 one dict per operator and parameter set keyed by the monomial alone
 (``columns["_L_monomial"][(i, k)][mono]``); a tuple cannot be changed,
 so no column needs a read-only view.  ``_L_monomial``, under all of
-them, does its two single-mode steps per (s, p, q) inline on the int;
-every other single-mode step goes through
-``eps_monomial``/``iota_monomial``, and a wedge of eps steps through
+them, runs one loop over its move table; ``_d_monomial``,
+``_dstar_monomial`` and ``clifford_check`` read step rows inline; every
+other single-mode step goes through ``eps_monomial``/``iota_monomial``,
+each one table read, and a wedge of eps steps through
 ``_eps_wedge_column``.  Every column loop runs over window levels only,
 and cochain modes sit at levels <= kMax - guard, so no operator checks
 its input against the window.
 
 Monomials are enumerated one energy shell at a time in (energy, label)
-order; a shell is counted before it is built.  The quantifier sets of
-``check_basis`` are built only up to the shell that reaches their cap,
-and are memoised on the backend keyed by margin, energy cap, particle
-cap and cap; the adjoint check builds only the energy blocks it checks.
+order; a shell is counted before it is built, and a group of mode sets
+is labelled only when a shell that uses it is built.  The quantifier
+sets of ``check_basis`` are built only up to the shell that reaches their
+cap, and are memoised on the backend keyed by margin, energy cap,
+particle cap and cap; the adjoint check builds only the energy blocks it
+checks.
 ``verify_identity_suite`` builds one backend per call, so the memo lives
 as long as one suite run.  The matrix identities (d^2, the Laplacian,
 the adjoint of dtilde) are checked column by column from these columns;
@@ -119,14 +129,31 @@ class OrthonormalBackend:
     """One algebra as its ``IntAlgebra`` ``alg``, and the memoised
     operators on one energy window.  ``pairs[i]`` lists (p, q, s*f_{iq}^p)
     over the nonzero int structure constants of ``alg``, s = ``alg.scale``;
-    the added modes of a monomial start at bit ``off``."""
+    the added modes of a monomial start at bit ``off``.
+
+    The step table ``steps`` has one row (bit, mask, c, empty) per window
+    mode, ascending by (k, i): ``bit`` is 1 << b, and ``empty`` is ``mono &
+    bit`` when the mode is not in the wedge (0 if added, ``bit`` if
+    removed).  eps needs the mode empty, iota needs it occupied; either
+    flips ``bit`` with the sign (-1)^(popcount(mono & mask) + c).
+    ``moves`` keeps the move table of each L_{i,k} (``_moves``)."""
 
     def __init__(self, data: AlgebraData, window: EnergyWindow):
         self.alg = int_algebra(data)
         self.window = window
         n = self.n = data.dim
-        self.off = n * (1 - window.kMin)
+        off = self.off = n * (1 - window.kMin)
         self.pairs = [[(p, q, c) for q in range(n) for p, c in row.get(q, {}).items()] for row in self.alg.structure]
+        self.steps: Dict[Mode, Tuple[int, int, int, int]] = {}
+        for k in range(window.kMin, window.kMax + 1):
+            for i in range(n):
+                if k >= 1:
+                    b = off + (k - 1) * n + i
+                    self.steps[i, k] = (1 << b, -1 << b + 1, 0, 0)
+                else:
+                    b = -k * n + n - 1 - i
+                    self.steps[i, k] = (1 << b, -1 << off | (1 << b) - 1, b & 1, 1 << b)
+        self.moves: Dict[Tuple[int, int], List[Tuple[int, List[tuple]]]] = {}
         # operator name -> params -> {monomial: column}
         self.columns: Dict[str, Dict[tuple, Dict[SemiInfMonomial, ColumnTuple]]] = defaultdict(
             lambda: defaultdict(dict))
@@ -139,11 +166,9 @@ _mode_key: Callable[[Mode], Tuple[int, int]] = itemgetter(1, 0)  # (i, k) -> (k,
 def encode_monomial(backend: OrthonormalBackend, added: Sequence[Mode] = (),
                     removed: Sequence[Mode] = ()) -> SemiInfMonomial:
     """The int of the monomial with these modes, all inside the window."""
-    n, mono = backend.n, 0
-    for i, k in added:
-        mono |= 1 << backend.off + (k - 1) * n + i
-    for i, k in removed:
-        mono |= 1 << -k * n + n - 1 - i
+    mono = 0
+    for mode in chain(added, removed):
+        mono |= backend.steps[mode][0]
     return mono
 
 
@@ -190,35 +215,19 @@ VACUUM: SemiInfMonomial = 0
 def eps_monomial(backend: OrthonormalBackend, mode: Mode, mono: SemiInfMonomial
                  ) -> Tuple[int, SemiInfMonomial] | None:
     """Left exterior multiplication by e^{mode}: (sign, monomial) or None."""
-    i, k = mode
-    n = backend.n
-    if k >= 1:
-        b = backend.off + (k - 1) * n + i
-        if mono >> b & 1:
-            return None
-        return (-1 if (mono >> b + 1).bit_count() & 1 else 1), mono | 1 << b
-    b = -k * n + n - 1 - i
-    if not mono >> b & 1:
-        return None  # occupied in the vacuum tail
-    before = (mono >> backend.off).bit_count() + b - (mono & (1 << b) - 1).bit_count()
-    return (-1 if before & 1 else 1), mono ^ 1 << b
+    bit, mask, c, empty = backend.steps[mode]
+    if mono & bit != empty:
+        return None
+    return (-1 if ((mono & mask).bit_count() + c) & 1 else 1), mono ^ bit
 
 
 def iota_monomial(backend: OrthonormalBackend, mode: Mode, mono: SemiInfMonomial
                   ) -> Tuple[int, SemiInfMonomial] | None:
     """Contraction with e_{mode}: removes the dual mode with (-1)^(pos-1)."""
-    i, k = mode
-    n = backend.n
-    if k >= 1:
-        b = backend.off + (k - 1) * n + i
-        if not mono >> b & 1:
-            return None
-        return (-1 if (mono >> b + 1).bit_count() & 1 else 1), mono ^ 1 << b
-    b = -k * n + n - 1 - i
-    if mono >> b & 1:
+    bit, mask, c, empty = backend.steps[mode]
+    if mono & bit == empty:
         return None
-    before = (mono >> backend.off).bit_count() + b - (mono & (1 << b) - 1).bit_count()
-    return (-1 if before & 1 else 1), mono | 1 << b
+    return (-1 if ((mono & mask).bit_count() + c) & 1 else 1), mono ^ bit
 
 
 def _then(backend: OrthonormalBackend, step, mode: Mode, hit: Tuple[int, SemiInfMonomial] | None
@@ -293,120 +302,94 @@ def _memo_column(fn):
     return column
 
 
+def _moves(backend: OrthonormalBackend, i: int, k: int) -> List[Tuple[int, List[tuple]]]:
+    """The move table of L_{i,k}, built once per backend from its step
+    table: per level s, in order, (gate, rows) with one row (bit1, need1,
+    mask1, bit2, need2, mask2, coef) per (p, q, s*f_{iq}^p) of ``pairs[i]``.
+    Step j flips ``bitj`` where ``mono & bitj == needj``, with the sign
+    parity of ``mono & maskj`` on the monomial it acts on; ``coef`` is the
+    normal-ordered +-f times (-1)^(c1 + c2).  When every first step needs
+    its bit set, ``gate`` is the union of those bits, and a monomial
+    without one of them holds no term at level s; else ``gate`` is 0."""
+    levels = backend.moves.get((i, k))
+    if levels is None:
+        window, steps = backend.window, backend.steps
+        levels = backend.moves[i, k] = []
+        for s in range(max(window.kMin, window.kMin + k), min(window.kMax, window.kMax + k) + 1):
+            rows = []
+            for p, q, cval in backend.pairs[i]:
+                e_bit, e_mask, e_c, e_empty = steps[q, s - k]
+                i_bit, i_mask, i_c, i_empty = steps[p, s]
+                eps, iota = (e_bit, e_empty, e_mask), (i_bit, i_bit ^ i_empty, i_mask)
+                # normal ordering: iota first with +f for s <= 0, -eps iota for s > 0
+                first, second, coef = (eps, iota, cval) if s <= 0 else (iota, eps, -cval)
+                rows.append((*first, *second, -coef if (e_c + i_c) & 1 else coef))
+            gate = 0
+            if all(bit == need for bit, need, *_rest in rows):
+                for bit, *_rest in rows:
+                    gate |= bit
+            levels.append((gate, rows))
+    return levels
+
+
 @_memo_column
 def _L_monomial(backend: OrthonormalBackend, i: int, k: int, mono: SemiInfMonomial) -> FockVector:
     """L_{i,k} = sum_s f_{iq}^p :iota_{p,s} eps^{q,s-k}: with both modes in
     the window, over the scale s of the structure constants; normal
     ordering puts iota first for s <= 0 and -eps iota for s > 0 (operator
-    products act right to left).
-
-    The two single-mode steps are ``eps_monomial`` and ``iota_monomial``
-    written out on the int: a step on added bit b has the sign of the bits
-    above b, a step on removed bit b that of (added bits) + b - (removed
-    bits below b).  A level s > 0 without added modes, or s <= 0 whose eps
-    mode s - k <= 0 finds no hole at its level, holds no term."""
-    n, window, off = backend.n, backend.window, backend.off
-    n_added = (mono >> off).bit_count()
-    full = (1 << n) - 1
-    pairs = backend.pairs[i]
+    products act right to left).  Each term is one row of the move table
+    (``_moves``): two single-mode steps on the int."""
     out: FockVector = {}
-    lo = max(window.kMin, window.kMin + k)
-    hi = min(window.kMax, window.kMax + k)
-    for s in range(lo, hi + 1):
-        t = s - k
-        eps_added = t >= 1  # the eps mode (q, t) sits on the added side
-        eps_base = off + (t - 1) * n if eps_added else -t * n + n - 1  # its bit: base + q, or base - q
-        if s <= 0:
-            # eps^{q,t} first, then iota_{p,s} on the removed side, coefficient +f
-            if not eps_added and not mono >> -t * n & full:
+    for gate, rows in _moves(backend, i, k):
+        if gate and not mono & gate:
+            continue
+        for bit1, need1, mask1, bit2, need2, mask2, coef in rows:
+            if mono & bit1 != need1:
                 continue
-            iota_base = -s * n + n - 1
-            for p, q, cval in pairs:
-                if eps_added:
-                    b = eps_base + q
-                    if mono >> b & 1:
-                        continue
-                    m1 = mono | 1 << b
-                    parity = (mono >> b + 1).bit_count() + n_added + 1  # eps sign + added bits iota sees
-                else:
-                    b = eps_base - q
-                    if not mono >> b & 1:
-                        continue
-                    m1 = mono ^ 1 << b
-                    parity = b - (mono & (1 << b) - 1).bit_count()  # the two n_added terms cancel
-                b = iota_base - p
-                if m1 >> b & 1:
-                    continue
-                parity += b - (m1 & (1 << b) - 1).bit_count()
-                target = m1 | 1 << b
-                new = out.get(target, 0) + (-cval if parity & 1 else cval)
-                if new:
-                    out[target] = new
-                else:
-                    del out[target]
-        else:
-            # iota_{p,s} first on the added side, then eps^{q,t}, coefficient -f
-            iota_base = off + (s - 1) * n
-            if not mono >> iota_base & full:
+            m1 = mono ^ bit1
+            if m1 & bit2 != need2:
                 continue
-            for p, q, cval in pairs:
-                b = iota_base + p
-                if not mono >> b & 1:
-                    continue
-                m1 = mono ^ 1 << b
-                parity = (mono >> b + 1).bit_count()
-                if eps_added:
-                    b = eps_base + q
-                    if m1 >> b & 1:
-                        continue
-                    parity += (m1 >> b + 1).bit_count()
-                    target = m1 | 1 << b
-                else:
-                    b = eps_base - q
-                    if not mono >> b & 1:
-                        continue
-                    parity += n_added - 1 + b - (mono & (1 << b) - 1).bit_count()
-                    target = m1 ^ 1 << b
-                new = out.get(target, 0) + (cval if parity & 1 else -cval)
-                if new:
-                    out[target] = new
-                else:
-                    del out[target]
+            target = m1 ^ bit2
+            new = out.get(target, 0) + (-coef if ((mono & mask1).bit_count() + (m1 & mask2).bit_count()) & 1 else coef)
+            if new:
+                out[target] = new
+            else:
+                del out[target]
     return out
 
 
 @_memo_column
 def _d_monomial(backend: OrthonormalBackend, twisted: bool, mono: SemiInfMonomial) -> FockVector:
     """d = 1/2 sum_{i,k} L_{i,k} eps^{i,k}, windowed, of one monomial, over
-    2s; with ``twisted``, dtilde, whose k <= 0 terms enter with a minus sign."""
+    2s; with ``twisted``, dtilde, whose k <= 0 terms enter with a minus
+    sign.  eps^{i,k} is read from the step table."""
     out: FockVector = {}
-    for k in range(backend.window.kMin, backend.window.kMax + 1):
-        sk = -1 if twisted and k <= 0 else 1
-        for i in range(backend.n):
-            headstart = eps_monomial(backend, (i, k), mono)
-            if headstart is None:
-                continue
-            sgn, inner = headstart
-            it = iter(_L_monomial(backend, i, k, inner))
-            for m2, c2 in zip(it, it):
-                _accumulate(out, m2, sk * sgn * c2)
+    for (i, k), (bit, mask, c, empty) in backend.steps.items():
+        if mono & bit != empty:
+            continue
+        parity = (mono & mask).bit_count() + c + (twisted and k <= 0)
+        it = iter(_L_monomial(backend, i, k, mono ^ bit))
+        for m2, c2 in zip(it, it):
+            _accumulate(out, m2, -c2 if parity & 1 else c2)
     return out
 
 
 @_memo_column
 def _dstar_monomial(backend: OrthonormalBackend, mono: SemiInfMonomial) -> FockVector:
     """dtilde* = -1/2 sum_k s_k sum_{i,b} (G^-1)_{ib} iota_{b,k} L_{i,-k},
-    over 2se: the adjoint of dtilde under the Fock pairing."""
+    over 2se: the adjoint of dtilde under the Fock pairing.  iota_{b,k} is
+    read from the step table."""
     out: FockVector = {}
     for k in range(backend.window.kMin, backend.window.kMax + 1):
         sk = 1 if k > 0 else -1
         for i, (b, x) in enumerate(backend.alg.gram_inv):
+            bit, mask, c, empty = backend.steps[b, k]
             it = iter(_L_monomial(backend, i, -k, mono))
             for m1, c1 in zip(it, it):
-                hit = iota_monomial(backend, (b, k), m1)
-                if hit is None:
+                if m1 & bit == empty:
                     continue
-                _accumulate(out, hit[1], -sk * x * c1 * hit[0])
+                val = sk * x * c1
+                _accumulate(out, m1 ^ bit, val if ((m1 & mask).bit_count() + c) & 1 else -val)
     return out
 
 
@@ -456,23 +439,24 @@ def _energy_shells(backend: OrthonormalBackend, margin: int, max_energy: int | N
     window, optionally capped by energy and by total mode count (added
     plus removed): shell e lists the (added group, removed group) pairs
     whose cross products are its monomials, each group a list of (bits,
-    label) over the mode sets of one energy and mode count, so a shell is
-    counted (``_shell_size``) before it is built (``_shell_monomials``)."""
+    modes) over the mode sets of one energy and mode count, so a shell is
+    counted (``_shell_size``) before it is built and labelled
+    (``_shell_monomials``)."""
     lo, hi = backend.window.support(margin)
     n = backend.n
     # both ascend by (k, i), so every subset of them does too
     add_candidates = [(i, k) for k in range(1, hi + 1) for i in range(n)]
     rem_candidates = [(i, k) for k in range(lo, 1) for i in range(n)]
 
-    def groups(cands: List[Mode], sign: int, encode) -> Dict[int, Dict[int, List[Tuple[int, str]]]]:
-        """energy -> mode count -> [(bits, label)] over the subsets of ``cands``."""
-        out: Dict[int, Dict[int, List[Tuple[int, str]]]] = defaultdict(lambda: defaultdict(list))
+    def groups(cands: List[Mode], sign: int) -> Dict[int, Dict[int, List[Tuple[int, Tuple[Mode, ...]]]]]:
+        """energy -> mode count -> [(bits, modes)] over the subsets of ``cands``."""
+        out: Dict[int, Dict[int, List[Tuple[int, Tuple[Mode, ...]]]]] = defaultdict(lambda: defaultdict(list))
         for used, modes in _mode_subsets([], cands, [sign * k for _i, k in cands], max_energy, max_particles):
-            out[used][len(modes)].append((encode(modes), _modes_label(modes)))
+            out[used][len(modes)].append((encode_monomial(backend, modes), modes))
         return out
 
-    adds = groups(add_candidates, 1, lambda modes: encode_monomial(backend, modes))
-    rems = groups(rem_candidates, -1, lambda modes: encode_monomial(backend, (), modes))
+    adds = groups(add_candidates, 1)
+    rems = groups(rem_candidates, -1)
     top = max(adds) + max(rems)
     if max_energy is not None:
         top = min(top, max_energy)
@@ -495,10 +479,16 @@ def _shell_size(shell: List[Tuple[list, list]]) -> int:
     return sum(len(add_list) * len(rem_list) for add_list, rem_list in shell)
 
 
-def _shell_monomials(shell: List[Tuple[list, list]]) -> List[SemiInfMonomial]:
-    """The monomials of one energy shell, sorted by label."""
-    keyed = sorted((_monomial_label(alabel, rlabel), abits | rbits)
-                   for add_list, rem_list in shell for abits, alabel in add_list for rbits, rlabel in rem_list)
+def _shell_monomials(shell: List[Tuple[list, list]], labels: Dict[int, List[Tuple[int, str]]]
+                     ) -> List[SemiInfMonomial]:
+    """The monomials of one energy shell, sorted by label.  ``labels`` keeps
+    each group's (bits, label) list by the group's id, so one enumeration
+    labels a group once, when the first shell that uses it is built."""
+    for group in chain.from_iterable(shell):
+        if id(group) not in labels:
+            labels[id(group)] = [(bits, _modes_label(modes)) for bits, modes in group]
+    keyed = sorted((_monomial_label(alabel, rlabel), abits | rbits) for add_list, rem_list in shell
+                   for abits, alabel in labels[id(add_list)] for rbits, rlabel in labels[id(rem_list)])
     return [m for _label, m in keyed]
 
 
@@ -511,8 +501,9 @@ def monomials_in_support(backend: OrthonormalBackend, margin: int,
     deterministic order (energy, label); with ``cap``, the first ``cap``.
     No shell past the one that reaches ``cap`` is built."""
     result: List[SemiInfMonomial] = []
+    labels: Dict[int, List[Tuple[int, str]]] = {}
     for shell in _energy_shells(backend, margin, max_energy, max_particles):
-        result.extend(_shell_monomials(shell))
+        result.extend(_shell_monomials(shell, labels))
         if cap is not None and len(result) >= cap:
             return result[:cap]
     return result
@@ -589,42 +580,36 @@ def _vector_error(a: Mapping[SemiInfMonomial, int], b: Mapping[SemiInfMonomial, 
 
 
 def clifford_check(backend: OrthonormalBackend) -> IdentityVerdict:
-    """[iota, eps]+ = delta * delta, squares vanish, on windowed monomials."""
+    """[iota, eps]+ = delta * delta, squares vanish, on windowed monomials,
+    with every step read from the step table."""
     n, window = backend.n, backend.window
     basis = check_basis(backend, window.guard, 3 if _small(backend) else 2, cap=700 if _small(backend) else 60)
     if basis == [VACUUM]:
         return _skip_vacuum_only(backend, "clifford_relations", window.guard)
     modes = [(i, k) for k in range(window.kMin, window.kMax + 1) for i in range(n)]
     modes = sorted(modes, key=lambda m: (abs(m[1]), m[1], m[0]))[:24]
+    rows = [(j, *backend.steps[m]) for j, m in enumerate(modes)]
     err = 0
     for mono in basis:
-        eps_v = [eps_monomial(backend, m, mono) for m in modes]
-        iota_v = [iota_monomial(backend, m, mono) for m in modes]
-        for m1, e1, i1 in zip(modes, eps_v, iota_v):
-            for square in (_then(backend, eps_monomial, m1, e1), _then(backend, iota_monomial, m1, i1)):
-                if square:
-                    err = max(err, abs(square[0]))
-            for m2, e2 in zip(modes, eps_v):
-                # eps^{m2} iota_{m1} mono + iota_{m1} eps^{m2} mono - delta mono:
-                # coefficient ca at the first hit's monomial ma, cb at mb
-                ca = cb = 0
-                ma = mb = None
-                if i1:
-                    hit = eps_monomial(backend, m2, i1[1])
-                    if hit:
-                        ca, ma = i1[0] * hit[0], hit[1]
-                if e2:
-                    hit = iota_monomial(backend, m1, e2[1])
-                    if hit:
-                        cb, mb = e2[0] * hit[0], hit[1]
-                if m1 == m2:
-                    if ma == mono:
-                        ca -= 1
-                    elif mb == mono:
-                        cb -= 1
-                    else:
-                        err = max(err, 1)
-                err = max(err, abs(ca + cb) if ma == mb else max(abs(ca), abs(cb)))
+        # per mode: is it empty in mono, and the sign parity of its step on mono
+        on_mono = [(j, bit, mask, c, empty, mono & bit == empty, (mono & mask).bit_count() + c)
+                   for j, bit, mask, c, empty in rows]
+        for x, xbit, xmask, xc, xempty, x_is_empty, xpar in on_mono:
+            flipped = mono ^ xbit
+            if (flipped & xbit == xempty) == x_is_empty:
+                err = max(err, 1)  # eps^x eps^x or iota_x iota_x leaves a term
+            for y, ybit, ymask, yc, yempty, y_is_empty, ypar in on_mono:
+                # eps^y iota_x mono + iota_x eps^y mono - delta_xy mono: every
+                # term sits at mono ^ xbit ^ ybit, so one coefficient is compared
+                res = -(x == y)
+                if not x_is_empty and flipped & ybit == yempty:
+                    res += -1 if (xpar + (flipped & ymask).bit_count() + yc) & 1 else 1
+                if y_is_empty:
+                    eps_y = mono ^ ybit
+                    if eps_y & xbit != xempty:
+                        res += -1 if (ypar + (eps_y & xmask).bit_count() + xc) & 1 else 1
+                if res:
+                    err = max(err, abs(res))
     return _verdict(backend, "clifford_relations", Fraction(err), len(basis))
 
 
@@ -930,10 +915,11 @@ def dtilde_adjoint_matrix_check(backend: OrthonormalBackend) -> IdentityVerdict:
     e_scale = backend.alg.gram_inv_scale
     err = Fraction(0)
     count = 0
+    labels: Dict[int, List[Tuple[int, str]]] = {}
     for e, shell in enumerate(_energy_shells(backend, 0, 3 if _small(backend) else 1, None)):
         if _shell_size(shell) > block_cap:
             continue
-        block = _shell_monomials(shell)
+        block = _shell_monomials(shell, labels)
         count += len(block)
         pairing = {m: _pairing(backend, m) for m in block}
         transposed: Dict[SemiInfMonomial, FockVector] = {m: {} for m in block}

@@ -218,11 +218,9 @@ class _ChevalleySigns:
         self.rs = rs
         self.root_set = set(rs.allRoots)
         self.pos_index = {b: i for i, b in enumerate(rs.positiveRoots)}
+        self.norm2 = {a: rs.form(a, a) for a in rs.allRoots}
         self.N: Dict[Tuple[Coords, Coords], Fraction] = {}
         self._fill_positive_pairs()
-
-    def _norm2(self, a: Coords) -> Fraction:
-        return self.rs.form(a, a)
 
     def _string_down(self, a: Coords, b: Coords) -> int:
         """max p with b - p*a a root."""
@@ -247,16 +245,16 @@ class _ChevalleySigns:
             a1, b1 = pairs[0]
             n_extra = Fraction(self._string_down(a1, b1) + 1)
             self._set(a1, b1, n_extra)
-            g2 = self._norm2(gamma)
+            g2 = self.norm2[gamma]
             for alpha, beta in pairs[1:]:
                 # four-root identity on (a1, -alpha, b1, -beta), sum zero
                 total = Fraction(0)
                 xi1 = tuple(x - y for x, y in zip(a1, alpha))
                 if xi1 in self.root_set:
-                    total += self._mixed(a1, _neg(alpha)) * self._mixed(b1, _neg(beta)) / self._norm2(xi1)
+                    total += self._mixed(a1, _neg(alpha)) * self._mixed(b1, _neg(beta)) / self.norm2[xi1]
                 xi2 = tuple(x - y for x, y in zip(b1, alpha))
                 if xi2 in self.root_set:
-                    total += self._mixed(_neg(alpha), b1) * self._mixed(a1, _neg(beta)) / self._norm2(xi2)
+                    total += self._mixed(_neg(alpha), b1) * self._mixed(a1, _neg(beta)) / self.norm2[xi2]
                 val = -g2 * total / n_extra
                 expect = self._string_down(alpha, beta) + 1
                 if val.denominator != 1 or abs(val) != expect:
@@ -278,8 +276,8 @@ class _ChevalleySigns:
         s = tuple(a + b for a, b in zip(x, y))
         nu = _neg(y)
         if all(c >= 0 for c in s):
-            return -self._norm2(s) * self.N[(nu, s)] / self._norm2(x)
-        return self._norm2(s) * self.N[(_neg(s), x)] / self._norm2(nu)
+            return -self.norm2[s] * self.N[(nu, s)] / self.norm2[x]
+        return self.norm2[s] * self.N[(_neg(s), x)] / self.norm2[nu]
 
     def value(self, a: Coords, b: Coords) -> Fraction:
         apos, bpos = all(c >= 0 for c in a), all(c >= 0 for c in b)

@@ -234,6 +234,21 @@ def _reference_step(n, mode, added, removed, eps):
     return (-1) ** before, *((new, removed) if k >= 1 else (added, new))
 
 
+def _step_mismatches(b, mons):
+    """The (monomial, mode, eps) at which ``eps_monomial`` (eps) or
+    ``iota_monomial`` disagrees with ``_reference_step``."""
+    modes = [(i, k) for k in range(b.window.kMin, b.window.kMax + 1) for i in range(b.n)]
+    bad = []
+    for mono in mons:
+        added, removed = decode_monomial(b, mono)
+        for mode in modes:
+            for op, eps in ((eps_monomial, True), (iota_monomial, False)):
+                hit, want = op(b, mode, mono), _reference_step(b.n, mode, added, removed, eps)
+                if (hit is None) != (want is None) or hit and (hit[0], decode_monomial(b, hit[1])) != (want[0], want[1:]):
+                    bad.append((mono, mode, eps))
+    return bad
+
+
 @pytest.mark.parametrize("which, margin, max_energy, max_particles, wide", [
     ("backend", 0, 3, None, False),   # A1 [-2,3]: every monomial of energy <= 3
     ("backend2", 1, 1, 3, True),      # an A2 slice
@@ -245,19 +260,57 @@ def test_bitmask_ops_agree_with_the_mode_tuple_reference(request, which, margin,
     modes = [(i, k) for k in range(window.kMin, window.kMax + 1) for i in range(n)]
     mons = monomials_in_support(b, margin, max_energy, max_particles)
     assert len(mons) > 300 and (max(mons).bit_length() > 30) == wide
+    assert _step_mismatches(b, mons) == []
     for mono in mons:
         added, removed = decode_monomial(b, mono)
         assert encode_monomial(b, added, removed) == mono
         assert energy(b, mono) == sum(k for _i, k in added) - sum(k for _i, k in removed)
         assert degree_offset(b, mono) == len(added) - len(removed)
         for mode in modes:
-            for op, eps, step in ((eps_monomial, True, 1), (iota_monomial, False, -1)):
-                hit, want = op(b, mode, mono), _reference_step(n, mode, added, removed, eps)
-                assert (hit is None) == (want is None), (mono, mode, eps)
+            for op, step in ((eps_monomial, 1), (iota_monomial, -1)):
+                hit = op(b, mode, mono)
                 if hit is not None:
-                    assert hit[0] == want[0] and decode_monomial(b, hit[1]) == want[1:]
                     assert energy(b, hit[1]) == energy(b, mono) + step * mode[1]
                     assert degree_offset(b, hit[1]) == degree_offset(b, mono) + step
+
+
+def _doctored_row(b, mode, mask_bit=0, parity=0):
+    """Clear ``mask_bit`` from the step-table mask of ``mode`` and add
+    ``parity`` to its parity constant, before any move table is built."""
+    assert not b.moves
+    bit, mask, c, empty = b.steps[mode]
+    b.steps[mode] = (bit, mask & ~mask_bit, c ^ parity, empty)
+    return b
+
+
+def test_a_row_missing_a_mask_bit_fails_the_identities(a1):
+    """eps and iota on (0, 1) lose the sign of the mode (1, 1) just above
+    it, so steps on the two modes commute instead of anticommuting: the
+    Clifford check fails, and so do the commutator, d^2, Laplacian and
+    adjoint checks built on those steps."""
+    b = OrthonormalBackend(a1, WINDOW)
+    _doctored_row(b, (0, 1), mask_bit=b.steps[1, 1][0])
+    for check in (clifford_check, commutator_check, d_squared_check, laplacian_formula_check,
+                  dtilde_adjoint_matrix_check):
+        verdict = check(b)
+        assert not verdict.skipped and not verdict.passed, verdict.identity
+
+
+@pytest.mark.parametrize("series, window", [("a1", WINDOW), ("a2", EnergyWindow(-1, 2, 1))], ids=["a1", "a2"])
+def test_a_row_with_flipped_parity_is_a_gauge_only_the_reference_catches(request, monkeypatch, series, window):
+    """Flipping the parity of one row negates eps and iota on that mode x
+    alone: that is conjugation by (-1)^{N_x}, with N_x the occupation of x,
+    under which every identity of the suite holds.  Only the comparison
+    with the mode-tuple reference in
+    ``test_bitmask_ops_agree_with_the_mode_tuple_reference`` catches it."""
+    data = request.getfixturevalue(series)
+    make = fock.OrthonormalBackend
+    monkeypatch.setattr(fock, "OrthonormalBackend", lambda d, w: _doctored_row(make(d, w), (0, 1), parity=1))
+    suite = verify_identity_suite(data, window)
+    assert [v.identity for v in suite if not v.passed] == [v.identity for v in suite if v.skipped]
+    assert sum(not v.skipped for v in suite) >= 10
+    b = fock.OrthonormalBackend(data, window)
+    assert _step_mismatches(b, monomials_in_support(b, 0, 2, 2))
 
 
 def test_each_monomial_pairs_with_one_symmetric_partner(backend2):
@@ -441,6 +494,53 @@ def test_inline_L_columns_equal_the_two_step_reference(request, which, max_energ
             for k in range(-2, 3):
                 # equal values in the same order: later sums see the same terms
                 assert list(kernel(b, i, k, mono).items()) == list(_two_step_L_column(b, i, k, mono).items())
+
+
+def _two_step_d_column(backend, twisted, mono):
+    """Reference: d (dtilde with ``twisted``) on one monomial as eps^{i,k}
+    through ``eps_monomial``, then the column of L_{i,k}, in the kernel's
+    loop order."""
+    window = backend.window
+    out = {}
+    for k in range(window.kMin, window.kMax + 1):
+        for i in range(backend.n):
+            hit = eps_monomial(backend, (i, k), mono)
+            if hit:
+                sign = -hit[0] if twisted and k <= 0 else hit[0]
+                for m2, c2 in _pairs(_L_monomial(backend, i, k, hit[1])):
+                    fock._accumulate(out, m2, sign * c2)
+    return out
+
+
+def _two_step_dstar_column(backend, mono):
+    """Reference: dtilde* on one monomial as the column of L_{i,-k}, then
+    iota_{b,k} through ``iota_monomial``, in the kernel's loop order."""
+    window = backend.window
+    out = {}
+    for k in range(window.kMin, window.kMax + 1):
+        sk = 1 if k > 0 else -1
+        for i, (b, x) in enumerate(backend.alg.gram_inv):
+            for m1, c1 in _pairs(_L_monomial(backend, i, -k, mono)):
+                hit = iota_monomial(backend, (b, k), m1)
+                if hit:
+                    fock._accumulate(out, hit[1], -sk * x * c1 * hit[0])
+    return out
+
+
+@pytest.mark.parametrize("which, max_energy", [
+    ("backend", 4),   # A1 [-2,3]: margin 0, every monomial of energy <= 4
+    ("backend_a2_m1_2", 1),   # A2 [-1,2]: margin 0, energy <= 1
+], ids=["a1_m2_3", "a2_m1_2"])
+def test_inline_d_and_dstar_columns_equal_the_step_by_step_reference(request, which, max_energy):
+    b = request.getfixturevalue(which)
+    d, dstar = _d_monomial.__wrapped__, _dstar_monomial.__wrapped__  # unmemoised
+    mons = monomials_in_support(b, 0, max_energy)
+    assert len(mons) > 1000
+    for mono in mons:
+        # equal values in the same order: later sums see the same terms
+        for twisted in (False, True):
+            assert list(d(b, twisted, mono).items()) == list(_two_step_d_column(b, twisted, mono).items())
+        assert list(dstar(b, mono).items()) == list(_two_step_dstar_column(b, mono).items())
 
 
 def _sorted_enumeration(b, margin, max_energy):
