@@ -261,14 +261,6 @@ def minimal_coset_reps(data: AlgebraData, maxLength: int) -> List[AffineWeylElem
     return AffineWeylGroup(data).minimal_coset_reps(maxLength)
 
 
-def inversion_set(data: AlgebraData, w: AffineWeylElement) -> List[AffineRoot]:
-    return AffineWeylGroup(data).inversion_set(w)
-
-
-def rho_difference(data: AlgebraData, w: AffineWeylElement) -> AffineWeight:
-    return AffineWeylGroup(data).rho_difference(w)
-
-
 def predict_cohomology(data: AlgebraData, maxDegree: int) -> Dict[int, List[PredictedIrrep]]:
     """One summand per minimal representative of each length p <= maxDegree."""
     group = AffineWeylGroup(data)

@@ -590,18 +590,14 @@ def isotypic_eigen_check(
     labels = cc.weights(p, k)
     blocked = all(labels[r] == labels[c] for c, col in C.columns.items() for r in col)
 
-    values: Dict[Fraction, FiniteWeight] = {}
-    for s in summands:
-        values.setdefault(casimir_eigenvalue(data, s.lowestWeight), s.lowestWeight)
     ck = data.coxeter * k
+    # Casimir value v -> (lowest weight, Laplacian scalar c*k - v); ``eigenvalue_of``
+    # checks the Theorem-form scalar against the affine pairing form
+    values: Dict[Fraction, Tuple[FiniteWeight, Fraction]] = {}
+    for s in summands:
+        scalar = -eigenvalue_of(data, s.lowestWeight, k)
+        values.setdefault(ck - scalar, (s.lowestWeight, scalar))
     vlist = sorted(values)
-    scalars: Dict[Fraction, Fraction] = {}
-    for v in vlist:
-        # the Theorem-form scalar c*k - v against the affine pairing form
-        # (``eigenvalue_of`` without recomputing the Casimir value v)
-        scalars[v] = ck - v
-        if -laplacian_shift(data, AffineWeight(Fraction(k), values[v], Fraction(0))) != scalars[v]:
-            raise InvariantError(f"Laplacian scalar of {values[v]} at energy {k} disagrees with c*k - Casimir")
 
     L = cc.laplacian_columns(p, k)
     lam, gamma = L.scale, C.scale
@@ -623,5 +619,5 @@ def isotypic_eigen_check(
 
     min_poly_ok = all(annihilated(j) for j in range(len(basis)))
 
-    components = [(values[v], scalars[v], min_poly_ok and l_matches) for v in vlist]
+    components = [(*values[v], min_poly_ok and l_matches) for v in vlist]
     return IsotypicVerdict(p, k, components, min_poly_ok, l_matches, blocked)

@@ -50,9 +50,11 @@ monomial (``_pairing``).
 
 All identity checks quantify over explicit finite sets of monomials whose
 support keeps enough margin from the window edge that truncation is
-exact; each check declares the minimum window guard it needs and emits a
-skip verdict below that, or when its guarded support holds only the
-vacuum, never a silent pass.
+exact, and over every generator, window mode and cochain column they
+name; only the monomial sets are capped (and ``leibniz_check`` draws
+seeded random wedges).  Each check declares the minimum window guard it
+needs and emits a skip verdict below that, or when its guarded support
+holds only the vacuum, never a silent pass.
 
 A backend is one algebra on one energy window, so no operator, check or
 enumeration takes a window of its own.  Operators exist only as column
@@ -73,9 +75,11 @@ each one table read, and a wedge of eps steps through
 and cochain modes sit at levels <= kMax - guard, so no operator checks
 its input against the window.
 
-Monomials are enumerated one energy shell at a time in (energy, label)
-order; a shell is counted before it is built, and a group of mode sets
-is labelled only when a shell that uses it is built.  The quantifier
+Monomials are enumerated one energy shell at a time in (energy,
+monomial int) order.  The added and the removed side each count their
+mode subsets by (energy, mode count) before enumerating any, so a shell
+is counted before it is built, and a group of mode sets is enumerated
+only when a shell that uses it is built.  The quantifier
 sets of ``check_basis`` are built only up to the shell that reaches their
 cap, and are memoised on the backend keyed by margin, energy cap,
 particle cap and cap; the adjoint check builds only the energy blocks it
@@ -199,14 +203,6 @@ def energy(backend: OrthonormalBackend, mono: SemiInfMonomial) -> int:
         removed >>= n
         j += 1
     return total
-
-
-def _modes_label(modes: Tuple[Mode, ...]) -> str:
-    return " ".join(f"e[{i},{k}]" for i, k in modes) or "-"
-
-
-def _monomial_label(added_label: str, removed_label: str) -> str:
-    return f"(+{added_label} | -{removed_label})"
 
 
 VACUUM: SemiInfMonomial = 0
@@ -418,78 +414,78 @@ def _pairing(backend: OrthonormalBackend, mono: SemiInfMonomial) -> Tuple[int, i
     return num, alg.gram_scale ** len(removed) * alg.gram_inv_scale ** len(added), partner
 
 
-def _mode_subsets(out: List[Tuple[int, Tuple[Mode, ...]]], cands: List[Mode], weights: List[int],
-                  max_energy: int | None, max_particles: int | None,
-                  start: int = 0, chosen: Tuple[Mode, ...] = (), used: int = 0) -> List[Tuple[int, Tuple[Mode, ...]]]:
-    """Append to ``out`` the (energy, modes) of ``chosen`` and of each
-    extension of it by modes of ``cands[start:]`` under the energy and
-    mode-count caps, depth first."""
-    out.append((used, chosen))
-    if max_particles is None or len(chosen) < max_particles:
-        for j in range(start, len(cands)):
-            total = used + weights[j]
-            if max_energy is None or total <= max_energy:
-                _mode_subsets(out, cands, weights, max_energy, max_particles, j + 1, chosen + (cands[j],), total)
-    return out
+class _Side:
+    """The subsets of one side's candidate modes (added or removed), each
+    of weight >= 0, under the energy and mode-count caps.
+    ``counts[j][(e, c)]`` is the number of subsets of the candidates from j
+    on with energy e and c modes, built back to front without enumerating
+    any subset; ``group((e, c))`` lists the bits of one such group of
+    ``counts[0]``, built once, on first use."""
+
+    def __init__(self, backend: OrthonormalBackend, cands: List[Mode], weights: List[int],
+                 max_energy: int | None, max_particles: int | None):
+        self.bits = [backend.steps[mode][0] for mode in cands]
+        self.weights = weights
+        counts: List[Dict[Tuple[int, int], int]] = [{(0, 0): 1}]
+        for w in reversed(weights):
+            table = dict(counts[-1])
+            for (e, c), size in counts[-1].items():
+                if (max_energy is None or e + w <= max_energy) and (max_particles is None or c < max_particles):
+                    table[e + w, c + 1] = table.get((e + w, c + 1), 0) + size
+            counts.append(table)
+        self.counts = counts[::-1]
+        self.groups: Dict[Tuple[int, int], List[int]] = {}
+
+    def group(self, key: Tuple[int, int]) -> List[int]:
+        out = self.groups.get(key)
+        if out is None:
+            out = self.groups[key] = []
+            self._extend(out, 0, *key, 0)
+        return out
+
+    def _extend(self, out: List[int], start: int, e: int, c: int, bits: int):
+        """Append ``bits`` joined with each subset of the candidates from
+        ``start`` on with energy e and c modes, entering no branch whose
+        count is 0."""
+        if not c:
+            out.append(bits)
+            return
+        for j in range(start, len(self.bits)):
+            rest = (e - self.weights[j], c - 1)
+            if self.counts[j + 1].get(rest):
+                self._extend(out, j + 1, *rest, bits | self.bits[j])
+
+
+def _shell_monomials(adds: _Side, rems: _Side, keys: List[Tuple[Tuple[int, int], Tuple[int, int]]]
+                     ) -> List[SemiInfMonomial]:
+    """The monomials of one energy shell, sorted: the cross products of its
+    (added group, removed group) pairs."""
+    return sorted(a | r for akey, rkey in keys for a in adds.group(akey) for r in rems.group(rkey))
 
 
 def _energy_shells(backend: OrthonormalBackend, margin: int, max_energy: int | None,
-                   max_particles: int | None) -> List[List[Tuple[list, list]]]:
+                   max_particles: int | None) -> Iterator[Tuple[int, Callable[[], List[SemiInfMonomial]]]]:
     """The energy shells of the monomials supported in the margin-shrunk
     window, optionally capped by energy and by total mode count (added
-    plus removed): shell e lists the (added group, removed group) pairs
-    whose cross products are its monomials, each group a list of (bits,
-    modes) over the mode sets of one energy and mode count, so a shell is
-    counted (``_shell_size``) before it is built and labelled
-    (``_shell_monomials``)."""
+    plus removed), in energy order: per shell, its size, counted from the
+    two sides' group counts, and a function that builds its sorted
+    monomials.  A group of mode sets is enumerated only when a shell that
+    uses it is built."""
     lo, hi = backend.window.support(margin)
     n = backend.n
-    # both ascend by (k, i), so every subset of them does too
-    add_candidates = [(i, k) for k in range(1, hi + 1) for i in range(n)]
-    rem_candidates = [(i, k) for k in range(lo, 1) for i in range(n)]
-
-    def groups(cands: List[Mode], sign: int) -> Dict[int, Dict[int, List[Tuple[int, Tuple[Mode, ...]]]]]:
-        """energy -> mode count -> [(bits, modes)] over the subsets of ``cands``."""
-        out: Dict[int, Dict[int, List[Tuple[int, Tuple[Mode, ...]]]]] = defaultdict(lambda: defaultdict(list))
-        for used, modes in _mode_subsets([], cands, [sign * k for _i, k in cands], max_energy, max_particles):
-            out[used][len(modes)].append((encode_monomial(backend, modes), modes))
-        return out
-
-    adds = groups(add_candidates, 1)
-    rems = groups(rem_candidates, -1)
-    top = max(adds) + max(rems)
+    add_cands = [(i, k) for k in range(1, hi + 1) for i in range(n)]
+    rem_cands = [(i, k) for k in range(lo, 1) for i in range(n)]
+    adds = _Side(backend, add_cands, [k for _i, k in add_cands], max_energy, max_particles)
+    rems = _Side(backend, rem_cands, [-k for _i, k in rem_cands], max_energy, max_particles)
+    add_counts, rem_counts = adds.counts[0], rems.counts[0]
+    top = max(e for e, _c in add_counts) + max(e for e, _c in rem_counts)
     if max_energy is not None:
         top = min(top, max_energy)
-    shells: List[List[Tuple[list, list]]] = []
     for e in range(top + 1):
-        shell = []
-        for ae, add_counts in adds.items():
-            rem_counts = rems.get(e - ae)
-            if rem_counts is None:
-                continue
-            for acount, add_list in add_counts.items():
-                for rcount, rem_list in rem_counts.items():
-                    if max_particles is None or acount + rcount <= max_particles:
-                        shell.append((add_list, rem_list))
-        shells.append(shell)
-    return shells
-
-
-def _shell_size(shell: List[Tuple[list, list]]) -> int:
-    return sum(len(add_list) * len(rem_list) for add_list, rem_list in shell)
-
-
-def _shell_monomials(shell: List[Tuple[list, list]], labels: Dict[int, List[Tuple[int, str]]]
-                     ) -> List[SemiInfMonomial]:
-    """The monomials of one energy shell, sorted by label.  ``labels`` keeps
-    each group's (bits, label) list by the group's id, so one enumeration
-    labels a group once, when the first shell that uses it is built."""
-    for group in chain.from_iterable(shell):
-        if id(group) not in labels:
-            labels[id(group)] = [(bits, _modes_label(modes)) for bits, modes in group]
-    keyed = sorted((_monomial_label(alabel, rlabel), abits | rbits) for add_list, rem_list in shell
-                   for abits, alabel in labels[id(add_list)] for rbits, rlabel in labels[id(rem_list)])
-    return [m for _label, m in keyed]
+        keys = [(akey, rkey) for akey in add_counts for rkey in rem_counts
+                if akey[0] + rkey[0] == e and (max_particles is None or akey[1] + rkey[1] <= max_particles)]
+        yield (sum(add_counts[akey] * rem_counts[rkey] for akey, rkey in keys),
+               partial(_shell_monomials, adds, rems, keys))
 
 
 def monomials_in_support(backend: OrthonormalBackend, margin: int,
@@ -498,12 +494,11 @@ def monomials_in_support(backend: OrthonormalBackend, margin: int,
                          cap: int | None = None) -> List[SemiInfMonomial]:
     """All monomials supported in the margin-shrunk window, optionally
     capped by energy and by total mode count (added plus removed), in the
-    deterministic order (energy, label); with ``cap``, the first ``cap``.
-    No shell past the one that reaches ``cap`` is built."""
+    deterministic order (energy, monomial int); with ``cap``, the first
+    ``cap``.  No shell past the one that reaches ``cap`` is built."""
     result: List[SemiInfMonomial] = []
-    labels: Dict[int, List[Tuple[int, str]]] = {}
-    for shell in _energy_shells(backend, margin, max_energy, max_particles):
-        result.extend(_shell_monomials(shell, labels))
+    for _size, build in _energy_shells(backend, margin, max_energy, max_particles):
+        result.extend(build())
         if cap is not None and len(result) >= cap:
             return result[:cap]
     return result
@@ -520,7 +515,8 @@ def check_basis(backend: OrthonormalBackend, margin: int, max_energy: int | None
     Small windows (up to 18 candidate modes, which covers the rank-one
     acceptance window) enumerate every supported monomial under the energy
     cap; larger mode sets additionally restrict to at most four modes off
-    the vacuum and truncate to ``cap`` vectors in (energy, label) order.
+    the vacuum and truncate to ``cap`` vectors in (energy, monomial int)
+    order.
     Only the energy shells up to the one that reaches ``cap`` are built,
     and each set is memoised per margin, energy cap and ``cap``.
     """
@@ -580,24 +576,25 @@ def _vector_error(a: Mapping[SemiInfMonomial, int], b: Mapping[SemiInfMonomial, 
 
 
 def clifford_check(backend: OrthonormalBackend) -> IdentityVerdict:
-    """[iota, eps]+ = delta * delta, squares vanish, on windowed monomials,
-    with every step read from the step table."""
-    n, window = backend.n, backend.window
-    basis = check_basis(backend, window.guard, 3 if _small(backend) else 2, cap=700 if _small(backend) else 60)
+    """[iota_x, eps^y]+ = delta_xy for every pair of window modes on
+    windowed monomials, with every step read from the step table.  The
+    table invariant under it is checked too: every row's bit is one set
+    bit, and no two rows share one.  Then a step flips the bit it tests,
+    so (eps^x)^2 = (iota_x)^2 = 0, and both terms of an anticommutator sit
+    at one monomial."""
+    window = backend.window
+    basis = check_basis(backend, window.guard, 3, cap=700 if _small(backend) else 60)
     if basis == [VACUUM]:
         return _skip_vacuum_only(backend, "clifford_relations", window.guard)
-    modes = [(i, k) for k in range(window.kMin, window.kMax + 1) for i in range(n)]
-    modes = sorted(modes, key=lambda m: (abs(m[1]), m[1], m[0]))[:24]
-    rows = [(j, *backend.steps[m]) for j, m in enumerate(modes)]
-    err = 0
+    rows = [(j, *row) for j, row in enumerate(backend.steps.values())]
+    bits = [bit for bit, _mask, _c, _empty in backend.steps.values()]
+    err = int(any(bit.bit_count() != 1 for bit in bits) or len(set(bits)) < len(bits))
     for mono in basis:
         # per mode: is it empty in mono, and the sign parity of its step on mono
         on_mono = [(j, bit, mask, c, empty, mono & bit == empty, (mono & mask).bit_count() + c)
                    for j, bit, mask, c, empty in rows]
         for x, xbit, xmask, xc, xempty, x_is_empty, xpar in on_mono:
             flipped = mono ^ xbit
-            if (flipped & xbit == xempty) == x_is_empty:
-                err = max(err, 1)  # eps^x eps^x or iota_x iota_x leaves a term
             for y, ybit, ymask, yc, yempty, y_is_empty, ypar in on_mono:
                 # eps^y iota_x mono + iota_x eps^y mono - delta_xy mono: every
                 # term sits at mono ^ xbit ^ ybit, so one coefficient is compared
@@ -631,12 +628,9 @@ def commutator_check(backend: OrthonormalBackend) -> IdentityVerdict:
         basis = check_basis(backend, margin + 1, 4, cap=300 if _small(backend) else 24)
         count += len(basis)
         for mono in basis:
-            gen_pairs = [(i, j) for i in range(n) for j in range(n)]
-            if not _small(backend):
-                gen_pairs = gen_pairs[:: max(1, len(gen_pairs) // 12)]
-            for i in sorted({i for i, _ in gen_pairs}):
+            for i in range(n):
                 Lv = list(_pairs(_L_monomial(backend, i, k, mono)))
-                for j in [jj for ii, jj in gen_pairs if ii == i]:
+                for j in range(n):
                     for m in modes:
                         for step, rhs in (
                             (iota_monomial, [(-c, (p, m + k)) for p, c in f[i].get(j, {}).items()]),
@@ -745,9 +739,8 @@ def l0_commutes_with_d_check(backend: OrthonormalBackend) -> IdentityVerdict:
         return _skip_vacuum_only(backend, "L0_commutes_with_d", backend.window.guard)
     d = partial(_d_monomial, backend, False)
     err = 0
-    gens = range(backend.n) if _small(backend) else range(0, backend.n, max(1, backend.n // 4))
     for mono in basis:
-        for i in gens:
+        for i in range(backend.n):
             L0 = partial(_L_monomial, backend, i, 0)
             err = max(err, _vector_error(_apply(d, _pairs(L0(mono))), _apply(L0, _pairs(d(mono)))))
     return _verdict(backend, "L0_commutes_with_d", Fraction(err, 2 * backend.alg.scale ** 2), len(basis))
@@ -838,7 +831,7 @@ def d_squared_check(backend: OrthonormalBackend) -> IdentityVerdict:
     window = backend.window
     if window.guard < 1:
         return _skip(backend, "d_squared_closed_form", "window guard < 1")
-    cols = check_basis(backend, window.guard, 3 if _small(backend) else 2, cap=600 if _small(backend) else 30)
+    cols = check_basis(backend, window.guard, 3, cap=600 if _small(backend) else 30)
     if cols == [VACUUM]:
         return _skip_vacuum_only(backend, "d_squared_closed_form", window.guard)
     alg = backend.alg
@@ -864,7 +857,7 @@ def laplacian_formula_check(backend: OrthonormalBackend) -> IdentityVerdict:
     window = backend.window
     if window.guard < 1:
         return _skip(backend, "laplacian_closed_form", "window guard < 1")
-    cols = check_basis(backend, window.guard, 3 if _small(backend) else 2, cap=600 if _small(backend) else 30)
+    cols = check_basis(backend, window.guard, 3, cap=600 if _small(backend) else 30)
     if cols == [VACUUM]:
         return _skip_vacuum_only(backend, "laplacian_closed_form", window.guard)
     d = partial(_d_monomial, backend, False)
@@ -915,11 +908,10 @@ def dtilde_adjoint_matrix_check(backend: OrthonormalBackend) -> IdentityVerdict:
     e_scale = backend.alg.gram_inv_scale
     err = Fraction(0)
     count = 0
-    labels: Dict[int, List[Tuple[int, str]]] = {}
-    for e, shell in enumerate(_energy_shells(backend, 0, 3 if _small(backend) else 1, None)):
-        if _shell_size(shell) > block_cap:
+    for e, (size, build) in enumerate(_energy_shells(backend, 0, 3 if _small(backend) else 1, None)):
+        if size > block_cap:
             continue
-        block = _shell_monomials(shell, labels)
+        block = build()
         count += len(block)
         pairing = {m: _pairing(backend, m) for m in block}
         transposed: Dict[SemiInfMonomial, FockVector] = {m: {} for m in block}
@@ -964,11 +956,10 @@ def d_matches_cochain_check(backend: OrthonormalBackend) -> IdentityVerdict:
 
     err = Fraction(0)
     count = 0
-    col_cap = None if _small(backend) else 6
     for k in range(1, max_k + 1):
         for p in range(1, min(2, k) + 1):
             block = differential_block(backend.alg, p, k)
-            for col, wedge in enumerate(block.basisIn.monomials[:col_cap]):
+            for col, wedge in enumerate(block.basisIn.monomials):
                 lhs = _apply(d, embed(wedge))
                 rhs = _combine(*((2 * val, embed(block.basisOut.monomials[row]))
                                  for (row, c_), val in block.dMatrix.items() if c_ == col))

@@ -23,7 +23,7 @@ from typing import Dict, List, Sequence, Tuple
 from . import exactlinalg as xl
 
 Coords = Tuple[int, ...]
-FiniteWeight = Tuple[Fraction, ...]
+FiniteWeight = Tuple[int | Fraction, ...]  # integral weights stay ints; rho brings in Fraction
 
 _VALID_RANKS = {
     "A": lambda r: r >= 1,
@@ -44,7 +44,7 @@ def _bilinear(form: Sequence[Sequence[Fraction]], a: Sequence[Fraction], b: Sequ
             continue
         for j, y in enumerate(b):
             if y != 0:
-                tot += Fraction(x) * Fraction(y) * form[i][j]
+                tot += x * y * form[i][j]
     return tot
 
 
@@ -147,11 +147,11 @@ class RootSystem:
 
     def pair_coroot(self, weight: Sequence[Fraction], i: int) -> Fraction:
         """<weight, alpha_i^vee> for a weight in simple-root coordinates."""
-        return sum(Fraction(x) * self.cartan[i][j] for j, x in enumerate(weight))
+        return sum(x * self.cartan[i][j] for j, x in enumerate(weight))
 
     def reflect(self, weight: Sequence[Fraction], i: int) -> FiniteWeight:
         c = self.pair_coroot(weight, i)
-        out = list(Fraction(x) for x in weight)
+        out = list(weight)
         out[i] -= c
         return tuple(out)
 

@@ -1,7 +1,8 @@
 """Torus weights, characters and irreducible decompositions.
 
-Weights are tuples of ``Fraction`` in simple-root coordinates throughout
-(the same basis the algebra records for reports).  Characters of
+Weights are tuples of exact rationals in simple-root coordinates
+throughout (the same basis the algebra records for reports): integral
+weights stay ints, and only rho brings in ``Fraction``.  Characters of
 irreducibles come from Freudenthal's multiplicity recursion on dominant
 weights, expanded over Weyl orbits; decomposition of an arbitrary
 Weyl-symmetric multiset peels maximal weights greedily.
@@ -33,16 +34,12 @@ class IrrepSummand:
         return (self.dimension, self.lowestWeight, self.multiplicity)
 
 
-def _as_weight(w: Sequence) -> FiniteWeight:
-    return tuple(Fraction(x) for x in w)
-
-
 def reflect(data: AlgebraData, w: Sequence[Fraction], i: int) -> FiniteWeight:
-    return data.rootSystem.reflect(_as_weight(w), i)
+    return data.rootSystem.reflect(w, i)
 
 
 def dominant_representative(data: AlgebraData, w: Sequence[Fraction]) -> FiniteWeight:
-    cur = _as_weight(w)
+    cur = tuple(w)
     rs = data.rootSystem
     while True:
         for i in range(data.rank):
@@ -54,7 +51,7 @@ def dominant_representative(data: AlgebraData, w: Sequence[Fraction]) -> FiniteW
 
 
 def antidominant_representative(data: AlgebraData, w: Sequence[Fraction]) -> FiniteWeight:
-    cur = _as_weight(w)
+    cur = tuple(w)
     rs = data.rootSystem
     while True:
         for i in range(data.rank):
@@ -66,7 +63,7 @@ def antidominant_representative(data: AlgebraData, w: Sequence[Fraction]) -> Fin
 
 
 def weyl_orbit(data: AlgebraData, w: Sequence[Fraction]) -> set[FiniteWeight]:
-    start = _as_weight(w)
+    start = tuple(w)
     seen = {start}
     frontier = [start]
     while frontier:
@@ -82,7 +79,7 @@ def weyl_orbit(data: AlgebraData, w: Sequence[Fraction]) -> set[FiniteWeight]:
 def weyl_dim(data: AlgebraData, highest: Sequence[Fraction]) -> int:
     """Weyl dimension formula for the dominant highest weight, memoised in
     ``data.weyl_dims``."""
-    lam = _as_weight(highest)
+    lam = tuple(highest)
     known = data.weyl_dims.get(lam)
     if known is not None:
         return known
@@ -94,9 +91,8 @@ def weyl_dim(data: AlgebraData, highest: Sequence[Fraction]) -> int:
     den = Fraction(1)
     lam_rho = tuple(a + b for a, b in zip(lam, rho))
     for alpha in rs.positiveRoots:
-        av = _as_weight(alpha)
-        num *= data.weight_pairing(lam_rho, av)
-        den *= data.weight_pairing(rho, av)
+        num *= data.weight_pairing(lam_rho, alpha)
+        den *= data.weight_pairing(rho, alpha)
     d = num / den
     if d.denominator != 1 or d <= 0:
         raise InvariantError(f"Weyl dimension {d} is not a positive integer")
@@ -109,7 +105,7 @@ _char_cache: Dict[Tuple[str, FiniteWeight], WeightMultiset] = {}
 
 def dominant_multiplicities(data: AlgebraData, highest: Sequence[Fraction]) -> Dict[FiniteWeight, int]:
     """Freudenthal recursion over the dominant weights below ``highest``."""
-    lam = _as_weight(highest)
+    lam = tuple(highest)
     rs = data.rootSystem
     rho = rs.rho
     pairing = data.weight_pairing
@@ -119,7 +115,7 @@ def dominant_multiplicities(data: AlgebraData, highest: Sequence[Fraction]) -> D
     bounds = [int(x) for x in lam]
     dominants: List[FiniteWeight] = []
     for q in itertools.product(*(range(b + 1) for b in bounds)):
-        mu = tuple(x - Fraction(c) for x, c in zip(lam, q))
+        mu = tuple(x - c for x, c in zip(lam, q))
         if is_dominant(data, mu):
             dominants.append(mu)
     dominants.sort(key=lambda m: (-sum(m), m))
@@ -133,14 +129,13 @@ def dominant_multiplicities(data: AlgebraData, highest: Sequence[Fraction]) -> D
             continue
         num = Fraction(0)
         for alpha in rs.positiveRoots:
-            av = _as_weight(alpha)
             k = 1
             while True:
-                nu = tuple(x + k * a for x, a in zip(mu, av))
+                nu = tuple(x + k * a for x, a in zip(mu, alpha))
                 m_nu = table.get(dominant_representative(data, nu))
                 if m_nu is None:
                     break  # weight strings are contiguous
-                num += 2 * m_nu * pairing(nu, av)
+                num += 2 * m_nu * pairing(nu, alpha)
                 k += 1
         mu_rho = tuple(a + b for a, b in zip(mu, rho))
         den = norm_top - pairing(mu_rho, mu_rho)
@@ -155,7 +150,7 @@ def dominant_multiplicities(data: AlgebraData, highest: Sequence[Fraction]) -> D
 
 
 def irrep_character(data: AlgebraData, highest: Sequence[Fraction]) -> WeightMultiset:
-    lam = _as_weight(highest)
+    lam = tuple(highest)
     key = (data.content_hash(), lam)
     cached = _char_cache.get(key)
     if cached is not None:
@@ -173,8 +168,7 @@ def irrep_character(data: AlgebraData, highest: Sequence[Fraction]) -> WeightMul
 
 def weights_of_basis(data: AlgebraData, basis) -> WeightMultiset:
     """Torus weights of a cochain basis; dual modes carry negated weights.
-    The basis weights are integral, so the sums run over ints and each
-    distinct weight becomes a ``Fraction`` tuple once."""
+    The basis weights are integral, so every weight is an int tuple."""
     monomials = getattr(basis, "monomials", basis)
     counts: Dict[Tuple[int, ...], int] = {}
     for wedge in monomials:
@@ -184,7 +178,7 @@ def weights_of_basis(data: AlgebraData, basis) -> WeightMultiset:
                 w[i] -= c
         key = tuple(w)
         counts[key] = counts.get(key, 0) + 1
-    return {_as_weight(w): m for w, m in counts.items()}
+    return counts
 
 
 def is_weyl_symmetric(data: AlgebraData, multiset: WeightMultiset) -> bool:

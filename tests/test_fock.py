@@ -10,6 +10,7 @@ import pytest
 from jetcohom import exactlinalg as xl
 from jetcohom import fock
 from jetcohom.cochain import InvariantError
+from jetcohom.liealg import AlgebraSpec, build_algebra
 from jetcohom.fock import (
     VACUUM,
     EnergyWindow,
@@ -296,6 +297,50 @@ def test_a_row_missing_a_mask_bit_fails_the_identities(a1):
         assert not verdict.skipped and not verdict.passed, verdict.identity
 
 
+@pytest.mark.parametrize("bit_of", [lambda b: 0, lambda b: b.steps[1, 1][0]], ids=["bit-0", "shared-bit"])
+def test_a_row_without_a_bit_of_its_own_fails_the_clifford_check(a1, bit_of):
+    """A row whose bit is 0 lets eps (or iota) on its mode act twice; a row
+    that shares the bit of (1, 1) puts both modes in one wedge slot.  Either
+    breaks the table invariant of the Clifford check."""
+    b = OrthonormalBackend(a1, WINDOW)
+    _bit, mask, c, empty = b.steps[0, 1]
+    b.steps[0, 1] = (bit_of(b), mask, c, empty)
+    verdict = clifford_check(b)
+    assert not verdict.skipped and not verdict.passed
+
+
+def test_the_adjoint_check_counts_its_energy_blocks_before_enumerating_any(monkeypatch):
+    """On C3 [-1,2] the 21 removed modes of level 0 alone span 2^21
+    monomials of energy 0, so every energy block of the adjoint check
+    exceeds its cap.  The check must skip from the group counts: the spy
+    fails on the first enumerated group, before memory could run out."""
+    b = OrthonormalBackend(build_algebra(AlgebraSpec("C", 3)), EnergyWindow(-1, 2, 1))
+
+    def refuse(side, key):
+        raise AssertionError(f"group {key} of {side.counts[0][key]} mode sets enumerated")
+
+    monkeypatch.setattr(fock._Side, "group", refuse)
+    verdict = dtilde_adjoint_matrix_check(b)
+    assert verdict.skipped and verdict.reason == "every energy block exceeds 800 monomials"
+
+
+def test_only_the_groups_of_built_shells_are_enumerated(a2, monkeypatch):
+    """On A2 [-1,2] the adjoint check builds its energy-0 block (256
+    monomials) and skips the energy-1 block (4,096): no group of energy 1
+    is enumerated."""
+    built = []
+    real = fock._Side.group
+
+    def spy(side, key):
+        built.append(key)
+        return real(side, key)
+
+    monkeypatch.setattr(fock._Side, "group", spy)
+    verdict = dtilde_adjoint_matrix_check(OrthonormalBackend(a2, EnergyWindow(-1, 2, 1)))
+    assert verdict.passed and verdict.vectors == 256
+    assert built and all(e == 0 for e, _count in built)
+
+
 @pytest.mark.parametrize("series, window", [("a1", WINDOW), ("a2", EnergyWindow(-1, 2, 1))], ids=["a1", "a2"])
 def test_a_row_with_flipped_parity_is_a_gauge_only_the_reference_catches(request, monkeypatch, series, window):
     """Flipping the parity of one row negates eps and iota on that mode x
@@ -546,7 +591,7 @@ def test_inline_d_and_dstar_columns_equal_the_step_by_step_reference(request, wh
 def _sorted_enumeration(b, margin, max_energy):
     """Reference: every monomial in the margin-shrunk window under the energy
     cap (and the particle cap ``check_basis`` applies), fully sorted by
-    (energy, label)."""
+    (energy, monomial int)."""
     lo, hi = b.window.support(margin)
     modes = [(i, k) for k in (*range(lo, 1), *range(1, hi + 1)) for i in range(b.n)]
     sizes = range(len(modes) + 1) if len(modes) <= 18 else range(5)
@@ -557,12 +602,8 @@ def _sorted_enumeration(b, margin, max_energy):
             removed = [m for m in chosen if m[1] <= 0]
             e = sum(k for _i, k in added) - sum(k for _i, k in removed)
             if max_energy is None or e <= max_energy:
-                mono = encode_monomial(b, added, removed)
-                label = "(+{} | -{})".format(*(" ".join(f"e[{i},{k}]" for i, k in side) or "-"
-                                               for side in decode_monomial(b, mono)))
-                keyed.append(((e, label), mono))
-    keyed.sort(key=lambda km: km[0])
-    return [m for _key, m in keyed]
+                keyed.append((e, encode_monomial(b, added, removed)))
+    return [m for _e, m in sorted(keyed)]
 
 
 @pytest.mark.parametrize("series, window", [
