@@ -6,9 +6,10 @@ flags, and the report schema version it was written for.  The
 differential is not stored; files written when it was (under a "block"
 key) predate the schema version and are recomputed.  A cached file is
 used only when its stored algebra hash and schema version both match; a
-mismatch, a missing version and an unreadable file trigger recomputation
-with a warning.  Each writer publishes through a temp file of its own, so
-writers of one cell never collide.
+mismatch, a missing version and an unreadable file (one that holds no
+JSON object) trigger recomputation with a warning.  Each writer
+publishes through a temp file of its own, so writers of one cell never
+collide.
 """
 
 from __future__ import annotations
@@ -32,6 +33,15 @@ def cell_path(cache_dir: Path, algebra_hash: str, p: int, k: int) -> Path:
     return cache_dir / f"{algebra_hash[:16]}_p{p}_k{k}.json"
 
 
+def _read_record(path: Path) -> dict:
+    """The JSON object a cell file holds; OSError or ValueError if it holds none."""
+    with open(path) as fh:
+        record = json.load(fh)
+    if not isinstance(record, dict):
+        raise ValueError(f"a JSON {type(record).__name__}, not an object")
+    return record
+
+
 def load_cell(cache_dir: Optional[Path], algebra_hash: str, p: int, k: int, schema_version: int) -> Optional[dict]:
     if cache_dir is None:
         return None
@@ -39,9 +49,8 @@ def load_cell(cache_dir: Optional[Path], algebra_hash: str, p: int, k: int, sche
     if not path.exists():
         return None
     try:
-        with open(path) as fh:
-            record = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        record = _read_record(path)
+    except (OSError, ValueError) as exc:
         print(f"warning: unreadable cache file {path} ({exc}); recomputing", file=sys.stderr)
         return None
     if record.get("algebra_hash") != algebra_hash:
@@ -79,8 +88,7 @@ def list_cache(cache_dir: Optional[Path]) -> list[dict]:
     for path in sorted(cache_dir.glob("*.json")):
         entry = {"file": path.name, "bytes": path.stat().st_size, "valid": False}
         try:
-            with open(path) as fh:
-                record = json.load(fh)
+            record = _read_record(path)
             entry.update(
                 valid=True,
                 algebra_hash=record.get("algebra_hash", "?"),
@@ -88,7 +96,7 @@ def list_cache(cache_dir: Optional[Path]) -> list[dict]:
                 k=record.get("k"),
                 dim=record.get("dim"),
             )
-        except (OSError, json.JSONDecodeError):
+        except (OSError, ValueError):
             pass
         out.append(entry)
     return out

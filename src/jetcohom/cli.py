@@ -4,13 +4,14 @@ Flags mirror the run configuration; an optional key=value config file
 (same field names) supplies defaults that flags override.  The cache
 directory may also come from the JETCOHOM_CACHE_DIR environment variable.
 
-Exit codes: 0 all verdicts pass (also after --help); 1 usage or
-configuration error, including every command line argparse rejects, an
-unwritable --output and csv output for a report other than compute's,
-each checked before computing; 2 a mismatch between computed and
-predicted cohomology (or a failed exact check or decomposition); 3 an
-identity-suite failure.  ``--tolerance`` is accepted and validated for
-existing configurations, but the identity suite is exact and does not
+Exit codes: 0 all verdicts pass (also after --help); 1 a usage or
+configuration error, checked before computing: every command line
+argparse rejects, an unwritable --output, a compute cache directory that
+cannot be created and csv output for a report other than compute's; 2 a
+mismatch between computed and predicted cohomology, a failed exact check
+or decomposition, or any other exception inside a command (its traceback
+kept on stderr); 3 an identity-suite failure.  ``--tolerance`` is
+accepted and validated, but the identity suite is exact and does not
 read it.
 """
 
@@ -139,6 +140,13 @@ def main(argv: list[str] | None = None) -> int:
     if config.outputFormat == "csv" and args.command != "compute":
         print(f"error: csv output is only defined for compute reports, not {args.command}", file=sys.stderr)
         return 1
+    cache_dir = cache_mod.resolve_cache_dir(config.cacheDir)
+    if cache_dir and args.command == "compute":
+        try:  # every computed cell is stored there
+            cache_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            print(f"error: cannot create the cache directory: {exc}", file=sys.stderr)
+            return 1
 
     try:
         if args.command == "compute":
@@ -147,14 +155,19 @@ def main(argv: list[str] | None = None) -> int:
             report = cmd_predict(config)
         else:
             report = cmd_verify_identities(config)
+        text = serialize_report(report, config.outputFormat)
     except InvalidAlgebraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (InvariantError, DecompositionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # an unforeseen failure inside the computation
+        # the interpreter's own traceback print: importing traceback would add 0.3 MB to every run
+        sys.excepthook(type(exc), exc, exc.__traceback__)
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
-    text = serialize_report(report, config.outputFormat)
     if output:
         try:
             Path(output).write_text(text)

@@ -20,13 +20,14 @@ primitive int vectors.
 
 Weight blocks.  d is checked to join only monomials of equal torus
 weight, which makes d* and L weight-blocked too; the Casimir is checked
-explicitly to join no two weights.  Dense int matrices are formed only
-where an elimination needs them, one weight block at a time: the ranks of
-d and the kernel of L, both unchanged by the scales.  Every other check
-applies int columns to int vectors, with each identity multiplied through
-by the scales: self-adjointness (G_i L_ij = G_j L_ji), closedness and
-co-closedness of harmonic vectors, d^2 = 0, L + Casimir = c*k*Id and the
-Casimir's minimal polynomial.
+explicitly to join no two weights.  Dense int matrices are cut from the
+columns only where an elimination needs them, one weight block at a time:
+the ranks of d and the kernel of L, both unchanged by the scales.  Every
+other check applies int columns to int vectors, with each identity
+multiplied through by the scales: self-adjointness (G_i L_ij = G_j L_ji),
+closedness and co-closedness of harmonic vectors, d^2 = 0, L + Casimir =
+c*k*Id and the Casimir's minimal polynomial.  Every cell, empty or not,
+takes this one path; an empty cell has no column and no weight block.
 
 Sign conventions.  The positive semi-definite cell Laplacian acts on the
 isotypic component of lowest weight lam at energy k by the scalar
@@ -52,7 +53,6 @@ from .affine import AffineWeight, laplacian_shift
 Mode = Tuple[int, int]  # (level >= 1, basis index)
 Wedge = Tuple[Mode, ...]
 Weight = Tuple[int, ...]  # torus weight in simple-root coordinates
-Blocks = Dict[Weight, List[List[int]]]  # torus weight -> dense int matrix over that weight's monomials
 
 
 @dataclass(frozen=True)
@@ -93,15 +93,12 @@ def build_basis(data: AlgebraData, p: int, k: int) -> CochainBasis:
 
     Monomials are grouped by level signature (signatures in lex order),
     then by lexicographic index combinations per level; within a wedge,
-    modes are ascending in (level, index).
+    modes are ascending in (level, index).  The (0, 0) cell holds the
+    empty wedge alone; p = 0 < k, k = 0 < p and p > k give no monomial.
     """
     if p < 0 or k < 0:
         raise ValueError("degree and energy must be nonnegative")
     n = data.dim
-    if p == 0:
-        return CochainBasis(0, k, ((),) if k == 0 else ())
-    if k == 0 or p > k:
-        return CochainBasis(p, k, ())
     monomials: List[Wedge] = []
     for sig in sorted(_signatures(p, k, n)):
         levels = sorted(set(sig))
@@ -244,18 +241,20 @@ def _dense_block(op: Columns, rows: Sequence[int], cols: Sequence[int]) -> List[
 class CellComplex:
     """Lazy per-algebra store of the cell operators, kept for the whole run.
 
-    Everything is built from ``self.alg``, the ``IntAlgebra`` of the
-    algebra, so the diagonal wedge Gram of a degree-p cell (``gram``) is
+    ``self.data`` is the Chevalley algebra, which names irreps and Casimir
+    values; every operator is built from ``self.alg``, its ``IntAlgebra``,
+    so the diagonal wedge Gram of a degree-p cell (``gram``) is
     ``alg.metric_scale`` ** p times the true one.  Besides bases, int
     weight labels and Grams it keeps the int blocks s*d and d, d* and the
     Laplacian L as ``ScaledColumns`` (int columns over one int scale per
     cell), one memo entry each.  Dense matrices exist only as inputs to an
-    elimination: each weight block of d for its rank, and each weight
-    block of L for its kernel (``laplacian``).  Every other check applies
-    the int columns to int vectors.
+    elimination, cut from the columns by ``_dense_block``: each weight
+    block of d for its rank, and each weight block of L for its kernel.
+    Every other check applies the int columns to int vectors.
     """
 
     def __init__(self, data: AlgebraData):
+        self.data = data
         self.alg = int_algebra(data)
         self._kept: Dict[Tuple[str, int, int], object] = {}
 
@@ -336,9 +335,10 @@ class CellComplex:
         return self._memo("d", p, k, build)
 
     def d_squared_zero(self, p: int, k: int) -> bool:
-        """d^{p+1} d^p = 0 at energy k, checked column by column."""
-        d_next = self.differential(p + 1, k).columns
-        return not any(_apply(d_next, col) for col in self.differential(p, k).columns.values())
+        """d^{p+1} d^p = 0 at energy k, checked column by column; d^{p+1}
+        is built only once d^p has a column to apply it to."""
+        d = self.differential
+        return not any(_apply(d(p + 1, k).columns, col) for col in d(p, k).columns.values())
 
     def block_ranks(self, p: int, k: int) -> Dict[Weight, int]:
         """Fraction-free rank of each weight block of d^p at energy k that
@@ -383,7 +383,7 @@ class CellComplex:
 
         return self._memo("codifferential", p, k, build)
 
-    def laplacian_columns(self, p: int, k: int) -> ScaledColumns:
+    def laplacian(self, p: int, k: int) -> ScaledColumns:
         """The Laplacian d*d + dd* of cell (p, k) as int columns over one
         scale, one column for every monomial, checked to be self-adjoint
         in the metric: G_i * L_ij = G_j * L_ji."""
@@ -408,13 +408,6 @@ class CellComplex:
 
         return self._memo("laplacian", p, k, build)
 
-    def laplacian(self, p: int, k: int) -> Blocks:
-        """Dense int weight blocks of ``laplacian_columns(p, k).columns``,
-        the scaled Laplacian, the input of the harmonic kernel; L preserves
-        weight because d does and the Gram is diagonal."""
-        L = self.laplacian_columns(p, k).columns
-        return {w: _dense_block(L, idxs, idxs) for w, idxs in self.weight_blocks(p, k).items()}
-
 
 def eigenvalue_of(data: AlgebraData, lowestWeight: Sequence[Fraction], energy: int) -> Fraction:
     """Closed-form scalar of the twisted Laplacian on a lowest-weight irrep.
@@ -437,35 +430,32 @@ def eigenvalue_of(data: AlgebraData, lowestWeight: Sequence[Fraction], energy: i
 
 @dataclass
 class HarmonicSpace:
-    degree: int
-    energy: int
     basis: List[Dict[int, int]]  # sparse primitive int vectors, {cell index: coefficient}
-    dimension: int
     weight_multiset: Dict[Weight, int]
     decomposition: List[IrrepSummand]
 
 
-def harmonic_space(data: AlgebraData, p: int, k: int, complex_: CellComplex | None = None) -> HarmonicSpace:
+def harmonic_space(cc: CellComplex, p: int, k: int) -> HarmonicSpace:
     """Exact kernel of the cell Laplacian, one torus-weight block at a time.
 
-    The Laplacian commutes with the torus action and is assembled per
-    weight block, so its kernel is the sum of the blocks' kernels.  On
-    each block the kernel comes from one fraction-free elimination, its
-    dimension is checked against Hodge consistency (dim - rank d^p_w -
-    rank d^{p-1}_w, from the ranks ``rank_d`` sums), and every kernel
-    vector is checked to be annihilated by d and d*; a failure raises
-    ``InvariantError``.  The basis vectors are sparse int vectors in cell
-    coordinates, block by block in sorted weight order.
+    The Laplacian commutes with the torus action, so its kernel is the sum
+    of the kernels of its weight blocks.  Each block is cut dense from the
+    one memoised ``cc.laplacian`` columns, its kernel comes from one
+    fraction-free elimination, its dimension is checked against Hodge
+    consistency (dim - rank d^p_w - rank d^{p-1}_w, from the ranks
+    ``rank_d`` sums), and every kernel vector is checked to be annihilated
+    by d and d*; a failure raises ``InvariantError``.  The basis vectors
+    are sparse int vectors in cell coordinates, block by block in sorted
+    weight order.  An empty cell has no block and an empty kernel.
     """
-    cc = complex_ or CellComplex(data)
-    laplacian = cc.laplacian(p, k)
+    L = cc.laplacian(p, k).columns
     d_up, ranks_up = cc.differential(p, k).columns, cc.block_ranks(p, k)
     dstar_down, ranks_down = (cc.codifferential(p - 1, k).columns, cc.block_ranks(p - 1, k)) if p > 0 else ({}, {})
 
     kernel_vectors: List[Dict[int, int]] = []
     weight_multiset: Dict[Weight, int] = {}
     for w, idxs in cc.weight_blocks(p, k).items():
-        kernel = xl.kernel_basis(laplacian[w])
+        kernel = xl.kernel_basis(_dense_block(L, idxs, idxs))
         if len(kernel) != len(idxs) - ranks_up.get(w, 0) - ranks_down.get(w, 0):
             raise InvariantError(f"Hodge consistency fails in cell ({p}, {k})")
         for vec in kernel:
@@ -478,15 +468,7 @@ def harmonic_space(data: AlgebraData, p: int, k: int, complex_: CellComplex | No
         if kernel:
             weight_multiset[w] = len(kernel)
 
-    decomposition = decompose(data, weight_multiset) if weight_multiset else []
-    return HarmonicSpace(
-        degree=p,
-        energy=k,
-        basis=kernel_vectors,
-        dimension=len(kernel_vectors),
-        weight_multiset=weight_multiset,
-        decomposition=decomposition,
-    )
+    return HarmonicSpace(kernel_vectors, weight_multiset, decompose(cc.data, weight_multiset))
 
 
 def _action_matrix(coefficients: Dict[int, List[Tuple[int, int]]], basis: CochainBasis,
@@ -536,55 +518,38 @@ def casimir_matrix(alg: IntAlgebra, basis: CochainBasis) -> ScaledColumns:
 
 @dataclass
 class IsotypicVerdict:
-    degree: int
-    energy: int
-    components: List[Tuple[FiniteWeight, Fraction, bool]]  # (lowest, PSD scalar, ok)
+    components: List[Tuple[FiniteWeight, Fraction]]  # (lowest weight, PSD Laplacian scalar)
     minimal_polynomial_ok: bool
     laplacian_matches_casimir: bool
-    weight_blocked: bool = True  # the Casimir joins no two torus weights
+    weight_blocked: bool  # the Casimir joins no two torus weights
 
     @property
     def passed(self) -> bool:
-        return (
-            self.weight_blocked
-            and self.minimal_polynomial_ok
-            and self.laplacian_matches_casimir
-            and all(ok for _, _, ok in self.components)
-        )
-
-    def first_violation(self):
-        for lw, scalar, ok in self.components:
-            if not ok:
-                return (lw, scalar)
-        return None
+        return self.weight_blocked and self.minimal_polynomial_ok and self.laplacian_matches_casimir
 
 
-def isotypic_eigen_check(
-    data: AlgebraData, p: int, k: int, complex_: CellComplex | None = None
-) -> IsotypicVerdict:
+def isotypic_eigen_check(cc: CellComplex, p: int, k: int) -> IsotypicVerdict:
     """Verify the Laplacian acts by the predicted exact scalar per component.
 
     The sparse Casimir C = C_int / gamma, built from ``cc.alg`` so that it
     is in the basis of the Laplacian, is checked to join no two torus
-    weights (``weight_blocked``); the Laplacian L = L_int / lambda is
-    weight-blocked by construction.  Then two exact checks run column by
-    column on int vectors: gamma * L_int e_j + lambda * C_int e_j = c*k *
-    lambda * gamma * e_j, that is (L + C) e_j = c*k*e_j
-    (``laplacian_matches_casimir``), and prod_v (s/gamma * C_int - s*v) e_j
-    = 0 over the predicted Casimir values v, s the lcm of gamma and the v's
-    denominators (``minimal_polynomial_ok``).
+    weights (``weight_blocked``); the Laplacian L = L_int / lambda is the
+    same ``cc.laplacian`` memo that ``harmonic_space`` reads, weight-blocked
+    by construction.  Then two exact checks run column by column on int
+    vectors: gamma * L_int e_j + lambda * C_int e_j = c*k * lambda * gamma
+    * e_j, that is (L + C) e_j = c*k*e_j (``laplacian_matches_casimir``),
+    and prod_v (s/gamma * C_int - s*v) e_j = 0 over the predicted Casimir
+    values v, s the lcm of gamma and the v's denominators
+    (``minimal_polynomial_ok``); an empty cell passes both on no column.
 
     Each component's verdict follows from these two.  With P_v =
     prod_{v' != v} (C - v') / (v - v') the projector onto the Casimir
     value v, L = c*k - C gives (L - (c*k - v)) P_v = (v - C) P_v =
     -prod_{v'} (C - v') / prod_{v' != v} (v - v'), a nonzero multiple of
-    the minimal-polynomial product.  So a component is ok exactly when
-    both checks pass, and no projector product is formed.
+    the minimal-polynomial product.  So every component holds exactly when
+    both checks pass (``passed``), and no projector product is formed.
     """
-    cc = complex_ or CellComplex(data)
-    basis = cc.basis(p, k)
-    if len(basis) == 0:
-        return IsotypicVerdict(p, k, [], True, True)
+    data, basis = cc.data, cc.basis(p, k)
     summands = decompose(data, cc.weight_multiset(p, k))
     C = casimir_matrix(cc.alg, basis)
     labels = cc.weights(p, k)
@@ -599,7 +564,7 @@ def isotypic_eigen_check(
         values.setdefault(ck - scalar, (s.lowestWeight, scalar))
     vlist = sorted(values)
 
-    L = cc.laplacian_columns(p, k)
+    L = cc.laplacian(p, k)
     lam, gamma = L.scale, C.scale
     l_matches = all(
         _apply(L.columns, {j: gamma}, ck * lam) == {i: -lam * x for i, x in C.columns.get(j, {}).items()}
@@ -619,5 +584,4 @@ def isotypic_eigen_check(
 
     min_poly_ok = all(annihilated(j) for j in range(len(basis)))
 
-    components = [(*values[v], min_poly_ok and l_matches) for v in vlist]
-    return IsotypicVerdict(p, k, components, min_poly_ok, l_matches, blocked)
+    return IsotypicVerdict([values[v] for v in vlist], min_poly_ok, l_matches, blocked)

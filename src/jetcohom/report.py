@@ -123,41 +123,21 @@ def _predictions_json(predictions: Dict[int, list]) -> dict:
     }
 
 
-def compute_cell(data: AlgebraData, cc: CellComplex, p: int, k: int) -> dict:
-    """Compute one (degree, energy) cell record, exact checks included."""
-    basis = cc.basis(p, k)
-    dim = len(basis)
-    record: dict = {
+def compute_cell(cc: CellComplex, p: int, k: int) -> dict:
+    """Compute one (degree, energy) cell record, exact checks included; an
+    empty cell takes the same path and passes every check on nothing."""
+    data = cc.data
+    harm = harmonic_space(cc, p, k)
+    iso = isotypic_eigen_check(cc, p, k)
+    return {
         "algebra_hash": data.content_hash(),
         "schema_version": SCHEMA_VERSION,
         "p": p,
         "k": k,
-        "dim": dim,
-    }
-    if dim == 0:
-        record.update(
-            rank_d=0,
-            harmonic_dim=0,
-            harmonic=[],
-            checks={"d_squared_zero": True, "weyl_symmetric": True,
-                    "isotypic": True, "positivity": True, "round_trip": True},
-        )
-        return record
-
-    d_sq_zero = cc.d_squared_zero(p, k)
-    rank_d = cc.rank_d(p, k)
-
-    weyl_ok = is_weyl_symmetric(data, cc.weight_multiset(p, k))
-
-    harm = harmonic_space(data, p, k, cc)
-    iso = isotypic_eigen_check(data, p, k, cc)
-    positivity = all(scalar >= 0 for _lw, scalar, _ok in iso.components)
-    round_trip = expand(data, harm.decomposition) == harm.weight_multiset
-
-    record.update(
-        rank_d=rank_d,
-        harmonic_dim=harm.dimension,
-        harmonic=[
+        "dim": len(cc.basis(p, k)),
+        "rank_d": cc.rank_d(p, k),
+        "harmonic_dim": len(harm.basis),
+        "harmonic": [
             {
                 "lowestWeight": _weight(s.lowestWeight),
                 "dim": s.dimension,
@@ -166,15 +146,14 @@ def compute_cell(data: AlgebraData, cc: CellComplex, p: int, k: int) -> dict:
             }
             for s in harm.decomposition
         ],
-        checks={
-            "d_squared_zero": d_sq_zero,
-            "weyl_symmetric": weyl_ok,
+        "checks": {
+            "d_squared_zero": cc.d_squared_zero(p, k),
+            "weyl_symmetric": is_weyl_symmetric(data, cc.weight_multiset(p, k)),
             "isotypic": iso.passed,
-            "positivity": positivity,
-            "round_trip": round_trip,
+            "positivity": all(scalar >= 0 for _lw, scalar in iso.components),
+            "round_trip": expand(data, harm.decomposition) == harm.weight_multiset,
         },
-    )
-    return record
+    }
 
 
 def cmd_compute(config: RunConfig) -> dict:
@@ -191,7 +170,7 @@ def cmd_compute(config: RunConfig) -> dict:
         for k in range(config.maxEnergy + 1):
             record = cache_mod.load_cell(cache_dir, ahash, p, k, SCHEMA_VERSION)
             if record is None:
-                record = compute_cell(data, cc, p, k)
+                record = compute_cell(cc, p, k)
                 cache_mod.store_cell(cache_dir, record)
             cells.append(record)
 

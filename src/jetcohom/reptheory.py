@@ -34,10 +34,6 @@ class IrrepSummand:
         return (self.dimension, self.lowestWeight, self.multiplicity)
 
 
-def reflect(data: AlgebraData, w: Sequence[Fraction], i: int) -> FiniteWeight:
-    return data.rootSystem.reflect(w, i)
-
-
 def dominant_representative(data: AlgebraData, w: Sequence[Fraction]) -> FiniteWeight:
     cur = tuple(w)
     rs = data.rootSystem

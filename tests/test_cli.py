@@ -138,7 +138,7 @@ def test_cli_maps_a_failed_decomposition_to_exit_2(monkeypatch, capsys):
     from jetcohom import report
     from jetcohom.reptheory import DecompositionError
 
-    def broken(data, p, k, cc):
+    def broken(cc, p, k):
         raise DecompositionError("subtracting V((0,)) drives weight (2,) negative")
 
     monkeypatch.setattr(report, "harmonic_space", broken)
@@ -147,6 +147,42 @@ def test_cli_maps_a_failed_decomposition_to_exit_2(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: subtracting V((0,)) drives weight (2,) negative\n"
     assert captured.out == ""
+
+
+def test_cli_maps_any_other_computation_error_to_exit_2(monkeypatch, capsys):
+    from jetcohom import report
+
+    def broken(*_cell):
+        raise KeyError("cell")
+
+    monkeypatch.setattr(report, "compute_cell", broken)
+    code = main(["compute", "--series", "A", "--rank", "1", "--max-degree", "1", "--max-energy", "1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("Traceback") and "in broken" in captured.err
+    assert captured.err.endswith("error: KeyError: 'cell'\n") and captured.out == ""
+
+
+@pytest.mark.parametrize("route", ["flag", "config", "env"])
+def test_cli_refuses_a_cache_directory_that_cannot_be_created(tmp_path, capsys, monkeypatch, route):
+    # checked before any cell is computed, like an unwritable --output
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cache, out = blocker / "cache", tmp_path / "report.json"
+    argv = ["compute", "--series", "A", "--rank", "1", "--max-degree", "2", "--max-energy", "3", "--output", str(out)]
+    if route == "flag":
+        argv += ["--cache-dir", str(cache)]
+    elif route == "config":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"cacheDir = {cache}\n")
+        argv += ["--config", str(cfg)]
+    else:
+        monkeypatch.setenv(cache_mod.ENV_CACHE_DIR, str(cache))
+    code = main(argv)
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot create the cache directory") and captured.out == ""
+    assert not out.exists()
 
 
 def test_cli_main_end_to_end(tmp_path, capsys):
@@ -349,6 +385,16 @@ def test_cache_roundtrip_and_corruption(tmp_path, capsys):
     files[0].write_text("{broken")
     r3 = cmd_compute(cfg)
     assert serialize_report(r1, "json") == serialize_report(r3, "json")
+
+    # valid json that is not an object is unreadable too: listed as invalid, then recomputed
+    files[2].write_text("[1, 2]")
+    capsys.readouterr()
+    assert main(["show-cache", "--cache-dir", str(cache)]) == 0
+    listing = {e["file"]: e["valid"] for e in json.loads(capsys.readouterr().out)["entries"]}
+    assert listing.pop(files[2].name) is False and all(listing.values())
+    r5 = cmd_compute(cfg)
+    assert serialize_report(r1, "json") == serialize_report(r5, "json")
+    assert f"unreadable cache file {files[2]}" in capsys.readouterr().err
 
     # stale algebra hash triggers recompute
     record = json.loads(files[1].read_text())

@@ -72,8 +72,8 @@ def test_decompose_adjoint_dual(a1):
     assert out == [IrrepSummand(lowestWeight=(F(-1),), multiplicity=1, dimension=3)]
 
 
-def test_decompose_harmonic_2_3(a1, cc_a1):
-    harm = harmonic_space(a1, 2, 3, cc_a1)
+def test_decompose_harmonic_2_3(cc_a1):
+    harm = harmonic_space(cc_a1, 2, 3)
     assert [(s.lowestWeight, s.multiplicity, s.dimension) for s in harm.decomposition] == [
         ((F(-2),), 1, 5)
     ]
