@@ -60,20 +60,29 @@ A backend is one algebra on one energy window, so no operator, check or
 enumeration takes a window of its own.  Operators exist only as column
 functions: one monomial to its column, the flat tuple (m1, c1, m2, c2,
 ...) of its nonzero int entries, or the shared () when there are none.
-``_pairs`` reads a column back as (monomial, coefficient) pairs,
-``_apply`` takes a column function to such pairs, giving a vector (a
-dict), and ``_combine`` forms each lhs - rhs.  The columns of L_{i,k}, d
-or dtilde and dtilde* are memoised on the backend by one decorator, in
-one dict per operator and parameter set keyed by the monomial alone
-(``columns["_L_monomial"][(i, k)][mono]``); a tuple cannot be changed,
-so no column needs a read-only view.  ``_L_monomial``, under all of
-them, runs one loop over its move table; ``_d_monomial``,
-``_dstar_monomial`` and ``clifford_check`` read step rows inline; every
-other single-mode step goes through ``eps_monomial``/``iota_monomial``,
-each one table read, and a wedge of eps steps through
-``_eps_wedge_column``.  Every column loop runs over window levels only,
-and cochain modes sit at levels <= kMax - guard, so no operator checks
-its input against the window.
+``_pairs`` reads a column back as (monomial, coefficient) pairs, and
+``_apply`` adds an operator, given by its column function, applied to
+such pairs into a vector (a dict).  Each check subtracts its right side
+into the vector of its left side and compares that one residual, lhs -
+rhs, with 0.  The columns of L_{i,k}, d or dtilde and dtilde* are
+memoised on the backend by one decorator, in one ``_Memo`` per operator
+and parameter set: a dict keyed by the monomial alone
+(``columns["_L_monomial"][(i, k)][mono]``) that computes a missing
+column when it is looked up.  A tuple cannot be changed, so no column
+needs a read-only view.  A check looks each memo up once, before its
+loop (``_columns``), through the operator's module name, so a column
+function put in that name's place is the one called.  A memo holds its
+backend by a weak reference, so a backend and its memos are freed by
+reference counting alone.  ``_L_monomial`` runs one loop over its move
+table.  ``_d_monomial`` runs that loop on each of its eps^{i,k}
+neighbours without memoising their columns; ``_dstar_monomial`` reads
+the memoised ones.  The kernels and the checks that take single-mode
+steps read step rows inline, as ``clifford_check`` does; the vacuum
+check, ``_pairing`` and ``_eps_wedge_column`` (a wedge of eps steps) go
+through ``eps_monomial``/``iota_monomial``, each one table read.  Every
+column loop runs over window levels only, and cochain modes sit at
+levels <= kMax - guard, so no operator checks its input against the
+window.
 
 Monomials are enumerated one energy shell at a time in (energy,
 monomial int) order.  The added and the removed side each count their
@@ -95,10 +104,11 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, wraps
+from functools import cache, partial, wraps
 from itertools import chain
 from operator import itemgetter
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
+from weakref import ref
 
 from .cochain import InvariantError, differential_block
 from .liealg import AlgebraData, int_algebra
@@ -140,7 +150,11 @@ class OrthonormalBackend:
     bit`` when the mode is not in the wedge (0 if added, ``bit`` if
     removed).  eps needs the mode empty, iota needs it occupied; either
     flips ``bit`` with the sign (-1)^(popcount(mono & mask) + c).
-    ``moves`` keeps the move table of each L_{i,k} (``_moves``)."""
+    ``moves`` keeps the move table of each L_{i,k} (``_moves``).
+    ``energy_masks`` holds one mask per w = 1, 2, ...: the bits of the
+    modes at levels k with |k| >= w, so a mode at level k lies under |k|
+    of them.  ``columns[name][params]`` is the ``_Memo`` of one memoised
+    operator."""
 
     def __init__(self, data: AlgebraData, window: EnergyWindow):
         self.alg = int_algebra(data)
@@ -157,10 +171,10 @@ class OrthonormalBackend:
                 else:
                     b = -k * n + n - 1 - i
                     self.steps[i, k] = (1 << b, -1 << off | (1 << b) - 1, b & 1, 1 << b)
+        self.energy_masks = [sum(bit for (_i, k), (bit, *_rest) in self.steps.items() if abs(k) >= w)
+                             for w in range(1, max(window.kMax, -window.kMin) + 1)]
         self.moves: Dict[Tuple[int, int], List[Tuple[int, List[tuple]]]] = {}
-        # operator name -> params -> {monomial: column}
-        self.columns: Dict[str, Dict[tuple, Dict[SemiInfMonomial, ColumnTuple]]] = defaultdict(
-            lambda: defaultdict(dict))
+        self.columns: Dict[str, Dict[tuple, _Memo]] = defaultdict(dict)
         self.bases: Dict[Tuple[int, int | None, int | None, int | None], Tuple[SemiInfMonomial, ...]] = {}
 
 
@@ -191,18 +205,10 @@ def degree_offset(backend: OrthonormalBackend, mono: SemiInfMonomial) -> int:
 
 
 def energy(backend: OrthonormalBackend, mono: SemiInfMonomial) -> int:
-    """Sum of the added levels minus the sum of the removed levels: slice j
-    of the added bits is level j + 1, slice j of the removed bits level -j."""
-    n, off = backend.n, backend.off
-    added, removed = mono >> off, mono & (1 << off) - 1
-    full = (1 << n) - 1
-    total, j = added.bit_count(), 0
-    while added or removed:
-        total += j * ((added & full).bit_count() + (removed & full).bit_count())
-        added >>= n
-        removed >>= n
-        j += 1
-    return total
+    """Sum of the added levels minus the sum of the removed levels, each
+    mode at level k counted once under each of the |k| masks that hold
+    it (``energy_masks``)."""
+    return sum(map(int.bit_count, map(mono.__and__, backend.energy_masks)))
 
 
 VACUUM: SemiInfMonomial = 0
@@ -226,23 +232,16 @@ def iota_monomial(backend: OrthonormalBackend, mode: Mode, mono: SemiInfMonomial
     return (-1 if ((mono & mask).bit_count() + c) & 1 else 1), mono ^ bit
 
 
-def _then(backend: OrthonormalBackend, step, mode: Mode, hit: Tuple[int, SemiInfMonomial] | None
-          ) -> Tuple[int, SemiInfMonomial] | None:
-    """``step`` (``eps_monomial`` or ``iota_monomial``) applied after ``hit``."""
-    if hit is None:
-        return None
-    back = step(backend, mode, hit[1])
-    if back is None:
-        return None
-    return hit[0] * back[0], back[1]
-
-
 def _eps_wedge_column(backend: OrthonormalBackend, modes: Sequence[Mode], mono: SemiInfMonomial) -> ColumnTuple:
     """eps^{m_1} ... eps^{m_p} mono for modes ascending by (k, i), as a column."""
-    hit: Tuple[int, SemiInfMonomial] | None = (1, mono)
+    sign = 1
     for mode in reversed(modes):
-        hit = _then(backend, eps_monomial, mode, hit)
-    return (hit[1], hit[0]) if hit else ()
+        hit = eps_monomial(backend, mode, mono)
+        if hit is None:
+            return ()
+        sign *= hit[0]
+        mono = hit[1]
+    return mono, sign
 
 
 def _pairs(col: ColumnTuple) -> Iterator[Tuple[SemiInfMonomial, int]]:
@@ -259,43 +258,76 @@ def _accumulate(out: Dict, key, coeff: int):
         out.pop(key, None)
 
 
-def _apply(column: Column, v: Pairs) -> FockVector:
-    """sum_m v[m] * column(m): an operator, given by its columns, on the
-    (monomial, coefficient) pairs of a vector."""
-    out: FockVector = {}
-    for mono, coeff in v:
+def _apply(column: Column, v: Pairs, coeff: int = 1, out: FockVector | None = None) -> FockVector:
+    """out + coeff * sum_m v[m] * column(m): an operator, given by its
+    columns, on the (monomial, coefficient) pairs of a vector, added into
+    ``out`` (a new vector by default).  A check subtracts its right side
+    into the vector of its left side, so one residual holds lhs - rhs."""
+    if out is None:
+        out = {}
+    get = out.get
+    for mono, c in v:
+        x = coeff * c
         it = iter(column(mono))
         for m2, c2 in zip(it, it):
-            _accumulate(out, m2, coeff * c2)
+            new = get(m2, 0) + x * c2
+            if new:
+                out[m2] = new
+            else:
+                del out[m2]
     return out
 
 
-def _combine(*terms: Tuple[int, Pairs]) -> FockVector:
-    """sum coeff * vec over the (coeff, pairs of vec) terms."""
-    out: FockVector = {}
-    for coeff, vec in terms:
-        for mono, c in vec:
-            _accumulate(out, mono, coeff * c)
-    return out
+def _residual_error(res: FockVector) -> int:
+    """The largest |lhs - rhs| of a residual lhs - rhs."""
+    return max(map(abs, res.values()), default=0)
+
+
+class _Memo(dict):
+    """The columns of one memoised operator at one parameter set on one
+    backend, keyed by monomial: ``memo[mono]`` computes a missing column
+    once, as a flat tuple (every empty column is the shared ()).  The
+    backend owns its memos and a memo holds its backend by a weak
+    reference, so the two are freed by reference counting alone."""
+    __slots__ = ("kernel", "backend", "params")
+
+    def __init__(self, kernel, backend: OrthonormalBackend, params: tuple):
+        super().__init__()
+        self.kernel, self.backend, self.params = kernel, ref(backend), params
+
+    def __missing__(self, mono: SemiInfMonomial) -> ColumnTuple:
+        col = self[mono] = tuple(chain(*self.kernel(self.backend(), *self.params, mono).items()))
+        return col
 
 
 def _memo_column(fn):
-    """Memoise the column function ``fn(backend, *params, mono)`` in
-    ``backend.columns[fn.__name__][params]``, keyed by ``mono``: each column
-    is computed once per backend and kept as a flat tuple; every empty
-    column is the shared ()."""
+    """Memoise the column function ``fn(backend, *params, mono)`` in the
+    ``_Memo`` ``backend.columns[fn.__name__][params]``; ``.memo(backend,
+    *params)`` returns that memo."""
     name = fn.__name__
 
-    @wraps(fn)
-    def column(backend: OrthonormalBackend, *args):
-        memo = backend.columns[name][args[:-1]]
-        mono = args[-1]
-        col = memo.get(mono)
-        if col is None:
-            col = memo[mono] = tuple(chain.from_iterable(fn(backend, *args).items()))
-        return col
+    def memo(backend: OrthonormalBackend, *params) -> _Memo:
+        memos = backend.columns[name]
+        found = memos.get(params)
+        if found is None:
+            found = memos[params] = _Memo(fn, backend, params)
+        return found
 
+    @wraps(fn)
+    def column(backend: OrthonormalBackend, *args) -> ColumnTuple:
+        return memo(backend, *args[:-1])[args[-1]]
+
+    column.memo = memo
     return column
+
+
+def _columns(op, backend: OrthonormalBackend, *params) -> Column:
+    """``op(backend, *params, mono)`` as a function of ``mono`` alone, for a
+    check to look up once before its loop: the lookup of op's memo, or op
+    itself bound to its arguments when op is a column function that is not
+    memoised (one that stands in for a memoised operator)."""
+    memo = getattr(op, "memo", None)
+    return memo(backend, *params).__getitem__ if memo else partial(op, backend, *params)
 
 
 def _moves(backend: OrthonormalBackend, i: int, k: int) -> List[Tuple[int, List[tuple]]]:
@@ -360,13 +392,17 @@ def _d_monomial(backend: OrthonormalBackend, twisted: bool, mono: SemiInfMonomia
     2s; with ``twisted``, dtilde, whose k <= 0 terms enter with a minus
     sign.  eps^{i,k} is read from the step table."""
     out: FockVector = {}
+    get, L = out.get, _L_monomial.__wrapped__  # each L_{i,k} column is used here once
     for (i, k), (bit, mask, c, empty) in backend.steps.items():
         if mono & bit != empty:
             continue
-        parity = (mono & mask).bit_count() + c + (twisted and k <= 0)
-        it = iter(_L_monomial(backend, i, k, mono ^ bit))
-        for m2, c2 in zip(it, it):
-            _accumulate(out, m2, -c2 if parity & 1 else c2)
+        negate = ((mono & mask).bit_count() + c + (twisted and k <= 0)) & 1
+        for m2, c2 in L(backend, i, k, mono ^ bit).items():
+            new = get(m2, 0) + (-c2 if negate else c2)
+            if new:
+                out[m2] = new
+            else:
+                del out[m2]
     return out
 
 
@@ -376,16 +412,21 @@ def _dstar_monomial(backend: OrthonormalBackend, mono: SemiInfMonomial) -> FockV
     over 2se: the adjoint of dtilde under the Fock pairing.  iota_{b,k} is
     read from the step table."""
     out: FockVector = {}
+    get, L, steps = out.get, _L_monomial.memo, backend.steps
     for k in range(backend.window.kMin, backend.window.kMax + 1):
         sk = 1 if k > 0 else -1
         for i, (b, x) in enumerate(backend.alg.gram_inv):
-            bit, mask, c, empty = backend.steps[b, k]
-            it = iter(_L_monomial(backend, i, -k, mono))
+            bit, mask, c, empty = steps[b, k]
+            it = iter(L(backend, i, -k)[mono])
             for m1, c1 in zip(it, it):
                 if m1 & bit == empty:
                     continue
-                val = sk * x * c1
-                _accumulate(out, m1 ^ bit, val if ((m1 & mask).bit_count() + c) & 1 else -val)
+                target, val = m1 ^ bit, sk * x * c1
+                new = get(target, 0) + (val if ((m1 & mask).bit_count() + c) & 1 else -val)
+                if new:
+                    out[target] = new
+                else:
+                    del out[target]
     return out
 
 
@@ -571,10 +612,6 @@ def _skip_vacuum_only(backend: OrthonormalBackend, name: str, margin: int) -> Id
     return _skip(backend, name, f"guarded support for margin {margin} holds only the vacuum")
 
 
-def _vector_error(a: Mapping[SemiInfMonomial, int], b: Mapping[SemiInfMonomial, int]) -> int:
-    return max((abs(a.get(m, 0) - b.get(m, 0)) for m in a.keys() | b.keys()), default=0)
-
-
 def clifford_check(backend: OrthonormalBackend) -> IdentityVerdict:
     """[iota_x, eps^y]+ = delta_xy for every pair of window modes on
     windowed monomials, with every step read from the step table.  The
@@ -593,9 +630,11 @@ def clifford_check(backend: OrthonormalBackend) -> IdentityVerdict:
         # per mode: is it empty in mono, and the sign parity of its step on mono
         on_mono = [(j, bit, mask, c, empty, mono & bit == empty, (mono & mask).bit_count() + c)
                    for j, bit, mask, c, empty in rows]
+        empties = [row for row in on_mono if row[5]]
         for x, xbit, xmask, xc, xempty, x_is_empty, xpar in on_mono:
             flipped = mono ^ xbit
-            for y, ybit, ymask, yc, yempty, y_is_empty, ypar in on_mono:
+            # where x is empty, iota_x mono = 0: an occupied y meets no term and no delta
+            for y, ybit, ymask, yc, yempty, y_is_empty, ypar in (empties if x_is_empty else on_mono):
                 # eps^y iota_x mono + iota_x eps^y mono - delta_xy mono: every
                 # term sits at mono ^ xbit ^ ybit, so one coefficient is compared
                 res = -(x == y)
@@ -616,7 +655,16 @@ def commutator_check(backend: OrthonormalBackend) -> IdentityVerdict:
     window = backend.window
     if window.guard < 1:
         return _skip(backend, "mode_action_commutators", "window guard < 1 (shift-1 operators)")
-    n, f = backend.n, backend.alg.structure
+    n, f, steps = backend.n, backend.alg.structure, backend.steps
+
+    def iota(mode: Mode) -> Tuple[int, int, int, int]:
+        bit, mask, c, empty = steps[mode]
+        return bit, bit ^ empty, mask, c
+
+    def eps(mode: Mode) -> Tuple[int, int, int, int]:
+        bit, mask, c, empty = steps[mode]
+        return bit, empty, mask, c
+
     err = 0
     count = 0
     for k in range(-window.guard, window.guard + 1):
@@ -627,31 +675,36 @@ def commutator_check(backend: OrthonormalBackend) -> IdentityVerdict:
             continue  # no mode level to act with: this shift compares nothing
         basis = check_basis(backend, margin + 1, 4, cap=300 if _small(backend) else 24)
         count += len(basis)
+        # per i: L_{i,k}, and per (j, m) and step (iota_{j,m}, then eps^{j,m}) its
+        # row (bit, need, mask, c), applied where mono & bit == need, and the
+        # (coefficient, row) terms of its right side
+        per_i = [(_columns(_L_monomial, backend, i, k),
+                  [term for j in range(n) for m in modes for term in (
+                      (iota((j, m)), [(-c, iota((p, m + k))) for p, c in f[i].get(j, {}).items()]),
+                      (eps((j, m)), [(col[j], eps((q, m - k))) for q, col in f[i].items() if j in col]))])
+                 for i in range(n)]
         for mono in basis:
-            for i in range(n):
-                Lv = list(_pairs(_L_monomial(backend, i, k, mono)))
-                for j in range(n):
-                    for m in modes:
-                        for step, rhs in (
-                            (iota_monomial, [(-c, (p, m + k)) for p, c in f[i].get(j, {}).items()]),
-                            (eps_monomial, [(col[j], (q, m - k)) for q, col in f[i].items() if j in col]),
-                        ):
-                            # lhs = step(L mono) - L(step mono), expected = sum cv step_mode(mono), over s
-                            lhs: FockVector = {}
-                            for m1, c1 in Lv:
-                                hit = step(backend, (j, m), m1)
-                                if hit:
-                                    _accumulate(lhs, hit[1], hit[0] * c1)
-                            hit = step(backend, (j, m), mono)
-                            if hit:
-                                for m2, c2 in _pairs(_L_monomial(backend, i, k, hit[1])):
-                                    _accumulate(lhs, m2, -hit[0] * c2)
-                            expected: FockVector = {}
-                            for cv, mode in rhs:
-                                hit = step(backend, mode, mono)
-                                if hit:
-                                    _accumulate(expected, hit[1], cv * hit[0])
-                            err = max(err, _vector_error(lhs, expected))
+            for L, terms in per_i:
+                Lmono = L(mono)
+                Lv = list(zip(Lmono[::2], Lmono[1::2]))
+                for (bit, need, mask, c), rhs in terms:
+                    # step(L mono) - L(step mono) - sum cv step_mode(mono), over s
+                    res: FockVector = {}
+                    for m1, c1 in Lv:
+                        if m1 & bit == need:
+                            target = m1 ^ bit
+                            res[target] = res.get(target, 0) + (-c1 if ((m1 & mask).bit_count() + c) & 1 else c1)
+                    if mono & bit == need:
+                        negate = ((mono & mask).bit_count() + c) & 1
+                        it = iter(L(mono ^ bit))
+                        for m2, c2 in zip(it, it):
+                            res[m2] = res.get(m2, 0) + (c2 if negate else -c2)
+                    for cv, (rbit, rneed, rmask, rc) in rhs:
+                        if mono & rbit == rneed:
+                            target = mono ^ rbit
+                            res[target] = res.get(target, 0) + (cv if ((mono & rmask).bit_count() + rc) & 1 else -cv)
+                    if res:
+                        err = max(err, _residual_error(res))
     if not count:
         return _skip(backend, "mode_action_commutators", "no mode level m has m - k and m + k in the window")
     return _verdict(backend, "mode_action_commutators", Fraction(err, backend.alg.scale), count)
@@ -673,23 +726,24 @@ def cocycle_check(backend: OrthonormalBackend, i: int, j: int, k: int,
     if lo > 0 or hi < 1:
         return Fraction(0), _skip(backend, name, "guarded support for margin 2|k| is empty")
     basis = check_basis(backend, margin, max_energy, cap=400 if _small(backend) else 40)
-    Li, Lj = partial(_L_monomial, backend, i, k), partial(_L_monomial, backend, j, -k)
+    Li, Lj = _columns(_L_monomial, backend, i, k), _columns(_L_monomial, backend, j, -k)
 
     # both sides times g s^2: the commutator is over s^2, G_ij over g
     alg = backend.alg
     g, s = alg.gram_scale, alg.scale
     partner, g_ij = alg.gram[i]
     expected = 2 * alg.data.coxeter * k * s * s * (g_ij if j == partner else 0)
+    bracket = [(-g * c, _columns(_L_monomial, backend, p, 0)) for p, c in alg.structure[i].get(j, {}).items()]
     diag: List[int] = []
     err = 0
     for mono in basis:
-        comm = _combine(
-            (g, _apply(Li, _pairs(Lj(mono))).items()),
-            (-g, _apply(Lj, _pairs(Li(mono))).items()),
-            *((-g * c, _pairs(_L_monomial(backend, p, 0, mono))) for p, c in alg.structure[i].get(j, {}).items()),
-        )
+        comm = _apply(Li, _pairs(Lj(mono)), g)
+        _apply(Lj, _pairs(Li(mono)), -g, comm)
+        for coeff, Lp in bracket:
+            _apply(Lp, ((mono, 1),), coeff, comm)
         diag.append(comm.get(mono, 0))
-        err = max(err, _vector_error(comm, {mono: expected}))
+        comm[mono] = comm.get(mono, 0) - expected
+        err = max(err, _residual_error(comm))
     measured = Fraction(sum(diag), len(diag) * g * s * s)
     return measured, _verdict(backend, name, Fraction(err, g * s * s), len(basis))
 
@@ -718,16 +772,20 @@ def energy_bookkeeping_check(backend: OrthonormalBackend) -> IdentityVerdict:
     basis = check_basis(backend, max(window.guard, 1), 4, cap=1100 if _small(backend) else 40)
     if basis == [VACUUM]:
         return _skip_vacuum_only(backend, "energy_bookkeeping", max(window.guard, 1))
+    energy_of = cache(partial(energy, backend))  # each monomial's energy is computed once
+    # per mode (i, k): its step row and L_{i,k}; a step on it is iota where
+    # the mode is occupied and eps where it is empty
+    rows = [(k, backend.steps[i, k], _columns(_L_monomial, backend, i, k))
+            for k in range(window.kMin + 1, window.kMax) for i in range(n)]
+    ds = [_columns(_d_monomial, backend, twisted) for twisted in (False, True)]
     bad = 0
     for mono in basis:
-        e0 = energy(backend, mono)
-        for k in range(window.kMin + 1, window.kMax):
-            for i in range(n):
-                for hit, shift in ((iota_monomial(backend, (i, k), mono), -k), (eps_monomial(backend, (i, k), mono), k)):
-                    bad += hit is not None and energy(backend, hit[1]) != e0 + shift
-                bad += sum(1 for m in _L_monomial(backend, i, k, mono)[::2] if energy(backend, m) != e0 - k)
-        for twisted in (False, True):
-            bad += sum(1 for m in _d_monomial(backend, twisted, mono)[::2] if energy(backend, m) != e0)
+        e0 = energy_of(mono)
+        for k, (bit, _mask, _c, empty), L in rows:
+            bad += energy_of(mono ^ bit) != (e0 + k if mono & bit == empty else e0 - k)
+            bad += sum(1 for m in L(mono)[::2] if energy_of(m) != e0 - k)
+        for d in ds:
+            bad += sum(1 for m in d(mono)[::2] if energy_of(m) != e0)
     return _verdict(backend, "energy_bookkeeping", Fraction(bad), len(basis))
 
 
@@ -737,12 +795,13 @@ def l0_commutes_with_d_check(backend: OrthonormalBackend) -> IdentityVerdict:
     basis = check_basis(backend, backend.window.guard, 4, cap=1100 if _small(backend) else 12)
     if basis == [VACUUM]:
         return _skip_vacuum_only(backend, "L0_commutes_with_d", backend.window.guard)
-    d = partial(_d_monomial, backend, False)
+    d = _columns(_d_monomial, backend, False)
+    L0s = [_columns(_L_monomial, backend, i, 0) for i in range(backend.n)]
     err = 0
     for mono in basis:
-        for i in range(backend.n):
-            L0 = partial(_L_monomial, backend, i, 0)
-            err = max(err, _vector_error(_apply(d, _pairs(L0(mono))), _apply(L0, _pairs(d(mono)))))
+        d_mono = d(mono)
+        for L0 in L0s:
+            err = max(err, _residual_error(_apply(L0, _pairs(d_mono), -1, _apply(d, _pairs(L0(mono))))))
     return _verdict(backend, "L0_commutes_with_d", Fraction(err, 2 * backend.alg.scale ** 2), len(basis))
 
 
@@ -802,10 +861,10 @@ def leibniz_check(backend: OrthonormalBackend) -> IdentityVerdict:
     if not coch_modes:
         return _skip(backend, "leibniz_rule", f"no cochain mode: kMax - guard = {hi} < 1")
     basis = check_basis(backend, window.guard, 4, cap=700 if _small(backend) else 60)
-    d = partial(_d_monomial, backend, False)
+    d = _columns(_d_monomial, backend, False)
 
-    def wedge(modes: Sequence[Mode], v: FockVector) -> FockVector:
-        return _apply(partial(_eps_wedge_column, backend, modes), v.items())
+    def wedge(modes: Sequence[Mode], v: FockVector, coeff: int, out: FockVector) -> FockVector:
+        return _apply(partial(_eps_wedge_column, backend, modes), v.items(), coeff, out)
 
     err = 0
     trials = 12
@@ -815,12 +874,11 @@ def leibniz_check(backend: OrthonormalBackend) -> IdentityVerdict:
         omega_mons = rng.sample(basis, min(3, len(basis)))
         omega = {m: rng.choice((-1, 1)) * rng.randint(1, 9) for m in omega_mons}
 
-        lhs = _apply(d, wedge(alpha, omega).items())
-        rhs = _combine(
-            (-1 if p % 2 else 1, wedge(alpha, _apply(d, omega.items())).items()),
-            *((2 * c, wedge(dwedge, omega).items()) for dwedge, c in _ambient_differential(backend, alpha).items()),
-        )
-        err = max(err, _vector_error(lhs, rhs))
+        res = _apply(d, wedge(alpha, omega, 1, {}).items())
+        wedge(alpha, _apply(d, omega.items()), 1 if p % 2 else -1, res)
+        for dwedge, c in _ambient_differential(backend, alpha).items():
+            wedge(dwedge, omega, -2 * c, res)
+        err = max(err, _residual_error(res))
     return _verdict(backend, "leibniz_rule", Fraction(err, 2 * backend.alg.scale), trials)
 
 
@@ -834,18 +892,25 @@ def d_squared_check(backend: OrthonormalBackend) -> IdentityVerdict:
     cols = check_basis(backend, window.guard, 3, cap=600 if _small(backend) else 30)
     if cols == [VACUUM]:
         return _skip_vacuum_only(backend, "d_squared_closed_form", window.guard)
-    alg = backend.alg
+    alg, steps = backend.alg, backend.steps
     s, g = alg.scale, alg.gram_scale
-    d = partial(_d_monomial, backend, False)
+    d = _columns(_d_monomial, backend, False)
+    # eps^{a,k} eps^{b,-k} as the step rows of (b, -k) and (a, k), and its coefficient
+    terms = [(steps[b, -k], steps[a, k], 8 * s * s * alg.data.coxeter * k * x)
+             for k in range(1, min(window.kMax, -window.kMin) + 1) for a, (b, x) in enumerate(alg.gram)]
     err = 0
     for mono in cols:
-        rhs: FockVector = {}
-        for k in range(1, min(window.kMax, -window.kMin) + 1):
-            for a, (b, x) in enumerate(alg.gram):
-                hit = _then(backend, eps_monomial, (a, k), eps_monomial(backend, (b, -k), mono))
-                if hit:
-                    _accumulate(rhs, hit[1], 8 * s * s * alg.data.coxeter * k * x * hit[0])
-        err = max(err, _vector_error(_combine((g, _apply(d, _pairs(d(mono))).items())), rhs))
+        res = _apply(d, _pairs(d(mono)), g)
+        for (bit1, mask1, c1, empty1), (bit2, mask2, c2, empty2), coef in terms:
+            if mono & bit1 != empty1:
+                continue
+            m1 = mono ^ bit1
+            if m1 & bit2 != empty2:
+                continue
+            target = m1 ^ bit2
+            res[target] = res.get(target, 0) + (
+                coef if ((mono & mask1).bit_count() + c1 + (m1 & mask2).bit_count() + c2) & 1 else -coef)
+        err = max(err, _residual_error(res))
     return _verdict(backend, "d_squared_closed_form", Fraction(err, 4 * s * s * g), len(cols))
 
 
@@ -860,34 +925,40 @@ def laplacian_formula_check(backend: OrthonormalBackend) -> IdentityVerdict:
     cols = check_basis(backend, window.guard, 3, cap=600 if _small(backend) else 30)
     if cols == [VACUUM]:
         return _skip_vacuum_only(backend, "laplacian_closed_form", window.guard)
-    d = partial(_d_monomial, backend, False)
-    dstar = partial(_dstar_monomial, backend)
+    d = _columns(_d_monomial, backend, False)
+    dstar = _columns(_dstar_monomial, backend)
     err = 0
     for mono in cols:
-        lhs = _combine((1, _apply(d, _pairs(dstar(mono))).items()), (1, _apply(dstar, _pairs(d(mono))).items()))
-        err = max(err, _vector_error(lhs, _closed_form_monomial(backend, mono)))
+        res = _apply(dstar, _pairs(d(mono)), 1, _apply(d, _pairs(dstar(mono))))
+        err = max(err, _residual_error(_closed_form_monomial(backend, mono, -1, res)))
     return _verdict(backend, "laplacian_closed_form",
                     Fraction(err, 4 * backend.alg.scale ** 2 * backend.alg.gram_inv_scale), len(cols))
 
 
-def _closed_form_monomial(backend: OrthonormalBackend, mono: SemiInfMonomial) -> FockVector:
-    """The closed form of [d, dtilde*]+ on one monomial, over 4s^2 e."""
-    n, window, alg = backend.n, backend.window, backend.alg
-    out: FockVector = {}
+def _closed_form_monomial(backend: OrthonormalBackend, mono: SemiInfMonomial, coeff: int = 1,
+                          out: FockVector | None = None) -> FockVector:
+    """The closed form of [d, dtilde*]+ on one monomial, over 4s^2 e, times
+    ``coeff`` and added into ``out`` (a new vector by default)."""
+    alg = backend.alg
+    if out is None:
+        out = {}
     number = 4 * alg.scale ** 2 * alg.gram_inv_scale * alg.data.coxeter  # c, over 4s^2 e
-    for k in range(window.kMin, window.kMax + 1):
-        # eps^{i,k} iota_{i,k} for k > 0, iota_{i,k} eps^{i,k} for k < 0
-        if k == 0:
+    for (i, k), (bit, mask, c, empty) in backend.steps.items():
+        # eps^{i,k} iota_{i,k} for k > 0, iota_{i,k} eps^{i,k} for k < 0: two
+        # steps on one mode, the inner one needing it occupied (k > 0) or empty
+        if k == 0 or (mono & bit == empty) == (k > 0):
             continue
-        outer, inner = (eps_monomial, iota_monomial) if k > 0 else (iota_monomial, eps_monomial)
-        for i in range(n):
-            hit = _then(backend, outer, (i, k), inner(backend, (i, k), mono))
-            if hit:
-                _accumulate(out, hit[1], -number * k * hit[0])
+        m1 = mono ^ bit
+        if (m1 & bit == empty) != (k > 0):
+            continue
+        target, val = m1 ^ bit, -coeff * number * k
+        new = out.get(target, 0) + (-val if ((mono & mask).bit_count() + (m1 & mask).bit_count()) & 1 else val)
+        if new:
+            out[target] = new
+        else:
+            del out[target]
     for i, (j, x) in enumerate(alg.gram_inv):
-        for m1, c1 in _pairs(_L_monomial(backend, j, 0, mono)):
-            for m2, c2 in _pairs(_L_monomial(backend, i, 0, m1)):
-                _accumulate(out, m2, 2 * x * c1 * c2)
+        _apply(_columns(_L_monomial, backend, i, 0), _pairs(_L_monomial(backend, j, 0, mono)), 2 * x * coeff, out)
     return out
 
 
@@ -906,6 +977,7 @@ def dtilde_adjoint_matrix_check(backend: OrthonormalBackend) -> IdentityVerdict:
         return _skip(backend, name, "window guard < 1")
     block_cap = 800
     e_scale = backend.alg.gram_inv_scale
+    dtilde, dstar = _columns(_d_monomial, backend, True), _columns(_dstar_monomial, backend)
     err = Fraction(0)
     count = 0
     for e, (size, build) in enumerate(_energy_shells(backend, 0, 3 if _small(backend) else 1, None)):
@@ -916,21 +988,23 @@ def dtilde_adjoint_matrix_check(backend: OrthonormalBackend) -> IdentityVerdict:
         pairing = {m: _pairing(backend, m) for m in block}
         transposed: Dict[SemiInfMonomial, FockVector] = {m: {} for m in block}
         for row in block:
-            for col, val in _pairs(_d_monomial(backend, True, row)):
+            for col, val in _pairs(dtilde(row)):
                 if col not in pairing:
                     raise InvariantError(f"dtilde leaves the energy-{e} block")
                 transposed[col][row] = val
         for col in block:
-            ds = _dstar_monomial(backend, col)
+            ds = dstar(col)
             if not all(m in pairing for m in ds[::2]):
                 raise InvariantError(f"dtilde* leaves the energy-{e} block")
             num, den, partner = pairing[col]
-            # both sides keyed by m = sigma r, times 2se den(m) den(c); den(sigma r) = den(r)
-            lhs = {m: x * pairing[m][0] * den for m, x in _pairs(ds)}
-            rhs = {pairing[r][2]: e_scale * x * num * pairing[r][1] for r, x in transposed[partner].items()}
-            for m in lhs.keys() | rhs.keys():
-                if lhs.get(m, 0) != rhs.get(m, 0):
-                    err = max(err, Fraction(abs(lhs.get(m, 0) - rhs.get(m, 0)), pairing[m][1] * den))
+            # lhs - rhs keyed by m = sigma r, times 2se den(m) den(c); den(sigma r) = den(r)
+            res = {m: x * pairing[m][0] * den for m, x in _pairs(ds)}
+            for r, x in transposed[partner].items():
+                _num, den_r, m = pairing[r]
+                res[m] = res.get(m, 0) - e_scale * x * num * den_r
+            for m, x in res.items():
+                if x:
+                    err = max(err, Fraction(abs(x), pairing[m][1] * den))
     if count == 0:
         return _skip(backend, name, f"every energy block exceeds {block_cap} monomials")
     return _verdict(backend, name, err / (2 * backend.alg.scale * e_scale), count)
@@ -949,10 +1023,11 @@ def d_matches_cochain_check(backend: OrthonormalBackend) -> IdentityVerdict:
     if max_k < 1:
         return _skip(backend, "d_restricts_to_chevalley_eilenberg", f"no cochain level: kMax - guard = {max_k} < 1")
 
-    def embed(wedge) -> Pairs:
-        return _pairs(_eps_wedge_column(backend, [(a, level) for level, a in wedge], VACUUM))
+    def embed(wedge) -> ColumnTuple:
+        """A cochain wedge's column: its monomial eps(wedge) Omega, with its sign."""
+        return _eps_wedge_column(backend, [(a, level) for level, a in wedge], VACUUM)
 
-    d = partial(_d_monomial, backend, False)
+    d = _columns(_d_monomial, backend, False)
 
     err = Fraction(0)
     count = 0
@@ -960,10 +1035,10 @@ def d_matches_cochain_check(backend: OrthonormalBackend) -> IdentityVerdict:
         for p in range(1, min(2, k) + 1):
             block = differential_block(backend.alg, p, k)
             for col, wedge in enumerate(block.basisIn.monomials):
-                lhs = _apply(d, embed(wedge))
-                rhs = _combine(*((2 * val, embed(block.basisOut.monomials[row]))
-                                 for (row, c_), val in block.dMatrix.items() if c_ == col))
-                err = max(err, Fraction(_vector_error(lhs, rhs), 2 * backend.alg.scale))
+                res = _apply(d, _pairs(embed(wedge)))
+                _apply(embed, ((block.basisOut.monomials[row], val) for (row, c_), val in block.dMatrix.items()
+                               if c_ == col), -2, res)
+                err = max(err, Fraction(_residual_error(res), 2 * backend.alg.scale))
                 count += 1
     return _verdict(backend, "d_restricts_to_chevalley_eilenberg", err, count)
 

@@ -205,6 +205,9 @@ def decompose(data: AlgebraData, multiset: WeightMultiset) -> List[IrrepSummand]
                 work.pop(nu, None)
             else:
                 work[nu] = new
+        if mu in work:
+            # a character without its own highest weight would peel mu forever
+            raise DecompositionError(f"subtracting V({mu}) leaves its highest weight {mu} in place")
         out.append(
             IrrepSummand(
                 lowestWeight=antidominant_representative(data, mu),

@@ -509,13 +509,16 @@ def test_reports_match_the_golden_files(a1_report, a2_report, fmt):
 
 
 @pytest.mark.parametrize("name, flags", [
-    ("identities_a1_m2_3_g1", ["--rank", "1", "--kmin", "-2", "--kmax", "3", "--guard", "1"]),
-    ("identities_a2_m1_2_g1", ["--rank", "2", "--kmin", "-1", "--kmax", "2", "--guard", "1"]),
-    ("identities_a1_m3_3_g2", ["--rank", "1", "--kmin", "-3", "--kmax", "3", "--guard", "2"]),
+    ("identities_a1_m2_3_g1", ["--series", "A", "--rank", "1", "--kmin", "-2", "--kmax", "3", "--guard", "1"]),
+    ("identities_a2_m1_2_g1", ["--series", "A", "--rank", "2", "--kmin", "-1", "--kmax", "2", "--guard", "1"]),
+    ("identities_a1_m3_3_g2", ["--series", "A", "--rank", "1", "--kmin", "-3", "--kmax", "3", "--guard", "2"]),
+    # not simply laced: structure constants other than +-1
+    ("identities_b2_m1_2_g1", ["--series", "B", "--rank", "2", "--kmin", "-1", "--kmax", "2", "--guard", "1"]),
+    ("identities_g2_m1_2_g1", ["--series", "G", "--rank", "2", "--kmin", "-1", "--kmax", "2", "--guard", "1"]),
 ])
 def test_identity_reports_match_the_golden_files(tmp_path, name, flags):
     out = tmp_path / f"{name}.json"
-    main(["verify-identities", "--series", "A", *flags, "--format", "json", "--output", str(out)])
+    main(["verify-identities", *flags, "--format", "json", "--output", str(out)])
     assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
 
 

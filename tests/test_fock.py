@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import itertools
 import tracemalloc
+import weakref
 from fractions import Fraction
 from functools import partial
 
@@ -658,3 +659,24 @@ def test_the_column_memo_stays_small(a1, monkeypatch):
         tracemalloc.stop()
     assert n_cols > 20000 and all_tuples
     assert 1_000_000 < held <= 6_000_000, held
+
+
+def test_the_suite_backend_is_freed_by_reference_counting(a1, monkeypatch):
+    """No reference cycle runs through the backend and its column memos, so
+    the backend of a suite run is gone as soon as the run returns, without a
+    garbage collection; a cycle would keep its whole memo alive until one."""
+    refs = []
+
+    def watch(data, window):
+        backend = OrthonormalBackend(data, window)
+        refs.append(weakref.ref(backend))
+        return backend
+
+    monkeypatch.setattr(fock, "OrthonormalBackend", watch)
+    gc.collect()
+    gc.disable()
+    try:
+        assert all(v.passed for v in verify_identity_suite(a1, WINDOW))
+        assert len(refs) == 1 and refs[0]() is None
+    finally:
+        gc.enable()

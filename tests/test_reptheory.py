@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from jetcohom import reptheory
 from jetcohom.cochain import build_basis, harmonic_space
 from jetcohom.liealg import AlgebraSpec, build_algebra
 from jetcohom.reptheory import (
@@ -93,6 +94,26 @@ def test_decompose_rejects_non_representation(a1):
     with pytest.raises(DecompositionError):
         # maximal weight not dominant
         decompose(a1, {(F(1), ) : 0, (F(-1),): 1})
+
+
+def test_decompose_refuses_a_character_that_leaves_its_highest_weight(a1, monkeypatch):
+    """A character without the term of its own highest weight mu would leave
+    mu in the multiset and peel it forever; decompose raises instead.  The
+    doctored character gives up after 100 calls, so a loop fails the test
+    rather than hanging it."""
+    real, calls = reptheory.irrep_character, []
+
+    def without_mu(data, mu):
+        calls.append(mu)
+        if len(calls) > 100:
+            raise RuntimeError("decompose keeps peeling the same weight")
+        return {nu: m for nu, m in real(data, mu).items() if nu != mu}
+
+    monkeypatch.setattr(reptheory, "irrep_character", without_mu)
+    ws = weights_of_basis(a1, build_basis(a1, 1, 1))
+    with pytest.raises(DecompositionError, match="leaves its highest weight"):
+        decompose(a1, ws)
+    assert len(calls) == 1
 
 
 def test_multiplicity_one_audit_cases(a1_report, a2_report):
