@@ -75,7 +75,7 @@ def store_cell(cache_dir: Optional[Path], record: dict) -> None:
     tmp = path.with_name(f"{path.stem}.{os.urandom(16).hex()}.tmp")
     try:
         with open(tmp, "x") as fh:
-            json.dump(record, fh, sort_keys=True)
+            fh.write(json.dumps(record, sort_keys=True))  # one C-encoder call; json.dump encodes in Python
         os.replace(tmp, path)  # atomic publication of the finished cell
     finally:
         tmp.unlink(missing_ok=True)  # left behind only by a failed write

@@ -8,6 +8,23 @@ levels, so everything happens in independent (degree, energy) cells.
 is diagonal, so the wedge Gram is diagonal and d* a scaled transpose.
 Every verdict is independent of the basis.
 
+Int monomials.  A cochain monomial is one int: bit (level - 1)*n + i
+stands for the dual mode e^{i,level}, n = dim g, so modes ascending in
+(level, index) are bits ascending, and a wedge is the set of its bits
+(``CochainBasis.wedges`` decodes a basis into (level, index) modes).
+Moving modes out of a monomial and others in has the sign
+(-1)^popcount(rest & mask): rest is the monomial without the modes it
+loses, and mask the xor of the masks of the bits below each mode moved.
+d reads a split table row per mode bit, (u | v, mask, coefficient) for
+each pair of modes the mode splits into.  The Casimir reads per-algebra
+tables (``CasimirTables``): a one-body row per mode, sum_a (G^-1)_{ab}
+A_a A_b on that mode, and a two-body row per pair of modes, the same sum
+with A_a and A_b on the two modes in both orders, each row built the
+first time it is read.  A column of C is the sum of the one-body rows
+over its modes and the two-body rows over its mode pairs.  C comes from
+the structure constants and G^-1 alone, never from d or d*, so the
+identity L + C = c*k compares two independent routes.
+
 Scaled int columns.  Every int comes from one ``liealg.IntAlgebra``: the
 structure constants over their scale s, the inverse invariant form, the
 dual-mode metric and the torus weights.  Every cell operator is kept for
@@ -39,11 +56,12 @@ fock module).  Harmonicity, the vanishing locus, is the same either way.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
-from typing import Dict, Iterable, List, Sequence, Tuple
+from operator import add
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from . import exactlinalg as xl
 from .liealg import AlgebraData, FiniteWeight, IntAlgebra, InvariantError, casimir_eigenvalue, int_algebra, is_dominant
@@ -55,17 +73,37 @@ Wedge = Tuple[Mode, ...]
 Weight = Tuple[int, ...]  # torus weight in simple-root coordinates
 
 
+def _bits(mono: int) -> Iterator[int]:
+    """The set bit positions of an int monomial, ascending."""
+    while mono:
+        low = mono & -mono
+        yield low.bit_length() - 1
+        mono ^= low
+
+
+def _below(bit: int) -> int:
+    """The mask of every bit below ``bit``."""
+    return (1 << bit) - 1
+
+
 @dataclass(frozen=True)
 class CochainBasis:
     degree: int
     energy: int
-    monomials: Tuple[Wedge, ...]
+    monomials: Tuple[int, ...]  # int monomials: bit (level - 1) * n + i is the mode e^{i,level}
+    n: int  # dim g
 
     def __len__(self) -> int:
         return len(self.monomials)
 
-    def index(self) -> Dict[Wedge, int]:
-        return {w: i for i, w in enumerate(self.monomials)}
+    def index(self) -> Dict[int, int]:
+        return {m: i for i, m in enumerate(self.monomials)}
+
+    def wedges(self) -> Tuple[Wedge, ...]:
+        """The monomials decoded into wedges of (level, index) modes, each
+        ascending: bit (level - 1) * n + i is the mode e^{i,level}."""
+        n = self.n
+        return tuple(tuple((b // n + 1, b % n) for b in _bits(m)) for m in self.monomials)
 
 
 def _signatures(p: int, k: int, n: int) -> Iterable[Tuple[int, ...]]:
@@ -92,46 +130,26 @@ def build_basis(data: AlgebraData, p: int, k: int) -> CochainBasis:
     """Canonical basis of the (degree p, energy k) cell.
 
     Monomials are grouped by level signature (signatures in lex order),
-    then by lexicographic index combinations per level; within a wedge,
-    modes are ascending in (level, index).  The (0, 0) cell holds the
-    empty wedge alone; p = 0 < k, k = 0 < p and p > k give no monomial.
+    then by lexicographic index combinations per level, the lowest level
+    varying slowest; a wedge's modes ascend in (level, index), which is
+    ascending bit order.  The (0, 0) cell holds the empty wedge 0 alone;
+    p = 0 < k, k = 0 < p and p > k give no monomial.
     """
     if p < 0 or k < 0:
         raise ValueError("degree and energy must be nonnegative")
     n = data.dim
-    monomials: List[Wedge] = []
+    masks: Dict[Tuple[int, int], List[int]] = {}  # (level, count) -> one level's index combinations
+    monomials: List[int] = []
     for sig in sorted(_signatures(p, k, n)):
-        levels = sorted(set(sig))
-        per_level = [
-            list(itertools.combinations(range(n), sig.count(level))) for level in levels
-        ]
-        for combo in itertools.product(*per_level):
-            wedge: List[Mode] = []
-            for level, idxs in zip(levels, combo):
-                wedge.extend((level, a) for a in idxs)
-            monomials.append(tuple(wedge))
-    return CochainBasis(p, k, tuple(monomials))
-
-
-def _insert_modes(wedge: Sequence[Mode], skip: int, new: Sequence[Mode]) -> Tuple[int, Wedge] | None:
-    """Orientation of new_1 ^ ... ^ new_q ^ (wedge minus position ``skip``)
-    against the sorted wedge: (sign, sorted wedge), or None on a repeat.
-
-    The caller accounts for the extra (-1)^(q * skip) that moves the block
-    from position ``skip`` to the front.
-    """
-    out = list(wedge)
-    del out[skip]
-    sign = 1
-    for m in reversed(new):
-        lo = bisect_left(out, m)
-        if lo < len(out) and out[lo] == m:
-            return None
-        # moving m past the first `lo` factors
-        if lo % 2:
-            sign = -sign
-        out.insert(lo, m)
-    return sign, tuple(out)
+        monos = [0]
+        for level in sorted(set(sig)):
+            key = (level, sig.count(level))
+            if key not in masks:
+                base = (level - 1) * n
+                masks[key] = [sum(1 << (base + i) for i in c) for c in itertools.combinations(range(n), key[1])]
+            monos = [x | y for x in monos for y in masks[key]]
+        monomials.extend(monos)
+    return CochainBasis(p, k, tuple(monomials), n)
 
 
 @dataclass
@@ -149,37 +167,50 @@ def differential_block(data: AlgebraData | IntAlgebra, p: int, k: int) -> Graded
     """Chevalley-Eilenberg differential A^p(k) -> A^{p+1}(k) from ``data.dim``
     and ``data.structure`` alone, so its entries have the structure
     constants' type: ints on Chevalley data; s*d in ints on an
-    ``IntAlgebra``, s its ``scale``; rationals on ``orthogonal_cartan`` data."""
+    ``IntAlgebra``, s its ``scale``; rationals on ``orthogonal_cartan`` data.
+
+    d(e^{m,l}) = - sum_{u<v} C_{uv}^m e^u ^ e^v over the mode pairs u < v
+    whose levels sum to l.  A split table row per mode bit (built when the
+    bit first occurs) lists (u | v, mask, -C_{uv}^m): with rest the
+    monomial without the split mode, a term needs rest & (u | v) = 0, and
+    moving the mode out and u, v in has the sign (-1)^popcount(rest & mask),
+    mask the bits below the mode, below u and below v, xor-ed."""
     basis_in = build_basis(data, p, k)
     basis_out = build_basis(data, p + 1, k)
     out_index = basis_out.index()
-    entries: Dict[Tuple[int, int], int] = {}
     n = data.dim
-    for col, wedge in enumerate(basis_in.monomials):
-        for j, (level, m) in enumerate(wedge):
-            outer_sign = -1 if j % 2 else 1
-            # d(e^{m,level}) = - sum_{u<v} C_{uv}^m e^u ^ e^v over mode pairs
-            for l1 in range(1, level // 2 + 1):
-                l2 = level - l1
-                for a in range(n):
-                    col_a = data.structure[a]
-                    for b, coeffs in col_a.items():
-                        c = coeffs.get(m)
-                        if c is None:
-                            continue
-                        u, v = (l1, a), (l2, b)
-                        if u >= v:
-                            continue  # each unordered mode pair once, ascending
-                        ins = _insert_modes(wedge, j, (u, v))
-                        if ins is None:
-                            continue
-                        sign, new_wedge = ins
-                        row = out_index[new_wedge]
-                        val = entries.get((row, col), 0) - outer_sign * sign * c
-                        if val:
-                            entries[(row, col)] = val
-                        else:
-                            entries.pop((row, col), None)
+    by_mode: Dict[int, List[Tuple[int, int, int]]] = {}  # m -> (a, b, C_{ab}^m)
+    for a, row in enumerate(data.structure):
+        for b, coeffs in row.items():
+            for m, c in coeffs.items():
+                by_mode.setdefault(m, []).append((a, b, c))
+    table: Dict[int, List[Tuple[int, int, int]]] = {}
+
+    def split(bit: int) -> List[Tuple[int, int, int]]:
+        level, m = bit // n + 1, bit % n
+        row = []
+        for l1 in range(1, level // 2 + 1):
+            for a, b, c in by_mode.get(m, ()):
+                u, v = (l1 - 1) * n + a, (level - l1 - 1) * n + b
+                if u < v:  # each unordered mode pair once
+                    row.append(((1 << u) | (1 << v), _below(bit) ^ _below(u) ^ _below(v), -c))
+        return row
+
+    entries: Dict[Tuple[int, int], int] = {}
+    for col, mono in enumerate(basis_in.monomials):
+        column: Dict[int, int] = {}
+        for bit in _bits(mono):
+            rest = mono ^ (1 << bit)
+            row = table.get(bit)
+            if row is None:
+                row = table[bit] = split(bit)
+            for uv, mask, c in row:
+                if not rest & uv:
+                    new = rest | uv
+                    column[new] = column.get(new, 0) + (-c if (rest & mask).bit_count() & 1 else c)
+        for new, x in column.items():
+            if x:
+                entries[(out_index[new], col)] = x
     return GradedComplexBlock(basis_in, basis_out, entries)
 
 
@@ -190,7 +221,8 @@ def wedge_gram(metric: Sequence, basis: CochainBasis) -> List:
     product of the modes' entries for equal monomials and 0 otherwise.
     An int metric gives int entries.
     """
-    return [prod(metric[idx] for _level, idx in w) for w in basis.monomials]
+    n = basis.n
+    return [prod(metric[b % n] for b in _bits(mono)) for mono in basis.monomials]
 
 
 Columns = Dict[int, Dict[int, int]]  # sparse int operator: column -> {row: nonzero entry}
@@ -282,13 +314,14 @@ class CellComplex:
         """Torus weight of each monomial of the (p, k) basis, as int tuples."""
 
         def build():
+            n, zero = self.alg.dim, (0,) * self.alg.data.rank
+            dual = [tuple(-c for c in w) for w in self.alg.weights]  # the dual mode has the opposite weight
             out = []
-            for wedge in self.basis(p, k).monomials:
-                w = [0] * self.alg.data.rank
-                for _level, idx in wedge:
-                    for i, c in enumerate(self.alg.weights[idx]):
-                        w[i] -= c  # the dual mode has the opposite weight
-                out.append(tuple(w))
+            for mono in self.basis(p, k).monomials:
+                w = zero
+                for b in _bits(mono):
+                    w = tuple(map(add, w, dual[b % n]))
+                out.append(w)
             return out
 
         return self._memo("weights", p, k, build)
@@ -471,48 +504,106 @@ def harmonic_space(cc: CellComplex, p: int, k: int) -> HarmonicSpace:
     return HarmonicSpace(kernel_vectors, weight_multiset, decompose(cc.data, weight_multiset))
 
 
-def _action_matrix(coefficients: Dict[int, List[Tuple[int, int]]], basis: CochainBasis,
-                   index: Dict[Wedge, int]) -> Columns:
-    """Int columns of one generator's coadjoint action on a cell (derivation,
-    no sign); ``coefficients`` maps a mode index m to the pairs (b,
-    s*C_{gen b}^m)."""
-    out: Columns = {}
-    for col, wedge in enumerate(basis.monomials):
-        column: Dict[int, int] = {}
-        for j, (level, m) in enumerate(wedge):
-            pos_sign = -1 if j % 2 else 1  # single replaced factor: (-1)^skip
-            # gen . e^{m,level} = - sum_b C_{gen b}^{m} e^{b,level}
-            for b, c in coefficients.get(m, ()):
-                ins = _insert_modes(wedge, j, ((level, b),))
-                if ins is None:
-                    continue
-                sign, new_wedge = ins
-                row = index[new_wedge]
-                column[row] = column.get(row, 0) - pos_sign * sign * c
-        out[col] = {r: v for r, v in column.items() if v}
-    return out
+Row = List[Tuple[int, int, int]]  # (new bits, sign mask, coefficient) per term
+
+
+class CasimirTables:
+    """The rows of C = sum_a (G^-1)_{ab} / 2 * A_a A_b, b the partner of a,
+    on int monomials, as ints over 2*e*s^2 (A_a over s, G^-1 over e).
+
+    A_a is a derivation, so A_a A_b on a wedge is a one-body part, A_a A_b
+    on one mode, plus a two-body part, A_a and A_b on two different modes.
+    ``one_body(bit)`` is the row of sum_a (G^-1)_{ab} A_a A_b on the mode
+    ``bit``; ``two_body(b1, b2)``, b1 < b2, the row of sum_a (G^-1)_{ab}
+    (A_a (x) A_b + A_b (x) A_a) on the modes b1, b2, both orderings summed
+    so that no symmetry of G^-1 is assumed.  A row entry (new, mask, c)
+    replaces the row's modes by the bits of ``new``: with rest the
+    monomial without them, the term is zero where rest & new is not, and
+    otherwise adds c * (-1)^popcount(rest & mask) at rest | new.  A row is
+    built from ``action`` when it is first read, so only modes and mode
+    pairs that occur cost anything.  The tables hold ints alone, never
+    their algebra.
+    """
+
+    def __init__(self, alg: IntAlgebra):
+        self.n = alg.dim
+        self.partners = [(a, b, w) for a, (b, w) in enumerate(alg.gram_inv)]
+        # action[g][m]: A_g e^m = sum (t, c) c/s e^t, the coadjoint action c = -s*C_{gt}^m
+        self.action: List[Dict[int, List[Tuple[int, int]]]] = [{} for _ in range(self.n)]
+        for g, row in enumerate(alg.structure):
+            for t, col in row.items():
+                for m, c in col.items():
+                    self.action[g].setdefault(m, []).append((t, -c))
+        self._one: Dict[int, Row] = {}
+        self._two: Dict[Tuple[int, int], Row] = {}
+
+    def one_body(self, bit: int) -> Row:
+        row = self._one.get(bit)
+        if row is None:
+            base, m = divmod(bit, self.n)
+            act, acc = self.action, {}
+            for a, b, w in self.partners:
+                for t, c1 in act[b].get(m, ()):
+                    for u, c2 in act[a].get(t, ()):
+                        acc[u] = acc.get(u, 0) + w * c1 * c2
+            row = self._one[bit] = []
+            for u, c in acc.items():
+                if c:
+                    y = base * self.n + u
+                    row.append((1 << y, _below(bit) ^ _below(y), c))
+        return row
+
+    def two_body(self, b1: int, b2: int) -> Row:
+        row = self._two.get((b1, b2))
+        if row is None:
+            (base1, m1), (base2, m2) = divmod(b1, self.n), divmod(b2, self.n)
+            act, acc = self.action, {}
+            for a, b, w in self.partners:
+                for g1, g2 in ((a, b), (b, a)):
+                    for t1, c1 in act[g1].get(m1, ()):
+                        for t2, c2 in act[g2].get(m2, ()):
+                            acc[t1, t2] = acc.get((t1, t2), 0) + w * c1 * c2
+            row = self._two[b1, b2] = []
+            mask = _below(b1) ^ _below(b2)
+            for (t1, t2), c in acc.items():
+                y1, y2 = base1 * self.n + t1, base2 * self.n + t2
+                if c and y1 != y2:
+                    # the word keeps y1 and y2 in the places of b1 < b2: one more swap if y2 < y1
+                    row.append(((1 << y1) | (1 << y2), mask ^ _below(y1) ^ _below(y2), -c if y2 < y1 else c))
+        return row
+
+
+_casimir_tables: "weakref.WeakKeyDictionary[IntAlgebra, CasimirTables]" = weakref.WeakKeyDictionary()
+
+
+def casimir_tables(alg: IntAlgebra) -> CasimirTables:
+    """The ``CasimirTables`` of ``alg``, kept as long as ``alg`` lives."""
+    tables = _casimir_tables.get(alg)
+    if tables is None:
+        tables = _casimir_tables[alg] = CasimirTables(alg)
+    return tables
 
 
 def casimir_matrix(alg: IntAlgebra, basis: CochainBasis) -> ScaledColumns:
     """Half the gram-inverse-paired square of the generator action, as int
     columns over one scale: C e_c = sum_a (G^-1)_{ab} / 2 * A_a (A_b e_c),
-    b the partner of a.  The actions are over s and G^-1 over e, so the
-    scale is 2*e*s^2 before lowest terms."""
-    index = basis.index()
-    actions = []
-    for row in alg.structure:
-        by_mode: Dict[int, List[Tuple[int, int]]] = {}
-        for b, col in row.items():
-            for m, c in col.items():
-                by_mode.setdefault(m, []).append((b, c))
-        actions.append(_action_matrix(by_mode, basis, index))
+    b the partner of a.  A column is the sum of the ``casimir_tables``
+    one-body rows over its modes and two-body rows over its mode pairs.
+    The actions are over s and G^-1 over e, so the scale is 2*e*s^2
+    before lowest terms."""
+    tables, index = casimir_tables(alg), basis.index()
     out: Columns = {}
-    for c in range(len(basis)):
+    for col, mono in enumerate(basis.monomials):
+        bits = list(_bits(mono))
+        terms = [(mono ^ (1 << b), tables.one_body(b)) for b in bits]
+        terms += [(mono ^ (1 << b1) ^ (1 << b2), tables.two_body(b1, b2)) for b1, b2 in itertools.combinations(bits, 2)]
         column: Dict[int, int] = {}
-        for a, (b, w) in enumerate(alg.gram_inv):
-            for r, x in _apply(actions[a], actions[b][c]).items():
-                column[r] = column.get(r, 0) + w * x
-        out[c] = {r: x for r, x in column.items() if x}
+        for rest, row in terms:
+            for new, mask, c in row:
+                if not rest & new:
+                    key = rest | new
+                    column[key] = column.get(key, 0) + (-c if (rest & mask).bit_count() & 1 else c)
+        out[col] = {index[m]: x for m, x in column.items() if x}
     return _lowest_terms(out, 2 * alg.gram_inv_scale * alg.scale ** 2)
 
 

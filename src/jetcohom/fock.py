@@ -1013,7 +1013,8 @@ def dtilde_adjoint_matrix_check(backend: OrthonormalBackend) -> IdentityVerdict:
 def d_matches_cochain_check(backend: OrthonormalBackend) -> IdentityVerdict:
     """d(eps(alpha) Omega) = eps(d_CE alpha) Omega for cochain wedges of
     degree <= 2 and energy <= 3 from the exact pipeline, which reads the
-    backend's ``IntAlgebra``, so the cochain mode (level, a) is
+    backend's ``IntAlgebra``; its int monomials are decoded by
+    ``CochainBasis.wedges``, and the cochain mode (level, a) is
     e^{a,level}.  Both sides are compared over 2s: d is over 2s, and the
     exact block is s*d."""
     window = backend.window
@@ -1034,9 +1035,10 @@ def d_matches_cochain_check(backend: OrthonormalBackend) -> IdentityVerdict:
     for k in range(1, max_k + 1):
         for p in range(1, min(2, k) + 1):
             block = differential_block(backend.alg, p, k)
-            for col, wedge in enumerate(block.basisIn.monomials):
+            wedges_out = block.basisOut.wedges()
+            for col, wedge in enumerate(block.basisIn.wedges()):
                 res = _apply(d, _pairs(embed(wedge)))
-                _apply(embed, ((block.basisOut.monomials[row], val) for (row, c_), val in block.dMatrix.items()
+                _apply(embed, ((wedges_out[row], val) for (row, c_), val in block.dMatrix.items()
                                if c_ == col), -2, res)
                 err = max(err, Fraction(_residual_error(res), 2 * backend.alg.scale))
                 count += 1

@@ -524,10 +524,11 @@ def orthogonal_cartan(data: AlgebraData) -> AlgebraData:
     return replace(data, structure=tuple(structure), gram=gram, hermGram=herm)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntAlgebra:
     """An algebra in the basis of ``orthogonal_cartan`` as ints, each over
-    the scale in the field after it."""
+    the scale in the field after it.  Compared and hashed by identity, so
+    that per-algebra tables can be kept by weak reference."""
 
     data: AlgebraData  # the rebased algebra
     structure: Tuple[Dict[int, Dict[int, int]], ...]  # structure[i][q][p] = s*C_{iq}^p

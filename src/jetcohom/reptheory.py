@@ -163,11 +163,11 @@ def irrep_character(data: AlgebraData, highest: Sequence[Fraction]) -> WeightMul
 
 
 def weights_of_basis(data: AlgebraData, basis) -> WeightMultiset:
-    """Torus weights of a cochain basis; dual modes carry negated weights.
-    The basis weights are integral, so every weight is an int tuple."""
-    monomials = getattr(basis, "monomials", basis)
+    """Torus weights of a ``cochain.CochainBasis``, read from its wedges of
+    (level, index) modes; dual modes carry negated weights.  The basis
+    weights are integral, so every weight is an int tuple."""
     counts: Dict[Tuple[int, ...], int] = {}
-    for wedge in monomials:
+    for wedge in basis.wedges():
         w = [0] * data.rank
         for _level, idx in wedge:
             for i, c in enumerate(data.basis_weights[idx]):

@@ -4,14 +4,17 @@ program itself never calls."""
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from math import gcd
+from typing import Dict, List, Sequence, Tuple
 
 from jetcohom.affine import AffineWeight, laplacian_shift
-from jetcohom.cochain import GradedComplexBlock
-from jetcohom.liealg import AlgebraData, FiniteWeight
+from jetcohom.cochain import GradedComplexBlock, Mode, ScaledColumns, Wedge, _signatures
+from jetcohom.liealg import AlgebraData, FiniteWeight, IntAlgebra
 
 Matrix = List[List[Fraction]]
+Columns = Dict[int, Dict[int, int]]
 
 
 def zeros(rows: int, cols: int) -> Matrix:
@@ -113,3 +116,131 @@ def zero_locus_brute_force(data: AlgebraData, maxEnergy: int) -> List[AffineWeig
 
     rec(0, 0, [Fraction(0)] * rank)
     return sorted(zeros_found.values(), key=lambda w: (w.energy, w.finite))
+
+
+# Tuple-wedge references for the int-monomial exact core: a wedge is a
+# tuple of (level, index) modes, ascending, and each sign comes from
+# bisecting the sorted wedge.
+
+def tuple_basis(data: AlgebraData, p: int, k: int) -> Tuple[Wedge, ...]:
+    """The (p, k) cell's wedges: level signatures in lex order, then
+    lexicographic index combinations per level."""
+    n = data.dim
+    monomials: List[Wedge] = []
+    for sig in sorted(_signatures(p, k, n)):
+        levels = sorted(set(sig))
+        per_level = [list(itertools.combinations(range(n), sig.count(level))) for level in levels]
+        for combo in itertools.product(*per_level):
+            wedge: List[Mode] = []
+            for level, idxs in zip(levels, combo):
+                wedge.extend((level, a) for a in idxs)
+            monomials.append(tuple(wedge))
+    return tuple(monomials)
+
+
+def _insert_modes(wedge: Sequence[Mode], skip: int, new: Sequence[Mode]) -> Tuple[int, Wedge] | None:
+    """Orientation of new_1 ^ ... ^ new_q ^ (wedge minus position ``skip``)
+    against the sorted wedge: (sign, sorted wedge), or None on a repeat.
+
+    The caller accounts for the extra (-1)^(q * skip) that moves the block
+    from position ``skip`` to the front.
+    """
+    out = list(wedge)
+    del out[skip]
+    sign = 1
+    for m in reversed(new):
+        lo = bisect_left(out, m)
+        if lo < len(out) and out[lo] == m:
+            return None
+        # moving m past the first `lo` factors
+        if lo % 2:
+            sign = -sign
+        out.insert(lo, m)
+    return sign, tuple(out)
+
+
+def tuple_differential(data, p: int, k: int) -> Dict[Tuple[int, int], int]:
+    """The (row, col) entries of d: A^p(k) -> A^{p+1}(k) over ``tuple_basis``,
+    from d(e^{m,level}) = - sum_{u<v} C_{uv}^m e^u ^ e^v over mode pairs."""
+    basis_in, basis_out = tuple_basis(data, p, k), tuple_basis(data, p + 1, k)
+    out_index = {w: i for i, w in enumerate(basis_out)}
+    entries: Dict[Tuple[int, int], int] = {}
+    n = data.dim
+    for col, wedge in enumerate(basis_in):
+        for j, (level, m) in enumerate(wedge):
+            outer_sign = -1 if j % 2 else 1
+            for l1 in range(1, level // 2 + 1):
+                l2 = level - l1
+                for a in range(n):
+                    for b, coeffs in data.structure[a].items():
+                        c = coeffs.get(m)
+                        if c is None:
+                            continue
+                        u, v = (l1, a), (l2, b)
+                        if u >= v:
+                            continue  # each unordered mode pair once, ascending
+                        ins = _insert_modes(wedge, j, (u, v))
+                        if ins is None:
+                            continue
+                        sign, new_wedge = ins
+                        row = out_index[new_wedge]
+                        val = entries.get((row, col), 0) - outer_sign * sign * c
+                        if val:
+                            entries[(row, col)] = val
+                        else:
+                            entries.pop((row, col), None)
+    return entries
+
+
+def _action_matrix(coefficients: Dict[int, List[Tuple[int, int]]], basis: Sequence[Wedge],
+                   index: Dict[Wedge, int]) -> Columns:
+    """Int columns of one generator's coadjoint action on a cell (derivation,
+    no sign); ``coefficients`` maps a mode index m to the pairs (b,
+    s*C_{gen b}^m)."""
+    out: Columns = {}
+    for col, wedge in enumerate(basis):
+        column: Dict[int, int] = {}
+        for j, (level, m) in enumerate(wedge):
+            pos_sign = -1 if j % 2 else 1  # single replaced factor: (-1)^skip
+            # gen . e^{m,level} = - sum_b C_{gen b}^{m} e^{b,level}
+            for b, c in coefficients.get(m, ()):
+                ins = _insert_modes(wedge, j, ((level, b),))
+                if ins is None:
+                    continue
+                sign, new_wedge = ins
+                row = index[new_wedge]
+                column[row] = column.get(row, 0) - pos_sign * sign * c
+        out[col] = {r: v for r, v in column.items() if v}
+    return out
+
+
+def _apply_columns(op: Columns, vec: Dict[int, int]) -> Dict[int, int]:
+    out: Dict[int, int] = {}
+    for j, x in vec.items():
+        for i, a in op.get(j, {}).items():
+            out[i] = out.get(i, 0) + a * x
+    return out
+
+
+def tuple_casimir(alg: IntAlgebra, basis: Sequence[Wedge]) -> ScaledColumns:
+    """C e_c = sum_a (G^-1)_{ab} / 2 * A_a (A_b e_c), b the partner of a, from
+    dim-g whole-cell action matrices, as int columns over 2*e*s^2 in lowest
+    terms."""
+    index = {w: i for i, w in enumerate(basis)}
+    actions = []
+    for row in alg.structure:
+        by_mode: Dict[int, List[Tuple[int, int]]] = {}
+        for b, col in row.items():
+            for m, c in col.items():
+                by_mode.setdefault(m, []).append((b, c))
+        actions.append(_action_matrix(by_mode, basis, index))
+    out: Columns = {}
+    for c in range(len(basis)):
+        column: Dict[int, int] = {}
+        for a, (b, w) in enumerate(alg.gram_inv):
+            for r, x in _apply_columns(actions[a], actions[b][c]).items():
+                column[r] = column.get(r, 0) + w * x
+        out[c] = {r: x for r, x in column.items() if x}
+    scale = 2 * alg.gram_inv_scale * alg.scale ** 2
+    g = gcd(scale, *(x for col in out.values() for x in col.values()))
+    return ScaledColumns({c: {r: x // g for r, x in col.items()} for c, col in out.items()}, scale // g)

@@ -449,8 +449,8 @@ def test_cache_files_with_a_block_payload_give_the_same_report(tmp_path, capsys)
             "energy": block.basisIn.energy,
             "dim_in": len(block.basisIn),
             "dim_out": len(block.basisOut),
-            "monomials_in": [[list(m) for m in w] for w in block.basisIn.monomials],
-            "monomials_out": [[list(m) for m in w] for w in block.basisOut.monomials],
+            "monomials_in": [[list(m) for m in w] for w in block.basisIn.wedges()],
+            "monomials_out": [[list(m) for m in w] for w in block.basisOut.wedges()],
             "triples": sorted([r, c, v] for (r, c), v in block.dMatrix.items()),
         }
         record["harmonic"] = []  # a wrong cell that only a recompute can mend

@@ -1,7 +1,9 @@
 import dataclasses
 import functools
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -19,7 +21,7 @@ from jetcohom.cochain import (
     isotypic_eigen_check,
     wedge_gram,
 )
-from jetcohom.liealg import AlgebraSpec, build_algebra, casimir_eigenvalue, orthogonal_cartan
+from jetcohom.liealg import AlgebraSpec, build_algebra, casimir_eigenvalue, int_algebra, orthogonal_cartan
 from jetcohom.report import compute_cell
 from jetcohom.reptheory import decompose, weights_of_basis
 
@@ -48,7 +50,7 @@ def test_basis_counts_against_generating_function(a1, a2):
 
 
 def test_basis_degenerate_cells(a1):
-    assert build_basis(a1, 0, 0).monomials == ((),)
+    assert build_basis(a1, 0, 0).monomials == (0,) and build_basis(a1, 0, 0).wedges() == ((),)
     assert len(build_basis(a1, 0, 2)) == 0
     assert len(build_basis(a1, 2, 1)) == 0  # p > k vanishes
     assert len(build_basis(a1, 1, 1)) == 3
@@ -60,7 +62,7 @@ def test_basis_degenerate_cells(a1):
 def test_basis_monomials_canonical(a2):
     basis = build_basis(a2, 2, 3)
     assert len(set(basis.monomials)) == len(basis)
-    for wedge in basis.monomials:
+    for wedge in basis.wedges():
         assert list(wedge) == sorted(wedge)
         assert sum(level for level, _ in wedge) == 3
 
@@ -78,9 +80,9 @@ def _ce_oracle_matrix(data, p, k):
         return xl.det(mat)
 
     rows = []
-    for out_wedge in basis_out.monomials:
+    for out_wedge in basis_out.wedges():
         row = []
-        for in_wedge in basis_in.monomials:
+        for in_wedge in basis_in.wedges():
             args = list(out_wedge)
             total = F(0)
             for r in range(len(args)):
@@ -134,7 +136,7 @@ def _all_pairs_gram(metric, basis):
     """Reference Gram: the determinant of pairwise mode metrics for every pair.
     Modes of different levels pair to 0, so two monomials whose level
     multisets differ give a matrix with a zero block and determinant 0."""
-    return _all_pairs_gram_of(tuple(map(tuple, metric)), basis.monomials)
+    return _all_pairs_gram_of(tuple(map(tuple, metric)), basis.wedges())
 
 
 @functools.lru_cache(maxsize=8)  # a cell's Gram is read again for the next degree's d*
@@ -165,7 +167,7 @@ def test_gram_inverse_identity(cc_a1, cc_a2):
             grams = cc.gram(p, k)
             assert len(grams) == len(mons) and all(type(g) is int for g in grams)
             for w, idxs in cc.weight_blocks(p, k).items():
-                inverse = _all_pairs_gram(herm, cochain.CochainBasis(p, k, tuple(mons[i] for i in idxs)))
+                inverse = _all_pairs_gram(herm, cochain.CochainBasis(p, k, tuple(mons[i] for i in idxs), cc.alg.dim))
                 assert inverse == _diagonal([F(cc.alg.metric_scale ** p, grams[i]) for i in idxs]), (p, k, w)
 
 
@@ -440,12 +442,13 @@ def _dense_casimir_reference(data, basis):
     """C = sum_{a,b} (G^-1)_{ab} / 2 * A_a A_b as a dense Fraction matrix.  The
     coadjoint action A_a replaces one factor e^{m,l} of a wedge by
     -sum_b C_{ab}^m e^{b,l} and sorts the result, counting transpositions."""
-    index = basis.index()
+    wedges = basis.wedges()
+    index = {w: i for i, w in enumerate(wedges)}
     n = len(basis)
 
     def action(a):
         A = oracles.zeros(n, n)
-        for col, wedge in enumerate(basis.monomials):
+        for col, wedge in enumerate(wedges):
             for j, (level, m) in enumerate(wedge):
                 for b, coeffs in data.structure[a].items():
                     if m not in coeffs:
@@ -536,7 +539,7 @@ def test_minimal_polynomial_check_matches_dense_reference(series, rank, max_p, m
     cells = [(p, k) for p in range(max_p + 1) for k in range(max_k + 1) if len(cc.basis(p, k))]
     values = {
         cell: sorted({casimir_eigenvalue(data, s.lowestWeight)
-                      for s in decompose(data, weights_of_basis(data, cc.basis(*cell).monomials))})
+                      for s in decompose(data, weights_of_basis(data, cc.basis(*cell)))})
         for cell in cells
     }
     for p, k in cells:
@@ -590,3 +593,66 @@ def test_harmonic_space_rejects_an_operator_doped_on_a_harmonic_vector(a1, doped
     col[0] = col.get(0, 0) + 1
     with pytest.raises(InvariantError, match=message):
         harmonic_space(cc, p, k)
+
+
+@pytest.mark.parametrize("series,rank,max_p,max_k", [("A", 1, 3, 6), ("A", 2, 2, 4), ("B", 2, 2, 4), ("G", 2, 2, 4)])
+def test_int_core_matches_the_tuple_oracles(series, rank, max_p, max_k):
+    # on every cell: the decoded int basis is the tuple basis in the same
+    # order, the int d is the tuple d, and the table Casimir is the
+    # action-product Casimir, columns and scale
+    alg = int_algebra(build_algebra(AlgebraSpec(series, rank)))
+    for k in range(max_k + 1):
+        for p in range(max_p + 1):
+            block = differential_block(alg, p, k)
+            assert block.basisIn.wedges() == oracles.tuple_basis(alg, p, k), (p, k)
+            assert block.basisOut.wedges() == oracles.tuple_basis(alg, p + 1, k), (p, k)
+            assert block.dMatrix == oracles.tuple_differential(alg, p, k), (p, k)
+            C, ref = cochain.casimir_matrix(alg, block.basisIn), oracles.tuple_casimir(alg, block.basisIn.wedges())
+            assert (C.columns, C.scale) == (ref.columns, ref.scale), (p, k)
+
+
+def test_casimir_tables_assume_no_symmetry_of_the_inverse_form(a2):
+    # with (G^-1)_{ab} != (G^-1)_{ba} on one pair, the one- and two-body
+    # rows still sum to sum_a (G^-1)_{ab} / 2 * A_a A_b
+    alg = int_algebra(a2)
+    a = next(a for a, (b, _w) in enumerate(alg.gram_inv) if a != b)
+    gram_inv = list(alg.gram_inv)
+    gram_inv[a] = (gram_inv[a][0], 3 * gram_inv[a][1])
+    doctored = dataclasses.replace(alg, gram_inv=tuple(gram_inv))
+    for p, k in [(1, 2), (2, 3), (2, 4)]:
+        basis = build_basis(alg, p, k)
+        C, ref = cochain.casimir_matrix(doctored, basis), oracles.tuple_casimir(doctored, basis.wedges())
+        assert (C.columns, C.scale) == (ref.columns, ref.scale), (p, k)
+        assert C.columns != cochain.casimir_matrix(alg, basis).columns
+
+
+@pytest.mark.parametrize("body", ["one-body", "two-body"])
+def test_isotypic_check_rejects_a_casimir_table_entry_off_by_one(a1, body):
+    p, k = 2, 3
+    cc = CellComplex(a1)  # a fresh algebra, so the doctored tables are its own
+    mono = cc.basis(p, k).monomials[0]
+    b1, b2 = (b for b in range(mono.bit_length()) if mono >> b & 1)
+    tables = cochain.casimir_tables(cc.alg)
+    if body == "one-body":
+        rest, row = mono ^ 1 << b1, tables.one_body(b1)
+    else:
+        rest, row = mono ^ 1 << b1 ^ 1 << b2, tables.two_body(b1, b2)
+    i = next(i for i, (new, _mask, _c) in enumerate(row) if not rest & new)  # a term of this monomial
+    new, mask, c = row[i]
+    row[i] = (new, mask, c + 1)
+    verdict = isotypic_eigen_check(cc, p, k)
+    assert not verdict.laplacian_matches_casimir and not verdict.passed
+    assert isotypic_eigen_check(CellComplex(a1), p, k).passed
+
+
+def test_casimir_tables_do_not_keep_their_algebra_alive(a1):
+    gc.disable()
+    try:
+        alg = int_algebra(a1)
+        cochain.casimir_matrix(alg, build_basis(alg, 2, 3))
+        tables, ref = cochain.casimir_tables(alg), weakref.ref(alg)
+        assert tables.one_body(0)
+        del alg
+        assert ref() is None and tables not in cochain._casimir_tables.values()
+    finally:
+        gc.enable()
