@@ -163,9 +163,11 @@ class GradedComplexBlock:
         return (len(self.basisOut), len(self.basisIn))
 
 
-def differential_block(data: AlgebraData | IntAlgebra, p: int, k: int) -> GradedComplexBlock:
-    """Chevalley-Eilenberg differential A^p(k) -> A^{p+1}(k) from ``data.dim``
-    and ``data.structure`` alone, so its entries have the structure
+def differential_block(data: AlgebraData | IntAlgebra, basis_in: CochainBasis,
+                       basis_out: CochainBasis) -> GradedComplexBlock:
+    """Chevalley-Eilenberg differential A^p(k) -> A^{p+1}(k) between the
+    bases ``build_basis`` gives for the two cells, from ``data.dim`` and
+    ``data.structure`` alone, so its entries have the structure
     constants' type: ints on Chevalley data; s*d in ints on an
     ``IntAlgebra``, s its ``scale``; rationals on ``orthogonal_cartan`` data.
 
@@ -175,8 +177,6 @@ def differential_block(data: AlgebraData | IntAlgebra, p: int, k: int) -> Graded
     monomial without the split mode, a term needs rest & (u | v) = 0, and
     moving the mode out and u, v in has the sign (-1)^popcount(rest & mask),
     mask the bits below the mode, below u and below v, xor-ed."""
-    basis_in = build_basis(data, p, k)
-    basis_out = build_basis(data, p + 1, k)
     out_index = basis_out.index()
     n = data.dim
     by_mode: Dict[int, List[Tuple[int, int, int]]] = {}  # m -> (a, b, C_{ab}^m)
@@ -300,15 +300,9 @@ class CellComplex:
         return self._memo("basis", p, k, lambda: build_basis(self.alg, p, k))
 
     def block(self, p: int, k: int) -> GradedComplexBlock:
-        """The int block s*d of d: A^p(k) -> A^{p+1}(k), which also gives
-        the bases of both cells."""
-
-        def build():
-            block = differential_block(self.alg, p, k)
-            self._kept[("basis", p, k)], self._kept[("basis", p + 1, k)] = block.basisIn, block.basisOut
-            return block
-
-        return self._memo("block", p, k, build)
+        """The int block s*d of d: A^p(k) -> A^{p+1}(k), between the
+        memoised bases of both cells."""
+        return self._memo("block", p, k, lambda: differential_block(self.alg, self.basis(p, k), self.basis(p + 1, k)))
 
     def weights(self, p: int, k: int) -> List[Weight]:
         """Torus weight of each monomial of the (p, k) basis, as int tuples."""

@@ -71,18 +71,23 @@ and parameter set: a dict keyed by the monomial alone
 column when it is looked up.  A tuple cannot be changed, so no column
 needs a read-only view.  A check looks each memo up once, before its
 loop (``_columns``), through the operator's module name, so a column
-function put in that name's place is the one called.  A memo holds its
-backend by a weak reference, so a backend and its memos are freed by
-reference counting alone.  ``_L_monomial`` runs one loop over its move
-table.  ``_d_monomial`` runs that loop on each of its eps^{i,k}
-neighbours without memoising their columns; ``_dstar_monomial`` reads
-the memoised ones.  The kernels and the checks that take single-mode
-steps read step rows inline, as ``clifford_check`` does; the vacuum
-check, ``_pairing`` and ``_eps_wedge_column`` (a wedge of eps steps) go
-through ``eps_monomial``/``iota_monomial``, each one table read.  Every
-column loop runs over window levels only, and cochain modes sit at
-levels <= kMax - guard, so no operator checks its input against the
-window.
+function put in that name's place is the one called.  A miss is one call
+of a kernel bound to tables built once from the backend, never to the
+backend itself, so a backend and its memos are freed by reference
+counting alone: ``_run_moves`` on the move table of L_{i,k}, ``_d_pair``
+on the terms of d, ``_run_dstar`` on those of dtilde*.  d and dtilde*
+run the move table of each L_{i,k} they need directly, memoising no L
+column for it; only their own columns are memoised.  d and dtilde are
+twins: dtilde negates the k <= 0 terms of d, which come first, so one
+pass builds both columns of a monomial, and a miss on either files both,
+each in its own memo, the two memos holding each other by weak
+references (``_TwinMemo``).
+The kernels and the checks that take single-mode steps read step rows
+inline, as ``clifford_check`` does; the vacuum check, ``_pairing`` and
+``_eps_wedge_column`` (a wedge of eps steps) go through
+``eps_monomial``/``iota_monomial``, each one table read.  Every column
+loop runs over window levels only, and cochain modes sit at levels <=
+kMax - guard, so no operator checks its input against the window.
 
 Monomials are enumerated one energy shell at a time in (energy,
 monomial int) order.  The added and the removed side each count their
@@ -110,7 +115,7 @@ from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 from weakref import ref
 
-from .cochain import InvariantError, differential_block
+from .cochain import InvariantError, build_basis, differential_block
 from .liealg import AlgebraData, int_algebra
 
 ModeIndex = Tuple[int, int]  # (i, k): basis index, Fourier degree
@@ -120,6 +125,8 @@ FockVector = Dict[SemiInfMonomial, int]  # int coefficients over the operator's 
 ColumnTuple = Tuple[int, ...]  # (m1, c1, m2, c2, ...): the nonzero entries of one column
 Column = Callable[[SemiInfMonomial], ColumnTuple]
 Pairs = Iterable[Tuple[SemiInfMonomial, int]]
+
+_chain_items = chain.from_iterable
 
 
 @dataclass(frozen=True)
@@ -283,42 +290,73 @@ def _residual_error(res: FockVector) -> int:
     return max(map(abs, res.values()), default=0)
 
 
+def _flat(out: FockVector) -> ColumnTuple:
+    """A column dict as its flat tuple, emptying the dict: a one-entry
+    column is the pair ``popitem`` returns, and every empty column the
+    shared ()."""
+    if len(out) > 1:
+        return tuple(_chain_items(out.items()))
+    return out.popitem() if out else ()
+
+
 class _Memo(dict):
     """The columns of one memoised operator at one parameter set on one
     backend, keyed by monomial: ``memo[mono]`` computes a missing column
-    once, as a flat tuple (every empty column is the shared ()).  The
-    backend owns its memos and a memo holds its backend by a weak
-    reference, so the two are freed by reference counting alone."""
-    __slots__ = ("kernel", "backend", "params")
+    once, as ``column(mono)``, and stores it flat (``_flat``).  ``column``
+    is a kernel bound to tables built from the backend, never to the
+    backend itself, so a miss is one call and the backend and its memos
+    are freed by reference counting alone."""
+    __slots__ = ("column",)
 
-    def __init__(self, kernel, backend: OrthonormalBackend, params: tuple):
+    def __init__(self, column: Callable[[SemiInfMonomial], FockVector]):
         super().__init__()
-        self.kernel, self.backend, self.params = kernel, ref(backend), params
+        self.column = column
 
     def __missing__(self, mono: SemiInfMonomial) -> ColumnTuple:
-        col = self[mono] = tuple(chain(*self.kernel(self.backend(), *self.params, mono).items()))
+        col = self[mono] = _flat(self.column(mono))
         return col
 
 
-def _memo_column(fn):
+class _TwinMemo(_Memo):
+    """The memo of d or of dtilde.  ``column(mono)`` is the pair (this
+    memo's column, its twin's) from one pass (``_d_pair``), and a miss
+    files both: the twin's column goes into ``twin``, held by a weak
+    reference, so the two memos form no cycle."""
+    __slots__ = ("twin", "__weakref__")
+
+    def __missing__(self, mono: SemiInfMonomial) -> ColumnTuple:
+        own, other = self.column(mono)
+        self.twin()[mono] = _flat(other)
+        col = self[mono] = _flat(own)
+        return col
+
+
+def _memo_column(make):
     """Memoise the column function ``fn(backend, *params, mono)`` in the
-    ``_Memo`` ``backend.columns[fn.__name__][params]``; ``.memo(backend,
-    *params)`` returns that memo."""
-    name = fn.__name__
+    ``_Memo`` ``backend.columns[fn.__name__][params]``, which
+    ``make(backend, *params)`` builds, keyed by params, with any twin it
+    fills; ``.memo(backend, *params)`` returns that memo, and
+    ``.__wrapped__`` is ``fn``, unmemoised."""
 
-    def memo(backend: OrthonormalBackend, *params) -> _Memo:
-        memos = backend.columns[name]
-        found = memos.get(params)
-        if found is None:
-            found = memos[params] = _Memo(fn, backend, params)
-        return found
+    def decorate(fn):
+        name = fn.__name__
 
-    @wraps(fn)
-    def column(backend: OrthonormalBackend, *args) -> ColumnTuple:
-        return memo(backend, *args[:-1])[args[-1]]
+        def memo(backend: OrthonormalBackend, *params) -> _Memo:
+            memos = backend.columns[name]
+            found = memos.get(params)
+            if found is None:
+                memos.update(make(backend, *params))
+                found = memos[params]
+            return found
 
-    column.memo = memo
-    return column
+        @wraps(fn)
+        def column(backend: OrthonormalBackend, *args) -> ColumnTuple:
+            return memo(backend, *args[:-1])[args[-1]]
+
+        column.memo = memo
+        return column
+
+    return decorate
 
 
 def _columns(op, backend: OrthonormalBackend, *params) -> Column:
@@ -360,15 +398,11 @@ def _moves(backend: OrthonormalBackend, i: int, k: int) -> List[Tuple[int, List[
     return levels
 
 
-@_memo_column
-def _L_monomial(backend: OrthonormalBackend, i: int, k: int, mono: SemiInfMonomial) -> FockVector:
-    """L_{i,k} = sum_s f_{iq}^p :iota_{p,s} eps^{q,s-k}: with both modes in
-    the window, over the scale s of the structure constants; normal
-    ordering puts iota first for s <= 0 and -eps iota for s > 0 (operator
-    products act right to left).  Each term is one row of the move table
-    (``_moves``): two single-mode steps on the int."""
+def _run_moves(levels: List[Tuple[int, List[tuple]]], mono: SemiInfMonomial) -> FockVector:
+    """One move table (``_moves``) on one monomial: each row is two
+    single-mode steps on the int."""
     out: FockVector = {}
-    for gate, rows in _moves(backend, i, k):
+    for gate, rows in levels:
         if gate and not mono & gate:
             continue
         for bit1, need1, mask1, bit2, need2, mask2, coef in rows:
@@ -386,48 +420,122 @@ def _L_monomial(backend: OrthonormalBackend, i: int, k: int, mono: SemiInfMonomi
     return out
 
 
-@_memo_column
+def _L_memos(backend: OrthonormalBackend, i: int, k: int) -> Dict[tuple, _Memo]:
+    return {(i, k): _Memo(partial(_run_moves, _moves(backend, i, k)))}
+
+
+@_memo_column(_L_memos)
+def _L_monomial(backend: OrthonormalBackend, i: int, k: int, mono: SemiInfMonomial) -> FockVector:
+    """L_{i,k} = sum_s f_{iq}^p :iota_{p,s} eps^{q,s-k}: with both modes in
+    the window, over the scale s of the structure constants; normal
+    ordering puts iota first for s <= 0 and -eps iota for s > 0 (operator
+    products act right to left).  Each term is one row of the move table
+    (``_moves``): two single-mode steps on the int."""
+    return _run_moves(_moves(backend, i, k), mono)
+
+
+def _d_rows(backend: OrthonormalBackend) -> Tuple[List[tuple], List[tuple]]:
+    """The terms L_{i,k} eps^{i,k} of d, per window mode ascending by (k,
+    i), split into k <= 0 and k > 0: the step row of (i, k) and the move
+    table of L_{i,k}."""
+    rows: Tuple[List[tuple], List[tuple]] = ([], [])
+    for (i, k), step in backend.steps.items():
+        rows[k > 0].append((*step, _moves(backend, i, k)))
+    return rows
+
+
+def _d_pair(rows: Tuple[List[tuple], List[tuple]], twisted: bool, mono: SemiInfMonomial
+            ) -> Tuple[FockVector, FockVector]:
+    """d and dtilde of one monomial in one pass, over 2s, the column of
+    ``twisted`` first (``_d_rows``).  d = 1/2 sum_{i,k} L_{i,k} eps^{i,k},
+    windowed; dtilde negates its k <= 0 terms.  Those come first, so
+    dtilde starts as the negated sum of d's, and each k > 0 term, with its
+    L_{i,k} column run once, is added to both, in the order of a pass of
+    either alone."""
+    low, high = rows
+    d: FockVector = {}
+    get = d.get
+    for bit, mask, c, empty, levels in low:
+        if mono & bit != empty:
+            continue
+        negate = ((mono & mask).bit_count() + c) & 1
+        for m2, c2 in _run_moves(levels, mono ^ bit).items():
+            new = get(m2, 0) + (-c2 if negate else c2)
+            if new:
+                d[m2] = new
+            else:
+                del d[m2]
+    dtilde = {m: -x for m, x in d.items()}
+    for bit, mask, c, empty, levels in high:
+        if mono & bit != empty:
+            continue
+        negate = ((mono & mask).bit_count() + c) & 1
+        for m2, c2 in _run_moves(levels, mono ^ bit).items():
+            x = -c2 if negate else c2
+            for out in (d, dtilde):
+                new = out.get(m2, 0) + x
+                if new:
+                    out[m2] = new
+                else:
+                    del out[m2]
+    return (dtilde, d) if twisted else (d, dtilde)
+
+
+def _d_memos(backend: OrthonormalBackend, _twisted: bool) -> Dict[tuple, _Memo]:
+    """The memos of d and dtilde, made together as twins."""
+    rows = _d_rows(backend)
+    d, dtilde = _TwinMemo(partial(_d_pair, rows, False)), _TwinMemo(partial(_d_pair, rows, True))
+    d.twin, dtilde.twin = ref(dtilde), ref(d)
+    return {(False,): d, (True,): dtilde}
+
+
+@_memo_column(_d_memos)
 def _d_monomial(backend: OrthonormalBackend, twisted: bool, mono: SemiInfMonomial) -> FockVector:
     """d = 1/2 sum_{i,k} L_{i,k} eps^{i,k}, windowed, of one monomial, over
     2s; with ``twisted``, dtilde, whose k <= 0 terms enter with a minus
-    sign.  eps^{i,k} is read from the step table."""
+    sign.  eps^{i,k} is read from the step table, and each L_{i,k} column
+    is run from its move table, not memoised.  The memo computes d and
+    dtilde together (``_d_pair``) and files both."""
+    return _d_pair(_d_rows(backend), twisted, mono)[0]
+
+
+def _dstar_rows(backend: OrthonormalBackend) -> List[tuple]:
+    """The terms of dtilde*, per (k, i): s_k (G^-1)_{ib}, the step row of
+    (b, k) and the move table of L_{i,-k}."""
+    steps = backend.steps
+    return [((1 if k > 0 else -1) * x, *steps[b, k], _moves(backend, i, -k))
+            for k in range(backend.window.kMin, backend.window.kMax + 1)
+            for i, (b, x) in enumerate(backend.alg.gram_inv)]
+
+
+def _run_dstar(rows: List[tuple], mono: SemiInfMonomial) -> FockVector:
+    """dtilde* of one monomial from its terms (``_dstar_rows``): each
+    L_{i,-k} column is run from its move table, not memoised, and
+    iota_{b,k} is one step row."""
     out: FockVector = {}
-    get, L = out.get, _L_monomial.__wrapped__  # each L_{i,k} column is used here once
-    for (i, k), (bit, mask, c, empty) in backend.steps.items():
-        if mono & bit != empty:
-            continue
-        negate = ((mono & mask).bit_count() + c + (twisted and k <= 0)) & 1
-        for m2, c2 in L(backend, i, k, mono ^ bit).items():
-            new = get(m2, 0) + (-c2 if negate else c2)
+    get = out.get
+    for coef, bit, mask, c, empty, levels in rows:
+        for m1, c1 in _run_moves(levels, mono).items():
+            if m1 & bit == empty:
+                continue
+            target, val = m1 ^ bit, coef * c1
+            new = get(target, 0) + (val if ((m1 & mask).bit_count() + c) & 1 else -val)
             if new:
-                out[m2] = new
+                out[target] = new
             else:
-                del out[m2]
+                del out[target]
     return out
 
 
-@_memo_column
+def _dstar_memos(backend: OrthonormalBackend) -> Dict[tuple, _Memo]:
+    return {(): _Memo(partial(_run_dstar, _dstar_rows(backend)))}
+
+
+@_memo_column(_dstar_memos)
 def _dstar_monomial(backend: OrthonormalBackend, mono: SemiInfMonomial) -> FockVector:
     """dtilde* = -1/2 sum_k s_k sum_{i,b} (G^-1)_{ib} iota_{b,k} L_{i,-k},
-    over 2se: the adjoint of dtilde under the Fock pairing.  iota_{b,k} is
-    read from the step table."""
-    out: FockVector = {}
-    get, L, steps = out.get, _L_monomial.memo, backend.steps
-    for k in range(backend.window.kMin, backend.window.kMax + 1):
-        sk = 1 if k > 0 else -1
-        for i, (b, x) in enumerate(backend.alg.gram_inv):
-            bit, mask, c, empty = steps[b, k]
-            it = iter(L(backend, i, -k)[mono])
-            for m1, c1 in zip(it, it):
-                if m1 & bit == empty:
-                    continue
-                target, val = m1 ^ bit, sk * x * c1
-                new = get(target, 0) + (val if ((m1 & mask).bit_count() + c) & 1 else -val)
-                if new:
-                    out[target] = new
-                else:
-                    del out[target]
-    return out
+    over 2se: the adjoint of dtilde under the Fock pairing."""
+    return _run_dstar(_dstar_rows(backend), mono)
 
 
 def _pairing(backend: OrthonormalBackend, mono: SemiInfMonomial) -> Tuple[int, int, SemiInfMonomial]:
@@ -1029,12 +1137,13 @@ def d_matches_cochain_check(backend: OrthonormalBackend) -> IdentityVerdict:
         return _eps_wedge_column(backend, [(a, level) for level, a in wedge], VACUUM)
 
     d = _columns(_d_monomial, backend, False)
+    basis = cache(partial(build_basis, backend.alg))  # each cell's basis is built once
 
     err = Fraction(0)
     count = 0
     for k in range(1, max_k + 1):
         for p in range(1, min(2, k) + 1):
-            block = differential_block(backend.alg, p, k)
+            block = differential_block(backend.alg, basis(p, k), basis(p + 1, k))
             wedges_out = block.basisOut.wedges()
             for col, wedge in enumerate(block.basisIn.wedges()):
                 res = _apply(d, _pairs(embed(wedge)))

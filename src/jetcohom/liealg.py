@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from . import exactlinalg as xl
 
@@ -585,26 +585,38 @@ def int_algebra(data: AlgebraData) -> IntAlgebra:
     )
 
 
-def _jacobi_triples(structure) -> set[Tuple[int, int, int]]:
+def _reaches(structure, a: int, b: int, c: int) -> bool:
+    """[[b_a, b_b], b_c] has a term with nonzero factors."""
+    for q in structure[a].get(b, ()):
+        if c in structure[q]:
+            return True
+    return False
+
+
+def _jacobi_triples(structure) -> Iterator[Tuple[int, int, int]]:
     """The sorted triples of distinct indices with a term [[b_a, b_b], b_c]
     that has nonzero factors, found from ``structure[a][b]`` -> q ->
-    ``structure[q]``.  Once ``structure`` is antisymmetric, every other
-    triple's Jacobi sum (a repeated index included) is a sum of zeros."""
-    triples = set()
+    ``structure[q]``, each yielded once, from the largest c of the triple
+    that has one, so no set of triples is held.  ``structure`` must be
+    antisymmetric: then [b_a, b_b] and [b_b, b_a] have one support, and
+    every other triple's Jacobi sum (a repeated index included) is a sum of
+    zeros."""
     for a, row in enumerate(structure):
         for b, col in row.items():
             if b > a:
+                cs = set()
                 for q in col:
-                    for c in structure[q]:
-                        if c != a and c != b:
-                            triples.add(tuple(sorted((a, b, c))))
-    return triples
+                    cs.update(structure[q])
+                for c in cs - {a, b}:
+                    # a larger index of the triple whose term is nonzero yields it instead
+                    if not (a > c and _reaches(structure, b, c, a) or b > c and _reaches(structure, a, c, b)):
+                        yield tuple(sorted((a, b, c)))
 
 
 def verify_algebra(data: AlgebraData) -> None:
     """Check antisymmetry, Jacobi, the trace identity and metric axioms in one
     sparse pass, exhaustively for every algebra: Jacobi on every triple of
-    ``_jacobi_triples`` and adjointness on every basis index."""
+    ``_jacobi_triples``, streamed, and adjointness on every basis index."""
     for i, row in enumerate(data.structure):
         for j, col in row.items():
             if data.structure[j].get(i, {}) != {p: -c for p, c in col.items()}:

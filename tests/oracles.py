@@ -10,7 +10,8 @@ from math import gcd
 from typing import Dict, List, Sequence, Tuple
 
 from jetcohom.affine import AffineWeight, laplacian_shift
-from jetcohom.cochain import GradedComplexBlock, Mode, ScaledColumns, Wedge, _signatures
+from jetcohom.cochain import (GradedComplexBlock, Mode, ScaledColumns, Wedge, _signatures, build_basis,
+                              differential_block)
 from jetcohom.liealg import AlgebraData, FiniteWeight, IntAlgebra
 
 Matrix = List[List[Fraction]]
@@ -30,6 +31,11 @@ def identity(k: int) -> Matrix:
 
 def scale(a, s) -> Matrix:
     return [[x * s for x in row] for row in a]
+
+
+def cell_block(data, p: int, k: int) -> GradedComplexBlock:
+    """d: A^p(k) -> A^{p+1}(k) between freshly built bases of both cells."""
+    return differential_block(data, build_basis(data, p, k), build_basis(data, p + 1, k))
 
 
 def dense(block: GradedComplexBlock) -> Matrix:
@@ -244,3 +250,42 @@ def tuple_casimir(alg: IntAlgebra, basis: Sequence[Wedge]) -> ScaledColumns:
     scale = 2 * alg.gram_inv_scale * alg.scale ** 2
     g = gcd(scale, *(x for col in out.values() for x in col.values()))
     return ScaledColumns({c: {r: x // g for r, x in col.items()} for c, col in out.items()}, scale // g)
+
+
+def dstar_from_memoised_L(backend, mono: int) -> Dict[int, int]:
+    """dtilde* of one monomial over 2se, as the kernel that read each
+    L_{i,-k} column from its memo and applied iota_{b,k} from the step
+    table, in the same loop order as ``fock._dstar_monomial``."""
+    from jetcohom.fock import _L_monomial
+
+    out: Dict[int, int] = {}
+    for k in range(backend.window.kMin, backend.window.kMax + 1):
+        sk = 1 if k > 0 else -1
+        for i, (b, x) in enumerate(backend.alg.gram_inv):
+            bit, mask, c, empty = backend.steps[b, k]
+            col = _L_monomial(backend, i, -k, mono)
+            for m1, c1 in zip(col[::2], col[1::2]):
+                if m1 & bit == empty:
+                    continue
+                val = sk * x * c1
+                new = out.get(m1 ^ bit, 0) + (val if ((m1 & mask).bit_count() + c) & 1 else -val)
+                if new:
+                    out[m1 ^ bit] = new
+                else:
+                    del out[m1 ^ bit]
+    return out
+
+
+def jacobi_triple_set(structure) -> set:
+    """The sorted triples of distinct indices with a term [[b_a, b_b], b_c]
+    that has nonzero factors, collected into one set, as
+    ``liealg.verify_algebra`` once built them before checking any."""
+    triples = set()
+    for a, row in enumerate(structure):
+        for b, col in row.items():
+            if b > a:
+                for q in col:
+                    for c in structure[q]:
+                        if c != a and c != b:
+                            triples.add(tuple(sorted((a, b, c))))
+    return triples

@@ -15,14 +15,13 @@ from jetcohom.cochain import (
     CellComplex,
     InvariantError,
     build_basis,
-    differential_block,
     eigenvalue_of,
     harmonic_space,
     isotypic_eigen_check,
     wedge_gram,
 )
 from jetcohom.liealg import AlgebraSpec, build_algebra, casimir_eigenvalue, int_algebra, orthogonal_cartan
-from jetcohom.report import compute_cell
+from jetcohom.report import RunConfig, cmd_compute, compute_cell
 from jetcohom.reptheory import decompose, weights_of_basis
 
 import oracles
@@ -101,25 +100,25 @@ def _ce_oracle_matrix(data, p, k):
 
 @pytest.mark.parametrize("p,k", [(1, 2), (1, 3), (2, 3), (2, 4)])
 def test_differential_matches_ce_evaluation_oracle(a1, p, k):
-    block = differential_block(a1, p, k)
+    block = oracles.cell_block(a1, p, k)
     oracle = _ce_oracle_matrix(a1, p, k)
     dense = oracles.dense(block)
     assert dense == oracle
 
 
 def test_differential_on_a2_matches_oracle(a2):
-    block = differential_block(a2, 1, 2)
+    block = oracles.cell_block(a2, 1, 2)
     assert oracles.dense(block) == _ce_oracle_matrix(a2, 1, 2)
 
 
 def test_d_on_degree_zero_vanishes(a1):
-    block = differential_block(a1, 0, 0)
+    block = oracles.cell_block(a1, 0, 0)
     assert block.dMatrix == {}
 
 
 def test_rank_of_level_two_differential(a1):
     # d: A^1(2) -> A^2(2) is injective; [a_1, a_1] pairs onto a_2
-    block = differential_block(a1, 1, 2)
+    block = oracles.cell_block(a1, 1, 2)
     assert xl.rank(oracles.dense(block)) == 3
 
 
@@ -193,9 +192,20 @@ def test_empty_cells_take_the_one_path(a1, cc_a1, monkeypatch):
     # d^0 at energy 2 has no column, so d^1 at energy 2 is never built
     built = []
     real = cochain.differential_block
-    monkeypatch.setattr(cochain, "differential_block", lambda data, p, k: built.append(p) or real(data, p, k))
+    monkeypatch.setattr(cochain, "differential_block",
+                        lambda data, basis_in, basis_out: built.append(basis_in.degree) or real(data, basis_in, basis_out))
     assert CellComplex(a1).d_squared_zero(0, 2) and built == [0]
 
+
+
+def test_each_cell_basis_is_built_once(monkeypatch):
+    """``compute`` A2 2/4 builds the basis of each (p, k) cell once: d reads
+    the bases the complex keeps rather than building its own."""
+    calls = []
+    real = cochain.build_basis
+    monkeypatch.setattr(cochain, "build_basis", lambda data, p, k: calls.append((p, k)) or real(data, p, k))
+    cmd_compute(RunConfig(series="A", rank=2, maxDegree=2, maxEnergy=4))
+    assert len(calls) > 10 and len(calls) == len(set(calls))
 
 def test_eigenvalue_examples(a1):
     assert eigenvalue_of(a1, (F(0),), 0) == 0
@@ -296,7 +306,7 @@ def _whole_cell_reference(cc, p, k):
     dual = xl.invert(herm)
 
     def dstar(q):
-        d = differential_block(data, q, k)
+        d = oracles.cell_block(data, q, k)
         if not len(d.basisIn) or not len(d.basisOut):
             return None
         gram_out = _all_pairs_gram(dual, build_basis(data, q + 1, k))
@@ -307,10 +317,10 @@ def _whole_cell_reference(cc, p, k):
     L = oracles.zeros(len(basis), len(basis))
     up = dstar(p)
     if up is not None:
-        L = xl.mat_add(L, xl.matmul(up, oracles.dense(differential_block(data, p, k))))
+        L = xl.mat_add(L, xl.matmul(up, oracles.dense(oracles.cell_block(data, p, k))))
     down = dstar(p - 1) if p > 0 else None
     if down is not None:
-        L = xl.mat_add(L, xl.matmul(oracles.dense(differential_block(data, p - 1, k)), down))
+        L = xl.mat_add(L, xl.matmul(oracles.dense(oracles.cell_block(data, p - 1, k)), down))
     return _all_pairs_gram(dual, basis), up, L
 
 
@@ -352,7 +362,7 @@ def test_weight_blocks_match_whole_cell_reference(series, rank, max_p, max_k):
             assert _diagonal(cc.gram(p, k)) == oracles.scale(G, cc.alg.metric_scale ** p), (p, k)
             assert _embed(blocks, groups, groups) == oracles.scale(L, lap.scale), (p, k)
             assert _from_columns(lap.columns, n, n) == oracles.scale(L, lap.scale), (p, k)
-            d_ref = oracles.dense(differential_block(cc.alg.data, p, k))
+            d_ref = oracles.dense(oracles.cell_block(cc.alg.data, p, k))
             assert _from_columns(d.columns, n_out, n) == oracles.scale(d_ref, d.scale), (p, k)
             if dstar is not None:
                 assert _from_columns(star.columns, n, n_out) == oracles.scale(dstar, star.scale), (p, k)
@@ -603,7 +613,7 @@ def test_int_core_matches_the_tuple_oracles(series, rank, max_p, max_k):
     alg = int_algebra(build_algebra(AlgebraSpec(series, rank)))
     for k in range(max_k + 1):
         for p in range(max_p + 1):
-            block = differential_block(alg, p, k)
+            block = oracles.cell_block(alg, p, k)
             assert block.basisIn.wedges() == oracles.tuple_basis(alg, p, k), (p, k)
             assert block.basisOut.wedges() == oracles.tuple_basis(alg, p + 1, k), (p, k)
             assert block.dMatrix == oracles.tuple_differential(alg, p, k), (p, k)
