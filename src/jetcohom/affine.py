@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Sequence, Tuple
 
-from .liealg import AlgebraData, FiniteWeight, InvariantError, is_dominant
+from .liealg import AlgebraData, FiniteWeight, InvariantError, is_dominant, scaled_ints
 from .reptheory import weyl_dim
 
 Vec = Tuple[Fraction, ...]
@@ -84,10 +85,25 @@ def rho_hat(data: AlgebraData) -> AffineWeight:
 
 
 def laplacian_shift(data: AlgebraData, w: AffineWeight) -> Fraction:
-    """P(w) = (||w - rho_hat||^2 - ||rho_hat||^2) / 2 via the pairing."""
-    r = rho_hat(data)
-    diff = w - r
-    return (affine_pairing(data, diff, diff) - affine_pairing(data, r, r)) / 2
+    """P(w) = (||w - rho_hat||^2 - ||rho_hat||^2) / 2 via the pairing, on
+    ints: w and rho_hat = (0, rho, -c) are taken times one denominator D
+    (2 rho is integral, ``weight_ints``), and each pairing times the weight
+    form's scale m, so P(w) is an int over 2 m D^2."""
+    form, m, two_rho = data.weight_ints
+    vec, den = scaled_ints((w.energy, *w.finite, w.central))
+    scale = lcm(den, 2)
+    x = [v * (scale // den) for v in vec]
+    r = [0, *(t * (scale // 2) for t in two_rho), -data.coxeter * scale]
+    diff = [a - b for a, b in zip(x, r)]
+    return Fraction(_int_pairing(form, m, diff, diff) - _int_pairing(form, m, r, r), 2 * m * scale * scale)
+
+
+def _int_pairing(form: Sequence[Sequence[int]], m: int, u: Sequence[int], v: Sequence[int]) -> int:
+    """m times the pairing of two int vectors (energy, finite, central), the
+    finite parts paired by the int weight form W = m <,>."""
+    fin_v = v[1:-1]
+    finite = sum(a * sum(map(int.__mul__, row, fin_v)) for a, row in zip(u[1:-1], form) if a)
+    return m * (-v[0] * u[-1] - u[0] * v[-1]) + finite
 
 
 def simple_affine_roots(data: AlgebraData) -> List[AffineRoot]:

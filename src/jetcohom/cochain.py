@@ -64,7 +64,7 @@ from operator import add
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from . import exactlinalg as xl
-from .liealg import AlgebraData, FiniteWeight, IntAlgebra, InvariantError, casimir_eigenvalue, int_algebra, is_dominant
+from .liealg import AlgebraData, FiniteWeight, IntAlgebra, InvariantError, casimir_eigenvalue, int_algebra
 from .reptheory import IrrepSummand, WeightMultiset, decompose, weights_of_basis
 from .affine import AffineWeight, laplacian_shift
 
@@ -436,20 +436,17 @@ class CellComplex:
         return self._memo("laplacian", p, k, build)
 
 
-def eigenvalue_of(data: AlgebraData, lowestWeight: Sequence[Fraction], energy: int) -> Fraction:
+def eigenvalue_of(data: AlgebraData, lowestWeight: Sequence[int | Fraction], energy: int) -> Fraction:
     """Closed-form scalar of the twisted Laplacian on a lowest-weight irrep.
 
     Returns -<rho, lam> + ||lam||^2/2 - c*k and checks it equals
     (||lam_hat - rho_hat||^2 - ||rho_hat||^2)/2 under the affine pairing.
     The positive semi-definite cell Laplacian acts by the negative of this.
     """
-    lam = tuple(Fraction(x) for x in lowestWeight)
-    if not is_dominant(data, tuple(-x for x in lam)):
-        raise ValueError("lowest weight must be antidominant")
     if energy < 0:
         raise ValueError("energy must be nonnegative")
-    value = casimir_eigenvalue(data, lam) - data.coxeter * energy
-    affine = laplacian_shift(data, AffineWeight(Fraction(energy), lam, Fraction(0)))
+    value = casimir_eigenvalue(data, lowestWeight) - data.coxeter * energy  # raises unless antidominant
+    affine = laplacian_shift(data, AffineWeight(energy, tuple(lowestWeight), 0))
     if value != affine:
         raise InvariantError("Theorem-form and pairing-form eigenvalues must agree")
     return value

@@ -77,7 +77,10 @@ backend itself, so a backend and its memos are freed by reference
 counting alone: ``_run_moves`` on the move table of L_{i,k}, ``_d_pair``
 on the terms of d, ``_run_dstar`` on those of dtilde*.  d and dtilde*
 run the move table of each L_{i,k} they need directly, memoising no L
-column for it; only their own columns are memoised.  d and dtilde are
+column for it; only their own columns are memoised.  dtilde* runs, per
+term iota_{b,k} L_{i,-k}, only the part of the table whose outputs iota
+keeps: the moves that flip the bit of (b, k) once where it is empty, the
+others where it is occupied (``_dstar_rows``).  d and dtilde are
 twins: dtilde negates the k <= 0 terms of d, which come first, so one
 pass builds both columns of a monomial, and a miss on either files both,
 each in its own memo, the two memos holding each other by weak
@@ -125,6 +128,7 @@ FockVector = Dict[SemiInfMonomial, int]  # int coefficients over the operator's 
 ColumnTuple = Tuple[int, ...]  # (m1, c1, m2, c2, ...): the nonzero entries of one column
 Column = Callable[[SemiInfMonomial], ColumnTuple]
 Pairs = Iterable[Tuple[SemiInfMonomial, int]]
+MoveTable = List[Tuple[int, List[tuple]]]  # per level, (gate, rows): see ``_moves``
 
 _chain_items = chain.from_iterable
 
@@ -180,7 +184,7 @@ class OrthonormalBackend:
                     self.steps[i, k] = (1 << b, -1 << off | (1 << b) - 1, b & 1, 1 << b)
         self.energy_masks = [sum(bit for (_i, k), (bit, *_rest) in self.steps.items() if abs(k) >= w)
                              for w in range(1, max(window.kMax, -window.kMin) + 1)]
-        self.moves: Dict[Tuple[int, int], List[Tuple[int, List[tuple]]]] = {}
+        self.moves: Dict[Tuple[int, int], MoveTable] = {}
         self.columns: Dict[str, Dict[tuple, _Memo]] = defaultdict(dict)
         self.bases: Dict[Tuple[int, int | None, int | None, int | None], Tuple[SemiInfMonomial, ...]] = {}
 
@@ -368,7 +372,7 @@ def _columns(op, backend: OrthonormalBackend, *params) -> Column:
     return memo(backend, *params).__getitem__ if memo else partial(op, backend, *params)
 
 
-def _moves(backend: OrthonormalBackend, i: int, k: int) -> List[Tuple[int, List[tuple]]]:
+def _moves(backend: OrthonormalBackend, i: int, k: int) -> MoveTable:
     """The move table of L_{i,k}, built once per backend from its step
     table: per level s, in order, (gate, rows) with one row (bit1, need1,
     mask1, bit2, need2, mask2, coef) per (p, q, s*f_{iq}^p) of ``pairs[i]``.
@@ -390,15 +394,20 @@ def _moves(backend: OrthonormalBackend, i: int, k: int) -> List[Tuple[int, List[
                 # normal ordering: iota first with +f for s <= 0, -eps iota for s > 0
                 first, second, coef = (eps, iota, cval) if s <= 0 else (iota, eps, -cval)
                 rows.append((*first, *second, -coef if (e_c + i_c) & 1 else coef))
-            gate = 0
-            if all(bit == need for bit, need, *_rest in rows):
-                for bit, *_rest in rows:
-                    gate |= bit
-            levels.append((gate, rows))
+            levels.append(_level(rows))
     return levels
 
 
-def _run_moves(levels: List[Tuple[int, List[tuple]]], mono: SemiInfMonomial) -> FockVector:
+def _level(rows: List[tuple]) -> Tuple[int, List[tuple]]:
+    """One level of a move table, (gate, rows), with its gate (``_moves``)."""
+    gate = 0
+    if all(bit == need for bit, need, *_rest in rows):
+        for bit, *_rest in rows:
+            gate |= bit
+    return gate, rows
+
+
+def _run_moves(levels: MoveTable, mono: SemiInfMonomial) -> FockVector:
     """One move table (``_moves``) on one monomial: each row is two
     single-mode steps on the int."""
     out: FockVector = {}
@@ -501,23 +510,49 @@ def _d_monomial(backend: OrthonormalBackend, twisted: bool, mono: SemiInfMonomia
 
 def _dstar_rows(backend: OrthonormalBackend) -> List[tuple]:
     """The terms of dtilde*, per (k, i): s_k (G^-1)_{ib}, the step row of
-    (b, k) and the move table of L_{i,-k}."""
+    (b, k), and the move table of L_{i,-k} cut in two by its moves' effect
+    on the bit of (b, k) (``_split_moves``): the even and the odd table."""
     steps = backend.steps
-    return [((1 if k > 0 else -1) * x, *steps[b, k], _moves(backend, i, -k))
+    return [((1 if k > 0 else -1) * x, *steps[b, k], *_split_moves(_moves(backend, i, -k), steps[b, k][0]))
             for k in range(backend.window.kMin, backend.window.kMax + 1)
             for i, (b, x) in enumerate(backend.alg.gram_inv)]
+
+
+def _split_moves(levels: MoveTable, bit: int) -> Tuple[MoveTable, MoveTable]:
+    """A move table cut in two, each level's rows in their order: the moves
+    that flip ``bit`` an even number of times (0, or 2 when both steps sit
+    on its mode), and those that flip it once.  A level left with no row is
+    dropped, and each kept level gets the gate of its own rows."""
+    tables: Tuple[MoveTable, MoveTable] = ([], [])
+    for _gate, rows in levels:
+        parts: Tuple[list, list] = ([], [])
+        for row in rows:
+            parts[((row[0] == bit) + (row[3] == bit)) & 1].append(row)
+        for table, part in zip(tables, parts):
+            if part:
+                table.append(_level(part))
+    return tables
 
 
 def _run_dstar(rows: List[tuple], mono: SemiInfMonomial) -> FockVector:
     """dtilde* of one monomial from its terms (``_dstar_rows``): each
     L_{i,-k} column is run from its move table, not memoised, and
-    iota_{b,k} is one step row."""
+    iota_{b,k} is one step row.  iota_{b,k} acts on an output of L_{i,-k}
+    iff (b, k) is occupied there, that is, iff it is occupied in ``mono``
+    and the move flipped its bit an even number of times, or empty in
+    ``mono`` and the move flipped it once.  So each term runs only its even
+    table where (b, k) is occupied in ``mono`` and only its odd table where
+    it is empty, and iota acts on every output.  Even and odd moves reach
+    different monomials, so each output keeps its value and its place in
+    the column; the column equals the one from the whole table with the
+    outputs iota removes dropped."""
     out: FockVector = {}
     get = out.get
-    for coef, bit, mask, c, empty, levels in rows:
+    for coef, bit, mask, c, empty, even, odd in rows:
+        levels = odd if mono & bit == empty else even
+        if not levels:
+            continue
         for m1, c1 in _run_moves(levels, mono).items():
-            if m1 & bit == empty:
-                continue
             target, val = m1 ^ bit, coef * c1
             new = get(target, 0) + (val if ((m1 & mask).bit_count() + c) & 1 else -val)
             if new:
@@ -726,7 +761,12 @@ def clifford_check(backend: OrthonormalBackend) -> IdentityVerdict:
     table invariant under it is checked too: every row's bit is one set
     bit, and no two rows share one.  Then a step flips the bit it tests,
     so (eps^x)^2 = (iota_x)^2 = 0, and both terms of an anticommutator sit
-    at one monomial."""
+    at one monomial.  It also means that a step on y != x leaves the bit of
+    x alone.  So where x is empty in a monomial, iota_x meets neither the
+    monomial nor eps^y of it, and where x and y are both occupied, eps^y
+    meets neither the monomial nor iota_x of it: an empty x is paired with
+    y = x alone, and an occupied x with itself and the empty modes.  The
+    pairs left out hold no term and no delta."""
     window = backend.window
     basis = check_basis(backend, window.guard, 3, cap=700 if _small(backend) else 60)
     if basis == [VACUUM]:
@@ -739,10 +779,12 @@ def clifford_check(backend: OrthonormalBackend) -> IdentityVerdict:
         on_mono = [(j, bit, mask, c, empty, mono & bit == empty, (mono & mask).bit_count() + c)
                    for j, bit, mask, c, empty in rows]
         empties = [row for row in on_mono if row[5]]
-        for x, xbit, xmask, xc, xempty, x_is_empty, xpar in on_mono:
+        for x_row in on_mono:
+            x, xbit, xmask, xc, xempty, x_is_empty, xpar = x_row
             flipped = mono ^ xbit
-            # where x is empty, iota_x mono = 0: an occupied y meets no term and no delta
-            for y, ybit, ymask, yc, yempty, y_is_empty, ypar in (empties if x_is_empty else on_mono):
+            # a step on y != x leaves x's bit (one distinct bit per row): an
+            # empty x meets y = x alone, an occupied x itself and the empty y
+            for y, ybit, ymask, yc, yempty, y_is_empty, ypar in ((x_row,) if x_is_empty else (x_row, *empties)):
                 # eps^y iota_x mono + iota_x eps^y mono - delta_xy mono: every
                 # term sits at mono ^ xbit ^ ybit, so one coefficient is compared
                 res = -(x == y)

@@ -17,6 +17,7 @@ import itertools
 import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Dict, Iterator, List, Sequence, Tuple
 
@@ -328,6 +329,18 @@ class AlgebraData:
     def weight_pairing(self, a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
         return _bilinear(self.weight_form, a, b)
 
+    @cached_property
+    def weight_ints(self) -> Tuple[Tuple[Coords, ...], int, Coords]:
+        """(W, m, 2rho): the weight form as ints W over one scale m, so that
+        <a, b> = sum_ij a_i W_ij b_j / m, and 2 rho as ints, all in
+        simple-root coordinates.  Built on first use."""
+        r = self.rank
+        flat, m = scaled_ints([x for row in self.weight_form for x in row])
+        two_rho = [2 * x for x in self.rootSystem.rho]
+        if any(x.denominator != 1 for x in two_rho):
+            raise InvariantError("2 rho is not integral in simple-root coordinates")
+        return tuple(flat[i * r:(i + 1) * r] for i in range(r)), m, tuple(int(x) for x in two_rho)
+
     def content_hash(self) -> str:
         cached = getattr(self, "_content_hash", None)
         if cached is None:
@@ -546,10 +559,12 @@ class IntAlgebra:
         return self.data.dim
 
 
-def _scaled(values: Sequence[Fraction]) -> Tuple[Tuple[int, ...], int]:
-    """(ints, scale) with ints[i] / scale = values[i], scale the lcm of the denominators."""
+def scaled_ints(values: Sequence[int | Fraction]) -> Tuple[Tuple[int, ...], int]:
+    """(ints, scale) with ints[i] / scale = values[i], scale the lcm of the
+    denominators: the one entry of ints and ``Fraction``s alike to int
+    arithmetic."""
     scale = lcm(*(x.denominator for x in values))
-    return tuple(int(x * scale) for x in values), scale
+    return tuple(x.numerator * (scale // x.denominator) for x in values), scale
 
 
 def int_algebra(data: AlgebraData) -> IntAlgebra:
@@ -568,7 +583,7 @@ def int_algebra(data: AlgebraData) -> IntAlgebra:
         partners.append(nonzero[0])
     form = [Fraction(row[b]) for row, b in zip(data.gram, partners)]
     dual_metric = [1 / Fraction(row[i]) for i, row in enumerate(data.hermGram)]
-    (gram, g), (gram_inv, e), (metric, m) = (_scaled(xs) for xs in (form, [1 / x for x in form], dual_metric))
+    (gram, g), (gram_inv, e), (metric, m) = (scaled_ints(xs) for xs in (form, [1 / x for x in form], dual_metric))
     if any(Fraction(c).denominator != 1 for w in data.basis_weights for c in w):
         raise InvariantError("a basis weight is not integral in simple-root coordinates")
     return IntAlgebra(
@@ -683,10 +698,14 @@ def is_dominant(data: AlgebraData, weight: Sequence[Fraction]) -> bool:
     return all(rs.pair_coroot(weight, i) >= 0 for i in range(data.rank))
 
 
-def casimir_eigenvalue(data: AlgebraData, lowestWeight: Sequence[Fraction]) -> Fraction:
-    """-<rho, lambda> + ||lambda||^2 / 2 for an antidominant lowest weight."""
-    lam = tuple(Fraction(x) for x in lowestWeight)
+def casimir_eigenvalue(data: AlgebraData, lowestWeight: Sequence[int | Fraction]) -> Fraction:
+    """-<rho, lambda> + ||lambda||^2 / 2 for an antidominant lowest weight,
+    on ints: with lambda = l / D over one denominator and the weight form
+    W / m (``weight_ints``), it is (l W l - D * 2rho W l) / (2 m D^2)."""
+    lam, den = scaled_ints(lowestWeight)
     if not is_dominant(data, tuple(-x for x in lam)):
-        raise ValueError(f"{lam} is not the lowest weight of an irreducible (-lambda not dominant)")
-    rho = data.rootSystem.rho
-    return -data.weight_pairing(rho, lam) + data.weight_pairing(lam, lam) / 2
+        raise ValueError(f"{tuple(lowestWeight)} is not the lowest weight of an irreducible (-lambda not dominant)")
+    form, m, two_rho = data.weight_ints
+    w_lam = [sum(map(int.__mul__, row, lam)) for row in form]
+    norm, rho_term = sum(map(int.__mul__, lam, w_lam)), sum(map(int.__mul__, two_rho, w_lam))
+    return Fraction(norm - den * rho_term, 2 * m * den * den)

@@ -15,6 +15,9 @@ from jetcohom.affine import (
     simple_affine_roots,
 )
 
+from jetcohom.exactlinalg import invert
+from jetcohom.liealg import AlgebraSpec, build_algebra, casimir_eigenvalue
+
 import oracles
 
 
@@ -191,6 +194,27 @@ def test_shift_formula_identity_random(a2):
             - a2.coxeter * k
         )
         assert laplacian_shift(a2, w) == expect
+
+
+@pytest.mark.parametrize("series, rank", [("A", 2), ("B", 2), ("G", 2), ("F", 4)])
+def test_int_casimir_and_shift_equal_their_fraction_pairings(series, rank):
+    """Both closed forms run on ints over the weight form's scale; on int and
+    rational inputs alike they equal the same forms computed in ``Fraction``
+    through the weight pairing and the affine pairing."""
+    data = build_algebra(AlgebraSpec(series, rank))
+    rho, r = data.rootSystem.rho, rho_hat(data)
+    # the fundamental weights in simple-root coordinates: <omega_i, alpha_j^vee> = delta_ij
+    fundamental = list(zip(*invert(data.rootSystem.cartan)))
+    rng = random.Random(5)
+    weights = [tuple(-c for c in data.rootSystem.theta)]  # ints
+    for _ in range(20):
+        coeffs = [rng.randint(0, 3) for _ in range(rank)]
+        weights.append(tuple(-sum(a * omega[j] for a, omega in zip(coeffs, fundamental)) for j in range(rank)))
+    for lam in weights:
+        assert casimir_eigenvalue(data, lam) == -data.weight_pairing(rho, lam) + data.weight_pairing(lam, lam) / 2
+        w = AffineWeight(F(rng.randint(-4, 4), rng.choice((1, 3))), lam, F(rng.randint(-3, 3), rng.choice((1, 2))))
+        diff = w - r
+        assert laplacian_shift(data, w) == (affine_pairing(data, diff, diff) - affine_pairing(data, r, r)) / 2
 
 
 def test_predictions(a1, a2):

@@ -509,6 +509,22 @@ def test_reports_match_the_golden_files(a1_report, a2_report, fmt):
         assert serialize_report(report, fmt).encode() == (GOLDEN / f"{name}.{fmt}").read_bytes(), name
 
 
+def test_b2_report_matches_its_golden_file():
+    # the one benchmark configuration beyond A1 and A2: its weight form has thirds
+    report = cmd_compute(RunConfig(series="B", rank=2, maxDegree=2, maxEnergy=4))
+    assert serialize_report(report, "json").encode() == (GOLDEN / "b2_2_4.json").read_bytes()
+
+
+@pytest.mark.parametrize("name, flags", [
+    ("predict_g2_6", ["--series", "G", "--rank", "2", "--max-degree", "6"]),
+    ("predict_f4_3", ["--series", "F", "--rank", "4", "--max-degree", "3"]),
+])
+def test_predict_reports_match_the_golden_files(tmp_path, name, flags):
+    out = tmp_path / f"{name}.json"
+    assert main(["predict", *flags, "--format", "json", "--output", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
 @pytest.mark.parametrize("name, flags", [
     ("identities_a1_m2_3_g1", ["--series", "A", "--rank", "1", "--kmin", "-2", "--kmax", "3", "--guard", "1"]),
     ("identities_a2_m1_2_g1", ["--series", "A", "--rank", "2", "--kmin", "-1", "--kmax", "2", "--guard", "1"]),

@@ -65,6 +65,16 @@ def backend_a2_m1_2(a2):
     return OrthonormalBackend(a2, EnergyWindow(-1, 2, 1))
 
 
+@pytest.fixture(scope="module")
+def backend_b2_m1_2():
+    return OrthonormalBackend(build_algebra(AlgebraSpec("B", 2)), EnergyWindow(-1, 2, 1))
+
+
+@pytest.fixture(scope="module")
+def backend_g2_m1_2():
+    return OrthonormalBackend(build_algebra(AlgebraSpec("G", 2)), EnergyWindow(-1, 2, 1))
+
+
 def test_window_validation():
     with pytest.raises(ValueError):
         EnergyWindow(1, 3, 0)
@@ -575,14 +585,22 @@ def _two_step_dstar_column(backend, mono):
     return out
 
 
-@pytest.mark.parametrize("which, max_energy", [
-    ("backend", 4),   # A1 [-2,3]: margin 0, every monomial of energy <= 4
-    ("backend_a2_m1_2", 1),   # A2 [-1,2]: margin 0, energy <= 1
-], ids=["a1_m2_3", "a2_m1_2"])
-def test_inline_d_and_dstar_columns_equal_the_step_by_step_reference(request, which, max_energy):
+# (backend fixture, energy cap, mode-count cap): every monomial of the window
+# (margin 0) under both caps, more than 1,000 of them on each algebra
+_COLUMN_SETS = [
+    ("backend", 4, None),   # A1 [-2,3]
+    ("backend_a2_m1_2", 1, None),   # A2 [-1,2]
+    ("backend_b2_m1_2", 1, 3),   # B2 [-1,2], not simply laced
+    ("backend_g2_m1_2", 2, 2),   # G2 [-1,2], structure constants up to 3
+]
+_COLUMN_SET_IDS = ["a1_m2_3", "a2_m1_2", "b2_m1_2", "g2_m1_2"]
+
+
+@pytest.mark.parametrize("which, max_energy, max_particles", _COLUMN_SETS, ids=_COLUMN_SET_IDS)
+def test_inline_d_and_dstar_columns_equal_the_step_by_step_reference(request, which, max_energy, max_particles):
     b = request.getfixturevalue(which)
     d, dstar = _d_monomial.__wrapped__, _dstar_monomial.__wrapped__  # unmemoised
-    mons = monomials_in_support(b, 0, max_energy)
+    mons = monomials_in_support(b, 0, max_energy, max_particles)
     assert len(mons) > 1000
     for mono in mons:
         # equal values in the same order: later sums see the same terms
@@ -614,21 +632,49 @@ def test_one_pass_d_and_dtilde_columns_equal_the_single_twist_kernel(request, se
             assert list(_two_step_d_column(b, twisted, mono).items()) == want
 
 
-@pytest.mark.parametrize("which, max_energy", [
-    ("backend", 4),
-    ("backend_a2_m1_2", 1),
-], ids=["a1_m2_3", "a2_m1_2"])
-def test_dstar_equals_the_kernel_that_read_memoised_L_columns(request, which, max_energy):
-    """dtilde* runs each L_{i,-k} move table itself, memoising no L column,
-    and gives the columns, term for term, of the kernel that read them from
-    the L memos."""
+@pytest.mark.parametrize("which, max_energy, max_particles", _COLUMN_SETS, ids=_COLUMN_SET_IDS)
+def test_dstar_equals_the_kernel_that_read_memoised_L_columns(request, which, max_energy, max_particles):
+    """dtilde* runs, per term, only the part of the L_{i,-k} move table
+    whose outputs iota_{b,k} keeps, memoising no L column, and gives the
+    columns, term for term and in the same order, of the kernel that read
+    whole L columns from the L memos and dropped what iota removes."""
     b = request.getfixturevalue(which)
-    mons = monomials_in_support(b, 0, max_energy)
+    mons = monomials_in_support(b, 0, max_energy, max_particles)
     assert len(mons) > 1000
     fresh = OrthonormalBackend(b.alg.data, b.window)
     for mono in mons:
         assert list(_pairs(_dstar_monomial(fresh, mono))) == list(oracles.dstar_from_memoised_L(b, mono).items())
     assert "_L_monomial" not in fresh.columns
+
+
+def test_a_flipping_move_filed_in_the_even_table_fails_the_dstar_checks(a1, monkeypatch):
+    """Each dtilde* term runs its even table where iota_{b,k} can act and
+    its odd table where it cannot (``_dstar_rows``).  A move that flips
+    the bit of (b, k) once, filed in the even table in place of the odd
+    one, never runs where its output would be kept: dtilde* loses that
+    term, and both checks that read dtilde* fail.  (A copy filed in both
+    tables would change nothing: by the torus grading every flipping move
+    is an eps step onto (b, k), which needs the mode empty, so in the even
+    table it never fires.)"""
+    real = fock._dstar_rows
+    filed = []
+
+    def doctored(backend):
+        rows = real(backend)
+        j = next(j for j, row in enumerate(rows) if row[-1])  # the first term with an odd table
+        coef, bit, mask, c, empty, even, ((_gate, (move, *others)), *rest) = rows[j]
+        assert ((move[0] == bit) + (move[3] == bit)) % 2 == 1
+        odd = ([fock._level(others)] if others else []) + rest
+        rows[j] = (coef, bit, mask, c, empty, even + [fock._level([move])], odd)
+        filed.append(move)
+        return rows
+
+    monkeypatch.setattr(fock, "_dstar_rows", doctored)
+    backend = OrthonormalBackend(a1, WINDOW)
+    for check in (laplacian_formula_check, dtilde_adjoint_matrix_check):
+        verdict = check(backend)
+        assert not verdict.skipped and not verdict.passed, verdict.identity
+    assert len(filed) == 1  # one dtilde* memo, built once
 
 
 def test_a_d_term_at_another_energy_fails_the_energy_check(a1, monkeypatch):
