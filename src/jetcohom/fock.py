@@ -54,7 +54,11 @@ exact, and over every generator, window mode and cochain column they
 name; only the monomial sets are capped (and ``leibniz_check`` draws
 seeded random wedges).  Each check declares the minimum window guard it
 needs and emits a skip verdict below that, or when its guarded support
-holds only the vacuum, never a silent pass.
+holds only the vacuum, never a silent pass.  One check passes on the
+vacuum alone: ``commutator_check`` takes its monomials at shift k with
+margin max(|k|, 1) + 1, which on A2, B2 and G2 [-1,2] guard 1 leaves only
+the vacuum at every shift, yet it still acts there with the steps at each
+mode level of the window, so it passes with one vector per shift.
 
 A backend is one algebra on one energy window, so no operator, check or
 enumeration takes a window of its own.  Operators exist only as column
@@ -64,27 +68,26 @@ functions: one monomial to its column, the flat tuple (m1, c1, m2, c2,
 ``_apply`` adds an operator, given by its column function, applied to
 such pairs into a vector (a dict).  Each check subtracts its right side
 into the vector of its left side and compares that one residual, lhs -
-rhs, with 0.  The columns of L_{i,k}, d or dtilde and dtilde* are
-memoised on the backend by one decorator, in one ``_Memo`` per operator
-and parameter set: a dict keyed by the monomial alone
-(``columns["_L_monomial"][(i, k)][mono]``) that computes a missing
-column when it is looked up.  A tuple cannot be changed, so no column
-needs a read-only view.  A check looks each memo up once, before its
-loop (``_columns``), through the operator's module name, so a column
-function put in that name's place is the one called.  A miss is one call
-of a kernel bound to tables built once from the backend, never to the
-backend itself, so a backend and its memos are freed by reference
-counting alone: ``_run_moves`` on the move table of L_{i,k}, ``_d_pair``
-on the terms of d, ``_run_dstar`` on those of dtilde*.  d and dtilde*
-run the move table of each L_{i,k} they need directly, memoising no L
-column for it; only their own columns are memoised.  dtilde* runs, per
-term iota_{b,k} L_{i,-k}, only the part of the table whose outputs iota
-keeps: the moves that flip the bit of (b, k) once where it is empty, the
-others where it is occupied (``_dstar_rows``).  d and dtilde are
-twins: dtilde negates the k <= 0 terms of d, which come first, so one
-pass builds both columns of a monomial, and a miss on either files both,
-each in its own memo, the two memos holding each other by weak
-references (``_TwinMemo``).
+rhs, with 0.  The columns of L_{i,k}, d, dtilde and dtilde* are memoised
+on the backend, each operator in one ``_Memo``: a dict keyed by the
+monomial that computes a missing column when it is looked up.
+``backend.L(i, k)`` is the memo of L_{i,k}, and ``backend.d``,
+``backend.dtilde`` and ``backend.dstar`` those of the others, each built
+on first use.  A tuple cannot be changed, so no column needs a read-only
+view.  A check binds each memo it reads once, before its loop, so an
+operator set on the backend in a memo's place is the one it reads.  A
+miss is one call of a kernel bound to tables built once from the
+backend, never to the backend itself, so a backend and its memos are
+freed by reference counting alone: ``_run_moves`` on the move table of
+L_{i,k}, ``_d_pair`` on the terms of d, ``_run_dstar`` on those of
+dtilde*.  d and dtilde* run the move table of each L_{i,k} they need
+directly, memoising no L column for it.  dtilde* runs, per term iota_{b,k}
+L_{i,-k}, only the part of the table whose outputs iota keeps: the moves
+that flip the bit of (b, k) once where it is empty, the others where it
+is occupied (``_dstar_rows``).  d and dtilde are twins: dtilde negates
+the k <= 0 terms of d, which come first, so one pass builds both columns
+of a monomial, and a miss on either files both, each in its own memo,
+the two memos holding each other by weak references (``_TwinMemo``).
 The kernels and the checks that take single-mode steps read step rows
 inline, as ``clifford_check`` does; the vacuum check, ``_pairing`` and
 ``_eps_wedge_column`` (a wedge of eps steps) go through
@@ -109,10 +112,9 @@ no dense matrix is formed.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial, wraps
+from functools import cache, cached_property, partial
 from itertools import chain
 from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
@@ -164,8 +166,13 @@ class OrthonormalBackend:
     ``moves`` keeps the move table of each L_{i,k} (``_moves``).
     ``energy_masks`` holds one mask per w = 1, 2, ...: the bits of the
     modes at levels k with |k| >= w, so a mode at level k lies under |k|
-    of them.  ``columns[name][params]`` is the ``_Memo`` of one memoised
-    operator."""
+    of them.
+
+    The memoised operators are attributes, each a ``_Memo`` built on first
+    use: ``L(i, k)`` is the memo of L_{i,k}, kept in ``Ls``, and ``d``,
+    ``dtilde`` and ``dstar`` those of d, dtilde and dtilde*.  An operator
+    set on the backend in one's place (``backend.d = ...``, ``Ls[i, k] =
+    ...``) is the one its checks read."""
 
     def __init__(self, data: AlgebraData, window: EnergyWindow):
         self.alg = int_algebra(data)
@@ -185,8 +192,47 @@ class OrthonormalBackend:
         self.energy_masks = [sum(bit for (_i, k), (bit, *_rest) in self.steps.items() if abs(k) >= w)
                              for w in range(1, max(window.kMax, -window.kMin) + 1)]
         self.moves: Dict[Tuple[int, int], MoveTable] = {}
-        self.columns: Dict[str, Dict[tuple, _Memo]] = defaultdict(dict)
+        self.Ls: Dict[Tuple[int, int], _Memo] = {}
         self.bases: Dict[Tuple[int, int | None, int | None, int | None], Tuple[SemiInfMonomial, ...]] = {}
+
+    def L(self, i: int, k: int) -> _Memo:
+        """The memo of L_{i,k} = sum_s f_{iq}^p :iota_{p,s} eps^{q,s-k}:
+        with both modes in the window, over the scale s of the structure
+        constants; normal ordering puts iota first for s <= 0 and -eps iota
+        for s > 0 (operator products act right to left).  Each term is one
+        row of the move table (``_moves``): two single-mode steps on the
+        int."""
+        memo = self.Ls.get((i, k))
+        if memo is None:
+            memo = self.Ls[i, k] = _Memo(partial(_run_moves, _moves(self, i, k)))
+        return memo
+
+    @cached_property
+    def d(self) -> _Memo:
+        """The memo of d = 1/2 sum_{i,k} L_{i,k} eps^{i,k}, windowed, over
+        2s, made with that of its twin ``dtilde``: a miss on either files
+        both columns from one pass (``_d_pair``) over the terms of d, per
+        window mode ascending by (k, i) and split into k <= 0 and k > 0:
+        the step row of (i, k) and the move table of L_{i,k}."""
+        rows: Tuple[List[tuple], List[tuple]] = ([], [])
+        for (i, k), step in self.steps.items():
+            rows[k > 0].append((*step, _moves(self, i, k)))
+        d, dtilde = _TwinMemo(partial(_d_pair, rows, False)), _TwinMemo(partial(_d_pair, rows, True))
+        d.twin, dtilde.twin = ref(dtilde), ref(d)
+        self.dtilde = dtilde
+        return d
+
+    @cached_property
+    def dtilde(self) -> _Memo:
+        """The memo of dtilde, which negates the k <= 0 terms of d."""
+        return self.d.twin()
+
+    @cached_property
+    def dstar(self) -> _Memo:
+        """The memo of dtilde* = -1/2 sum_k s_k sum_{i,b} (G^-1)_{ib}
+        iota_{b,k} L_{i,-k}, over 2se: the adjoint of dtilde under the Fock
+        pairing (``_run_dstar``)."""
+        return _Memo(partial(_run_dstar, _dstar_rows(self)))
 
 
 _mode_key: Callable[[Mode], Tuple[int, int]] = itemgetter(1, 0)  # (i, k) -> (k, i)
@@ -304,12 +350,12 @@ def _flat(out: FockVector) -> ColumnTuple:
 
 
 class _Memo(dict):
-    """The columns of one memoised operator at one parameter set on one
-    backend, keyed by monomial: ``memo[mono]`` computes a missing column
-    once, as ``column(mono)``, and stores it flat (``_flat``).  ``column``
-    is a kernel bound to tables built from the backend, never to the
-    backend itself, so a miss is one call and the backend and its memos
-    are freed by reference counting alone."""
+    """The columns of one memoised operator on one backend, keyed by
+    monomial: ``memo[mono]`` computes a missing column once, as
+    ``column(mono)``, and stores it flat (``_flat``).  ``column`` is a
+    kernel bound to tables built from the backend, never to the backend
+    itself, so a miss is one call and the backend and its memos are freed
+    by reference counting alone."""
     __slots__ = ("column",)
 
     def __init__(self, column: Callable[[SemiInfMonomial], FockVector]):
@@ -333,43 +379,6 @@ class _TwinMemo(_Memo):
         self.twin()[mono] = _flat(other)
         col = self[mono] = _flat(own)
         return col
-
-
-def _memo_column(make):
-    """Memoise the column function ``fn(backend, *params, mono)`` in the
-    ``_Memo`` ``backend.columns[fn.__name__][params]``, which
-    ``make(backend, *params)`` builds, keyed by params, with any twin it
-    fills; ``.memo(backend, *params)`` returns that memo, and
-    ``.__wrapped__`` is ``fn``, unmemoised."""
-
-    def decorate(fn):
-        name = fn.__name__
-
-        def memo(backend: OrthonormalBackend, *params) -> _Memo:
-            memos = backend.columns[name]
-            found = memos.get(params)
-            if found is None:
-                memos.update(make(backend, *params))
-                found = memos[params]
-            return found
-
-        @wraps(fn)
-        def column(backend: OrthonormalBackend, *args) -> ColumnTuple:
-            return memo(backend, *args[:-1])[args[-1]]
-
-        column.memo = memo
-        return column
-
-    return decorate
-
-
-def _columns(op, backend: OrthonormalBackend, *params) -> Column:
-    """``op(backend, *params, mono)`` as a function of ``mono`` alone, for a
-    check to look up once before its loop: the lookup of op's memo, or op
-    itself bound to its arguments when op is a column function that is not
-    memoised (one that stands in for a memoised operator)."""
-    memo = getattr(op, "memo", None)
-    return memo(backend, *params).__getitem__ if memo else partial(op, backend, *params)
 
 
 def _moves(backend: OrthonormalBackend, i: int, k: int) -> MoveTable:
@@ -429,38 +438,14 @@ def _run_moves(levels: MoveTable, mono: SemiInfMonomial) -> FockVector:
     return out
 
 
-def _L_memos(backend: OrthonormalBackend, i: int, k: int) -> Dict[tuple, _Memo]:
-    return {(i, k): _Memo(partial(_run_moves, _moves(backend, i, k)))}
-
-
-@_memo_column(_L_memos)
-def _L_monomial(backend: OrthonormalBackend, i: int, k: int, mono: SemiInfMonomial) -> FockVector:
-    """L_{i,k} = sum_s f_{iq}^p :iota_{p,s} eps^{q,s-k}: with both modes in
-    the window, over the scale s of the structure constants; normal
-    ordering puts iota first for s <= 0 and -eps iota for s > 0 (operator
-    products act right to left).  Each term is one row of the move table
-    (``_moves``): two single-mode steps on the int."""
-    return _run_moves(_moves(backend, i, k), mono)
-
-
-def _d_rows(backend: OrthonormalBackend) -> Tuple[List[tuple], List[tuple]]:
-    """The terms L_{i,k} eps^{i,k} of d, per window mode ascending by (k,
-    i), split into k <= 0 and k > 0: the step row of (i, k) and the move
-    table of L_{i,k}."""
-    rows: Tuple[List[tuple], List[tuple]] = ([], [])
-    for (i, k), step in backend.steps.items():
-        rows[k > 0].append((*step, _moves(backend, i, k)))
-    return rows
-
-
 def _d_pair(rows: Tuple[List[tuple], List[tuple]], twisted: bool, mono: SemiInfMonomial
             ) -> Tuple[FockVector, FockVector]:
     """d and dtilde of one monomial in one pass, over 2s, the column of
-    ``twisted`` first (``_d_rows``).  d = 1/2 sum_{i,k} L_{i,k} eps^{i,k},
-    windowed; dtilde negates its k <= 0 terms.  Those come first, so
-    dtilde starts as the negated sum of d's, and each k > 0 term, with its
-    L_{i,k} column run once, is added to both, in the order of a pass of
-    either alone."""
+    ``twisted`` first (``OrthonormalBackend.d``).  d = 1/2 sum_{i,k}
+    L_{i,k} eps^{i,k}, windowed; dtilde negates its k <= 0 terms.  Those
+    come first, so dtilde starts as the negated sum of d's, and each k > 0
+    term, with its L_{i,k} column run once, is added to both, in the order
+    of a pass of either alone."""
     low, high = rows
     d: FockVector = {}
     get = d.get
@@ -488,24 +473,6 @@ def _d_pair(rows: Tuple[List[tuple], List[tuple]], twisted: bool, mono: SemiInfM
                 else:
                     del out[m2]
     return (dtilde, d) if twisted else (d, dtilde)
-
-
-def _d_memos(backend: OrthonormalBackend, _twisted: bool) -> Dict[tuple, _Memo]:
-    """The memos of d and dtilde, made together as twins."""
-    rows = _d_rows(backend)
-    d, dtilde = _TwinMemo(partial(_d_pair, rows, False)), _TwinMemo(partial(_d_pair, rows, True))
-    d.twin, dtilde.twin = ref(dtilde), ref(d)
-    return {(False,): d, (True,): dtilde}
-
-
-@_memo_column(_d_memos)
-def _d_monomial(backend: OrthonormalBackend, twisted: bool, mono: SemiInfMonomial) -> FockVector:
-    """d = 1/2 sum_{i,k} L_{i,k} eps^{i,k}, windowed, of one monomial, over
-    2s; with ``twisted``, dtilde, whose k <= 0 terms enter with a minus
-    sign.  eps^{i,k} is read from the step table, and each L_{i,k} column
-    is run from its move table, not memoised.  The memo computes d and
-    dtilde together (``_d_pair``) and files both."""
-    return _d_pair(_d_rows(backend), twisted, mono)[0]
 
 
 def _dstar_rows(backend: OrthonormalBackend) -> List[tuple]:
@@ -560,17 +527,6 @@ def _run_dstar(rows: List[tuple], mono: SemiInfMonomial) -> FockVector:
             else:
                 del out[target]
     return out
-
-
-def _dstar_memos(backend: OrthonormalBackend) -> Dict[tuple, _Memo]:
-    return {(): _Memo(partial(_run_dstar, _dstar_rows(backend)))}
-
-
-@_memo_column(_dstar_memos)
-def _dstar_monomial(backend: OrthonormalBackend, mono: SemiInfMonomial) -> FockVector:
-    """dtilde* = -1/2 sum_k s_k sum_{i,b} (G^-1)_{ib} iota_{b,k} L_{i,-k},
-    over 2se: the adjoint of dtilde under the Fock pairing."""
-    return _run_dstar(_dstar_rows(backend), mono)
 
 
 def _pairing(backend: OrthonormalBackend, mono: SemiInfMonomial) -> Tuple[int, int, SemiInfMonomial]:
@@ -694,13 +650,10 @@ def _small(backend: OrthonormalBackend) -> bool:
 
 def check_basis(backend: OrthonormalBackend, margin: int, max_energy: int | None,
                 cap: int | None = None) -> List[SemiInfMonomial]:
-    """Deterministic quantifier set for an identity check.
-
-    Small windows (up to 18 candidate modes, which covers the rank-one
-    acceptance window) enumerate every supported monomial under the energy
-    cap; larger mode sets additionally restrict to at most four modes off
-    the vacuum and truncate to ``cap`` vectors in (energy, monomial int)
-    order.
+    """Deterministic quantifier set for an identity check: the supported
+    monomials under the energy cap in (energy, monomial int) order, cut
+    at ``cap``.  Above 18 candidate modes (the rank-one acceptance window
+    has 18) each monomial also holds at most four modes off the vacuum.
     Only the energy shells up to the one that reaches ``cap`` are built,
     and each set is memoised per margin, energy cap and ``cap``.
     """
@@ -828,7 +781,7 @@ def commutator_check(backend: OrthonormalBackend) -> IdentityVerdict:
         # per i: L_{i,k}, and per (j, m) and step (iota_{j,m}, then eps^{j,m}) its
         # row (bit, need, mask, c), applied where mono & bit == need, and the
         # (coefficient, row) terms of its right side
-        per_i = [(_columns(_L_monomial, backend, i, k),
+        per_i = [(backend.L(i, k).__getitem__,
                   [term for j in range(n) for m in modes for term in (
                       (iota((j, m)), [(-c, iota((p, m + k))) for p, c in f[i].get(j, {}).items()]),
                       (eps((j, m)), [(col[j], eps((q, m - k))) for q, col in f[i].items() if j in col]))])
@@ -876,14 +829,14 @@ def cocycle_check(backend: OrthonormalBackend, i: int, j: int, k: int,
     if lo > 0 or hi < 1:
         return Fraction(0), _skip(backend, name, "guarded support for margin 2|k| is empty")
     basis = check_basis(backend, margin, max_energy, cap=400 if _small(backend) else 40)
-    Li, Lj = _columns(_L_monomial, backend, i, k), _columns(_L_monomial, backend, j, -k)
+    Li, Lj = backend.L(i, k).__getitem__, backend.L(j, -k).__getitem__
 
     # both sides times g s^2: the commutator is over s^2, G_ij over g
     alg = backend.alg
     g, s = alg.gram_scale, alg.scale
     partner, g_ij = alg.gram[i]
     expected = 2 * alg.data.coxeter * k * s * s * (g_ij if j == partner else 0)
-    bracket = [(-g * c, _columns(_L_monomial, backend, p, 0)) for p, c in alg.structure[i].get(j, {}).items()]
+    bracket = [(-g * c, backend.L(p, 0).__getitem__) for p, c in alg.structure[i].get(j, {}).items()]
     diag: List[int] = []
     err = 0
     for mono in basis:
@@ -909,9 +862,8 @@ def vacuum_checks(backend: OrthonormalBackend) -> IdentityVerdict:
             hit = (iota_monomial if k > 0 else eps_monomial)(backend, (i, k), VACUUM)
             found.append(((hit[1], hit[0]) if hit else (), 1))
             if k > 0:
-                found.append((_L_monomial(backend, i, k, VACUUM), s))
-    found += [(_L_monomial(backend, 0, 0, VACUUM), s), (_d_monomial(backend, False, VACUUM), 2 * s),
-              (_d_monomial(backend, True, VACUUM), 2 * s)]
+                found.append((backend.L(i, k)[VACUUM], s))
+    found += [(backend.L(0, 0)[VACUUM], s), (backend.d[VACUUM], 2 * s), (backend.dtilde[VACUUM], 2 * s)]
     err = max(Fraction(max(map(abs, col[1::2]), default=0), scale) for col, scale in found)
     return _verdict(backend, "vacuum_annihilation", err, 1)
 
@@ -925,9 +877,9 @@ def energy_bookkeeping_check(backend: OrthonormalBackend) -> IdentityVerdict:
     energy_of = cache(partial(energy, backend))  # each monomial's energy is computed once
     # per mode (i, k): its step row and L_{i,k}; a step on it is iota where
     # the mode is occupied and eps where it is empty
-    rows = [(k, backend.steps[i, k], _columns(_L_monomial, backend, i, k))
+    rows = [(k, backend.steps[i, k], backend.L(i, k).__getitem__)
             for k in range(window.kMin + 1, window.kMax) for i in range(n)]
-    ds = [_columns(_d_monomial, backend, twisted) for twisted in (False, True)]
+    ds = [backend.d.__getitem__, backend.dtilde.__getitem__]
     bad = 0
     for mono in basis:
         e0 = energy_of(mono)
@@ -945,8 +897,8 @@ def l0_commutes_with_d_check(backend: OrthonormalBackend) -> IdentityVerdict:
     basis = check_basis(backend, backend.window.guard, 4, cap=1100 if _small(backend) else 12)
     if basis == [VACUUM]:
         return _skip_vacuum_only(backend, "L0_commutes_with_d", backend.window.guard)
-    d = _columns(_d_monomial, backend, False)
-    L0s = [_columns(_L_monomial, backend, i, 0) for i in range(backend.n)]
+    d = backend.d.__getitem__
+    L0s = [backend.L(i, 0).__getitem__ for i in range(backend.n)]
     err = 0
     for mono in basis:
         d_mono = d(mono)
@@ -1011,7 +963,7 @@ def leibniz_check(backend: OrthonormalBackend) -> IdentityVerdict:
     if not coch_modes:
         return _skip(backend, "leibniz_rule", f"no cochain mode: kMax - guard = {hi} < 1")
     basis = check_basis(backend, window.guard, 4, cap=700 if _small(backend) else 60)
-    d = _columns(_d_monomial, backend, False)
+    d = backend.d.__getitem__
 
     def wedge(modes: Sequence[Mode], v: FockVector, coeff: int, out: FockVector) -> FockVector:
         return _apply(partial(_eps_wedge_column, backend, modes), v.items(), coeff, out)
@@ -1044,7 +996,7 @@ def d_squared_check(backend: OrthonormalBackend) -> IdentityVerdict:
         return _skip_vacuum_only(backend, "d_squared_closed_form", window.guard)
     alg, steps = backend.alg, backend.steps
     s, g = alg.scale, alg.gram_scale
-    d = _columns(_d_monomial, backend, False)
+    d = backend.d.__getitem__
     # eps^{a,k} eps^{b,-k} as the step rows of (b, -k) and (a, k), and its coefficient
     terms = [(steps[b, -k], steps[a, k], 8 * s * s * alg.data.coxeter * k * x)
              for k in range(1, min(window.kMax, -window.kMin) + 1) for a, (b, x) in enumerate(alg.gram)]
@@ -1075,8 +1027,7 @@ def laplacian_formula_check(backend: OrthonormalBackend) -> IdentityVerdict:
     cols = check_basis(backend, window.guard, 3, cap=600 if _small(backend) else 30)
     if cols == [VACUUM]:
         return _skip_vacuum_only(backend, "laplacian_closed_form", window.guard)
-    d = _columns(_d_monomial, backend, False)
-    dstar = _columns(_dstar_monomial, backend)
+    d, dstar = backend.d.__getitem__, backend.dstar.__getitem__
     err = 0
     for mono in cols:
         res = _apply(dstar, _pairs(d(mono)), 1, _apply(d, _pairs(dstar(mono))))
@@ -1108,7 +1059,7 @@ def _closed_form_monomial(backend: OrthonormalBackend, mono: SemiInfMonomial, co
         else:
             del out[target]
     for i, (j, x) in enumerate(alg.gram_inv):
-        _apply(_columns(_L_monomial, backend, i, 0), _pairs(_L_monomial(backend, j, 0, mono)), 2 * x * coeff, out)
+        _apply(backend.L(i, 0).__getitem__, _pairs(backend.L(j, 0)[mono]), 2 * x * coeff, out)
     return out
 
 
@@ -1127,7 +1078,7 @@ def dtilde_adjoint_matrix_check(backend: OrthonormalBackend) -> IdentityVerdict:
         return _skip(backend, name, "window guard < 1")
     block_cap = 800
     e_scale = backend.alg.gram_inv_scale
-    dtilde, dstar = _columns(_d_monomial, backend, True), _columns(_dstar_monomial, backend)
+    dtilde, dstar = backend.dtilde.__getitem__, backend.dstar.__getitem__
     err = Fraction(0)
     count = 0
     for e, (size, build) in enumerate(_energy_shells(backend, 0, 3 if _small(backend) else 1, None)):
@@ -1178,7 +1129,7 @@ def d_matches_cochain_check(backend: OrthonormalBackend) -> IdentityVerdict:
         """A cochain wedge's column: its monomial eps(wedge) Omega, with its sign."""
         return _eps_wedge_column(backend, [(a, level) for level, a in wedge], VACUUM)
 
-    d = _columns(_d_monomial, backend, False)
+    d = backend.d.__getitem__
     basis = cache(partial(build_basis, backend.alg))  # each cell's basis is built once
 
     err = Fraction(0)

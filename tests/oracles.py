@@ -255,15 +255,13 @@ def tuple_casimir(alg: IntAlgebra, basis: Sequence[Wedge]) -> ScaledColumns:
 def dstar_from_memoised_L(backend, mono: int) -> Dict[int, int]:
     """dtilde* of one monomial over 2se, as the kernel that read each
     L_{i,-k} column from its memo and applied iota_{b,k} from the step
-    table, in the same loop order as ``fock._dstar_monomial``."""
-    from jetcohom.fock import _L_monomial
-
+    table, in the same loop order as ``backend.dstar``."""
     out: Dict[int, int] = {}
     for k in range(backend.window.kMin, backend.window.kMax + 1):
         sk = 1 if k > 0 else -1
         for i, (b, x) in enumerate(backend.alg.gram_inv):
             bit, mask, c, empty = backend.steps[b, k]
-            col = _L_monomial(backend, i, -k, mono)
+            col = backend.L(i, -k)[mono]
             for m1, c1 in zip(col[::2], col[1::2]):
                 if m1 & bit == empty:
                     continue

@@ -37,11 +37,8 @@ from jetcohom.fock import (
     monomials_in_support,
     vacuum_checks,
     verify_identity_suite,
-    _L_monomial,
     _apply,
     _closed_form_monomial,
-    _d_monomial,
-    _dstar_monomial,
     _pairs,
 )
 
@@ -133,7 +130,7 @@ def test_cocycle_skip_when_guard_too_small(a1):
 def test_L_annihilates_vacuum_for_positive_shift(backend):
     for k in (1, 2):
         for i in range(backend.n):
-            assert _L_monomial(backend, i, k, VACUUM) == ()
+            assert backend.L(i, k)[VACUUM] == ()
 
 
 def test_energy_bookkeeping(backend):
@@ -165,7 +162,7 @@ def test_d_squared_formula(backend):
 def test_d_squared_vanishes_on_cochain_sector(backend):
     # all modes k >= 1: the right-hand side needs a hole to fill
     for wedge in (((0, 1),), ((0, 1), (1, 2))):
-        d = partial(_d_monomial, backend, False)
+        d = backend.d.__getitem__
         assert _apply(d, _pairs(d(encode_monomial(backend, wedge)))) == {}
 
 
@@ -403,70 +400,82 @@ def test_memoised_columns_match_fresh_backend(a1):
     for mono in basis:
         for i in range(warm.n):
             for k in (-1, 0, 1):
-                col = _L_monomial(warm, i, k, mono)
-                assert col is _L_monomial(warm, i, k, mono)
-                assert dict(_pairs(col)) == dict(_pairs(_L_monomial(fresh, i, k, mono)))
-        for twisted in (False, True):
-            col = _d_monomial(warm, twisted, mono)
-            assert col is _d_monomial(warm, twisted, mono)
-            assert dict(_pairs(col)) == dict(_pairs(_d_monomial(fresh, twisted, mono)))
-        col = _dstar_monomial(warm, mono)
-        assert col is _dstar_monomial(warm, mono)
-        assert dict(_pairs(col)) == dict(_pairs(_dstar_monomial(fresh, mono)))
+                col = warm.L(i, k)[mono]
+                assert col is warm.L(i, k)[mono]
+                assert dict(_pairs(col)) == dict(_pairs(fresh.L(i, k)[mono]))
+        for name in ("d", "dtilde", "dstar"):
+            col = getattr(warm, name)[mono]
+            assert col is getattr(warm, name)[mono]
+            assert dict(_pairs(col)) == dict(_pairs(getattr(fresh, name)[mono]))
 
 
 def test_memoised_columns_are_read_only_and_interned(backend):
-    col = _d_monomial(backend, False, encode_monomial(backend, ((0, 1),), ((1, 0),)))
+    col = backend.d[encode_monomial(backend, ((0, 1),), ((1, 0),))]
     assert col and isinstance(col, tuple)
     with pytest.raises(TypeError):
         col[0] = 1
     # all empty columns are one object
-    assert _d_monomial(backend, False, VACUUM) is _L_monomial(backend, 0, 1, VACUUM) is ()
+    assert backend.d[VACUUM] is backend.L(0, 1)[VACUUM] is fock._flat({})
 
 
-def _with_extra_term(fn, target, amount):
-    """``fn`` with the int ``amount`` added at ``target`` to its column of ``target``."""
-    def doctored(backend, *args):
-        col = fn(backend, *args)
-        if args[-1] != target:
-            return col
-        out = dict(_pairs(col))
-        out[target] = out.get(target, 0) + amount
-        return tuple(itertools.chain.from_iterable(out.items()))
-    return doctored
+def _with_extra_term(memo, target, amount, at=None):
+    """A memo of ``memo``'s operator with the int ``amount`` added at ``at``
+    (by default ``target`` itself) to its column of ``target``."""
+    def column(mono):
+        out = dict(_pairs(memo[mono]))
+        if mono == target:
+            key = target if at is None else at
+            out[key] = out.get(key, 0) + amount
+        return out
+    return fock._Memo(column)
 
 
-def test_doctored_d_fails_matrix_checks(a1, monkeypatch):
+def test_doctored_d_fails_matrix_checks(a1):
     backend = OrthonormalBackend(a1, WINDOW)
     cols = check_basis(backend, WINDOW.guard, 3)
-    target = next(m for m in cols if _dstar_monomial(backend, m))
+    target = next(m for m in cols if backend.dstar[m])
     # d is over 2s: the extra term is 1/2
-    monkeypatch.setattr(fock, "_d_monomial", _with_extra_term(_d_monomial, target, backend.alg.scale))
+    backend.d = _with_extra_term(backend.d, target, backend.alg.scale)
     d2 = d_squared_check(backend)
     lap = laplacian_formula_check(backend)
     assert not d2.passed and d2.max_abs_error >= 0.25
     assert not lap.passed and lap.max_abs_error > 0
 
 
-def test_doctored_dstar_fails_transpose_check(a1, monkeypatch):
+def test_doctored_dstar_fails_transpose_check(a1):
     backend = OrthonormalBackend(a1, WINDOW)
     target = encode_monomial(backend, ((1, 1),))  # e^{e,1} Omega pairs with e^{f,1} Omega to 1
     # dtilde* is over 2se: the extra term is 1/2
-    amount = backend.alg.scale * backend.alg.gram_inv_scale
-    monkeypatch.setattr(fock, "_dstar_monomial", _with_extra_term(_dstar_monomial, target, amount))
+    backend.dstar = _with_extra_term(backend.dstar, target, backend.alg.scale * backend.alg.gram_inv_scale)
     verdict = dtilde_adjoint_matrix_check(backend)
     assert not verdict.passed and verdict.max_abs_error >= 0.5
 
 
-def test_dstar_leaving_its_energy_block_raises(a1, monkeypatch):
+def test_a_doctored_L_column_fails_the_checks_that_read_the_L_memo(a1, monkeypatch):
+    """d and dtilde* run the move tables of L, not its memo, so only the
+    checks that read the L memo see a bad L_{0,0} column.  Adding a term at
+    the guarded monomial with one hole at (2, 0) to its own column fails
+    exactly three checks; ``energy_bookkeeping`` passes, since the added
+    term keeps its energy."""
+    make = fock.OrthonormalBackend
+
+    def doctored(data, window):
+        b = make(data, window)
+        target = encode_monomial(b, (), ((2, 0),))
+        assert target in check_basis(b, window.guard, 3)
+        b.Ls[0, 0] = _with_extra_term(b.L(0, 0), target, b.alg.scale)  # L is over s: the extra term is 1
+        return b
+
+    monkeypatch.setattr(fock, "OrthonormalBackend", doctored)
+    suite = verify_identity_suite(a1, WINDOW)
+    assert {v.identity: v.max_abs_error for v in suite if not v.passed} == {
+        "laplacian_closed_form": Fraction(3, 4), "L0_commutes_with_d": 2, "mode_action_commutators": 1}
+    assert not any(v.skipped for v in suite)
+
+
+def test_dstar_leaving_its_energy_block_raises(a1):
     backend = OrthonormalBackend(a1, WINDOW)
-    target = encode_monomial(backend, ((0, 1),))
-
-    def leaky(b, mono):
-        col = _dstar_monomial(b, mono)
-        return col + (VACUUM, 1) if mono == target else col
-
-    monkeypatch.setattr(fock, "_dstar_monomial", leaky)
+    backend.dstar = _with_extra_term(backend.dstar, encode_monomial(backend, ((0, 1),)), 1, at=VACUUM)
     with pytest.raises(InvariantError):
         dtilde_adjoint_matrix_check(backend)
 
@@ -476,11 +485,7 @@ def test_column_checks_match_dense_products(backend):
     the guarded columns, that the column-by-column checks replaced."""
     cols = check_basis(backend, WINDOW.guard, 3)[:600]
 
-    def d(m):
-        return _d_monomial(backend, False, m)
-
-    def ds(m):
-        return _dstar_monomial(backend, m)
+    d, ds = backend.d.__getitem__, backend.dstar.__getitem__
 
     inner = dict.fromkeys(cols)  # the columns and every monomial d or d~* reaches from them
     for fn in (d, ds):
@@ -544,14 +549,16 @@ def _two_step_L_column(backend, i, k, mono):
 ], ids=["a1_m2_3", "a2_m1_2"])
 def test_inline_L_columns_equal_the_two_step_reference(request, which, max_energy):
     b = request.getfixturevalue(which)
-    kernel = _L_monomial.__wrapped__  # unmemoised
+    fresh = OrthonormalBackend(b.alg.data, b.window)
     mons = monomials_in_support(b, 0, max_energy)
     assert len(mons) > 4000
-    for mono in mons:
-        for i in range(b.n):
-            for k in range(-2, 3):
+    for i in range(b.n):
+        for k in range(-2, 3):
+            L = fresh.L(i, k)
+            for mono in mons:
                 # equal values in the same order: later sums see the same terms
-                assert list(kernel(b, i, k, mono).items()) == list(_two_step_L_column(b, i, k, mono).items())
+                assert list(_pairs(L[mono])) == list(_two_step_L_column(b, i, k, mono).items())
+            L.clear()
 
 
 def _two_step_d_column(backend, twisted, mono):
@@ -565,7 +572,7 @@ def _two_step_d_column(backend, twisted, mono):
             hit = eps_monomial(backend, (i, k), mono)
             if hit:
                 sign = -hit[0] if twisted and k <= 0 else hit[0]
-                for m2, c2 in _pairs(_L_monomial(backend, i, k, hit[1])):
+                for m2, c2 in _pairs(backend.L(i, k)[hit[1]]):
                     fock._accumulate(out, m2, sign * c2)
     return out
 
@@ -578,7 +585,7 @@ def _two_step_dstar_column(backend, mono):
     for k in range(window.kMin, window.kMax + 1):
         sk = 1 if k > 0 else -1
         for i, (b, x) in enumerate(backend.alg.gram_inv):
-            for m1, c1 in _pairs(_L_monomial(backend, i, -k, mono)):
+            for m1, c1 in _pairs(backend.L(i, -k)[mono]):
                 hit = iota_monomial(backend, (b, k), m1)
                 if hit:
                     fock._accumulate(out, hit[1], -sk * x * c1 * hit[0])
@@ -599,14 +606,14 @@ _COLUMN_SET_IDS = ["a1_m2_3", "a2_m1_2", "b2_m1_2", "g2_m1_2"]
 @pytest.mark.parametrize("which, max_energy, max_particles", _COLUMN_SETS, ids=_COLUMN_SET_IDS)
 def test_inline_d_and_dstar_columns_equal_the_step_by_step_reference(request, which, max_energy, max_particles):
     b = request.getfixturevalue(which)
-    d, dstar = _d_monomial.__wrapped__, _dstar_monomial.__wrapped__  # unmemoised
+    fresh = OrthonormalBackend(b.alg.data, b.window)
     mons = monomials_in_support(b, 0, max_energy, max_particles)
     assert len(mons) > 1000
     for mono in mons:
         # equal values in the same order: later sums see the same terms
-        for twisted in (False, True):
-            assert list(d(b, twisted, mono).items()) == list(_two_step_d_column(b, twisted, mono).items())
-        assert list(dstar(b, mono).items()) == list(_two_step_dstar_column(b, mono).items())
+        for twisted, d in enumerate((fresh.d, fresh.dtilde)):
+            assert list(_pairs(d[mono])) == list(_two_step_d_column(b, twisted, mono).items())
+        assert list(_pairs(fresh.dstar[mono])) == list(_two_step_dstar_column(b, mono).items())
 
 
 
@@ -616,19 +623,19 @@ def test_inline_d_and_dstar_columns_equal_the_step_by_step_reference(request, wh
 ], ids=["a1_m2_3_g1", "a2_m1_2_g1"])
 def test_one_pass_d_and_dtilde_columns_equal_the_single_twist_kernel(request, series, window):
     """On every monomial of the energy check's quantifier set, the columns
-    that a memo miss files for d and dtilde in one pass equal the
-    unmemoised kernel and the step-by-step reference at each twist, term
-    for term.  The first miss alternates between the twists, so each twin
-    is also filed from the other's miss."""
+    that a memo miss files for d and dtilde in one pass equal the kernel of
+    each twin's memo, unmemoised, and the step-by-step reference at each
+    twist, term for term.  The first miss alternates between the twists, so
+    each twin is also filed from the other's miss."""
     b = OrthonormalBackend(request.getfixturevalue(series), window)
     basis = check_basis(b, max(window.guard, 1), 4, cap=1100 if fock._small(b) else 40)
     assert len(basis) > 30
-    kernel = _d_monomial.__wrapped__
+    memos = (b.d, b.dtilde)
     for j, mono in enumerate(basis):
-        _d_monomial(b, bool(j % 2), mono)  # the miss that files both twins
-        for twisted in (False, True):
-            want = list(kernel(b, twisted, mono).items())
-            assert list(_pairs(_d_monomial(b, twisted, mono))) == want
+        memos[j % 2][mono]  # the miss that files both twins
+        for twisted, memo in enumerate(memos):
+            want = list(memo.column(mono)[0].items())
+            assert list(_pairs(memo[mono])) == want
             assert list(_two_step_d_column(b, twisted, mono).items()) == want
 
 
@@ -643,11 +650,11 @@ def test_dstar_equals_the_kernel_that_read_memoised_L_columns(request, which, ma
     assert len(mons) > 1000
     fresh = OrthonormalBackend(b.alg.data, b.window)
     for mono in mons:
-        assert list(_pairs(_dstar_monomial(fresh, mono))) == list(oracles.dstar_from_memoised_L(b, mono).items())
-    assert "_L_monomial" not in fresh.columns
+        assert list(_pairs(fresh.dstar[mono])) == list(oracles.dstar_from_memoised_L(b, mono).items())
+    assert not fresh.Ls
 
 
-def test_a_flipping_move_filed_in_the_even_table_fails_the_dstar_checks(a1, monkeypatch):
+def test_a_flipping_move_filed_in_the_even_table_fails_the_dstar_checks(a1):
     """Each dtilde* term runs its even table where iota_{b,k} can act and
     its odd table where it cannot (``_dstar_rows``).  A move that flips
     the bit of (b, k) once, filed in the even table in place of the odd
@@ -656,44 +663,31 @@ def test_a_flipping_move_filed_in_the_even_table_fails_the_dstar_checks(a1, monk
     tables would change nothing: by the torus grading every flipping move
     is an eps step onto (b, k), which needs the mode empty, so in the even
     table it never fires.)"""
-    real = fock._dstar_rows
-    filed = []
-
-    def doctored(backend):
-        rows = real(backend)
-        j = next(j for j, row in enumerate(rows) if row[-1])  # the first term with an odd table
-        coef, bit, mask, c, empty, even, ((_gate, (move, *others)), *rest) = rows[j]
-        assert ((move[0] == bit) + (move[3] == bit)) % 2 == 1
-        odd = ([fock._level(others)] if others else []) + rest
-        rows[j] = (coef, bit, mask, c, empty, even + [fock._level([move])], odd)
-        filed.append(move)
-        return rows
-
-    monkeypatch.setattr(fock, "_dstar_rows", doctored)
     backend = OrthonormalBackend(a1, WINDOW)
+    rows = fock._dstar_rows(backend)
+    j = next(j for j, row in enumerate(rows) if row[-1])  # the first term with an odd table
+    coef, bit, mask, c, empty, even, ((_gate, (move, *others)), *rest) = rows[j]
+    assert ((move[0] == bit) + (move[3] == bit)) % 2 == 1
+    odd = ([fock._level(others)] if others else []) + rest
+    rows[j] = (coef, bit, mask, c, empty, even + [fock._level([move])], odd)
+    backend.dstar = fock._Memo(partial(fock._run_dstar, rows))
     for check in (laplacian_formula_check, dtilde_adjoint_matrix_check):
         verdict = check(backend)
         assert not verdict.skipped and not verdict.passed, verdict.identity
-    assert len(filed) == 1  # one dtilde* memo, built once
 
 
-def test_a_d_term_at_another_energy_fails_the_energy_check(a1, monkeypatch):
-    """d keeps the energy of its monomial; a doctored d, reached by its
-    module name, that adds a term at a monomial of another energy fails
+def test_a_d_term_at_another_energy_fails_the_energy_check(a1):
+    """d keeps the energy of its monomial; a doctored d, set on the
+    backend, that adds a term at a monomial of another energy fails
     ``energy_bookkeeping_check``."""
     backend = OrthonormalBackend(a1, WINDOW)
     basis = check_basis(backend, WINDOW.guard, 4, cap=1100)
     target = next(m for m in basis if energy(backend, m) > 0)
-    real = _d_monomial
-
-    def doctored(b, twisted, mono):
-        col = real(b, twisted, mono)
-        return col + (VACUUM, 1) if mono == target and not twisted else col
-
     assert energy_bookkeeping_check(backend).passed
-    monkeypatch.setattr(fock, "_d_monomial", doctored)
+    backend.d = _with_extra_term(backend.d, target, 1, at=VACUUM)
     verdict = energy_bookkeeping_check(backend)
     assert not verdict.passed and verdict.max_abs_error == 1
+
 
 def _sorted_enumeration(b, margin, max_energy):
     """Reference: every monomial in the margin-shrunk window under the energy
@@ -756,10 +750,10 @@ def test_the_column_memo_stays_small(a1, monkeypatch):
         assert all(v.passed for v in verify_identity_suite(a1, WINDOW))
         gc.collect()
         with_backend = tracemalloc.get_traced_memory()[0]
-        cols = [col for per_params in backends[0].columns.values()
-                for per_mono in per_params.values() for col in per_mono.values()]
+        b = backends[0]
+        cols = [col for memo in (*b.Ls.values(), b.d, b.dtilde, b.dstar) for col in memo.values()]
         n_cols, all_tuples = len(cols), all(type(col) is tuple for col in cols)
-        del cols
+        del cols, b
         backends.clear()
         gc.collect()
         held = with_backend - tracemalloc.get_traced_memory()[0]
