@@ -5,7 +5,9 @@ combinatorics and the predicted harmonic decomposition (`affine`), the
 exact graded cochain pipeline (`cochain`), character arithmetic
 (`reptheory`), the windowed semi-infinite form model used as an exact
 identity harness (`fock`), and the batch front door (`cli`, `report`,
-`cache`).
+`cache`).  Importing the package or `cli` loads every submodule but
+`fock`, which only the `verify-identities` command loads; import
+`jetcohom.fock` for its names.
 
 Several core objects fill memos after construction: ``AlgebraData``
 (``weyl_dims`` and its content hash), the character cache of
@@ -40,14 +42,6 @@ from .cochain import (
     isotypic_eigen_check,
 )
 from .reptheory import IrrepSummand, weights_of_basis, decompose, multiplicity_one_audit
-from .fock import (
-    EnergyWindow,
-    SemiInfMonomial,
-    OrthonormalBackend,
-    decode_monomial,
-    encode_monomial,
-    verify_identity_suite,
-)
 from .report import RunConfig, cmd_compute, cmd_predict, cmd_verify_identities
 
 __all__ = [
@@ -58,8 +52,6 @@ __all__ = [
     "build_basis", "differential_block", "eigenvalue_of",
     "harmonic_space", "isotypic_eigen_check",
     "IrrepSummand", "weights_of_basis", "decompose", "multiplicity_one_audit",
-    "EnergyWindow", "SemiInfMonomial", "OrthonormalBackend", "decode_monomial", "encode_monomial",
-    "verify_identity_suite",
     "RunConfig", "cmd_compute", "cmd_predict", "cmd_verify_identities",
 ]
 

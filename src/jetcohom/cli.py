@@ -12,7 +12,11 @@ mismatch between computed and predicted cohomology, a failed exact check
 or decomposition, or any other exception inside a command (its traceback
 kept on stderr); 3 an identity-suite failure.  ``--tolerance`` is
 accepted and validated, but the identity suite is exact and does not
-read it.
+read it.  ``--timing`` adds a ``timing`` block (wall-clock seconds) to the
+report of compute, predict and verify-identities.
+
+Only verify-identities loads the identity harness (``fock``); compute,
+predict and show-cache run on the modules this one imports.
 """
 
 from __future__ import annotations

@@ -53,8 +53,13 @@ def clear_denominators(a: Sequence[Sequence[Fraction]]) -> Tuple[List[List[int]]
 
 
 def _int_row_echelon(m: List[List[int]]) -> Tuple[List[List[int]], List[int]]:
-    """Fraction-free (Bareiss) row echelon form.  Returns (echelon, pivot columns)."""
-    m = [row[:] for row in m]
+    """Fraction-free (Bareiss) row echelon form of ``m``, computed in place.
+    Returns (echelon, pivot columns).
+
+    The pivot of each column is the candidate row with the fewest nonzeros,
+    then the smallest entry, the first such row on a tie.  Left of the
+    pivot column every row from the pivot row down is zero and stays zero,
+    so only the columns from the pivot on are updated."""
     rows = len(m)
     cols = len(m[0]) if rows else 0
     piv_cols: List[int] = []
@@ -63,9 +68,9 @@ def _int_row_echelon(m: List[List[int]]) -> Tuple[List[List[int]], List[int]]:
     for col in range(cols):
         best = None
         for i in range(piv_r, rows):
-            if m[i][col] != 0:
-                nz = sum(1 for x in m[i] if x != 0)
-                key = (nz, abs(m[i][col]))
+            x = m[i][col]
+            if x != 0:
+                key = (cols - m[i].count(0), abs(x))
                 if best is None or key < best[0]:
                     best = (key, i)
         if best is None:
@@ -73,13 +78,19 @@ def _int_row_echelon(m: List[List[int]]) -> Tuple[List[List[int]], List[int]]:
         i = best[1]
         if i != piv_r:
             m[piv_r], m[i] = m[i], m[piv_r]
-        piv = m[piv_r][col]
+        prow = m[piv_r]
+        piv = prow[col]
+        ptail = prow[col:]
         for rr in range(piv_r + 1, rows):
-            f = m[rr][col]
-            # full Bareiss update keeps every entry a minor of the input,
-            # which is what makes the integer division exact
-            for cc in range(cols):
-                m[rr][cc] = (m[rr][cc] * piv - f * m[piv_r][cc]) // prev
+            row = m[rr]
+            f = row[col]
+            # the full Bareiss update keeps every entry a minor of the input,
+            # which is what makes the integer division exact; a row with
+            # nothing under the pivot is only rescaled
+            if f:
+                row[col:] = [(x * piv - f * y) // prev for x, y in zip(row[col:], ptail)]
+            elif piv != prev:
+                row[col:] = [x * piv // prev for x in row[col:]]
         prev = piv
         piv_cols.append(col)
         piv_r += 1
@@ -97,11 +108,13 @@ def rank(a: Sequence[Sequence]) -> int:
 
 
 def kernel_basis(a: Sequence[Sequence]) -> List[List[int]]:
-    """Basis of the right kernel, as primitive integer vectors.
+    """Basis of the right kernel, as primitive integer vectors, one per
+    free column, that column's coordinate positive.
 
-    Forward elimination is fraction-free; back substitution over rationals
-    turns each free column into a kernel vector, then clears denominators.
-    """
+    Forward elimination is fraction-free.  Back substitution keeps each
+    vector as ints, the rational solution times one running denominator:
+    solving a pivot row scales the vector by the pivot over its gcd with
+    the row's sum, and the gcd of the result is divided out at the end."""
     if not a:
         return []
     cols = len(a[0])
@@ -110,23 +123,26 @@ def kernel_basis(a: Sequence[Sequence]) -> List[List[int]]:
     m, _ = clear_denominators(a)
     ech, piv_cols = _int_row_echelon(m)
     piv_set = set(piv_cols)
-    free_cols = [c for c in range(cols) if c not in piv_set]
     basis = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * cols
-        vec[fc] = Fraction(1)
+    for fc in range(cols):
+        if fc in piv_set:
+            continue
+        vec = [0] * cols
+        vec[fc] = 1
         for r in range(len(piv_cols) - 1, -1, -1):
             pc = piv_cols[r]
-            s = sum(ech[r][c] * vec[c] for c in range(pc + 1, cols) if vec[c] != 0)
-            vec[pc] = Fraction(-s, ech[r][pc])
-        den = lcm(*(x.denominator for x in vec))
-        ints = [int(x * den) for x in vec]
-        g = 0
-        for x in ints:
-            g = gcd(g, x)
-        if g > 1:
-            ints = [x // g for x in ints]
-        basis.append(ints)
+            row = ech[r]
+            s = sum(x * v for x, v in zip(row[pc + 1:], vec[pc + 1:]) if v)
+            if s:
+                g = gcd(s, row[pc])
+                scale = row[pc] // g
+                if scale != 1:
+                    vec = [v * scale for v in vec]
+                vec[pc] = -s // g
+        g = gcd(*vec)
+        if vec[fc] < 0:
+            g = -g
+        basis.append([v // g for v in vec] if g != 1 else vec)
     return basis
 
 

@@ -1,5 +1,8 @@
 """Windowed semi-infinite forms and the exact operator identity suite.
 
+Only the ``verify-identities`` command loads this module; its window type,
+``EnergyWindow``, lives in ``report``, which every command needs.
+
 A semi-infinite monomial is a wedge of dual modes e^{i,k} that agrees
 with the standard vacuum tail for k << 0; it is encoded by the finitely
 many modes added above the vacuum (k >= 1) and removed from it (k <= 0).
@@ -122,6 +125,7 @@ from weakref import ref
 
 from .cochain import InvariantError, build_basis, differential_block
 from .liealg import AlgebraData, int_algebra
+from .report import EnergyWindow
 
 ModeIndex = Tuple[int, int]  # (i, k): basis index, Fourier degree
 Mode = ModeIndex
@@ -133,23 +137,6 @@ Pairs = Iterable[Tuple[SemiInfMonomial, int]]
 MoveTable = List[Tuple[int, List[tuple]]]  # per level, (gate, rows): see ``_moves``
 
 _chain_items = chain.from_iterable
-
-
-@dataclass(frozen=True)
-class EnergyWindow:
-    kMin: int
-    kMax: int
-    guard: int = 0
-
-    def __post_init__(self):
-        if self.kMin > 0 or self.kMax < 1 or self.guard < 0:
-            raise ValueError("window must satisfy kMin <= 0 < 1 <= kMax, guard >= 0")
-
-    def contains(self, k: int) -> bool:
-        return self.kMin <= k <= self.kMax
-
-    def support(self, margin: int) -> Tuple[int, int]:
-        return (self.kMin + margin, self.kMax - margin)
 
 
 class OrthonormalBackend:

@@ -2,7 +2,9 @@
 
 Reports are deterministic: for a fixed configuration and code version the
 JSON bytes are identical run to run (timings are only included when
-explicitly requested).  Exact numbers are serialized as rational strings
+explicitly requested: a compute report holds ``"timing": null`` without
+``--timing``, and the predict and verify-identities reports gain the key
+only with it).  Exact numbers are serialized as rational strings
 ("p/q" or an integer string); the fock identity suite reports each
 ``maxAbsError`` as the decimal float of an exact rational, 0.0 on every
 pass.  ``RunConfig.tolerance`` is validated and echoed in the config but
@@ -25,7 +27,6 @@ from .cochain import (
     harmonic_space,
     isotypic_eigen_check,
 )
-from .fock import EnergyWindow, verify_identity_suite
 from .liealg import AlgebraData, AlgebraSpec, build_algebra
 from .reptheory import (
     IrrepSummand,
@@ -35,6 +36,28 @@ from .reptheory import (
 )
 
 SCHEMA_VERSION = 1
+
+
+@dataclass(frozen=True)
+class EnergyWindow:
+    """The mode levels kMin..kMax of the identity harness (``fock``), with
+    a guard margin.  It lives here, not in ``fock``, because every command
+    validates the window of its ``RunConfig`` and only ``verify-identities``
+    loads ``fock``."""
+
+    kMin: int
+    kMax: int
+    guard: int = 0
+
+    def __post_init__(self):
+        if self.kMin > 0 or self.kMax < 1 or self.guard < 0:
+            raise ValueError("window must satisfy kMin <= 0 < 1 <= kMax, guard >= 0")
+
+    def contains(self, k: int) -> bool:
+        return self.kMin <= k <= self.kMax
+
+    def support(self, margin: int) -> Tuple[int, int]:
+        return (self.kMin + margin, self.kMax - margin)
 
 
 @dataclass
@@ -228,14 +251,19 @@ def cmd_compute(config: RunConfig) -> dict:
             },
         },
         "identity_suite": None,
-        "timing": {"seconds": round(time.monotonic() - t0, 3)} if config.timing else None,
+        "timing": _timing(t0) if config.timing else None,
     }
     return report
 
 
+def _timing(t0: float) -> dict:
+    return {"seconds": round(time.monotonic() - t0, 3)}
+
+
 def cmd_predict(config: RunConfig) -> dict:
+    t0 = time.monotonic()
     data = build_algebra(config.algebra_spec)
-    return {
+    report = {
         "schema_version": SCHEMA_VERSION,
         "kind": "predict",
         "config": config.to_json_dict(),
@@ -243,18 +271,28 @@ def cmd_predict(config: RunConfig) -> dict:
         "conventions": dict(_CONVENTIONS),
         "predictions": _predictions_json(predict_cohomology(data, config.maxDegree)),
     }
+    if config.timing:  # only on request, so that the report is otherwise byte-deterministic
+        report["timing"] = _timing(t0)
+    return report
 
 
 def cmd_verify_identities(config: RunConfig) -> dict:
+    t0 = time.monotonic()
+    # the identity harness is loaded by this command alone
+    from .fock import verify_identity_suite
+
     data = build_algebra(config.algebra_spec)
     verdicts = verify_identity_suite(data, config.window)
-    return {
+    report = {
         "schema_version": SCHEMA_VERSION,
         "kind": "verify-identities",
         "config": config.to_json_dict(),
         "algebra": _algebra_json(config, data),
         "identity_suite": [v.to_json_dict() for v in verdicts],
     }
+    if config.timing:  # only on request, so that the report is otherwise byte-deterministic
+        report["timing"] = _timing(t0)
+    return report
 
 
 def serialize_report(report: dict, fmt: str) -> str:

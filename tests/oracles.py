@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Dict, List, Sequence, Tuple
 
 from jetcohom.affine import AffineWeight, laplacian_shift
@@ -287,3 +287,73 @@ def jacobi_triple_set(structure) -> set:
                         if c != a and c != b:
                             triples.add(tuple(sorted((a, b, c))))
     return triples
+
+
+def _reference_row_echelon(m: List[List[int]]) -> Tuple[List[List[int]], List[int]]:
+    """Bareiss row echelon form on a copy, every column updated at every
+    pivot, as ``exactlinalg`` once computed it."""
+    m = [row[:] for row in m]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    piv_cols: List[int] = []
+    piv_r = 0
+    prev = 1
+    for col in range(cols):
+        best = None
+        for i in range(piv_r, rows):
+            if m[i][col] != 0:
+                nz = sum(1 for x in m[i] if x != 0)
+                key = (nz, abs(m[i][col]))
+                if best is None or key < best[0]:
+                    best = (key, i)
+        if best is None:
+            continue
+        i = best[1]
+        if i != piv_r:
+            m[piv_r], m[i] = m[i], m[piv_r]
+        piv = m[piv_r][col]
+        for rr in range(piv_r + 1, rows):
+            f = m[rr][col]
+            for cc in range(cols):
+                m[rr][cc] = (m[rr][cc] * piv - f * m[piv_r][cc]) // prev
+        prev = piv
+        piv_cols.append(col)
+        piv_r += 1
+        if piv_r == rows:
+            break
+    return m, piv_cols
+
+
+def _cleared(a: Sequence[Sequence]) -> List[List[int]]:
+    den = lcm(*(Fraction(x).denominator for row in a for x in row))
+    return [[int(Fraction(x) * den) for x in row] for row in a]
+
+
+def reference_rank(a: Sequence[Sequence]) -> int:
+    """The rank of an int or rational matrix, by ``_reference_row_echelon``."""
+    if not a or not a[0]:
+        return 0
+    return len(_reference_row_echelon(_cleared(a))[1])
+
+
+def reference_kernel_basis(a: Sequence[Sequence]) -> List[List[int]]:
+    """The right kernel as ``exactlinalg`` once computed it: Bareiss
+    elimination, then back substitution over ``Fraction``s for each free
+    column, cleared to a primitive int vector."""
+    if not a or not a[0]:
+        return []
+    cols = len(a[0])
+    ech, piv_cols = _reference_row_echelon(_cleared(a))
+    basis = []
+    for fc in (c for c in range(cols) if c not in piv_cols):
+        vec = [Fraction(0)] * cols
+        vec[fc] = Fraction(1)
+        for r in range(len(piv_cols) - 1, -1, -1):
+            pc = piv_cols[r]
+            s = sum(ech[r][c] * vec[c] for c in range(pc + 1, cols) if vec[c] != 0)
+            vec[pc] = Fraction(-s, ech[r][pc])
+        den = lcm(*(x.denominator for x in vec))
+        ints = [int(x * den) for x in vec]
+        g = gcd(*ints)
+        basis.append([x // g for x in ints])
+    return basis

@@ -539,28 +539,75 @@ def test_identity_reports_match_the_golden_files(tmp_path, name, flags):
     assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
 
 
-_MAIN_THEN_REPORT_NUMPY = """
+_MAIN_THEN_REPORT_MODULES = """
 import contextlib, io, sys
 import jetcohom.cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = jetcohom.cli.main(sys.argv[1:])
-print(code, "numpy" in sys.modules)
+print(code, "numpy" in sys.modules, "jetcohom.fock" in sys.modules)
 """
 
 
-def test_no_command_loads_numpy(tmp_path):
-    # the package is standard library only, the identity harness included
+def _fresh_main(argv, env):
+    """Exit code, numpy loaded, fock loaded after ``main(argv)`` in a fresh
+    interpreter, and its stderr."""
+    run = subprocess.run([sys.executable, "-c", _MAIN_THEN_REPORT_MODULES, *argv],
+                         capture_output=True, text=True, env=env, timeout=120)
+    code, numpy, fock = run.stdout.split()
+    return int(code), numpy == "True", fock == "True", run.stderr
+
+
+def _fresh_env():
     env = {k: v for k, v in os.environ.items() if k != cache_mod.ENV_CACHE_DIR}
     env["PYTHONPATH"] = str(Path(cache_mod.__file__).parent.parent)
+    return env
+
+
+def test_no_command_loads_numpy(tmp_path):
+    # the package is standard library only, the identity harness included,
+    # and only verify-identities loads that harness
+    env = _fresh_env()
     cache = str(tmp_path / "cache")
     a1 = ["--series", "A", "--rank", "1"]
-    for argv in (
-        ["compute", *a1, "--max-degree", "2", "--max-energy", "3", "--cache-dir", cache],
-        ["show-cache", "--cache-dir", cache],
-        ["predict", *a1, "--max-degree", "2", "--max-energy", "3"],
-        ["verify-identities", *a1, "--kmin", "-1", "--kmax", "2", "--guard", "1"],
+    for argv, loads_fock in (
+        (["compute", *a1, "--max-degree", "2", "--max-energy", "3", "--cache-dir", cache], False),
+        (["show-cache", "--cache-dir", cache], False),
+        (["predict", *a1, "--max-degree", "2", "--max-energy", "3"], False),
+        (["verify-identities", *a1, "--kmin", "-1", "--kmax", "2", "--guard", "1"], True),
     ):
-        run = subprocess.run([sys.executable, "-c", _MAIN_THEN_REPORT_NUMPY, *argv],
-                             capture_output=True, text=True, env=env, timeout=120)
-        assert run.returncode == 0, run.stderr
-        assert run.stdout.split() == ["0", "False"], argv[0]
+        code, numpy, fock, err = _fresh_main(argv, env)
+        assert (code, numpy, fock) == (0, False, loads_fock), (argv[0], err)
+
+    # every other module is loaded by the import itself, not deferred into a command
+    package = Path(cache_mod.__file__).parent
+    expected = sorted(f"jetcohom.{p.stem}" for p in package.glob("*.py") if p.stem not in ("__init__", "fock"))
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys, jetcohom.cli; print(*sorted(m for m in sys.modules if m.startswith('jetcohom.')))"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert run.stdout.split() == expected, run.stderr
+
+
+def test_compute_rejects_an_invalid_window_from_its_config_file(tmp_path):
+    # every command validates the window, without loading the identity harness
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("series = A\nrank = 1\nmaxDegree = 1\nmaxEnergy = 1\nkMin = 1\n")
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    code, _numpy, fock, err = _fresh_main(["compute", "--config", str(cfg), "--cache-dir", str(cache)], _fresh_env())
+    assert code == 1 and not fock
+    assert err.startswith("error: window must satisfy") and "Traceback" not in err
+    assert list(cache.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("predict", ["--series", "G", "--rank", "2", "--max-degree", "6"]),
+    ("verify-identities", ["--series", "A", "--rank", "1", "--kmin", "-2", "--kmax", "3", "--guard", "1"]),
+])
+def test_timing_adds_a_timing_block_to_the_golden_report(tmp_path, command, flags):
+    golden = {"predict": "predict_g2_6", "verify-identities": "identities_a1_m2_3_g1"}[command]
+    out = tmp_path / "report.json"
+    assert main([command, *flags, "--timing", "--format", "json", "--output", str(out)]) == 0
+    report = json.loads(out.read_text())
+    timing = report.pop("timing")
+    assert list(timing) == ["seconds"] and isinstance(timing["seconds"], float) and timing["seconds"] >= 0
+    assert serialize_report(report, "json").encode() == (GOLDEN / f"{golden}.json").read_bytes()

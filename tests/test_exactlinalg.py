@@ -72,3 +72,21 @@ def test_clear_denominators_of_mixed_ints_and_fractions():
     assert all(type(x) is int for row in ints for x in row)
     assert xl.clear_denominators([[1, 2], [0, -3]]) == ([[1, 2], [0, -3]], 1)
     assert xl.rank(m) == 2 and xl.rank([[1, F(1, 2)], [2, 1]]) == 1
+
+
+def test_rank_and_kernel_match_the_full_update_reference():
+    # the elimination updates only the columns from each pivot on and the
+    # back substitution runs on ints: ranks and kernel vectors are those of
+    # the full-update Bareiss with rational back substitution
+    rng = random.Random(11)
+    for trial in range(400):
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        density = rng.choice((0.2, 0.5, 0.9))
+        if trial % 2:
+            m = _random_matrix(rng, rows, cols, density)
+        else:
+            m = [[rng.randint(-4, 4) if rng.random() < density else 0 for _ in range(cols)] for _ in range(rows)]
+        if rows > 1 and trial % 3 == 0:  # a combination of two rows forces rank deficiency
+            m[-1] = [2 * x - y for x, y in zip(m[0], m[1])]
+        assert xl.rank(m) == oracles.reference_rank(m), m
+        assert xl.kernel_basis(m) == oracles.reference_kernel_basis(m), m
