@@ -7,13 +7,14 @@ directory may also come from the JETCOHOM_CACHE_DIR environment variable.
 Exit codes: 0 all verdicts pass (also after --help); 1 a usage or
 configuration error, checked before computing: every command line
 argparse rejects, an unwritable --output, a compute cache directory that
-cannot be created and csv output for a report other than compute's; 2 a
-mismatch between computed and predicted cohomology, a failed exact check
-or decomposition, or any other exception inside a command (its traceback
-kept on stderr); 3 an identity-suite failure.  ``--tolerance`` is
-accepted and validated, but the identity suite is exact and does not
-read it.  ``--timing`` adds a ``timing`` block (wall-clock seconds) to the
-report of compute, predict and verify-identities.
+cannot be created and csv output for a report other than compute's or
+with --timing; 2 a mismatch between computed and predicted cohomology, a
+failed exact check or decomposition, or any other exception inside a
+command (its traceback kept on stderr); 3 an identity-suite failure.
+``--tolerance`` is accepted and validated, but the identity suite is
+exact and does not read it.  ``--timing`` adds the wall-clock seconds to
+the report of compute, predict and verify-identities: a ``timing`` block
+in json, a last ``timing: <seconds> s`` line in text.
 
 Only verify-identities loads the identity harness (``fock``); compute,
 predict and show-cache run on the modules this one imports.

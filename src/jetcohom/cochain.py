@@ -167,9 +167,9 @@ def differential_block(data: AlgebraData | IntAlgebra, basis_in: CochainBasis,
                        basis_out: CochainBasis) -> GradedComplexBlock:
     """Chevalley-Eilenberg differential A^p(k) -> A^{p+1}(k) between the
     bases ``build_basis`` gives for the two cells, from ``data.dim`` and
-    ``data.structure`` alone, so its entries have the structure
-    constants' type: ints on Chevalley data; s*d in ints on an
-    ``IntAlgebra``, s its ``scale``; rationals on ``orthogonal_cartan`` data.
+    ``data.action`` (``liealg.coadjoint_action``) alone, so its entries have
+    the structure constants' type: ints on Chevalley data; s*d in ints on
+    an ``IntAlgebra``, s its ``scale``; rationals on ``orthogonal_cartan``.
 
     d(e^{m,l}) = - sum_{u<v} C_{uv}^m e^u ^ e^v over the mode pairs u < v
     whose levels sum to l.  A split table row per mode bit (built when the
@@ -179,21 +179,18 @@ def differential_block(data: AlgebraData | IntAlgebra, basis_in: CochainBasis,
     mask the bits below the mode, below u and below v, xor-ed."""
     out_index = basis_out.index()
     n = data.dim
-    by_mode: Dict[int, List[Tuple[int, int, int]]] = {}  # m -> (a, b, C_{ab}^m)
-    for a, row in enumerate(data.structure):
-        for b, coeffs in row.items():
-            for m, c in coeffs.items():
-                by_mode.setdefault(m, []).append((a, b, c))
+    action = data.action  # action[a][m] lists (b, -C_{ab}^m)
     table: Dict[int, List[Tuple[int, int, int]]] = {}
 
     def split(bit: int) -> List[Tuple[int, int, int]]:
         level, m = bit // n + 1, bit % n
         row = []
         for l1 in range(1, level // 2 + 1):
-            for a, b, c in by_mode.get(m, ()):
-                u, v = (l1 - 1) * n + a, (level - l1 - 1) * n + b
-                if u < v:  # each unordered mode pair once
-                    row.append(((1 << u) | (1 << v), _below(bit) ^ _below(u) ^ _below(v), -c))
+            for a, acting in enumerate(action):
+                for b, c in acting.get(m, ()):
+                    u, v = (l1 - 1) * n + a, (level - l1 - 1) * n + b
+                    if u < v:  # each unordered mode pair once
+                        row.append(((1 << u) | (1 << v), _below(bit) ^ _below(u) ^ _below(v), c))
         return row
 
     entries: Dict[Tuple[int, int], int] = {}
@@ -511,20 +508,15 @@ class CasimirTables:
     replaces the row's modes by the bits of ``new``: with rest the
     monomial without them, the term is zero where rest & new is not, and
     otherwise adds c * (-1)^popcount(rest & mask) at rest | new.  A row is
-    built from ``action`` when it is first read, so only modes and mode
-    pairs that occur cost anything.  The tables hold ints alone, never
-    their algebra.
+    built from ``alg.action`` (``liealg.coadjoint_action``) when it is first
+    read, so only modes and mode pairs that occur cost anything.  The
+    tables hold that table and ints, never their algebra.
     """
 
     def __init__(self, alg: IntAlgebra):
         self.n = alg.dim
         self.partners = [(a, b, w) for a, (b, w) in enumerate(alg.gram_inv)]
-        # action[g][m]: A_g e^m = sum (t, c) c/s e^t, the coadjoint action c = -s*C_{gt}^m
-        self.action: List[Dict[int, List[Tuple[int, int]]]] = [{} for _ in range(self.n)]
-        for g, row in enumerate(alg.structure):
-            for t, col in row.items():
-                for m, c in col.items():
-                    self.action[g].setdefault(m, []).append((t, -c))
+        self.action = alg.action  # A_g e^m = sum (t, c) c/s e^t over action[g][m]
         self._one: Dict[int, Row] = {}
         self._two: Dict[Tuple[int, int], Row] = {}
 

@@ -1,7 +1,8 @@
 """Windowed semi-infinite forms and the exact operator identity suite.
 
-Only the ``verify-identities`` command loads this module; its window type,
-``EnergyWindow``, lives in ``report``, which every command needs.
+Only the ``verify-identities`` command loads this module, which reads only
+``liealg`` (the ``IntAlgebra``, its coadjoint table and ``EnergyWindow``)
+and ``cochain`` (the exact blocks d is compared with) of the package.
 
 A semi-infinite monomial is a wedge of dual modes e^{i,k} that agrees
 with the standard vacuum tail for k << 0; it is encoded by the finitely
@@ -18,7 +19,10 @@ ascend with it on the added side, so b is also the number of vacuum modes
 above (i, k).  Membership, insertion and removal are single bit
 operations, and a monomial hashes as one int.  ``encode_monomial`` and
 ``decode_monomial`` convert between ints and mode tuples, and ``energy``
-and ``degree_offset`` read the int.
+reads the int.  The added bits are those of the exact core's cochain
+monomials (``cochain``: bit (level - 1)*n + i is e^{i,level}) shifted by
+off, so a cochain monomial m is the Fock monomial ``m << off``, and
+eps(m) Omega = (-1)^(p(p-1)/2) (m << off) for one of degree p.
 
 Every single-mode step reads one row of the backend's step table
 (``steps``): eps or iota on a mode flips its bit if the bit is in the
@@ -72,41 +76,31 @@ functions: one monomial to its column, the flat tuple (m1, c1, m2, c2,
 such pairs into a vector (a dict).  Each check subtracts its right side
 into the vector of its left side and compares that one residual, lhs -
 rhs, with 0.  The columns of L_{i,k}, d, dtilde and dtilde* are memoised
-on the backend, each operator in one ``_Memo``: a dict keyed by the
-monomial that computes a missing column when it is looked up.
-``backend.L(i, k)`` is the memo of L_{i,k}, and ``backend.d``,
-``backend.dtilde`` and ``backend.dstar`` those of the others, each built
-on first use.  A tuple cannot be changed, so no column needs a read-only
-view.  A check binds each memo it reads once, before its loop, so an
-operator set on the backend in a memo's place is the one it reads.  A
-miss is one call of a kernel bound to tables built once from the
-backend, never to the backend itself, so a backend and its memos are
-freed by reference counting alone: ``_run_moves`` on the move table of
-L_{i,k}, ``_d_pair`` on the terms of d, ``_run_dstar`` on those of
-dtilde*.  d and dtilde* run the move table of each L_{i,k} they need
-directly, memoising no L column for it.  dtilde* runs, per term iota_{b,k}
-L_{i,-k}, only the part of the table whose outputs iota keeps: the moves
-that flip the bit of (b, k) once where it is empty, the others where it
-is occupied (``_dstar_rows``).  d and dtilde are twins: dtilde negates
-the k <= 0 terms of d, which come first, so one pass builds both columns
-of a monomial, and a miss on either files both, each in its own memo,
-the two memos holding each other by weak references (``_TwinMemo``).
-The kernels and the checks that take single-mode steps read step rows
-inline, as ``clifford_check`` does; the vacuum check, ``_pairing`` and
-``_eps_wedge_column`` (a wedge of eps steps) go through
-``eps_monomial``/``iota_monomial``, each one table read.  Every column
-loop runs over window levels only, and cochain modes sit at levels <=
-kMax - guard, so no operator checks its input against the window.
+on the backend, one ``_Memo`` per operator (``OrthonormalBackend``); a
+check binds each memo it reads once, before its loop, so an operator set
+on the backend in a memo's place is the one it reads.  A miss is one call
+of a kernel bound to tables built once from the backend, never to the
+backend itself, so a backend and its memos are freed by reference
+counting alone: ``_run_moves`` on the move table of L_{i,k}, ``_d_pair``
+on the terms of d and dtilde, which one pass builds together
+(``_TwinMemo``), and ``_run_dstar`` on those of dtilde*, which runs per
+term only the moves whose outputs iota keeps (``_dstar_rows``); d and
+dtilde* memoise no L column.  The kernels and the checks read step rows
+inline; the vacuum check, ``_pairing`` and the wedges of eps steps of
+``leibniz_check`` (``_eps_wedge_column``) go through
+``eps_monomial``/``iota_monomial``, each one table read, while the
+cochain check applies d to ``m << off`` itself.  Every column loop runs
+over window levels only, and cochain modes sit at levels <= kMax -
+guard, so no operator checks its input against the window.
 
 Monomials are enumerated one energy shell at a time in (energy,
 monomial int) order.  The added and the removed side each count their
 mode subsets by (energy, mode count) before enumerating any, so a shell
 is counted before it is built, and a group of mode sets is enumerated
-only when a shell that uses it is built.  The quantifier
-sets of ``check_basis`` are built only up to the shell that reaches their
-cap, and are memoised on the backend keyed by margin, energy cap,
-particle cap and cap; the adjoint check builds only the energy blocks it
-checks.
+only when a shell that uses it is built.  The quantifier sets of
+``check_basis`` are built only up to the shell that reaches their cap,
+and are memoised on the backend keyed by margin, energy cap, particle cap
+and cap; the adjoint check builds only the energy blocks it checks.
 ``verify_identity_suite`` builds one backend per call, so the memo lives
 as long as one suite run.  The matrix identities (d^2, the Laplacian,
 the adjoint of dtilde) are checked column by column from these columns;
@@ -124,11 +118,9 @@ from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 from weakref import ref
 
 from .cochain import InvariantError, build_basis, differential_block
-from .liealg import AlgebraData, int_algebra
-from .report import EnergyWindow
+from .liealg import AlgebraData, EnergyWindow, int_algebra
 
-ModeIndex = Tuple[int, int]  # (i, k): basis index, Fourier degree
-Mode = ModeIndex
+Mode = Tuple[int, int]  # (i, k): basis index, Fourier degree
 SemiInfMonomial = int  # removed | added << off
 FockVector = Dict[SemiInfMonomial, int]  # int coefficients over the operator's scale
 ColumnTuple = Tuple[int, ...]  # (m1, c1, m2, c2, ...): the nonzero entries of one column
@@ -141,9 +133,9 @@ _chain_items = chain.from_iterable
 
 class OrthonormalBackend:
     """One algebra as its ``IntAlgebra`` ``alg``, and the memoised
-    operators on one energy window.  ``pairs[i]`` lists (p, q, s*f_{iq}^p)
-    over the nonzero int structure constants of ``alg``, s = ``alg.scale``;
-    the added modes of a monomial start at bit ``off``.
+    operators on one energy window.  ``alg.action[i][p]`` lists (q,
+    -s*f_{iq}^p) over the nonzero int structure constants, s =
+    ``alg.scale``; the added modes of a monomial start at bit ``off``.
 
     The step table ``steps`` has one row (bit, mask, c, empty) per window
     mode, ascending by (k, i): ``bit`` is 1 << b, and ``empty`` is ``mono &
@@ -166,7 +158,6 @@ class OrthonormalBackend:
         self.window = window
         n = self.n = data.dim
         off = self.off = n * (1 - window.kMin)
-        self.pairs = [[(p, q, c) for q in range(n) for p, c in row.get(q, {}).items()] for row in self.alg.structure]
         self.steps: Dict[Mode, Tuple[int, int, int, int]] = {}
         for k in range(window.kMin, window.kMax + 1):
             for i in range(n):
@@ -241,11 +232,6 @@ def decode_monomial(backend: OrthonormalBackend, mono: SemiInfMonomial
     added, removed = mono >> off, mono & (1 << off) - 1
     return (tuple((b % n, b // n + 1) for b in range(added.bit_length()) if added >> b & 1),
             tuple((n - 1 - b % n, -(b // n)) for b in reversed(range(removed.bit_length())) if removed >> b & 1))
-
-
-def degree_offset(backend: OrthonormalBackend, mono: SemiInfMonomial) -> int:
-    off = backend.off
-    return (mono >> off).bit_count() - (mono & (1 << off) - 1).bit_count()
 
 
 def energy(backend: OrthonormalBackend, mono: SemiInfMonomial) -> int:
@@ -371,7 +357,8 @@ class _TwinMemo(_Memo):
 def _moves(backend: OrthonormalBackend, i: int, k: int) -> MoveTable:
     """The move table of L_{i,k}, built once per backend from its step
     table: per level s, in order, (gate, rows) with one row (bit1, need1,
-    mask1, bit2, need2, mask2, coef) per (p, q, s*f_{iq}^p) of ``pairs[i]``.
+    mask1, bit2, need2, mask2, coef) per (q, -s*f_{iq}^p) of
+    ``alg.action[i][p]``, p in the table's order.
     Step j flips ``bitj`` where ``mono & bitj == needj``, with the sign
     parity of ``mono & maskj`` on the monomial it acts on; ``coef`` is the
     normal-ordered +-f times (-1)^(c1 + c2).  When every first step needs
@@ -383,13 +370,14 @@ def _moves(backend: OrthonormalBackend, i: int, k: int) -> MoveTable:
         levels = backend.moves[i, k] = []
         for s in range(max(window.kMin, window.kMin + k), min(window.kMax, window.kMax + k) + 1):
             rows = []
-            for p, q, cval in backend.pairs[i]:
-                e_bit, e_mask, e_c, e_empty = steps[q, s - k]
-                i_bit, i_mask, i_c, i_empty = steps[p, s]
-                eps, iota = (e_bit, e_empty, e_mask), (i_bit, i_bit ^ i_empty, i_mask)
-                # normal ordering: iota first with +f for s <= 0, -eps iota for s > 0
-                first, second, coef = (eps, iota, cval) if s <= 0 else (iota, eps, -cval)
-                rows.append((*first, *second, -coef if (e_c + i_c) & 1 else coef))
+            for p, terms in backend.alg.action[i].items():
+                for q, c in terms:  # c = -s*f_{iq}^p
+                    e_bit, e_mask, e_c, e_empty = steps[q, s - k]
+                    i_bit, i_mask, i_c, i_empty = steps[p, s]
+                    eps, iota = (e_bit, e_empty, e_mask), (i_bit, i_bit ^ i_empty, i_mask)
+                    # normal ordering: iota first with +f for s <= 0, -eps iota for s > 0
+                    first, second, coef = (eps, iota, -c) if s <= 0 else (iota, eps, c)
+                    rows.append((*first, *second, -coef if (e_c + i_c) & 1 else coef))
             levels.append(_level(rows))
     return levels
 
@@ -745,7 +733,7 @@ def commutator_check(backend: OrthonormalBackend) -> IdentityVerdict:
     window = backend.window
     if window.guard < 1:
         return _skip(backend, "mode_action_commutators", "window guard < 1 (shift-1 operators)")
-    n, f, steps = backend.n, backend.alg.structure, backend.steps
+    n, f, action, steps = backend.n, backend.alg.structure, backend.alg.action, backend.steps
 
     def iota(mode: Mode) -> Tuple[int, int, int, int]:
         bit, mask, c, empty = steps[mode]
@@ -771,7 +759,7 @@ def commutator_check(backend: OrthonormalBackend) -> IdentityVerdict:
         per_i = [(backend.L(i, k).__getitem__,
                   [term for j in range(n) for m in modes for term in (
                       (iota((j, m)), [(-c, iota((p, m + k))) for p, c in f[i].get(j, {}).items()]),
-                      (eps((j, m)), [(col[j], eps((q, m - k))) for q, col in f[i].items() if j in col]))])
+                      (eps((j, m)), [(-c, eps((q, m - k))) for q, c in action[i].get(j, ())]))])
                  for i in range(n)]
         for mono in basis:
             for L, terms in per_i:
@@ -898,7 +886,7 @@ def _ambient_differential(backend: OrthonormalBackend, wedge: Tuple[Mode, ...]) 
     """CE differential of a wedge of dual modes over the full mode algebra
     (all window levels, negative included), as wedges sorted by mode
     order, over the scale s of the structure constants."""
-    n, window = backend.n, backend.window
+    n, window, action = backend.n, backend.window, backend.alg.action
     out: Dict[Tuple[Mode, ...], int] = {}
     for j, (m, l) in enumerate(wedge):
         outer = -1 if j % 2 else 1
@@ -908,9 +896,8 @@ def _ambient_differential(backend: OrthonormalBackend, wedge: Tuple[Mode, ...]) 
             if l2 < l1 or not window.contains(l2):
                 continue
             for p in range(n):
-                for q, col in backend.alg.structure[p].items():
-                    cval = col.get(m)
-                    if cval is None or (l1 == l2 and p >= q):
+                for q, c in action[p].get(m, ()):  # c = -s*C_{pq}^m
+                    if l1 == l2 and p >= q:
                         continue
                     # splice e^{p,l1} ^ e^{q,l2} in place of position j
                     new = list(rest)
@@ -928,7 +915,7 @@ def _ambient_differential(backend: OrthonormalBackend, wedge: Tuple[Mode, ...]) 
                             sign = -sign
                         new.insert(pos, mode)
                     if ok:
-                        _accumulate(out, tuple(new), -outer * sign * cval)
+                        _accumulate(out, tuple(new), outer * sign * c)
     return out
 
 
@@ -1099,39 +1086,38 @@ def dtilde_adjoint_matrix_check(backend: OrthonormalBackend) -> IdentityVerdict:
 
 
 def d_matches_cochain_check(backend: OrthonormalBackend) -> IdentityVerdict:
-    """d(eps(alpha) Omega) = eps(d_CE alpha) Omega for cochain wedges of
+    """d(eps(alpha) Omega) = eps(d_CE alpha) Omega for cochain monomials of
     degree <= 2 and energy <= 3 from the exact pipeline, which reads the
-    backend's ``IntAlgebra``; its int monomials are decoded by
-    ``CochainBasis.wedges``, and the cochain mode (level, a) is
-    e^{a,level}.  Both sides are compared over 2s: d is over 2s, and the
-    exact block is s*d."""
+    backend's ``IntAlgebra``.  A degree-p cochain monomial m is eps(m) Omega
+    = (-1)^(p(p-1)/2) (m << off), so both sides are multiplied by that sign:
+    d of ``m << off`` against the exact block's column of m, its entries
+    on ``m_out << off`` times (-1)^p.  Both sides are compared over 2s: d
+    is over 2s, and the exact block is s*d."""
     window = backend.window
     if window.guard < 1:
         return _skip(backend, "d_restricts_to_chevalley_eilenberg", "window guard < 1")
     max_k = min(3, window.kMax - window.guard)
     if max_k < 1:
         return _skip(backend, "d_restricts_to_chevalley_eilenberg", f"no cochain level: kMax - guard = {max_k} < 1")
-
-    def embed(wedge) -> ColumnTuple:
-        """A cochain wedge's column: its monomial eps(wedge) Omega, with its sign."""
-        return _eps_wedge_column(backend, [(a, level) for level, a in wedge], VACUUM)
-
-    d = backend.d.__getitem__
+    d, off = backend.d.__getitem__, backend.off
     basis = cache(partial(build_basis, backend.alg))  # each cell's basis is built once
 
-    err = Fraction(0)
+    err = 0
     count = 0
     for k in range(1, max_k + 1):
         for p in range(1, min(2, k) + 1):
             block = differential_block(backend.alg, basis(p, k), basis(p + 1, k))
-            wedges_out = block.basisOut.wedges()
-            for col, wedge in enumerate(block.basisIn.wedges()):
-                res = _apply(d, _pairs(embed(wedge)))
-                _apply(embed, ((wedges_out[row], val) for (row, c_), val in block.dMatrix.items()
-                               if c_ == col), -2, res)
-                err = max(err, Fraction(_residual_error(res), 2 * backend.alg.scale))
+            rhs: Dict[int, List[Tuple[SemiInfMonomial, int]]] = {}  # per column, its terms times -2(-1)^p
+            monos_out = block.basisOut.monomials
+            for (row, col), val in block.dMatrix.items():
+                rhs.setdefault(col, []).append((monos_out[row] << off, 2 * val if p & 1 else -2 * val))
+            for col, mono in enumerate(block.basisIn.monomials):
+                res = dict(_pairs(d(mono << off)))
+                for target, x in rhs.get(col, ()):
+                    _accumulate(res, target, x)
+                err = max(err, _residual_error(res))
                 count += 1
-    return _verdict(backend, "d_restricts_to_chevalley_eilenberg", err, count)
+    return _verdict(backend, "d_restricts_to_chevalley_eilenberg", Fraction(err, 2 * backend.alg.scale), count)
 
 
 def verify_identity_suite(data: AlgebraData, window: EnergyWindow) -> List[IdentityVerdict]:

@@ -58,6 +58,26 @@ class InvariantError(RuntimeError):
 
 
 @dataclass(frozen=True)
+class EnergyWindow:
+    """The mode levels kMin..kMax of the identity harness (``fock``), with a
+    guard margin; ``report`` validates it in every command's ``RunConfig``."""
+
+    kMin: int
+    kMax: int
+    guard: int = 0
+
+    def __post_init__(self):
+        if self.kMin > 0 or self.kMax < 1 or self.guard < 0:
+            raise ValueError("window must satisfy kMin <= 0 < 1 <= kMax, guard >= 0")
+
+    def contains(self, k: int) -> bool:
+        return self.kMin <= k <= self.kMax
+
+    def support(self, margin: int) -> Tuple[int, int]:
+        return (self.kMin + margin, self.kMax - margin)
+
+
+@dataclass(frozen=True)
 class AlgebraSpec:
     series: str
     rank: int
@@ -330,6 +350,10 @@ class AlgebraData:
         return _bilinear(self.weight_form, a, b)
 
     @cached_property
+    def action(self) -> List[Dict[int, List[Tuple[int, int]]]]:
+        return coadjoint_action(self.structure)
+
+    @cached_property
     def weight_ints(self) -> Tuple[Tuple[Coords, ...], int, Coords]:
         """(W, m, 2rho): the weight form as ints W over one scale m, so that
         <a, b> = sum_ij a_i W_ij b_j / m, and 2 rho as ints, all in
@@ -557,6 +581,22 @@ class IntAlgebra:
     @property
     def dim(self) -> int:
         return self.data.dim
+
+    @cached_property
+    def action(self) -> List[Dict[int, List[Tuple[int, int]]]]:
+        return coadjoint_action(self.structure)
+
+
+def coadjoint_action(structure) -> List[Dict[int, List[Tuple[int, int]]]]:
+    """The one inversion of ``structure`` into the coadjoint action, kept per
+    algebra as ``action``: ``action[g][m]`` lists (t, -C_{gt}^m) in the
+    order of ``structure[g]``, so A_g e^m = sum_t -C_{gt}^m e^t."""
+    action: List[Dict[int, List[Tuple[int, int]]]] = [{} for _ in structure]
+    for g, row in enumerate(structure):
+        for t, col in row.items():
+            for m, c in col.items():
+                action[g].setdefault(m, []).append((t, -c))
+    return action
 
 
 def scaled_ints(values: Sequence[int | Fraction]) -> Tuple[Tuple[int, ...], int]:

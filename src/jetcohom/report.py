@@ -1,10 +1,11 @@
 """Report assembly: compute cells, cross-check predictions, serialize.
 
 Reports are deterministic: for a fixed configuration and code version the
-JSON bytes are identical run to run (timings are only included when
-explicitly requested: a compute report holds ``"timing": null`` without
+bytes are identical run to run (timings are only included when explicitly
+requested: a compute report holds ``"timing": null`` without
 ``--timing``, and the predict and verify-identities reports gain the key
-only with it).  Exact numbers are serialized as rational strings
+only with it; text shows it as a last ``timing: <seconds> s`` line, and
+csv has no place for it).  Exact numbers are serialized as rational strings
 ("p/q" or an integer string); the fock identity suite reports each
 ``maxAbsError`` as the decimal float of an exact rational, 0.0 on every
 pass.  ``RunConfig.tolerance`` is validated and echoed in the config but
@@ -27,7 +28,7 @@ from .cochain import (
     harmonic_space,
     isotypic_eigen_check,
 )
-from .liealg import AlgebraData, AlgebraSpec, build_algebra
+from .liealg import AlgebraData, AlgebraSpec, EnergyWindow, build_algebra
 from .reptheory import (
     IrrepSummand,
     expand,
@@ -36,28 +37,6 @@ from .reptheory import (
 )
 
 SCHEMA_VERSION = 1
-
-
-@dataclass(frozen=True)
-class EnergyWindow:
-    """The mode levels kMin..kMax of the identity harness (``fock``), with
-    a guard margin.  It lives here, not in ``fock``, because every command
-    validates the window of its ``RunConfig`` and only ``verify-identities``
-    loads ``fock``."""
-
-    kMin: int
-    kMax: int
-    guard: int = 0
-
-    def __post_init__(self):
-        if self.kMin > 0 or self.kMax < 1 or self.guard < 0:
-            raise ValueError("window must satisfy kMin <= 0 < 1 <= kMax, guard >= 0")
-
-    def contains(self, k: int) -> bool:
-        return self.kMin <= k <= self.kMax
-
-    def support(self, margin: int) -> Tuple[int, int]:
-        return (self.kMin + margin, self.kMax - margin)
 
 
 @dataclass
@@ -81,6 +60,8 @@ class RunConfig:
             raise ValueError(f"tolerance must be positive and finite, not {self.tolerance}")
         if self.outputFormat not in ("json", "csv", "text"):
             raise ValueError(f"unknown output format {self.outputFormat!r}")
+        if self.outputFormat == "csv" and self.timing:
+            raise ValueError("csv output has no place for timing; use json or text")
         if self.maxDegree < 0 or self.maxEnergy < 0:
             raise ValueError("maxDegree and maxEnergy must be nonnegative")
         self.window = EnergyWindow(self.kMin, self.kMax, self.guard)
@@ -336,38 +317,38 @@ def _to_text(report: dict) -> str:
                 for i in irreps
             )
             out.append(f"  H^{p}: {rows or 'none'}")
-        return "\n".join(out) + "\n"
-    if report.get("kind") == "verify-identities":
+    elif report.get("kind") == "verify-identities":
         out.append(f"{'identity':44s} {'status':8s} {'max abs error'}")
         for v in report["identity_suite"]:
             status = "SKIP" if v["skipped"] else ("pass" if v["pass"] else "FAIL")
             err = "-" if v["maxAbsError"] is None else f"{v['maxAbsError']:.3e}"
             extra = f"  ({v['reason']})" if v["skipped"] else ""
             out.append(f"{v['identity']:44s} {status:8s} {err}{extra}")
-        return "\n".join(out) + "\n"
-
-    header = f"{'p':>3} {'k':>3} {'dim':>6} {'rank d':>7} {'dim H':>6} {'harmonic decomposition':<40} {'match':>6}"
-    out.append(header)
-    out.append("-" * len(header))
-    for cell in report["cells"]:
-        decomp = " + ".join(
-            (f"{s['multiplicity']}x" if s["multiplicity"] > 1 else "") + f"V({','.join(s['lowestWeight'])})[{s['dim']}]"
-            for s in cell["harmonic"]
-        ) or "."
-        verdict = str(report["matchVerdict"][str(cell["p"])]).lower()
+    else:
+        header = f"{'p':>3} {'k':>3} {'dim':>6} {'rank d':>7} {'dim H':>6} {'harmonic decomposition':<40} {'match':>6}"
+        out.append(header)
+        out.append("-" * len(header))
+        for cell in report["cells"]:
+            decomp = " + ".join(
+                (f"{s['multiplicity']}x" if s["multiplicity"] > 1 else "") + f"V({','.join(s['lowestWeight'])})[{s['dim']}]"
+                for s in cell["harmonic"]
+            ) or "."
+            verdict = str(report["matchVerdict"][str(cell["p"])]).lower()
+            out.append(
+                f"{cell['p']:>3} {cell['k']:>3} {cell['dim']:>6} {cell['rank_d']:>7} "
+                f"{cell['harmonic_dim']:>6} {decomp:<40} {verdict:>6}"
+            )
+        suite = report["exact_suite"]
+        out.append("")
         out.append(
-            f"{cell['p']:>3} {cell['k']:>3} {cell['dim']:>6} {cell['rank_d']:>7} "
-            f"{cell['harmonic_dim']:>6} {decomp:<40} {verdict:>6}"
+            "exact suite: "
+            + "  ".join(
+                f"{name}={'ok' if (suite[name] if isinstance(suite[name], bool) else suite[name]['pass']) else 'FAIL'}"
+                for name in ("d_squared_zero", "weyl_symmetric", "isotypic", "positivity", "round_trip", "multiplicity_one")
+            )
         )
-    suite = report["exact_suite"]
-    out.append("")
-    out.append(
-        "exact suite: "
-        + "  ".join(
-            f"{name}={'ok' if (suite[name] if isinstance(suite[name], bool) else suite[name]['pass']) else 'FAIL'}"
-            for name in ("d_squared_zero", "weyl_symmetric", "isotypic", "positivity", "round_trip", "multiplicity_one")
-        )
-    )
+    if report.get("timing"):  # only on request, as the last line
+        out.append(f"timing: {report['timing']['seconds']} s")
     return "\n".join(out) + "\n"
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -611,3 +612,41 @@ def test_timing_adds_a_timing_block_to_the_golden_report(tmp_path, command, flag
     timing = report.pop("timing")
     assert list(timing) == ["seconds"] and isinstance(timing["seconds"], float) and timing["seconds"] >= 0
     assert serialize_report(report, "json").encode() == (GOLDEN / f"{golden}.json").read_bytes()
+
+
+@pytest.mark.parametrize("command, flags, golden", [
+    ("compute", ["--series", "A", "--rank", "1", "--max-degree", "3", "--max-energy", "6"], "a1_3_6"),
+    ("predict", ["--series", "G", "--rank", "2", "--max-degree", "6"], "predict_g2_6"),
+    ("verify-identities", ["--series", "A", "--rank", "1", "--kmin", "-2", "--kmax", "3", "--guard", "1"],
+     "identities_a1_m2_3_g1"),
+])
+def test_timing_adds_one_last_line_to_the_golden_text_report(tmp_path, command, flags, golden):
+    # the golden text, or the text of the golden json report, then one timing line
+    out = tmp_path / "report.text"
+    if command == "compute":
+        flags = [*flags, "--cache-dir", str(tmp_path / "cache")]
+    assert main([command, *flags, "--timing", "--format", "text", "--output", str(out)]) == 0
+    *body, last = out.read_text().splitlines(keepends=True)
+    if command == "compute":
+        want = (GOLDEN / f"{golden}.text").read_text()
+    else:
+        want = serialize_report(json.loads((GOLDEN / f"{golden}.json").read_text()), "text")
+    assert "".join(body) == want
+    assert re.fullmatch(r"timing: \d+\.\d+ s\n", last), last
+
+
+def test_cli_rejects_csv_with_timing_before_computing(tmp_path, capsys, monkeypatch):
+    from jetcohom import cli
+
+    def computed(config):
+        raise AssertionError("csv with --timing must be refused before any computation")
+
+    monkeypatch.setattr(cli, "cmd_compute", computed)
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    code = main(["compute", "--series", "A", "--rank", "1", "--max-degree", "1", "--max-energy", "1",
+                 "--cache-dir", str(cache), "--timing", "--format", "csv"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: csv output has no place for timing; use json or text\n"
+    assert list(cache.iterdir()) == []

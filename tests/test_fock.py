@@ -10,7 +10,7 @@ import pytest
 
 from jetcohom import exactlinalg as xl
 from jetcohom import fock
-from jetcohom.cochain import InvariantError
+from jetcohom.cochain import InvariantError, build_basis
 from jetcohom.liealg import AlgebraSpec, build_algebra
 from jetcohom.fock import (
     VACUUM,
@@ -24,7 +24,6 @@ from jetcohom.fock import (
     d_matches_cochain_check,
     d_squared_check,
     decode_monomial,
-    degree_offset,
     dtilde_adjoint_matrix_check,
     encode_monomial,
     energy,
@@ -45,6 +44,11 @@ from jetcohom.fock import (
 import oracles
 
 WINDOW = EnergyWindow(-2, 3, 1)
+
+
+def _degree_offset(b, mono):
+    """The number of added modes less the number of removed ones."""
+    return (mono >> b.off).bit_count() - (mono & (1 << b.off) - 1).bit_count()
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +85,7 @@ def test_window_validation():
 
 def test_vacuum_shape(backend):
     assert VACUUM == 0 and decode_monomial(backend, VACUUM) == ((), ())
-    assert energy(backend, VACUUM) == 0 and degree_offset(backend, VACUUM) == 0
+    assert energy(backend, VACUUM) == 0 and _degree_offset(backend, VACUUM) == 0
 
 
 def test_vacuum_annihilation(backend):
@@ -91,7 +95,7 @@ def test_vacuum_annihilation(backend):
 
 def test_eps_iota_basics(backend):
     coeff, up = eps_monomial(backend, (0, 1), VACUUM)
-    assert energy(backend, up) == 1 and degree_offset(backend, up) == 1 and coeff == 1
+    assert energy(backend, up) == 1 and _degree_offset(backend, up) == 1 and coeff == 1
     # iota on a monomial not containing the dual mode vanishes
     assert iota_monomial(backend, (1, 2), up) is None
     # eps twice with the same mode vanishes
@@ -152,6 +156,44 @@ def test_d_matches_cochain_differential(backend):
     verdict = d_matches_cochain_check(backend)
     assert verdict.passed and verdict.max_abs_error == 0
     assert verdict.vectors > 0
+
+
+@pytest.mark.parametrize("series, rank, count", [("A", 1, 23), ("A", 2, 173), ("B", 2, 296), ("G", 2, 694)])
+def test_a_cochain_monomial_shifted_by_off_is_its_eps_wedge(series, rank, count):
+    """On every cochain monomial m of degree p <= 3 and energy k <= 3,
+    eps(m) Omega, built from eps steps, is (-1)^(p(p-1)/2) (m << off): the
+    encoding ``d_matches_cochain_check`` relies on."""
+    b = OrthonormalBackend(build_algebra(AlgebraSpec(series, rank)), EnergyWindow(-1, 3, 1))
+    cells = [build_basis(b.alg, p, k) for p in range(4) for k in range(4)]
+    assert sum(map(len, cells)) == count
+    for cell in cells:
+        sign = -1 if cell.degree * (cell.degree - 1) // 2 % 2 else 1
+        for mono, wedge in zip(cell.monomials, cell.wedges()):
+            modes = [(i, level) for level, i in wedge]
+            assert fock._eps_wedge_column(b, modes, VACUUM) == (mono << b.off, sign), (cell.degree, wedge)
+
+
+@pytest.mark.parametrize("series, rank, window", [
+    ("A", 1, WINDOW), ("A", 2, EnergyWindow(-1, 3, 1)), ("B", 2, EnergyWindow(-1, 3, 1))], ids=["a1", "a2", "b2"])
+def test_a_doctored_cochain_block_entry_fails_the_cochain_check(monkeypatch, series, rank, window):
+    """An exact block with one int entry raised by 1 no longer matches the
+    Fock d on its column."""
+    data = build_algebra(AlgebraSpec(series, rank))
+    real = fock.differential_block
+    doctored = []
+
+    def block_plus_one(alg, basis_in, basis_out):
+        block = real(alg, basis_in, basis_out)
+        if block.dMatrix and not doctored:
+            key = next(iter(block.dMatrix))
+            block.dMatrix[key] += 1
+            doctored.append(key)
+        return block
+
+    assert d_matches_cochain_check(OrthonormalBackend(data, window)).passed
+    monkeypatch.setattr(fock, "differential_block", block_plus_one)
+    verdict = d_matches_cochain_check(OrthonormalBackend(data, window))
+    assert doctored and not verdict.skipped and not verdict.passed
 
 
 def test_d_squared_formula(backend):
@@ -276,13 +318,13 @@ def test_bitmask_ops_agree_with_the_mode_tuple_reference(request, which, margin,
         added, removed = decode_monomial(b, mono)
         assert encode_monomial(b, added, removed) == mono
         assert energy(b, mono) == sum(k for _i, k in added) - sum(k for _i, k in removed)
-        assert degree_offset(b, mono) == len(added) - len(removed)
+        assert _degree_offset(b, mono) == len(added) - len(removed)
         for mode in modes:
             for op, step in ((eps_monomial, 1), (iota_monomial, -1)):
                 hit = op(b, mode, mono)
                 if hit is not None:
                     assert energy(b, hit[1]) == energy(b, mono) + step * mode[1]
-                    assert degree_offset(b, hit[1]) == degree_offset(b, mono) + step
+                    assert _degree_offset(b, hit[1]) == _degree_offset(b, mono) + step
 
 
 def _doctored_row(b, mode, mask_bit=0, parity=0):
@@ -351,18 +393,26 @@ def test_only_the_groups_of_built_shells_are_enumerated(a2, monkeypatch):
     assert built and all(e == 0 for e, _count in built)
 
 
-@pytest.mark.parametrize("series, window", [("a1", WINDOW), ("a2", EnergyWindow(-1, 2, 1))], ids=["a1", "a2"])
-def test_a_row_with_flipped_parity_is_a_gauge_only_the_reference_catches(request, monkeypatch, series, window):
+@pytest.mark.parametrize("series, window, failing", [
+    ("a1", WINDOW, ["d_restricts_to_chevalley_eilenberg"]),
+    ("a2", EnergyWindow(-1, 2, 1), []),
+], ids=["a1", "a2"])
+def test_a_row_with_flipped_parity_fails_only_the_cochain_check(request, monkeypatch, series, window, failing):
     """Flipping the parity of one row negates eps and iota on that mode x
     alone: that is conjugation by (-1)^{N_x}, with N_x the occupation of x,
-    under which every identity of the suite holds.  Only the comparison
-    with the mode-tuple reference in
+    under which every identity among Fock operators holds.  The cochain
+    check is not one of them: it applies d to the cochain monomial m as
+    ``m << off``, which pins the sign of eps(m) Omega to the exact core's
+    bit order, so on A1 [-2,3], where d of a level-2 mode reaches the
+    flipped mode (0, 1), it fails, and it alone.  On A2 [-1,2] guard 1 its
+    only block (p = 1, k = 1) maps into an empty cell, so no check fails,
+    and only the comparison with the mode-tuple reference in
     ``test_bitmask_ops_agree_with_the_mode_tuple_reference`` catches it."""
     data = request.getfixturevalue(series)
     make = fock.OrthonormalBackend
     monkeypatch.setattr(fock, "OrthonormalBackend", lambda d, w: _doctored_row(make(d, w), (0, 1), parity=1))
     suite = verify_identity_suite(data, window)
-    assert [v.identity for v in suite if not v.passed] == [v.identity for v in suite if v.skipped]
+    assert [v.identity for v in suite if not v.passed and not v.skipped] == failing
     assert sum(not v.skipped for v in suite) >= 10
     b = fock.OrthonormalBackend(data, window)
     assert _step_mismatches(b, monomials_in_support(b, 0, 2, 2))
@@ -525,21 +575,23 @@ def test_column_checks_match_dense_products(backend):
 
 def _two_step_L_column(backend, i, k, mono):
     """Reference: L_{i,k} on one monomial as two single-mode steps per (s, p, q)
-    through ``eps_monomial`` and ``iota_monomial``, in the kernel's loop order."""
+    through ``eps_monomial`` and ``iota_monomial``, in the kernel's loop order:
+    per level s, over ``alg.action[i]``."""
     window = backend.window
     out = {}
     for s in range(max(window.kMin, window.kMin + k), min(window.kMax, window.kMax + k) + 1):
-        for p, q, cval in backend.pairs[i]:
-            if s <= 0:
-                first = eps_monomial(backend, (q, s - k), mono)
-                second = first and iota_monomial(backend, (p, s), first[1])
-                if second:
-                    fock._accumulate(out, second[1], cval * first[0] * second[0])
-            else:
-                first = iota_monomial(backend, (p, s), mono)
-                second = first and eps_monomial(backend, (q, s - k), first[1])
-                if second:
-                    fock._accumulate(out, second[1], -cval * first[0] * second[0])
+        for p, terms in backend.alg.action[i].items():
+            for q, c in terms:  # c = -s*f_{iq}^p
+                if s <= 0:
+                    first = eps_monomial(backend, (q, s - k), mono)
+                    second = first and iota_monomial(backend, (p, s), first[1])
+                    if second:
+                        fock._accumulate(out, second[1], -c * first[0] * second[0])
+                else:
+                    first = iota_monomial(backend, (p, s), mono)
+                    second = first and eps_monomial(backend, (q, s - k), first[1])
+                    if second:
+                        fock._accumulate(out, second[1], c * first[0] * second[0])
     return out
 
 

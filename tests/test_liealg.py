@@ -265,3 +265,20 @@ def test_differential_block_on_an_int_algebra_is_s_times_the_rational_one(cheval
     assert scaled.basisIn == rational.basisIn and scaled.basisOut == rational.basisOut
     assert scaled.dMatrix and all(type(x) is int for x in scaled.dMatrix.values())
     assert scaled.dMatrix == {rc: alg.scale * x for rc, x in rational.dMatrix.items()}
+
+
+def test_the_coadjoint_table_is_built_once_per_algebra(chevalley):
+    # action[g][m] lists (t, -C_{gt}^m) in the order of structure[g], on the
+    # Chevalley algebra and on its int algebra alike; a replaced algebra
+    # gets a table of its own structure
+    alg = int_algebra(chevalley)
+    for data in (chevalley, alg):
+        assert data.action is data.action
+        want = [{} for _ in range(data.dim)]
+        for g, t in itertools.product(range(data.dim), repeat=2):
+            for m, c in data.structure[g].get(t, {}).items():
+                want[g].setdefault(m, []).append((t, -c))
+        assert data.action == want
+    doubled = dataclasses.replace(
+        alg, structure=tuple({t: {m: 2 * c for m, c in col.items()} for t, col in row.items()} for row in alg.structure))
+    assert doubled.action == [{m: [(t, 2 * c) for t, c in terms] for m, terms in row.items()} for row in alg.action]

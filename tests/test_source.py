@@ -83,6 +83,32 @@ def test_no_unused_imports_in_src():
     assert unused == []
 
 
+def _package_imports(path):
+    """The ``jetcohom`` modules a source file imports, relative or absolute."""
+    found = set()
+    for node in ast.walk(_parsed(path)):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module:
+                found.add(node.module.split(".")[0])
+            elif node.level == 1 or node.module == "jetcohom":
+                found.update(alias.name for alias in node.names)
+            elif node.module and node.module.startswith("jetcohom."):
+                found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names if alias.name.startswith("jetcohom."))
+    return found
+
+
+def test_the_identity_harness_is_a_leaf_of_the_exact_core():
+    # fock reads only the algebra and the cochain core, and liealg, below both
+    # routes, reads nothing of the front door; the check is static, since
+    # importing any submodule runs the package __init__, which loads report
+    imports = {path.stem: _package_imports(path) for path in sorted(SRC.glob("*.py"))}
+    assert imports["fock"] <= {"liealg", "cochain"}
+    assert not imports["liealg"] & {"report", "cache", "cli"}
+    assert "report" in imports["cli"]  # the parse sees relative imports
+
+
 def test_every_traced_name_resolves():
     # the benchmark tracer wraps these names from outside; a rename that drops
     # one leaves its layer unmeasured
