@@ -6,24 +6,29 @@ weight, central charge) with the pairing
     <(n1, l1, b1), (n2, l2, b2)> = -n2*b1 - n1*b2 + <l1, l2>.
 
 The affine Weyl group acts by reflections in the real affine roots
-(k, alpha) at central charge zero; reflections preserve the pairing and
-the central component.  Minimal-length coset representatives of the
-quotient by the finite Weyl group are enumerated by walking the orbit of
-the basepoint (0, 0, 1), which visits each coset once at graph distance
-equal to the coset length.
+(k, alpha) at central charge zero,
+
+    s(v) = v - (2 <v, beta> / <alpha, alpha>) beta,   beta = (k, alpha, 0),
+
+which preserve the pairing and the central component.  An element is its
+reduced word and acts on a vector one simple reflection at a time.
+Minimal-length coset representatives of the quotient by the finite Weyl
+group are enumerated by walking the orbit of the basepoint (0, 0, 1),
+which visits each coset once at graph distance equal to the coset length.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .liealg import AlgebraData, FiniteWeight, InvariantError, is_dominant, scaled_ints
 from .reptheory import weyl_dim
 
 Vec = Tuple[Fraction, ...]
+Reflection = Tuple[Vec, Vec]  # (beta, row): s(v) = v - (row . v) beta
 
 
 @dataclass(frozen=True)
@@ -58,7 +63,6 @@ class AffineWeight:
 class AffineRoot:
     k: int
     alpha: FiniteWeight
-    multiplicity: int = 1
 
     def as_weight(self) -> AffineWeight:
         return AffineWeight(Fraction(self.k), self.alpha, Fraction(0))
@@ -115,82 +119,66 @@ def simple_affine_roots(data: AlgebraData) -> List[AffineRoot]:
     return out
 
 
-def reflection_matrix(data: AlgebraData, root: AffineRoot) -> Tuple[Vec, ...]:
-    """Matrix of the reflection in a real affine root on (n1, lambda, b)."""
-    r = data.rank
-    dim = r + 2
+def reflection(data: AlgebraData, root: AffineRoot) -> Reflection:
+    """The reflection in a real affine root on (n1, lambda, b) as (beta, row):
+    s(v) = v - (row . v) beta, with beta = (k, alpha, 0) and row the
+    functional v -> 2 <v, beta> / <alpha, alpha>."""
     alpha = root.alpha
     norm = data.weight_pairing(alpha, alpha)
     if norm == 0:
         raise InvariantError(f"root {alpha} has zero norm")
-    beta_col = (Fraction(root.k),) + tuple(alpha) + (Fraction(0),)
-    # row functional x -> <x, beta_hat>
-    pair_row = [Fraction(0)] * dim
-    for j in range(r):
-        pair_row[1 + j] = sum(Fraction(alpha[l]) * data.weight_form[l][j] for l in range(r))
-    pair_row[dim - 1] = Fraction(-root.k)
-    mat = [[Fraction(1) if i == j else Fraction(0) for j in range(dim)] for i in range(dim)]
-    for i in range(dim):
-        if beta_col[i] == 0:
-            continue
-        f = 2 * beta_col[i] / norm
-        for j in range(dim):
-            mat[i][j] -= f * pair_row[j]
-    return tuple(tuple(row) for row in mat)
+    beta = (Fraction(root.k), *alpha, Fraction(0))
+    pair = [sum(alpha[l] * data.weight_form[l][j] for l in range(data.rank)) for j in range(data.rank)]
+    return beta, tuple(2 * x / norm for x in (Fraction(0), *pair, Fraction(-root.k)))
 
 
-def _apply(mat: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> Vec:
-    return tuple(sum(row[j] * v[j] for j in range(len(v)) if v[j] != 0) for row in mat)
+def _reflect(refl: Reflection, v: Sequence[Fraction]) -> Vec:
+    beta, row = refl
+    c = sum(r * x for r, x in zip(row, v) if x)
+    return tuple(x - c * b for x, b in zip(v, beta))
 
 
-def _matmul(a, b) -> Tuple[Vec, ...]:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
-    )
+def _act(reflections: Sequence[Reflection], indices: Iterable[int], v: Vec) -> Vec:
+    """The simple reflections named by ``indices`` applied to v, the first
+    index first."""
+    for j in indices:
+        v = _reflect(reflections[j], v)
+    return v
 
 
 @dataclass(frozen=True)
 class AffineWeylElement:
+    """s_{j_1} ... s_{j_m} for the reduced word (j_1, ..., j_m), acting
+    through its group's simple reflections."""
+
     reducedWord: Tuple[int, ...]
-    matrix: Tuple[Vec, ...]
-    inverse: Tuple[Vec, ...]
+    reflections: Tuple[Reflection, ...] = field(repr=False, compare=False)
 
     @property
     def length(self) -> int:
         return len(self.reducedWord)
 
     def apply(self, w: AffineWeight) -> AffineWeight:
-        return AffineWeight.from_vector(_apply(self.matrix, w.as_vector()))
+        return AffineWeight.from_vector(_act(self.reflections, reversed(self.reducedWord), w.as_vector()))
 
     def apply_inverse(self, w: AffineWeight) -> AffineWeight:
-        return AffineWeight.from_vector(_apply(self.inverse, w.as_vector()))
+        return AffineWeight.from_vector(_act(self.reflections, self.reducedWord, w.as_vector()))
 
 
 class AffineWeylGroup:
-    """Reflection matrices plus enumeration of minimal coset representatives."""
+    """The simple reflections s_0, ..., s_r (s_0 in alpha_0 = (1, -theta))
+    plus enumeration of minimal coset representatives."""
 
     def __init__(self, data: AlgebraData):
         self.data = data
         self.rank = data.rank
         self.simples = simple_affine_roots(data)
-        self.gens = [reflection_matrix(data, rt) for rt in self.simples]
-        dim = data.rank + 2
-        self.identity_matrix = tuple(
-            tuple(Fraction(1) if i == j else Fraction(0) for j in range(dim)) for i in range(dim)
-        )
-
-    def identity(self) -> AffineWeylElement:
-        return AffineWeylElement((), self.identity_matrix, self.identity_matrix)
+        self.reflections = tuple(reflection(data, rt) for rt in self.simples)
 
     def from_word(self, word: Sequence[int]) -> AffineWeylElement:
-        mat = self.identity_matrix
-        for j in word:
-            mat = _matmul(mat, self.gens[j])
-        inv = self.identity_matrix
-        for j in reversed(word):
-            inv = _matmul(inv, self.gens[j])
-        return AffineWeylElement(tuple(word), mat, inv)
+        if not all(0 <= j <= self.rank for j in word):
+            raise ValueError(f"word {tuple(word)} names no simple reflection s_0..s_{self.rank}")
+        return AffineWeylElement(tuple(word), self.reflections)
 
     def minimal_coset_reps(self, maxLength: int) -> List[AffineWeylElement]:
         """Minimal-length representatives of W_af / W with length <= maxLength.
@@ -200,34 +188,24 @@ class AffineWeylGroup:
         """
         if maxLength < 0:
             raise ValueError("maxLength must be >= 0")
-        dim = self.rank + 2
-        base = tuple([Fraction(0)] * (dim - 1) + [Fraction(1)])
+        base = (Fraction(0),) * (self.rank + 1) + (Fraction(1),)
         seen = {base}
-        ident = self.identity()
-        out = [ident]
-        level: List[Tuple[AffineWeylElement, Vec]] = [(ident, base)]
+        level: List[Tuple[Tuple[int, ...], Vec]] = [((), base)]
+        out = [self.from_word(())]
         for _l in range(maxLength):
-            cands: Dict[Vec, Tuple[Tuple[int, ...], AffineWeylElement]] = {}
-            for w, pt in level:
-                for j in range(self.rank + 1):
-                    npt = _apply(self.gens[j], pt)
+            cands: Dict[Vec, Tuple[int, ...]] = {}
+            for word, pt in level:
+                for j, refl in enumerate(self.reflections):
+                    npt = _reflect(refl, pt)
                     if npt in seen:
                         continue
-                    word = (j,) + w.reducedWord
+                    new = (j,) + word
                     prev = cands.get(npt)
-                    if prev is None or word < prev[0]:
-                        elem = AffineWeylElement(
-                            word,
-                            _matmul(self.gens[j], w.matrix),
-                            _matmul(w.inverse, self.gens[j]),
-                        )
-                        cands[npt] = (word, elem)
-            level = []
-            for npt in cands:
-                seen.add(npt)
-            for npt, (_, elem) in sorted(cands.items(), key=lambda kv: kv[1][0]):
-                out.append(elem)
-                level.append((elem, npt))
+                    if prev is None or new < prev:
+                        cands[npt] = new
+            seen.update(cands)
+            level = sorted((word, npt) for npt, word in cands.items())
+            out.extend(self.from_word(word) for word, _ in level)
         return out
 
     def inversion_set(self, w: AffineWeylElement) -> List[AffineRoot]:
@@ -237,12 +215,11 @@ class AffineWeylGroup:
         member has k > 0.
         """
         word = w.reducedWord
-        v_inv = self.identity_matrix
         roots: List[AffineRoot] = []
         root_vecs: set[Vec] = set()
         for t in range(len(word) - 1, -1, -1):
-            a = word[t]
-            vec = _apply(v_inv, (Fraction(self.simples[a].k),) + tuple(self.simples[a].alpha) + (Fraction(0),))
+            # alpha_{word[t]} reflected by word[t + 1], ..., word[-1] in turn
+            vec = _act(self.reflections, word[t + 1:], self.reflections[word[t]][0])
             k = vec[0]
             if k.denominator != 1 or vec[-1] != 0:
                 raise InvariantError(f"image {vec} of a simple root is not a real affine root")
@@ -252,7 +229,6 @@ class AffineWeylGroup:
                 raise ValueError(f"word {word} is not reduced")
             root_vecs.add(vec)
             roots.append(rt)
-            v_inv = _matmul(v_inv, self.gens[a])
         roots.sort(key=lambda r: (r.k, r.alpha))
         return roots
 

@@ -47,15 +47,9 @@ def dominant_representative(data: AlgebraData, w: Sequence[Fraction]) -> FiniteW
 
 
 def antidominant_representative(data: AlgebraData, w: Sequence[Fraction]) -> FiniteWeight:
-    cur = tuple(w)
-    rs = data.rootSystem
-    while True:
-        for i in range(data.rank):
-            if rs.pair_coroot(cur, i) > 0:
-                cur = rs.reflect(cur, i)
-                break
-        else:
-            return cur
+    """-dominant(-w): the Weyl group acts linearly, so this is the one
+    antidominant weight of the orbit of w."""
+    return tuple(-x for x in dominant_representative(data, tuple(-x for x in w)))
 
 
 def weyl_orbit(data: AlgebraData, w: Sequence[Fraction]) -> set[FiniteWeight]:

@@ -9,7 +9,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, List, Sequence, Tuple
 
-from jetcohom.affine import AffineWeight, laplacian_shift
+from jetcohom.affine import AffineRoot, AffineWeight, laplacian_shift, simple_affine_roots
 from jetcohom.cochain import (GradedComplexBlock, Mode, ScaledColumns, Wedge, _signatures, build_basis,
                               differential_block)
 from jetcohom.liealg import AlgebraData, FiniteWeight, IntAlgebra
@@ -122,6 +122,69 @@ def zero_locus_brute_force(data: AlgebraData, maxEnergy: int) -> List[AffineWeig
 
     rec(0, 0, [Fraction(0)] * rank)
     return sorted(zeros_found.values(), key=lambda w: (w.energy, w.finite))
+
+
+# Matrix reference for the affine Weyl group: an element is the product of
+# the (rank + 2) x (rank + 2) ``Fraction`` matrices of the simple
+# reflections in its word, acting on (n1, lambda, b).
+
+Vec = Tuple[Fraction, ...]
+
+
+def reflection_matrix(data: AlgebraData, root: AffineRoot) -> Tuple[Vec, ...]:
+    """Matrix of the reflection in a real affine root on (n1, lambda, b)."""
+    r = data.rank
+    dim = r + 2
+    alpha = root.alpha
+    norm = data.weight_pairing(alpha, alpha)
+    beta_col = (Fraction(root.k),) + tuple(alpha) + (Fraction(0),)
+    # row functional x -> <x, beta_hat>
+    pair_row = [Fraction(0)] * dim
+    for j in range(r):
+        pair_row[1 + j] = sum(Fraction(alpha[l]) * data.weight_form[l][j] for l in range(r))
+    pair_row[dim - 1] = Fraction(-root.k)
+    mat = [[Fraction(1) if i == j else Fraction(0) for j in range(dim)] for i in range(dim)]
+    for i in range(dim):
+        if beta_col[i] == 0:
+            continue
+        f = 2 * beta_col[i] / norm
+        for j in range(dim):
+            mat[i][j] -= f * pair_row[j]
+    return tuple(tuple(row) for row in mat)
+
+
+def apply_matrix(mat: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> Vec:
+    return tuple(sum(row[j] * v[j] for j in range(len(v)) if v[j] != 0) for row in mat)
+
+
+def _matmul(a, b) -> Tuple[Vec, ...]:
+    n = len(a)
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n))
+
+
+def word_matrix(data: AlgebraData, word: Sequence[int]) -> Tuple[Vec, ...]:
+    """s_{j_1} ... s_{j_m} for the word (j_1, ..., j_m); the matrix of the
+    inverse is that of the reversed word."""
+    gens = [reflection_matrix(data, rt) for rt in simple_affine_roots(data)]
+    dim = data.rank + 2
+    mat = tuple(tuple(Fraction(1) if i == j else Fraction(0) for j in range(dim)) for i in range(dim))
+    for j in word:
+        mat = _matmul(mat, gens[j])
+    return mat
+
+
+def matrix_inversion_set(data: AlgebraData, word: Sequence[int]) -> List[AffineRoot]:
+    """The images s_{j_m} ... s_{j_(t+1)} alpha_{j_t}, t = m..1, sorted; each
+    is a positive real affine root and they are distinct iff the word is
+    reduced."""
+    simples = simple_affine_roots(data)
+    roots = []
+    for t in range(len(word) - 1, -1, -1):
+        a = simples[word[t]]
+        vec = apply_matrix(word_matrix(data, tuple(reversed(word[t + 1:]))),
+                           (Fraction(a.k),) + tuple(a.alpha) + (Fraction(0),))
+        roots.append(AffineRoot(int(vec[0]), tuple(vec[1:-1])))
+    return sorted(roots, key=lambda r: (r.k, r.alpha))
 
 
 # Tuple-wedge references for the int-monomial exact core: a wedge is a

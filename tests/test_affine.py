@@ -61,9 +61,8 @@ def test_reflections_preserve_pairing(a2):
 
 
 def _minimal_reps_oracle(data, max_length):
-    """Independent enumeration: expand all words, keep elements whose action
+    """Independent enumeration: expand all words, keep elements whose matrix
     sends every finite simple root to a positive affine root."""
-    group = AffineWeylGroup(data)
     rank = data.rank
 
     def is_positive(vec):
@@ -75,26 +74,24 @@ def _minimal_reps_oracle(data, max_length):
             return False
         return any(fin) and all(c >= 0 for c in fin)
 
-    seen = {}
-    frontier = {group.identity().matrix: group.identity()}
-    seen.update(frontier)
+    frontier = {oracles.word_matrix(data, ()): ()}
+    seen = dict(frontier)
     counts = {0: 1}
     current = frontier
     for length in range(1, max_length + 1):
         nxt = {}
-        for elem in current.values():
+        for word in current.values():
             for j in range(rank + 1):
-                w = group.from_word((j,) + elem.reducedWord)
-                if w.matrix not in seen:
-                    nxt[w.matrix] = w
+                mat = oracles.word_matrix(data, (j,) + word)
+                if mat not in seen:
+                    nxt[mat] = (j,) + word
         seen.update(nxt)
         minimal = 0
-        for w in nxt.values():
+        for mat in nxt:
             ok = True
             for i in range(rank):
                 alpha = (F(0),) + tuple(F(1) if t == i else F(0) for t in range(rank)) + (F(0),)
-                img = tuple(sum(row[j] * alpha[j] for j in range(len(alpha))) for row in w.matrix)
-                if not is_positive(img):
+                if not is_positive(oracles.apply_matrix(mat, alpha)):
                     ok = False
                     break
             if ok:
@@ -114,6 +111,55 @@ def test_minimal_reps_counts_vs_oracle(a1, a2):
     by_len2 = {l: sum(1 for w in reps2 if w.length == l) for l in range(3)}
     assert by_len2 == {0: 1, 1: 1, 2: 2}
     assert _minimal_reps_oracle(a2, 2) == by_len2
+
+
+@pytest.mark.parametrize("series,rank", [("A", 1), ("A", 2), ("B", 2), ("G", 2)])
+def test_reflection_action_matches_the_matrix_reference(series, rank):
+    """apply, apply_inverse, rho_difference and inversion_set, computed one
+    simple reflection at a time, equal the products of reflection matrices
+    on every representative up to length 4."""
+    data = build_algebra(AlgebraSpec(series, rank))
+    group = AffineWeylGroup(data)
+    rng = random.Random(4)
+    r = rho_hat(data)
+    reps = group.minimal_coset_reps(4)
+    assert len(reps) > 4
+    for w in reps:
+        mat = oracles.word_matrix(data, w.reducedWord)
+        inv = oracles.word_matrix(data, w.reducedWord[::-1])
+        generic = AffineWeight(F(rng.randint(-4, 4), 3), tuple(F(rng.randint(-3, 3), 2) for _ in range(rank)), F(1))
+        for x in (r, generic):
+            assert w.apply(x).as_vector() == oracles.apply_matrix(mat, x.as_vector())
+            assert w.apply_inverse(x).as_vector() == oracles.apply_matrix(inv, x.as_vector())
+        assert group.rho_difference(w).as_vector() == tuple(
+            a - b for a, b in zip(r.as_vector(), oracles.apply_matrix(inv, r.as_vector()))
+        )
+        assert group.inversion_set(w) == oracles.matrix_inversion_set(data, w.reducedWord)
+
+
+def _bott_counts(data, max_length):
+    """Coefficients of t^0..t^max_length in prod_i 1 / (1 - t^{e_i}), with the
+    exponents read off the root heights: #{e_i = j} = #(height j) - #(height j + 1)."""
+    heights = [sum(b) for b in data.rootSystem.positiveRoots]
+    exponents = [j for j in range(1, max(heights) + 1) for _ in range(heights.count(j) - heights.count(j + 1))]
+    assert len(exponents) == data.rank
+    coeffs = [1] + [0] * max_length
+    for e in exponents:
+        for p in range(e, max_length + 1):
+            coeffs[p] += coeffs[p - e]
+    return coeffs
+
+
+@pytest.mark.parametrize(
+    "series,rank", [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("G", 2), ("D", 4), ("F", 4)]
+)
+def test_minimal_reps_by_length_match_the_bott_count(series, rank):
+    """Bott (1956): the minimal coset representatives of length p number the
+    coefficient of t^p in prod_i 1 / (1 - t^{e_i}), the exponents e_i from
+    the root heights (Kostant 1959)."""
+    data = build_algebra(AlgebraSpec(series, rank))
+    reps = minimal_coset_reps(data, 5)
+    assert [sum(1 for w in reps if w.length == p) for p in range(6)] == _bott_counts(data, 5)
 
 
 def test_minimal_reps_trivial_and_distinct(a2):
@@ -145,6 +191,12 @@ def test_inversion_set_rejects_nonreduced(a1):
     bad = group.from_word((0, 0))
     with pytest.raises(ValueError):
         group.inversion_set(bad)
+
+
+@pytest.mark.parametrize("word", [(2,), (0, -1)])
+def test_from_word_rejects_an_index_outside_the_simple_reflections(a1, word):
+    with pytest.raises(ValueError):
+        AffineWeylGroup(a1).from_word(word)
 
 
 def test_rho_difference_examples(a1):

@@ -9,6 +9,7 @@ from jetcohom.liealg import AlgebraSpec, build_algebra
 from jetcohom.reptheory import (
     DecompositionError,
     IrrepSummand,
+    antidominant_representative,
     decompose,
     dominant_multiplicities,
     expand,
@@ -17,6 +18,7 @@ from jetcohom.reptheory import (
     multiplicity_one_audit,
     weights_of_basis,
     weyl_dim,
+    weyl_orbit,
 )
 
 
@@ -60,6 +62,17 @@ def test_freudenthal_adjoint_a2(a2):
     char = irrep_character(a2, theta)
     assert sum(char.values()) == 8
     assert all(m == 1 for w, m in char.items() if w != zero)
+
+
+@pytest.mark.parametrize("series,rank", [("A", 2), ("B", 2), ("G", 2), ("A", 3)])
+def test_antidominant_representative_is_the_antidominant_weight_of_the_orbit(series, rank):
+    data = build_algebra(AlgebraSpec(series, rank))
+    rs = data.rootSystem
+    weights = [rs.rho, rs.theta, *rs.allRoots, tuple(F(i - 2 * i * i, 2) for i in range(rank))]
+    for w in weights:
+        low = antidominant_representative(data, w)
+        antidominant = [u for u in weyl_orbit(data, w) if all(rs.pair_coroot(u, i) <= 0 for i in range(rank))]
+        assert antidominant == [low]
 
 
 def test_decompose_trivial(a1):
