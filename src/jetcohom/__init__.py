@@ -11,11 +11,11 @@ identity harness (`fock`), and the batch front door (`cli`, `report`,
 
 Several core objects fill memos after construction: ``AlgebraData``
 (``weyl_dims`` and its content hash), the character cache of
-``reptheory`` and the per-run memos of ``CellComplex`` and
-``OrthonormalBackend``.  Each memo entry is a pure function of its key,
-so results do not depend on the order of calls, but no object is
-promised safe to share across threads.  Per-cell computations are
-independent.
+``reptheory`` and the per-run memos of ``CellComplex`` (its Casimir rows
+included) and ``OrthonormalBackend``.  Each memo entry is a pure
+function of its key, so results do not depend on the order of calls, but
+no object is promised safe to share across threads.  Per-cell
+computations are independent.
 """
 
 from .liealg import AlgebraSpec, AlgebraData, InvariantError, build_algebra, scaled_form, casimir_eigenvalue

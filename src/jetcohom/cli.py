@@ -1,16 +1,18 @@
 """Batch front door: compute / predict / verify-identities / show-cache.
 
 Flags mirror the run configuration; an optional key=value config file
-(same field names) supplies defaults that flags override.  The cache
-directory may also come from the JETCOHOM_CACHE_DIR environment variable.
+(the keys of ``report.CONFIG_FIELDS``) supplies defaults that flags
+override.  The cache directory may also come from the JETCOHOM_CACHE_DIR
+environment variable.
 
 Exit codes: 0 all verdicts pass (also after --help); 1 a usage or
 configuration error, checked before computing: every command line
-argparse rejects, an unwritable --output, a compute cache directory that
-cannot be created and csv output for a report other than compute's or
-with --timing; 2 a mismatch between computed and predicted cohomology, a
-failed exact check or decomposition, or any other exception inside a
-command (its traceback kept on stderr); 3 an identity-suite failure.
+argparse rejects, an unwritable --output or one naming a directory, a
+compute cache directory that cannot be created and csv output for a
+report other than compute's or with --timing; 2 a mismatch between
+computed and predicted cohomology, a failed exact check or
+decomposition, or any other exception inside a command (its traceback
+kept on stderr); 3 an identity-suite failure.
 ``--tolerance`` is accepted and validated, but the identity suite is
 exact and does not read it.  ``--timing`` adds the wall-clock seconds to
 the report of compute, predict and verify-identities: a ``timing`` block
@@ -33,6 +35,7 @@ from .cochain import InvariantError
 from .liealg import InvalidAlgebraError
 from .reptheory import DecompositionError
 from .report import (
+    CONFIG_FIELDS,
     RunConfig,
     cmd_compute,
     cmd_predict,
@@ -40,20 +43,6 @@ from .report import (
     exit_code_for,
     serialize_report,
 )
-
-_CONFIG_FIELDS = {
-    "series": str,
-    "rank": int,
-    "maxDegree": int,
-    "maxEnergy": int,
-    "kMin": int,
-    "kMax": int,
-    "guard": int,
-    "tolerance": float,
-    "cacheDir": str,
-    "outputFormat": str,
-}
-
 
 def parse_config_file(path: str) -> dict:
     values: dict = {}
@@ -65,9 +54,9 @@ def parse_config_file(path: str) -> dict:
             raise ValueError(f"{path}:{lineno}: expected key = value")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _CONFIG_FIELDS:
+        if key not in CONFIG_FIELDS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = _CONFIG_FIELDS[key](val)
+        values[key] = CONFIG_FIELDS[key](val)
     return values
 
 
@@ -107,7 +96,7 @@ def make_config(args: argparse.Namespace) -> RunConfig:
     values: dict = {}
     if getattr(args, "config", None):
         values.update(parse_config_file(args.config))
-    for name in _CONFIG_FIELDS:
+    for name in CONFIG_FIELDS:
         flag = getattr(args, name, None)
         if flag is not None:
             values[name] = flag
@@ -141,6 +130,9 @@ def main(argv: list[str] | None = None) -> int:
         parent = Path(output).parent
         if not parent.is_dir() or not os.access(parent, os.W_OK):
             print(f"error: cannot write the report: {parent} is not a writable directory", file=sys.stderr)
+            return 1
+        if Path(output).is_dir():
+            print(f"error: cannot write the report: {output} is a directory", file=sys.stderr)
             return 1
     if config.outputFormat == "csv" and args.command != "compute":
         print(f"error: csv output is only defined for compute reports, not {args.command}", file=sys.stderr)

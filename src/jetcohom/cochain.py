@@ -16,7 +16,7 @@ Moving modes out of a monomial and others in has the sign
 (-1)^popcount(rest & mask): rest is the monomial without the modes it
 loses, and mask the xor of the masks of the bits below each mode moved.
 d reads a split table row per mode bit, (u | v, mask, coefficient) for
-each pair of modes the mode splits into.  The Casimir reads per-algebra
+each pair of modes the mode splits into.  The Casimir reads the run's
 tables (``CasimirTables``): a one-body row per mode, sum_a (G^-1)_{ab}
 A_a A_b on that mode, and a two-body row per pair of modes, the same sum
 with A_a and A_b on the two modes in both orders, each row built the
@@ -30,8 +30,8 @@ structure constants over their scale s, the inverse invariant form, the
 dual-mode metric and the torus weights.  Every cell operator is kept for
 the whole run as sparse int columns over one positive int scale per cell
 (``ScaledColumns``): d = D / delta in lowest terms, from the int block
-s*d; d* = S / sigma; the Laplacian L = d*d + dd* = L_int / lambda; the
-Casimir C = C_int / gamma.  ``Fraction`` is left at the boundary: the
+s*d, which is not kept; d* = S / sigma; the Laplacian L = d*d + dd* =
+L_int / lambda; the Casimir C = C_int / gamma.  ``Fraction`` is left at the boundary: the
 predicted Casimir values and the report; harmonic vectors are sparse
 primitive int vectors.
 
@@ -56,7 +56,6 @@ fock module).  Harmonicity, the vanishing locus, is the same either way.
 from __future__ import annotations
 
 import itertools
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
@@ -274,9 +273,10 @@ class CellComplex:
     values; every operator is built from ``self.alg``, its ``IntAlgebra``,
     so the diagonal wedge Gram of a degree-p cell (``gram``) is
     ``alg.metric_scale`` ** p times the true one.  Besides bases, int
-    weight labels and Grams it keeps the int blocks s*d and d, d* and the
-    Laplacian L as ``ScaledColumns`` (int columns over one int scale per
-    cell), one memo entry each.  Dense matrices exist only as inputs to an
+    weight labels and Grams it keeps d (not the int block it is read
+    from), d* and the Laplacian L as ``ScaledColumns`` (int columns over
+    one int scale per cell), one memo entry each, and the run's
+    ``CasimirTables``.  Dense matrices exist only as inputs to an
     elimination, cut from the columns by ``_dense_block``: each weight
     block of d for its rank, and each weight block of L for its kernel.
     Every other check applies the int columns to int vectors.
@@ -285,6 +285,7 @@ class CellComplex:
     def __init__(self, data: AlgebraData):
         self.data = data
         self.alg = int_algebra(data)
+        self.casimir_tables = CasimirTables(self.alg)
         self._kept: Dict[Tuple[str, int, int], object] = {}
 
     def _memo(self, name: str, p: int, k: int, build):
@@ -295,11 +296,6 @@ class CellComplex:
 
     def basis(self, p: int, k: int) -> CochainBasis:
         return self._memo("basis", p, k, lambda: build_basis(self.alg, p, k))
-
-    def block(self, p: int, k: int) -> GradedComplexBlock:
-        """The int block s*d of d: A^p(k) -> A^{p+1}(k), between the
-        memoised bases of both cells."""
-        return self._memo("block", p, k, lambda: differential_block(self.alg, self.basis(p, k), self.basis(p + 1, k)))
 
     def weights(self, p: int, k: int) -> List[Weight]:
         """Torus weight of each monomial of the (p, k) basis, as int tuples."""
@@ -344,13 +340,14 @@ class CellComplex:
 
     def differential(self, p: int, k: int) -> ScaledColumns:
         """d: A^p(k) -> A^{p+1}(k) as D / delta in lowest terms, the int
-        block s*d over s, after a check that every entry joins equal torus
-        weights."""
+        block s*d between the memoised bases over s, after a check that
+        every entry joins equal torus weights; only the columns are kept."""
 
         def build():
             w_in, w_out = self.weights(p, k), self.weights(p + 1, k)
+            block = differential_block(self.alg, self.basis(p, k), self.basis(p + 1, k))
             out: Columns = {}
-            for (r, c), v in self.block(p, k).dMatrix.items():
+            for (r, c), v in block.dMatrix.items():
                 if w_out[r] != w_in[c]:
                     raise InvariantError(f"d^{p} at energy {k} joins different torus weights")
                 out.setdefault(c, {})[r] = v
@@ -497,7 +494,7 @@ Row = List[Tuple[int, int, int]]  # (new bits, sign mask, coefficient) per term
 
 class CasimirTables:
     """The rows of C = sum_a (G^-1)_{ab} / 2 * A_a A_b, b the partner of a,
-    on int monomials, as ints over 2*e*s^2 (A_a over s, G^-1 over e).
+    on int monomials, as ints over ``scale`` = 2*e*s^2 (A_a over s, G^-1 over e).
 
     A_a is a derivation, so A_a A_b on a wedge is a one-body part, A_a A_b
     on one mode, plus a two-body part, A_a and A_b on two different modes.
@@ -509,12 +506,13 @@ class CasimirTables:
     monomial without them, the term is zero where rest & new is not, and
     otherwise adds c * (-1)^popcount(rest & mask) at rest | new.  A row is
     built from ``alg.action`` (``liealg.coadjoint_action``) when it is first
-    read, so only modes and mode pairs that occur cost anything.  The
-    tables hold that table and ints, never their algebra.
+    read, so only modes and mode pairs that occur cost anything.  Each
+    ``CellComplex`` owns one, so the rows live as long as its run.
     """
 
     def __init__(self, alg: IntAlgebra):
         self.n = alg.dim
+        self.scale = 2 * alg.gram_inv_scale * alg.scale ** 2
         self.partners = [(a, b, w) for a, (b, w) in enumerate(alg.gram_inv)]
         self.action = alg.action  # A_g e^m = sum (t, c) c/s e^t over action[g][m]
         self._one: Dict[int, Row] = {}
@@ -556,25 +554,13 @@ class CasimirTables:
         return row
 
 
-_casimir_tables: "weakref.WeakKeyDictionary[IntAlgebra, CasimirTables]" = weakref.WeakKeyDictionary()
-
-
-def casimir_tables(alg: IntAlgebra) -> CasimirTables:
-    """The ``CasimirTables`` of ``alg``, kept as long as ``alg`` lives."""
-    tables = _casimir_tables.get(alg)
-    if tables is None:
-        tables = _casimir_tables[alg] = CasimirTables(alg)
-    return tables
-
-
-def casimir_matrix(alg: IntAlgebra, basis: CochainBasis) -> ScaledColumns:
+def casimir_matrix(tables: CasimirTables, basis: CochainBasis) -> ScaledColumns:
     """Half the gram-inverse-paired square of the generator action, as int
     columns over one scale: C e_c = sum_a (G^-1)_{ab} / 2 * A_a (A_b e_c),
-    b the partner of a.  A column is the sum of the ``casimir_tables``
-    one-body rows over its modes and two-body rows over its mode pairs.
-    The actions are over s and G^-1 over e, so the scale is 2*e*s^2
-    before lowest terms."""
-    tables, index = casimir_tables(alg), basis.index()
+    b the partner of a.  A column is the sum of the ``tables`` one-body
+    rows over its modes and two-body rows over its mode pairs, over the
+    tables' scale before lowest terms."""
+    index = basis.index()
     out: Columns = {}
     for col, mono in enumerate(basis.monomials):
         bits = list(_bits(mono))
@@ -587,7 +573,7 @@ def casimir_matrix(alg: IntAlgebra, basis: CochainBasis) -> ScaledColumns:
                     key = rest | new
                     column[key] = column.get(key, 0) + (-c if (rest & mask).bit_count() & 1 else c)
         out[col] = {index[m]: x for m, x in column.items() if x}
-    return _lowest_terms(out, 2 * alg.gram_inv_scale * alg.scale ** 2)
+    return _lowest_terms(out, tables.scale)
 
 
 @dataclass
@@ -605,11 +591,11 @@ class IsotypicVerdict:
 def isotypic_eigen_check(cc: CellComplex, p: int, k: int) -> IsotypicVerdict:
     """Verify the Laplacian acts by the predicted exact scalar per component.
 
-    The sparse Casimir C = C_int / gamma, built from ``cc.alg`` so that it
-    is in the basis of the Laplacian, is checked to join no two torus
-    weights (``weight_blocked``); the Laplacian L = L_int / lambda is the
-    same ``cc.laplacian`` memo that ``harmonic_space`` reads, weight-blocked
-    by construction.  Then two exact checks run column by column on int
+    The sparse Casimir C = C_int / gamma, read from the run's tables
+    ``cc.casimir_tables`` so that it is in the basis of the Laplacian, is
+    checked to join no two torus weights (``weight_blocked``); the
+    Laplacian L = L_int / lambda is the same ``cc.laplacian`` memo that
+    ``harmonic_space`` reads, weight-blocked by construction.  Then two exact checks run column by column on int
     vectors: gamma * L_int e_j + lambda * C_int e_j = c*k * lambda * gamma
     * e_j, that is (L + C) e_j = c*k*e_j (``laplacian_matches_casimir``),
     and prod_v (s/gamma * C_int - s*v) e_j = 0 over the predicted Casimir
@@ -625,7 +611,7 @@ def isotypic_eigen_check(cc: CellComplex, p: int, k: int) -> IsotypicVerdict:
     """
     data, basis = cc.data, cc.basis(p, k)
     summands = decompose(data, cc.weight_multiset(p, k))
-    C = casimir_matrix(cc.alg, basis)
+    C = casimir_matrix(cc.casimir_tables, basis)
     labels = cc.weights(p, k)
     blocked = all(labels[r] == labels[c] for c, col in C.columns.items() for r in col)
 

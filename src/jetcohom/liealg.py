@@ -565,7 +565,7 @@ def orthogonal_cartan(data: AlgebraData) -> AlgebraData:
 class IntAlgebra:
     """An algebra in the basis of ``orthogonal_cartan`` as ints, each over
     the scale in the field after it.  Compared and hashed by identity, so
-    that per-algebra tables can be kept by weak reference."""
+    that no comparison walks its dict-valued tables."""
 
     data: AlgebraData  # the rebased algebra
     structure: Tuple[Dict[int, Dict[int, int]], ...]  # structure[i][q][p] = s*C_{iq}^p

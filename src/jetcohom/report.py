@@ -17,9 +17,9 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple, get_args, get_type_hints
 
 from . import cache as cache_mod
 from .affine import predict_cohomology
@@ -71,18 +71,17 @@ class RunConfig:
         return AlgebraSpec(self.series, self.rank)
 
     def to_json_dict(self) -> dict:
-        return {
-            "series": self.series,
-            "rank": self.rank,
-            "maxDegree": self.maxDegree,
-            "maxEnergy": self.maxEnergy,
-            "kMin": self.kMin,
-            "kMax": self.kMax,
-            "guard": self.guard,
-            "tolerance": self.tolerance,
-            "cacheDir": self.cacheDir,
-            "outputFormat": self.outputFormat,
-        }
+        return {name: getattr(self, name) for name in CONFIG_FIELDS}
+
+
+# the run schema, read by the config file and the report's ``config`` echo:
+# each init field of RunConfig but the flag ``timing``, with the type of its
+# value, the annotation's first type (``str`` for ``str | None``)
+_HINTS = get_type_hints(RunConfig)
+CONFIG_FIELDS = {f.name: (get_args(_HINTS[f.name]) or (_HINTS[f.name],))[0]
+                 for f in fields(RunConfig) if f.init and f.name != "timing"}
+# the exact-suite checks of every cell, in the order the text report lists them
+EXACT_CHECKS = ("d_squared_zero", "weyl_symmetric", "isotypic", "positivity", "round_trip")
 
 
 def _frac(x: Fraction) -> str:
@@ -99,12 +98,18 @@ _CONVENTIONS = {
 }
 
 
-def _algebra_json(config: RunConfig, data: AlgebraData) -> dict:
+def _header(kind: str, config: RunConfig, data: AlgebraData) -> dict:
+    """The keys every report opens with: its schema, kind, configuration and algebra."""
     return {
-        "name": config.algebra_spec.name,
-        "dim": data.dim,
-        "coxeter": data.coxeter,
-        "content_hash": data.content_hash(),
+        "schema_version": SCHEMA_VERSION,
+        "kind": kind,
+        "config": config.to_json_dict(),
+        "algebra": {
+            "name": config.algebra_spec.name,
+            "dim": data.dim,
+            "coxeter": data.coxeter,
+            "content_hash": data.content_hash(),
+        },
     }
 
 
@@ -150,13 +155,13 @@ def compute_cell(cc: CellComplex, p: int, k: int) -> dict:
             }
             for s in harm.decomposition
         ],
-        "checks": {
-            "d_squared_zero": cc.d_squared_zero(p, k),
-            "weyl_symmetric": is_weyl_symmetric(data, cc.weight_multiset(p, k)),
-            "isotypic": iso.passed,
-            "positivity": all(scalar >= 0 for _lw, scalar in iso.components),
-            "round_trip": expand(data, harm.decomposition) == harm.weight_multiset,
-        },
+        "checks": dict(zip(EXACT_CHECKS, (
+            cc.d_squared_zero(p, k),
+            is_weyl_symmetric(data, cc.weight_multiset(p, k)),
+            iso.passed,
+            all(scalar >= 0 for _lw, scalar in iso.components),
+            expand(data, harm.decomposition) == harm.weight_multiset,
+        ))),
     }
 
 
@@ -208,16 +213,10 @@ def cmd_compute(config: RunConfig) -> dict:
         per_cell.append(((record["p"], record["k"]), summands))
     audit = multiplicity_one_audit(per_cell)
 
-    checks_ok = {
-        name: all(record["checks"][name] for record in cells)
-        for name in ("d_squared_zero", "weyl_symmetric", "isotypic", "positivity", "round_trip")
-    }
+    checks_ok = {name: all(record["checks"][name] for record in cells) for name in EXACT_CHECKS}
 
     report = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "compute",
-        "config": config.to_json_dict(),
-        "algebra": _algebra_json(config, data),
+        **_header("compute", config, data),
         "conventions": dict(_CONVENTIONS),
         # the schema version is the cache's own
         "cells": [{k: v for k, v in record.items() if k != "schema_version"} for record in cells],
@@ -245,10 +244,7 @@ def cmd_predict(config: RunConfig) -> dict:
     t0 = time.monotonic()
     data = build_algebra(config.algebra_spec)
     report = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "predict",
-        "config": config.to_json_dict(),
-        "algebra": _algebra_json(config, data),
+        **_header("predict", config, data),
         "conventions": dict(_CONVENTIONS),
         "predictions": _predictions_json(predict_cohomology(data, config.maxDegree)),
     }
@@ -265,10 +261,7 @@ def cmd_verify_identities(config: RunConfig) -> dict:
     data = build_algebra(config.algebra_spec)
     verdicts = verify_identity_suite(data, config.window)
     report = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "verify-identities",
-        "config": config.to_json_dict(),
-        "algebra": _algebra_json(config, data),
+        **_header("verify-identities", config, data),
         "identity_suite": [v.to_json_dict() for v in verdicts],
     }
     if config.timing:  # only on request, so that the report is otherwise byte-deterministic
@@ -344,7 +337,7 @@ def _to_text(report: dict) -> str:
             "exact suite: "
             + "  ".join(
                 f"{name}={'ok' if (suite[name] if isinstance(suite[name], bool) else suite[name]['pass']) else 'FAIL'}"
-                for name in ("d_squared_zero", "weyl_symmetric", "isotypic", "positivity", "round_trip", "multiplicity_one")
+                for name in EXACT_CHECKS + ("multiplicity_one",)
             )
         )
     if report.get("timing"):  # only on request, as the last line

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -8,9 +9,10 @@ from pathlib import Path
 import pytest
 
 from jetcohom import cache as cache_mod
-from jetcohom.cli import main, make_config, parse_config_file
+from jetcohom.cli import build_parser, main, make_config, parse_config_file
 from jetcohom.liealg import build_algebra
 from jetcohom.report import (
+    CONFIG_FIELDS,
     SCHEMA_VERSION,
     RunConfig,
     cmd_compute,
@@ -277,6 +279,45 @@ def test_cli_reports_an_unwritable_output_as_a_usage_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: cannot write the report") and captured.out == ""
     assert not out.exists() and list(cache.iterdir()) == []
+
+
+def test_cli_refuses_an_output_that_is_a_directory(tmp_path, capsys):
+    # refused before any cell is computed: nothing reaches the cache
+    out, cache = tmp_path / "reports", tmp_path / "cache"
+    out.mkdir()
+    cache.mkdir()
+    code = main([
+        "compute", "--series", "A", "--rank", "1", "--max-degree", "2", "--max-energy", "3",
+        "--cache-dir", str(cache), "--output", str(out),
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write the report: {out} is a directory\n" and captured.out == ""
+    assert list(cache.iterdir()) == [] and list(out.iterdir()) == []
+
+
+def test_run_schema_is_the_run_config_fields(tmp_path):
+    # the config-file keys and the report's config echo are RunConfig's
+    # init fields but timing, and a file setting every key is its flags
+    schema = [f.name for f in dataclasses.fields(RunConfig) if f.init and f.name != "timing"]
+    assert list(CONFIG_FIELDS) == schema
+    assert list(cmd_predict(RunConfig(maxDegree=1))["config"]) == schema
+    values = {
+        "series": "B", "rank": 2, "maxDegree": 2, "maxEnergy": 3, "kMin": -1, "kMax": 2, "guard": 1,
+        "tolerance": 1e-6, "cacheDir": str(tmp_path), "outputFormat": "text",
+    }
+    assert list(values) == schema
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+    flags = [
+        "--series", "B", "--rank", "2", "--max-degree", "2", "--max-energy", "3", "--kmin", "-1", "--kmax", "2",
+        "--guard", "1", "--tolerance", "1e-6", "--cache-dir", str(tmp_path), "--format", "text",
+    ]
+    parser = build_parser()
+    from_file = make_config(parser.parse_args(["verify-identities", "--config", str(cfg)]))
+    from_flags = make_config(parser.parse_args(["verify-identities", *flags]))
+    assert from_file == from_flags == RunConfig(**values)
+    assert [type(getattr(from_file, key)) for key in schema] == [type(value) for value in values.values()]
 
 
 @pytest.mark.parametrize("flags", [["--kmin", "1", "--kmax", "3"], ["--guard", "-1"]])

@@ -1,15 +1,13 @@
 import dataclasses
 import functools
-import gc
 import itertools
 import random
-import weakref
 from fractions import Fraction as F
 
 import pytest
 
 import jetcohom.exactlinalg as xl
-from jetcohom import cochain
+from jetcohom import cochain, report
 from jetcohom.affine import AffineWeight, laplacian_shift
 from jetcohom.cochain import (
     CellComplex,
@@ -124,8 +122,8 @@ def test_rank_of_level_two_differential(a1):
 
 @pytest.mark.parametrize("p,k", [(0, 0), (1, 1), (1, 2), (2, 2), (2, 3), (1, 3), (2, 4), (3, 4), (3, 6)])
 def test_d_squared_zero_exact(a1, cc_a1, p, k):
-    up = cc_a1.block(p, k)
-    upup = cc_a1.block(p + 1, k)
+    up = oracles.cell_block(cc_a1.alg, p, k)
+    upup = oracles.cell_block(cc_a1.alg, p + 1, k)
     if len(up.basisIn) and len(upup.basisOut):
         assert xl.is_zero_matrix(xl.matmul(oracles.dense(upup), oracles.dense(up)))
     assert cc_a1.d_squared_zero(p, k)
@@ -207,6 +205,24 @@ def test_each_cell_basis_is_built_once(monkeypatch):
     cmd_compute(RunConfig(series="A", rank=2, maxDegree=2, maxEnergy=4))
     assert len(calls) > 10 and len(calls) == len(set(calls))
 
+
+def test_each_block_of_d_is_built_once_and_not_kept(monkeypatch):
+    """``compute`` A2 2/4 calls ``differential_block`` once for each block
+    of d it reads, and its complex keeps d's columns but no block."""
+    calls, runs = [], []
+    real_block, real_complex = cochain.differential_block, report.CellComplex
+    monkeypatch.setattr(cochain, "differential_block",
+                        lambda data, basis_in, basis_out: calls.append((basis_in.degree, basis_in.energy))
+                        or real_block(data, basis_in, basis_out))
+    monkeypatch.setattr(report, "CellComplex", lambda data: runs.append(real_complex(data)) or runs[-1])
+    cmd_compute(RunConfig(series="A", rank=2, maxDegree=2, maxEnergy=4))
+    (cc,) = runs
+    assert len(calls) > 10 and len(calls) == len(set(calls))
+    assert set(calls) == {(p, k) for name, p, k in cc._kept if name == "d"}
+    held = [*vars(cc).values(), *cc._kept.values()]
+    assert not any(isinstance(x, cochain.GradedComplexBlock) for x in held)
+
+
 def test_eigenvalue_examples(a1):
     assert eigenvalue_of(a1, (F(0),), 0) == 0
     assert eigenvalue_of(a1, (F(-1),), 1) == 0
@@ -287,7 +303,7 @@ def test_rank_d_matches_dense_rank(series, rank, max_p, max_k):
     cc = CellComplex(build_algebra(AlgebraSpec(series, rank)))
     for p in range(max_p + 1):
         for k in range(max_k + 1):
-            assert cc.rank_d(p, k) == xl.rank(oracles.dense(cc.block(p, k))), (p, k)
+            assert cc.rank_d(p, k) == xl.rank(oracles.dense(oracles.cell_block(cc.alg, p, k))), (p, k)
 
 
 def _cross_weight_pair(cc, p, k):
@@ -370,25 +386,39 @@ def test_weight_blocks_match_whole_cell_reference(series, rank, max_p, max_k):
                 assert op.scale > 0 and _all_ints(op), (p, k)
 
 
-def _cross_weight_d_entry(cc, p, k):
+def _dope_d(monkeypatch, p, k, r, c):
+    """Add 1 at (r, c) of every block of d^p at energy k that
+    ``differential_block`` builds from now on."""
+    real = cochain.differential_block
+
+    def doped(data, basis_in, basis_out):
+        block = real(data, basis_in, basis_out)
+        if (basis_in.degree, basis_in.energy) == (p, k):
+            block.dMatrix[(r, c)] = block.dMatrix.get((r, c), 0) + 1
+        return block
+
+    monkeypatch.setattr(cochain, "differential_block", doped)
+
+
+def _cross_weight_d_entry(cc, p, k, monkeypatch):
     """Dope d^p at energy k with an entry joining two different weights."""
     w_in, w_out = cc.weights(p, k), cc.weights(p + 1, k)
     r, c = next((r, c) for r in range(len(w_out)) for c in range(len(w_in)) if w_out[r] != w_in[c])
-    cc.block(p, k).dMatrix[(r, c)] = 1
+    _dope_d(monkeypatch, p, k, r, c)
 
 
-def test_rank_d_rejects_a_weight_changing_entry(a1):
+def test_rank_d_rejects_a_weight_changing_entry(a1, monkeypatch):
     cc = CellComplex(a1)
-    _cross_weight_d_entry(cc, 1, 2)
+    _cross_weight_d_entry(cc, 1, 2, monkeypatch)
     with pytest.raises(InvariantError):
         cc.rank_d(1, 2)
 
 
-def test_harmonic_space_rejects_a_weight_changing_laplacian(a1):
+def test_harmonic_space_rejects_a_weight_changing_laplacian(a1, monkeypatch):
     # a cross-weight entry of L can only come from d or the metric:
     # a weight-changing d is refused wherever its blocks are cut
     cc = CellComplex(a1)
-    _cross_weight_d_entry(cc, 1, 2)
+    _cross_weight_d_entry(cc, 1, 2, monkeypatch)
     with pytest.raises(InvariantError):
         cc.laplacian(1, 2)
     with pytest.raises(InvariantError):
@@ -409,8 +439,8 @@ def test_isotypic_check_rejects_cross_weight_entries(a1, monkeypatch):
     real_casimir = cochain.casimir_matrix
     i, j = _cross_weight_pair(CellComplex(a1), 2, 3)
 
-    def doctored_casimir(alg, basis):
-        C = real_casimir(alg, basis)
+    def doctored_casimir(tables, basis):
+        C = real_casimir(tables, basis)
         C.columns[j][i] = C.columns[j].get(i, 0) + 1
         return C
 
@@ -497,7 +527,7 @@ def test_integer_operators_are_scaled_dense_references(series, rank, max_p, max_
                 continue
             _G, _dstar, L_ref = _whole_cell_reference(cc, p, k)
             lap = cc.laplacian(p, k)
-            C = cochain.casimir_matrix(cc.alg, basis)
+            C = cochain.casimir_matrix(cc.casimir_tables, basis)
             assert _all_ints(lap) and _all_ints(C), (p, k)
             assert _from_columns(lap.columns, n, n) == oracles.scale(L_ref, lap.scale), (p, k)
             assert _from_columns(C.columns, n, n) == oracles.scale(_dense_casimir_reference(cc.alg.data, basis), C.scale), (p, k)
@@ -561,16 +591,16 @@ def test_minimal_polynomial_check_matches_dense_reference(series, rank, max_p, m
         assert verdict.minimal_polynomial_ok == _dense_minimal_polynomial_ok(cc, p, k, values[(p, k)][:-1]) is False
 
 
-def test_d_squared_check_rejects_a_weight_preserving_entry(a1):
+def test_d_squared_check_rejects_a_weight_preserving_entry(a1, monkeypatch):
     p, k = 1, 4
     cc = CellComplex(a1)
-    hit = sorted({r for r, _c in cc.block(p, k).dMatrix})  # rows of d^p with a nonzero entry
+    hit = sorted({r for r, _c in oracles.cell_block(cc.alg, p, k).dMatrix})  # rows of d^p with a nonzero entry
     w_in, w_out = cc.weights(p + 1, k), cc.weights(p + 2, k)
     r, c = next((r, c) for c in hit for r in range(len(w_out)) if w_out[r] == w_in[c])
-    d_next = cc.block(p + 1, k).dMatrix
-    d_next[(r, c)] = d_next.get((r, c), 0) + 1  # adds row c of d^p to row r of d^{p+1} d^p
+    _dope_d(monkeypatch, p + 1, k, r, c)  # adds row c of d^p to row r of d^{p+1} d^p
     assert not cc.d_squared_zero(p, k)
     assert compute_cell(cc, p, k)["checks"]["d_squared_zero"] is False
+    monkeypatch.undo()
     assert CellComplex(a1).d_squared_zero(p, k)
 
 
@@ -611,13 +641,14 @@ def test_int_core_matches_the_tuple_oracles(series, rank, max_p, max_k):
     # order, the int d is the tuple d, and the table Casimir is the
     # action-product Casimir, columns and scale
     alg = int_algebra(build_algebra(AlgebraSpec(series, rank)))
+    tables = cochain.CasimirTables(alg)
     for k in range(max_k + 1):
         for p in range(max_p + 1):
             block = oracles.cell_block(alg, p, k)
             assert block.basisIn.wedges() == oracles.tuple_basis(alg, p, k), (p, k)
             assert block.basisOut.wedges() == oracles.tuple_basis(alg, p + 1, k), (p, k)
             assert block.dMatrix == oracles.tuple_differential(alg, p, k), (p, k)
-            C, ref = cochain.casimir_matrix(alg, block.basisIn), oracles.tuple_casimir(alg, block.basisIn.wedges())
+            C, ref = cochain.casimir_matrix(tables, block.basisIn), oracles.tuple_casimir(alg, block.basisIn.wedges())
             assert (C.columns, C.scale) == (ref.columns, ref.scale), (p, k)
 
 
@@ -629,20 +660,21 @@ def test_casimir_tables_assume_no_symmetry_of_the_inverse_form(a2):
     gram_inv = list(alg.gram_inv)
     gram_inv[a] = (gram_inv[a][0], 3 * gram_inv[a][1])
     doctored = dataclasses.replace(alg, gram_inv=tuple(gram_inv))
+    tables, doctored_tables = cochain.CasimirTables(alg), cochain.CasimirTables(doctored)
     for p, k in [(1, 2), (2, 3), (2, 4)]:
         basis = build_basis(alg, p, k)
-        C, ref = cochain.casimir_matrix(doctored, basis), oracles.tuple_casimir(doctored, basis.wedges())
+        C, ref = cochain.casimir_matrix(doctored_tables, basis), oracles.tuple_casimir(doctored, basis.wedges())
         assert (C.columns, C.scale) == (ref.columns, ref.scale), (p, k)
-        assert C.columns != cochain.casimir_matrix(alg, basis).columns
+        assert C.columns != cochain.casimir_matrix(tables, basis).columns
 
 
 @pytest.mark.parametrize("body", ["one-body", "two-body"])
 def test_isotypic_check_rejects_a_casimir_table_entry_off_by_one(a1, body):
     p, k = 2, 3
-    cc = CellComplex(a1)  # a fresh algebra, so the doctored tables are its own
+    cc = CellComplex(a1)  # a fresh run, so the doctored tables are its own
     mono = cc.basis(p, k).monomials[0]
     b1, b2 = (b for b in range(mono.bit_length()) if mono >> b & 1)
-    tables = cochain.casimir_tables(cc.alg)
+    tables = cc.casimir_tables
     if body == "one-body":
         rest, row = mono ^ 1 << b1, tables.one_body(b1)
     else:
@@ -653,16 +685,3 @@ def test_isotypic_check_rejects_a_casimir_table_entry_off_by_one(a1, body):
     verdict = isotypic_eigen_check(cc, p, k)
     assert not verdict.laplacian_matches_casimir and not verdict.passed
     assert isotypic_eigen_check(CellComplex(a1), p, k).passed
-
-
-def test_casimir_tables_do_not_keep_their_algebra_alive(a1):
-    gc.disable()
-    try:
-        alg = int_algebra(a1)
-        cochain.casimir_matrix(alg, build_basis(alg, 2, 3))
-        tables, ref = cochain.casimir_tables(alg), weakref.ref(alg)
-        assert tables.one_body(0)
-        del alg
-        assert ref() is None and tables not in cochain._casimir_tables.values()
-    finally:
-        gc.enable()
