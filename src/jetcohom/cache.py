@@ -1,15 +1,17 @@
 """Per-cell summary cache keyed by the algebra content hash.
 
-One JSON file per (algebra, degree, energy) cell holding the computed
-cell summary: dimension, rank of d, harmonic decomposition and check
-flags, and the report schema version it was written for.  The
-differential is not stored; files written when it was (under a "block"
-key) predate the schema version and are recomputed.  A cached file is
-used only when its stored algebra hash and schema version both match; a
-mismatch, a missing version and an unreadable file (one that holds no
-JSON object) trigger recomputation with a warning.  Each writer
-publishes through a temp file of its own, so writers of one cell never
-collide.
+One JSON file per (algebra, degree, energy) cell, named by ``cell_path``
+from its algebra hash, p and k, holds the cell summary: dimension, rank
+of d, harmonic decomposition, check flags and the report schema version
+it was written for; the differential is not stored (files from when it
+was carry no version).  ``record_fault`` is the one record check: a JSON
+object with the current schema version and every required key, under
+the name its own hash, p and k give.  ``load_cell`` also compares the
+hash with the current algebra's and recomputes with a warning on any
+failure, an unreadable file included; ``show-cache``, which knows no
+current algebra, reports ``valid`` from the record check alone.  Each
+writer publishes through a temp file of its own, so writers of one cell
+never collide.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from pathlib import Path
 from typing import Optional
 
 ENV_CACHE_DIR = "JETCOHOM_CACHE_DIR"
+REQUIRED_KEYS = {"algebra_hash", "p", "k", "dim", "rank_d", "harmonic_dim", "harmonic", "checks"}
 
 
 def resolve_cache_dir(configured: str | None) -> Optional[Path]:
@@ -42,6 +45,18 @@ def _read_record(path: Path) -> dict:
     return record
 
 
+def record_fault(path: Path, record: dict, schema_version: int) -> Optional[str]:
+    """Why the JSON object read from ``path`` is no cell record of this
+    schema version, or None: a record carries the version and every
+    required key, under the name ``cell_path`` gives its own cell."""
+    if record.get("schema_version") != schema_version:
+        return f"has schema version {record.get('schema_version')}, not {schema_version}"
+    if not REQUIRED_KEYS.issubset(record):
+        return "is incomplete"
+    name = cell_path(path.parent, str(record["algebra_hash"]), record["p"], record["k"]).name
+    return None if path.name == name else f"holds the record of {name}"
+
+
 def load_cell(cache_dir: Optional[Path], algebra_hash: str, p: int, k: int, schema_version: int) -> Optional[dict]:
     if cache_dir is None:
         return None
@@ -56,13 +71,9 @@ def load_cell(cache_dir: Optional[Path], algebra_hash: str, p: int, k: int, sche
     if record.get("algebra_hash") != algebra_hash:
         print(f"warning: cache file {path} has stale algebra hash; recomputing", file=sys.stderr)
         return None
-    if record.get("schema_version") != schema_version:
-        print(f"warning: cache file {path} has schema version {record.get('schema_version')}, "
-              f"not {schema_version}; recomputing", file=sys.stderr)
-        return None
-    required = {"p", "k", "dim", "rank_d", "harmonic_dim", "harmonic", "checks"}
-    if not required.issubset(record):
-        print(f"warning: cache file {path} is incomplete; recomputing", file=sys.stderr)
+    fault = record_fault(path, record, schema_version)
+    if fault:
+        print(f"warning: cache file {path} {fault}; recomputing", file=sys.stderr)
         return None
     return record
 
@@ -81,7 +92,7 @@ def store_cell(cache_dir: Optional[Path], record: dict) -> None:
         tmp.unlink(missing_ok=True)  # left behind only by a failed write
 
 
-def list_cache(cache_dir: Optional[Path]) -> list[dict]:
+def list_cache(cache_dir: Optional[Path], schema_version: int) -> list[dict]:
     if cache_dir is None or not cache_dir.exists():
         return []
     out = []
@@ -90,7 +101,7 @@ def list_cache(cache_dir: Optional[Path]) -> list[dict]:
         try:
             record = _read_record(path)
             entry.update(
-                valid=True,
+                valid=record_fault(path, record, schema_version) is None,
                 algebra_hash=record.get("algebra_hash", "?"),
                 p=record.get("p"),
                 k=record.get("k"),

@@ -36,6 +36,7 @@ from .liealg import InvalidAlgebraError
 from .reptheory import DecompositionError
 from .report import (
     CONFIG_FIELDS,
+    SCHEMA_VERSION,
     RunConfig,
     cmd_compute,
     cmd_predict,
@@ -114,7 +115,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "show-cache":
         cache_dir = cache_mod.resolve_cache_dir(getattr(args, "cacheDir", None))
-        entries = cache_mod.list_cache(cache_dir)
+        entries = cache_mod.list_cache(cache_dir, SCHEMA_VERSION)
         print(json.dumps({"cacheDir": str(cache_dir) if cache_dir else None, "entries": entries}, indent=2, sort_keys=True))
         return 0
 

@@ -16,14 +16,16 @@ Moving modes out of a monomial and others in has the sign
 (-1)^popcount(rest & mask): rest is the monomial without the modes it
 loses, and mask the xor of the masks of the bits below each mode moved.
 d reads a split table row per mode bit, (u | v, mask, coefficient) for
-each pair of modes the mode splits into.  The Casimir reads the run's
-tables (``CasimirTables``): a one-body row per mode, sum_a (G^-1)_{ab}
-A_a A_b on that mode, and a two-body row per pair of modes, the same sum
-with A_a and A_b on the two modes in both orders, each row built the
-first time it is read.  A column of C is the sum of the one-body rows
-over its modes and the two-body rows over its mode pairs.  C comes from
-the structure constants and G^-1 alone, never from d or d*, so the
-identity L + C = c*k compares two independent routes.
+each pair of modes ``split_mode`` splits the mode into: the one
+splitting rule, which the identity harness reads over its window.  The
+Casimir reads the run's tables (``CasimirTables``): a one-body row per
+mode, sum_a (G^-1)_{ab} A_a A_b on that mode, and a two-body row per
+pair of modes, the same sum with A_a and A_b on the two modes in both
+orders, each row built the first time it is read.  A column of C is the
+sum of the one-body rows over its modes and the two-body rows over its
+mode pairs.  C comes from the structure constants and G^-1 alone, never
+from d or d*, so the identity L + C = c*k compares two independent
+routes.
 
 Scaled int columns.  Every int comes from one ``liealg.IntAlgebra``: the
 structure constants over their scale s, the inverse invariant form, the
@@ -162,6 +164,21 @@ class GradedComplexBlock:
         return (len(self.basisOut), len(self.basisIn))
 
 
+def split_mode(action: Sequence[Dict[int, List[Tuple[int, int]]]], m: int, level: int, lo: int, hi: int) -> List[tuple]:
+    """d(e^{m,level}) = - sum C_{ab}^m e^{a,l1} ^ e^{b,l2} as flat terms
+    (a, l1, b, l2, c), c = -C_{ab}^m read from the coadjoint table
+    (``action[a][m]`` lists (b, -C_{ab}^m)), over the levels l1 + l2 =
+    level with lo <= l1 <= l2 <= hi.  Each unordered mode pair comes once,
+    so a < b where l1 = l2; the terms run by l1, then a, then the table's
+    order.  The one splitting rule of both routes: the cochain complex
+    reads it with lo = 1, the identity harness over its whole window."""
+    return [(a, l1, b, level - l1, c)
+            for l1 in range(max(lo, level - hi), level // 2 + 1)
+            for a, acting in enumerate(action)
+            for b, c in acting.get(m, ())
+            if l1 < level - l1 or a < b]
+
+
 def differential_block(data: AlgebraData | IntAlgebra, basis_in: CochainBasis,
                        basis_out: CochainBasis) -> GradedComplexBlock:
     """Chevalley-Eilenberg differential A^p(k) -> A^{p+1}(k) between the
@@ -170,26 +187,22 @@ def differential_block(data: AlgebraData | IntAlgebra, basis_in: CochainBasis,
     the structure constants' type: ints on Chevalley data; s*d in ints on
     an ``IntAlgebra``, s its ``scale``; rationals on ``orthogonal_cartan``.
 
-    d(e^{m,l}) = - sum_{u<v} C_{uv}^m e^u ^ e^v over the mode pairs u < v
-    whose levels sum to l.  A split table row per mode bit (built when the
-    bit first occurs) lists (u | v, mask, -C_{uv}^m): with rest the
-    monomial without the split mode, a term needs rest & (u | v) = 0, and
-    moving the mode out and u, v in has the sign (-1)^popcount(rest & mask),
-    mask the bits below the mode, below u and below v, xor-ed."""
+    d(e^{m,l}) is ``split_mode`` at levels >= 1; a split table row per
+    mode bit (built when the bit first occurs) holds its terms as (u | v,
+    mask, -C_{uv}^m): with rest the monomial without the split mode, a
+    term needs rest & (u | v) = 0, and moving the mode out and u, v in has
+    the sign (-1)^popcount(rest & mask), mask the bits below the mode,
+    below u and below v, xor-ed."""
     out_index = basis_out.index()
     n = data.dim
-    action = data.action  # action[a][m] lists (b, -C_{ab}^m)
     table: Dict[int, List[Tuple[int, int, int]]] = {}
 
     def split(bit: int) -> List[Tuple[int, int, int]]:
         level, m = bit // n + 1, bit % n
-        row = []
-        for l1 in range(1, level // 2 + 1):
-            for a, acting in enumerate(action):
-                for b, c in acting.get(m, ()):
-                    u, v = (l1 - 1) * n + a, (level - l1 - 1) * n + b
-                    if u < v:  # each unordered mode pair once
-                        row.append(((1 << u) | (1 << v), _below(bit) ^ _below(u) ^ _below(v), c))
+        row, below = [], _below(bit)
+        for a, l1, b, l2, c in split_mode(data.action, m, level, 1, level - 1):
+            u, v = 1 << (l1 - 1) * n + a, 1 << (l2 - 1) * n + b
+            row.append((u | v, below ^ (v - u), c))  # u < v: the bits below u xor those below v
         return row
 
     entries: Dict[Tuple[int, int], int] = {}

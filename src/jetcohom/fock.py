@@ -2,7 +2,8 @@
 
 Only the ``verify-identities`` command loads this module, which reads only
 ``liealg`` (the ``IntAlgebra``, its coadjoint table and ``EnergyWindow``)
-and ``cochain`` (the exact blocks d is compared with) of the package.
+and ``cochain`` (the exact blocks d is compared with, and ``split_mode``,
+the splitting rule ``leibniz_check`` builds d(alpha) from) of the package.
 
 A semi-infinite monomial is a wedge of dual modes e^{i,k} that agrees
 with the standard vacuum tail for k << 0; it is encoded by the finitely
@@ -113,11 +114,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, partial
 from itertools import chain
-from operator import itemgetter
+from random import Random
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 from weakref import ref
 
-from .cochain import InvariantError, build_basis, differential_block
+from .cochain import InvariantError, build_basis, differential_block, split_mode
 from .liealg import AlgebraData, EnergyWindow, int_algebra
 
 Mode = Tuple[int, int]  # (i, k): basis index, Fourier degree
@@ -213,9 +214,6 @@ class OrthonormalBackend:
         return _Memo(partial(_run_dstar, _dstar_rows(self)))
 
 
-_mode_key: Callable[[Mode], Tuple[int, int]] = itemgetter(1, 0)  # (i, k) -> (k, i)
-
-
 def encode_monomial(backend: OrthonormalBackend, added: Sequence[Mode] = (),
                     removed: Sequence[Mode] = ()) -> SemiInfMonomial:
     """The int of the monomial with these modes, all inside the window."""
@@ -263,7 +261,7 @@ def iota_monomial(backend: OrthonormalBackend, mode: Mode, mono: SemiInfMonomial
 
 
 def _eps_wedge_column(backend: OrthonormalBackend, modes: Sequence[Mode], mono: SemiInfMonomial) -> ColumnTuple:
-    """eps^{m_1} ... eps^{m_p} mono for modes ascending by (k, i), as a column."""
+    """eps^{m_1} ... eps^{m_p} mono, the modes in any order, as a column."""
     sign = 1
     for mode in reversed(modes):
         hit = eps_monomial(backend, mode, mono)
@@ -278,14 +276,6 @@ def _pairs(col: ColumnTuple) -> Iterator[Tuple[SemiInfMonomial, int]]:
     """The (monomial, coefficient) pairs of a column."""
     it = iter(col)
     return zip(it, it)
-
-
-def _accumulate(out: Dict, key, coeff: int):
-    new = out.get(key, 0) + coeff
-    if new:
-        out[key] = new
-    else:
-        out.pop(key, None)
 
 
 def _apply(column: Column, v: Pairs, coeff: int = 1, out: FockVector | None = None) -> FockVector:
@@ -882,56 +872,20 @@ def l0_commutes_with_d_check(backend: OrthonormalBackend) -> IdentityVerdict:
     return _verdict(backend, "L0_commutes_with_d", Fraction(err, 2 * backend.alg.scale ** 2), len(basis))
 
 
-def _ambient_differential(backend: OrthonormalBackend, wedge: Tuple[Mode, ...]) -> Dict[Tuple[Mode, ...], int]:
-    """CE differential of a wedge of dual modes over the full mode algebra
-    (all window levels, negative included), as wedges sorted by mode
-    order, over the scale s of the structure constants."""
-    n, window, action = backend.n, backend.window, backend.alg.action
-    out: Dict[Tuple[Mode, ...], int] = {}
-    for j, (m, l) in enumerate(wedge):
-        outer = -1 if j % 2 else 1
-        rest = [x for t, x in enumerate(wedge) if t != j]
-        for l1 in range(window.kMin, window.kMax + 1):
-            l2 = l - l1
-            if l2 < l1 or not window.contains(l2):
-                continue
-            for p in range(n):
-                for q, c in action[p].get(m, ()):  # c = -s*C_{pq}^m
-                    if l1 == l2 and p >= q:
-                        continue
-                    # splice e^{p,l1} ^ e^{q,l2} in place of position j
-                    new = list(rest)
-                    sign = 1
-                    ok = True
-                    for mode in ((q, l2), (p, l1)):
-                        mk = _mode_key(mode)
-                        pos = 0
-                        while pos < len(new) and _mode_key(new[pos]) < mk:
-                            pos += 1
-                        if pos < len(new) and new[pos] == mode:
-                            ok = False
-                            break
-                        if pos % 2:
-                            sign = -sign
-                        new.insert(pos, mode)
-                    if ok:
-                        _accumulate(out, tuple(new), outer * sign * c)
-    return out
-
-
 def leibniz_check(backend: OrthonormalBackend) -> IdentityVerdict:
     """d(alpha ^ omega) = d(alpha) ^ omega + (-1)^p alpha ^ d(omega) for
-    cochain wedges alpha and random guarded int vectors omega; d(alpha) is
-    the full-algebra differential computed independently from the
-    structure constants (its negative-mode terms act on monomials with
-    holes).  Both sides are compared times 2s, the scale of d."""
+    cochain wedges alpha and random guarded int vectors omega.  d(alpha) =
+    sum_j (-1)^j d(e_j) ^ (alpha without e_j) comes from ``split_mode``
+    over the whole window, negative levels included (those terms act on
+    monomials with holes), so it is independent of the L move tables
+    behind the Fock d.  Each term (a, l1), (b, l2), rest acts on omega as
+    eps steps, which sort the wedge and count its sign themselves.  Both
+    sides are compared times 2s, the scale of d."""
     window = backend.window
     if window.guard < 1:
         return _skip(backend, "leibniz_rule", "window guard < 1")
-    import random as _random
-
-    rng = _random.Random(11)
-    n = backend.n
+    rng = Random(11)
+    n, action = backend.n, backend.alg.action
     lo, hi = window.support(window.guard)
     coch_modes = [(i, k) for k in range(1, hi + 1) for i in range(n)]
     if not coch_modes:
@@ -946,14 +900,16 @@ def leibniz_check(backend: OrthonormalBackend) -> IdentityVerdict:
     trials = 12
     for _ in range(trials):
         p = rng.choice([1, 2])
-        alpha = tuple(sorted(rng.sample(coch_modes, p), key=_mode_key))
+        alpha = rng.sample(coch_modes, p)
         omega_mons = rng.sample(basis, min(3, len(basis)))
         omega = {m: rng.choice((-1, 1)) * rng.randint(1, 9) for m in omega_mons}
 
         res = _apply(d, wedge(alpha, omega, 1, {}).items())
         wedge(alpha, _apply(d, omega.items()), 1 if p % 2 else -1, res)
-        for dwedge, c in _ambient_differential(backend, alpha).items():
-            wedge(dwedge, omega, -2 * c, res)
+        for j, (m, level) in enumerate(alpha):  # less (-1)^j d(e_j) ^ rest ^ omega; c is over s, d over 2s
+            rest = alpha[:j] + alpha[j + 1:]
+            for a, l1, b, l2, c in split_mode(action, m, level, window.kMin, window.kMax):
+                wedge(((a, l1), (b, l2), *rest), omega, 2 * c if j % 2 else -2 * c, res)
         err = max(err, _residual_error(res))
     return _verdict(backend, "leibniz_rule", Fraction(err, 2 * backend.alg.scale), trials)
 
@@ -1107,16 +1063,13 @@ def d_matches_cochain_check(backend: OrthonormalBackend) -> IdentityVerdict:
     for k in range(1, max_k + 1):
         for p in range(1, min(2, k) + 1):
             block = differential_block(backend.alg, basis(p, k), basis(p + 1, k))
-            rhs: Dict[int, List[Tuple[SemiInfMonomial, int]]] = {}  # per column, its terms times -2(-1)^p
-            monos_out = block.basisOut.monomials
+            # per column of m: d(m << off) less 2(-1)^p times the block's column, both over 2s
+            res = {col: dict(_pairs(d(mono << off))) for col, mono in enumerate(block.basisIn.monomials)}
             for (row, col), val in block.dMatrix.items():
-                rhs.setdefault(col, []).append((monos_out[row] << off, 2 * val if p & 1 else -2 * val))
-            for col, mono in enumerate(block.basisIn.monomials):
-                res = dict(_pairs(d(mono << off)))
-                for target, x in rhs.get(col, ()):
-                    _accumulate(res, target, x)
-                err = max(err, _residual_error(res))
-                count += 1
+                target = block.basisOut.monomials[row] << off
+                res[col][target] = res[col].get(target, 0) + (2 * val if p & 1 else -2 * val)
+            err = max([err, *map(_residual_error, res.values())])
+            count += len(res)
     return _verdict(backend, "d_restricts_to_chevalley_eilenberg", Fraction(err, 2 * backend.alg.scale), count)
 
 

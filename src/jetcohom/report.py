@@ -84,12 +84,8 @@ CONFIG_FIELDS = {f.name: (get_args(_HINTS[f.name]) or (_HINTS[f.name],))[0]
 EXACT_CHECKS = ("d_squared_zero", "weyl_symmetric", "isotypic", "positivity", "round_trip")
 
 
-def _frac(x: Fraction) -> str:
-    return str(Fraction(x))
-
-
 def _weight(w: Sequence[Fraction]) -> List[str]:
-    return [_frac(x) for x in w]
+    return [str(Fraction(x)) for x in w]
 
 
 _CONVENTIONS = {

@@ -261,6 +261,27 @@ def tuple_differential(data, p: int, k: int) -> Dict[Tuple[int, int], int]:
     return entries
 
 
+def tuple_split(data, m: int, level: int, lo: int, hi: int) -> Dict[Wedge, Fraction]:
+    """d(e^{m,level}) over the modes at levels lo..hi, as sorted wedges of
+    (level, index) modes: -1/2 sum_{a,b} C_{ab}^m e^{a,l1} ^ e^{b,l2} over
+    every ordered pair of modes with l1 + l2 = level, read from
+    ``data.structure``, each term sorted by ``_insert_modes`` and the
+    halves summed."""
+    twice: Dict[Wedge, int] = {}
+    for l1 in range(lo, hi + 1):
+        l2 = level - l1
+        if not lo <= l2 <= hi:
+            continue
+        for a, row in enumerate(data.structure):
+            for b, coeffs in row.items():
+                c = coeffs.get(m)
+                ins = None if c is None else _insert_modes(((level, m),), 0, ((l1, a), (l2, b)))
+                if ins is not None:
+                    sign, wedge = ins
+                    twice[wedge] = twice.get(wedge, 0) - sign * c
+    return {w: Fraction(x, 2) for w, x in twice.items() if x}
+
+
 def _action_matrix(coefficients: Dict[int, List[Tuple[int, int]]], basis: Sequence[Wedge],
                    index: Dict[Wedge, int]) -> Columns:
     """Int columns of one generator's coadjoint action on a cell (derivation,
@@ -313,6 +334,16 @@ def tuple_casimir(alg: IntAlgebra, basis: Sequence[Wedge]) -> ScaledColumns:
     scale = 2 * alg.gram_inv_scale * alg.scale ** 2
     g = gcd(scale, *(x for col in out.values() for x in col.values()))
     return ScaledColumns({c: {r: x // g for r, x in col.items()} for c, col in out.items()}, scale // g)
+
+
+def accumulate(out: Dict, key, coeff: int):
+    """out[key] += coeff, with a sum of 0 dropped, so that a built column
+    compares equal to one that never held the key."""
+    new = out.get(key, 0) + coeff
+    if new:
+        out[key] = new
+    else:
+        out.pop(key, None)
 
 
 def dstar_from_memoised_L(backend, mono: int) -> Dict[int, int]:

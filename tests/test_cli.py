@@ -531,6 +531,43 @@ def test_cache_files_of_another_schema_version_are_recomputed(tmp_path, capsys):
         assert json.loads(path.read_text())["schema_version"] == SCHEMA_VERSION
 
 
+def test_a_cache_file_holding_another_cells_record_is_recomputed(tmp_path, capsys):
+    # a cell file copied over another cell's passes the hash, version and key
+    # checks; its name is not that of the cell it holds, so it is recomputed
+    # with one warning, not reported as the cell that was asked for
+    cache = tmp_path / "cache"
+    argv = ["compute", "--series", "A", "--rank", "1", "--max-degree", "1", "--max-energy", "1",
+            "--cache-dir", str(cache), "--format", "json"]
+    assert main(argv) == 0
+    cold = capsys.readouterr().out
+    source, target = (next(cache.glob(f"*_p{c}_k{c}.json")) for c in (0, 1))
+    target.write_text(source.read_text())
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out == cold
+    assert [line for line in err.splitlines() if line.startswith("warning:")] == [
+        f"warning: cache file {target} holds the record of {source.name}; recomputing"]
+
+
+def test_show_cache_lists_only_current_well_named_records_as_valid(tmp_path, capsys):
+    # show-cache cannot know the algebra a file is for, so it checks what a
+    # file says of itself: the schema version, the keys, and the name of
+    # the cell its hash, p and k give
+    cache = tmp_path / "cache"
+    cmd_compute(RunConfig(series="A", rank=1, maxDegree=1, maxEnergy=1, cacheDir=str(cache)))
+    fresh = sorted(path.name for path in cache.glob("*.json"))
+    record = json.loads((cache / fresh[0]).read_text())
+    schemaless = {key: x for key, x in record.items() if key != "schema_version"}
+    (cache / "schemaless.json").write_text(json.dumps(schemaless))
+    (cache / "incomplete.json").write_text(json.dumps({"algebra_hash": "x"}))
+    (cache / fresh[-1].replace(".json", "0.json")).write_text(json.dumps(record))  # misnamed
+    capsys.readouterr()
+    assert main(["show-cache", "--cache-dir", str(cache)]) == 0
+    listing = {e["file"]: e["valid"] for e in json.loads(capsys.readouterr().out)["entries"]}
+    assert {name for name, valid in listing.items() if valid} == set(fresh)
+    assert len(listing) == len(fresh) + 3
+
+
 def test_store_cell_writes_through_a_temp_file_of_its_own(tmp_path):
     record = {"algebra_hash": "ab" * 32, "schema_version": SCHEMA_VERSION, "p": 1, "k": 1, "dim": 3,
               "rank_d": 0, "harmonic_dim": 3, "harmonic": [], "checks": {}}

@@ -652,6 +652,20 @@ def test_int_core_matches_the_tuple_oracles(series, rank, max_p, max_k):
             assert (C.columns, C.scale) == (ref.columns, ref.scale), (p, k)
 
 
+@pytest.mark.parametrize("series, rank, lo, hi", [("A", 1, -2, 3), ("A", 2, -1, 2), ("B", 2, -1, 2), ("G", 2, -2, 3)])
+def test_split_mode_over_a_window_matches_the_tuple_split(series, rank, lo, hi):
+    # on every mode of the window: each term of split_mode is one sorted
+    # wedge of two modes, each pair comes once, and the signed wedges are
+    # the ordered-pair reference's
+    alg = int_algebra(build_algebra(AlgebraSpec(series, rank)))
+    for level in range(lo, hi + 1):
+        for m in range(alg.dim):
+            terms = cochain.split_mode(alg.action, m, level, lo, hi)
+            wedges = {((l1, a), (l2, b)): c for a, l1, b, l2, c in terms}
+            assert len(wedges) == len(terms) and all(u < v for u, v in wedges), (m, level)
+            assert wedges == oracles.tuple_split(alg, m, level, lo, hi), (m, level)
+
+
 def test_casimir_tables_assume_no_symmetry_of_the_inverse_form(a2):
     # with (G^-1)_{ab} != (G^-1)_{ba} on one pair, the one- and two-body
     # rows still sum to sum_a (G^-1)_{ab} / 2 * A_a A_b
