@@ -10,15 +10,15 @@ identity harness (`fock`), and the batch front door (`cli`, `report`,
 `jetcohom.fock` for its names.
 
 Several core objects fill memos after construction: ``AlgebraData``
-(``weyl_dims`` and its content hash), the character cache of
-``reptheory`` and the per-run memos of ``CellComplex`` (its Casimir rows
-included) and ``OrthonormalBackend``.  Each memo entry is a pure
-function of its key, so results do not depend on the order of calls, but
-no object is promised safe to share across threads.  Per-cell
-computations are independent.
+(``weyl_dims``, ``characters`` and its content hash) and the per-run
+memos of ``CellComplex`` (its Casimir rows included) and
+``OrthonormalBackend``; no module holds state of its own.  Each memo
+entry is a pure function of its key, so results do not depend on the
+order of calls, but no object is promised safe to share across threads.
+Per-cell computations are independent.
 """
 
-from .liealg import AlgebraSpec, AlgebraData, InvariantError, build_algebra, scaled_form, casimir_eigenvalue
+from .liealg import AlgebraSpec, AlgebraData, InvariantError, build_algebra, casimir_eigenvalue
 from .affine import (
     AffineWeight,
     AffineRoot,
@@ -45,7 +45,7 @@ from .reptheory import IrrepSummand, weights_of_basis, decompose, multiplicity_o
 from .report import RunConfig, cmd_compute, cmd_predict, cmd_verify_identities
 
 __all__ = [
-    "AlgebraSpec", "AlgebraData", "InvariantError", "build_algebra", "scaled_form", "casimir_eigenvalue",
+    "AlgebraSpec", "AlgebraData", "InvariantError", "build_algebra", "casimir_eigenvalue",
     "AffineWeight", "AffineRoot", "AffineWeylElement", "AffineWeylGroup", "PredictedIrrep",
     "affine_pairing", "rho_hat", "minimal_coset_reps", "predict_cohomology",
     "CochainBasis", "GradedComplexBlock", "HarmonicSpace", "CellComplex",

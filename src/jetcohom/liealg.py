@@ -4,16 +4,16 @@ Builds the root system from Cartan data, determines Chevalley structure
 constants with the extraspecial-pair sign convention, and derives the
 normalized invariant form (trace form divided by twice the Coxeter
 number), the compact involution and the positive-definite metric it
-induces.  Everything is exact: structure constants are integers, bilinear
-forms are ``fractions.Fraction`` matrices (``orthogonal_cartan`` gives
-the rational structure constants of a basis with a diagonal metric, and
-``int_algebra`` scales that basis to the ints both exact routes read).
+induces.  Everything is exact: structure constants are integers, the
+invariant form is kept once, as sparse rows of ``fractions.Fraction``
+(``orthogonal_cartan`` gives the rational structure constants of a basis
+with a diagonal metric, and ``int_algebra`` scales that basis to the ints
+both exact routes read).
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -39,14 +39,7 @@ _VALID_RANKS = {
 
 def _bilinear(form: Sequence[Sequence[Fraction]], a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     """sum_{i,j} a_i b_j form[i][j] over the nonzero a_i and b_j, row by row."""
-    tot = Fraction(0)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            if y != 0:
-                tot += x * y * form[i][j]
-    return tot
+    return sum((x * y * form[i][j] for i, x in enumerate(a) if x for j, y in enumerate(b) if y), Fraction(0))
 
 
 class InvalidAlgebraError(ValueError):
@@ -323,8 +316,9 @@ class AlgebraData:
     roots in the canonical order, then f_alpha in the same order.
     ``structure[i][j]`` maps a basis index p to the integer coefficient of
     basis element p in [b_i, b_j].  ``gram`` is the trace form of the
-    adjoint representation divided by 2c; ``hermGram(x,y) = -gram(x, omega y)``
-    for the compact involution omega.
+    adjoint representation divided by 2c, as sparse rows ``gram[i][j]`` of
+    its nonzero entries; ``herm_rows`` derives the metric
+    hermGram(x, y) = -gram(x, omega y) of the compact involution omega.
     """
 
     spec: AlgebraSpec
@@ -333,18 +327,27 @@ class AlgebraData:
     coxeter: int
     basisLabels: Tuple[str, ...]
     structure: Tuple[Dict[int, Dict[int, int]], ...]  # structure[i][j][p] = C_{ij}^p
-    gram: Tuple[Tuple[Fraction, ...], ...]
-    hermGram: Tuple[Tuple[Fraction, ...], ...]
+    gram: Tuple[Dict[int, Fraction], ...]  # gram[i][j], nonzero entries only
     rootSystem: RootSystem
     omega: Tuple[Tuple[int, int], ...]  # signed permutation: omega(b_i) = sign * b_j as (j, sign)
     weight_form: Tuple[Tuple[Fraction, ...], ...]  # <,> induced on weights, simple-root coords
     basis_weights: Tuple[Coords, ...]  # torus weight of each basis element
-    # memo of reptheory.weyl_dim: dominant weight -> dimension; each object
-    # (also one made by ``replace``) starts with its own empty dict
+    # memos of reptheory.weyl_dim (dominant weight -> dimension) and
+    # reptheory.irrep_character (highest weight -> character); each object
+    # (also one made by ``replace``) starts with its own empty dicts
     weyl_dims: Dict[FiniteWeight, int] = field(default_factory=dict, init=False, repr=False, compare=False)
+    characters: Dict[FiniteWeight, Dict[FiniteWeight, int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def bracket(self, i: int, j: int) -> Dict[int, int]:
         return self.structure[i].get(j, {})
+
+    def herm_rows(self) -> Tuple[Dict[int, Fraction], ...]:
+        """hermGram(x, y) = -gram(x, omega y) as sparse rows, for any signed
+        permutation omega: where omega(b_j) = s b_q, row i holds
+        -s gram[i][q] at j."""
+        preimage = {q: (j, s) for j, (q, s) in enumerate(self.omega)}
+        return tuple({preimage[q][0]: -preimage[q][1] * g for q, g in row.items()} for row in self.gram)
 
     def weight_pairing(self, a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
         return _bilinear(self.weight_form, a, b)
@@ -381,7 +384,8 @@ class AlgebraData:
                 for p, c in col.items():
                     triples.append([i, j, p, c])
         triples.sort()
-        frac = lambda m: [[str(x) for x in row] for row in m]
+        # rendered as the dense string matrices the content hash has always read
+        frac = lambda rows: [[str(row.get(j, 0)) for j in range(self.dim)] for row in rows]
         return {
             "series": self.spec.series,
             "rank": self.rank,
@@ -390,7 +394,7 @@ class AlgebraData:
             "basisLabels": list(self.basisLabels),
             "structure": triples,
             "gram": frac(self.gram),
-            "hermGram": frac(self.hermGram),
+            "hermGram": frac(self.herm_rows()),
             "positiveRoots": [list(b) for b in self.rootSystem.positiveRoots],
             "weight_basis": "simple-root coordinates",
         }
@@ -479,32 +483,21 @@ def build_algebra(spec: AlgebraSpec) -> AlgebraData:
                     raise InvariantError(f"structure constant {val} is not integral")
                 put(r + ia, r + ib, {root_to_index[s]: int(val)})
 
-    kappa = _trace_form(structure)
-    gram = tuple(tuple(Fraction(row.get(j, 0), 2 * coxeter) for j in range(n)) for row in kappa)
+    gram = tuple({j: Fraction(v, 2 * coxeter) for j, v in row.items() if v} for row in _trace_form(structure))
 
     # compact involution: h -> -h, e_alpha -> -e_{-alpha}
     omega: List[Tuple[int, int]] = [(i, -1) for i in range(r)]
     omega += [(r + m + i, -1) for i in range(m)]
     omega += [(r + i, -1) for i in range(m)]
-    herm = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            jj, sgn = omega[j]
-            herm[i][j] = -sgn * gram[i][jj]
 
     # induced form on weights (simple-root coordinates)
-    gram_h_inv = xl.invert([[gram[i][j] for j in range(r)] for i in range(r)])
+    gram_h_inv = xl.invert([[gram[i].get(j, 0) for j in range(r)] for i in range(r)])
     t_vecs = [[sum(row[j] * rs.cartan[j][i] for j in range(r)) for row in gram_h_inv] for i in range(r)]
-    wform = [[Fraction(0)] * r for _ in range(r)]
-    for i in range(r):
-        for j in range(r):
-            wform[i][j] = sum(Fraction(rs.cartan[l][i]) * t_vecs[j][l] for l in range(r))
+    wform = [[sum(Fraction(rs.cartan[l][i]) * t_vecs[j][l] for l in range(r)) for j in range(r)] for i in range(r)]
     if any(wform[i][j] != wform[j][i] for i in range(r) for j in range(r)):
         raise InvariantError("weight form must be symmetric")
 
-    weights = tuple(
-        (tuple([0] * r) if b is None else b) for b in basis_root
-    )
+    weights = tuple((0,) * r if b is None else b for b in basis_root)
 
     data = AlgebraData(
         spec=spec,
@@ -514,7 +507,6 @@ def build_algebra(spec: AlgebraSpec) -> AlgebraData:
         basisLabels=labels,
         structure=tuple(structure),
         gram=gram,
-        hermGram=tuple(tuple(row) for row in herm),
         rootSystem=rs,
         omega=tuple(omega),
         weight_form=tuple(tuple(row) for row in wform),
@@ -525,40 +517,51 @@ def build_algebra(spec: AlgebraSpec) -> AlgebraData:
 
 
 def orthogonal_cartan(data: AlgebraData) -> AlgebraData:
-    """The same algebra with h_1..h_r replaced by a ``hermGram``-orthogonal
-    basis of the Cartan subalgebra (Gram-Schmidt over Q).  Root vectors,
-    torus weights and the compact involution (h -> -h) are kept;
-    ``structure`` (now rational), ``gram`` and ``hermGram`` are rewritten.
-    Raises ``InvariantError`` unless the new ``hermGram`` is diagonal."""
+    """The same algebra with h_1..h_r replaced by a basis of the Cartan
+    subalgebra orthogonal in the metric (Gram-Schmidt over Q).  Root
+    vectors, torus weights and the compact involution (h -> -h) are kept;
+    ``structure`` (now of ``Fraction``s) and ``gram`` are rewritten, row by
+    sparse row.  Raises ``InvariantError`` unless the new form pairs each
+    basis vector with exactly one partner and the metric is diagonal."""
     r, n = data.rank, data.dim
+    herm = data.herm_rows()
 
-    def pair(form, x: Dict[int, Fraction], y: Dict[int, Fraction]) -> Fraction:
-        return sum((a * b * form[i][j] for i, a in x.items() for j, b in y.items()), Fraction(0))
+    def pair(x: Dict[int, Fraction], y: Dict[int, Fraction]) -> Fraction:
+        return sum((a * herm[i].get(j, 0) * b for i, a in x.items() for j, b in y.items()), Fraction(0))
 
     rows = [{i: Fraction(1)} for i in range(n)]  # new basis vector i in old coordinates
     for i in range(r):
         for j in range(i):
-            c = pair(data.hermGram, rows[i], rows[j]) / pair(data.hermGram, rows[j], rows[j])
+            c = pair(rows[i], rows[j]) / pair(rows[j], rows[j])
             for a, x in rows[j].items():
                 rows[i][a] = rows[i].get(a, 0) - c * x
     t_inv = xl.invert([[rows[i].get(j, 0) for j in range(r)] for i in range(r)])
     back = [dict(enumerate(row)) for row in t_inv] + rows[r:]  # old basis vector p in new coordinates
-    structure: List[Dict[int, Dict[int, Fraction | int]]] = [dict() for _ in range(n)]
-    for i, j in itertools.product(range(n), repeat=2):
-        acc: Dict[int, Fraction] = {}
-        for (a, x), (b, y) in itertools.product(rows[i].items(), rows[j].items()):
-            for p, c in data.bracket(a, b).items():
-                for q, z in back[p].items():
-                    acc[q] = acc.get(q, 0) + x * y * c * z
-        terms = {q: int(v) if v.denominator == 1 else v for q, v in acc.items() if v}
-        if terms:
-            structure[i][j] = terms
-    gram, herm = (
-        tuple(tuple(pair(form, x, y) for y in rows) for x in rows) for form in (data.gram, data.hermGram)
-    )
-    if any(herm[i][j] for i in range(n) for j in range(n) if i != j):
+    # old basis vector b -> (j, rows[j][b]) over the new j that use it
+    users = [[(j, rows[j][b]) for j in range(r) if b in rows[j]] if b < r else [(b, 1)] for b in range(n)]
+    structure: List[Dict[int, Dict[int, Fraction]]] = []
+    gram: List[Dict[int, Fraction]] = []
+    for i in range(n):
+        brackets: Dict[int, Dict[int, Fraction]] = {}
+        form: Dict[int, Fraction] = {}
+        for a, x in rows[i].items():
+            for b, col in data.structure[a].items():
+                for j, y in users[b]:
+                    acc = brackets.setdefault(j, {})
+                    for p, c in col.items():
+                        for q, z in back[p].items():
+                            acc[q] = acc.get(q, 0) + x * y * c * z
+            for b, g in data.gram[a].items():
+                for j, y in users[b]:
+                    form[j] = form.get(j, 0) + x * y * g
+        structure.append({j: terms for j, acc in brackets.items() if (terms := {q: v for q, v in acc.items() if v})})
+        gram.append({j: v for j, v in form.items() if v})
+    if any(len(row) != 1 for row in gram):
+        raise InvariantError("the invariant form does not pair each basis vector with exactly one partner")
+    rebased = replace(data, structure=tuple(structure), gram=tuple(gram))
+    if any(list(row) != [i] for i, row in enumerate(rebased.herm_rows())):
         raise InvariantError("the mode metric is not diagonal in the orthogonal Cartan basis")
-    return replace(data, structure=tuple(structure), gram=gram, hermGram=herm)
+    return rebased
 
 
 @dataclass(frozen=True, eq=False)
@@ -608,21 +611,15 @@ def scaled_ints(values: Sequence[int | Fraction]) -> Tuple[Tuple[int, ...], int]
 
 
 def int_algebra(data: AlgebraData) -> IntAlgebra:
-    """The ``IntAlgebra`` of ``data``.  Raises ``InvariantError`` unless the
-    invariant form pairs each basis vector with exactly one partner (then
-    (G^-1)_ab = 1 / G_ab for that partner, as G is symmetric) and every
-    torus weight is integral."""
+    """The ``IntAlgebra`` of ``data``.  Raises ``InvariantError`` unless
+    ``orthogonal_cartan`` finds each basis vector paired with exactly one
+    partner, its gram row's one key (then (G^-1)_ab = 1 / G_ab, as G is
+    symmetric), and every torus weight is integral."""
     data = orthogonal_cartan(data)
     s = lcm(*(c.denominator for row in data.structure for col in row.values() for c in col.values()))
     structure = tuple({q: {p: int(c * s) for p, c in col.items()} for q, col in row.items()} for row in data.structure)
-    partners = []
-    for row in data.gram:
-        nonzero = [b for b, x in enumerate(row) if x]
-        if len(nonzero) != 1:
-            raise InvariantError("the invariant form does not pair each basis vector with exactly one partner")
-        partners.append(nonzero[0])
-    form = [Fraction(row[b]) for row, b in zip(data.gram, partners)]
-    dual_metric = [1 / Fraction(row[i]) for i, row in enumerate(data.hermGram)]
+    partners, form = zip(*(next(iter(row.items())) for row in data.gram))
+    dual_metric = [1 / row[i] for i, row in enumerate(data.herm_rows())]
     (gram, g), (gram_inv, e), (metric, m) = (scaled_ints(xs) for xs in (form, [1 / x for x in form], dual_metric))
     if any(Fraction(c).denominator != 1 for w in data.basis_weights for c in w):
         raise InvariantError("a basis weight is not integral in simple-root coordinates")
@@ -688,21 +685,25 @@ def verify_algebra(data: AlgebraData) -> None:
 
     c2 = 2 * data.coxeter
     for krow, grow in zip(_trace_form(data.structure), data.gram):
-        if {j: v for j, v in krow.items() if v} != {j: c2 * g for j, g in enumerate(grow) if g}:
+        if {j: v for j, v in krow.items() if v} != {j: c2 * g for j, g in grow.items() if g}:
             raise InvariantError("trace identity")
 
-    if not _is_positive_definite(data.hermGram):
+    # adjointness implies that omega is an involution (take the adjoint
+    # twice); that part is checked first, before the metric omega defines
+    if any(data.omega[j] != (i, sgn) for i, (j, sgn) in enumerate(data.omega)):
+        raise InvariantError("compact-involution adjointness: omega is not an involution")
+    rows = data.herm_rows()
+    if not _is_positive_definite(rows):
         raise InvariantError("hermGram positive definite")
 
     # ad(x)^dagger = -ad(omega x) in the hermGram metric H: for omega(b_i) = sgn b_i',
-    # (H ad(b_i))[a][b] + sgn (ad(b_i')^T H)[a][b] = 0 on every entry
-    rows = [{b: x for b, x in enumerate(row) if x} for row in data.hermGram]
-    cols = [{a: x for a, x in enumerate(col) if x} for col in zip(*data.hermGram)]
+    # (H ad(b_i))[a][b] + sgn (ad(b_i')^T H)[a][b] = 0 on every entry; H is
+    # symmetric, so its row q is its column q
     for i, (ii, sgn) in enumerate(data.omega):
         entries: Dict[Tuple[int, int], Fraction] = {}
         for b, col in data.structure[i].items():
             for q, c in col.items():
-                for a, h in cols[q].items():
+                for a, h in rows[q].items():
                     entries[a, b] = entries.get((a, b), 0) + h * c
         for a, col in data.structure[ii].items():
             for q, c in col.items():
@@ -712,25 +713,20 @@ def verify_algebra(data: AlgebraData) -> None:
             raise InvariantError("compact-involution adjointness")
 
 
-def _is_positive_definite(mat: Sequence[Sequence[Fraction]]) -> bool:
-    k = len(mat)
-    work = [list(row) for row in mat]
-    for col in range(k):
-        piv = work[col][col]
-        if piv <= 0:
+def _is_positive_definite(rows: Sequence[Dict[int, Fraction]]) -> bool:
+    """Whether the matrix of sparse rows is symmetric and its symmetric
+    elimination, which reads only stored entries, has every pivot positive."""
+    if any(rows[j].get(i) != x for i, row in enumerate(rows) for j, x in row.items()):
+        return False
+    work = [dict(row) for row in rows]
+    for col, row in enumerate(work):
+        if row.get(col, 0) <= 0:
             return False
-        for i in range(col + 1, k):
-            f = work[i][col] / piv
-            if f == 0:
-                continue
-            for j in range(col, k):
-                work[i][j] -= f * work[col][j]
+        below = [(j, x) for j, x in row.items() if j > col]
+        for i, f in below:  # work[i][col] == row[i] by symmetry
+            for j, x in below:
+                work[i][j] = work[i].get(j, 0) - f * x / row[col]
     return True
-
-
-def scaled_form(data: AlgebraData, x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
-    """Killing form over 2c, on coordinate vectors in the Chevalley basis."""
-    return _bilinear(data.gram, x, y)
 
 
 def is_dominant(data: AlgebraData, weight: Sequence[Fraction]) -> bool:

@@ -22,6 +22,7 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple, get_args, get_type_hints
 
 from . import cache as cache_mod
+from .cache import EXACT_CHECKS
 from .affine import predict_cohomology
 from .cochain import (
     CellComplex,
@@ -80,8 +81,6 @@ class RunConfig:
 _HINTS = get_type_hints(RunConfig)
 CONFIG_FIELDS = {f.name: (get_args(_HINTS[f.name]) or (_HINTS[f.name],))[0]
                  for f in fields(RunConfig) if f.init and f.name != "timing"}
-# the exact-suite checks of every cell, in the order the text report lists them
-EXACT_CHECKS = ("d_squared_zero", "weyl_symmetric", "isotypic", "positivity", "round_trip")
 
 
 def _weight(w: Sequence[Fraction]) -> List[str]:

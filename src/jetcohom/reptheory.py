@@ -90,9 +90,6 @@ def weyl_dim(data: AlgebraData, highest: Sequence[Fraction]) -> int:
     return int(d)
 
 
-_char_cache: Dict[Tuple[str, FiniteWeight], WeightMultiset] = {}
-
-
 def dominant_multiplicities(data: AlgebraData, highest: Sequence[Fraction]) -> Dict[FiniteWeight, int]:
     """Freudenthal recursion over the dominant weights below ``highest``."""
     lam = tuple(highest)
@@ -141,8 +138,7 @@ def dominant_multiplicities(data: AlgebraData, highest: Sequence[Fraction]) -> D
 
 def irrep_character(data: AlgebraData, highest: Sequence[Fraction]) -> WeightMultiset:
     lam = tuple(highest)
-    key = (data.content_hash(), lam)
-    cached = _char_cache.get(key)
+    cached = data.characters.get(lam)
     if cached is not None:
         return dict(cached)
     table = dominant_multiplicities(data, lam)
@@ -152,7 +148,7 @@ def irrep_character(data: AlgebraData, highest: Sequence[Fraction]) -> WeightMul
             char[nu] = m
     if sum(char.values()) != weyl_dim(data, lam):
         raise InvariantError(f"character of {lam} disagrees with the Weyl dimension")
-    _char_cache[key] = dict(char)
+    data.characters[lam] = dict(char)
     return char
 
 

@@ -47,6 +47,19 @@ def dense(block: GradedComplexBlock) -> Matrix:
     return out
 
 
+def dense_form(rows: Sequence[Dict[int, Fraction]]) -> Matrix:
+    """The n x n matrix of a bilinear form stored as n sparse rows."""
+    return [[Fraction(row.get(j, 0)) for j in range(len(rows))] for row in rows]
+
+
+def hermitian_form(data: AlgebraData) -> Matrix:
+    """hermGram(x, y) = -gram(x, omega y) as a dense matrix, from its
+    definition: where omega(b_j) = s b_q, column j is -s times column q of
+    the dense gram."""
+    gram = dense_form(data.gram)
+    return [[-s * row[q] for q, s in data.omega] for row in gram]
+
+
 def ad_matrix(data: AlgebraData, i: int) -> Matrix:
     """ad(b_i) as a dense matrix: column j holds [b_i, b_j]."""
     out = zeros(data.dim, data.dim)

@@ -568,9 +568,37 @@ def test_show_cache_lists_only_current_well_named_records_as_valid(tmp_path, cap
     assert len(listing) == len(fresh) + 3
 
 
+@pytest.mark.parametrize("checks", [
+    {name: "false" for name in cache_mod.EXACT_CHECKS},  # strings, each of them truthy
+    {},
+], ids=["string flags", "no flags"])
+def test_a_cache_file_without_a_bool_per_exact_check_is_recomputed(tmp_path, capsys, checks):
+    # a record whose checks are not the exact checks' bools would pass every
+    # check as "ok" (or end the run in a KeyError): it is refused with a
+    # warning, recomputed, and listed as invalid
+    cache = tmp_path / "cache"
+    argv = ["compute", "--series", "A", "--rank", "1", "--max-degree", "1", "--max-energy", "1",
+            "--cache-dir", str(cache), "--format", "text"]
+    assert main(argv) == 0
+    cold = capsys.readouterr().out
+    target = next(cache.glob("*_p1_k1.json"))
+    record = json.loads(target.read_text())
+    target.write_text(json.dumps({**record, "checks": checks}, sort_keys=True))
+    assert main(["show-cache", "--cache-dir", str(cache)]) == 0
+    listing = {e["file"]: e["valid"] for e in json.loads(capsys.readouterr().out)["entries"]}
+    assert listing.pop(target.name) is False and all(listing.values())
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out == cold
+    warnings = [line for line in err.splitlines() if line.startswith("warning:")]
+    assert len(warnings) == 1 and warnings[0].startswith(f"warning: cache file {target} does not map")
+    assert json.loads(target.read_text()) == record  # rewritten by the recompute
+
+
 def test_store_cell_writes_through_a_temp_file_of_its_own(tmp_path):
     record = {"algebra_hash": "ab" * 32, "schema_version": SCHEMA_VERSION, "p": 1, "k": 1, "dim": 3,
-              "rank_d": 0, "harmonic_dim": 3, "harmonic": [], "checks": {}}
+              "rank_d": 0, "harmonic_dim": 3, "harmonic": [],
+              "checks": {name: True for name in cache_mod.EXACT_CHECKS}}
     path = cache_mod.cell_path(tmp_path, record["algebra_hash"], 1, 1)
     taken = path.with_suffix(".tmp")
     taken.mkdir()  # another writer's (or a stale) temp under the cell's plain temp name

@@ -158,7 +158,7 @@ def test_gram_inverse_identity(cc_a1, cc_a2):
     # all-pairs Gram of the vector metric inverts the diagonal cochain Gram,
     # which the complex keeps as ints scaled by alg.metric_scale ** p
     for cc in (cc_a1, cc_a2):
-        herm = cc.alg.data.hermGram
+        herm = oracles.hermitian_form(cc.alg.data)
         for (p, k) in [(1, 2), (2, 3), (3, 4)]:
             mons = cc.basis(p, k).monomials
             grams = cc.gram(p, k)
@@ -292,7 +292,7 @@ def test_wedge_gram_positive_definite(cc_a1, cc_a2):
 def test_wedge_gram_matches_all_pairs_determinants(series):
     data = orthogonal_cartan(build_algebra(AlgebraSpec(series, 2)))
     basis = build_basis(data, 2, 3)
-    herm = [list(r) for r in data.hermGram]
+    herm = oracles.hermitian_form(data)
     for metric in (herm, xl.invert(herm)):
         diagonal = [metric[i][i] for i in range(data.dim)]
         assert _diagonal(wedge_gram(diagonal, basis)) == _all_pairs_gram(metric, basis)
@@ -318,7 +318,7 @@ def _whole_cell_reference(cc, p, k):
     algebra, the rational d (from ``differential_block`` on that algebra,
     not from the complex), d* = G^-1 d^T G and L = d*d + dd* of cell (p, k)."""
     data = cc.alg.data
-    herm = [list(r) for r in data.hermGram]
+    herm = oracles.hermitian_form(data)
     dual = xl.invert(herm)
 
     def dstar(q):
@@ -426,12 +426,16 @@ def test_harmonic_space_rejects_a_weight_changing_laplacian(a1, monkeypatch):
 
 
 def test_metric_class_mixing_two_weights_is_rejected(a1):
-    herm = [list(row) for row in a1.hermGram]
-    herm[1][2] = herm[2][1] = F(1, 4)  # e and f have opposite weights
-    doctored = dataclasses.replace(a1, hermGram=tuple(map(tuple, herm)))
-    with pytest.raises(InvariantError):
+    # pair e and f each with itself: then hermGram(e, f) = hermGram(f, e) = 1/4,
+    # and e and f have opposite weights
+    gram = list(a1.gram)
+    gram[1], gram[2] = {1: F(1, 4)}, {2: F(1, 4)}
+    doctored = dataclasses.replace(a1, gram=tuple(gram))
+    herm = oracles.hermitian_form(doctored)
+    assert herm[1][2] == herm[2][1] == F(1, 4)
+    with pytest.raises(InvariantError, match="not diagonal"):
         orthogonal_cartan(doctored)
-    with pytest.raises(InvariantError):
+    with pytest.raises(InvariantError, match="not diagonal"):
         CellComplex(doctored)
 
 
@@ -502,7 +506,7 @@ def _dense_casimir_reference(data, basis):
         return A
 
     actions = [action(a) for a in range(data.dim)]
-    gram_inv = xl.invert([list(r) for r in data.gram])
+    gram_inv = xl.invert(oracles.dense_form(data.gram))
     C = oracles.zeros(n, n)
     for a, row in enumerate(gram_inv):
         for b, w in enumerate(row):

@@ -15,7 +15,6 @@ from jetcohom.liealg import (
     casimir_eigenvalue,
     int_algebra,
     orthogonal_cartan,
-    scaled_form,
     verify_algebra,
 )
 import jetcohom.exactlinalg as xl
@@ -68,7 +67,8 @@ def test_orthogonal_cartan_is_a_valid_algebra_with_diagonal_metric(series, rank)
     rebased = orthogonal_cartan(data)
     verify_algebra(rebased)
     n, r = data.dim, data.rank
-    assert all(rebased.hermGram[i][j] == 0 for i in range(n) for j in range(n) if i != j)
+    herm = oracles.hermitian_form(rebased)
+    assert all(herm[i][j] == 0 for i in range(n) for j in range(n) if i != j)
     # root vectors are kept: a bracket of two of them with no Cartan part is unchanged
     for i in range(r, n):
         for j in range(r, n):
@@ -125,48 +125,104 @@ def test_a_flipped_omega_sign_breaks_adjointness(a2):
         verify_algebra(doctored)
 
 
+def test_a_rescaled_root_vector_breaks_adjointness(a2):
+    # the basis with e_1 doubled keeps Jacobi, and with gram rescaled alike the
+    # trace identity, an involution omega and a positive metric; but omega,
+    # now e_1 -> -f_1 / 2 and e_2 -> -f_2 with e_1 + e_2 -> -f_12, is no
+    # automorphism, and only the adjointness sweep can catch that
+    lam = [1] * a2.dim
+    lam[a2.rank] = 2
+    structure = tuple({j: {p: F(lam[i] * lam[j] * c, lam[p]) for p, c in col.items()} for j, col in row.items()}
+                      for i, row in enumerate(a2.structure))
+    gram = tuple({j: lam[i] * lam[j] * g for j, g in row.items()} for i, row in enumerate(a2.gram))
+    with pytest.raises(InvariantError, match="^compact-involution adjointness$"):
+        verify_algebra(dataclasses.replace(a2, structure=structure, gram=gram))
+
+
 def test_a_doctored_gram_entry_breaks_the_trace_identity(a2):
     rebased = orthogonal_cartan(a2)
-    gram = [list(row) for row in rebased.gram]
-    gram[0][0] += 1
-    doctored = dataclasses.replace(rebased, gram=tuple(map(tuple, gram)))
+    gram = list(rebased.gram)
+    gram[0] = {**gram[0], 0: gram[0][0] + 1}
+    doctored = dataclasses.replace(rebased, gram=tuple(gram))
     with pytest.raises(InvariantError, match="trace identity"):
         verify_algebra(doctored)
 
 
-def test_scaled_form_values(a1):
-    h = [F(1), F(0), F(0)]
-    e = [F(0), F(1), F(0)]
-    # Killing(h,h) = 8 for the sl2 coroot, divided by 2c = 4
-    assert scaled_form(a1, h, h) == 2
-    assert scaled_form(a1, e, e) == 0
+def test_gram_rows_values(a1):
+    # Killing(h,h) = 8 for the sl2 coroot, divided by 2c = 4; e pairs only with f
+    assert a1.gram[0] == {0: 2}
+    assert a1.gram[1] == {2: 1} and a1.gram[2] == {1: 1}
 
 
-def test_scaled_form_symmetric_and_invariant(a2):
+def test_gram_rows_symmetric_and_invariant(a2):
     n = a2.dim
-    basis = [[F(1) if i == j else F(0) for j in range(n)] for i in range(n)]
+    form = lambda i, j: a2.gram[i].get(j, 0)
     for i in range(n):
         for j in range(n):
-            assert scaled_form(a2, basis[i], basis[j]) == scaled_form(a2, basis[j], basis[i])
+            assert form(i, j) == form(j, i)
     # invariance <[x,y],z> = <x,[y,z]> on all basis triples
-    def bracket_vec(i, j):
-        out = [F(0)] * n
-        for p, c in a2.bracket(i, j).items():
-            out[p] = F(c)
-        return out
-
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                lhs = scaled_form(a2, bracket_vec(i, j), basis[k])
-                rhs = scaled_form(a2, basis[i], bracket_vec(j, k))
+                lhs = sum(c * form(p, k) for p, c in a2.bracket(i, j).items())
+                rhs = sum(c * form(i, p) for p, c in a2.bracket(j, k).items())
                 assert lhs == rhs
+
+
+def _doctored_omegas(data):
+    """omega with one sign flipped, with both signs of one root pair flipped,
+    and fixing one Cartan vector: signed permutations, the last two involutions."""
+    r, m = data.rank, len(data.rootSystem.positiveRoots)
+    flip = lambda omega, i: omega[:i] + ((omega[i][0], -omega[i][1]),) + omega[i + 1:]
+    return {"one sign": flip(data.omega, r), "root pair": flip(flip(data.omega, r), r + m),
+            "cartan fixed": flip(data.omega, r - 1)}
+
+
+@pytest.mark.parametrize("series,rank", [("A", 1), ("A", 2), ("G", 2)])
+def test_gram_rows_hold_the_nonzero_entries_and_derive_the_metric(series, rank):
+    data = build_algebra(AlgebraSpec(series, rank))
+    r, m = data.rank, len(data.rootSystem.positiveRoots)
+    assert all(x != 0 for row in data.gram for x in row.values())
+    # the h's pair only among themselves, e_alpha only with f_alpha
+    assert all(set(row) <= set(range(r)) for row in data.gram[:r])
+    assert [list(row) for row in data.gram[r:]] == [[r + m + i] for i in range(m)] + [[r + i] for i in range(m)]
+    for omega in (data.omega, *_doctored_omegas(data).values()):
+        doctored = dataclasses.replace(data, omega=omega)
+        assert oracles.dense_form(doctored.herm_rows()) == oracles.hermitian_form(doctored)
+
+
+@pytest.mark.parametrize("doctoring", ["root pair", "cartan fixed"])
+@pytest.mark.parametrize("series,rank", [("A", 2), ("G", 2)])
+def test_an_indefinite_metric_breaks_positivity(series, rank, doctoring):
+    # omega stays an involution and gram is untouched, so neither the trace
+    # identity nor the involution part of adjointness trips first
+    data = build_algebra(AlgebraSpec(series, rank))
+    doctored = dataclasses.replace(data, omega=_doctored_omegas(data)[doctoring])
+    with pytest.raises(InvariantError, match="positive definite"):
+        verify_algebra(doctored)
+
+
+# content hashes of the types no golden report pins, taken before the form
+# was stored as sparse rows: the hash reads the same dense rendering
+PINNED_HASHES = {
+    "B3": "3db4d1662deae55b9110d565a5b20106bb94e73134fcbec79df229008464bbe7",
+    "C3": "b6a74c089ef75f0eead8c69fa7c0b6a303eaedc6ee0ab656b1e25104fce79510",
+    "D4": "d10eab06fbc62c4656d3dca79c0abc697e1bfafaa97831e44a36e57530080017",
+    "E6": "040d841200ab6640c138a9edfa5b50bcdeab74f03f74c48def4a1564dfbbb8b6",
+    "E7": "beef5e791ea19a0026d6f74eec0ea776fdd2bc68c6d1caae25370b1537fef1b0",
+    "E8": "38713a7b57e211bf3c2e5a7cb3d700f6e1b9858621be804d37b22a5e2d987794",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_HASHES))
+def test_content_hash_is_pinned(name):
+    assert build_algebra(AlgebraSpec(name[0], int(name[1:]))).content_hash() == PINNED_HASHES[name]
 
 
 def _matrix_casimir_on_adjoint(data):
     """Half of sum_{a,b} graminv[a][b] ad_a ad_b, as an exact matrix."""
     n = data.dim
-    gram_inv = xl.invert([list(r) for r in data.gram])
+    gram_inv = xl.invert(oracles.dense_form(data.gram))
     ads = [oracles.ad_matrix(data, i) for i in range(n)]
     out = oracles.zeros(n, n)
     for a in range(n):
@@ -237,22 +293,22 @@ def test_int_algebra_gram_times_its_inverse_is_the_identity(chevalley):
         for a, (b, x) in enumerate(pairs):
             assert type(x) is int and x
             matrix[a][b] = F(x, scale)
-    assert G == [list(row) for row in alg.data.gram]
+    assert G == oracles.dense_form(alg.data.gram)
     assert xl.matmul(G, G_inv) == oracles.identity(n)
 
 
 def test_int_algebra_metric_inverts_the_mode_metric(chevalley):
     alg = int_algebra(chevalley)
-    herm = alg.data.hermGram
+    herm = oracles.hermitian_form(alg.data)
     assert len(alg.metric) == alg.dim
     assert all(type(x) is int and x * herm[i][i] == alg.metric_scale for i, x in enumerate(alg.metric))
 
 
 def test_a_gram_row_with_two_partners_is_rejected(chevalley):
-    gram = [list(row) for row in chevalley.gram]
+    gram = list(chevalley.gram)
     last = chevalley.dim - 1  # a root vector, which pairs only with its opposite
-    gram[last][last] = F(1)
-    doctored = dataclasses.replace(chevalley, gram=tuple(map(tuple, gram)))
+    gram[last] = {**gram[last], last: F(1)}
+    doctored = dataclasses.replace(chevalley, gram=tuple(gram))
     for build in (int_algebra, CellComplex, lambda data: OrthonormalBackend(data, EnergyWindow(-1, 2, 1))):
         with pytest.raises(InvariantError, match="exactly one partner"):
             build(doctored)
