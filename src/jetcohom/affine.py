@@ -77,11 +77,13 @@ class AffineRoot:
 
 
 def affine_pairing(data: AlgebraData, w1: AffineWeight, w2: AffineWeight) -> Fraction:
-    return (
-        -w2.energy * w1.central
-        - w1.energy * w2.central
-        + data.weight_pairing(w1.finite, w2.finite)
-    )
+    return _pairing(data, w1.as_vector(), w2.as_vector())
+
+
+def _pairing(data: AlgebraData, u: Sequence[int | Fraction], v: Sequence[int | Fraction]) -> Fraction:
+    """The pairing of two vectors (energy, finite, central), the finite parts
+    by <,> = kappa S."""
+    return -v[0] * u[-1] - u[0] * v[-1] + data.weight_pairing(u[1:-1], v[1:-1])
 
 
 def rho_hat(data: AlgebraData) -> AffineWeight:
@@ -91,23 +93,16 @@ def rho_hat(data: AlgebraData) -> AffineWeight:
 def laplacian_shift(data: AlgebraData, w: AffineWeight) -> Fraction:
     """P(w) = (||w - rho_hat||^2 - ||rho_hat||^2) / 2 via the pairing, on
     ints: w and rho_hat = (0, rho, -c) are taken times one denominator D
-    (2 rho is integral, ``weight_ints``), and each pairing times the weight
-    form's scale m, so P(w) is an int over 2 m D^2."""
-    form, m, two_rho = data.weight_ints
+    (2 rho is integral), so each pairing is an int plus kappa times the int
+    u S v, and P(w) is their difference over 2 D^2.  It shares no formula
+    with ``casimir_eigenvalue``, which ``cochain.eigenvalue_of`` checks it
+    against."""
     vec, den = scaled_ints((w.energy, *w.finite, w.central))
     scale = lcm(den, 2)
     x = [v * (scale // den) for v in vec]
-    r = [0, *(t * (scale // 2) for t in two_rho), -data.coxeter * scale]
+    r = [0, *(t * (scale // 2) for t in data.rootSystem.two_rho), -data.coxeter * scale]
     diff = [a - b for a, b in zip(x, r)]
-    return Fraction(_int_pairing(form, m, diff, diff) - _int_pairing(form, m, r, r), 2 * m * scale * scale)
-
-
-def _int_pairing(form: Sequence[Sequence[int]], m: int, u: Sequence[int], v: Sequence[int]) -> int:
-    """m times the pairing of two int vectors (energy, finite, central), the
-    finite parts paired by the int weight form W = m <,>."""
-    fin_v = v[1:-1]
-    finite = sum(a * sum(map(int.__mul__, row, fin_v)) for a, row in zip(u[1:-1], form) if a)
-    return m * (-v[0] * u[-1] - u[0] * v[-1]) + finite
+    return (_pairing(data, diff, diff) - _pairing(data, r, r)) / (2 * scale * scale)
 
 
 def simple_affine_roots(data: AlgebraData) -> List[AffineRoot]:
@@ -122,14 +117,15 @@ def simple_affine_roots(data: AlgebraData) -> List[AffineRoot]:
 def reflection(data: AlgebraData, root: AffineRoot) -> Reflection:
     """The reflection in a real affine root on (n1, lambda, b) as (beta, row):
     s(v) = v - (row . v) beta, with beta = (k, alpha, 0) and row the
-    functional v -> 2 <v, beta> / <alpha, alpha>."""
-    alpha = root.alpha
-    norm = data.weight_pairing(alpha, alpha)
+    functional v -> 2 <v, beta> / <alpha, alpha>.  With <,> = kappa S that
+    row is 2 (0, alpha S, -k / kappa) / alpha S alpha."""
+    alpha, rs = root.alpha, data.rootSystem
+    norm = Fraction(rs.form(alpha, alpha))
     if norm == 0:
         raise InvariantError(f"root {alpha} has zero norm")
     beta = (Fraction(root.k), *alpha, Fraction(0))
-    pair = [sum(alpha[l] * data.weight_form[l][j] for l in range(data.rank)) for j in range(data.rank)]
-    return beta, tuple(2 * x / norm for x in (Fraction(0), *pair, Fraction(-root.k)))
+    pair = [rs.form(alpha, e) for e in rs.simpleRoots]
+    return beta, tuple(2 * x / norm for x in (0, *pair, -root.k / data.form_scale))
 
 
 def _reflect(refl: Reflection, v: Sequence[Fraction]) -> Vec:

@@ -8,8 +8,8 @@ as sparse int columns over an int scale and hands these routines a dense
 int matrix only for an elimination, one torus-weight block at a time: the
 ranks of d and the kernel of the Laplacian, which the scales do not
 change.  Kernel vectors come back as lists of primitive ints.
-``invert`` serves the small per-algebra matrices of ``liealg``: the
-weight form and ``orthogonal_cartan``.  ``matmul``, ``mat_add``,
+``invert`` serves the small per-algebra Cartan block of
+``liealg.orthogonal_cartan``.  ``matmul``, ``mat_add``,
 ``is_zero_matrix`` and ``det`` are test oracles that the program does
 not call; they stay here while the benchmark tracer
 (``perfbench/tracing.py``) wraps them.

@@ -8,13 +8,15 @@ induces.  Everything is exact: structure constants are integers, the
 invariant form is kept once, as sparse rows of ``fractions.Fraction``
 (``orthogonal_cartan`` gives the rational structure constants of a basis
 with a diagonal metric, and ``int_algebra`` scales that basis to the ints
-both exact routes read).
+both exact routes read), and the form it induces on weights once, as the
+int symmetrized Cartan matrix S over one rational scale kappa.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
@@ -24,7 +26,7 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 from . import exactlinalg as xl
 
 Coords = Tuple[int, ...]
-FiniteWeight = Tuple[int | Fraction, ...]  # integral weights stay ints; rho brings in Fraction
+FiniteWeight = Tuple[int | Fraction, ...]  # root-lattice weights are ints; rho brings in Fraction
 
 _VALID_RANKS = {
     "A": lambda r: r >= 1,
@@ -35,11 +37,6 @@ _VALID_RANKS = {
     "F": lambda r: r == 4,
     "G": lambda r: r == 2,
 }
-
-
-def _bilinear(form: Sequence[Sequence[Fraction]], a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    """sum_{i,j} a_i b_j form[i][j] over the nonzero a_i and b_j, row by row."""
-    return sum((x * y * form[i][j] for i, x in enumerate(a) if x for j, y in enumerate(b) if y), Fraction(0))
 
 
 class InvalidAlgebraError(ValueError):
@@ -124,11 +121,11 @@ def cartan_matrix(spec: AlgebraSpec) -> List[List[int]]:
     return A
 
 
-def _symmetrizer(A: Sequence[Sequence[int]]) -> List[Fraction]:
-    """Positive d_i with d_i A[i][j] = d_j A[j][i] (connected diagram)."""
+def _symmetrizer(A: Sequence[Sequence[int]]) -> Tuple[int, ...]:
+    """Positive ints d_i with d_i A[i][j] = d_j A[j][i] (connected diagram),
+    found over the rationals from d_0 = 1 and cleared of denominators."""
     r = len(A)
-    d: List[Fraction] = [Fraction(0)] * r
-    d[0] = Fraction(1)
+    d: List[Fraction] = [Fraction(1)] + [Fraction(0)] * (r - 1)
     todo = [0]
     while todo:
         i = todo.pop()
@@ -138,26 +135,33 @@ def _symmetrizer(A: Sequence[Sequence[int]]) -> List[Fraction]:
                 todo.append(j)
     if not all(x > 0 for x in d):
         raise InvariantError("Cartan symmetrizer must be positive")
-    return d
+    return scaled_ints(d)[0]
 
 
 @dataclass(frozen=True)
 class RootSystem:
-    """Roots in simple-root coordinates, plus rho and the highest root."""
+    """Roots in simple-root coordinates, plus 2 rho, the highest root and
+    the invariant form on weights up to its scale."""
 
     rank: int
     cartan: Tuple[Tuple[int, ...], ...]
     simpleRoots: Tuple[Coords, ...]
     positiveRoots: Tuple[Coords, ...]
-    rho: FiniteWeight
+    two_rho: Coords  # the sum of the positive roots
     theta: Coords
-    # (alpha_i, alpha_j) from the symmetrized Cartan matrix; only ratios
-    # of these norms matter downstream (root strings, sign recursions).
-    sym_form: Tuple[Tuple[Fraction, ...], ...]
+    # S_ij = d_i A_ij, the symmetrized Cartan matrix as ints: the invariant
+    # form on weights is <a, b> = kappa * a S b with kappa the one rational
+    # scale ``AlgebraData.form_scale``, which cancels from root strings, sign
+    # recursions, coroots, Weyl dimensions and Freudenthal's recursion.
+    sym_form: Tuple[Coords, ...]
 
     @property
     def allRoots(self) -> Tuple[Coords, ...]:
         return self.positiveRoots + tuple(tuple(-c for c in b) for b in self.positiveRoots)
+
+    @property
+    def rho(self) -> FiniteWeight:
+        return tuple(Fraction(x, 2) for x in self.two_rho)
 
     def pair_coroot(self, weight: Sequence[Fraction], i: int) -> Fraction:
         """<weight, alpha_i^vee> for a weight in simple-root coordinates."""
@@ -169,8 +173,9 @@ class RootSystem:
         out[i] -= c
         return tuple(out)
 
-    def form(self, a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-        return _bilinear(self.sym_form, a, b)
+    def form(self, a: Sequence[int | Fraction], b: Sequence[int | Fraction]) -> int | Fraction:
+        """a S b: the invariant form over its scale kappa, an int on ints."""
+        return sum(x * sum(map(operator.mul, row, b)) for x, row in zip(a, self.sym_form) if x)
 
 
 def _generate_roots(A: Sequence[Sequence[int]]) -> set[Coords]:
@@ -201,21 +206,19 @@ def build_root_system(spec: AlgebraSpec) -> RootSystem:
     )
     if 2 * len(positives) != len(roots):
         raise InvariantError("roots must split into positive and negative halves")
-    rho = tuple(Fraction(sum(b[i] for b in positives), 2) for i in range(r))
     max_h = max(sum(b) for b in positives)
     highest = [b for b in positives if sum(b) == max_h]
     if len(highest) != 1:
         raise InvariantError("simple algebras have a unique highest root")
     d = _symmetrizer(A)
-    sym = tuple(tuple(d[i] * A[i][j] for j in range(r)) for i in range(r))
     return RootSystem(
         rank=r,
         cartan=tuple(tuple(row) for row in A),
         simpleRoots=tuple(tuple(1 if j == i else 0 for j in range(r)) for i in range(r)),
         positiveRoots=tuple(positives),
-        rho=rho,
+        two_rho=tuple(sum(b[i] for b in positives) for i in range(r)),
         theta=highest[0],
-        sym_form=sym,
+        sym_form=tuple(tuple(d[i] * A[i][j] for j in range(r)) for i in range(r)),
     )
 
 
@@ -330,7 +333,7 @@ class AlgebraData:
     gram: Tuple[Dict[int, Fraction], ...]  # gram[i][j], nonzero entries only
     rootSystem: RootSystem
     omega: Tuple[Tuple[int, int], ...]  # signed permutation: omega(b_i) = sign * b_j as (j, sign)
-    weight_form: Tuple[Tuple[Fraction, ...], ...]  # <,> induced on weights, simple-root coords
+    form_scale: Fraction  # kappa: the form gram induces on weights is kappa * rootSystem.sym_form
     basis_weights: Tuple[Coords, ...]  # torus weight of each basis element
     # memos of reptheory.weyl_dim (dominant weight -> dimension) and
     # reptheory.irrep_character (highest weight -> character); each object
@@ -349,24 +352,13 @@ class AlgebraData:
         preimage = {q: (j, s) for j, (q, s) in enumerate(self.omega)}
         return tuple({preimage[q][0]: -preimage[q][1] * g for q, g in row.items()} for row in self.gram)
 
-    def weight_pairing(self, a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-        return _bilinear(self.weight_form, a, b)
+    def weight_pairing(self, a: Sequence[int | Fraction], b: Sequence[int | Fraction]) -> Fraction:
+        """<a, b> = kappa * a S b in simple-root coordinates."""
+        return self.form_scale * self.rootSystem.form(a, b)
 
     @cached_property
     def action(self) -> List[Dict[int, List[Tuple[int, int]]]]:
         return coadjoint_action(self.structure)
-
-    @cached_property
-    def weight_ints(self) -> Tuple[Tuple[Coords, ...], int, Coords]:
-        """(W, m, 2rho): the weight form as ints W over one scale m, so that
-        <a, b> = sum_ij a_i W_ij b_j / m, and 2 rho as ints, all in
-        simple-root coordinates.  Built on first use."""
-        r = self.rank
-        flat, m = scaled_ints([x for row in self.weight_form for x in row])
-        two_rho = [2 * x for x in self.rootSystem.rho]
-        if any(x.denominator != 1 for x in two_rho):
-            raise InvariantError("2 rho is not integral in simple-root coordinates")
-        return tuple(flat[i * r:(i + 1) * r] for i in range(r)), m, tuple(int(x) for x in two_rho)
 
     def content_hash(self) -> str:
         cached = getattr(self, "_content_hash", None)
@@ -447,13 +439,10 @@ def build_algebra(spec: AlgebraSpec) -> AlgebraData:
 
     def coroot_coords(beta: Coords) -> List[int]:
         nb = rs.form(beta, beta)
-        out = []
-        for j, c in enumerate(beta):
-            v = Fraction(c) * rs.sym_form[j][j] / nb
-            if v.denominator != 1:
-                raise InvariantError(f"coroot coordinate {v} of {beta} is not integral")
-            out.append(int(v))
-        return out
+        out = [c * rs.sym_form[j][j] for j, c in enumerate(beta)]
+        if any(x % nb for x in out):
+            raise InvariantError(f"a coroot coordinate of {beta} is not integral")
+        return [x // nb for x in out]
 
     structure: List[Dict[int, Dict[int, int]]] = [dict() for _ in range(n)]
 
@@ -490,12 +479,14 @@ def build_algebra(spec: AlgebraSpec) -> AlgebraData:
     omega += [(r + m + i, -1) for i in range(m)]
     omega += [(r + i, -1) for i in range(m)]
 
-    # induced form on weights (simple-root coordinates)
-    gram_h_inv = xl.invert([[gram[i].get(j, 0) for j in range(r)] for i in range(r)])
-    t_vecs = [[sum(row[j] * rs.cartan[j][i] for j in range(r)) for row in gram_h_inv] for i in range(r)]
-    wform = [[sum(Fraction(rs.cartan[l][i]) * t_vecs[j][l] for l in range(r)) for j in range(r)] for i in range(r)]
-    if any(wform[i][j] != wform[j][i] for i in range(r) for j in range(r)):
-        raise InvariantError("weight form must be symmetric")
+    # gram induces <,> = kappa S on weights (simple-root coordinates) exactly
+    # when it pairs the simple coroots h_i = 2 alpha_i / <alpha_i, alpha_i> by
+    # gram[i][j] = 4 S_ij / (kappa S_ii S_jj): kappa is read off gram[0][0],
+    # and every entry of the Cartan block is checked
+    S = rs.sym_form
+    kappa = Fraction(4, S[0][0]) / gram[0][0]
+    if any(kappa * S[i][i] * S[j][j] * gram[i].get(j, 0) != 4 * S[i][j] for i in range(r) for j in range(r)):
+        raise InvariantError("the weight form induced by the trace form is not kappa * S")
 
     weights = tuple((0,) * r if b is None else b for b in basis_root)
 
@@ -509,7 +500,7 @@ def build_algebra(spec: AlgebraSpec) -> AlgebraData:
         gram=gram,
         rootSystem=rs,
         omega=tuple(omega),
-        weight_form=tuple(tuple(row) for row in wform),
+        form_scale=kappa,
         basis_weights=weights,
     )
     verify_algebra(data)
@@ -736,12 +727,10 @@ def is_dominant(data: AlgebraData, weight: Sequence[Fraction]) -> bool:
 
 def casimir_eigenvalue(data: AlgebraData, lowestWeight: Sequence[int | Fraction]) -> Fraction:
     """-<rho, lambda> + ||lambda||^2 / 2 for an antidominant lowest weight,
-    on ints: with lambda = l / D over one denominator and the weight form
-    W / m (``weight_ints``), it is (l W l - D * 2rho W l) / (2 m D^2)."""
+    on ints: with lambda = l / D over one denominator and <,> = kappa S, it
+    is kappa (l S l - D * 2rho S l) / (2 D^2)."""
     lam, den = scaled_ints(lowestWeight)
     if not is_dominant(data, tuple(-x for x in lam)):
         raise ValueError(f"{tuple(lowestWeight)} is not the lowest weight of an irreducible (-lambda not dominant)")
-    form, m, two_rho = data.weight_ints
-    w_lam = [sum(map(int.__mul__, row, lam)) for row in form]
-    norm, rho_term = sum(map(int.__mul__, lam, w_lam)), sum(map(int.__mul__, two_rho, w_lam))
-    return Fraction(norm - den * rho_term, 2 * m * den * den)
+    rs = data.rootSystem
+    return data.form_scale * Fraction(rs.form(lam, lam) - den * rs.form(rs.two_rho, lam), 2 * den * den)

@@ -1,21 +1,25 @@
 """Torus weights, characters and irreducible decompositions.
 
-Weights are tuples of exact rationals in simple-root coordinates
-throughout (the same basis the algebra records for reports): integral
-weights stay ints, and only rho brings in ``Fraction``.  Characters of
-irreducibles come from Freudenthal's multiplicity recursion on dominant
-weights, expanded over Weyl orbits; decomposition of an arbitrary
-Weyl-symmetric multiset peels maximal weights greedily.
+Weights are tuples in simple-root coordinates throughout (the same basis
+the algebra records for reports).  The Weyl dimension and Freudenthal's
+recursion take root-lattice weights, whose coordinates are integers, and
+run on ints in the int form S of ``RootSystem.sym_form`` with 2 rho: the
+scale kappa of the invariant form kappa * S cancels from both.  Any other
+weight raises ``ValueError``.  Characters of irreducibles come from
+Freudenthal's recursion on the dominant weights below the highest one,
+found by descent from it, expanded over Weyl orbits; decomposition of an
+arbitrary Weyl-symmetric multiset peels maximal weights greedily.
 """
 
 from __future__ import annotations
 
-import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .liealg import AlgebraData, FiniteWeight, InvariantError, is_dominant
+from .liealg import AlgebraData, Coords, FiniteWeight, InvariantError, is_dominant
 
 WeightMultiset = Dict[FiniteWeight, int]
 
@@ -66,73 +70,79 @@ def weyl_orbit(data: AlgebraData, w: Sequence[Fraction]) -> set[FiniteWeight]:
     return seen
 
 
-def weyl_dim(data: AlgebraData, highest: Sequence[Fraction]) -> int:
-    """Weyl dimension formula for the dominant highest weight, memoised in
-    ``data.weyl_dims``."""
-    lam = tuple(highest)
-    known = data.weyl_dims.get(lam)
-    if known is not None:
-        return known
+def _dominant_lattice(data: AlgebraData, weight: Sequence[int | Fraction]) -> Coords:
+    """The int coordinates of a dominant root-lattice weight; any other
+    weight raises ``ValueError``, so no coordinate is ever truncated."""
+    if any(x.denominator != 1 for x in weight):
+        raise ValueError(f"{tuple(weight)} is not in the root lattice: its simple-root coordinates are not integers")
+    lam = tuple(int(x) for x in weight)
     if not is_dominant(data, lam):
         raise ValueError(f"{lam} is not dominant")
+    return lam
+
+
+def weyl_dim(data: AlgebraData, highest: Sequence[int | Fraction]) -> int:
+    """prod <lam + rho, alpha> / prod <rho, alpha> over the positive roots
+    for a dominant root-lattice weight, taken as prod <2lam + 2rho, alpha> /
+    prod <2rho, alpha> in S, on ints; memoised in ``data.weyl_dims``."""
+    if (known := data.weyl_dims.get(tuple(highest))) is not None:
+        return known
+    lam = _dominant_lattice(data, highest)
     rs = data.rootSystem
-    rho = rs.rho
-    num = Fraction(1)
-    den = Fraction(1)
-    lam_rho = tuple(a + b for a, b in zip(lam, rho))
-    for alpha in rs.positiveRoots:
-        num *= data.weight_pairing(lam_rho, alpha)
-        den *= data.weight_pairing(rho, alpha)
-    d = num / den
-    if d.denominator != 1 or d <= 0:
-        raise InvariantError(f"Weyl dimension {d} is not a positive integer")
-    data.weyl_dims[lam] = int(d)
-    return int(d)
+    top = tuple(2 * a + b for a, b in zip(lam, rs.two_rho))
+    num = prod(rs.form(top, alpha) for alpha in rs.positiveRoots)
+    den = prod(rs.form(rs.two_rho, alpha) for alpha in rs.positiveRoots)
+    d, rem = divmod(num, den)
+    if rem or d <= 0:
+        raise InvariantError(f"Weyl dimension {Fraction(num, den)} is not a positive integer")
+    data.weyl_dims[lam] = d
+    return d
 
 
-def dominant_multiplicities(data: AlgebraData, highest: Sequence[Fraction]) -> Dict[FiniteWeight, int]:
-    """Freudenthal recursion over the dominant weights below ``highest``."""
-    lam = tuple(highest)
+def dominant_weights_below(data: AlgebraData, highest: Sequence[int | Fraction]) -> List[Coords]:
+    """The dominant mu <= lam for a dominant root-lattice weight lam, by
+    descent: subtracting one positive root at a time while staying dominant
+    reaches every one of them (Stembridge, *The partial order of dominant
+    weights*, 1998).  Sorted by height, highest first, then by coordinates."""
+    lam = _dominant_lattice(data, highest)
+    found, todo = {lam}, [lam]
+    while todo:
+        nu = todo.pop()
+        for alpha in data.rootSystem.positiveRoots:
+            mu = tuple(map(operator.sub, nu, alpha))
+            if mu not in found and is_dominant(data, mu):
+                found.add(mu)
+                todo.append(mu)
+    return sorted(found, key=lambda m: (-sum(m), m))
+
+
+def dominant_multiplicities(data: AlgebraData, highest: Sequence[int | Fraction]) -> Dict[FiniteWeight, int]:
+    """Freudenthal's recursion over ``dominant_weights_below(highest)``, on
+    ints in S: m_mu (|lam + rho|^2 - |mu + rho|^2) = m_mu <lam - mu, lam + mu
+    + 2rho> = 2 sum_alpha sum_{k >= 1} m_{mu + k alpha} <mu + k alpha, alpha>."""
     rs = data.rootSystem
-    rho = rs.rho
-    pairing = data.weight_pairing
-
-    # dominant mu <= lam lie in the coordinate box 0 <= lam - mu <= lam
-    # (root coordinates of dominant weights are nonnegative)
-    bounds = [int(x) for x in lam]
-    dominants: List[FiniteWeight] = []
-    for q in itertools.product(*(range(b + 1) for b in bounds)):
-        mu = tuple(x - c for x, c in zip(lam, q))
-        if is_dominant(data, mu):
-            dominants.append(mu)
-    dominants.sort(key=lambda m: (-sum(m), m))
-
-    lam_rho = tuple(a + b for a, b in zip(lam, rho))
-    norm_top = pairing(lam_rho, lam_rho)
-    table: Dict[FiniteWeight, int] = {}
+    lam, *dominants = dominant_weights_below(data, highest)
+    # each positive root with S alpha and <alpha, alpha> in S
+    roots = [(alpha, [rs.form(alpha, e) for e in rs.simpleRoots], rs.form(alpha, alpha)) for alpha in rs.positiveRoots]
+    table: Dict[FiniteWeight, int] = {lam: 1}
     for mu in dominants:
-        if mu == lam:
-            table[mu] = 1
-            continue
-        num = Fraction(0)
-        for alpha in rs.positiveRoots:
-            k = 1
+        num = 0
+        for alpha, s_alpha, norm in roots:
+            pair, k = sum(map(operator.mul, mu, s_alpha)), 1
             while True:
-                nu = tuple(x + k * a for x, a in zip(mu, alpha))
-                m_nu = table.get(dominant_representative(data, nu))
+                m_nu = table.get(dominant_representative(data, tuple(x + k * a for x, a in zip(mu, alpha))))
                 if m_nu is None:
                     break  # weight strings are contiguous
-                num += 2 * m_nu * pairing(nu, alpha)
+                num += m_nu * (pair + k * norm)
                 k += 1
-        mu_rho = tuple(a + b for a, b in zip(mu, rho))
-        den = norm_top - pairing(mu_rho, mu_rho)
+        den = rs.form([a - b for a, b in zip(lam, mu)], [a + b + t for a, b, t in zip(lam, mu, rs.two_rho)])
         if den <= 0:
             raise InvariantError(f"Freudenthal denominator {den} must be positive")
-        m = num / den
-        if m.denominator != 1 or m < 0:
-            raise InvariantError(f"weight multiplicity {m} is not a nonnegative integer")
+        m, rem = divmod(2 * num, den)
+        if rem or m < 0:
+            raise InvariantError(f"weight multiplicity {Fraction(2 * num, den)} is not a nonnegative integer")
         if m > 0:
-            table[mu] = int(m)
+            table[mu] = m
     return table
 
 

@@ -12,7 +12,7 @@ from typing import Dict, List, Sequence, Tuple
 from jetcohom.affine import AffineRoot, AffineWeight, laplacian_shift, simple_affine_roots
 from jetcohom.cochain import (GradedComplexBlock, Mode, ScaledColumns, Wedge, _signatures, build_basis,
                               differential_block)
-from jetcohom.liealg import AlgebraData, FiniteWeight, IntAlgebra
+from jetcohom.liealg import AlgebraData, FiniteWeight, IntAlgebra, is_dominant
 
 Matrix = List[List[Fraction]]
 Columns = Dict[int, Dict[int, int]]
@@ -96,6 +96,19 @@ def jacobi_failures(data: AlgebraData) -> List[Tuple[int, int, int]]:
     return failures
 
 
+def dominant_weights_in_box(data: AlgebraData, highest: Sequence[int]) -> List[Tuple[int, ...]]:
+    """The dominant mu <= lam by scanning the coordinate box 0 <= lam - mu <=
+    lam (root coordinates of dominant weights are nonnegative), sorted as
+    ``reptheory.dominant_weights_below`` sorts them: the reference for its
+    descent."""
+    found = []
+    for q in itertools.product(*(range(b + 1) for b in highest)):
+        mu = tuple(x - c for x, c in zip(highest, q))
+        if is_dominant(data, mu):
+            found.append(mu)
+    return sorted(found, key=lambda m: (-sum(m), m))
+
+
 def zero_locus_brute_force(data: AlgebraData, maxEnergy: int) -> List[AffineWeight]:
     """Sums of distinct positive real affine roots (k >= 1) where P vanishes.
 
@@ -151,10 +164,10 @@ def reflection_matrix(data: AlgebraData, root: AffineRoot) -> Tuple[Vec, ...]:
     alpha = root.alpha
     norm = data.weight_pairing(alpha, alpha)
     beta_col = (Fraction(root.k),) + tuple(alpha) + (Fraction(0),)
-    # row functional x -> <x, beta_hat>
+    # row functional x -> <x, beta_hat>, its finite part <alpha, alpha_j> per simple root
     pair_row = [Fraction(0)] * dim
-    for j in range(r):
-        pair_row[1 + j] = sum(Fraction(alpha[l]) * data.weight_form[l][j] for l in range(r))
+    for j, simple in enumerate(data.rootSystem.simpleRoots):
+        pair_row[1 + j] = data.weight_pairing(alpha, simple)
     pair_row[dim - 1] = Fraction(-root.k)
     mat = [[Fraction(1) if i == j else Fraction(0) for j in range(dim)] for i in range(dim)]
     for i in range(dim):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 from fractions import Fraction as F
 
@@ -18,6 +19,7 @@ from jetcohom.liealg import (
     verify_algebra,
 )
 import jetcohom.exactlinalg as xl
+from jetcohom import liealg
 
 import oracles
 
@@ -214,9 +216,15 @@ PINNED_HASHES = {
 }
 
 
+@functools.cache
+def _algebra(name):
+    """One build per type name, shared by the tests that only read it."""
+    return build_algebra(AlgebraSpec(name[0], int(name[1:])))
+
+
 @pytest.mark.parametrize("name", sorted(PINNED_HASHES))
 def test_content_hash_is_pinned(name):
-    assert build_algebra(AlgebraSpec(name[0], int(name[1:]))).content_hash() == PINNED_HASHES[name]
+    assert _algebra(name).content_hash() == PINNED_HASHES[name]
 
 
 def _matrix_casimir_on_adjoint(data):
@@ -252,13 +260,43 @@ def test_casimir_trivial_and_rejection(a1):
         casimir_eigenvalue(a1, (F(1),))  # +theta is not antidominant
 
 
-def test_weight_form_normalization(a1, a2):
-    # ||theta||^2 = 2 in the 1/(2c)-scaled Killing form for simply-laced
-    for data in (a1, a2):
-        th = data.rootSystem.theta
-        assert data.weight_pairing(th, th) == 2
-        rho = data.rootSystem.rho
-        assert data.weight_pairing(rho, th) == data.coxeter - 1
+# (h, h^vee): the Coxeter and dual Coxeter numbers of each type
+COXETER_NUMBERS = {
+    "A1": (2, 2), "A2": (3, 3), "B2": (4, 3), "G2": (6, 4), "C3": (6, 4), "B3": (6, 5),
+    "D4": (6, 6), "F4": (12, 9), "E6": (12, 12), "E7": (18, 18), "E8": (30, 30),
+}
+
+
+def test_weight_form_normalization():
+    # the Killing form gives theta the norm 1/h^vee, so the trace form over
+    # 2h gives <theta, theta> = 2h/h^vee, and <rho, theta^vee> = h^vee - 1
+    # gives <rho, theta> = (h^vee - 1) h/h^vee: 2 and h - 1 when simply laced
+    for name, (h, h_dual) in COXETER_NUMBERS.items():
+        data = _algebra(name)
+        th, rho = data.rootSystem.theta, data.rootSystem.rho
+        assert data.coxeter == h
+        assert data.weight_pairing(th, th) == F(2 * h, h_dual)
+        assert data.weight_pairing(rho, th) == F((h_dual - 1) * h, h_dual)
+
+
+@pytest.mark.parametrize("series, rank", [("A", 2), ("B", 2), ("G", 2)])
+def test_a_doctored_entry_of_the_int_form_breaks_the_scale_check(monkeypatch, series, rank):
+    """S_01 raised by one and S_10 lowered by one keep every norm a S a, so
+    the Chevalley signs, coroots and structure constants come out as before
+    and only the check that the trace form induces kappa * S on weights, on
+    every entry, sees the doctored S."""
+    real = liealg.build_root_system
+
+    def doctored(spec):
+        rs = real(spec)
+        S = [list(row) for row in rs.sym_form]
+        S[0][1] += 1
+        S[1][0] -= 1
+        return dataclasses.replace(rs, sym_form=tuple(map(tuple, S)))
+
+    monkeypatch.setattr(liealg, "build_root_system", doctored)
+    with pytest.raises(InvariantError, match=r"not kappa \* S"):
+        build_algebra(AlgebraSpec(series, rank))
 
 
 def test_serialization_roundtrip_and_hash(a1):

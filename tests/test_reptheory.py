@@ -12,6 +12,7 @@ from jetcohom.reptheory import (
     antidominant_representative,
     decompose,
     dominant_multiplicities,
+    dominant_weights_below,
     expand,
     irrep_character,
     is_weyl_symmetric,
@@ -20,6 +21,8 @@ from jetcohom.reptheory import (
     weyl_dim,
     weyl_orbit,
 )
+
+import oracles
 
 
 def test_weights_of_trivial_cell(a1):
@@ -51,6 +54,34 @@ def test_weyl_dimension_formula(a1, a2):
     assert weyl_dim(a2, (F(1), F(2))) == 10
     with pytest.raises(ValueError):
         weyl_dim(a2, (F(-1), F(0)))
+
+
+# (a, b) of the highest weights a theta + b 2rho, on every type up to rank 4
+# plus G2 and F4; F4's theta + 2rho is left out, a box of 759,050 weights
+HIGHEST = ((1, 0), (2, 0), (0, 1), (1, 1))
+DESCENT_CASES = [(s, r, HIGHEST) for s, r in [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+                                              ("C", 3), ("C", 4), ("D", 4), ("G", 2)]] + [("F", 4, HIGHEST[:3])]
+
+
+@pytest.mark.parametrize("series, rank, highest", DESCENT_CASES, ids=[f"{s}{r}" for s, r, _ in DESCENT_CASES])
+def test_descent_finds_the_dominant_weights_of_the_box_scan(series, rank, highest):
+    """The dominant weights below a theta + b 2rho, found by descent from it,
+    are those of the box scan, in the same order."""
+    data = build_algebra(AlgebraSpec(series, rank))
+    rs = data.rootSystem
+    for a, b in highest:
+        lam = tuple(a * t + b * x for t, x in zip(rs.theta, rs.two_rho))
+        assert dominant_weights_below(data, lam) == oracles.dominant_weights_in_box(data, lam)
+
+
+def test_weights_off_the_root_lattice_are_refused(a2):
+    """The fundamental weight (2/3, 1/3) of A2 is dominant but not in the
+    root lattice: the int paths raise instead of truncating its coordinates."""
+    omega = (F(2, 3), F(1, 3))
+    for f in (weyl_dim, dominant_weights_below, dominant_multiplicities, irrep_character):
+        with pytest.raises(ValueError, match="not in the root lattice"):
+            f(a2, omega)
+    assert omega not in a2.weyl_dims and omega not in a2.characters
 
 
 def test_freudenthal_adjoint_a2(a2):
