@@ -59,8 +59,10 @@ monomial (``_pairing``).
 All identity checks quantify over explicit finite sets of monomials whose
 support keeps enough margin from the window edge that truncation is
 exact, and over every generator, window mode and cochain column they
-name; only the monomial sets are capped (and ``leibniz_check`` draws
-seeded random wedges).  Each check declares the minimum window guard it
+name; only the monomial sets are capped.  Each is a prefix of its
+monomials in (energy, monomial int) order, but for the pool that
+``leibniz_check`` draws seeded random wedges from, which holds a prefix
+of each energy shell.  Each check declares the minimum window guard it
 needs and emits a skip verdict below that, or when its guarded support
 holds only the vacuum, never a silent pass.  One check passes on the
 vacuum alone: ``commutator_check`` takes its monomials at shift k with
@@ -95,17 +97,15 @@ over window levels only, and cochain modes sit at levels <= kMax -
 guard, so no operator checks its input against the window.
 
 Monomials are enumerated one energy shell at a time in (energy,
-monomial int) order.  The added and the removed side each count their
-mode subsets by (energy, mode count) before enumerating any, so a shell
-is counted before it is built, and a group of mode sets is enumerated
-only when a shell that uses it is built.  The quantifier sets of
-``check_basis`` are built only up to the shell that reaches their cap,
-and are memoised on the backend keyed by margin, energy cap, particle cap
-and cap; the adjoint check builds only the energy blocks it checks.
-``verify_identity_suite`` builds one backend per call, so the memo lives
-as long as one suite run.  The matrix identities (d^2, the Laplacian,
-the adjoint of dtilde) are checked column by column from these columns;
-no dense matrix is formed.
+monomial int) order, lazily, by one ordered walk over one sorted list of
+candidate modes (``_Shells``): each shell is counted before it is walked,
+and no monomial past what a caller takes is enumerated.  The quantifier
+sets of ``check_basis`` stop at their cap, and are memoised on the backend
+keyed by margin, energy cap and cap; the adjoint check walks only the
+energy blocks it checks.  ``verify_identity_suite`` builds one backend
+per call, so the memo lives as long as one suite run.  The matrix
+identities (d^2, the Laplacian, the adjoint of dtilde) are checked column
+by column from these columns; no dense matrix is formed.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, partial
-from itertools import chain
+from itertools import chain, islice
 from random import Random
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 from weakref import ref
@@ -172,7 +172,7 @@ class OrthonormalBackend:
                              for w in range(1, max(window.kMax, -window.kMin) + 1)]
         self.moves: Dict[Tuple[int, int], MoveTable] = {}
         self.Ls: Dict[Tuple[int, int], _Memo] = {}
-        self.bases: Dict[Tuple[int, int | None, int | None, int | None], Tuple[SemiInfMonomial, ...]] = {}
+        self.bases: Dict[Tuple[int, int | None, int | None], Tuple[SemiInfMonomial, ...]] = {}
 
     def L(self, i: int, k: int) -> _Memo:
         """The memo of L_{i,k} = sum_s f_{iq}^p :iota_{p,s} eps^{q,s-k}:
@@ -519,78 +519,66 @@ def _pairing(backend: OrthonormalBackend, mono: SemiInfMonomial) -> Tuple[int, i
     return num, alg.gram_scale ** len(removed) * alg.gram_inv_scale ** len(added), partner
 
 
-class _Side:
-    """The subsets of one side's candidate modes (added or removed), each
-    of weight >= 0, under the energy and mode-count caps.
-    ``counts[j][(e, c)]`` is the number of subsets of the candidates from j
-    on with energy e and c modes, built back to front without enumerating
-    any subset; ``group((e, c))`` lists the bits of one such group of
-    ``counts[0]``, built once, on first use."""
-
-    def __init__(self, backend: OrthonormalBackend, cands: List[Mode], weights: List[int],
-                 max_energy: int | None, max_particles: int | None):
-        self.bits = [backend.steps[mode][0] for mode in cands]
-        self.weights = weights
-        counts: List[Dict[Tuple[int, int], int]] = [{(0, 0): 1}]
-        for w in reversed(weights):
-            table = dict(counts[-1])
-            for (e, c), size in counts[-1].items():
-                if (max_energy is None or e + w <= max_energy) and (max_particles is None or c < max_particles):
-                    table[e + w, c + 1] = table.get((e + w, c + 1), 0) + size
-            counts.append(table)
-        self.counts = counts[::-1]
-        self.groups: Dict[Tuple[int, int], List[int]] = {}
-
-    def group(self, key: Tuple[int, int]) -> List[int]:
-        out = self.groups.get(key)
-        if out is None:
-            out = self.groups[key] = []
-            self._extend(out, 0, *key, 0)
-        return out
-
-    def _extend(self, out: List[int], start: int, e: int, c: int, bits: int):
-        """Append ``bits`` joined with each subset of the candidates from
-        ``start`` on with energy e and c modes, entering no branch whose
-        count is 0."""
-        if not c:
-            out.append(bits)
-            return
-        for j in range(start, len(self.bits)):
-            rest = (e - self.weights[j], c - 1)
-            if self.counts[j + 1].get(rest):
-                self._extend(out, j + 1, *rest, bits | self.bits[j])
-
-
-def _shell_monomials(adds: _Side, rems: _Side, keys: List[Tuple[Tuple[int, int], Tuple[int, int]]]
-                     ) -> List[SemiInfMonomial]:
-    """The monomials of one energy shell, sorted: the cross products of its
-    (added group, removed group) pairs."""
-    return sorted(a | r for akey, rkey in keys for a in adds.group(akey) for r in rems.group(rkey))
-
-
-def _energy_shells(backend: OrthonormalBackend, margin: int, max_energy: int | None,
-                   max_particles: int | None) -> Iterator[Tuple[int, Callable[[], List[SemiInfMonomial]]]]:
-    """The energy shells of the monomials supported in the margin-shrunk
-    window, optionally capped by energy and by total mode count (added
-    plus removed), in energy order: per shell, its size, counted from the
-    two sides' group counts, and a function that builds its sorted
-    monomials.  A group of mode sets is enumerated only when a shell that
-    uses it is built."""
+def _candidates(backend: OrthonormalBackend, margin: int) -> List[Tuple[int, int]]:
+    """(bit, weight |k|) per candidate mode of the window shrunk by
+    ``margin`` to [lo, hi], sorted by bit: the added modes at levels 1..hi
+    and the removed modes at levels lo..0."""
     lo, hi = backend.window.support(margin)
-    n = backend.n
-    add_cands = [(i, k) for k in range(1, hi + 1) for i in range(n)]
-    rem_cands = [(i, k) for k in range(lo, 1) for i in range(n)]
-    adds = _Side(backend, add_cands, [k for _i, k in add_cands], max_energy, max_particles)
-    rems = _Side(backend, rem_cands, [-k for _i, k in rem_cands], max_energy, max_particles)
-    add_counts, rem_counts = adds.counts[0], rems.counts[0]
-    top = max(e for e, _c in add_counts) + max(e for e, _c in rem_counts)
-    if max_energy is not None:
-        top = min(top, max_energy)
-    for e in range(top + 1):
-        keys = [(akey, rkey) for akey in add_counts for rkey in rem_counts
-                if akey[0] + rkey[0] == e and (max_particles is None or akey[1] + rkey[1] <= max_particles)]
-        yield (sum(add_counts[akey] * rem_counts[rkey] for akey, rkey in keys),
-               partial(_shell_monomials, adds, rems, keys))
+    return sorted((backend.steps[i, k][0], abs(k))
+                  for k in (*range(lo, 1), *range(1, hi + 1)) for i in range(backend.n))
+
+
+class _Shells:
+    """The monomials of the candidate modes ``cands`` (``_candidates``)
+    under an energy cap and a cap on the mode count, one energy shell at a
+    time.  A monomial is the OR of its modes' bits, and its energy the sum
+    of their weights, each >= 0, so (energy, monomial int) order is the
+    shells in turn, each ascending by int (``shell``).
+
+    ``fewest[j]`` maps each energy that subsets of ``cands[:j]`` reach to
+    the fewest modes that reach it, so the walk enters no empty branch.
+    ``sizes[e]`` is the number of monomials of energy e, counted from one
+    (energy, mode count) table without enumerating any."""
+
+    def __init__(self, cands: List[Tuple[int, int]], max_energy: int | None, max_particles: int | None):
+        self.cands = cands
+        self.budget = len(cands) if max_particles is None else max_particles
+        self.fewest: List[Dict[int, int]] = [{0: 0}]
+        counts = {(0, 0): 1}
+        for _bit, w in cands:
+            table = dict(self.fewest[-1])
+            for e, c in self.fewest[-1].items():
+                if (max_energy is None or e + w <= max_energy) and c + 1 < table.get(e + w, c + 2):
+                    table[e + w] = c + 1
+            self.fewest.append(table)
+            for (e, c), size in list(counts.items()):
+                if (max_energy is None or e + w <= max_energy) and c < self.budget:
+                    counts[e + w, c + 1] = counts.get((e + w, c + 1), 0) + size
+        self.sizes = [0] * (max(e for e, _c in counts) + 1)
+        for (e, _c), size in counts.items():
+            self.sizes[e] += size
+
+    def monomials(self) -> Iterator[SemiInfMonomial]:
+        """Every monomial, in (energy, monomial int) order, enumerated lazily."""
+        return _chain_items(map(self.shell, range(len(self.sizes))))
+
+    def shell(self, e: int) -> Iterator[SemiInfMonomial]:
+        """The monomials of energy e, ascending."""
+        return self._walk(len(self.cands), e, self.budget, VACUUM)
+
+    def _walk(self, j: int, e: int, budget: int, prefix: SemiInfMonomial) -> Iterator[SemiInfMonomial]:
+        """``prefix`` joined with each subset of ``cands[:j]`` of energy e
+        and at most ``budget`` modes, ascending: the empty subset first
+        where e = 0, then per top mode t, ascending, the subsets of
+        ``cands[:t]`` joined with it.  A branch is entered only where
+        ``fewest`` shows it holds a subset."""
+        if not e:
+            yield prefix
+        if budget:
+            for t in range(j):
+                bit, w = self.cands[t]
+                if self.fewest[t].get(e - w, budget) < budget:
+                    yield from self._walk(t, e - w, budget - 1, prefix | bit)
 
 
 def monomials_in_support(backend: OrthonormalBackend, margin: int,
@@ -600,35 +588,33 @@ def monomials_in_support(backend: OrthonormalBackend, margin: int,
     """All monomials supported in the margin-shrunk window, optionally
     capped by energy and by total mode count (added plus removed), in the
     deterministic order (energy, monomial int); with ``cap``, the first
-    ``cap``.  No shell past the one that reaches ``cap`` is built."""
-    result: List[SemiInfMonomial] = []
-    for _size, build in _energy_shells(backend, margin, max_energy, max_particles):
-        result.extend(build())
-        if cap is not None and len(result) >= cap:
-            return result[:cap]
-    return result
+    ``cap``, and none past them is enumerated."""
+    return list(islice(_Shells(_candidates(backend, margin), max_energy, max_particles).monomials(), cap))
 
 
 def _small(backend: OrthonormalBackend) -> bool:
     return backend.n <= 3
 
 
+def _check_shells(backend: OrthonormalBackend, margin: int, max_energy: int | None) -> _Shells:
+    """The shells the quantifier sets of the checks are drawn from: the
+    supported monomials under the energy cap, and above 18 candidate modes
+    (the rank-one acceptance window has 18) at most four modes off the
+    vacuum in each."""
+    cands = _candidates(backend, margin)
+    return _Shells(cands, max_energy, None if len(cands) <= 18 else 4)
+
+
 def check_basis(backend: OrthonormalBackend, margin: int, max_energy: int | None,
                 cap: int | None = None) -> List[SemiInfMonomial]:
-    """Deterministic quantifier set for an identity check: the supported
-    monomials under the energy cap in (energy, monomial int) order, cut
-    at ``cap``.  Above 18 candidate modes (the rank-one acceptance window
-    has 18) each monomial also holds at most four modes off the vacuum.
-    Only the energy shells up to the one that reaches ``cap`` are built,
-    and each set is memoised per margin, energy cap and ``cap``.
-    """
-    lo, hi = backend.window.support(margin)
-    n_candidates = backend.n * (max(hi, 0) + max(1 - lo, 0))
-    particles = None if n_candidates <= 18 else 4
-    key = (margin, max_energy, particles, cap)
+    """Deterministic quantifier set for an identity check: the first
+    ``cap`` monomials of ``_check_shells`` in (energy, monomial int) order.
+    None past the cap is enumerated, and each set is memoised per margin,
+    energy cap and ``cap``."""
+    key = (margin, max_energy, cap)
     mons = backend.bases.get(key)
     if mons is None:
-        mons = backend.bases[key] = tuple(monomials_in_support(backend, margin, max_energy, particles, cap))
+        mons = backend.bases[key] = tuple(islice(_check_shells(backend, margin, max_energy).monomials(), cap))
     return list(mons)
 
 
@@ -874,11 +860,14 @@ def l0_commutes_with_d_check(backend: OrthonormalBackend) -> IdentityVerdict:
 
 def leibniz_check(backend: OrthonormalBackend) -> IdentityVerdict:
     """d(alpha ^ omega) = d(alpha) ^ omega + (-1)^p alpha ^ d(omega) for
-    cochain wedges alpha and random guarded int vectors omega.  d(alpha) =
-    sum_j (-1)^j d(e_j) ^ (alpha without e_j) comes from ``split_mode``
-    over the whole window, negative levels included (those terms act on
-    monomials with holes), so it is independent of the L move tables
-    behind the Fock d.  Each term (a, l1), (b, l2), rest acts on omega as
+    cochain wedges alpha and random guarded int vectors omega, whose
+    monomials are drawn from a pool of the first 12 (140 when dim g <= 3)
+    of each energy shell 0..4 of ``_check_shells``, so at every rank it
+    holds holes below level 0 where the guarded window has such modes.
+    d(alpha) = sum_j (-1)^j d(e_j) ^ (alpha without e_j) comes from
+    ``split_mode`` over the whole window, negative levels included (those
+    terms act on monomials with holes), so it is independent of the L move
+    tables behind the Fock d.  Each term (a, l1), (b, l2), rest acts on omega as
     eps steps, which sort the wedge and count its sign themselves.  Both
     sides are compared times 2s, the scale of d."""
     window = backend.window
@@ -890,7 +879,8 @@ def leibniz_check(backend: OrthonormalBackend) -> IdentityVerdict:
     coch_modes = [(i, k) for k in range(1, hi + 1) for i in range(n)]
     if not coch_modes:
         return _skip(backend, "leibniz_rule", f"no cochain mode: kMax - guard = {hi} < 1")
-    basis = check_basis(backend, window.guard, 4, cap=700 if _small(backend) else 60)
+    shells = _check_shells(backend, window.guard, 4)
+    pool = [m for e in range(5) for m in islice(shells.shell(e), 140 if _small(backend) else 12)]
     d = backend.d.__getitem__
 
     def wedge(modes: Sequence[Mode], v: FockVector, coeff: int, out: FockVector) -> FockVector:
@@ -901,7 +891,7 @@ def leibniz_check(backend: OrthonormalBackend) -> IdentityVerdict:
     for _ in range(trials):
         p = rng.choice([1, 2])
         alpha = rng.sample(coch_modes, p)
-        omega_mons = rng.sample(basis, min(3, len(basis)))
+        omega_mons = rng.sample(pool, min(3, len(pool)))
         omega = {m: rng.choice((-1, 1)) * rng.randint(1, 9) for m in omega_mons}
 
         res = _apply(d, wedge(alpha, omega, 1, {}).items())
@@ -1011,10 +1001,11 @@ def dtilde_adjoint_matrix_check(backend: OrthonormalBackend) -> IdentityVerdict:
     dtilde, dstar = backend.dtilde.__getitem__, backend.dstar.__getitem__
     err = Fraction(0)
     count = 0
-    for e, (size, build) in enumerate(_energy_shells(backend, 0, 3 if _small(backend) else 1, None)):
+    shells = _Shells(_candidates(backend, 0), 3 if _small(backend) else 1, None)
+    for e, size in enumerate(shells.sizes):
         if size > block_cap:
             continue
-        block = build()
+        block = list(shells.shell(e))
         count += len(block)
         pairing = {m: _pairing(backend, m) for m in block}
         transposed: Dict[SemiInfMonomial, FockVector] = {m: {} for m in block}

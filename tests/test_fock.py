@@ -196,18 +196,13 @@ def test_a_doctored_cochain_block_entry_fails_the_cochain_check(monkeypatch, ser
     assert doctored and not verdict.skipped and not verdict.passed
 
 
-_UNDRAWN_HOLES = pytest.mark.xfail(strict=True, reason=(
-    "on dim g > 3 the Leibniz check draws omega from the first 60 guarded monomials, all at energy 0, "
-    "so no omega has a hole below level 0 and the negative-level terms of d(alpha) act as 0"))
-
-
 @pytest.mark.parametrize("series, rank, window, dropped", [
     ("A", 1, WINDOW, "last"),
     ("A", 2, EnergyWindow(-1, 2, 1), "last"),
     ("G", 2, EnergyWindow(-1, 2, 1), "last"),
     ("A", 1, WINDOW, "negative"),
-    pytest.param("A", 2, EnergyWindow(-2, 3, 1), "negative", marks=_UNDRAWN_HOLES),
-    pytest.param("G", 2, EnergyWindow(-2, 3, 1), "negative", marks=_UNDRAWN_HOLES),
+    ("A", 2, EnergyWindow(-2, 3, 1), "negative"),
+    ("G", 2, EnergyWindow(-2, 3, 1), "negative"),
 ], ids=["a1-last", "a2-last", "g2-last", "a1-negative", "a2-negative", "g2-negative"])
 def test_a_doctored_splitting_rule_fails_only_the_leibniz_check(monkeypatch, series, rank, window, dropped):
     """d(alpha) in the Leibniz check comes from ``split_mode`` over the
@@ -393,33 +388,34 @@ def test_a_row_without_a_bit_of_its_own_fails_the_clifford_check(a1, bit_of):
 def test_the_adjoint_check_counts_its_energy_blocks_before_enumerating_any(monkeypatch):
     """On C3 [-1,2] the 21 removed modes of level 0 alone span 2^21
     monomials of energy 0, so every energy block of the adjoint check
-    exceeds its cap.  The check must skip from the group counts: the spy
-    fails on the first enumerated group, before memory could run out."""
+    exceeds its cap.  The check must skip from the shell sizes: the spy
+    fails on the first walked shell, before memory could run out."""
     b = OrthonormalBackend(build_algebra(AlgebraSpec("C", 3)), EnergyWindow(-1, 2, 1))
 
-    def refuse(side, key):
-        raise AssertionError(f"group {key} of {side.counts[0][key]} mode sets enumerated")
+    def refuse(shells, e):
+        raise AssertionError(f"shell {e} of {shells.sizes[e]} monomials walked")
 
-    monkeypatch.setattr(fock._Side, "group", refuse)
+    monkeypatch.setattr(fock._Shells, "shell", refuse)
     verdict = dtilde_adjoint_matrix_check(b)
     assert verdict.skipped and verdict.reason == "every energy block exceeds 800 monomials"
 
 
-def test_only_the_groups_of_built_shells_are_enumerated(a2, monkeypatch):
+def test_only_the_built_shells_are_walked(a2, monkeypatch):
     """On A2 [-1,2] the adjoint check builds its energy-0 block (256
-    monomials) and skips the energy-1 block (4,096): no group of energy 1
-    is enumerated."""
-    built = []
-    real = fock._Side.group
+    monomials) and skips the energy-1 block (4,096): only the energy-0
+    shell is walked."""
+    walked = []
+    real = fock._Shells.shell
 
-    def spy(side, key):
-        built.append(key)
-        return real(side, key)
+    def spy(shells, e):
+        mons = list(real(shells, e))
+        walked.append((e, len(mons)))
+        return iter(mons)
 
-    monkeypatch.setattr(fock._Side, "group", spy)
+    monkeypatch.setattr(fock._Shells, "shell", spy)
     verdict = dtilde_adjoint_matrix_check(OrthonormalBackend(a2, EnergyWindow(-1, 2, 1)))
     assert verdict.passed and verdict.vectors == 256
-    assert built and all(e == 0 for e, _count in built)
+    assert walked == [(0, 256)]
 
 
 @pytest.mark.parametrize("series, window, failing", [
@@ -792,9 +788,13 @@ def _sorted_enumeration(b, margin, max_energy):
     ("a1", EnergyWindow(-2, 3, 1)),
     ("a2", EnergyWindow(-1, 2, 1)),
     ("a1", EnergyWindow(-3, 3, 2)),
-], ids=["a1_m2_3_g1", "a2_m1_2_g1", "a1_m3_3_g2"])
+    ("g2", EnergyWindow(-1, 2, 1)),
+], ids=["a1_m2_3_g1", "a2_m1_2_g1", "a1_m3_3_g2", "g2_m1_2_g1"])
 def test_capped_quantifier_sets_are_prefixes_of_the_sorted_enumeration(request, monkeypatch, series, window):
-    data = request.getfixturevalue(series)
+    """Each capped set is a prefix of the reference, and each shell's
+    counted size is the number of monomials its walk yields.  G2 [-1,2]
+    has 28 candidate modes, so its sets hold at most four modes each."""
+    data = build_algebra(AlgebraSpec("G", 2)) if series == "g2" else request.getfixturevalue(series)
     used = set()
 
     def spy(b, margin, max_energy, cap=None):
@@ -810,6 +810,10 @@ def test_capped_quantifier_sets_are_prefixes_of_the_sorted_enumeration(request, 
         want = full[margin, max_energy][:cap]
         assert check_basis(b, margin, max_energy, cap) == want, (margin, max_energy, cap)
         truncated += len(want) < len(full[margin, max_energy])
+    for key, reference in full.items():
+        shells = fock._check_shells(b, *key)
+        assert [len(list(shells.shell(e))) for e in range(len(shells.sizes))] == shells.sizes, key
+        assert sum(shells.sizes) == len(reference), key
     assert len(used) >= 6 and truncated
 
 
