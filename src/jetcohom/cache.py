@@ -5,9 +5,11 @@ from its algebra hash, p and k, holds the cell summary: dimension, rank
 of d, harmonic decomposition, check flags and the report schema version
 it was written for; the differential is not stored (files from when it
 was carry no version).  ``record_fault`` is the one record check: a JSON
-object with the current schema version, every required key and a bool
-for each of ``EXACT_CHECKS`` and nothing else as its ``checks``, under
-the name its own hash, p and k give.  ``load_cell`` also compares the
+object with the current schema version, every field the report reads
+with a value of its type (``RECORD_TYPES``; a bool is no int), a bool
+for each of ``EXACT_CHECKS`` and nothing else as its ``checks``, and
+summands of exactly the typed fields of ``SUMMAND_TYPES``, under the
+name its own hash, p and k give.  ``load_cell`` also compares the
 hash with the current algebra's and recomputes with a warning on any
 failure, an unreadable file included; ``show-cache``, which knows no
 current algebra, reports ``valid`` from the record check alone.  Each
@@ -24,7 +26,11 @@ from pathlib import Path
 from typing import Optional
 
 ENV_CACHE_DIR = "JETCOHOM_CACHE_DIR"
-REQUIRED_KEYS = {"algebra_hash", "p", "k", "dim", "rank_d", "harmonic_dim", "harmonic", "checks"}
+# the fields of a cell record, and exactly those of each of its harmonic summands,
+# with the type of each value; a lowest weight is a list of strs
+RECORD_TYPES = {"algebra_hash": str, "p": int, "k": int, "dim": int, "rank_d": int, "harmonic_dim": int,
+                "harmonic": list, "checks": dict}
+SUMMAND_TYPES = {"lowestWeight": list, "dim": int, "multiplicity": int, "energy": int}
 # the exact-suite checks of every cell, in the order the text report lists them
 EXACT_CHECKS = ("d_squared_zero", "weyl_symmetric", "isotypic", "positivity", "round_trip")
 
@@ -50,17 +56,19 @@ def _read_record(path: Path) -> dict:
 
 def record_fault(path: Path, record: dict, schema_version: int) -> Optional[str]:
     """Why the JSON object read from ``path`` is no cell record of this
-    schema version, or None: a record carries the version and every
-    required key, its check flags are the exact checks' bools, and it lies
+    schema version, or None: a record carries the version and its typed
+    fields, its check flags are the exact checks' bools, and it lies
     under the name ``cell_path`` gives its own cell."""
     if record.get("schema_version") != schema_version:
         return f"has schema version {record.get('schema_version')}, not {schema_version}"
-    if not REQUIRED_KEYS.issubset(record):
-        return "is incomplete"
-    checks = record["checks"]
-    if not isinstance(checks, dict) or {key: type(x) for key, x in checks.items()} != dict.fromkeys(EXACT_CHECKS, bool):
+    if any(type(record.get(key)) is not kind for key, kind in RECORD_TYPES.items()):
+        return "lacks a field or has one of the wrong type"
+    if {key: type(x) for key, x in record["checks"].items()} != dict.fromkeys(EXACT_CHECKS, bool):
         return "does not map each exact check to a bool"
-    name = cell_path(path.parent, str(record["algebra_hash"]), record["p"], record["k"]).name
+    if not all(type(s) is dict and {key: type(x) for key, x in s.items()} == SUMMAND_TYPES
+               and all(type(x) is str for x in s["lowestWeight"]) for s in record["harmonic"]):
+        return "has a harmonic summand of the wrong shape"
+    name = cell_path(path.parent, record["algebra_hash"], record["p"], record["k"]).name
     return None if path.name == name else f"holds the record of {name}"
 
 

@@ -57,6 +57,7 @@ fock module).  Harmonicity, the vanishing locus, is the same either way.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -279,6 +280,19 @@ def _dense_block(op: Columns, rows: Sequence[int], cols: Sequence[int]) -> List[
     return out
 
 
+def _per_cell(method):
+    """A ``CellComplex`` method of (p, k) memoised in ``self._kept`` under
+    (its name, p, k), so its body runs once per cell and run."""
+    @functools.wraps(method)
+    def kept(self, p: int, k: int):
+        key = (method.__name__, p, k)
+        if key not in self._kept:
+            self._kept[key] = method(self, p, k)
+        return self._kept[key]
+
+    return kept
+
+
 class CellComplex:
     """Lazy per-algebra store of the cell operators, kept for the whole run.
 
@@ -288,11 +302,11 @@ class CellComplex:
     ``alg.metric_scale`` ** p times the true one.  Besides bases, int
     weight labels and Grams it keeps d (not the int block it is read
     from), d* and the Laplacian L as ``ScaledColumns`` (int columns over
-    one int scale per cell), one memo entry each, and the run's
-    ``CasimirTables``.  Dense matrices exist only as inputs to an
-    elimination, cut from the columns by ``_dense_block``: each weight
-    block of d for its rank, and each weight block of L for its kernel.
-    Every other check applies the int columns to int vectors.
+    one int scale per cell), each under one memo rule (``_per_cell``),
+    and the run's ``CasimirTables``.  Dense matrices exist only as inputs
+    to an elimination, cut from the columns by ``_dense_block``: each
+    weight block of d for its rank, and each weight block of L for its
+    kernel.  Every other check applies the int columns to int vectors.
     """
 
     def __init__(self, data: AlgebraData):
@@ -301,72 +315,55 @@ class CellComplex:
         self.casimir_tables = CasimirTables(self.alg)
         self._kept: Dict[Tuple[str, int, int], object] = {}
 
-    def _memo(self, name: str, p: int, k: int, build):
-        key = (name, p, k)
-        if key not in self._kept:
-            self._kept[key] = build()
-        return self._kept[key]
-
+    @_per_cell
     def basis(self, p: int, k: int) -> CochainBasis:
-        return self._memo("basis", p, k, lambda: build_basis(self.alg, p, k))
+        return build_basis(self.alg, p, k)
 
+    @_per_cell
     def weights(self, p: int, k: int) -> List[Weight]:
         """Torus weight of each monomial of the (p, k) basis, as int tuples."""
+        n, zero = self.alg.dim, (0,) * self.alg.data.rank
+        dual = [tuple(-c for c in w) for w in self.alg.weights]  # the dual mode has the opposite weight
+        out = []
+        for mono in self.basis(p, k).monomials:
+            w = zero
+            for b in _bits(mono):
+                w = tuple(map(add, w, dual[b % n]))
+            out.append(w)
+        return out
 
-        def build():
-            n, zero = self.alg.dim, (0,) * self.alg.data.rank
-            dual = [tuple(-c for c in w) for w in self.alg.weights]  # the dual mode has the opposite weight
-            out = []
-            for mono in self.basis(p, k).monomials:
-                w = zero
-                for b in _bits(mono):
-                    w = tuple(map(add, w, dual[b % n]))
-                out.append(w)
-            return out
-
-        return self._memo("weights", p, k, build)
-
+    @_per_cell
     def weight_blocks(self, p: int, k: int) -> Dict[Weight, List[int]]:
         """Monomial indices of each torus weight, in basis order; the
         weights in sorted order."""
+        groups: Dict[Weight, List[int]] = {}
+        for i, w in enumerate(self.weights(p, k)):
+            groups.setdefault(w, []).append(i)
+        return {w: groups[w] for w in sorted(groups)}
 
-        def build():
-            groups: Dict[Weight, List[int]] = {}
-            for i, w in enumerate(self.weights(p, k)):
-                groups.setdefault(w, []).append(i)
-            return {w: groups[w] for w in sorted(groups)}
-
-        return self._memo("groups", p, k, build)
-
+    @_per_cell
     def weight_multiset(self, p: int, k: int) -> WeightMultiset:
         """Torus-weight multiset of the (p, k) basis from ``weights_of_basis``,
         built once per cell for the Weyl-symmetry and isotypic checks, and
         checked to count the int labels' weight blocks."""
+        multiset = weights_of_basis(self.alg.data, self.basis(p, k))
+        if multiset != {w: len(idxs) for w, idxs in self.weight_blocks(p, k).items()}:
+            raise InvariantError(f"weight labels of cell ({p}, {k}) disagree with its weight multiset")
+        return multiset
 
-        def build():
-            multiset = weights_of_basis(self.alg.data, self.basis(p, k))
-            if multiset != {w: len(idxs) for w, idxs in self.weight_blocks(p, k).items()}:
-                raise InvariantError(f"weight labels of cell ({p}, {k}) disagree with its weight multiset")
-            return multiset
-
-        return self._memo("multiset", p, k, build)
-
+    @_per_cell
     def differential(self, p: int, k: int) -> ScaledColumns:
         """d: A^p(k) -> A^{p+1}(k) as D / delta in lowest terms, the int
         block s*d between the memoised bases over s, after a check that
         every entry joins equal torus weights; only the columns are kept."""
-
-        def build():
-            w_in, w_out = self.weights(p, k), self.weights(p + 1, k)
-            block = differential_block(self.alg, self.basis(p, k), self.basis(p + 1, k))
-            out: Columns = {}
-            for (r, c), v in block.dMatrix.items():
-                if w_out[r] != w_in[c]:
-                    raise InvariantError(f"d^{p} at energy {k} joins different torus weights")
-                out.setdefault(c, {})[r] = v
-            return _lowest_terms(out, self.alg.scale)
-
-        return self._memo("d", p, k, build)
+        w_in, w_out = self.weights(p, k), self.weights(p + 1, k)
+        block = differential_block(self.alg, self.basis(p, k), self.basis(p + 1, k))
+        out: Columns = {}
+        for (r, c), v in block.dMatrix.items():
+            if w_out[r] != w_in[c]:
+                raise InvariantError(f"d^{p} at energy {k} joins different torus weights")
+            out.setdefault(c, {})[r] = v
+        return _lowest_terms(out, self.alg.scale)
 
     def d_squared_zero(self, p: int, k: int) -> bool:
         """d^{p+1} d^p = 0 at energy k, checked column by column; d^{p+1}
@@ -374,73 +371,65 @@ class CellComplex:
         d = self.differential
         return not any(_apply(d(p + 1, k).columns, col) for col in d(p, k).columns.values())
 
+    @_per_cell
     def block_ranks(self, p: int, k: int) -> Dict[Weight, int]:
         """Fraction-free rank of each weight block of d^p at energy k that
-        has both a source and a target, computed once per run."""
-
-        def build():
-            d, g_out = self.differential(p, k).columns, self.weight_blocks(p + 1, k)
-            return {
-                w: xl.rank(_dense_block(d, g_out[w], idxs))
-                for w, idxs in self.weight_blocks(p, k).items()
-                if w in g_out
-            }
-
-        return self._memo("ranks", p, k, build)
+        has both a source and a target."""
+        d, g_out = self.differential(p, k).columns, self.weight_blocks(p + 1, k)
+        return {
+            w: xl.rank(_dense_block(d, g_out[w], idxs))
+            for w, idxs in self.weight_blocks(p, k).items()
+            if w in g_out
+        }
 
     def rank_d(self, p: int, k: int) -> int:
         """Rank of d: A^p(k) -> A^{p+1}(k), the sum of its weight blocks' ranks."""
         return sum(self.block_ranks(p, k).values())
 
+    @_per_cell
     def gram(self, p: int, k: int) -> List[int]:
         """Diagonal of the wedge Gram of cell (p, k) in basis order, times
         ``alg.metric_scale`` ** p."""
-        return self._memo("gram", p, k, lambda: wedge_gram(self.alg.metric, self.basis(p, k)))
+        return wedge_gram(self.alg.metric, self.basis(p, k))
 
+    @_per_cell
     def codifferential(self, p: int, k: int) -> ScaledColumns:
         """Adjoint of d: A^p -> A^{p+1} in the wedge metrics, as int columns
         over A^{p+1}.  With d = D / delta and the scaled Grams G, d* is the
         scaled transpose d*[i][j] = D[j][i] * G_out[j] / (M * delta *
         G_in[i]), M the metric scale; the row factors 1 / G_in[i] are
         brought to the lcm of G_in, which goes into the scale."""
+        d = self.differential(p, k)
+        g_in, g_out = self.gram(p, k), self.gram(p + 1, k)
+        common = lcm(*g_in)
+        out: Columns = {}
+        for i, col in d.columns.items():
+            row = common // g_in[i]
+            for j, x in col.items():
+                out.setdefault(j, {})[i] = x * g_out[j] * row
+        return _lowest_terms(out, self.alg.metric_scale * d.scale * common)
 
-        def build():
-            d = self.differential(p, k)
-            g_in, g_out = self.gram(p, k), self.gram(p + 1, k)
-            common = lcm(*g_in)
-            out: Columns = {}
-            for i, col in d.columns.items():
-                row = common // g_in[i]
-                for j, x in col.items():
-                    out.setdefault(j, {})[i] = x * g_out[j] * row
-            return _lowest_terms(out, self.alg.metric_scale * d.scale * common)
-
-        return self._memo("codifferential", p, k, build)
-
+    @_per_cell
     def laplacian(self, p: int, k: int) -> ScaledColumns:
         """The Laplacian d*d + dd* of cell (p, k) as int columns over one
         scale, one column for every monomial, checked to be self-adjoint
         in the metric: G_i * L_ij = G_j * L_ji."""
-
-        def build():
-            terms = [(self.codifferential(p, k), self.differential(p, k))]  # (left, right): left after right
-            if p > 0:
-                terms.append((self.differential(p - 1, k), self.codifferential(p - 1, k)))
-            scale = lcm(*(left.scale * right.scale for left, right in terms))
-            factors = [(left.columns, right.columns, scale // (left.scale * right.scale)) for left, right in terms]
-            out: Columns = {}
-            for j in range(len(self.basis(p, k))):
-                col: Dict[int, int] = {}
-                for left, right, f in factors:
-                    for i, x in _apply(left, {r: f * y for r, y in right.get(j, {}).items()}).items():
-                        col[i] = col.get(i, 0) + x
-                out[j] = {i: x for i, x in col.items() if x}
-            g = self.gram(p, k)
-            if any(g[i] * x != g[j] * out[i].get(j, 0) for j, col in out.items() for i, x in col.items()):
-                raise InvariantError(f"Laplacian of cell ({p}, {k}) is not self-adjoint in the cell metric")
-            return _lowest_terms(out, scale)
-
-        return self._memo("laplacian", p, k, build)
+        terms = [(self.codifferential(p, k), self.differential(p, k))]  # (left, right): left after right
+        if p > 0:
+            terms.append((self.differential(p - 1, k), self.codifferential(p - 1, k)))
+        scale = lcm(*(left.scale * right.scale for left, right in terms))
+        factors = [(left.columns, right.columns, scale // (left.scale * right.scale)) for left, right in terms]
+        out: Columns = {}
+        for j in range(len(self.basis(p, k))):
+            col: Dict[int, int] = {}
+            for left, right, f in factors:
+                for i, x in _apply(left, {r: f * y for r, y in right.get(j, {}).items()}).items():
+                    col[i] = col.get(i, 0) + x
+            out[j] = {i: x for i, x in col.items() if x}
+        g = self.gram(p, k)
+        if any(g[i] * x != g[j] * out[i].get(j, 0) for j, col in out.items() for i, x in col.items()):
+            raise InvariantError(f"Laplacian of cell ({p}, {k}) is not self-adjoint in the cell metric")
+        return _lowest_terms(out, scale)
 
 
 def eigenvalue_of(data: AlgebraData, lowestWeight: Sequence[int | Fraction], energy: int) -> Fraction:

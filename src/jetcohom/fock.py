@@ -32,8 +32,11 @@ where mask and c count the modes of the wedge in front of it.  On an
 added mode the mask holds the bits above it and c = 0.  In front of a
 removed mode sit the added modes and the b vacuum modes above it less
 their holes, so the mask holds the added bits and the removed bits below
-b, and c = b mod 2.  The move table of L_{i,k} (``_moves``), built once
-per backend from the step table, holds its terms as pairs of such steps.
+b, and c = b mod 2.  ``_eps``/``_iota`` give a mode's (bit, need, mask,
+c) row and ``_step`` applies one.  ``_run_moves`` runs every move table,
+rows of two steps with (-1)^(c1 + c2) in the coefficient (``_two_steps``):
+L_{i,k}'s (``_moves``) and the two-step parts of the closed forms of d^2
+(per check call) and of the Laplacian (``number_moves``, per backend).
 
 The backend reads every int from the ``liealg.IntAlgebra`` the exact core
 also uses, in the basis of ``liealg.orthogonal_cartan``.  There the
@@ -143,7 +146,8 @@ class OrthonormalBackend:
     bit`` when the mode is not in the wedge (0 if added, ``bit`` if
     removed).  eps needs the mode empty, iota needs it occupied; either
     flips ``bit`` with the sign (-1)^(popcount(mono & mask) + c).
-    ``moves`` keeps the move table of each L_{i,k} (``_moves``).
+    ``moves`` keeps the move table of each L_{i,k} (``_moves``), and
+    ``number_moves`` that of the Laplacian's number operators.
     ``energy_masks`` holds one mask per w = 1, 2, ...: the bits of the
     modes at levels k with |k| >= w, so a mode at level k lies under |k|
     of them.
@@ -207,6 +211,16 @@ class OrthonormalBackend:
         return self.d.twin()
 
     @cached_property
+    def number_moves(self) -> MoveTable:
+        """-sum_{k>0} ck eps^{i,k} iota_{i,k} - sum_{k<0} ck iota_{i,k}
+        eps^{i,k}, the number operators of the Laplacian's closed form, over
+        4s^2 e, as a one-level move table."""
+        number = 4 * self.alg.scale ** 2 * self.alg.gram_inv_scale * self.alg.data.coxeter  # c, over 4s^2 e
+        return [_level(_two_steps(
+            (_iota(step), _eps(step), -number * k) if k > 0 else (_eps(step), _iota(step), -number * k)
+            for (_i, k), step in self.steps.items() if k))]
+
+    @cached_property
     def dstar(self) -> _Memo:
         """The memo of dtilde* = -1/2 sum_k s_k sum_{i,b} (G^-1)_{ib}
         iota_{b,k} L_{i,-k}, over 2se: the adjoint of dtilde under the Fock
@@ -242,22 +256,37 @@ def energy(backend: OrthonormalBackend, mono: SemiInfMonomial) -> int:
 VACUUM: SemiInfMonomial = 0
 
 
+def _eps(step: Tuple[int, int, int, int]) -> Tuple[int, int, int, int]:
+    """The (bit, need, mask, c) row of eps on a step's mode: it needs it empty."""
+    bit, mask, c, empty = step
+    return bit, empty, mask, c
+
+
+def _iota(step: Tuple[int, int, int, int]) -> Tuple[int, int, int, int]:
+    """The (bit, need, mask, c) row of iota on a step's mode: it needs it occupied."""
+    bit, mask, c, empty = step
+    return bit, bit ^ empty, mask, c
+
+
+def _step(row: Tuple[int, int, int, int], mono: SemiInfMonomial) -> Tuple[int, SemiInfMonomial] | None:
+    """One (bit, need, mask, c) row on a monomial: (sign, monomial), or
+    None where its bit is not the one the step needs."""
+    bit, need, mask, c = row
+    if mono & bit != need:
+        return None
+    return (-1 if ((mono & mask).bit_count() + c) & 1 else 1), mono ^ bit
+
+
 def eps_monomial(backend: OrthonormalBackend, mode: Mode, mono: SemiInfMonomial
                  ) -> Tuple[int, SemiInfMonomial] | None:
     """Left exterior multiplication by e^{mode}: (sign, monomial) or None."""
-    bit, mask, c, empty = backend.steps[mode]
-    if mono & bit != empty:
-        return None
-    return (-1 if ((mono & mask).bit_count() + c) & 1 else 1), mono ^ bit
+    return _step(_eps(backend.steps[mode]), mono)
 
 
 def iota_monomial(backend: OrthonormalBackend, mode: Mode, mono: SemiInfMonomial
                   ) -> Tuple[int, SemiInfMonomial] | None:
     """Contraction with e_{mode}: removes the dual mode with (-1)^(pos-1)."""
-    bit, mask, c, empty = backend.steps[mode]
-    if mono & bit == empty:
-        return None
-    return (-1 if ((mono & mask).bit_count() + c) & 1 else 1), mono ^ bit
+    return _step(_iota(backend.steps[mode]), mono)
 
 
 def _eps_wedge_column(backend: OrthonormalBackend, modes: Sequence[Mode], mono: SemiInfMonomial) -> ColumnTuple:
@@ -359,17 +388,21 @@ def _moves(backend: OrthonormalBackend, i: int, k: int) -> MoveTable:
         window, steps = backend.window, backend.steps
         levels = backend.moves[i, k] = []
         for s in range(max(window.kMin, window.kMin + k), min(window.kMax, window.kMax + k) + 1):
-            rows = []
-            for p, terms in backend.alg.action[i].items():
-                for q, c in terms:  # c = -s*f_{iq}^p
-                    e_bit, e_mask, e_c, e_empty = steps[q, s - k]
-                    i_bit, i_mask, i_c, i_empty = steps[p, s]
-                    eps, iota = (e_bit, e_empty, e_mask), (i_bit, i_bit ^ i_empty, i_mask)
+            terms = []
+            for p, action in backend.alg.action[i].items():
+                for q, c in action:  # c = -s*f_{iq}^p
+                    eps, iota = _eps(steps[q, s - k]), _iota(steps[p, s])
                     # normal ordering: iota first with +f for s <= 0, -eps iota for s > 0
-                    first, second, coef = (eps, iota, -c) if s <= 0 else (iota, eps, c)
-                    rows.append((*first, *second, -coef if (e_c + i_c) & 1 else coef))
-            levels.append(_level(rows))
+                    terms.append((eps, iota, -c) if s <= 0 else (iota, eps, c))
+            levels.append(_level(_two_steps(terms)))
     return levels
+
+
+def _two_steps(terms: Iterable[tuple]) -> List[tuple]:
+    """Move-table rows (bit1, need1, mask1, bit2, need2, mask2, coef) of
+    (first step row, second step row, coef) terms, (-1)^(c1 + c2) in coef."""
+    return [(b1, n1, m1, b2, n2, m2, -coef if (c1 + c2) & 1 else coef)
+            for (b1, n1, m1, c1), (b2, n2, m2, c2), coef in terms]
 
 
 def _level(rows: List[tuple]) -> Tuple[int, List[tuple]]:
@@ -710,15 +743,6 @@ def commutator_check(backend: OrthonormalBackend) -> IdentityVerdict:
     if window.guard < 1:
         return _skip(backend, "mode_action_commutators", "window guard < 1 (shift-1 operators)")
     n, f, action, steps = backend.n, backend.alg.structure, backend.alg.action, backend.steps
-
-    def iota(mode: Mode) -> Tuple[int, int, int, int]:
-        bit, mask, c, empty = steps[mode]
-        return bit, bit ^ empty, mask, c
-
-    def eps(mode: Mode) -> Tuple[int, int, int, int]:
-        bit, mask, c, empty = steps[mode]
-        return bit, empty, mask, c
-
     err = 0
     count = 0
     for k in range(-window.guard, window.guard + 1):
@@ -734,8 +758,8 @@ def commutator_check(backend: OrthonormalBackend) -> IdentityVerdict:
         # (coefficient, row) terms of its right side
         per_i = [(backend.L(i, k).__getitem__,
                   [term for j in range(n) for m in modes for term in (
-                      (iota((j, m)), [(-c, iota((p, m + k))) for p, c in f[i].get(j, {}).items()]),
-                      (eps((j, m)), [(-c, eps((q, m - k))) for q, c in action[i].get(j, ())]))])
+                      (_iota(steps[j, m]), [(-c, _iota(steps[p, m + k])) for p, c in f[i].get(j, {}).items()]),
+                      (_eps(steps[j, m]), [(-c, _eps(steps[q, m - k])) for q, c in action[i].get(j, ())]))])
                  for i in range(n)]
         for mono in basis:
             for L, terms in per_i:
@@ -917,22 +941,13 @@ def d_squared_check(backend: OrthonormalBackend) -> IdentityVerdict:
     alg, steps = backend.alg, backend.steps
     s, g = alg.scale, alg.gram_scale
     d = backend.d.__getitem__
-    # eps^{a,k} eps^{b,-k} as the step rows of (b, -k) and (a, k), and its coefficient
-    terms = [(steps[b, -k], steps[a, k], 8 * s * s * alg.data.coxeter * k * x)
-             for k in range(1, min(window.kMax, -window.kMin) + 1) for a, (b, x) in enumerate(alg.gram)]
+    # less the closed form, as a one-level move table: eps^{b,-k}, then eps^{a,k}
+    closed = [_level(_two_steps(
+        (_eps(steps[b, -k]), _eps(steps[a, k]), -8 * s * s * alg.data.coxeter * k * x)
+        for k in range(1, min(window.kMax, -window.kMin) + 1) for a, (b, x) in enumerate(alg.gram)))]
     err = 0
     for mono in cols:
-        res = _apply(d, _pairs(d(mono)), g)
-        for (bit1, mask1, c1, empty1), (bit2, mask2, c2, empty2), coef in terms:
-            if mono & bit1 != empty1:
-                continue
-            m1 = mono ^ bit1
-            if m1 & bit2 != empty2:
-                continue
-            target = m1 ^ bit2
-            res[target] = res.get(target, 0) + (
-                coef if ((mono & mask1).bit_count() + c1 + (m1 & mask2).bit_count() + c2) & 1 else -coef)
-        err = max(err, _residual_error(res))
+        err = max(err, _residual_error(_apply(d, _pairs(d(mono)), g, _run_moves(closed, mono))))
     return _verdict(backend, "d_squared_closed_form", Fraction(err, 4 * s * s * g), len(cols))
 
 
@@ -950,36 +965,18 @@ def laplacian_formula_check(backend: OrthonormalBackend) -> IdentityVerdict:
     d, dstar = backend.d.__getitem__, backend.dstar.__getitem__
     err = 0
     for mono in cols:
-        res = _apply(dstar, _pairs(d(mono)), 1, _apply(d, _pairs(dstar(mono))))
-        err = max(err, _residual_error(_closed_form_monomial(backend, mono, -1, res)))
+        res = _apply(d, _pairs(dstar(mono)), -1, _closed_form_monomial(backend, mono))
+        err = max(err, _residual_error(_apply(dstar, _pairs(d(mono)), -1, res)))
     return _verdict(backend, "laplacian_closed_form",
                     Fraction(err, 4 * backend.alg.scale ** 2 * backend.alg.gram_inv_scale), len(cols))
 
 
-def _closed_form_monomial(backend: OrthonormalBackend, mono: SemiInfMonomial, coeff: int = 1,
-                          out: FockVector | None = None) -> FockVector:
-    """The closed form of [d, dtilde*]+ on one monomial, over 4s^2 e, times
-    ``coeff`` and added into ``out`` (a new vector by default)."""
-    alg = backend.alg
-    if out is None:
-        out = {}
-    number = 4 * alg.scale ** 2 * alg.gram_inv_scale * alg.data.coxeter  # c, over 4s^2 e
-    for (i, k), (bit, mask, c, empty) in backend.steps.items():
-        # eps^{i,k} iota_{i,k} for k > 0, iota_{i,k} eps^{i,k} for k < 0: two
-        # steps on one mode, the inner one needing it occupied (k > 0) or empty
-        if k == 0 or (mono & bit == empty) == (k > 0):
-            continue
-        m1 = mono ^ bit
-        if (m1 & bit == empty) != (k > 0):
-            continue
-        target, val = m1 ^ bit, -coeff * number * k
-        new = out.get(target, 0) + (-val if ((mono & mask).bit_count() + (m1 & mask).bit_count()) & 1 else val)
-        if new:
-            out[target] = new
-        else:
-            del out[target]
-    for i, (j, x) in enumerate(alg.gram_inv):
-        _apply(backend.L(i, 0).__getitem__, _pairs(backend.L(j, 0)[mono]), 2 * x * coeff, out)
+def _closed_form_monomial(backend: OrthonormalBackend, mono: SemiInfMonomial) -> FockVector:
+    """The closed form of [d, dtilde*]+ on one monomial, over 4s^2 e: the
+    number operators (``number_moves``), then the zero-mode term."""
+    out = _run_moves(backend.number_moves, mono)
+    for i, (j, x) in enumerate(backend.alg.gram_inv):
+        _apply(backend.L(i, 0).__getitem__, _pairs(backend.L(j, 0)[mono]), 2 * x, out)
     return out
 
 

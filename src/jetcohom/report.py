@@ -30,12 +30,7 @@ from .cochain import (
     isotypic_eigen_check,
 )
 from .liealg import AlgebraData, AlgebraSpec, EnergyWindow, build_algebra
-from .reptheory import (
-    IrrepSummand,
-    expand,
-    is_weyl_symmetric,
-    multiplicity_one_audit,
-)
+from .reptheory import expand, is_weyl_symmetric
 
 SCHEMA_VERSION = 1
 
@@ -169,60 +164,44 @@ def cmd_compute(config: RunConfig) -> dict:
     cache_dir = cache_mod.resolve_cache_dir(config.cacheDir)
     ahash = data.content_hash()
 
+    # one pass over the cell records: each degree's (energy, lowest weight, dim) by
+    # multiplicity, each lowest weight's total multiplicity and each check's verdict
     cells: List[dict] = []
-    for p in range(config.maxDegree + 1):
+    computed: Dict[int, list] = {p: [] for p in range(config.maxDegree + 1)}
+    counts: Dict[Tuple[Fraction, ...], int] = {}
+    checks_ok = dict.fromkeys(EXACT_CHECKS, True)
+    for p in computed:
         for k in range(config.maxEnergy + 1):
             record = cache_mod.load_cell(cache_dir, ahash, p, k, SCHEMA_VERSION)
             if record is None:
                 record = compute_cell(cc, p, k)
                 cache_mod.store_cell(cache_dir, record)
-            cells.append(record)
+            for s in record["harmonic"]:
+                computed[record["p"]] += [(s["energy"], tuple(s["lowestWeight"]), s["dim"])] * s["multiplicity"]
+                weight = tuple(map(Fraction, s["lowestWeight"]))
+                counts[weight] = counts.get(weight, 0) + s["multiplicity"]
+            checks_ok = {name: checks_ok[name] and record["checks"][name] for name in EXACT_CHECKS}
+            # the schema version is the cache's own
+            cells.append({key: v for key, v in record.items() if key != "schema_version"})
 
     predictions = predict_cohomology(data, config.maxDegree)
-
-    match: Dict[str, bool] = {}
-    for p in range(config.maxDegree + 1):
-        computed = []
-        for record in cells:
-            if record["p"] != p:
-                continue
-            for s in record["harmonic"]:
-                computed.extend([(s["energy"], tuple(s["lowestWeight"]), s["dim"])] * s["multiplicity"])
-        predicted = [
-            (i.energy, tuple(_weight(i.lowestWeight.finite)), i.finiteDim)
-            for i in predictions[p]
-            if i.energy <= config.maxEnergy
-        ]
-        match[str(p)] = sorted(computed) == sorted(predicted)
-
-    per_cell = []
-    for record in cells:
-        summands = [
-            IrrepSummand(
-                lowestWeight=tuple(Fraction(x) for x in s["lowestWeight"]),
-                multiplicity=s["multiplicity"],
-                dimension=s["dim"],
-            )
-            for s in record["harmonic"]
-        ]
-        per_cell.append(((record["p"], record["k"]), summands))
-    audit = multiplicity_one_audit(per_cell)
-
-    checks_ok = {name: all(record["checks"][name] for record in cells) for name in EXACT_CHECKS}
+    match = {str(p): sorted(summands) == sorted((i.energy, tuple(_weight(i.lowestWeight.finite)), i.finiteDim)
+                                                for i in predictions[p] if i.energy <= config.maxEnergy)
+             for p, summands in computed.items()}
+    violations = [[_weight(w), c] for w, c in sorted(counts.items()) if c > 1]
 
     report = {
         **_header("compute", config, data),
         "conventions": dict(_CONVENTIONS),
-        # the schema version is the cache's own
-        "cells": [{k: v for k, v in record.items() if k != "schema_version"} for record in cells],
+        "cells": cells,
         "predictions": _predictions_json(predictions),
         "matchVerdict": match,
         "exact_suite": {
             **checks_ok,
             "multiplicity_one": {
-                "pass": audit.passed,
-                "lowest_weights": [_weight(w) for w in audit.lowest_weights],
-                "violations": [[_weight(w), c] for w, c in audit.violations],
+                "pass": not violations,
+                "lowest_weights": [_weight(w) for w in sorted(counts)],
+                "violations": violations,
             },
         },
         "identity_suite": None,

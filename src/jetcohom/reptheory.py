@@ -227,24 +227,3 @@ def expand(data: AlgebraData, summands: Iterable[IrrepSummand]) -> WeightMultise
         for nu, m in irrep_character(data, highest).items():
             out[nu] = out.get(nu, 0) + s.multiplicity * m
     return {w: m for w, m in out.items() if m != 0}
-
-
-@dataclass
-class AuditVerdict:
-    passed: bool
-    lowest_weights: List[FiniteWeight]
-    violations: List[Tuple[FiniteWeight, int]]
-
-
-def multiplicity_one_audit(cell_decompositions: Iterable[Tuple[object, List[IrrepSummand]]]) -> AuditVerdict:
-    """Check each finite lowest weight occurs at most once across all cells."""
-    counts: Dict[FiniteWeight, int] = {}
-    for _cell, summands in cell_decompositions:
-        for s in summands:
-            counts[s.lowestWeight] = counts.get(s.lowestWeight, 0) + s.multiplicity
-    violations = [(w, c) for w, c in sorted(counts.items()) if c > 1]
-    return AuditVerdict(
-        passed=not violations,
-        lowest_weights=sorted(counts),
-        violations=violations,
-    )

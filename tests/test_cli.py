@@ -595,6 +595,64 @@ def test_a_cache_file_without_a_bool_per_exact_check_is_recomputed(tmp_path, cap
     assert json.loads(target.read_text()) == record  # rewritten by the recompute
 
 
+def _no_multiplicity(record):
+    first, *rest = record["harmonic"]
+    return {**record, "harmonic": [{key: x for key, x in first.items() if key != "multiplicity"}, *rest]}
+
+
+@pytest.mark.parametrize("doctor, fault", [
+    # a string p keeps the file name, so only its type tells it from the int
+    (lambda record: {**record, "p": str(record["p"])}, "lacks a field or has one of the wrong type"),
+    (lambda record: {**record, "rank_d": False}, "lacks a field or has one of the wrong type"),  # a bool is no int
+    (_no_multiplicity, "has a harmonic summand of the wrong shape"),
+    (lambda record: {**record, "harmonic": [{**s, "lowestWeight": [-1]} for s in record["harmonic"]]},
+     "has a harmonic summand of the wrong shape"),
+], ids=["string p", "bool rank", "summand without multiplicity", "int weight coordinate"])
+def test_a_cache_file_with_a_field_of_the_wrong_type_is_recomputed(tmp_path, capsys, doctor, fault):
+    # a record whose p is the string "1" would leave degree 1 without its
+    # summands (a mismatch, exit 2), and one whose summand has no
+    # multiplicity would end the run in a KeyError: each is refused with a
+    # warning, recomputed, and listed as invalid
+    cache = tmp_path / "cache"
+    argv = ["compute", "--series", "A", "--rank", "1", "--max-degree", "1", "--max-energy", "1",
+            "--cache-dir", str(cache), "--format", "json"]
+    assert main(argv) == 0
+    cold = capsys.readouterr().out
+    target = next(cache.glob("*_p1_k1.json"))
+    record = json.loads(target.read_text())
+    assert record["harmonic"]
+    target.write_text(json.dumps(doctor(record), sort_keys=True))
+    assert main(["show-cache", "--cache-dir", str(cache)]) == 0
+    listing = {e["file"]: e["valid"] for e in json.loads(capsys.readouterr().out)["entries"]}
+    assert listing.pop(target.name) is False and all(listing.values())
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out == cold
+    warnings = [line for line in err.splitlines() if line.startswith("warning:")]
+    assert warnings == [f"warning: cache file {target} {fault}; recomputing"]
+    assert json.loads(target.read_text()) == record  # rewritten by the recompute
+
+
+def test_two_cells_sharing_a_lowest_weight_fail_the_multiplicity_one_audit(tmp_path, capsys):
+    # a schema-valid record of the empty cell (1, 0) doctored to hold the
+    # summand of cell (1, 1): the one pass over the records counts V(-1)
+    # twice, so the audit fails and names it, and the run exits 2
+    cache = tmp_path / "cache"
+    argv = ["compute", "--series", "A", "--rank", "1", "--max-degree", "1", "--max-energy", "1",
+            "--cache-dir", str(cache), "--format", "json"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    full, empty = (next(cache.glob(f"*_p1_k{k}.json")) for k in (1, 0))
+    record, source = json.loads(empty.read_text()), json.loads(full.read_text())
+    assert not record["harmonic"] and source["harmonic"]
+    empty.write_text(json.dumps({**record, "harmonic": source["harmonic"], "harmonic_dim": 3}))
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert "warning" not in err
+    audit = json.loads(out)["exact_suite"]["multiplicity_one"]
+    assert audit == {"pass": False, "lowest_weights": [["-1"], ["0"]], "violations": [[["-1"], 2]]}
+
+
 def test_store_cell_writes_through_a_temp_file_of_its_own(tmp_path):
     record = {"algebra_hash": "ab" * 32, "schema_version": SCHEMA_VERSION, "p": 1, "k": 1, "dim": 3,
               "rank_d": 0, "harmonic_dim": 3, "harmonic": [],
@@ -620,6 +678,13 @@ def test_b2_report_matches_its_golden_file():
     # the one benchmark configuration beyond A1 and A2: its weight form has thirds
     report = cmd_compute(RunConfig(series="B", rank=2, maxDegree=2, maxEnergy=4))
     assert serialize_report(report, "json").encode() == (GOLDEN / "b2_2_4.json").read_bytes()
+
+
+def test_a2_3_5_report_matches_its_golden_file():
+    # its degree-3 lowest weights pin the sorted order of the multiplicity-one
+    # audit's lowest_weights on two coordinates beyond A2 2/4
+    report = cmd_compute(RunConfig(series="A", rank=2, maxDegree=3, maxEnergy=5))
+    assert serialize_report(report, "json").encode() == (GOLDEN / "a2_3_5.json").read_bytes()
 
 
 @pytest.mark.parametrize("name, flags", [

@@ -218,9 +218,31 @@ def test_each_block_of_d_is_built_once_and_not_kept(monkeypatch):
     cmd_compute(RunConfig(series="A", rank=2, maxDegree=2, maxEnergy=4))
     (cc,) = runs
     assert len(calls) > 10 and len(calls) == len(set(calls))
-    assert set(calls) == {(p, k) for name, p, k in cc._kept if name == "d"}
+    assert set(calls) == {(p, k) for name, p, k in cc._kept if name == "differential"}
     held = [*vars(cc).values(), *cc._kept.values()]
     assert not any(isinstance(x, cochain.GradedComplexBlock) for x in held)
+
+
+def test_each_metric_operator_is_built_once_per_cell(monkeypatch):
+    """``compute`` A2 2/4 runs the bodies of ``gram``, ``codifferential``
+    and ``laplacian`` once per (p, k): memo misses are counted, not the
+    calls of the memoised methods, which also count the hits."""
+    misses = []
+    for name in ("gram", "codifferential", "laplacian"):
+        body = getattr(CellComplex, name).__wrapped__
+
+        @functools.wraps(body)
+        def spy(self, p, k, body=body):
+            misses.append((body.__name__, p, k))
+            return body(self, p, k)
+
+        monkeypatch.setattr(CellComplex, name, cochain._per_cell(spy))
+    cmd_compute(RunConfig(series="A", rank=2, maxDegree=2, maxEnergy=4))
+    assert len(misses) == len(set(misses))
+    cells = {(p, k) for p in range(3) for k in range(5)}
+    assert {(p, k) for name, p, k in misses if name == "laplacian"} == cells
+    for name in ("gram", "codifferential"):
+        assert cells <= {(p, k) for n, p, k in misses if n == name}
 
 
 def test_eigenvalue_examples(a1):

@@ -16,7 +16,6 @@ from jetcohom.reptheory import (
     expand,
     irrep_character,
     is_weyl_symmetric,
-    multiplicity_one_audit,
     weights_of_basis,
     weyl_dim,
     weyl_orbit,
@@ -158,32 +157,6 @@ def test_decompose_refuses_a_character_that_leaves_its_highest_weight(a1, monkey
     with pytest.raises(DecompositionError, match="leaves its highest weight"):
         decompose(a1, ws)
     assert len(calls) == 1
-
-
-def test_multiplicity_one_audit_cases(a1_report, a2_report):
-    assert multiplicity_one_audit([]).passed  # vacuous
-
-    def summands_of(report):
-        out = []
-        for cell in report["cells"]:
-            cell_s = [
-                IrrepSummand(tuple(F(x) for x in s["lowestWeight"]), s["multiplicity"], s["dim"])
-                for s in cell["harmonic"]
-            ]
-            out.append(((cell["p"], cell["k"]), cell_s))
-        return out
-
-    audit1 = multiplicity_one_audit(summands_of(a1_report))
-    assert audit1.passed
-    assert audit1.lowest_weights == [(F(-3),), (F(-2),), (F(-1),), (F(0),)]
-
-    audit2 = multiplicity_one_audit(summands_of(a2_report))
-    assert audit2.passed
-    assert len(audit2.lowest_weights) == 4  # trivial + adjoint + two cubics
-
-    clash = IrrepSummand((F(-1),), 1, 3)
-    bad = multiplicity_one_audit([(("x", 0), [clash]), (("y", 1), [clash])])
-    assert not bad.passed and bad.violations == [((F(-1),), 2)]
 
 
 def test_weyl_dim_is_memoised_on_its_algebra():
