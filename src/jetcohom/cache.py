@@ -8,13 +8,14 @@ was carry no version).  ``record_fault`` is the one record check: a JSON
 object with the current schema version, every field the report reads
 with a value of its type (``RECORD_TYPES``; a bool is no int), a bool
 for each of ``EXACT_CHECKS`` and nothing else as its ``checks``, and
-summands of exactly the typed fields of ``SUMMAND_TYPES``, under the
-name its own hash, p and k give.  ``load_cell`` also compares the
-hash with the current algebra's and recomputes with a warning on any
-failure, an unreadable file included; ``show-cache``, which knows no
-current algebra, reports ``valid`` from the record check alone.  Each
-writer publishes through a temp file of its own, so writers of one cell
-never collide.
+summands of exactly the typed fields of ``SUMMAND_TYPES``, each lowest
+weight a list of rationals as ``str(Fraction)`` writes them, under the
+name its own hash, p and k give.  ``load_cell`` also compares the hash
+with the current algebra's and recomputes with a warning on any failure,
+an unreadable file included; ``show-cache``, which knows no current
+algebra, reports ``valid`` from the record check alone.  Each writer
+publishes through a temp file of its own, so writers of one cell never
+collide.
 """
 
 from __future__ import annotations
@@ -22,12 +23,13 @@ from __future__ import annotations
 import json
 import os
 import sys
+from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
 ENV_CACHE_DIR = "JETCOHOM_CACHE_DIR"
 # the fields of a cell record, and exactly those of each of its harmonic summands,
-# with the type of each value; a lowest weight is a list of strs
+# with the type of each value; a lowest weight is a list of canonical rational strs
 RECORD_TYPES = {"algebra_hash": str, "p": int, "k": int, "dim": int, "rank_d": int, "harmonic_dim": int,
                 "harmonic": list, "checks": dict}
 SUMMAND_TYPES = {"lowestWeight": list, "dim": int, "multiplicity": int, "energy": int}
@@ -54,6 +56,14 @@ def _read_record(path: Path) -> dict:
     return record
 
 
+def _canonical_rational(x) -> bool:
+    """``x`` is a str that ``str(Fraction)`` writes, so the report reads back the rational it stands for."""
+    try:
+        return type(x) is str and str(Fraction(x)) == x
+    except (ValueError, ZeroDivisionError):
+        return False
+
+
 def record_fault(path: Path, record: dict, schema_version: int) -> Optional[str]:
     """Why the JSON object read from ``path`` is no cell record of this
     schema version, or None: a record carries the version and its typed
@@ -66,7 +76,7 @@ def record_fault(path: Path, record: dict, schema_version: int) -> Optional[str]
     if {key: type(x) for key, x in record["checks"].items()} != dict.fromkeys(EXACT_CHECKS, bool):
         return "does not map each exact check to a bool"
     if not all(type(s) is dict and {key: type(x) for key, x in s.items()} == SUMMAND_TYPES
-               and all(type(x) is str for x in s["lowestWeight"]) for s in record["harmonic"]):
+               and all(map(_canonical_rational, s["lowestWeight"])) for s in record["harmonic"]):
         return "has a harmonic summand of the wrong shape"
     name = cell_path(path.parent, record["algebra_hash"], record["p"], record["k"]).name
     return None if path.name == name else f"holds the record of {name}"

@@ -10,8 +10,8 @@ Every verdict is independent of the basis.
 
 Int monomials.  A cochain monomial is one int: bit (level - 1)*n + i
 stands for the dual mode e^{i,level}, n = dim g, so modes ascending in
-(level, index) are bits ascending, and a wedge is the set of its bits
-(``CochainBasis.wedges`` decodes a basis into (level, index) modes).
+(level, index) are bits ascending, a wedge is the set of its bits, and
+``build_basis`` labels each with its torus weight (``CochainBasis.weights``).
 Moving modes out of a monomial and others in has the sign
 (-1)^popcount(rest & mask): rest is the monomial without the modes it
 loses, and mask the xor of the masks of the bits below each mode moved.
@@ -70,8 +70,6 @@ from .liealg import AlgebraData, FiniteWeight, IntAlgebra, InvariantError, casim
 from .reptheory import IrrepSummand, WeightMultiset, decompose, weights_of_basis
 from .affine import AffineWeight, laplacian_shift
 
-Mode = Tuple[int, int]  # (level >= 1, basis index)
-Wedge = Tuple[Mode, ...]
 Weight = Tuple[int, ...]  # torus weight in simple-root coordinates
 
 
@@ -90,22 +88,19 @@ def _below(bit: int) -> int:
 
 @dataclass(frozen=True)
 class CochainBasis:
+    """One (degree, energy) cell's monomials in basis order, each with its torus weight label."""
+
     degree: int
     energy: int
     monomials: Tuple[int, ...]  # int monomials: bit (level - 1) * n + i is the mode e^{i,level}
     n: int  # dim g
+    weights: Tuple[Weight, ...]  # torus weight of each monomial, the sum of its dual modes' weights
 
     def __len__(self) -> int:
         return len(self.monomials)
 
     def index(self) -> Dict[int, int]:
         return {m: i for i, m in enumerate(self.monomials)}
-
-    def wedges(self) -> Tuple[Wedge, ...]:
-        """The monomials decoded into wedges of (level, index) modes, each
-        ascending: bit (level - 1) * n + i is the mode e^{i,level}."""
-        n = self.n
-        return tuple(tuple((b // n + 1, b % n) for b in _bits(m)) for m in self.monomials)
 
 
 def _signatures(p: int, k: int, n: int) -> Iterable[Tuple[int, ...]]:
@@ -135,23 +130,27 @@ def build_basis(data: AlgebraData, p: int, k: int) -> CochainBasis:
     then by lexicographic index combinations per level, the lowest level
     varying slowest; a wedge's modes ascend in (level, index), which is
     ascending bit order.  The (0, 0) cell holds the empty wedge 0 alone;
-    p = 0 < k, k = 0 < p and p > k give no monomial.
+    p = 0 < k, k = 0 < p and p > k give no monomial.  A dual mode e^{i,level}
+    weighs minus ``data.basis_weights[i]``, so each (level, count) index
+    combination is kept with its mask and weight, summed into each label.
     """
     if p < 0 or k < 0:
         raise ValueError("degree and energy must be nonnegative")
-    n = data.dim
-    masks: Dict[Tuple[int, int], List[int]] = {}  # (level, count) -> one level's index combinations
-    monomials: List[int] = []
+    n, dual = data.dim, [tuple(-c for c in w) for w in data.basis_weights]
+    combos: Dict[Tuple[int, int], List[Tuple[int, Weight]]] = {}  # (level, count) -> one level's (mask, weight)s
+    cell: List[Tuple[int, Weight]] = []
     for sig in sorted(_signatures(p, k, n)):
-        monos = [0]
+        monos = [(0, (0,) * len(dual[0]))]
         for level in sorted(set(sig)):
             key = (level, sig.count(level))
-            if key not in masks:
+            if key not in combos:
                 base = (level - 1) * n
-                masks[key] = [sum(1 << (base + i) for i in c) for c in itertools.combinations(range(n), key[1])]
-            monos = [x | y for x in monos for y in masks[key]]
-        monomials.extend(monos)
-    return CochainBasis(p, k, tuple(monomials), n)
+                combos[key] = [(sum(1 << (base + i) for i in c), tuple(map(sum, zip(*(dual[i] for i in c)))))
+                               for c in itertools.combinations(range(n), key[1])]
+            monos = [(x | y, tuple(map(add, v, w))) for x, v in monos for y, w in combos[key]]
+        cell.extend(monos)
+    monomials, weights = zip(*cell) if cell else ((), ())
+    return CochainBasis(p, k, monomials, n, weights)
 
 
 @dataclass
@@ -299,10 +298,10 @@ class CellComplex:
     ``self.data`` is the Chevalley algebra, which names irreps and Casimir
     values; every operator is built from ``self.alg``, its ``IntAlgebra``,
     so the diagonal wedge Gram of a degree-p cell (``gram``) is
-    ``alg.metric_scale`` ** p times the true one.  Besides bases, int
-    weight labels and Grams it keeps d (not the int block it is read
-    from), d* and the Laplacian L as ``ScaledColumns`` (int columns over
-    one int scale per cell), each under one memo rule (``_per_cell``),
+    ``alg.metric_scale`` ** p times the true one.  Besides bases (with
+    their int weight labels) and Grams it keeps d (not the int block it is
+    read from), d* and the Laplacian L as ``ScaledColumns`` (int columns
+    over one int scale per cell), each under one memo rule (``_per_cell``),
     and the run's ``CasimirTables``.  Dense matrices exist only as inputs
     to an elimination, cut from the columns by ``_dense_block``: each
     weight block of d for its rank, and each weight block of L for its
@@ -320,44 +319,27 @@ class CellComplex:
         return build_basis(self.alg, p, k)
 
     @_per_cell
-    def weights(self, p: int, k: int) -> List[Weight]:
-        """Torus weight of each monomial of the (p, k) basis, as int tuples."""
-        n, zero = self.alg.dim, (0,) * self.alg.data.rank
-        dual = [tuple(-c for c in w) for w in self.alg.weights]  # the dual mode has the opposite weight
-        out = []
-        for mono in self.basis(p, k).monomials:
-            w = zero
-            for b in _bits(mono):
-                w = tuple(map(add, w, dual[b % n]))
-            out.append(w)
-        return out
-
-    @_per_cell
     def weight_blocks(self, p: int, k: int) -> Dict[Weight, List[int]]:
         """Monomial indices of each torus weight, in basis order; the
         weights in sorted order."""
         groups: Dict[Weight, List[int]] = {}
-        for i, w in enumerate(self.weights(p, k)):
+        for i, w in enumerate(self.basis(p, k).weights):
             groups.setdefault(w, []).append(i)
         return {w: groups[w] for w in sorted(groups)}
 
     @_per_cell
     def weight_multiset(self, p: int, k: int) -> WeightMultiset:
-        """Torus-weight multiset of the (p, k) basis from ``weights_of_basis``,
-        built once per cell for the Weyl-symmetry and isotypic checks, and
-        checked to count the int labels' weight blocks."""
-        multiset = weights_of_basis(self.alg.data, self.basis(p, k))
-        if multiset != {w: len(idxs) for w, idxs in self.weight_blocks(p, k).items()}:
-            raise InvariantError(f"weight labels of cell ({p}, {k}) disagree with its weight multiset")
-        return multiset
+        """Torus-weight multiset of the (p, k) basis, its labels counted by
+        ``weights_of_basis`` once per cell for the Weyl and isotypic checks."""
+        return weights_of_basis(self.basis(p, k))
 
     @_per_cell
     def differential(self, p: int, k: int) -> ScaledColumns:
         """d: A^p(k) -> A^{p+1}(k) as D / delta in lowest terms, the int
         block s*d between the memoised bases over s, after a check that
         every entry joins equal torus weights; only the columns are kept."""
-        w_in, w_out = self.weights(p, k), self.weights(p + 1, k)
         block = differential_block(self.alg, self.basis(p, k), self.basis(p + 1, k))
+        w_in, w_out = block.basisIn.weights, block.basisOut.weights
         out: Columns = {}
         for (r, c), v in block.dMatrix.items():
             if w_out[r] != w_in[c]:
@@ -614,7 +596,7 @@ def isotypic_eigen_check(cc: CellComplex, p: int, k: int) -> IsotypicVerdict:
     data, basis = cc.data, cc.basis(p, k)
     summands = decompose(data, cc.weight_multiset(p, k))
     C = casimir_matrix(cc.casimir_tables, basis)
-    labels = cc.weights(p, k)
+    labels = basis.weights
     blocked = all(labels[r] == labels[c] for c, col in C.columns.items() for r in col)
 
     ck = data.coxeter * k

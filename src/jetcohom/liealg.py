@@ -558,8 +558,9 @@ def orthogonal_cartan(data: AlgebraData) -> AlgebraData:
 @dataclass(frozen=True, eq=False)
 class IntAlgebra:
     """An algebra in the basis of ``orthogonal_cartan`` as ints, each over
-    the scale in the field after it.  Compared and hashed by identity, so
-    that no comparison walks its dict-valued tables."""
+    the scale in the field after it, with ``AlgebraData``'s ``basis_weights``
+    as ints, so ``cochain.build_basis`` reads one name on both.  Compared
+    and hashed by identity, so that no comparison walks its dict-valued tables."""
 
     data: AlgebraData  # the rebased algebra
     structure: Tuple[Dict[int, Dict[int, int]], ...]  # structure[i][q][p] = s*C_{iq}^p
@@ -570,7 +571,7 @@ class IntAlgebra:
     gram_inv_scale: int  # e
     metric: Tuple[int, ...]  # metric[i] = m / hermGram_ii, the metric of the dual mode e^i times m
     metric_scale: int  # m
-    weights: Tuple[Coords, ...]  # torus weight of each basis element, in simple-root coordinates
+    basis_weights: Tuple[Coords, ...]  # torus weight of each basis element, in simple-root coordinates
 
     @property
     def dim(self) -> int:
@@ -624,7 +625,7 @@ def int_algebra(data: AlgebraData) -> IntAlgebra:
         gram_inv_scale=e,
         metric=metric,
         metric_scale=m,
-        weights=tuple(tuple(int(c) for c in w) for w in data.basis_weights),
+        basis_weights=tuple(tuple(int(c) for c in w) for w in data.basis_weights),
     )
 
 

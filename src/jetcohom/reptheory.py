@@ -14,10 +14,11 @@ arbitrary Weyl-symmetric multiset peels maximal weights greedily.
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence
 
 from .liealg import AlgebraData, Coords, FiniteWeight, InvariantError, is_dominant
 
@@ -162,19 +163,10 @@ def irrep_character(data: AlgebraData, highest: Sequence[Fraction]) -> WeightMul
     return char
 
 
-def weights_of_basis(data: AlgebraData, basis) -> WeightMultiset:
-    """Torus weights of a ``cochain.CochainBasis``, read from its wedges of
-    (level, index) modes; dual modes carry negated weights.  The basis
-    weights are integral, so every weight is an int tuple."""
-    counts: Dict[Tuple[int, ...], int] = {}
-    for wedge in basis.wedges():
-        w = [0] * data.rank
-        for _level, idx in wedge:
-            for i, c in enumerate(data.basis_weights[idx]):
-                w[i] -= c
-        key = tuple(w)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+def weights_of_basis(basis) -> WeightMultiset:
+    """Torus-weight multiset of a ``cochain.CochainBasis``: how many of its
+    monomials carry each of the weight labels ``build_basis`` gave them."""
+    return dict(Counter(basis.weights))
 
 
 def is_weyl_symmetric(data: AlgebraData, multiset: WeightMultiset) -> bool:

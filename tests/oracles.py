@@ -10,12 +10,14 @@ from math import gcd, lcm
 from typing import Dict, List, Sequence, Tuple
 
 from jetcohom.affine import AffineRoot, AffineWeight, laplacian_shift, simple_affine_roots
-from jetcohom.cochain import (GradedComplexBlock, Mode, ScaledColumns, Wedge, _signatures, build_basis,
+from jetcohom.cochain import (CochainBasis, GradedComplexBlock, ScaledColumns, _signatures, build_basis,
                               differential_block)
 from jetcohom.liealg import AlgebraData, FiniteWeight, IntAlgebra, is_dominant
 
 Matrix = List[List[Fraction]]
 Columns = Dict[int, Dict[int, int]]
+Mode = Tuple[int, int]  # (level >= 1, basis index)
+Wedge = Tuple[Mode, ...]
 
 
 def zeros(rows: int, cols: int) -> Matrix:
@@ -216,6 +218,26 @@ def matrix_inversion_set(data: AlgebraData, word: Sequence[int]) -> List[AffineR
 # Tuple-wedge references for the int-monomial exact core: a wedge is a
 # tuple of (level, index) modes, ascending, and each sign comes from
 # bisecting the sorted wedge.
+
+def wedges(basis: CochainBasis) -> Tuple[Wedge, ...]:
+    """The int monomials of a basis decoded into wedges of (level, index)
+    modes, each ascending: bit (level - 1) * n + i is the mode e^{i,level}."""
+    n = basis.n
+    return tuple(tuple((b // n + 1, b % n) for b in range(m.bit_length()) if m >> b & 1) for m in basis.monomials)
+
+
+def wedge_weights(data: AlgebraData | IntAlgebra, basis: CochainBasis) -> Tuple[Tuple, ...]:
+    """Torus weight of each monomial of a basis, decoded from its wedge:
+    the dual mode e^{i,level} carries minus ``data.basis_weights[i]``."""
+    out = []
+    for wedge in wedges(basis):
+        w = [0] * len(data.basis_weights[0])
+        for _level, idx in wedge:
+            for i, c in enumerate(data.basis_weights[idx]):
+                w[i] -= c
+        out.append(tuple(w))
+    return tuple(out)
+
 
 def tuple_basis(data: AlgebraData, p: int, k: int) -> Tuple[Wedge, ...]:
     """The (p, k) cell's wedges: level signatures in lex order, then

@@ -130,7 +130,7 @@ def test_criterion_6_structural_suites(a1, a2, cc_a1, cc_a2, a1_report, a2_repor
             upup = oracles.cell_block(cc.alg, p + 1, k)
             if len(up.basisIn) and len(upup.basisOut):
                 ok = ok and xl.is_zero_matrix(xl.matmul(oracles.dense(upup), oracles.dense(up)))
-            ws = weights_of_basis(data, cc.basis(p, k))
+            ws = weights_of_basis(cc.basis(p, k))
             ok = ok and is_weyl_symmetric(data, ws)
     # Hodge numbers were asserted exactly inside harmonic_space for every
     # computed cell; re-check one directly

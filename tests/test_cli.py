@@ -492,8 +492,8 @@ def test_cache_files_with_a_block_payload_give_the_same_report(tmp_path, capsys)
             "energy": block.basisIn.energy,
             "dim_in": len(block.basisIn),
             "dim_out": len(block.basisOut),
-            "monomials_in": [[list(m) for m in w] for w in block.basisIn.wedges()],
-            "monomials_out": [[list(m) for m in w] for w in block.basisOut.wedges()],
+            "monomials_in": [[list(m) for m in w] for w in oracles.wedges(block.basisIn)],
+            "monomials_out": [[list(m) for m in w] for w in oracles.wedges(block.basisOut)],
             "triples": sorted([r, c, v] for (r, c), v in block.dMatrix.items()),
         }
         record["harmonic"] = []  # a wrong cell that only a recompute can mend
@@ -595,6 +595,11 @@ def test_a_cache_file_without_a_bool_per_exact_check_is_recomputed(tmp_path, cap
     assert json.loads(target.read_text()) == record  # rewritten by the recompute
 
 
+def _lowest_weight(record, coordinate):
+    """The record with each summand's lowest weight replaced by [coordinate]."""
+    return {**record, "harmonic": [{**s, "lowestWeight": [coordinate]} for s in record["harmonic"]]}
+
+
 def _no_multiplicity(record):
     first, *rest = record["harmonic"]
     return {**record, "harmonic": [{key: x for key, x in first.items() if key != "multiplicity"}, *rest]}
@@ -605,14 +610,19 @@ def _no_multiplicity(record):
     (lambda record: {**record, "p": str(record["p"])}, "lacks a field or has one of the wrong type"),
     (lambda record: {**record, "rank_d": False}, "lacks a field or has one of the wrong type"),  # a bool is no int
     (_no_multiplicity, "has a harmonic summand of the wrong shape"),
-    (lambda record: {**record, "harmonic": [{**s, "lowestWeight": [-1]} for s in record["harmonic"]]},
-     "has a harmonic summand of the wrong shape"),
-], ids=["string p", "bool rank", "summand without multiplicity", "int weight coordinate"])
+    (lambda record: _lowest_weight(record, -1), "has a harmonic summand of the wrong shape"),
+    # a weight coordinate the report cannot read back as the rational str(Fraction) writes
+    (lambda record: _lowest_weight(record, "x"), "has a harmonic summand of the wrong shape"),
+    (lambda record: _lowest_weight(record, "-1.0"), "has a harmonic summand of the wrong shape"),
+    (lambda record: _lowest_weight(record, "1/0"), "has a harmonic summand of the wrong shape"),
+], ids=["string p", "bool rank", "summand without multiplicity", "int weight coordinate",
+        "non-numeric weight coordinate", "non-canonical weight coordinate", "zero-denominator weight coordinate"])
 def test_a_cache_file_with_a_field_of_the_wrong_type_is_recomputed(tmp_path, capsys, doctor, fault):
     # a record whose p is the string "1" would leave degree 1 without its
-    # summands (a mismatch, exit 2), and one whose summand has no
-    # multiplicity would end the run in a KeyError: each is refused with a
-    # warning, recomputed, and listed as invalid
+    # summands (a mismatch, exit 2), one whose summand has no multiplicity
+    # would end the run in a KeyError, and one whose lowest weight is ["x"],
+    # ["-1.0"] or ["1/0"] in a ValueError, a mismatch or a ZeroDivisionError:
+    # each is refused with a warning, recomputed, and listed as invalid
     cache = tmp_path / "cache"
     argv = ["compute", "--series", "A", "--rank", "1", "--max-degree", "1", "--max-energy", "1",
             "--cache-dir", str(cache), "--format", "json"]

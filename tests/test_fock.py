@@ -168,7 +168,7 @@ def test_a_cochain_monomial_shifted_by_off_is_its_eps_wedge(series, rank, count)
     assert sum(map(len, cells)) == count
     for cell in cells:
         sign = -1 if cell.degree * (cell.degree - 1) // 2 % 2 else 1
-        for mono, wedge in zip(cell.monomials, cell.wedges()):
+        for mono, wedge in zip(cell.monomials, oracles.wedges(cell)):
             modes = [(i, level) for level, i in wedge]
             assert fock._eps_wedge_column(b, modes, VACUUM) == (mono << b.off, sign), (cell.degree, wedge)
 

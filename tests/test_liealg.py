@@ -320,7 +320,7 @@ def test_int_algebra_structure_is_the_scaled_rebased_structure(chevalley):
     scaled = tuple({q: {p: alg.scale * c for p, c in col.items()} for q, col in row.items()}
                    for row in rebased.structure)
     assert alg.structure == scaled
-    assert alg.weights == chevalley.basis_weights and all(type(c) is int for w in alg.weights for c in w)
+    assert alg.basis_weights == chevalley.basis_weights and all(type(c) is int for w in alg.basis_weights for c in w)
 
 
 def test_int_algebra_gram_times_its_inverse_is_the_identity(chevalley):
