@@ -25,9 +25,7 @@ from .affine import (
     AffineWeylElement,
     AffineWeylGroup,
     PredictedIrrep,
-    affine_pairing,
     rho_hat,
-    minimal_coset_reps,
     predict_cohomology,
 )
 from .cochain import (
@@ -47,7 +45,7 @@ from .report import RunConfig, cmd_compute, cmd_predict, cmd_verify_identities
 __all__ = [
     "AlgebraSpec", "AlgebraData", "InvariantError", "build_algebra", "casimir_eigenvalue",
     "AffineWeight", "AffineRoot", "AffineWeylElement", "AffineWeylGroup", "PredictedIrrep",
-    "affine_pairing", "rho_hat", "minimal_coset_reps", "predict_cohomology",
+    "rho_hat", "predict_cohomology",
     "CochainBasis", "GradedComplexBlock", "HarmonicSpace", "CellComplex",
     "build_basis", "differential_block", "eigenvalue_of",
     "harmonic_space", "isotypic_eigen_check",

@@ -44,13 +44,6 @@ class AffineWeight:
     def from_vector(v: Sequence[Fraction]) -> "AffineWeight":
         return AffineWeight(Fraction(v[0]), tuple(v[1:-1]), Fraction(v[-1]))
 
-    def __add__(self, other: "AffineWeight") -> "AffineWeight":
-        return AffineWeight(
-            self.energy + other.energy,
-            tuple(a + b for a, b in zip(self.finite, other.finite)),
-            self.central + other.central,
-        )
-
     def __sub__(self, other: "AffineWeight") -> "AffineWeight":
         return AffineWeight(
             self.energy - other.energy,
@@ -64,9 +57,6 @@ class AffineRoot:
     k: int
     alpha: FiniteWeight
 
-    def as_weight(self) -> AffineWeight:
-        return AffineWeight(Fraction(self.k), self.alpha, Fraction(0))
-
     def is_positive(self) -> bool:
         if self.k > 0:
             return True
@@ -74,10 +64,6 @@ class AffineRoot:
             return False
         nz = [c for c in self.alpha if c != 0]
         return bool(nz) and all(c >= 0 for c in self.alpha)
-
-
-def affine_pairing(data: AlgebraData, w1: AffineWeight, w2: AffineWeight) -> Fraction:
-    return _pairing(data, w1.as_vector(), w2.as_vector())
 
 
 def _pairing(data: AlgebraData, u: Sequence[int | Fraction], v: Sequence[int | Fraction]) -> Fraction:
@@ -243,10 +229,6 @@ class PredictedIrrep:
 
     def sort_key(self):
         return (self.energy, self.lowestWeight.finite)
-
-
-def minimal_coset_reps(data: AlgebraData, maxLength: int) -> List[AffineWeylElement]:
-    return AffineWeylGroup(data).minimal_coset_reps(maxLength)
 
 
 def predict_cohomology(data: AlgebraData, maxDegree: int) -> Dict[int, List[PredictedIrrep]]:

@@ -5,14 +5,15 @@ from its algebra hash, p and k, holds the cell summary: dimension, rank
 of d, harmonic decomposition, check flags and the report schema version
 it was written for; the differential is not stored (files from when it
 was carry no version).  ``record_fault`` is the one record check: a JSON
-object with the current schema version, every field the report reads
-with a value of its type (``RECORD_TYPES``; a bool is no int), a bool
-for each of ``EXACT_CHECKS`` and nothing else as its ``checks``, and
-summands of exactly the typed fields of ``SUMMAND_TYPES``, each lowest
-weight a list of rationals as ``str(Fraction)`` writes them, under the
-name its own hash, p and k give.  ``load_cell`` also compares the hash
-with the current algebra's and recomputes with a warning on any failure,
-an unreadable file included; ``show-cache``, which knows no current
+object with the current schema version and only the fields the report
+reads, each of its type (``RECORD_TYPES``; a bool is no int), a bool for
+each of ``EXACT_CHECKS`` and nothing else as its ``checks``, summands of
+exactly the typed fields of ``SUMMAND_TYPES`` at the cell's energy k,
+each lowest weight a list of rationals as ``str(Fraction)`` writes them,
+whose dim times multiplicity sum to ``harmonic_dim``, under the name its
+own hash, p and k give.  ``load_cell`` also compares the hash with the
+current algebra's and recomputes with a warning on any failure, an
+unreadable file included; ``show-cache``, which knows no current
 algebra, reports ``valid`` from the record check alone.  Each writer
 publishes through a temp file of its own, so writers of one cell never
 collide.
@@ -38,8 +39,7 @@ EXACT_CHECKS = ("d_squared_zero", "weyl_symmetric", "isotypic", "positivity", "r
 
 
 def resolve_cache_dir(configured: str | None) -> Optional[Path]:
-    override = os.environ.get(ENV_CACHE_DIR)
-    path = override or configured
+    path = os.environ.get(ENV_CACHE_DIR) or configured
     return Path(path) if path else None
 
 
@@ -66,18 +66,24 @@ def _canonical_rational(x) -> bool:
 
 def record_fault(path: Path, record: dict, schema_version: int) -> Optional[str]:
     """Why the JSON object read from ``path`` is no cell record of this
-    schema version, or None: a record carries the version and its typed
-    fields, its check flags are the exact checks' bools, and it lies
-    under the name ``cell_path`` gives its own cell."""
+    schema version, or None: a record holds the version and its typed
+    fields alone, checks and summands that agree with it, and lies under
+    the name ``cell_path`` gives its own cell."""
     if record.get("schema_version") != schema_version:
         return f"has schema version {record.get('schema_version')}, not {schema_version}"
     if any(type(record.get(key)) is not kind for key, kind in RECORD_TYPES.items()):
         return "lacks a field or has one of the wrong type"
+    if record.keys() - RECORD_TYPES.keys() != {"schema_version"}:
+        return "has a field no cell record has"
     if {key: type(x) for key, x in record["checks"].items()} != dict.fromkeys(EXACT_CHECKS, bool):
         return "does not map each exact check to a bool"
     if not all(type(s) is dict and {key: type(x) for key, x in s.items()} == SUMMAND_TYPES
                and all(map(_canonical_rational, s["lowestWeight"])) for s in record["harmonic"]):
         return "has a harmonic summand of the wrong shape"
+    if any(s["energy"] != record["k"] for s in record["harmonic"]):
+        return "has a harmonic summand at another energy than its cell's"
+    if record["harmonic_dim"] != sum(s["dim"] * s["multiplicity"] for s in record["harmonic"]):
+        return "has a harmonic dimension other than its summands' total"
     name = cell_path(path.parent, record["algebra_hash"], record["p"], record["k"]).name
     return None if path.name == name else f"holds the record of {name}"
 
@@ -93,10 +99,8 @@ def load_cell(cache_dir: Optional[Path], algebra_hash: str, p: int, k: int, sche
     except (OSError, ValueError) as exc:
         print(f"warning: unreadable cache file {path} ({exc}); recomputing", file=sys.stderr)
         return None
-    if record.get("algebra_hash") != algebra_hash:
-        print(f"warning: cache file {path} has stale algebra hash; recomputing", file=sys.stderr)
-        return None
-    fault = record_fault(path, record, schema_version)
+    fault = ("has stale algebra hash" if record.get("algebra_hash") != algebra_hash
+             else record_fault(path, record, schema_version))
     if fault:
         print(f"warning: cache file {path} {fault}; recomputing", file=sys.stderr)
         return None

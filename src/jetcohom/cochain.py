@@ -159,10 +159,6 @@ class GradedComplexBlock:
     basisOut: CochainBasis
     dMatrix: Dict[Tuple[int, int], int]  # (row, col) -> nonzero entry, an int on Chevalley data and on an IntAlgebra
 
-    @property
-    def shape(self) -> Tuple[int, int]:
-        return (len(self.basisOut), len(self.basisIn))
-
 
 def split_mode(action: Sequence[Dict[int, List[Tuple[int, int]]]], m: int, level: int, lo: int, hi: int) -> List[tuple]:
     """d(e^{m,level}) = - sum C_{ab}^m e^{a,l1} ^ e^{b,l2} as flat terms

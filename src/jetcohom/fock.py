@@ -614,17 +614,6 @@ class _Shells:
                     yield from self._walk(t, e - w, budget - 1, prefix | bit)
 
 
-def monomials_in_support(backend: OrthonormalBackend, margin: int,
-                         max_energy: int | None = None,
-                         max_particles: int | None = None,
-                         cap: int | None = None) -> List[SemiInfMonomial]:
-    """All monomials supported in the margin-shrunk window, optionally
-    capped by energy and by total mode count (added plus removed), in the
-    deterministic order (energy, monomial int); with ``cap``, the first
-    ``cap``, and none past them is enumerated."""
-    return list(islice(_Shells(_candidates(backend, margin), max_energy, max_particles).monomials(), cap))
-
-
 def _small(backend: OrthonormalBackend) -> bool:
     return backend.n <= 3
 

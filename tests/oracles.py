@@ -12,6 +12,7 @@ from typing import Dict, List, Sequence, Tuple
 from jetcohom.affine import AffineRoot, AffineWeight, laplacian_shift, simple_affine_roots
 from jetcohom.cochain import (CochainBasis, GradedComplexBlock, ScaledColumns, _signatures, build_basis,
                               differential_block)
+from jetcohom.fock import _candidates, _Shells
 from jetcohom.liealg import AlgebraData, FiniteWeight, IntAlgebra, is_dominant
 
 Matrix = List[List[Fraction]]
@@ -42,8 +43,7 @@ def cell_block(data, p: int, k: int) -> GradedComplexBlock:
 
 def dense(block: GradedComplexBlock) -> Matrix:
     """The differential block as a dense ``Fraction`` matrix."""
-    rows, cols = block.shape
-    out = zeros(rows, cols)
+    out = zeros(len(block.basisOut), len(block.basisIn))
     for (r, c), v in block.dMatrix.items():
         out[r][c] = Fraction(v)
     return out
@@ -392,6 +392,15 @@ def accumulate(out: Dict, key, coeff: int):
         out[key] = new
     else:
         out.pop(key, None)
+
+
+def monomials_in_support(backend, margin: int, max_energy: int | None = None,
+                         max_particles: int | None = None, cap: int | None = None) -> List[int]:
+    """All monomials supported in the margin-shrunk window, optionally
+    capped by energy and by total mode count (added plus removed), in the
+    deterministic order (energy, monomial int); with ``cap``, the first
+    ``cap``, and none past them is enumerated."""
+    return list(itertools.islice(_Shells(_candidates(backend, margin), max_energy, max_particles).monomials(), cap))
 
 
 def dstar_from_memoised_L(backend, mono: int) -> Dict[int, int]:

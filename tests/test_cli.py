@@ -615,14 +615,24 @@ def _no_multiplicity(record):
     (lambda record: _lowest_weight(record, "x"), "has a harmonic summand of the wrong shape"),
     (lambda record: _lowest_weight(record, "-1.0"), "has a harmonic summand of the wrong shape"),
     (lambda record: _lowest_weight(record, "1/0"), "has a harmonic summand of the wrong shape"),
+    # a field no cell record has would reach the report; a record that contradicts itself would be reported as read
+    (lambda record: {**record, "extra": "junk"}, "has a field no cell record has"),
+    (lambda record: {**record, "harmonic": [{**s, "energy": 2} for s in record["harmonic"]]},
+     "has a harmonic summand at another energy than its cell's"),
+    (lambda record: {**record, "harmonic_dim": 7}, "has a harmonic dimension other than its summands' total"),
 ], ids=["string p", "bool rank", "summand without multiplicity", "int weight coordinate",
-        "non-numeric weight coordinate", "non-canonical weight coordinate", "zero-denominator weight coordinate"])
+        "non-numeric weight coordinate", "non-canonical weight coordinate", "zero-denominator weight coordinate",
+        "extra field", "summand energy off the cell's", "harmonic dim off the summands'"])
 def test_a_cache_file_with_a_field_of_the_wrong_type_is_recomputed(tmp_path, capsys, doctor, fault):
     # a record whose p is the string "1" would leave degree 1 without its
     # summands (a mismatch, exit 2), one whose summand has no multiplicity
     # would end the run in a KeyError, and one whose lowest weight is ["x"],
-    # ["-1.0"] or ["1/0"] in a ValueError, a mismatch or a ZeroDivisionError:
-    # each is refused with a warning, recomputed, and listed as invalid
+    # ["-1.0"] or ["1/0"] in a ValueError, a mismatch or a ZeroDivisionError;
+    # one with an extra field would add it to its cell in the report, one
+    # whose summand sits at energy 2 in cell (1, 1) would fail the match
+    # (exit 2), and one with harmonic_dim 7 would report dim H 7 beside
+    # V(-1)[3]: each is refused with a warning, recomputed, and listed as
+    # invalid
     cache = tmp_path / "cache"
     argv = ["compute", "--series", "A", "--rank", "1", "--max-degree", "1", "--max-energy", "1",
             "--cache-dir", str(cache), "--format", "json"]
@@ -645,8 +655,9 @@ def test_a_cache_file_with_a_field_of_the_wrong_type_is_recomputed(tmp_path, cap
 
 def test_two_cells_sharing_a_lowest_weight_fail_the_multiplicity_one_audit(tmp_path, capsys):
     # a schema-valid record of the empty cell (1, 0) doctored to hold the
-    # summand of cell (1, 1): the one pass over the records counts V(-1)
-    # twice, so the audit fails and names it, and the run exits 2
+    # summand of cell (1, 1), moved to energy 0: the one pass over the
+    # records counts V(-1) twice, so the audit fails and names it, and the
+    # run exits 2
     cache = tmp_path / "cache"
     argv = ["compute", "--series", "A", "--rank", "1", "--max-degree", "1", "--max-energy", "1",
             "--cache-dir", str(cache), "--format", "json"]
@@ -655,7 +666,8 @@ def test_two_cells_sharing_a_lowest_weight_fail_the_multiplicity_one_audit(tmp_p
     full, empty = (next(cache.glob(f"*_p1_k{k}.json")) for k in (1, 0))
     record, source = json.loads(empty.read_text()), json.loads(full.read_text())
     assert not record["harmonic"] and source["harmonic"]
-    empty.write_text(json.dumps({**record, "harmonic": source["harmonic"], "harmonic_dim": 3}))
+    moved = [{**s, "energy": 0} for s in source["harmonic"]]
+    empty.write_text(json.dumps({**record, "harmonic": moved, "harmonic_dim": 3}))
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert "warning" not in err
@@ -665,7 +677,7 @@ def test_two_cells_sharing_a_lowest_weight_fail_the_multiplicity_one_audit(tmp_p
 
 def test_store_cell_writes_through_a_temp_file_of_its_own(tmp_path):
     record = {"algebra_hash": "ab" * 32, "schema_version": SCHEMA_VERSION, "p": 1, "k": 1, "dim": 3,
-              "rank_d": 0, "harmonic_dim": 3, "harmonic": [],
+              "rank_d": 0, "harmonic_dim": 0, "harmonic": [],
               "checks": {name: True for name in cache_mod.EXACT_CHECKS}}
     path = cache_mod.cell_path(tmp_path, record["algebra_hash"], 1, 1)
     taken = path.with_suffix(".tmp")

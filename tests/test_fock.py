@@ -33,7 +33,6 @@ from jetcohom.fock import (
     l0_commutes_with_d_check,
     laplacian_formula_check,
     leibniz_check,
-    monomials_in_support,
     vacuum_checks,
     verify_identity_suite,
     _apply,
@@ -335,7 +334,7 @@ def test_bitmask_ops_agree_with_the_mode_tuple_reference(request, which, margin,
     b = request.getfixturevalue(which)
     n, window = b.n, b.window
     modes = [(i, k) for k in range(window.kMin, window.kMax + 1) for i in range(n)]
-    mons = monomials_in_support(b, margin, max_energy, max_particles)
+    mons = oracles.monomials_in_support(b, margin, max_energy, max_particles)
     assert len(mons) > 300 and (max(mons).bit_length() > 30) == wide
     assert _step_mismatches(b, mons) == []
     for mono in mons:
@@ -440,12 +439,12 @@ def test_a_row_with_flipped_parity_fails_only_the_cochain_check(request, monkeyp
     assert [v.identity for v in suite if not v.passed and not v.skipped] == failing
     assert sum(not v.skipped for v in suite) >= 10
     b = fock.OrthonormalBackend(data, window)
-    assert _step_mismatches(b, monomials_in_support(b, 0, 2, 2))
+    assert _step_mismatches(b, oracles.monomials_in_support(b, 0, 2, 2))
 
 
 def test_each_monomial_pairs_with_one_symmetric_partner(backend2):
     # the Fock pairing is symmetric and the partner map an involution
-    for mono in monomials_in_support(backend2, 1, 1, 3):
+    for mono in oracles.monomials_in_support(backend2, 1, 1, 3):
         num, den, partner = fock._pairing(backend2, mono)
         assert num and den > 0 and fock._pairing(backend2, partner) == (num, den, mono)
 
@@ -457,10 +456,10 @@ def test_a_pass_on_no_vector_is_refused():
 
 
 def test_monomial_enumeration_counts(backend):
-    mons = monomials_in_support(backend, 1)
+    mons = oracles.monomials_in_support(backend, 1)
     # six addable modes and six removable slots inside the guarded band
     assert len(mons) == 2 ** 6 * 2 ** 6
-    capped = monomials_in_support(backend, 1, max_energy=2)
+    capped = oracles.monomials_in_support(backend, 1, max_energy=2)
     assert all(energy(backend, m) <= 2 for m in capped)
     assert len({m for m in capped}) == len(capped)
 
@@ -627,7 +626,7 @@ def _two_step_L_column(backend, i, k, mono):
 def test_inline_L_columns_equal_the_two_step_reference(request, which, max_energy):
     b = request.getfixturevalue(which)
     fresh = OrthonormalBackend(b.alg.data, b.window)
-    mons = monomials_in_support(b, 0, max_energy)
+    mons = oracles.monomials_in_support(b, 0, max_energy)
     assert len(mons) > 4000
     for i in range(b.n):
         for k in range(-2, 3):
@@ -684,7 +683,7 @@ _COLUMN_SET_IDS = ["a1_m2_3", "a2_m1_2", "b2_m1_2", "g2_m1_2"]
 def test_inline_d_and_dstar_columns_equal_the_step_by_step_reference(request, which, max_energy, max_particles):
     b = request.getfixturevalue(which)
     fresh = OrthonormalBackend(b.alg.data, b.window)
-    mons = monomials_in_support(b, 0, max_energy, max_particles)
+    mons = oracles.monomials_in_support(b, 0, max_energy, max_particles)
     assert len(mons) > 1000
     for mono in mons:
         # equal values in the same order: later sums see the same terms
@@ -723,7 +722,7 @@ def test_dstar_equals_the_kernel_that_read_memoised_L_columns(request, which, ma
     columns, term for term and in the same order, of the kernel that read
     whole L columns from the L memos and dropped what iota removes."""
     b = request.getfixturevalue(which)
-    mons = monomials_in_support(b, 0, max_energy, max_particles)
+    mons = oracles.monomials_in_support(b, 0, max_energy, max_particles)
     assert len(mons) > 1000
     fresh = OrthonormalBackend(b.alg.data, b.window)
     for mono in mons:
