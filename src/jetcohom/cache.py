@@ -4,19 +4,21 @@ One JSON file per (algebra, degree, energy) cell, named by ``cell_path``
 from its algebra hash, p and k, holds the cell summary: dimension, rank
 of d, harmonic decomposition, check flags and the report schema version
 it was written for; the differential is not stored (files from when it
-was carry no version).  ``record_fault`` is the one record check: a JSON
-object with the current schema version and only the fields the report
-reads, each of its type (``RECORD_TYPES``; a bool is no int), a bool for
-each of ``EXACT_CHECKS`` and nothing else as its ``checks``, summands of
-exactly the typed fields of ``SUMMAND_TYPES`` at the cell's energy k,
-each lowest weight a list of rationals as ``str(Fraction)`` writes them,
-whose dim times multiplicity sum to ``harmonic_dim``, under the name its
-own hash, p and k give.  ``load_cell`` also compares the hash with the
-current algebra's and recomputes with a warning on any failure, an
-unreadable file included; ``show-cache``, which knows no current
-algebra, reports ``valid`` from the record check alone.  Each writer
-publishes through a temp file of its own, so writers of one cell never
-collide.
+was carry no version).  ``record_fault`` is the one check of a record
+against itself: a JSON object with the current schema version and only
+the fields the report reads, each of its type (``RECORD_TYPES``; a bool
+is no int), a bool for each of ``EXACT_CHECKS`` and nothing else as its
+``checks``, summands of exactly the typed fields of ``SUMMAND_TYPES`` at
+the cell's energy k, each lowest weight a list of rationals as
+``str(Fraction)`` writes them, whose dim times multiplicity sum to
+``harmonic_dim``, under the name its own hash, p and k give.
+``load_cell`` also compares the hash with the current algebra's, checks
+each summand against that algebra (``summand_fault``: an irreducible's
+lowest weight and Weyl dimension), and recomputes with a warning on any
+failure, an unreadable file included; ``show-cache``, which knows no
+current algebra, reports ``valid`` from ``record_fault`` alone.  Each
+writer publishes through a temp file of its own, so writers of one cell
+never collide.
 """
 
 from __future__ import annotations
@@ -26,7 +28,10 @@ import os
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
+
+if TYPE_CHECKING:
+    from .liealg import AlgebraData
 
 ENV_CACHE_DIR = "JETCOHOM_CACHE_DIR"
 # the fields of a cell record, and exactly those of each of its harmonic summands,
@@ -88,7 +93,35 @@ def record_fault(path: Path, record: dict, schema_version: int) -> Optional[str]
     return None if path.name == name else f"holds the record of {name}"
 
 
-def load_cell(cache_dir: Optional[Path], algebra_hash: str, p: int, k: int, schema_version: int) -> Optional[dict]:
+def summand_fault(data: AlgebraData, record: dict) -> Optional[str]:
+    """Why the summands of a record that passes ``record_fault`` are no
+    irreducibles of ``data``, or None: each lowest weight has one
+    coordinate per simple root, is antidominant and lies on the root
+    lattice, as every weight of a cochain does, and each summand's dim is
+    the Weyl dimension of its highest weight, the dominant weight of its
+    Weyl orbit."""
+    # the one check that reads the algebra, so the module imports no algebra code at load
+    from .liealg import is_dominant
+    from .reptheory import dominant_representative, weyl_dim
+    for s in record["harmonic"]:
+        weight = tuple(map(Fraction, s["lowestWeight"]))
+        if len(weight) != data.rank:
+            return f"has a lowest weight with {len(weight)} coordinates, not rank {data.rank}"
+        if not is_dominant(data, tuple(-x for x in weight)):
+            return "has a lowest weight that is not antidominant"
+        if any(x.denominator != 1 for x in weight):
+            return "has a lowest weight off the root lattice"
+        if s["dim"] != weyl_dim(data, dominant_representative(data, weight)):
+            return "has a summand whose dim is not the Weyl dimension of its lowest weight"
+    return None
+
+
+def load_cell(cache_dir: Optional[Path], algebra_hash: str, p: int, k: int, schema_version: int,
+              data: AlgebraData) -> Optional[dict]:
+    """The record of cell (p, k) of ``data``, whose content hash is
+    ``algebra_hash``, or None to recompute it: no file, or one that fails
+    the record check or holds summands no irreducible of ``data`` has,
+    with a warning."""
     if cache_dir is None:
         return None
     path = cell_path(cache_dir, algebra_hash, p, k)
@@ -100,7 +133,7 @@ def load_cell(cache_dir: Optional[Path], algebra_hash: str, p: int, k: int, sche
         print(f"warning: unreadable cache file {path} ({exc}); recomputing", file=sys.stderr)
         return None
     fault = ("has stale algebra hash" if record.get("algebra_hash") != algebra_hash
-             else record_fault(path, record, schema_version))
+             else record_fault(path, record, schema_version) or summand_fault(data, record))
     if fault:
         print(f"warning: cache file {path} {fault}; recomputing", file=sys.stderr)
         return None

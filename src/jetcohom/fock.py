@@ -91,9 +91,12 @@ counting alone: ``_run_moves`` on the move table of L_{i,k}, ``_d_pair``
 on the terms of d and dtilde, which one pass builds together
 (``_TwinMemo``), and ``_run_dstar`` on those of dtilde*, which runs per
 term only the moves whose outputs iota keeps (``_dstar_rows``); d and
-dtilde* memoise no L column.  The kernels and the checks read step rows
-inline; the vacuum check, ``_pairing`` and the wedges of eps steps of
-``leibniz_check`` (``_eps_wedge_column``) go through
+dtilde* memoise no L column, and neither does the energy check, which
+reads each step row and each move-table row once, since energy is
+additive over a monomial's bits.  Only the vacuum, commutator, L_0-with-d,
+Laplacian and cocycle checks read the L memo.  The kernels and the
+checks read step rows inline; the vacuum check, ``_pairing`` and the
+wedges of eps steps of ``leibniz_check`` (``_eps_wedge_column``) go through
 ``eps_monomial``/``iota_monomial``, each one table read, while the
 cochain check applies d to ``m << off`` itself.  Every column loop runs
 over window levels only, and cochain modes sit at levels <= kMax -
@@ -833,23 +836,37 @@ def vacuum_checks(backend: OrthonormalBackend) -> IdentityVerdict:
 
 
 def energy_bookkeeping_check(backend: OrthonormalBackend) -> IdentityVerdict:
-    """iota shifts energy by -k, eps by +k, L by -k, d and dtilde by 0."""
+    """eps shifts energy by +k, iota by -k, L_{i,k} by -k, d and dtilde by 0.
+
+    Energy is additive over a monomial's bits, and a set bit at level k
+    counts |k| (``energy`` of the bit alone), so a step that finds its bit
+    clear moves energy by +|k| and one that finds it set by -|k|, on every
+    monomial it acts on.  So each row is checked once, on the modes (i, k),
+    kMin < k < kMax: (a) the step row of (i, k) moves energy by +k where it
+    fills the mode from its ``empty`` state (eps; iota undoes it), and (b)
+    each row of the move table of L_{i,k} (``_moves``) moves it by -k over
+    its two steps.  (c) d and dtilde, whose columns run every move table,
+    keep the energy of each monomial of the quantifier set.  No L column is
+    read or memoised."""
     n, window = backend.n, backend.window
     basis = check_basis(backend, max(window.guard, 1), 4, cap=1100 if _small(backend) else 40)
     if basis == [VACUUM]:
         return _skip_vacuum_only(backend, "energy_bookkeeping", max(window.guard, 1))
-    energy_of = cache(partial(energy, backend))  # each monomial's energy is computed once
-    # per mode (i, k): its step row and L_{i,k}; a step on it is iota where
-    # the mode is occupied and eps where it is empty
-    rows = [(k, backend.steps[i, k], backend.L(i, k).__getitem__)
-            for k in range(window.kMin + 1, window.kMax) for i in range(n)]
-    ds = [backend.d.__getitem__, backend.dtilde.__getitem__]
+    # the energy a step moves, by the (bit, need) it finds: setting its bit adds |k|, clearing it takes |k|
+    shift = {(bit, need): -energy(backend, bit) if need else energy(backend, bit)
+             for bit, *_rest in backend.steps.values() for need in (0, bit)}
     bad = 0
+    for k in range(window.kMin + 1, window.kMax):
+        for i in range(n):
+            bit, _mask, _c, empty = backend.steps[i, k]
+            bad += shift[bit, empty] != k
+            for _gate, rows in _moves(backend, i, k):
+                bad += sum(1 for bit1, need1, _m1, bit2, need2, *_rest in rows
+                           if shift[bit1, need1] + shift[bit2, need2] != -k)
+    energy_of = cache(partial(energy, backend))  # each monomial's energy is computed once
+    ds = [backend.d.__getitem__, backend.dtilde.__getitem__]
     for mono in basis:
         e0 = energy_of(mono)
-        for k, (bit, _mask, _c, empty), L in rows:
-            bad += energy_of(mono ^ bit) != (e0 + k if mono & bit == empty else e0 - k)
-            bad += sum(1 for m in L(mono)[::2] if energy_of(m) != e0 - k)
         for d in ds:
             bad += sum(1 for m in d(mono)[::2] if energy_of(m) != e0)
     return _verdict(backend, "energy_bookkeeping", Fraction(bad), len(basis))

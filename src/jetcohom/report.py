@@ -172,7 +172,7 @@ def cmd_compute(config: RunConfig) -> dict:
     checks_ok = dict.fromkeys(EXACT_CHECKS, True)
     for p in computed:
         for k in range(config.maxEnergy + 1):
-            record = cache_mod.load_cell(cache_dir, ahash, p, k, SCHEMA_VERSION)
+            record = cache_mod.load_cell(cache_dir, ahash, p, k, SCHEMA_VERSION, data)
             if record is None:
                 record = compute_cell(cc, p, k)
                 cache_mod.store_cell(cache_dir, record)

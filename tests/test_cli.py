@@ -595,9 +595,9 @@ def test_a_cache_file_without_a_bool_per_exact_check_is_recomputed(tmp_path, cap
     assert json.loads(target.read_text()) == record  # rewritten by the recompute
 
 
-def _lowest_weight(record, coordinate):
-    """The record with each summand's lowest weight replaced by [coordinate]."""
-    return {**record, "harmonic": [{**s, "lowestWeight": [coordinate]} for s in record["harmonic"]]}
+def _lowest_weight(record, *coordinates):
+    """The record with each summand's lowest weight replaced by [*coordinates]."""
+    return {**record, "harmonic": [{**s, "lowestWeight": [*coordinates]} for s in record["harmonic"]]}
 
 
 def _no_multiplicity(record):
@@ -653,6 +653,37 @@ def test_a_cache_file_with_a_field_of_the_wrong_type_is_recomputed(tmp_path, cap
     assert json.loads(target.read_text()) == record  # rewritten by the recompute
 
 
+@pytest.mark.parametrize("doctor, fault", [
+    (lambda record: _lowest_weight(record, "-1", "0"), "has a lowest weight with 2 coordinates, not rank 1"),
+    (lambda record: _lowest_weight(record, "1"), "has a lowest weight that is not antidominant"),
+    (lambda record: _lowest_weight(record, "-1/2"), "has a lowest weight off the root lattice"),
+    (lambda record: {**record, "harmonic_dim": 5, "harmonic": [{**s, "dim": 5} for s in record["harmonic"]]},
+     "has a summand whose dim is not the Weyl dimension of its lowest weight"),
+], ids=["two coordinates on rank one", "dominant lowest weight", "half-integral weight", "dim off its Weyl dim"])
+def test_a_cache_file_whose_summand_is_no_irreducible_of_the_algebra_is_recomputed(tmp_path, capsys, doctor, fault):
+    # each doctored record agrees with itself, so show-cache, which knows no
+    # algebra, lists it as valid; read against A1 it would print V(-1,0)[3],
+    # V(1)[3] or V(-1)[5] and fail the match (exit 2), or end the run in a
+    # ValueError, so compute refuses it with a warning and recomputes it
+    cache = tmp_path / "cache"
+    argv = ["compute", "--series", "A", "--rank", "1", "--max-degree", "1", "--max-energy", "1",
+            "--cache-dir", str(cache), "--format", "json"]
+    assert main(argv) == 0
+    cold = capsys.readouterr().out
+    target = next(cache.glob("*_p1_k1.json"))
+    record = json.loads(target.read_text())
+    assert record["harmonic"]
+    target.write_text(json.dumps(doctor(record), sort_keys=True))
+    assert main(["show-cache", "--cache-dir", str(cache)]) == 0
+    assert all(e["valid"] for e in json.loads(capsys.readouterr().out)["entries"])
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out == cold
+    warnings = [line for line in err.splitlines() if line.startswith("warning:")]
+    assert warnings == [f"warning: cache file {target} {fault}; recomputing"]
+    assert json.loads(target.read_text()) == record  # rewritten by the recompute
+
+
 def test_two_cells_sharing_a_lowest_weight_fail_the_multiplicity_one_audit(tmp_path, capsys):
     # a schema-valid record of the empty cell (1, 0) doctored to hold the
     # summand of cell (1, 1), moved to energy 0: the one pass over the
@@ -675,7 +706,7 @@ def test_two_cells_sharing_a_lowest_weight_fail_the_multiplicity_one_audit(tmp_p
     assert audit == {"pass": False, "lowest_weights": [["-1"], ["0"]], "violations": [[["-1"], 2]]}
 
 
-def test_store_cell_writes_through_a_temp_file_of_its_own(tmp_path):
+def test_store_cell_writes_through_a_temp_file_of_its_own(tmp_path, a1):
     record = {"algebra_hash": "ab" * 32, "schema_version": SCHEMA_VERSION, "p": 1, "k": 1, "dim": 3,
               "rank_d": 0, "harmonic_dim": 0, "harmonic": [],
               "checks": {name: True for name in cache_mod.EXACT_CHECKS}}
@@ -683,7 +714,7 @@ def test_store_cell_writes_through_a_temp_file_of_its_own(tmp_path):
     taken = path.with_suffix(".tmp")
     taken.mkdir()  # another writer's (or a stale) temp under the cell's plain temp name
     cache_mod.store_cell(tmp_path, record)
-    assert cache_mod.load_cell(tmp_path, record["algebra_hash"], 1, 1, SCHEMA_VERSION) == record
+    assert cache_mod.load_cell(tmp_path, record["algebra_hash"], 1, 1, SCHEMA_VERSION, a1) == record
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted([path.name, taken.name])
 
 

@@ -529,8 +529,8 @@ def test_a_doctored_L_column_fails_the_checks_that_read_the_L_memo(a1, monkeypat
     """d and dtilde* run the move tables of L, not its memo, so only the
     checks that read the L memo see a bad L_{0,0} column.  Adding a term at
     the guarded monomial with one hole at (2, 0) to its own column fails
-    exactly three checks; ``energy_bookkeeping`` passes, since the added
-    term keeps its energy."""
+    exactly three checks; ``energy_bookkeeping`` reads the move tables row
+    by row, not the memo."""
     make = fock.OrthonormalBackend
 
     def doctored(data, window):
@@ -765,6 +765,56 @@ def test_a_d_term_at_another_energy_fails_the_energy_check(a1):
     assert not verdict.passed and verdict.max_abs_error == 1
 
 
+@pytest.mark.parametrize("series, window", [
+    ("a1", EnergyWindow(-2, 3, 1)),
+    ("a2", EnergyWindow(-1, 2, 1)),
+], ids=["a1_m2_3_g1", "a2_m1_2_g1"])
+def test_a_move_row_at_another_energy_fails_the_energy_check(request, series, window):
+    """Every row of every L_{i,k} move table is checked once, whether or
+    not a monomial of the quantifier set fires it.  The first row of
+    L_{0,1} fills a hole at the window's lowest level, which no guarded
+    monomial has, so neither an L column nor a d column of the quantifier
+    set ever runs it.  With its second step moved up one level, the row
+    shifts energy by -2, not -1, and fails the check on its own."""
+    b = OrthonormalBackend(request.getfixturevalue(series), window)
+    (_gate, rows), *_ = fock._moves(b, 0, 1)
+    bit1, need1, mask1, bit2, need2, _mask2, coef = rows[0]
+    modes = {step[0]: mode for mode, step in b.steps.items()}
+    (_q, low), (p, s) = modes[bit1], modes[bit2]
+    assert low == window.kMin and need1 == bit1  # eps on a removed mode needs its hole
+    kind = fock._iota if fock._iota(b.steps[p, s])[1] == need2 else fock._eps
+    rows[0] = (bit1, need1, mask1, *kind(b.steps[p, s + 1])[:3], coef)
+    verdict = energy_bookkeeping_check(b)
+    assert not verdict.passed and verdict.max_abs_error == 1
+
+
+def test_a_step_row_with_its_empty_state_flipped_fails_the_energy_check(a1):
+    """The step row of (0, 1) with ``empty`` flipped would fill its mode by
+    clearing its bit, moving energy by -1, not +1.  The move tables and d
+    are built from the true rows first, so the step-row check alone sees
+    it."""
+    backend = OrthonormalBackend(a1, WINDOW)
+    backend.d  # builds d, dtilde and every move table from the true step rows
+    bit, mask, c, empty = backend.steps[0, 1]
+    backend.steps[0, 1] = (bit, mask, c, bit ^ empty)
+    verdict = energy_bookkeeping_check(backend)
+    assert not verdict.passed and verdict.max_abs_error == 1
+
+
+@pytest.mark.parametrize("series, window, size", [
+    ("a1", EnergyWindow(-2, 3, 1), 1008),
+    ("a2", EnergyWindow(-1, 2, 1), 40),
+], ids=["a1_m2_3_g1", "a2_m1_2_g1"])
+def test_the_energy_check_memoises_no_L_column(request, series, window, size):
+    """The energy check reads each move table row by row, not the L memo:
+    on a fresh backend it leaves no L column, and d and dtilde each hold
+    exactly the columns of its quantifier set."""
+    b = OrthonormalBackend(request.getfixturevalue(series), window)
+    assert energy_bookkeeping_check(b).passed
+    assert sum(map(len, b.Ls.values())) == 0
+    assert len(b.d) == len(b.dtilde) == len(check_basis(b, 1, 4, cap=1100 if fock._small(b) else 40)) == size
+
+
 def _sorted_enumeration(b, margin, max_energy):
     """Reference: every monomial in the margin-shrunk window under the energy
     cap (and the particle cap ``check_basis`` applies), fully sorted by
@@ -817,11 +867,11 @@ def test_capped_quantifier_sets_are_prefixes_of_the_sorted_enumeration(request, 
 
 
 def test_the_column_memo_stays_small(a1, monkeypatch):
-    """The A1 [-2,3] guard-1 suite leaves each of its 16,951 memoised
-    columns a flat tuple, and its backend holds at most 6 MB (about 2.6 MB;
-    13 MB with a read-only dict per column).  The lower bounds keep the
-    measurement from being vacuous: with memoisation off the backend holds
-    no column and about 0.16 MB."""
+    """The A1 [-2,3] guard-1 suite leaves each of its 10,414 memoised
+    columns a flat tuple, and its backend holds at most 4 MB (about 1.9 MB;
+    a read-only dict per column takes about five times as much).  The
+    lower bounds keep the measurement from being vacuous: with memoisation
+    off the backend holds no column and about 0.15 MB."""
     backends = []
 
     def keep(data, window):
@@ -843,8 +893,8 @@ def test_the_column_memo_stays_small(a1, monkeypatch):
         held = with_backend - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert n_cols > 15_000 and all_tuples
-    assert 2_000_000 < held <= 6_000_000, held
+    assert n_cols > 9_000 and all_tuples
+    assert 1_500_000 < held <= 4_000_000, held
 
 
 def test_the_suite_backend_is_freed_by_reference_counting(a1, monkeypatch):
