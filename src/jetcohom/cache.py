@@ -34,6 +34,8 @@ if TYPE_CHECKING:
     from .liealg import AlgebraData
 
 ENV_CACHE_DIR = "JETCOHOM_CACHE_DIR"
+# the schema version of every report and cell record; a record of another is refused
+SCHEMA_VERSION = 1
 # the fields of a cell record, and exactly those of each of its harmonic summands,
 # with the type of each value; a lowest weight is a list of canonical rational strs
 RECORD_TYPES = {"algebra_hash": str, "p": int, "k": int, "dim": int, "rank_d": int, "harmonic_dim": int,
@@ -69,13 +71,13 @@ def _canonical_rational(x) -> bool:
         return False
 
 
-def record_fault(path: Path, record: dict, schema_version: int) -> Optional[str]:
-    """Why the JSON object read from ``path`` is no cell record of this
-    schema version, or None: a record holds the version and its typed
+def record_fault(path: Path, record: dict) -> Optional[str]:
+    """Why the JSON object read from ``path`` is no cell record of
+    ``SCHEMA_VERSION``, or None: a record holds the version and its typed
     fields alone, checks and summands that agree with it, and lies under
     the name ``cell_path`` gives its own cell."""
-    if record.get("schema_version") != schema_version:
-        return f"has schema version {record.get('schema_version')}, not {schema_version}"
+    if record.get("schema_version") != SCHEMA_VERSION:
+        return f"has schema version {record.get('schema_version')}, not {SCHEMA_VERSION}"
     if any(type(record.get(key)) is not kind for key, kind in RECORD_TYPES.items()):
         return "lacks a field or has one of the wrong type"
     if record.keys() - RECORD_TYPES.keys() != {"schema_version"}:
@@ -116,8 +118,7 @@ def summand_fault(data: AlgebraData, record: dict) -> Optional[str]:
     return None
 
 
-def load_cell(cache_dir: Optional[Path], algebra_hash: str, p: int, k: int, schema_version: int,
-              data: AlgebraData) -> Optional[dict]:
+def load_cell(cache_dir: Optional[Path], algebra_hash: str, p: int, k: int, data: AlgebraData) -> Optional[dict]:
     """The record of cell (p, k) of ``data``, whose content hash is
     ``algebra_hash``, or None to recompute it: no file, or one that fails
     the record check or holds summands no irreducible of ``data`` has,
@@ -133,7 +134,7 @@ def load_cell(cache_dir: Optional[Path], algebra_hash: str, p: int, k: int, sche
         print(f"warning: unreadable cache file {path} ({exc}); recomputing", file=sys.stderr)
         return None
     fault = ("has stale algebra hash" if record.get("algebra_hash") != algebra_hash
-             else record_fault(path, record, schema_version) or summand_fault(data, record))
+             else record_fault(path, record) or summand_fault(data, record))
     if fault:
         print(f"warning: cache file {path} {fault}; recomputing", file=sys.stderr)
         return None
@@ -154,7 +155,7 @@ def store_cell(cache_dir: Optional[Path], record: dict) -> None:
         tmp.unlink(missing_ok=True)  # left behind only by a failed write
 
 
-def list_cache(cache_dir: Optional[Path], schema_version: int) -> list[dict]:
+def list_cache(cache_dir: Optional[Path]) -> list[dict]:
     if cache_dir is None or not cache_dir.exists():
         return []
     out = []
@@ -163,7 +164,7 @@ def list_cache(cache_dir: Optional[Path], schema_version: int) -> list[dict]:
         try:
             record = _read_record(path)
             entry.update(
-                valid=record_fault(path, record, schema_version) is None,
+                valid=record_fault(path, record) is None,
                 algebra_hash=record.get("algebra_hash", "?"),
                 p=record.get("p"),
                 k=record.get("k"),

@@ -36,7 +36,6 @@ from .liealg import InvalidAlgebraError
 from .reptheory import DecompositionError
 from .report import (
     CONFIG_FIELDS,
-    SCHEMA_VERSION,
     RunConfig,
     cmd_compute,
     cmd_predict,
@@ -115,7 +114,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "show-cache":
         cache_dir = cache_mod.resolve_cache_dir(getattr(args, "cacheDir", None))
-        entries = cache_mod.list_cache(cache_dir, SCHEMA_VERSION)
+        entries = cache_mod.list_cache(cache_dir)
         print(json.dumps({"cacheDir": str(cache_dir) if cache_dir else None, "entries": entries}, indent=2, sort_keys=True))
         return 0
 

@@ -59,18 +59,24 @@ adjoint of dtilde under the Fock pairing fixed by <Omega, Omega> = 1,
 G_ab eps^{b,k}, under which each monomial pairs with exactly one partner
 monomial (``_pairing``).
 
-All identity checks quantify over explicit finite sets of monomials whose
-support keeps enough margin from the window edge that truncation is
-exact, and over every generator, window mode and cochain column they
-name; only the monomial sets are capped.  Each is a prefix of its
-monomials in (energy, monomial int) order, but for the pool that
-``leibniz_check`` draws seeded random wedges from, which holds a prefix
-of each energy shell.  Each check declares the minimum window guard it
-needs and emits a skip verdict below that, or when its guarded support
-holds only the vacuum, never a silent pass.  One check passes on the
-vacuum alone: ``commutator_check`` takes its monomials at shift k with
-margin max(|k|, 1) + 1, which on A2, B2 and G2 [-1,2] guard 1 leaves only
-the vacuum at every shift, yet it still acts there with the steps at each
+Two checks draw no quantifier set and never skip: the vacuum check acts
+on the vacuum, and the Clifford check reads every pair of step rows,
+which settles the relations on every monomial of the window
+(``clifford_check``).  The energy, commutator, L_0-with-d, d^2,
+Laplacian and cocycle checks draw explicit finite sets of monomials
+(``check_basis``) whose support keeps enough margin from the window edge
+that truncation is exact, and quantify over every generator and window
+mode they name; only the monomial sets are capped.  Each is a prefix of
+its monomials in (energy, monomial int) order.  ``leibniz_check`` draws
+seeded random wedges from a pool that holds a prefix of each energy
+shell, the adjoint check takes whole energy blocks, and the cochain
+check every cochain column of its cells.  Each of these checks declares
+the minimum window guard it needs and emits a skip verdict below that,
+or when its guarded support holds only the vacuum or no block fits its
+cap, never a silent pass.  One of them passes on the vacuum alone:
+``commutator_check`` takes its monomials at shift k with margin
+max(|k|, 1) + 1, which on A2, B2 and G2 [-1,2] guard 1 leaves only the
+vacuum at every shift, yet it still acts there with the steps at each
 mode level of the window, so it passes with one vector per shift.
 
 A backend is one algebra on one energy window, so no operator, check or
@@ -685,47 +691,28 @@ def _skip_vacuum_only(backend: OrthonormalBackend, name: str, margin: int) -> Id
 
 
 def clifford_check(backend: OrthonormalBackend) -> IdentityVerdict:
-    """[iota_x, eps^y]+ = delta_xy for every pair of window modes on
-    windowed monomials, with every step read from the step table.  The
-    table invariant under it is checked too: every row's bit is one set
-    bit, and no two rows share one.  Then a step flips the bit it tests,
-    so (eps^x)^2 = (iota_x)^2 = 0, and both terms of an anticommutator sit
-    at one monomial.  It also means that a step on y != x leaves the bit of
-    x alone.  So where x is empty in a monomial, iota_x meets neither the
-    monomial nor eps^y of it, and where x and y are both occupied, eps^y
-    meets neither the monomial nor iota_x of it: an empty x is paired with
-    y = x alone, and an occupied x with itself and the empty modes.  The
-    pairs left out hold no term and no delta."""
-    window = backend.window
-    basis = check_basis(backend, window.guard, 3, cap=700 if _small(backend) else 60)
-    if basis == [VACUUM]:
-        return _skip_vacuum_only(backend, "clifford_relations", window.guard)
-    rows = [(j, *row) for j, row in enumerate(backend.steps.values())]
-    bits = [bit for bit, _mask, _c, _empty in backend.steps.values()]
-    err = int(any(bit.bit_count() != 1 for bit in bits) or len(set(bits)) < len(bits))
-    for mono in basis:
-        # per mode: is it empty in mono, and the sign parity of its step on mono
-        on_mono = [(j, bit, mask, c, empty, mono & bit == empty, (mono & mask).bit_count() + c)
-                   for j, bit, mask, c, empty in rows]
-        empties = [row for row in on_mono if row[5]]
-        for x_row in on_mono:
-            x, xbit, xmask, xc, xempty, x_is_empty, xpar = x_row
-            flipped = mono ^ xbit
-            # a step on y != x leaves x's bit (one distinct bit per row): an
-            # empty x meets y = x alone, an occupied x itself and the empty y
-            for y, ybit, ymask, yc, yempty, y_is_empty, ypar in ((x_row,) if x_is_empty else (x_row, *empties)):
-                # eps^y iota_x mono + iota_x eps^y mono - delta_xy mono: every
-                # term sits at mono ^ xbit ^ ybit, so one coefficient is compared
-                res = -(x == y)
-                if not x_is_empty and flipped & ybit == yempty:
-                    res += -1 if (xpar + (flipped & ymask).bit_count() + yc) & 1 else 1
-                if y_is_empty:
-                    eps_y = mono ^ ybit
-                    if eps_y & xbit != xempty:
-                        res += -1 if (ypar + (eps_y & xmask).bit_count() + xc) & 1 else 1
-                if res:
-                    err = max(err, abs(res))
-    return _verdict(backend, "clifford_relations", Fraction(err), len(basis))
+    """[iota_x, eps^y]+ = delta_xy for every pair of window modes on every
+    monomial over them, checked on the step table alone.  A step flips its
+    row's bit with the sign (-1)^(popcount(mono & mask) + c), read before
+    the flip, so the relations hold on every such monomial exactly when
+    (i) each row's bit is one set bit, and no two rows share one: a step
+    then flips the bit it tests, so (eps^x)^2 = (iota_x)^2 = 0, and a step
+    on y != x leaves the bit of x alone; (ii) each row's ``empty`` is 0 or
+    its bit, so eps and iota need opposite states of it; (iii) no row's
+    mask holds its own bit, so eps^x and iota_x take one sign on either
+    side of the flip, and iota_x eps^x + eps^x iota_x = 1; (iv) for x != y,
+    exactly one of the masks of x and y holds the other's bit.  Both terms
+    of {iota_x, eps^y} then act on the same monomials and sit at one
+    monomial, and their sign parities differ by the bits of y in the mask
+    of x and of x in the mask of y, so they cancel.  ``vectors`` counts the
+    row pairs x <= y, and the error the rows and pairs that fail."""
+    rows = list(backend.steps.values())
+    bad = 0
+    for x, (bit, mask, _c, empty) in enumerate(rows):
+        bad += bit.bit_count() != 1 or empty not in (0, bit) or bool(mask & bit)
+        bad += sum(1 for ybit, ymask, _yc, _yempty in rows[x + 1:]
+                   if bit & ybit or (not mask & ybit) == (not ymask & bit))
+    return _verdict(backend, "clifford_relations", Fraction(bad), len(rows) * (len(rows) + 1) // 2)
 
 
 def commutator_check(backend: OrthonormalBackend) -> IdentityVerdict:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple, get_args, get_type_hints
 
 from . import cache as cache_mod
-from .cache import EXACT_CHECKS
+from .cache import EXACT_CHECKS, SCHEMA_VERSION
 from .affine import predict_cohomology
 from .cochain import (
     CellComplex,
@@ -31,8 +31,6 @@ from .cochain import (
 )
 from .liealg import AlgebraData, AlgebraSpec, EnergyWindow, build_algebra
 from .reptheory import expand, is_weyl_symmetric
-
-SCHEMA_VERSION = 1
 
 
 @dataclass
@@ -172,7 +170,7 @@ def cmd_compute(config: RunConfig) -> dict:
     checks_ok = dict.fromkeys(EXACT_CHECKS, True)
     for p in computed:
         for k in range(config.maxEnergy + 1):
-            record = cache_mod.load_cell(cache_dir, ahash, p, k, SCHEMA_VERSION, data)
+            record = cache_mod.load_cell(cache_dir, ahash, p, k, data)
             if record is None:
                 record = compute_cell(cc, p, k)
                 cache_mod.store_cell(cache_dir, record)
