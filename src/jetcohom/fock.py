@@ -59,25 +59,22 @@ adjoint of dtilde under the Fock pairing fixed by <Omega, Omega> = 1,
 G_ab eps^{b,k}, under which each monomial pairs with exactly one partner
 monomial (``_pairing``).
 
-Two checks draw no quantifier set and never skip: the vacuum check acts
-on the vacuum, and the Clifford check reads every pair of step rows,
-which settles the relations on every monomial of the window
-(``clifford_check``).  The energy, commutator, L_0-with-d, d^2,
-Laplacian and cocycle checks draw explicit finite sets of monomials
-(``check_basis``) whose support keeps enough margin from the window edge
-that truncation is exact, and quantify over every generator and window
-mode they name; only the monomial sets are capped.  Each is a prefix of
-its monomials in (energy, monomial int) order.  ``leibniz_check`` draws
-seeded random wedges from a pool that holds a prefix of each energy
-shell, the adjoint check takes whole energy blocks, and the cochain
-check every cochain column of its cells.  Each of these checks declares
-the minimum window guard it needs and emits a skip verdict below that,
-or when its guarded support holds only the vacuum or no block fits its
-cap, never a silent pass.  One of them passes on the vacuum alone:
-``commutator_check`` takes its monomials at shift k with margin
-max(|k|, 1) + 1, which on A2, B2 and G2 [-1,2] guard 1 leaves only the
-vacuum at every shift, yet it still acts there with the steps at each
-mode level of the window, so it passes with one vector per shift.
+Three checks draw no quantifier set and never skip: the vacuum check acts
+on the vacuum, the Clifford check reads every pair of step rows, and the
+commutator check every row of every L move table, which settles their
+relations on every monomial of the window (``clifford_check``,
+``commutator_check``).  The energy, L_0-with-d, d^2, Laplacian and
+cocycle checks draw explicit finite sets of monomials (``check_basis``)
+whose support keeps enough margin from the window edge that truncation is
+exact, and quantify over every generator and window mode they name; only
+the monomial sets are capped.  Each is a prefix of its monomials in
+(energy, monomial int) order.  ``leibniz_check`` draws seeded random
+wedges from a pool that holds a prefix of each energy shell, the adjoint
+check takes whole energy blocks, and the cochain check every cochain
+column of its cells.  Each of these checks declares the minimum window
+guard it needs and emits a skip verdict below that, or when its guarded
+support holds only the vacuum or no block fits its cap, never a silent
+pass.
 
 A backend is one algebra on one energy window, so no operator, check or
 enumeration takes a window of its own.  Operators exist only as column
@@ -97,12 +94,11 @@ counting alone: ``_run_moves`` on the move table of L_{i,k}, ``_d_pair``
 on the terms of d and dtilde, which one pass builds together
 (``_TwinMemo``), and ``_run_dstar`` on those of dtilde*, which runs per
 term only the moves whose outputs iota keeps (``_dstar_rows``); d and
-dtilde* memoise no L column, and neither does the energy check, which
-reads each step row and each move-table row once, since energy is
-additive over a monomial's bits.  Only the vacuum, commutator, L_0-with-d,
-Laplacian and cocycle checks read the L memo.  The kernels and the
-checks read step rows inline; the vacuum check, ``_pairing`` and the
-wedges of eps steps of ``leibniz_check`` (``_eps_wedge_column``) go through
+dtilde* memoise no L column, and neither do the energy and commutator
+checks, which read each move-table row once.  Only the vacuum, L_0-with-d,
+Laplacian and cocycle checks read the L memo.  The kernels and the checks
+read step rows inline; the vacuum check, ``_pairing`` and the wedges of
+eps steps of ``leibniz_check`` (``_eps_wedge_column``) go through
 ``eps_monomial``/``iota_monomial``, each one table read, while the
 cochain check applies d to ``m << off`` itself.  Every column loop runs
 over window levels only, and cochain modes sit at levels <= kMax -
@@ -125,7 +121,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, partial
-from itertools import chain, islice
+from itertools import chain, islice, product
 from random import Random
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 from weakref import ref
@@ -690,6 +686,17 @@ def _skip_vacuum_only(backend: OrthonormalBackend, name: str, margin: int) -> Id
     return _skip(backend, name, f"guarded support for margin {margin} holds only the vacuum")
 
 
+def _clifford_faults(rows: List[Tuple[int, int, int, int]]) -> int:
+    """The step rows and pairs of step rows that break conditions (i)-(iv)
+    of ``clifford_check``."""
+    bad = 0
+    for x, (bit, mask, _c, empty) in enumerate(rows):
+        bad += bit.bit_count() != 1 or empty not in (0, bit) or bool(mask & bit)
+        bad += sum(1 for ybit, ymask, _yc, _yempty in rows[x + 1:]
+                   if bit & ybit or (not mask & ybit) == (not ymask & bit))
+    return bad
+
+
 def clifford_check(backend: OrthonormalBackend) -> IdentityVerdict:
     """[iota_x, eps^y]+ = delta_xy for every pair of window modes on every
     monomial over them, checked on the step table alone.  A step flips its
@@ -705,74 +712,66 @@ def clifford_check(backend: OrthonormalBackend) -> IdentityVerdict:
     of {iota_x, eps^y} then act on the same monomials and sit at one
     monomial, and their sign parities differ by the bits of y in the mask
     of x and of x in the mask of y, so they cancel.  ``vectors`` counts the
-    row pairs x <= y, and the error the rows and pairs that fail."""
+    row pairs x <= y, the error the failing ones (``_clifford_faults``)."""
     rows = list(backend.steps.values())
-    bad = 0
-    for x, (bit, mask, _c, empty) in enumerate(rows):
-        bad += bit.bit_count() != 1 or empty not in (0, bit) or bool(mask & bit)
-        bad += sum(1 for ybit, ymask, _yc, _yempty in rows[x + 1:]
-                   if bit & ybit or (not mask & ybit) == (not ymask & bit))
-    return _verdict(backend, "clifford_relations", Fraction(bad), len(rows) * (len(rows) + 1) // 2)
+    return _verdict(backend, "clifford_relations", Fraction(_clifford_faults(rows)), len(rows) * (len(rows) + 1) // 2)
 
 
 def commutator_check(backend: OrthonormalBackend) -> IdentityVerdict:
-    """[iota_{j,m}, L_{i,k}] = -sum_p f_{ij}^p iota_{p,m+k} and the
-    eps analogue [eps^{j,m}, L_{i,k}] = sum_q f_{iq}^j eps^{q,m-k}."""
-    window = backend.window
-    if window.guard < 1:
-        return _skip(backend, "mode_action_commutators", "window guard < 1 (shift-1 operators)")
-    n, f, action, steps = backend.n, backend.alg.structure, backend.alg.action, backend.steps
-    err = 0
+    """[iota_{j,m}, L_{i,k}] = -sum_p f_{ij}^p iota_{p,m+k} and
+    [eps^{j,m}, L_{i,k}] = sum_q f_{iq}^j eps^{q,m-k} on every monomial
+    over the window's modes, checked on the move tables of L_{i,k}, every
+    i and |k| <= max(kMax, -kMin), one row at a time.  Each row must be
+    (1) one eps and one iota step of window modes: each (bit, need, mask)
+    triple is a step row's (bit, empty, mask) (eps) or (bit, bit ^ empty,
+    mask) (iota), and exactly one is eps; (2) well formed: coef != 0, and
+    under a nonzero gate it needs its first bit set, a bit of the gate;
+    (3) summed over the table, with w = coef (-1)^(c1 + c2) on iota_p
+    eps^q, negated where iota acts first (eps^q iota_p = -iota_p eps^q +
+    delta_pq), the rows equal sum_s sum_{q,p} f_{iq}^p iota_{p,s}
+    eps^{q,s-k} over the levels with s and s - k in the window, f read
+    from ``alg.structure``, not the ``alg.action`` the table is built from.
+    Then, where the Clifford relations hold, L_{i,k} is that form plus a
+    scalar, [iota_x, iota_p eps^q] = -delta_xq iota_p and [eps^x, iota_p
+    eps^q] = delta_xp eps^q give both identities, and the scalar commutes
+    with every step (the vacuum check pins it); conversely the identities
+    fix the form.  The error counts the Clifford faults
+    (``_clifford_faults``), the rows that fail (1) or (2) and the
+    coefficients that differ in (3); ``vectors`` counts the rows."""
+    window, steps, structure = backend.window, backend.steps, backend.alg.structure
+    kinds = {key: (is_eps, mode, c)  # (bit, need, mask) of each step -> (is eps, mode, c)
+             for mode, (bit, mask, c, empty) in steps.items()
+             for is_eps, key in ((True, (bit, empty, mask)), (False, (bit, bit ^ empty, mask)))}
+    bad = _clifford_faults(list(steps.values()))
     count = 0
-    for k in range(-window.guard, window.guard + 1):
-        margin = max(abs(k), 1)
-        modes = [m for m in range(window.kMin + margin, window.kMax - margin + 1)
-                 if window.contains(m + k) and window.contains(m - k)]
-        if not modes:
-            continue  # no mode level to act with: this shift compares nothing
-        basis = check_basis(backend, margin + 1, 4, cap=300 if _small(backend) else 24)
-        count += len(basis)
-        # per i: L_{i,k}, and per (j, m) and step (iota_{j,m}, then eps^{j,m}) its
-        # row (bit, need, mask, c), applied where mono & bit == need, and the
-        # (coefficient, row) terms of its right side
-        per_i = [(backend.L(i, k).__getitem__,
-                  [term for j in range(n) for m in modes for term in (
-                      (_iota(steps[j, m]), [(-c, _iota(steps[p, m + k])) for p, c in f[i].get(j, {}).items()]),
-                      (_eps(steps[j, m]), [(-c, _eps(steps[q, m - k])) for q, c in action[i].get(j, ())]))])
-                 for i in range(n)]
-        for mono in basis:
-            for L, terms in per_i:
-                Lmono = L(mono)
-                Lv = list(zip(Lmono[::2], Lmono[1::2]))
-                for (bit, need, mask, c), rhs in terms:
-                    # step(L mono) - L(step mono) - sum cv step_mode(mono), over s
-                    res: FockVector = {}
-                    for m1, c1 in Lv:
-                        if m1 & bit == need:
-                            target = m1 ^ bit
-                            res[target] = res.get(target, 0) + (-c1 if ((m1 & mask).bit_count() + c) & 1 else c1)
-                    if mono & bit == need:
-                        negate = ((mono & mask).bit_count() + c) & 1
-                        it = iter(L(mono ^ bit))
-                        for m2, c2 in zip(it, it):
-                            res[m2] = res.get(m2, 0) + (c2 if negate else -c2)
-                    for cv, (rbit, rneed, rmask, rc) in rhs:
-                        if mono & rbit == rneed:
-                            target = mono ^ rbit
-                            res[target] = res.get(target, 0) + (cv if ((mono & rmask).bit_count() + rc) & 1 else -cv)
-                    if res:
-                        err = max(err, _residual_error(res))
-    if not count:
-        return _skip(backend, "mode_action_commutators", "no mode level m has m - k and m + k in the window")
-    return _verdict(backend, "mode_action_commutators", Fraction(err, backend.alg.scale), count)
+    reach = max(window.kMax, -window.kMin)
+    for i, k in product(range(backend.n), range(-reach, reach + 1)):
+        res: Dict[Tuple[Mode, Mode], int] = {}  # table less formula, keyed by (iota mode, eps mode), over s
+        for gate, rows in _moves(backend, i, k):
+            count += len(rows)
+            for bit1, need1, mask1, bit2, need2, mask2, coef in rows:
+                first, second = kinds.get((bit1, need1, mask1)), kinds.get((bit2, need2, mask2))
+                if (first is None or second is None or first[0] == second[0] or not coef
+                        or gate and (need1 != bit1 or not bit1 & gate)):
+                    bad += 1
+                    continue
+                (eps1, mode1, c1), (eps2, mode2, c2) = first, second
+                key = (mode2, mode1) if eps1 else (mode1, mode2)
+                res[key] = res.get(key, 0) + (-coef if (c1 + c2 + eps2) & 1 else coef)
+        for s in range(window.kMin, window.kMax + 1):
+            if window.contains(s - k):
+                for q, col in structure[i].items():
+                    for p, f in col.items():
+                        res[(p, s), (q, s - k)] = res.get(((p, s), (q, s - k)), 0) - f
+        bad += sum(1 for x in res.values() if x)
+    return _verdict(backend, "mode_action_commutators", Fraction(bad), count)
 
 
-def cocycle_check(backend: OrthonormalBackend, i: int, j: int, k: int,
-                  max_energy: int = 3) -> Tuple[Fraction, IdentityVerdict]:
+def cocycle_check(backend: OrthonormalBackend, i: int, j: int, k: int) -> Tuple[Fraction, IdentityVerdict]:
     """Central scalar of [L_{i,k}, L_{j,-k}] - L([e_{i,k}, e_{j,-k}]).
 
     Contract: 2c * k * G_ij.  Requires window guard >= |k| (the product
-    needs margin 2|k|, taken internally).
+    needs margin 2|k|, taken internally); monomials of energy <= 3.
     """
     name = f"cocycle_L({i},{k})_L({j},{-k})"
     window = backend.window
@@ -782,7 +781,7 @@ def cocycle_check(backend: OrthonormalBackend, i: int, j: int, k: int,
     lo, hi = window.support(margin)
     if lo > 0 or hi < 1:
         return Fraction(0), _skip(backend, name, "guarded support for margin 2|k| is empty")
-    basis = check_basis(backend, margin, max_energy, cap=400 if _small(backend) else 40)
+    basis = check_basis(backend, margin, 3, cap=400 if _small(backend) else 40)
     Li, Lj = backend.L(i, k).__getitem__, backend.L(j, -k).__getitem__
 
     # both sides times g s^2: the commutator is over s^2, G_ij over g

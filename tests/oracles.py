@@ -12,7 +12,7 @@ from typing import Dict, List, Sequence, Tuple
 from jetcohom.affine import AffineRoot, AffineWeight, laplacian_shift, simple_affine_roots
 from jetcohom.cochain import (CochainBasis, GradedComplexBlock, ScaledColumns, _signatures, build_basis,
                               differential_block)
-from jetcohom.fock import _candidates, _Shells
+from jetcohom.fock import _candidates, _Shells, eps_monomial, iota_monomial
 from jetcohom.liealg import AlgebraData, FiniteWeight, IntAlgebra, is_dominant
 
 Matrix = List[List[Fraction]]
@@ -401,6 +401,34 @@ def monomials_in_support(backend, margin: int, max_energy: int | None = None,
     deterministic order (energy, monomial int); with ``cap``, the first
     ``cap``, and none past them is enumerated."""
     return list(itertools.islice(_Shells(_candidates(backend, margin), max_energy, max_particles).monomials(), cap))
+
+
+def L_from_definition(backend, i: int, k: int, mono: int) -> Dict[int, int]:
+    """L_{i,k} of one monomial over the scale s of the structure constants,
+    from its definition: sum_s sum_{q,p} f_{iq}^p :iota_{p,s} eps^{q,s-k}:
+    over the levels s with s and s - k in the window, f read from
+    ``alg.structure``, normal ordered as iota_{p,s} eps^{q,s-k} for s <= 0
+    and -eps^{q,s-k} iota_{p,s} for s > 0, each step applied by
+    ``eps_monomial`` or ``iota_monomial``."""
+    window = backend.window
+    out: Dict[int, int] = {}
+    for s in range(window.kMin, window.kMax + 1):
+        if not window.contains(s - k):
+            continue
+        for q, col in backend.alg.structure[i].items():
+            for p, f in col.items():
+                steps = ((eps_monomial, (q, s - k)), (iota_monomial, (p, s)))  # the right factor acts first
+                if s > 0:
+                    steps, f = steps[::-1], -f
+                coeff, m = f, mono
+                for step, mode in steps:
+                    hit = step(backend, mode, m)
+                    if hit is None:
+                        break
+                    coeff, m = coeff * hit[0], hit[1]
+                else:
+                    accumulate(out, m, coeff)
+    return out
 
 
 def dstar_from_memoised_L(backend, mono: int) -> Dict[int, int]:

@@ -244,17 +244,19 @@ def _commutator_verdict(capsys, kmin, kmax, guard):
     return next(v for v in suite if v["identity"] == "mode_action_commutators")
 
 
-def test_commutator_check_counts_only_the_shifts_it_compares(capsys):
-    # on [-2, 3] the shifts k = +-3 leave no mode level m with m +- k in the
-    # window, so the 2 vectors of their bases are not checked
+def test_commutator_check_counts_the_move_rows_it_reads(capsys):
+    # the check reads the move tables of L_{i,k}, |k| <= 3, whatever the
+    # guard: 180 rows on A1 [-2, 3], with guard 3 as with guard 1
     verdict = _commutator_verdict(capsys, -2, 3, 3)
-    assert verdict["pass"] and verdict["vectors"] == 194
+    assert verdict["pass"] and verdict["vectors"] == 180
 
 
-def test_commutator_check_skips_a_window_where_no_shift_compares(capsys):
-    verdict = _commutator_verdict(capsys, 0, 1, 1)
-    assert verdict["skipped"] and not verdict["pass"] and verdict["vectors"] == 0
-    assert verdict["reason"].startswith("no mode level")
+@pytest.mark.parametrize("kmin, kmax, guard, rows", [(0, 1, 1, 24), (-2, 3, 0, 180)], ids=["a1_0_1_g1", "a1_m2_3_g0"])
+def test_commutator_check_never_skips(capsys, kmin, kmax, guard, rows):
+    # no mode level of [0, 1] keeps a margin from both edges, and guard 0
+    # leaves none either, yet every move table is read
+    verdict = _commutator_verdict(capsys, kmin, kmax, guard)
+    assert verdict["pass"] and not verdict["skipped"] and verdict["vectors"] == rows
 
 
 def test_cli_rejects_bad_config(capsys):
