@@ -18,9 +18,8 @@ kMin) the backend's ``off``; so the monomial is ``removed | added <<
 off``.  Bits descend with the mode order (k, i) on the removed side and
 ascend with it on the added side, so b is also the number of vacuum modes
 above (i, k).  Membership, insertion and removal are single bit
-operations, and a monomial hashes as one int.  ``encode_monomial`` and
-``decode_monomial`` convert between ints and mode tuples, and ``energy``
-reads the int.  The added bits are those of the exact core's cochain
+operations, and a monomial hashes as one int; ``energy`` reads the int.
+The added bits are those of the exact core's cochain
 monomials (``cochain``: bit (level - 1)*n + i is e^{i,level}) shifted by
 off, so a cochain monomial m is the Fock monomial ``m << off``, and
 eps(m) Omega = (-1)^(p(p-1)/2) (m << off) for one of degree p.
@@ -54,27 +53,27 @@ delta_ij (c is the Coxeter number): d^2 = sum_{k>0} sum_{a,b} 2ck G_ab
 eps^{a,k} eps^{b,-k}; the cocycle is 2ck G_ij; dtilde* = -1/2 sum_k s_k
 sum_{i,b} (G^-1)_{ib} iota_{b,k} L_{i,-k}; the zero-mode term of the
 Laplacian is 1/2 sum_{i,j} (G^-1)_{ij} L_{i,0} L_{j,0}.  dtilde* is the
-adjoint of dtilde under the Fock pairing fixed by <Omega, Omega> = 1,
-(eps^{a,k})^T = sum_b (G^-1)_{ab} iota_{b,k} and (iota_{a,k})^T = sum_b
-G_ab eps^{b,k}, under which each monomial pairs with exactly one partner
-monomial (``_pairing``).
+adjoint of dtilde under the Fock pairing, the one form with <Omega,
+Omega> = 1 under which (eps^{a,k})^T = sum_b (G^-1)_{ab} iota_{b,k} and
+(iota_{a,k})^T = sum_b G_ab eps^{b,k}, rules that G, being symmetric,
+makes keep the Clifford relations; the adjoint check transposes by them.
 
-Three checks draw no quantifier set and never skip: the vacuum check acts
-on the vacuum, the Clifford check reads every pair of step rows, and the
-commutator check every row of every L move table, which settles their
-relations on every monomial of the window (``clifford_check``,
-``commutator_check``).  The energy, L_0-with-d, d^2, Laplacian and
-cocycle checks draw explicit finite sets of monomials (``check_basis``)
-whose support keeps enough margin from the window edge that truncation is
-exact, and quantify over every generator and window mode they name; only
-the monomial sets are capped.  Each is a prefix of its monomials in
+Four checks draw no quantifier set and never skip: the vacuum check acts
+on the vacuum, the Clifford check reads every pair of step rows, the
+commutator check every row of every L move table, and the adjoint check
+every row of the terms of dtilde and dtilde*, which settles their
+identities on every monomial of the window (``clifford_check``,
+``commutator_check``, ``dtilde_adjoint_matrix_check``).  The energy,
+L_0-with-d, d^2, Laplacian and cocycle checks draw explicit finite sets
+of monomials (``check_basis``) whose support keeps enough margin from the
+window edge that truncation is exact, and quantify over every generator
+and window mode they name; only the monomial sets are capped.  Each is a prefix of its monomials in
 (energy, monomial int) order.  ``leibniz_check`` draws seeded random
-wedges from a pool that holds a prefix of each energy shell, the adjoint
-check takes whole energy blocks, and the cochain check every cochain
-column of its cells.  Each of these checks declares the minimum window
-guard it needs and emits a skip verdict below that, or when its guarded
-support holds only the vacuum or no block fits its cap, never a silent
-pass.
+wedges from a pool that holds a prefix of each energy shell, and the
+cochain check takes every cochain column of its cells.  Each of these
+checks declares the minimum window guard it needs and emits a skip
+verdict below that, or when its guarded support holds only the vacuum,
+never a silent pass.
 
 A backend is one algebra on one energy window, so no operator, check or
 enumeration takes a window of its own.  Operators exist only as column
@@ -93,11 +92,11 @@ backend itself, so a backend and its memos are freed by reference
 counting alone: ``_run_moves`` on the move table of L_{i,k}, ``_d_pair``
 on the terms of d and dtilde, which one pass builds together
 (``_TwinMemo``), and ``_run_dstar`` on those of dtilde*, which runs per
-term only the moves whose outputs iota keeps (``_dstar_rows``); d and
-dtilde* memoise no L column, and neither do the energy and commutator
-checks, which read each move-table row once.  Only the vacuum, L_0-with-d,
-Laplacian and cocycle checks read the L memo.  The kernels and the checks
-read step rows inline; the vacuum check, ``_pairing`` and the wedges of
+term only the moves whose outputs iota keeps (``dstar_terms``); d and
+dtilde* memoise no L column, and neither do the energy, commutator and
+adjoint checks, which read each move-table row once.  Only the vacuum,
+L_0-with-d, Laplacian and cocycle checks read the L memo.  The kernels
+and the checks read step rows inline; the vacuum check and the wedges of
 eps steps of ``leibniz_check`` (``_eps_wedge_column``) go through
 ``eps_monomial``/``iota_monomial``, each one table read, while the
 cochain check applies d to ``m << off`` itself.  Every column loop runs
@@ -106,14 +105,13 @@ guard, so no operator checks its input against the window.
 
 Monomials are enumerated one energy shell at a time in (energy,
 monomial int) order, lazily, by one ordered walk over one sorted list of
-candidate modes (``_Shells``): each shell is counted before it is walked,
-and no monomial past what a caller takes is enumerated.  The quantifier
-sets of ``check_basis`` stop at their cap, and are memoised on the backend
-keyed by margin, energy cap and cap; the adjoint check walks only the
-energy blocks it checks.  ``verify_identity_suite`` builds one backend
-per call, so the memo lives as long as one suite run.  The matrix
-identities (d^2, the Laplacian, the adjoint of dtilde) are checked column
-by column from these columns; no dense matrix is formed.
+candidate modes (``_Shells``), and no monomial past what a caller takes
+is enumerated.  The quantifier sets of ``check_basis`` stop at their cap,
+and are memoised on the backend keyed by margin, energy cap and cap.
+``verify_identity_suite`` builds one backend per call, so the memo lives
+as long as one suite run.  The matrix identities d^2 and the Laplacian are
+checked column by column from these columns, and the adjoint of dtilde on
+the terms of both kernels; no dense matrix is formed.
 """
 
 from __future__ import annotations
@@ -161,7 +159,9 @@ class OrthonormalBackend:
     use: ``L(i, k)`` is the memo of L_{i,k}, kept in ``Ls``, and ``d``,
     ``dtilde`` and ``dstar`` those of d, dtilde and dtilde*.  An operator
     set on the backend in one's place (``backend.d = ...``, ``Ls[i, k] =
-    ...``) is the one its checks read."""
+    ...``) is the one its checks read.  The term lists that the kernels of
+    d and dtilde* run, ``d_terms`` and ``dstar_terms``, are the adjoint
+    check's too."""
 
     def __init__(self, data: AlgebraData, window: EnergyWindow):
         self.alg = int_algebra(data)
@@ -196,16 +196,21 @@ class OrthonormalBackend:
         return memo
 
     @cached_property
+    def d_terms(self) -> Tuple[List[tuple], List[tuple]]:
+        """The terms of d that ``_d_pair`` runs, per window mode ascending by
+        (k, i), k <= 0 then k > 0: the step row of (i, k) and L_{i,k}'s move table."""
+        terms: Tuple[List[tuple], List[tuple]] = ([], [])
+        for (i, k), step in self.steps.items():
+            terms[k > 0].append((*step, _moves(self, i, k)))
+        return terms
+
+    @cached_property
     def d(self) -> _Memo:
         """The memo of d = 1/2 sum_{i,k} L_{i,k} eps^{i,k}, windowed, over
         2s, made with that of its twin ``dtilde``: a miss on either files
-        both columns from one pass (``_d_pair``) over the terms of d, per
-        window mode ascending by (k, i) and split into k <= 0 and k > 0:
-        the step row of (i, k) and the move table of L_{i,k}."""
-        rows: Tuple[List[tuple], List[tuple]] = ([], [])
-        for (i, k), step in self.steps.items():
-            rows[k > 0].append((*step, _moves(self, i, k)))
-        d, dtilde = _TwinMemo(partial(_d_pair, rows, False)), _TwinMemo(partial(_d_pair, rows, True))
+        both columns from one pass (``_d_pair``) over ``d_terms``."""
+        terms = self.d_terms
+        d, dtilde = _TwinMemo(partial(_d_pair, terms, False)), _TwinMemo(partial(_d_pair, terms, True))
         d.twin, dtilde.twin = ref(dtilde), ref(d)
         self.dtilde = dtilde
         return d
@@ -226,29 +231,22 @@ class OrthonormalBackend:
             for (_i, k), step in self.steps.items() if k))]
 
     @cached_property
+    def dstar_terms(self) -> List[tuple]:
+        """The terms of dtilde* that its kernel runs (``_run_dstar``), per
+        (k, i): s_k (G^-1)_{ib}, the step row of (b, k), and the move table
+        of L_{i,-k} cut in two by its moves' effect on the bit of (b, k)
+        (``_split_moves``): the even and the odd table."""
+        steps = self.steps
+        return [((1 if k > 0 else -1) * x, *steps[b, k], *_split_moves(_moves(self, i, -k), steps[b, k][0]))
+                for k in range(self.window.kMin, self.window.kMax + 1)
+                for i, (b, x) in enumerate(self.alg.gram_inv)]
+
+    @cached_property
     def dstar(self) -> _Memo:
         """The memo of dtilde* = -1/2 sum_k s_k sum_{i,b} (G^-1)_{ib}
-        iota_{b,k} L_{i,-k}, over 2se: the adjoint of dtilde under the Fock
-        pairing (``_run_dstar``)."""
-        return _Memo(partial(_run_dstar, _dstar_rows(self)))
-
-
-def encode_monomial(backend: OrthonormalBackend, added: Sequence[Mode] = (),
-                    removed: Sequence[Mode] = ()) -> SemiInfMonomial:
-    """The int of the monomial with these modes, all inside the window."""
-    mono = 0
-    for mode in chain(added, removed):
-        mono |= backend.steps[mode][0]
-    return mono
-
-
-def decode_monomial(backend: OrthonormalBackend, mono: SemiInfMonomial
-                    ) -> Tuple[Tuple[Mode, ...], Tuple[Mode, ...]]:
-    """The added and removed modes of ``mono``, each ascending by (k, i)."""
-    n, off = backend.n, backend.off
-    added, removed = mono >> off, mono & (1 << off) - 1
-    return (tuple((b % n, b // n + 1) for b in range(added.bit_length()) if added >> b & 1),
-            tuple((n - 1 - b % n, -(b // n)) for b in reversed(range(removed.bit_length())) if removed >> b & 1))
+        iota_{b,k} L_{i,-k}, over 2se, run from ``dstar_terms``: the adjoint
+        of dtilde under the Fock pairing (``dtilde_adjoint_matrix_check``)."""
+        return _Memo(partial(_run_dstar, self.dstar_terms))
 
 
 def energy(backend: OrthonormalBackend, mono: SemiInfMonomial) -> int:
@@ -478,16 +476,6 @@ def _d_pair(rows: Tuple[List[tuple], List[tuple]], twisted: bool, mono: SemiInfM
     return (dtilde, d) if twisted else (d, dtilde)
 
 
-def _dstar_rows(backend: OrthonormalBackend) -> List[tuple]:
-    """The terms of dtilde*, per (k, i): s_k (G^-1)_{ib}, the step row of
-    (b, k), and the move table of L_{i,-k} cut in two by its moves' effect
-    on the bit of (b, k) (``_split_moves``): the even and the odd table."""
-    steps = backend.steps
-    return [((1 if k > 0 else -1) * x, *steps[b, k], *_split_moves(_moves(backend, i, -k), steps[b, k][0]))
-            for k in range(backend.window.kMin, backend.window.kMax + 1)
-            for i, (b, x) in enumerate(backend.alg.gram_inv)]
-
-
 def _split_moves(levels: MoveTable, bit: int) -> Tuple[MoveTable, MoveTable]:
     """A move table cut in two, each level's rows in their order: the moves
     that flip ``bit`` an even number of times (0, or 2 when both steps sit
@@ -505,7 +493,7 @@ def _split_moves(levels: MoveTable, bit: int) -> Tuple[MoveTable, MoveTable]:
 
 
 def _run_dstar(rows: List[tuple], mono: SemiInfMonomial) -> FockVector:
-    """dtilde* of one monomial from its terms (``_dstar_rows``): each
+    """dtilde* of one monomial from its terms (``dstar_terms``): each
     L_{i,-k} column is run from its move table, not memoised, and
     iota_{b,k} is one step row.  iota_{b,k} acts on an output of L_{i,-k}
     iff (b, k) is occupied there, that is, iff it is occupied in ``mono``
@@ -532,31 +520,6 @@ def _run_dstar(rows: List[tuple], mono: SemiInfMonomial) -> FockVector:
     return out
 
 
-def _pairing(backend: OrthonormalBackend, mono: SemiInfMonomial) -> Tuple[int, int, SemiInfMonomial]:
-    """(num, den, partner): ``mono`` pairs with ``partner`` alone, to num/den.
-
-    The partner carries the partner (b, k) of every mode (a, k).  Building
-    mono = sign * O_t ... O_1 Omega from the vacuum (iota for each removed
-    mode, then eps for each added one), <mono, y> = sign * <Omega, O_1^T
-    ... O_t^T y>, and the transposes take the partner to a multiple of
-    Omega."""
-    alg = backend.alg
-    added, removed = decode_monomial(backend, mono)
-    steps = [(iota_monomial, eps_monomial, alg.gram, mode) for mode in removed]
-    steps += [(eps_monomial, iota_monomial, alg.gram_inv, mode) for mode in added]
-    num, built = 1, VACUUM
-    for step, _transpose, _form, mode in steps:
-        sign, built = step(backend, mode, built)
-        num *= sign
-    partner = encode_monomial(backend, *([(alg.gram[i][0], k) for i, k in side] for side in (added, removed)))
-    y = partner
-    for _step, transpose, form, (i, k) in reversed(steps):
-        b, x = form[i]
-        sign, y = transpose(backend, (b, k), y)
-        num *= sign * x
-    return num, alg.gram_scale ** len(removed) * alg.gram_inv_scale ** len(added), partner
-
-
 def _candidates(backend: OrthonormalBackend, margin: int) -> List[Tuple[int, int]]:
     """(bit, weight |k|) per candidate mode of the window shrunk by
     ``margin`` to [lo, hi], sorted by bit: the added modes at levels 1..hi
@@ -574,31 +537,22 @@ class _Shells:
     shells in turn, each ascending by int (``shell``).
 
     ``fewest[j]`` maps each energy that subsets of ``cands[:j]`` reach to
-    the fewest modes that reach it, so the walk enters no empty branch.
-    ``sizes[e]`` is the number of monomials of energy e, counted from one
-    (energy, mode count) table without enumerating any."""
+    the fewest modes that reach it, so the walk enters no empty branch."""
 
     def __init__(self, cands: List[Tuple[int, int]], max_energy: int | None, max_particles: int | None):
         self.cands = cands
         self.budget = len(cands) if max_particles is None else max_particles
         self.fewest: List[Dict[int, int]] = [{0: 0}]
-        counts = {(0, 0): 1}
         for _bit, w in cands:
             table = dict(self.fewest[-1])
             for e, c in self.fewest[-1].items():
                 if (max_energy is None or e + w <= max_energy) and c + 1 < table.get(e + w, c + 2):
                     table[e + w] = c + 1
             self.fewest.append(table)
-            for (e, c), size in list(counts.items()):
-                if (max_energy is None or e + w <= max_energy) and c < self.budget:
-                    counts[e + w, c + 1] = counts.get((e + w, c + 1), 0) + size
-        self.sizes = [0] * (max(e for e, _c in counts) + 1)
-        for (e, _c), size in counts.items():
-            self.sizes[e] += size
 
     def monomials(self) -> Iterator[SemiInfMonomial]:
-        """Every monomial, in (energy, monomial int) order, enumerated lazily."""
-        return _chain_items(map(self.shell, range(len(self.sizes))))
+        """Every monomial in (energy, int) order, lazily: the shells of the energies ``fewest[-1]`` reaches."""
+        return _chain_items(map(self.shell, sorted(self.fewest[-1])))
 
     def shell(self, e: int) -> Iterator[SemiInfMonomial]:
         """The monomials of energy e, ascending."""
@@ -717,6 +671,25 @@ def clifford_check(backend: OrthonormalBackend) -> IdentityVerdict:
     return _verdict(backend, "clifford_relations", Fraction(_clifford_faults(rows)), len(rows) * (len(rows) + 1) // 2)
 
 
+def _step_kinds(steps: Dict[Mode, Tuple[int, int, int, int]]) -> Dict[Tuple[int, int, int], tuple]:
+    """The decoder of the row checks: the (bit, need, mask) of eps and of
+    iota on each window mode, mapped to (is eps, mode, c) of its step row."""
+    return {key: (is_eps, mode, c)
+            for mode, (bit, mask, c, empty) in steps.items()
+            for is_eps, key in ((True, (bit, empty, mask)), (False, (bit, bit ^ empty, mask)))}
+
+
+def _decode_move(kinds: Dict[Tuple[int, int, int], tuple], gate: int, row: tuple) -> Tuple[tuple, tuple] | None:
+    """The two steps of a move-table row under ``gate``, first step first,
+    or None where the row breaks rule (1) or (2) of ``commutator_check``."""
+    bit1, need1, mask1, bit2, need2, mask2, coef = row
+    first, second = kinds.get((bit1, need1, mask1)), kinds.get((bit2, need2, mask2))
+    if (first is None or second is None or first[0] == second[0] or not coef
+            or gate and (need1 != bit1 or not bit1 & gate)):
+        return None
+    return first, second
+
+
 def commutator_check(backend: OrthonormalBackend) -> IdentityVerdict:
     """[iota_{j,m}, L_{i,k}] = -sum_p f_{ij}^p iota_{p,m+k} and
     [eps^{j,m}, L_{i,k}] = sum_q f_{iq}^j eps^{q,m-k} on every monomial
@@ -733,15 +706,14 @@ def commutator_check(backend: OrthonormalBackend) -> IdentityVerdict:
     from ``alg.structure``, not the ``alg.action`` the table is built from.
     Then, where the Clifford relations hold, L_{i,k} is that form plus a
     scalar, [iota_x, iota_p eps^q] = -delta_xq iota_p and [eps^x, iota_p
-    eps^q] = delta_xp eps^q give both identities, and the scalar commutes
-    with every step (the vacuum check pins it); conversely the identities
-    fix the form.  The error counts the Clifford faults
-    (``_clifford_faults``), the rows that fail (1) or (2) and the
-    coefficients that differ in (3); ``vectors`` counts the rows."""
+    eps^q] = delta_xp eps^q give both identities, and the scalar, which
+    arises only at k = 0, commutes with every step (the vacuum check, on
+    every L_{i,0}, pins it); conversely the identities fix the form.  The
+    error counts the Clifford faults (``_clifford_faults``), the rows that
+    fail (1) or (2) (``_decode_move``) and the coefficients that differ in
+    (3); ``vectors`` counts the rows."""
     window, steps, structure = backend.window, backend.steps, backend.alg.structure
-    kinds = {key: (is_eps, mode, c)  # (bit, need, mask) of each step -> (is eps, mode, c)
-             for mode, (bit, mask, c, empty) in steps.items()
-             for is_eps, key in ((True, (bit, empty, mask)), (False, (bit, bit ^ empty, mask)))}
+    kinds = _step_kinds(steps)
     bad = _clifford_faults(list(steps.values()))
     count = 0
     reach = max(window.kMax, -window.kMin)
@@ -749,15 +721,14 @@ def commutator_check(backend: OrthonormalBackend) -> IdentityVerdict:
         res: Dict[Tuple[Mode, Mode], int] = {}  # table less formula, keyed by (iota mode, eps mode), over s
         for gate, rows in _moves(backend, i, k):
             count += len(rows)
-            for bit1, need1, mask1, bit2, need2, mask2, coef in rows:
-                first, second = kinds.get((bit1, need1, mask1)), kinds.get((bit2, need2, mask2))
-                if (first is None or second is None or first[0] == second[0] or not coef
-                        or gate and (need1 != bit1 or not bit1 & gate)):
+            for row in rows:
+                pair = _decode_move(kinds, gate, row)
+                if pair is None:
                     bad += 1
                     continue
-                (eps1, mode1, c1), (eps2, mode2, c2) = first, second
+                (eps1, mode1, c1), (eps2, mode2, c2) = pair
                 key = (mode2, mode1) if eps1 else (mode1, mode2)
-                res[key] = res.get(key, 0) + (-coef if (c1 + c2 + eps2) & 1 else coef)
+                res[key] = res.get(key, 0) + (-row[6] if (c1 + c2 + eps2) & 1 else row[6])
         for s in range(window.kMin, window.kMax + 1):
             if window.contains(s - k):
                 for q, col in structure[i].items():
@@ -814,9 +785,9 @@ def vacuum_checks(backend: OrthonormalBackend) -> IdentityVerdict:
         for i in range(n):
             hit = (iota_monomial if k > 0 else eps_monomial)(backend, (i, k), VACUUM)
             found.append(((hit[1], hit[0]) if hit else (), 1))
-            if k > 0:
+            if k >= 0:
                 found.append((backend.L(i, k)[VACUUM], s))
-    found += [(backend.L(0, 0)[VACUUM], s), (backend.d[VACUUM], 2 * s), (backend.dtilde[VACUUM], 2 * s)]
+    found += [(backend.d[VACUUM], 2 * s), (backend.dtilde[VACUUM], 2 * s)]
     err = max(Fraction(max(map(abs, col[1::2]), default=0), scale) for col, scale in found)
     return _verdict(backend, "vacuum_annihilation", err, 1)
 
@@ -972,53 +943,80 @@ def _closed_form_monomial(backend: OrthonormalBackend, mono: SemiInfMonomial) ->
     return out
 
 
-def dtilde_adjoint_matrix_check(backend: OrthonormalBackend) -> IdentityVerdict:
-    """dtilde* is the adjoint of dtilde under the Fock pairing on each
-    energy block of in-window monomials: <r, dtilde* c> = <dtilde r, c> for
-    every r and c in the block.  As r pairs with its partner sigma r alone
-    (``_pairing``), the left side is dtilde*(c)[sigma r] <r, sigma r> and
-    the right side dtilde(r)[sigma c] <sigma c, c>.
+def _normal_order(word: Tuple[int, ...], coef: int, out: Dict[Tuple[int, ...], int]) -> None:
+    """Add coef * word into ``out`` with its letters (2j: iota, 2j + 1: eps
+    on the j-th window mode) strictly ascending: the first pair ab out of
+    order becomes -ba + {a, b}, where {iota_x, eps^x} = 1, and aa is 0."""
+    for j in range(len(word) - 1):
+        a, b = word[j], word[j + 1]
+        if a >= b:
+            if a > b:
+                _normal_order(word[:j] + (b, a) + word[j + 2:], -coef, out)
+                if a ^ b == 1:
+                    _normal_order(word[:j] + word[j + 2:], coef, out)
+            return
+    out[word] = out.get(word, 0) + coef
 
-    Adjoints need whole blocks, so blocks of more than 800 monomials are
-    left out rather than truncated, and are counted but never built; if
-    none fit the check is skipped."""
-    name = "dtilde_adjoint_is_matrix_transpose"
-    if backend.window.guard < 1:
-        return _skip(backend, name, "window guard < 1")
-    block_cap = 800
-    e_scale = backend.alg.gram_inv_scale
-    dtilde, dstar = backend.dtilde.__getitem__, backend.dstar.__getitem__
-    err = Fraction(0)
-    count = 0
-    shells = _Shells(_candidates(backend, 0), 3 if _small(backend) else 1, None)
-    for e, size in enumerate(shells.sizes):
-        if size > block_cap:
+
+def dtilde_adjoint_matrix_check(backend: OrthonormalBackend) -> IdentityVerdict:
+    """<r, dtilde* c> = <dtilde r, c> under the Fock pairing for every pair
+    of monomials over the window's modes, checked once per row of the terms
+    the two kernels run (``d_terms``, ``dstar_terms``): per window mode (i,
+    k), the dtilde* term -s_k (G^-1)_{ib} iota_{b,k} L_{i,-k}, even and odd
+    tables together, must equal the transpose of the dtilde term sigma_k
+    L_{i,k} eps^{i,k} (sigma_k = -1 for k <= 0, else 1).  Steps are decoded
+    through the step table (``_step_kinds``, ``_decode_move``), and each row
+    of an even (odd) table must flip the bit of (b, k) an even (odd) number
+    of times.  Both sides are compared in normal order (``_normal_order``),
+    as ints: e^2 g (2s dtilde)^T, transposed letter by letter, against eg
+    (2se dtilde*).  Where the Clifford relations hold, the step table
+    represents the window's Clifford algebra, the full matrix algebra of its
+    Fock space, so equal normal orders are equal operators.  The error
+    counts the Clifford faults, the rows that fail to decode or sit in the
+    wrong table, and the coefficients that differ; ``vectors`` counts the
+    move rows read."""
+    alg, steps = backend.alg, backend.steps
+    kinds = _step_kinds(steps)
+    index = {mode: j for j, mode in enumerate(steps)}
+    transpose = [(2 * index[b, k] + 1 - eps, x)  # per letter, its transpose's letter and G_ab over g or G^-1 over e
+                 for a, k in index for eps, (b, x) in enumerate((alg.gram[a], alg.gram_inv[a]))]
+    bad = _clifford_faults(list(steps.values()))
+    # (coef, is dtilde, step key, c, tables) per term; the dtilde* term -coef iota L is subtracted, as +coef
+    terms = [(sigma, True, (bit, empty, mask), c, (levels, ()))
+             for sigma, rows in zip((-1, 1), backend.d_terms) for bit, mask, c, empty, levels in rows]
+    terms += [(coef, False, (bit, bit ^ empty, mask), c, (even, odd))
+              for coef, bit, mask, c, empty, even, odd in backend.dstar_terms]
+    sides: Dict[int, List[tuple]] = {}  # per iota letter a mode's identity starts with, the terms of both sides
+    eg = alg.gram_inv_scale * alg.gram_scale
+    for coef, is_d, key, c, tables in terms:
+        kind = kinds.get(key)
+        if kind is None or kind[0] != is_d:
+            bad += 1
             continue
-        block = list(shells.shell(e))
-        count += len(block)
-        pairing = {m: _pairing(backend, m) for m in block}
-        transposed: Dict[SemiInfMonomial, FockVector] = {m: {} for m in block}
-        for row in block:
-            for col, val in _pairs(dtilde(row)):
-                if col not in pairing:
-                    raise InvariantError(f"dtilde leaves the energy-{e} block")
-                transposed[col][row] = val
-        for col in block:
-            ds = dstar(col)
-            if not all(m in pairing for m in ds[::2]):
-                raise InvariantError(f"dtilde* leaves the energy-{e} block")
-            num, den, partner = pairing[col]
-            # lhs - rhs keyed by m = sigma r, times 2se den(m) den(c); den(sigma r) = den(r)
-            res = {m: x * pairing[m][0] * den for m, x in _pairs(ds)}
-            for r, x in transposed[partner].items():
-                _num, den_r, m = pairing[r]
-                res[m] = res.get(m, 0) - e_scale * x * num * den_r
-            for m, x in res.items():
-                if x:
-                    err = max(err, Fraction(abs(x), pairing[m][1] * den))
-    if count == 0:
-        return _skip(backend, name, f"every energy block exceeds {block_cap} monomials")
-    return _verdict(backend, name, err / (2 * backend.alg.scale * e_scale), count)
+        outer, x = transpose[2 * index[kind[1]] + 1] if is_d else (2 * index[kind[1]], eg)
+        sides.setdefault(outer, []).append((-x * coef if (c + kind[2]) & 1 else x * coef, 0 if is_d else key[0],
+                                            tables, is_d))
+    count = 0
+    for outer, group in sides.items():
+        res: Dict[Tuple[int, ...], int] = {}  # e^2 g (2s dtilde)^T less eg (2se dtilde*), in normal order
+        for coef, bit, tables, transposed in group:  # bit 0 for dtilde: its one table counts as even
+            for flips, table in enumerate(tables):
+                for gate, rows in table:
+                    count += len(rows)
+                    for row in rows:
+                        pair = _decode_move(kinds, gate, row)
+                        if pair is None or ((row[0] == bit) + (row[3] == bit)) & 1 != flips:
+                            bad += 1
+                            continue
+                        (eps1, mode1, c1), (eps2, mode2, c2) = pair  # the row is X2 X1, X1 acting first
+                        x1, x2 = 2 * index[mode1] + eps1, 2 * index[mode2] + eps2
+                        w = -coef * row[6] if (c1 + c2) & 1 else coef * row[6]
+                        if transposed:  # (X2 X1 eps)^T = eps^T X1^T X2^T
+                            (x2, f2), (x1, f1) = transpose[x1], transpose[x2]
+                            w *= f1 * f2
+                        _normal_order((outer, x2, x1), w, res)
+        bad += sum(1 for x in res.values() if x)
+    return _verdict(backend, "dtilde_adjoint_is_matrix_transpose", Fraction(bad), count)
 
 
 def d_matches_cochain_check(backend: OrthonormalBackend) -> IdentityVerdict:

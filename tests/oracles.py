@@ -12,12 +12,14 @@ from typing import Dict, List, Sequence, Tuple
 from jetcohom.affine import AffineRoot, AffineWeight, laplacian_shift, simple_affine_roots
 from jetcohom.cochain import (CochainBasis, GradedComplexBlock, ScaledColumns, _signatures, build_basis,
                               differential_block)
-from jetcohom.fock import _candidates, _Shells, eps_monomial, iota_monomial
+from jetcohom.fock import (VACUUM, IdentityVerdict, _candidates, _pairs, _Shells, _skip, _verdict, eps_monomial,
+                          iota_monomial)
 from jetcohom.liealg import AlgebraData, FiniteWeight, IntAlgebra, is_dominant
 
 Matrix = List[List[Fraction]]
 Columns = Dict[int, Dict[int, int]]
 Mode = Tuple[int, int]  # (level >= 1, basis index)
+FockMode = Tuple[int, int]  # (basis index, level) of a window mode
 Wedge = Tuple[Mode, ...]
 
 
@@ -451,6 +453,94 @@ def dstar_from_memoised_L(backend, mono: int) -> Dict[int, int]:
                 else:
                     del out[m1 ^ bit]
     return out
+
+
+def encode_monomial(backend, added: Sequence[FockMode] = (), removed: Sequence[FockMode] = ()) -> int:
+    """The int of the Fock monomial with these (i, k) modes, all inside the
+    window."""
+    mono = 0
+    for mode in itertools.chain(added, removed):
+        mono |= backend.steps[mode][0]
+    return mono
+
+
+def decode_monomial(backend, mono: int) -> Tuple[Tuple[FockMode, ...], Tuple[FockMode, ...]]:
+    """The added and removed (i, k) modes of a Fock monomial, each ascending
+    by (k, i)."""
+    n, off = backend.n, backend.off
+    added, removed = mono >> off, mono & (1 << off) - 1
+    return (tuple((b % n, b // n + 1) for b in range(added.bit_length()) if added >> b & 1),
+            tuple((n - 1 - b % n, -(b // n)) for b in reversed(range(removed.bit_length())) if removed >> b & 1))
+
+
+def pairing(backend, mono: int) -> Tuple[int, int, int]:
+    """(num, den, partner): under the Fock pairing fixed by <Omega, Omega> =
+    1, (eps^{a,k})^T = sum_b (G^-1)_{ab} iota_{b,k} and (iota_{a,k})^T =
+    sum_b G_ab eps^{b,k}, ``mono`` pairs with ``partner`` alone, to num/den.
+
+    The partner carries the partner (b, k) of every mode (a, k).  Building
+    mono = sign * O_t ... O_1 Omega from the vacuum (iota for each removed
+    mode, then eps for each added one), <mono, y> = sign * <Omega, O_1^T
+    ... O_t^T y>, and the transposes take the partner to a multiple of
+    Omega."""
+    alg = backend.alg
+    added, removed = decode_monomial(backend, mono)
+    steps = [(iota_monomial, eps_monomial, alg.gram, mode) for mode in removed]
+    steps += [(eps_monomial, iota_monomial, alg.gram_inv, mode) for mode in added]
+    num, built = 1, VACUUM
+    for step, _transpose, _form, mode in steps:
+        sign, built = step(backend, mode, built)
+        num *= sign
+    partner = encode_monomial(backend, *([(alg.gram[i][0], k) for i, k in side] for side in (added, removed)))
+    y = partner
+    for _step, transpose, form, (i, k) in reversed(steps):
+        b, x = form[i]
+        sign, y = transpose(backend, (b, k), y)
+        num *= sign * x
+    return num, alg.gram_scale ** len(removed) * alg.gram_inv_scale ** len(added), partner
+
+
+def adjoint_block_check(backend) -> IdentityVerdict:
+    """The reference of ``fock.dtilde_adjoint_matrix_check``, as it once
+    compared whole energy blocks of in-window monomials from the memos:
+    <r, dtilde* c> = <dtilde r, c> for every r and c in a block.  As r pairs
+    with its partner sigma r alone (``pairing``), the left side is dtilde*(c)
+    [sigma r] <r, sigma r> and the right side dtilde(r)[sigma c] <sigma c,
+    c>.  Blocks of energy up to 3 (1 when dim g > 3) and at most 800
+    monomials are compared, and the error is the exact largest |lhs - rhs|;
+    it skips below guard 1 or when no block fits."""
+    name = "dtilde_adjoint_is_matrix_transpose"
+    if backend.window.guard < 1:
+        return _skip(backend, name, "window guard < 1")
+    block_cap = 800
+    e_scale = backend.alg.gram_inv_scale
+    dtilde, dstar = backend.dtilde.__getitem__, backend.dstar.__getitem__
+    err = Fraction(0)
+    count = 0
+    shells = _Shells(_candidates(backend, 0), 3 if backend.n <= 3 else 1, None)
+    for e in sorted(shells.fewest[-1]):
+        block = list(shells.shell(e))
+        if len(block) > block_cap:
+            continue
+        count += len(block)
+        pairs = {m: pairing(backend, m) for m in block}
+        transposed: Dict[int, Dict[int, int]] = {m: {} for m in block}
+        for row in block:
+            for col, val in _pairs(dtilde(row)):
+                transposed[col][row] = val
+        for col in block:
+            num, den, partner = pairs[col]
+            # lhs - rhs keyed by m = sigma r, times 2se den(m) den(c); den(sigma r) = den(r)
+            res = {m: x * pairs[m][0] * den for m, x in _pairs(dstar(col))}
+            for r, x in transposed[partner].items():
+                _num, den_r, m = pairs[r]
+                res[m] = res.get(m, 0) - e_scale * x * num * den_r
+            for m, x in res.items():
+                if x:
+                    err = max(err, Fraction(abs(x), pairs[m][1] * den))
+    if count == 0:
+        return _skip(backend, name, f"every energy block exceeds {block_cap} monomials")
+    return _verdict(backend, name, err / (2 * backend.alg.scale * e_scale), count)
 
 
 def jacobi_triple_set(structure) -> set:

@@ -4,7 +4,6 @@ import itertools
 import tracemalloc
 import weakref
 from fractions import Fraction
-from functools import partial
 
 import pytest
 
@@ -23,9 +22,7 @@ from jetcohom.fock import (
     commutator_check,
     d_matches_cochain_check,
     d_squared_check,
-    decode_monomial,
     dtilde_adjoint_matrix_check,
-    encode_monomial,
     energy,
     energy_bookkeeping_check,
     eps_monomial,
@@ -41,6 +38,7 @@ from jetcohom.fock import (
 )
 
 import oracles
+from oracles import decode_monomial, encode_monomial
 
 WINDOW = EnergyWindow(-2, 3, 1)
 
@@ -396,9 +394,9 @@ def test_a_row_without_a_bit_of_its_own_fails_the_clifford_check(a1, bit_of):
 def test_a_row_missing_a_mask_bit_no_quantifier_set_reaches_fails_the_clifford_check(a2, monkeypatch, mode, above):
     """On A2 [-1,2] guard 1, the mask of ``mode`` loses the bit of
     ``above``.  No capped quantifier set holds the two modes in the states
-    where eps and iota on them meet, so only the two checks that read the
-    step table see it: the Clifford check, and the commutator check, which
-    counts the Clifford faults its proof rests on."""
+    where eps and iota on them meet, so only the three checks that read the
+    step table see it: the Clifford check, and the commutator and adjoint
+    checks, which count the Clifford faults their proofs rest on."""
     make = fock.OrthonormalBackend
 
     def doctored(data, window):
@@ -408,7 +406,7 @@ def test_a_row_missing_a_mask_bit_no_quantifier_set_reaches_fails_the_clifford_c
     monkeypatch.setattr(fock, "OrthonormalBackend", doctored)
     suite = verify_identity_suite(a2, EnergyWindow(-1, 2, 1))
     assert [v.identity for v in suite if not v.passed and not v.skipped] == [
-        "clifford_relations", "mode_action_commutators"]
+        "clifford_relations", "mode_action_commutators", "dtilde_adjoint_is_matrix_transpose"]
 
 
 @pytest.mark.parametrize("doctor", [
@@ -448,10 +446,12 @@ def test_a_doctored_move_row_fails_the_commutator_check(a2, monkeypatch, doctor,
     of L_{0,1}, whose level gate is not 0, is doctored, and the commutator
     check, which reads every row, fails.  Its first step is eps on a mode
     at level -1, which needs a hole there, and no monomial the other checks
-    draw meets it with one: with its coef negated every other verdict of
-    the suite passes, and the commutator check fails with one mismatched
-    coefficient.  A zero coef leaves the table's sum as it was, so only the
-    check that no row has one sees it (``_run_moves`` would then delete a
+    draw meets it with one: with its coef negated only the two checks that
+    read every row fail, the commutator check with one mismatched
+    coefficient, and the adjoint check with two, since L_{0,1} is in the
+    dtilde term of (0, 1) and in the dtilde* term of k = -1.  A zero coef
+    leaves the table's sum as it was, so only the check that no row has one
+    sees it (``_run_moves`` would then delete a
     missing key)."""
     window = EnergyWindow(-1, 2, 1)
     make = fock.OrthonormalBackend
@@ -469,40 +469,7 @@ def test_a_doctored_move_row_fails_the_commutator_check(a2, monkeypatch, doctor,
         monkeypatch.setattr(fock, "OrthonormalBackend", doctored)
         suite = verify_identity_suite(a2, window)
         failed = {v.identity: v.max_abs_error for v in suite if not v.passed and not v.skipped}
-        assert failed == {"mode_action_commutators": 1}
-
-
-def test_the_adjoint_check_counts_its_energy_blocks_before_enumerating_any(monkeypatch):
-    """On C3 [-1,2] the 21 removed modes of level 0 alone span 2^21
-    monomials of energy 0, so every energy block of the adjoint check
-    exceeds its cap.  The check must skip from the shell sizes: the spy
-    fails on the first walked shell, before memory could run out."""
-    b = OrthonormalBackend(build_algebra(AlgebraSpec("C", 3)), EnergyWindow(-1, 2, 1))
-
-    def refuse(shells, e):
-        raise AssertionError(f"shell {e} of {shells.sizes[e]} monomials walked")
-
-    monkeypatch.setattr(fock._Shells, "shell", refuse)
-    verdict = dtilde_adjoint_matrix_check(b)
-    assert verdict.skipped and verdict.reason == "every energy block exceeds 800 monomials"
-
-
-def test_only_the_built_shells_are_walked(a2, monkeypatch):
-    """On A2 [-1,2] the adjoint check builds its energy-0 block (256
-    monomials) and skips the energy-1 block (4,096): only the energy-0
-    shell is walked."""
-    walked = []
-    real = fock._Shells.shell
-
-    def spy(shells, e):
-        mons = list(real(shells, e))
-        walked.append((e, len(mons)))
-        return iter(mons)
-
-    monkeypatch.setattr(fock._Shells, "shell", spy)
-    verdict = dtilde_adjoint_matrix_check(OrthonormalBackend(a2, EnergyWindow(-1, 2, 1)))
-    assert verdict.passed and verdict.vectors == 256
-    assert walked == [(0, 256)]
+        assert failed == {"mode_action_commutators": 1, "dtilde_adjoint_is_matrix_transpose": 2}
 
 
 @pytest.mark.parametrize("series, window, failing", [
@@ -533,8 +500,8 @@ def test_a_row_with_flipped_parity_fails_only_the_cochain_check(request, monkeyp
 def test_each_monomial_pairs_with_one_symmetric_partner(backend2):
     # the Fock pairing is symmetric and the partner map an involution
     for mono in oracles.monomials_in_support(backend2, 1, 1, 3):
-        num, den, partner = fock._pairing(backend2, mono)
-        assert num and den > 0 and fock._pairing(backend2, partner) == (num, den, mono)
+        num, den, partner = oracles.pairing(backend2, mono)
+        assert num and den > 0 and oracles.pairing(backend2, partner) == (num, den, mono)
 
 
 def test_a_pass_on_no_vector_is_refused():
@@ -605,12 +572,16 @@ def test_doctored_d_fails_matrix_checks(a1):
 
 
 def test_doctored_dstar_fails_transpose_check(a1):
+    """The d~* term of (1, -1) with its coefficient doubled, in the term
+    list that both the kernel and the adjoint check read: the check fails,
+    and so does the Laplacian check, which runs the kernel."""
     backend = OrthonormalBackend(a1, WINDOW)
-    target = encode_monomial(backend, ((1, 1),))  # e^{e,1} Omega pairs with e^{f,1} Omega to 1
-    # dtilde* is over 2se: the extra term is 1/2
-    backend.dstar = _with_extra_term(backend.dstar, target, backend.alg.scale * backend.alg.gram_inv_scale)
-    verdict = dtilde_adjoint_matrix_check(backend)
-    assert not verdict.passed and verdict.max_abs_error >= 0.5
+    j = backend.n * (-1 - WINDOW.kMin) + 1  # the terms ascend by (k, i)
+    coef, *rest = backend.dstar_terms[j]
+    backend.dstar_terms[j] = (2 * coef, *rest)
+    for check in (dtilde_adjoint_matrix_check, laplacian_formula_check):
+        verdict = check(backend)
+        assert not verdict.skipped and not verdict.passed, verdict.identity
 
 
 def test_a_doctored_L_column_fails_the_checks_that_read_the_L_memo(a1, monkeypatch):
@@ -634,13 +605,6 @@ def test_a_doctored_L_column_fails_the_checks_that_read_the_L_memo(a1, monkeypat
     assert {v.identity: v.max_abs_error for v in suite if not v.passed} == {
         "laplacian_closed_form": Fraction(3, 4), "L0_commutes_with_d": 2}
     assert not any(v.skipped for v in suite)
-
-
-def test_dstar_leaving_its_energy_block_raises(a1):
-    backend = OrthonormalBackend(a1, WINDOW)
-    backend.dstar = _with_extra_term(backend.dstar, encode_monomial(backend, ((0, 1),)), 1, at=VACUUM)
-    with pytest.raises(InvariantError):
-        dtilde_adjoint_matrix_check(backend)
 
 
 def test_column_checks_match_dense_products(backend):
@@ -836,26 +800,134 @@ def test_dstar_equals_the_kernel_that_read_memoised_L_columns(request, which, ma
     assert not fresh.Ls
 
 
-def test_a_flipping_move_filed_in_the_even_table_fails_the_dstar_checks(a1):
-    """Each dtilde* term runs its even table where iota_{b,k} can act and
-    its odd table where it cannot (``_dstar_rows``).  A move that flips
-    the bit of (b, k) once, filed in the even table in place of the odd
-    one, never runs where its output would be kept: dtilde* loses that
-    term, and both checks that read dtilde* fail.  (A copy filed in both
-    tables would change nothing: by the torus grading every flipping move
-    is an eps step onto (b, k), which needs the mode empty, so in the even
-    table it never fires.)"""
-    backend = OrthonormalBackend(a1, WINDOW)
-    rows = fock._dstar_rows(backend)
-    j = next(j for j, row in enumerate(rows) if row[-1])  # the first term with an odd table
-    coef, bit, mask, c, empty, even, ((_gate, (move, *others)), *rest) = rows[j]
+def _refiled(b, j):
+    """``b`` with the first move of the odd table of d~* term j refiled at
+    the end of its even table, in the term list, before the d~* memo is
+    built."""
+    coef, bit, mask, c, empty, even, ((_gate, (move, *others)), *rest) = b.dstar_terms[j]
     assert ((move[0] == bit) + (move[3] == bit)) % 2 == 1
     odd = ([fock._level(others)] if others else []) + rest
-    rows[j] = (coef, bit, mask, c, empty, even + [fock._level([move])], odd)
-    backend.dstar = fock._Memo(partial(fock._run_dstar, rows))
+    b.dstar_terms[j] = (coef, bit, mask, c, empty, even + [fock._level([move])], odd)
+    return b
+
+
+def test_a_flipping_move_filed_in_the_even_table_fails_the_dstar_checks(a1):
+    """Each dtilde* term runs its even table where iota_{b,k} can act and
+    its odd table where it cannot (``dstar_terms``).  A move that flips
+    the bit of (b, k) once, filed in the even table in place of the odd
+    one, never runs where its output would be kept: dtilde* loses that
+    term, and the Laplacian check, which runs it, fails.  The adjoint check
+    fails on the row itself, which flips the bit an odd number of times in
+    an even table.  (A copy filed in both tables would change nothing: by
+    the torus grading every flipping move is an eps step onto (b, k), which
+    needs the mode empty, so in the even table it never fires.)"""
+    backend = OrthonormalBackend(a1, WINDOW)
+    _refiled(backend, next(j for j, row in enumerate(backend.dstar_terms) if row[-1]))  # the first with an odd table
     for check in (laplacian_formula_check, dtilde_adjoint_matrix_check):
         verdict = check(backend)
         assert not verdict.skipped and not verdict.passed, verdict.identity
+
+
+@pytest.mark.parametrize("series, window", [("a1", WINDOW), ("a2", EnergyWindow(-1, 2, 1))], ids=["a1", "a2"])
+def test_the_row_check_agrees_with_the_block_oracle(request, series, window):
+    """On the true tables the adjoint check and the block comparison it
+    replaced (``oracles.adjoint_block_check``) both pass; on A1 [-2,3], with
+    the first odd move refiled in its even table, both fail."""
+    data = request.getfixturevalue(series)
+    for check in (dtilde_adjoint_matrix_check, oracles.adjoint_block_check):
+        verdict = check(OrthonormalBackend(data, window))
+        assert verdict.passed and verdict.max_abs_error == 0, check
+        if series == "a1":
+            b = OrthonormalBackend(data, window)
+            verdict = check(_refiled(b, next(j for j, row in enumerate(b.dstar_terms) if row[-1])))
+            assert not verdict.skipped and not verdict.passed, check
+
+
+def test_each_refiled_k_minus_1_term_fails_the_row_check_alone(a2):
+    """On A2 [-1,2] guard 1 the block oracle compares only the energy-0
+    block, which no d~* term with k = -1 reaches.  Six of those terms have
+    an odd table, one per root vector i, whose L_{i,1} can fill the hole at
+    (b, -1) of its partner b; with its first odd move refiled in the even
+    table each passes the oracle and fails the row check."""
+    window = EnergyWindow(-1, 2, 1)
+    n = OrthonormalBackend(a2, window).n
+    refiled = 0
+    for j in range(n):  # the terms of k = -1 come first
+        b = OrthonormalBackend(a2, window)
+        if not b.dstar_terms[j][-1]:
+            continue
+        refiled += 1
+        assert oracles.adjoint_block_check(_refiled(b, j)).passed, j
+        verdict = dtilde_adjoint_matrix_check(_refiled(OrthonormalBackend(a2, window), j))
+        assert not verdict.skipped and not verdict.passed, j
+    assert refiled == 6
+
+
+def _dropped_odd_move(terms, j):
+    coef, bit, mask, c, empty, even, ((_gate, (_move, *others)), *rest) = terms[j]
+    terms[j] = (coef, bit, mask, c, empty, even, ([fock._level(others)] if others else []) + rest)
+
+
+def _negated_even_row(terms, j):
+    coef, bit, mask, c, empty, ((_gate, (row, *others)), *rest), odd = terms[j]
+    terms[j] = (coef, bit, mask, c, empty, [fock._level([(*row[:6], -row[6]), *others]), *rest], odd)
+
+
+def _doubled_coefficient(terms, j):
+    coef, *rest = terms[j]
+    terms[j] = (2 * coef, *rest)
+
+
+@pytest.mark.parametrize("doctor", [_dropped_odd_move, _negated_even_row, _doubled_coefficient,
+                                    lambda terms, j: terms.pop(j)],
+                         ids=["odd-move-dropped", "even-row-negated", "coefficient-doubled", "term-dropped"])
+def test_a_doctored_k_minus_1_dstar_term_fails_the_adjoint_check(a2, doctor):
+    """On A2 [-1,2] guard 1, the first d~* term of k = -1 with both an even
+    and an odd table, doctored in the term list, fails the adjoint check,
+    which compares it with the transpose of its d~ term."""
+    b = OrthonormalBackend(a2, EnergyWindow(-1, 2, 1))
+    j = next(j for j in range(b.n) if b.dstar_terms[j][-2] and b.dstar_terms[j][-1])
+    doctor(b.dstar_terms, j)
+    verdict = dtilde_adjoint_matrix_check(b)
+    assert not verdict.skipped and not verdict.passed and verdict.max_abs_error >= 1
+
+
+@pytest.mark.parametrize("series, rank, window", [
+    ("B", 2, EnergyWindow(-1, 2, 1)), ("G", 2, EnergyWindow(-1, 2, 1)), ("C", 3, EnergyWindow(-1, 2, 1)),
+    ("A", 1, EnergyWindow(-2, 3, 0))], ids=["b2_m1_2_g1", "g2_m1_2_g1", "c3_m1_2_g1", "a1_m2_3_g0"])
+def test_the_adjoint_check_walks_no_shell_and_never_skips(monkeypatch, series, rank, window):
+    """The adjoint check reads the term lists alone: it passes where the
+    block comparison skipped (every block over its cap on B2, G2 and C3,
+    guard 0 on A1), with no shell walked, no quantifier set drawn and no
+    memo built."""
+    def refuse(*args):
+        raise AssertionError("a monomial set was drawn")
+
+    monkeypatch.setattr(fock._Shells, "shell", refuse)
+    monkeypatch.setattr(fock, "check_basis", refuse)
+    b = OrthonormalBackend(build_algebra(AlgebraSpec(series, rank)), window)
+    verdict = dtilde_adjoint_matrix_check(b)
+    assert verdict.passed and not verdict.skipped and verdict.vectors > 0
+    assert not b.bases and not b.Ls and not {"d", "dtilde", "dstar"} & set(vars(b))
+
+
+def test_the_vacuum_check_pins_the_scalar_of_every_L_i0(a2):
+    """On A2 [-1,2], the diagonal row w eps^{2,1} iota_{2,1} of L_{1,0}
+    rewritten as -w iota_{2,1} eps^{2,1} keeps the bilinear form, so the
+    commutator check still passes, and shifts the scalar by -w: L_{1,0}
+    Omega = -w Omega, which the vacuum check sees."""
+    b = OrthonormalBackend(a2, EnergyWindow(-1, 2, 1))
+    bit = b.steps[2, 1][0]
+    levels = fock._moves(b, 1, 0)
+    at, row = next((at, row) for at, (_gate, rows) in enumerate(levels) for row in rows
+                   if row[0] == row[3] == bit)
+    rows = levels[at][1]
+    assert row[1] == bit and row[4] == 0  # iota first, on the added mode, which is empty at 0
+    rows[rows.index(row)] = (bit, 0, row[2], bit, bit, row[5], -row[6])
+    levels[at] = fock._level(rows)
+    assert commutator_check(b).passed
+    verdict = vacuum_checks(b)
+    assert not verdict.passed and verdict.max_abs_error == abs(row[6]) / b.alg.scale
 
 
 def test_a_d_term_at_another_energy_fails_the_energy_check(a1):
@@ -947,8 +1019,8 @@ def _sorted_enumeration(b, margin, max_energy):
 ], ids=["a1_m2_3_g1", "a2_m1_2_g1", "a1_m3_3_g2", "g2_m1_2_g1"])
 def test_capped_quantifier_sets_are_prefixes_of_the_sorted_enumeration(request, monkeypatch, series, window, sets,
                                                                         truncated_sets):
-    """Each capped set is a prefix of the reference, and each shell's
-    counted size is the number of monomials its walk yields.  G2 [-1,2]
+    """Each capped set is a prefix of the reference, and the walk of all
+    the shells, concatenated, is the reference itself.  G2 [-1,2]
     has 28 candidate modes, so its sets hold at most four modes each.  At
     guard 2 the cocycles at k = 0 and k = 1 both take margin 2 and share
     one set, so three sets are drawn, not four, and no cap bites there:
@@ -970,14 +1042,12 @@ def test_capped_quantifier_sets_are_prefixes_of_the_sorted_enumeration(request, 
         assert check_basis(b, margin, max_energy, cap) == want, (margin, max_energy, cap)
         truncated += len(want) < len(full[margin, max_energy])
     for key, reference in full.items():
-        shells = fock._check_shells(b, *key)
-        assert [len(list(shells.shell(e))) for e in range(len(shells.sizes))] == shells.sizes, key
-        assert sum(shells.sizes) == len(reference), key
+        assert list(fock._check_shells(b, *key).monomials()) == reference, key
     assert (len(used), truncated) == (sets, truncated_sets)
 
 
 def test_the_column_memo_stays_small(a1, monkeypatch):
-    """The A1 [-2,3] guard-1 suite leaves each of its 8,072 memoised
+    """The A1 [-2,3] guard-1 suite leaves each of its 7,928 memoised
     columns a flat tuple, and its backend holds at most 4 MB (about 1.4 MB;
     a read-only dict per column takes about five times as much).  The
     lower bounds keep the measurement from being vacuous: with memoisation
